@@ -286,7 +286,6 @@ def solve_cubic_x(s: complex, sqrt_rule=default_sqrt_rule,
         for j in range(i + 1, 3):
             if abs(roots[i] - roots[j]) < cluster_tol:
                 mean = (roots[i] + roots[j]) / 2
-                x_d = 0.25 if mean.real >= 0 else -0.25
                 # Newton on F' = 48 X^2 - 3 from the cluster mean
                 t = complex(mean)
                 for _ in range(60):
@@ -295,7 +294,6 @@ def solve_cubic_x(s: complex, sqrt_rule=default_sqrt_rule,
                     if abs(step) < 1e-16:
                         break
                 if abs(16 * t**3 - 3 * t - c) < 1e-10:
-                    k = 3 - i - j
                     third = -2 * t
                     roots = [t, t, _polish_cubic(16, -3, -c, third)]
                 break
@@ -321,6 +319,14 @@ def _series_complex_eval(series: PuiseuxSeries, local: complex) -> complex:
     return total
 
 
+@lru_cache(maxsize=None)
+def _g_series_terms(shape: int, n_terms: int) -> tuple:
+    """The terms of ``_g_series_shape`` as (power of the local root, complex
+    coefficient) pairs, converted from the exact coefficients once."""
+    return tuple((int(2 * e), complex(coeff))
+                 for e, coeff in _g_series_shape(shape, n_terms).terms.items())
+
+
 def anchored_g_triple(anchor: int, local_root: complex,
                       n_terms: int = ANCHOR_SERIES_TERMS) -> tuple[complex, complex, complex]:
     """(G_1, G_2, G_3) near a base point, from the exact series.
@@ -334,12 +340,9 @@ def anchored_g_triple(anchor: int, local_root: complex,
     out = []
     for index in (1, 2, 3):
         shape = index if anchor == 0 else _LABEL_SWAP_AT_1[index]
-        series = _g_series_shape(shape, n_terms)
         total = 0j
-        for e, coeff in series.terms.items():
-            out_power = local_root ** e.numerator if e.denominator == 2 \
-                else local_root ** (2 * e.numerator)
-            total += complex(coeff) * out_power
+        for power, coeff in _g_series_terms(shape, n_terms):
+            total += coeff * local_root ** power
         out.append(total)
     return tuple(out)
 
@@ -355,19 +358,20 @@ def _chart_simple_value(delta: complex) -> complex:
     return _series_complex_eval(crossing_chart_series("simple", "g"), delta)
 
 
-def _match_by_predictor(predicted: tuple, candidates: list,
-                        scale: float) -> tuple | None:
-    """Assign each predicted value the nearest candidate; None on ambiguity."""
+def _match_indices(predicted: tuple, candidates, scale: float) -> tuple | None:
+    """Index of the nearest candidate for each predicted value, each candidate
+    used once and the runner-up at least MATCH_MARGIN times farther; None on
+    ambiguity."""
     taken = [False] * 3
-    result = [None] * 3
-    for i, p in enumerate(predicted):
+    result = []
+    for p in predicted:
         dists = sorted(((abs(p - c) / scale, j) for j, c in enumerate(candidates)))
         best, jbest = dists[0]
         second = dists[1][0]
         if taken[jbest] or (best > 0 and second < MATCH_MARGIN * best):
             return None
         taken[jbest] = True
-        result[i] = candidates[jbest]
+        result.append(jbest)
     return tuple(result)
 
 
@@ -393,12 +397,12 @@ def _step_triple(s0: complex, triple: tuple, s1: complex, depth: int = 0) -> tup
     predicted = tuple(g + _g_derivatives(s0, g) * ds for g in triple)
     candidates = list(solve_cubic_g(s1))
     scale = max(1.0, max(abs(g) for g in triple))
-    matched = _match_by_predictor(predicted, candidates, scale)
+    matched = _match_indices(predicted, candidates, scale)
     if matched is None:
         mid = (s0 + s1) / 2
         half = _step_triple(s0, triple, mid, depth + 1)
         return _step_triple(mid, half, s1, depth + 1)
-    return matched
+    return tuple(candidates[j] for j in matched)
 
 
 def _step_triple_chart(s0: complex, triple: tuple, s1: complex, depth: int) -> tuple:
@@ -549,6 +553,22 @@ def monodromy_triple(s: complex, triple: tuple, center: complex,
     """Continue the ordered triple once counterclockwise around ``center``."""
     return continue_triple([s, *_loop_path(s, center, n_steps)], triple,
                            max_step=0.12)
+
+
+def monodromy_permutation(s: complex, triple: tuple, center: complex,
+                          n_steps: int = 24) -> tuple[int, int, int]:
+    """The permutation pi of the ordered triple by one counterclockwise loop
+    around ``center``: the looped value of entry i is ``triple[pi[i]]``.
+
+    Raises NumericError when a looped value does not match one entry of the
+    triple under the MATCH_MARGIN rule of the tracker.
+    """
+    looped = monodromy_triple(s, triple, center, n_steps)
+    scale = max(1.0, max(abs(g) for g in triple))
+    perm = _match_indices(looped, triple, scale)
+    if perm is None:
+        raise NumericError(f"looped triple at s = {s} matches no permutation of the triple")
+    return perm
 
 
 def discontinuity(value: BranchValue, singular_point: int,

@@ -223,12 +223,13 @@ def _voros_grid_points(grid: str):
 def run_voros_grid(grid: str = "default", plus_tol: float = 1e-6,
                    minus_tol: float = 1e-8, quad_tol: float = 1e-10) -> dict:
     points = []
-    worst_plus = worst_minus = worst_cut = 0.0
+    worst_plus = worst_minus = worst_cut = worst_cut_airy = 0.0
     for x, eta in _voros_grid_points(grid):
         rep = resummation.verify_voros(x, eta, quad_tol)
         worst_plus = max(worst_plus, rep.plus_residual)
         worst_minus = max(worst_minus, rep.minus_residual)
         worst_cut = max(worst_cut, rep.cut_vs_jump_residual)
+        worst_cut_airy = max(worst_cut_airy, rep.cut_vs_airy_residual)
         points.append({
             "x": _cx(rep.x), "eta": eta,
             "plus_continued": _cx(rep.plus_continued),
@@ -238,6 +239,7 @@ def run_voros_grid(grid: str = "default", plus_tol: float = 1e-6,
             "plus_residual": rep.plus_residual,
             "minus_residual": rep.minus_residual,
             "cut_vs_jump_residual": rep.cut_vs_jump_residual,
+            "cut_vs_airy_residual": rep.cut_vs_airy_residual,
         })
     return {
         "config": {"grid": grid, "plus_tol": plus_tol, "minus_tol": minus_tol,
@@ -246,7 +248,9 @@ def run_voros_grid(grid: str = "default", plus_tol: float = 1e-6,
         "max_plus_residual": worst_plus,
         "max_minus_residual": worst_minus,
         "max_cut_vs_jump_residual": worst_cut,
-        "passed": worst_plus < plus_tol and worst_minus < minus_tol,
+        "max_cut_vs_airy_residual": worst_cut_airy,
+        "passed": (worst_plus < plus_tol and worst_minus < minus_tol
+                   and worst_cut_airy < plus_tol),
     }
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,7 +25,7 @@ import mpmath
 import numpy as np
 
 from .branches import (SERIES_ZONE, anchored_g_triple, continue_triple,
-                       monodromy_triple, ray_local_root, sqrt_s)
+                       monodromy_permutation, ray_local_root, sqrt_s)
 from .errors import NumericError, PreconditionError
 
 TWO_PI_THIRDS = 2 * math.pi / 3
@@ -71,6 +72,8 @@ class StokesContext:
 
 def classify_stokes(x: complex, boundary_tol: float = 1e-12) -> StokesContext:
     """Classify x against the Stokes rays arg x in {0, +-2 pi/3}."""
+    if not cmath.isfinite(x):
+        raise PreconditionError(f"x must be finite, got {x!r}")
     if x == 0:
         raise PreconditionError("x = 0 is the turning point")
     arg = cmath.phase(complex(x))
@@ -247,6 +250,24 @@ def _ray_field(ctx: StokesContext, sign: str) -> RayField:
     return RayField(0 if sign == "+" else 1, ctx.kappa)
 
 
+def _require_quadrature_inputs(eta: float, tol: float):
+    if not (math.isfinite(eta) and eta > 0):
+        raise PreconditionError(f"eta must be positive and finite, got {eta!r}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise PreconditionError(f"tol must be positive and finite, got {tol!r}")
+
+
+def _scaled_sum(sign: str, ctx: StokesContext, eta: float, alpha: complex,
+                raw: complex, err: float) -> BorelSum:
+    """The Borel sum e^(-alpha eta) * raw, refusing a result that underflows."""
+    scale = cmath.exp(-alpha * eta)
+    value = raw * scale
+    if raw != 0 and abs(value) < sys.float_info.min:
+        raise NumericError(
+            f"e^(-alpha eta) = {scale!r} underflows the sum at eta = {eta!r}")
+    return BorelSum(sign, ctx.region, eta, value, err * abs(scale))
+
+
 def laplace_sum(sign: str, ctx: StokesContext, eta: float, tol: float = 1e-10,
                 field: RayField | None = None) -> BorelSum:
     """Borel sum of the normalized WKB solution along its summation ray.
@@ -256,8 +277,7 @@ def laplace_sum(sign: str, ctx: StokesContext, eta: float, tol: float = 1e-10,
     """
     if sign not in ("+", "-"):
         raise PreconditionError(f"sign must be '+' or '-', got {sign!r}")
-    if eta <= 0:
-        raise PreconditionError("eta must be positive")
+    _require_quadrature_inputs(eta, tol)
     _require_summable(ctx)
     ray = field if field is not None else _ray_field(ctx, sign)
     inv_pref = 1.0 / (SQRT_PI * ctx.x)
@@ -274,32 +294,51 @@ def laplace_sum(sign: str, ctx: StokesContext, eta: float, tol: float = 1e-10,
         alpha = ctx.alpha_minus
 
     raw, err = _laplace_quadrature(integrand, eta, tol)
-    scale = cmath.exp(-alpha * eta)
-    return BorelSum(sign, ctx.region, eta, raw * scale, err * abs(scale))
+    return _scaled_sum(sign, ctx, eta, alpha, raw, err)
 
 
 def _delta_integrand_factory(ctx: StokesContext, loop_steps: int):
     """Discontinuity of branch 3 at the "-" singular point along the "-" ray.
 
-    Outside the series zone the continuation-once-around value comes from an
-    honest numeric monodromy loop.  Inside the zone the loop geometry would
-    sit at rounding distance from the branch point, so the continuation is
-    evaluated on the exact local element instead: one turn flips the local
-    root, i.e. the looped value is the series at -w.
+    The only branch points of G are s = 0, 1 and infinity (s = 1/2 is an
+    analytic crossing), so one loop around s = 1 permutes the ordered ray
+    triple the same way at every point of the ray.  The permutation comes from
+    one numeric monodromy loop where the ray leaves the series zone, and
+    Delta g_3 = triple[pi(3)] - triple[3] follows at every node beyond.  Inside
+    the zone the looped value is the exact local element at -w: one turn flips
+    the local root.
+
+    Returns ``(delta_g3, confirm_far_end)``; the latter repeats the loop at the
+    farthest node sampled so far and raises NumericError if the permutation
+    differs there.
     """
     ray = _ray_field(ctx, "-")
 
+    def loop_permutation(t: float) -> tuple:
+        return monodromy_permutation(ctx.ray_point("-", t), ray.triple(t), 1.0 + 0j,
+                                     n_steps=loop_steps)
+
+    t_exit = _SERIES_HANDOFF / abs(ctx.kappa)
+    perm = loop_permutation(t_exit)
+    image = perm[2]
+
     def delta_g3(t: float) -> complex:
         triple = ray.triple(t)
-        rho = abs(ctx.kappa) * t
-        if rho <= _SERIES_HANDOFF:
-            looped = anchored_g_triple(1, -ray._local_root(t))
-        else:
-            looped = monodromy_triple(ctx.ray_point("-", t), triple, 1.0 + 0j,
-                                      n_steps=loop_steps)
-        return looped[2] - triple[2]
+        if abs(ctx.kappa) * t <= _SERIES_HANDOFF:
+            return anchored_g_triple(1, -ray._local_root(t))[2] - triple[2]
+        return triple[image] - triple[2]
 
-    return delta_g3
+    def confirm_far_end():
+        t_far = ray._ts[-1] if ray._ts else t_exit
+        if t_far <= t_exit:
+            return
+        far = loop_permutation(t_far)
+        if far != perm:
+            raise NumericError(
+                f"monodromy permutation {far} at the far end of the ray differs "
+                f"from {perm} where it leaves the series zone")
+
+    return delta_g3, confirm_far_end
 
 
 def gamma_term(ctx: StokesContext, eta: float, tol: float = 1e-8,
@@ -308,19 +347,20 @@ def gamma_term(ctx: StokesContext, eta: float, tol: float = 1e-8,
 
     Computed through the discontinuity reduction: the loop integral around the
     cut equals -1/sqrt(pi) times the Laplace integral of Delta g_3 along the
-    "-" ray, with Delta evaluated by honest numeric monodromy loops at each
-    quadrature node.
+    "-" ray, with Delta read off the ray triple through the monodromy
+    permutation of the ray (numeric loops at both ends of the sampled range).
     """
+    _require_quadrature_inputs(eta, tol)
     _require_summable(ctx)
-    delta_g3 = _delta_integrand_factory(ctx, loop_steps)
+    delta_g3, confirm_far_end = _delta_integrand_factory(ctx, loop_steps)
     inv_pref = 1.0 / (SQRT_PI * ctx.x)
 
     def integrand(t: float) -> complex:
         return -delta_g3(t) * inv_pref
 
     raw, err = _laplace_quadrature(integrand, eta, tol)
-    scale = cmath.exp(-ctx.alpha_minus * eta)
-    return BorelSum("+", ctx.region, eta, raw * scale, err * abs(scale))
+    confirm_far_end()
+    return _scaled_sum("+", ctx, eta, ctx.alpha_minus, raw, err)
 
 
 def gamma_term_literal(ctx: StokesContext, eta: float,
@@ -402,12 +442,16 @@ def continue_plus_sum_across(ctx: StokesContext, eta: float, tol: float = 1e-8,
     direct = laplace_sum("+", ctx, eta, tol)
     if literal_loop:
         cut = gamma_term_literal(ctx, eta)
-        err = direct.quadrature_error_estimate
-    else:
-        cut_sum = gamma_term(ctx, eta, tol)
-        cut = cut_sum.value
-        err = direct.quadrature_error_estimate + cut_sum.quadrature_error_estimate
-    return (BorelSum("+", REGION_I, eta, direct.value + cut, err), cut)
+        return _continued_plus_sum(direct, cut, 0.0), cut
+    cut_sum = gamma_term(ctx, eta, tol)
+    return (_continued_plus_sum(direct, cut_sum.value, cut_sum.quadrature_error_estimate),
+            cut_sum.value)
+
+
+def _continued_plus_sum(direct: BorelSum, cut: complex, cut_error: float) -> BorelSum:
+    """The region-I "+" sum continued to the point of ``direct``: direct + cut."""
+    return BorelSum("+", REGION_I, direct.eta, direct.value + cut,
+                    direct.quadrature_error_estimate + cut_error)
 
 
 def minus_sum_continued_from_region_I(ctx: StokesContext, eta: float,
@@ -611,9 +655,11 @@ class VorosReport:
     plus_residual: float
     minus_residual: float
     cut_vs_jump_residual: float
+    cut_vs_airy_residual: float
 
     def passed(self, plus_tol: float, minus_tol: float) -> bool:
-        return self.plus_residual < plus_tol and self.minus_residual < minus_tol
+        return (self.plus_residual < plus_tol and self.minus_residual < minus_tol
+                and self.cut_vs_airy_residual < plus_tol)
 
 
 def verify_voros(x: complex, eta: float, quad_tol: float = 1e-10) -> VorosReport:
@@ -621,22 +667,28 @@ def verify_voros(x: complex, eta: float, quad_tol: float = 1e-10) -> VorosReport
 
     The continued "+" sum comes from the deformed path (direct region-II ray
     plus the cut term from numeric monodromy); the jump must equal
-    i * (the "-" sum), and the "-" sum itself must not jump.
+    i * (the "-" sum), and the "-" sum itself must not jump.  The cut term is
+    also held against 2i sqrt(pi) eta^(-1/3) Ai(eta^(2/3) x) from the series
+    oracle, a witness that shares no code with the branch tracking.
     """
     ctx = classify_stokes(x)
     if ctx.region != REGION_II:
         raise PreconditionError("the Voros check samples x in region II")
-    plus_cont, cut = continue_plus_sum_across(ctx, eta, quad_tol)
     plus_direct = laplace_sum("+", ctx, eta, quad_tol)
+    cut_sum = gamma_term(ctx, eta, quad_tol)
+    cut = cut_sum.value
+    plus_cont = _continued_plus_sum(plus_direct, cut, cut_sum.quadrature_error_estimate)
     minus_direct = laplace_sum("-", ctx, eta, quad_tol)
     minus_cont = minus_sum_continued_from_region_I(ctx, eta, quad_tol)
     plus_res = (abs(plus_cont.value - plus_direct.value - 1j * minus_direct.value)
                 / abs(plus_direct.value))
     minus_res = abs(minus_cont.value - minus_direct.value) / abs(minus_direct.value)
     cut_res = abs(cut - 1j * minus_direct.value) / abs(minus_direct.value)
+    ai = airy_reference(eta ** (2.0 / 3.0) * complex(x)).ai
+    cut_airy_res = abs(cut - 2j * SQRT_PI * eta ** (-1.0 / 3.0) * ai) / abs(cut)
     return VorosReport(complex(x), eta, plus_cont.value, plus_direct.value,
                        minus_direct.value, minus_cont.value, cut,
-                       plus_res, minus_res, cut_res)
+                       plus_res, minus_res, cut_res, cut_airy_res)
 
 
 def formal_solution_partial_sum(sign: str, x: complex, eta: float,

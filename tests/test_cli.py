@@ -95,6 +95,12 @@ class TestExitCodes:
         code, _ = run_cli(["resum", "laplace", "--x", "1,0", "--eta", "8"])
         assert code == 3
 
+    @pytest.mark.parametrize("quadrature_args", [["--eta", "8", "--tol", "0"],
+                                                 ["--eta", "nan"]])
+    def test_bad_quadrature_input_is_3(self, quadrature_args):
+        code, _ = run_cli(["resum", "laplace", "--x", "0.866,-0.5", *quadrature_args])
+        assert code == 3
+
     def test_unparseable_complex_is_3(self):
         code, _ = run_cli(["resum", "laplace", "--x", "one", "--eta", "8"])
         assert code == 3

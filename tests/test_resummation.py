@@ -5,8 +5,12 @@ import math
 
 import pytest
 
-from exactwkb.errors import PreconditionError
-from exactwkb.resummation import (airy_reference, classify_stokes,
+from exactwkb import resummation
+from exactwkb.branches import monodromy_triple
+from exactwkb.cli import run_voros_grid
+from exactwkb.errors import NumericError, PreconditionError
+from exactwkb.resummation import (BorelSum, RayField, _delta_integrand_factory,
+                                  airy_reference, classify_stokes,
                                   continue_plus_sum_across, formal_solution_partial_sum,
                                   gamma_term, gamma_term_literal, laplace_sum,
                                   verify_airy_connection, verify_voros)
@@ -30,6 +34,12 @@ class TestStokesClassification:
     def test_turning_point_rejected(self):
         with pytest.raises(PreconditionError):
             classify_stokes(0.0)
+
+    @pytest.mark.parametrize("x", [complex(math.nan, 0), complex(1, math.inf),
+                                   math.nan, -math.inf])
+    def test_non_finite_x_rejected(self, x):
+        with pytest.raises(PreconditionError):
+            classify_stokes(x)
 
     def test_boundary_rejected_by_laplace(self):
         with pytest.raises(PreconditionError):
@@ -97,6 +107,27 @@ class TestLaplaceSums:
             model = cmath.exp((2 / 3) * x32 * eta) / math.sqrt(2)
             assert abs(b / a - model) / abs(model) < 0.05
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
+    def test_bad_tolerance_rejected(self, tol):
+        ctx = classify_stokes(cmath.exp(1j * math.pi / 6))
+        with pytest.raises(PreconditionError):
+            laplace_sum("+", ctx, 10.0, tol=tol)
+
+    @pytest.mark.parametrize("eta", [math.nan, math.inf, 0.0])
+    def test_bad_eta_rejected(self, eta):
+        ctx = classify_stokes(cmath.exp(1j * math.pi / 6))
+        with pytest.raises(PreconditionError):
+            laplace_sum("+", ctx, eta)
+
+    def test_underflow_raises(self):
+        # e^(-alpha eta) is e^(-943) here: the raw sum is fine, the scaled one is not
+        with pytest.raises(NumericError):
+            laplace_sum("-", classify_stokes(cmath.exp(-1j * math.pi / 6)), 2000.0)
+
+    def test_cut_term_underflow_raises(self):
+        with pytest.raises(NumericError):
+            gamma_term(classify_stokes(cmath.exp(1j * math.pi / 6)), 2000.0)
+
     def test_homogeneity(self):
         x = cmath.exp(-1j * math.pi / 6)
         eta = 10.0
@@ -125,6 +156,32 @@ class TestConnectionFormulas:
         assert report.plus_residual < 1e-6
         assert report.minus_residual < 1e-8
         assert report.cut_vs_jump_residual < 1e-6
+        assert report.cut_vs_airy_residual < 1e-6
+        assert report.passed(1e-6, 1e-8)
+
+    def test_airy_witness_rejects_wrong_branch_pair(self, monkeypatch):
+        """A cut term from g_2 - g_3 in place of g_1 - g_3 fails the oracle gate."""
+        def wrong_pair_gamma_term(ctx, eta, tol=1e-8, loop_steps=32):
+            ray = RayField(1, ctx.kappa)
+
+            class Swapped:
+                def triple(self, t):
+                    g1, g2, g3 = ray.triple(t)
+                    return (g2, g1, g3)
+
+            # i times the "-" sum is the cut term; with g_1 and g_2 swapped it
+            # integrates -(g_2 - g_3) / (sqrt(pi) x)
+            minus = laplace_sum("-", ctx, eta, tol, field=Swapped())
+            return BorelSum("+", ctx.region, eta, 1j * minus.value,
+                            minus.quadrature_error_estimate)
+
+        monkeypatch.setattr(resummation, "gamma_term", wrong_pair_gamma_term)
+        report = verify_voros(cmath.exp(1j * math.pi / 6), 8.0)
+        assert report.cut_vs_airy_residual > 1e-2
+        assert not report.passed(1e-6, 1e-8)
+        grid = run_voros_grid("quick")
+        assert grid["max_cut_vs_airy_residual"] > 1e-2
+        assert not grid["passed"]
 
     def test_cut_term_equals_jump(self):
         ctx = classify_stokes(cmath.exp(1j * math.pi / 6))
@@ -148,6 +205,38 @@ class TestConnectionFormulas:
     def test_region_I_input_rejected_for_continuation(self):
         with pytest.raises(PreconditionError):
             continue_plus_sum_across(classify_stokes(cmath.exp(-1j * math.pi / 6)), 8.0)
+
+
+class TestRayMonodromy:
+    """The once-per-ray permutation against a numeric loop at each node."""
+
+    @pytest.mark.parametrize("arg", [0.3, math.pi / 6, 1.9])
+    def test_permutation_matches_loop_at_each_node(self, arg):
+        ctx = classify_stokes(cmath.exp(1j * arg))
+        delta_g3, confirm_far_end = _delta_integrand_factory(ctx, 32)
+        field = RayField(1, ctx.kappa)
+        # one node inside the 0.35 loop radius, two beyond it
+        for rho in (0.2, 0.9, 2.0):
+            t = rho / abs(ctx.kappa)
+            triple = field.triple(t)
+            looped = monodromy_triple(ctx.ray_point("-", t), triple, 1.0, n_steps=32)
+            want = looped[2] - triple[2]
+            assert abs(delta_g3(t) - want) <= 1e-12 * abs(want)
+        confirm_far_end()
+
+    def test_far_end_disagreement_raises(self, monkeypatch):
+        real = resummation.monodromy_permutation
+        calls = []
+
+        def reversed_after_first(*args, **kwargs):
+            perm = real(*args, **kwargs)
+            calls.append(perm)
+            return perm if len(calls) == 1 else perm[::-1]
+
+        monkeypatch.setattr(resummation, "monodromy_permutation", reversed_after_first)
+        with pytest.raises(NumericError):
+            gamma_term(classify_stokes(cmath.exp(1j * math.pi / 6)), 8.0)
+        assert len(calls) == 2
 
 
 class TestWatsonConsistency:
