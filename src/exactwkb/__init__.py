@@ -20,7 +20,7 @@ from .pearcey import (CubicFieldElement, PearceyBranch, annihilation_residuals,
 from .resummation import (AiryValues, BorelSum, StokesContext, airy_reference,
                           classify_stokes, continue_plus_sum_across, laplace_sum,
                           verify_airy_connection, verify_voros)
-from .series import EtaExpansion, ExactScalar, PuiseuxSeries, series_arith, series_compose_exp_sqrt
-from .weyl import WeylElement, pearcey_operators, verify_operator_identities, weyl_normal_product
+from .series import EtaExpansion, ExactScalar, PuiseuxSeries
+from .weyl import WeylElement, pearcey_operators, verify_operator_identities
 
 __version__ = "0.1.0"

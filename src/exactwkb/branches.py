@@ -92,18 +92,28 @@ def _local_c_series(var: str, trunc: Fraction) -> PuiseuxSeries:
 
 def _newton_root_series(c_series: PuiseuxSeries, seed: PuiseuxSeries,
                         trunc: Fraction) -> PuiseuxSeries:
-    """Solve 16 X^3 - 3 X - c = 0 in the truncated Puiseux ring by Newton."""
-    x = seed.truncate(trunc)
+    """Solve 16 X^3 - 3 X - c = 0 in the truncated Puiseux ring by Newton.
+
+    The working precision doubles from 1/2 (Brent & Kung, J. ACM 25, 1978).
+    While the residual vanishes at the working precision, the current iterate
+    is already right there and the precision doubles without a step; so the
+    first step runs at the precision the seed fixes, never where 48 X^2 - 3
+    is still zero, as it is at the double root of the crossing chart.  The
+    result keeps the truncation of a full-precision iteration: each step
+    lowers it by what dividing by 48 X^2 - 3 costs.
+    """
+    x, known, prec = seed, trunc, Fraction(1, 2)
     for _ in range(200):
-        f = x * x * x * 16 - x * 3 - c_series
+        prec = min(prec, known)
+        xp = PuiseuxSeries(x.variable, x.terms, prec)
+        f = xp * xp * xp * 16 - xp * 3 - c_series.truncate(prec)
         if f.is_zero():
-            return x
-        fp = x * x * 48 - 3
-        step = f / fp
-        x = x - step
-        v = step.valuation()
-        if v is not None and v >= trunc:
-            return x
+            if prec == known:
+                return xp
+        else:
+            x = xp - f / (xp * xp * 48 - 3)
+            known -= prec - x.truncation
+        prec *= 2
     raise NumericError("series Newton did not stabilize")
 
 
@@ -305,20 +315,6 @@ def solve_cubic_x(s: complex, sqrt_rule=default_sqrt_rule,
 # anchored values and continuation
 # ---------------------------------------------------------------------------
 
-def _series_complex_eval(series: PuiseuxSeries, local: complex) -> complex:
-    root = None
-    total = 0j
-    for e, coeff in series.terms.items():
-        if e.denominator == 1:
-            power = local ** e.numerator
-        else:
-            if root is None:
-                root = cmath.sqrt(local)
-            power = root ** e.numerator
-        total += complex(coeff) * power
-    return total
-
-
 @lru_cache(maxsize=None)
 def _g_series_terms(shape: int, n_terms: int) -> tuple:
     """The terms of ``_g_series_shape`` as (power of the local root, complex
@@ -347,15 +343,26 @@ def anchored_g_triple(anchor: int, local_root: complex,
     return tuple(out)
 
 
-def _chart_pair_values(delta: complex) -> tuple[complex, complex]:
-    """(G for chart branch plus, minus) at s = 1/2 + delta, from exact series."""
-    plus = crossing_chart_series("plus", "g")
-    minus = crossing_chart_series("minus", "g")
-    return (_series_complex_eval(plus, delta), _series_complex_eval(minus, delta))
+@lru_cache(maxsize=None)
+def _chart_terms(branch: str) -> tuple:
+    """The G form of ``crossing_chart_series(branch)`` as (power of d, complex
+    coefficient) pairs, converted from the exact coefficients once.  The chart
+    is a series in whole powers of d."""
+    terms = crossing_chart_series(branch, "g").terms
+    if any(e.denominator != 1 for e in terms):
+        raise NumericError("crossing chart left the whole powers of d")
+    return tuple((e.numerator, complex(coeff)) for e, coeff in terms.items())
 
 
-def _chart_simple_value(delta: complex) -> complex:
-    return _series_complex_eval(crossing_chart_series("simple", "g"), delta)
+def _chart_values(delta: complex) -> tuple[complex, complex, complex]:
+    """G of the chart branches plus, minus and simple at s = 1/2 + delta."""
+    out = []
+    for branch in ("plus", "minus", "simple"):
+        total = 0j
+        for power, coeff in _chart_terms(branch):
+            total += coeff * delta ** power
+        out.append(total)
+    return tuple(out)
 
 
 def _match_indices(predicted: tuple, candidates, scale: float) -> tuple | None:
@@ -420,8 +427,8 @@ def _step_triple_chart(s0: complex, triple: tuple, s1: complex, depth: int) -> t
         half = _step_triple(s0, triple, mid, depth + 1)
         return _step_triple(mid, half, s1, depth + 1)
 
-    ref0 = (*_chart_pair_values(d0), _chart_simple_value(d0))
-    ref1 = (*_chart_pair_values(d1), _chart_simple_value(d1))
+    ref0 = _chart_values(d0)
+    ref1 = _chart_values(d1)
     assignment = []
     for g in triple:
         dists = sorted((abs(g - r), k) for k, r in enumerate(ref0))

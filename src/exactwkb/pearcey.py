@@ -206,22 +206,6 @@ def _DS_DX2() -> CubicFieldElement:
     return (-CubicFieldElement.root()) * _UNIT_DENOM().inverse()
 
 
-def cubic_field_ops(a: CubicFieldElement, b: CubicFieldElement | None,
-                    op: str) -> CubicFieldElement:
-    """Dispatch form of the quotient-ring operations (add, mul, inv, d1, d2)."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "inv":
-        return a.inverse()
-    if op == "d1":
-        return a.d1()
-    if op == "d2":
-        return a.d2()
-    raise PreconditionError(f"unknown ring operation {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # the WKB recursion
 # ---------------------------------------------------------------------------

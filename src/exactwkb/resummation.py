@@ -612,7 +612,8 @@ def verify_airy_connection(x: complex, eta: float, tol: float = 1e-6,
     In region I:  Ai = eta^(1/3) Psi_- / (2 sqrt(pi)),
                   Bi = eta^(1/3) Psi_+ / sqrt(pi) - i eta^(1/3) Psi_- / (2 sqrt(pi));
     in region II the Bi relation carries +i instead.  The inverse expressions
-    of Psi_+- through Ai and Bi are checked as well.
+    of Psi_+- through Ai and Bi are checked as well, Psi_+ through Ai at the
+    rotated point z e^(+-2 pi i/3).
     """
     ctx = classify_stokes(x)
     _require_summable(ctx)
@@ -630,7 +631,11 @@ def verify_airy_connection(x: complex, eta: float, tol: float = 1e-6,
     ai_res = abs(ai_pred - oracle.ai) / abs(oracle.ai)
     bi_res = abs(bi_pred - oracle.bi) / abs(oracle.bi)
 
-    plus_pred = SQRT_PI / cbrt * (-i_sign * oracle.ai + oracle.bi)
+    # Bi +- i Ai (upper sign in region I) formed from Ai and Bi cancels
+    # completely where psi_+ is recessive; DLMF 9.2.11 gives it as one Ai value
+    turn = 1 if ctx.region == REGION_I else -1
+    rotated = airy_reference(z * cmath.exp(turn * 2j * math.pi / 3))
+    plus_pred = 2 * SQRT_PI / cbrt * cmath.exp(turn * 1j * math.pi / 6) * rotated.ai
     minus_pred = 2 * SQRT_PI / cbrt * oracle.ai
     inv_plus = abs(plus_pred - psi_plus) / abs(psi_plus)
     inv_minus = abs(minus_pred - psi_minus) / abs(psi_minus)

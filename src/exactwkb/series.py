@@ -7,6 +7,18 @@ the explicit ``complex()``/``float()`` conversions used by the numeric
 modules.  Exponent denominators are capped at 2 on purpose: every series in
 this problem lives in half-integer powers, so a finer denominator showing up
 means a symbol-manipulation bug and is rejected immediately.
+
+The transcendental operations run as O(n^2) coefficient recurrences on the
+exponent grid h = 2e, after normalising f = lead x^v (1 + u):
+
+- reciprocal and the binomial powers (1 + u)^p, p = -1, +-1/2, by
+  J.C.P. Miller's power formula g_m = (1/m) sum_k ((p+1) k - m) u_k g_{m-k}
+  (Knuth, TAOCP vol. 2, 4.7);
+- exp(u) from g' = u' g: g_m = (1/m) sum_k k u_k g_{m-k};
+- log(1 + u) from (1 + u) g' = u': g_m = u_m - (1/m) sum_{k<m} k g_k u_{m-k}
+  (both as in Brent & Kung, J. ACM 25, 1978).
+
+Eta-expansions use the same recurrences with Puiseux-series coefficients.
 """
 
 from __future__ import annotations
@@ -346,22 +358,12 @@ class PuiseuxSeries:
         if rel is None:
             raise PreconditionError(
                 "inverse of an exact multi-term series needs an explicit order")
-        # f = lead * x^v (1 + u); 1/f = lead^{-1} x^{-v} sum (-u)^k
-        inv_lead = lead.inverse()
-        u = PuiseuxSeries(self.variable,
-                          {e - v: c * inv_lead for e, c in self.terms.items() if e != v},
-                          rel)
-        acc = PuiseuxSeries.one(self.variable, rel)
-        term = acc
-        u_val = u.valuation()
-        if u_val is None or u_val <= 0:
+        if not self._has_tail(v, rel):
             raise PreconditionError("inverse: normalized tail must have positive valuation")
-        k = 1
-        while k * u_val < rel:
-            term = term * (-u)
-            acc = acc + term
-            k += 1
-        return (acc * inv_lead).shift(-v)
+        # f = lead * x^v (1 + u); 1/f = lead^{-1} x^{-v} (1 + u)^{-1}
+        inv_lead = lead.inverse()
+        return self._on_grid(rel, _power_weight(-1), ONE,
+                             v=v, inv_lead=inv_lead, scale=inv_lead, shift=-v)
 
     def __truediv__(self, other) -> "PuiseuxSeries":
         if isinstance(other, (int, Fraction, ExactScalar)):
@@ -417,15 +419,7 @@ class PuiseuxSeries:
         v = self.valuation()
         if v <= 0:
             raise PreconditionError("exp requires strictly positive valuation")
-        u = self.truncate(rel)
-        acc = PuiseuxSeries.one(self.variable, rel)
-        term = acc
-        k = 1
-        while k * v < rel:
-            term = term * u / k
-            acc = acc + term
-            k += 1
-        return acc
+        return self._on_grid(rel, _exp_weight, ONE)
 
     def log1p(self, order=None) -> "PuiseuxSeries":
         """log(1 + f) for f with strictly positive valuation."""
@@ -439,15 +433,7 @@ class PuiseuxSeries:
         v = self.valuation()
         if v <= 0:
             raise PreconditionError("log1p requires strictly positive valuation")
-        u = self.truncate(rel)
-        acc = PuiseuxSeries.zero(self.variable, rel)
-        power = PuiseuxSeries.one(self.variable, rel)
-        k = 1
-        while (k - 1) * v < rel:
-            power = power * u
-            acc = acc + power * Fraction((-1) ** (k + 1), k)
-            k += 1
-        return acc
+        return self._on_grid(rel, _log1p_weight, None, forced=True)
 
     def _binomial_power(self, half_exponent: Fraction, order) -> "PuiseuxSeries":
         """(lead * x^v (1+u))^p for p in {1/2, -1/2}, v even multiple of p."""
@@ -467,29 +453,41 @@ class PuiseuxSeries:
             return PuiseuxSeries.monomial(self.variable, v * half_exponent, root, trunc)
         if rel is None:
             raise PreconditionError("sqrt of an exact multi-term series needs an explicit order")
-        inv_lead = lead.inverse()
-        u = PuiseuxSeries(self.variable,
-                          {e - v: c * inv_lead for e, c in self.terms.items() if e != v},
-                          rel)
-        uv = u.valuation()
-        if uv is None or uv <= 0:
+        if not self._has_tail(v, rel):
             raise PreconditionError("sqrt: normalized tail must have positive valuation")
-        acc = PuiseuxSeries.one(self.variable, rel)
-        term = acc
-        k = 0
-        coeff = Fraction(1)
-        while (k + 1) * uv < rel:
-            coeff = coeff * (half_exponent - k) / (k + 1)
-            term = term * u
-            acc = acc + term * coeff
-            k += 1
-        return (acc * root).shift(v * half_exponent)
+        return self._on_grid(rel, _power_weight(half_exponent), ONE, v=v,
+                             inv_lead=lead.inverse(), scale=root, shift=v * half_exponent)
 
     def sqrt(self, order=None) -> "PuiseuxSeries":
         return self._binomial_power(Fraction(1, 2), order)
 
     def inv_sqrt(self, order=None) -> "PuiseuxSeries":
         return self._binomial_power(Fraction(-1, 2), order)
+
+    def _has_tail(self, v: Fraction, rel: Fraction) -> bool:
+        """Whether any term lies strictly between x^v and x^(v + rel)."""
+        return any(v < e < v + rel for e in self.terms)
+
+    def _on_grid(self, rel: Fraction, weight, first, forced: bool = False,
+                 v: Fraction = 0, inv_lead: ExactScalar = ONE,
+                 scale: ExactScalar = ONE, shift: Fraction = 0) -> "PuiseuxSeries":
+        """Run a coefficient recurrence on u, where self = lead x^v (1 + u).
+
+        The tail u is laid on the grid h = 2e below ``rel``; the solution g of
+        ``_grid_recurrence`` comes back as scale * x^shift * g, known below
+        rel + shift.  Without ``v`` and ``inv_lead``, u is self itself.
+        """
+        n = math.ceil(2 * rel)
+        tail = {}
+        for e, c in self.terms.items():
+            h = int(2 * (e - v))
+            if 0 < h < n:
+                tail[h] = c if inv_lead is ONE else c * inv_lead
+        g = _grid_recurrence(tail, n, first, weight, forced)
+        return PuiseuxSeries(self.variable,
+                             {Fraction(h, 2) + shift: c if scale is ONE else c * scale
+                              for h, c in g.items()},
+                             rel + shift)
 
     # -- conversions -----------------------------------------------------------
 
@@ -569,28 +567,51 @@ def _product_trunc(f: PuiseuxSeries, g: PuiseuxSeries):
     return min(candidates) if candidates else None
 
 
-def series_arith(a: PuiseuxSeries, b: PuiseuxSeries, op: str) -> PuiseuxSeries:
-    """Dispatch form of the basic series arithmetic (add, mul, div)."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise PreconditionError(f"unknown series operation {op!r}")
+def _grid_recurrence(u: Mapping[int, object], n: int, first, weight,
+                     forced: bool = False) -> dict[int, object]:
+    """Nonzero coefficients g_m, m < n, of the series fixed by
+
+        g_0 = first,   g_m = [u_m] + sum_{k <= m} weight(k, m) u_k g_{m-k},
+
+    where u maps grid indices k >= 1 to nonzero ring elements and [u_m] is
+    present only when ``forced``.  The ring is Q(sqrt 3) for Puiseux series
+    and the Puiseux series themselves for eta-expansions; ``first`` None means
+    g_0 = 0.  The cost is one ring product, and one scaling by the weight
+    unless it is +-1, per pair (k, m - k) with both factors nonzero.
+    """
+    g = {} if first is None or n <= 0 else {0: first}
+    support = sorted(u.items())
+    for m in range(1, n):
+        acc = u.get(m) if forced else None
+        for k, uk in support:
+            if k > m:
+                break
+            prev = g.get(m - k)
+            w = weight(k, m)
+            if prev is None or w == 0:
+                continue
+            term = uk * prev
+            term = -term if w == -1 else term if w == 1 else term * w
+            acc = term if acc is None else acc + term
+        if acc is not None and not acc.is_zero():
+            g[m] = acc
+    return g
 
 
-def series_compose_exp_sqrt(a: PuiseuxSeries, mode: str, order=None) -> PuiseuxSeries:
-    """Dispatch form of the series compositions (exp, sqrt, inv_sqrt, log1p)."""
-    if mode == "exp":
-        return a.exp(order)
-    if mode == "sqrt":
-        return a.sqrt(order)
-    if mode == "inv_sqrt":
-        return a.inv_sqrt(order)
-    if mode == "log1p":
-        return a.log1p(order)
-    raise PreconditionError(f"unknown composition mode {mode!r}")
+def _power_weight(p: Fraction):
+    """(1 + u)^p by J.C.P. Miller's formula (Knuth, TAOCP vol. 2, 4.7):
+    g_m = (1/m) sum_k ((p+1) k - m) u_k g_{m-k}; p = -1 is the reciprocal."""
+    return lambda k, m: Fraction((p + 1) * k - m, m)
+
+
+def _exp_weight(k: int, m: int) -> Fraction:
+    """exp(u): g' = u' g, so g_m = (1/m) sum_k k u_k g_{m-k}."""
+    return Fraction(k, m)
+
+
+def _log1p_weight(k: int, m: int) -> Fraction:
+    """log(1 + u): (1 + u) g' = u', so g_m = u_m - (1/m) sum_k (m-k) u_k g_{m-k}."""
+    return Fraction(k - m, m)
 
 
 class EtaExpansion:
@@ -693,20 +714,9 @@ class EtaExpansion:
         rel = self.truncation - v
         lead_inv = lead.inverse()
         # self = eta^{-v} lead (1 + u) with u of positive eta-valuation
-        u_terms = {k - v: s * lead_inv for k, s in self.terms.items() if k != v}
-        u = EtaExpansion(u_terms, rel)
-        acc = EtaExpansion({0: PuiseuxSeries.one(lead.variable)}, rel)
-        term = acc
-        if not u.is_zero():
-            uv = u.valuation()
-            k = 1
-            neg_u = u.scale(-1)
-            while k * uv <= rel:
-                term = term * neg_u
-                acc = acc + term
-                k += 1
-        shifted = {k - v: s * lead_inv for k, s in acc.terms.items()}
-        return EtaExpansion(shifted, rel - v)
+        u = {k - v: s * lead_inv for k, s in self.terms.items() if k != v}
+        g = _grid_recurrence(u, rel + 1, PuiseuxSeries.one(lead.variable), _power_weight(-1))
+        return EtaExpansion({k - v: s * lead_inv for k, s in g.items()}, rel - v)
 
     def __truediv__(self, other: "EtaExpansion") -> "EtaExpansion":
         return self * other.inverse()
@@ -720,14 +730,9 @@ class EtaExpansion:
         if v <= 0:
             raise PreconditionError("exp requires strictly positive eta^-1 valuation")
         var = self.terms[v].variable
-        acc = EtaExpansion({0: PuiseuxSeries.one(var)}, self.truncation)
-        term = acc
-        k = 1
-        while k * v <= self.truncation:
-            term = (term * self).scale(Fraction(1, k))
-            acc = acc + term
-            k += 1
-        return acc
+        g = _grid_recurrence(self.terms, self.truncation + 1, PuiseuxSeries.one(var),
+                             _exp_weight)
+        return EtaExpansion(g, self.truncation)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EtaExpansion):

@@ -163,11 +163,6 @@ def _monomial_product(m1: Monomial, m2: Monomial):
                 yield mono, Fraction(w1 * w2 * w3)
 
 
-def weyl_normal_product(a: WeylElement, b: WeylElement) -> WeylElement:
-    """The exact normal-ordered product, as a free function."""
-    return a * b
-
-
 # short generator aliases
 X1 = WeylElement.monomial(x1=1)
 X2 = WeylElement.monomial(x2=1)

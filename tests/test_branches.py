@@ -7,13 +7,14 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from exactwkb.branches import (BranchLabel, BranchValue, GBranch, anchored_g_triple,
+from exactwkb.branches import (ANCHOR_SERIES_TERMS, CHART_TERMS, BranchLabel, BranchValue,
+                               GBranch, _local_c_series, _x_series_shape, anchored_g_triple,
                                branch_series, continue_branch, continue_triple,
                                crossing_chart_series, discontinuity, g_pde_residuals,
                                monodromy_triple, solve_cubic_g, solve_cubic_g_xy,
                                solve_cubic_x, start_branch, verify_branch_identities)
 from exactwkb.errors import NumericError, PreconditionError
-from exactwkb.series import ExactScalar
+from exactwkb.series import ExactScalar, PuiseuxSeries as P
 
 SQRT3_4 = math.sqrt(3) / 4
 
@@ -70,8 +71,64 @@ class TestBranchSeries:
                 target = _local_c_series("t", x.truncation)
                 assert (c - target).truncate(x.truncation).is_zero()
 
+    @pytest.mark.parametrize("shape", [1, 2, 3])
+    def test_anchor_series_solve_the_cubic_at_build_size(self, shape):
+        # the size the branch tracker builds: every coefficient below the
+        # truncation is exact
+        x = _x_series_shape(shape, ANCHOR_SERIES_TERMS + 2)
+        c = _local_c_series("t", Fr(ANCHOR_SERIES_TERMS + 2, 2))
+        residual = x * x * x * 16 - x * 3 - c
+        assert x.truncation == Fr(ANCHOR_SERIES_TERMS + 2, 2)
+        assert residual.truncation == x.truncation and residual.is_zero()
+
+
+def full_precision_newton(c, seed, trunc):
+    """Every Newton step at full precision: the reference for the doubling."""
+    x = seed.truncate(trunc)
+    for _ in range(200):
+        f = x * x * x * 16 - x * 3 - c
+        if f.is_zero():
+            return x
+        step = f / (x * x * 48 - 3)
+        x = x - step
+        if step.valuation() is not None and step.valuation() >= trunc:
+            return x
+    raise AssertionError("full-precision Newton did not stabilize")
+
+
+ROOT3 = ExactScalar.sqrt3
+
+
+class TestNewtonWithPrecisionDoubling:
+    @pytest.mark.parametrize("shape,seed", [
+        (1, {Fr(0): ROOT3(Fr(1, 4))}), (2, {Fr(0): ROOT3(Fr(-1, 4))}),
+        (3, {Fr(1, 2): Fr(-1, 3)})])
+    def test_anchor_series_match_full_precision_newton(self, shape, seed):
+        trunc = Fr(8)
+        expected = full_precision_newton(_local_c_series("t", trunc), P("t", seed), trunc)
+        assert _x_series_shape(shape, 16) == expected
+
+    @pytest.mark.parametrize("branch,seed", [
+        ("plus", {Fr(0): Fr(-1, 4), Fr(1): ROOT3(Fr(1, 6))}),
+        ("minus", {Fr(0): Fr(-1, 4), Fr(1): ROOT3(Fr(-1, 6))}),
+        ("simple", {Fr(0): Fr(1, 2)})])
+    def test_chart_series_match_full_precision_newton(self, branch, seed):
+        # at the double root each step costs one order of truncation; the
+        # doubling keeps the truncation the full-precision steps report
+        trunc = Fr(CHART_TERMS)
+        c = P("d", {Fr(0): Fr(1, 4), Fr(2): -1}, trunc).sqrt()
+        expected = full_precision_newton(c, P("d", seed), trunc)
+        assert crossing_chart_series(branch, "X", CHART_TERMS) == expected
+
 
 class TestCrossingChart:
+    @pytest.mark.parametrize("branch", ["plus", "minus", "simple"])
+    def test_chart_series_solve_the_cubic(self, branch):
+        x = crossing_chart_series(branch, "X", CHART_TERMS)
+        c = (P("d", {Fr(0): Fr(1, 4), Fr(2): -1}, CHART_TERMS)).sqrt()
+        residual = x * x * x * 16 - x * 3 - c
+        assert residual.truncation == x.truncation and residual.is_zero()
+
     def test_published_chart_coefficients(self):
         plus = crossing_chart_series("plus")
         minus = crossing_chart_series("minus")

@@ -8,7 +8,7 @@ import pytest
 from exactwkb.errors import PreconditionError
 from exactwkb.pearcey import (CubicFieldElement, annihilation_residuals,
                               branch_partials, check_closedness, check_primitives,
-                              coefficient_field, cubic_field_ops,
+                              coefficient_field,
                               denominator_is_unit_power, homogeneity_residual,
                               pearcey_recursion, quartic_coefficients,
                               quartic_g_roots)
@@ -25,22 +25,22 @@ def recursion():
 
 class TestQuotientRing:
     def test_defining_relation(self):
-        s_cubed = cubic_field_ops(cubic_field_ops(S, S, "mul"), S, "mul")
+        s_cubed = S * S * S
         assert (s_cubed - CubicFieldElement(-X1 / 4, -X2 / 2, 0)).is_zero()
 
     def test_implicit_first_derivative(self):
         # 2 (6 S^2 + x2) dS/dx1 + 1 = 0
-        d = cubic_field_ops(S, None, "d1")
+        d = S.d1()
         assert (CubicFieldElement.scalar(2) * UNIT * d
                 + CubicFieldElement.scalar(1)).is_zero()
 
     def test_implicit_second_slot_derivative(self):
         # (6 S^2 + x2) dS/dx2 + S = 0
-        d = cubic_field_ops(S, None, "d2")
+        d = S.d2()
         assert (UNIT * d + S).is_zero()
 
     def test_inverse_contract(self):
-        inv = cubic_field_ops(UNIT, None, "inv")
+        inv = UNIT.inverse()
         assert (inv * UNIT - CubicFieldElement.scalar(1)).is_zero()
 
     def test_non_unit_rejected(self):

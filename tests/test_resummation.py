@@ -151,6 +151,16 @@ class TestConnectionFormulas:
         assert report.region == "II"
         assert report.passed
 
+    @pytest.mark.parametrize("arg,region", [(-1.6, "I"), (1.6, "II")])
+    def test_airy_link_where_psi_plus_is_recessive(self, arg, region):
+        # |z| = 32 and |psi_+| ~ 5e-41: Bi -+ i Ai formed from Ai and Bi would
+        # cancel completely
+        report = verify_airy_connection(1.5 * cmath.exp(1j * arg), 100.0)
+        assert report.region == region
+        assert abs(report.psi_plus) < 1e-30
+        assert report.passed
+        assert report.inverse_plus_residual < 1e-10
+
     def test_voros_jump(self):
         report = verify_voros(cmath.exp(1j * math.pi / 6), 8.0)
         assert report.plus_residual < 1e-6

@@ -2,13 +2,14 @@
 
 from fractions import Fraction as Fr
 
+from exactwkb import airy_wkb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exactwkb.errors import PreconditionError
-from exactwkb.series import (EtaExpansion, ExactScalar, PuiseuxSeries,
-                             series_arith, series_compose_exp_sqrt)
+from exactwkb.series import EtaExpansion, ExactScalar, PuiseuxSeries
 
 P = PuiseuxSeries
 
@@ -50,25 +51,25 @@ class TestPuiseuxArithmetic:
     def test_difference_of_squares(self):
         one_plus = P("s", {Fr(0): 1, Fr(1): 1})
         one_minus = P("s", {Fr(0): 1, Fr(1): -1})
-        assert series_arith(one_plus, one_minus, "mul") == P("s", {Fr(0): 1, Fr(2): -1})
+        assert one_plus * one_minus == P("s", {Fr(0): 1, Fr(2): -1})
 
     def test_geometric_inverse(self):
         one_plus = P("s", {Fr(0): 1, Fr(1): 1}, Fr(3))
-        inv = series_arith(P.one("s", Fr(3)), one_plus, "div")
+        inv = P.one("s", Fr(3)) / one_plus
         assert inv == P("s", {Fr(0): 1, Fr(1): -1, Fr(2): 1}, Fr(3))
 
     def test_half_power_leading_parts_add(self):
         a = P("s", {Fr(0): ExactScalar.sqrt3(Fr(1, 4)), Fr(1, 2): Fr(1, 6)})
         b = P("s", {Fr(0): ExactScalar.sqrt3(Fr(-1, 4)), Fr(1, 2): Fr(1, 6)})
-        assert series_arith(a, b, "add") == P("s", {Fr(1, 2): Fr(1, 3)})
+        assert a + b == P("s", {Fr(1, 2): Fr(1, 3)})
 
     def test_variable_mismatch_rejected(self):
         with pytest.raises(PreconditionError):
-            series_arith(P.one("s"), P.one("u"), "add")
+            P.one("s") + P.one("u")
 
     def test_division_by_zero_series(self):
         with pytest.raises(ZeroDivisionError):
-            series_arith(P.one("s", 2), P.zero("s", 2), "div")
+            P.one("s", 2) / P.zero("s", 2)
 
     def test_quarter_exponents_rejected(self):
         with pytest.raises(PreconditionError):
@@ -89,13 +90,11 @@ class TestPuiseuxArithmetic:
 class TestCompositions:
     def test_exp(self):
         s = P.monomial("s", 1)
-        assert series_compose_exp_sqrt(s, "exp", order=3) == \
-            P("s", {Fr(0): 1, Fr(1): 1, Fr(2): Fr(1, 2)}, Fr(3))
+        assert s.exp(order=3) == P("s", {Fr(0): 1, Fr(1): 1, Fr(2): Fr(1, 2)}, Fr(3))
 
     def test_inv_sqrt(self):
         one_plus = P("s", {Fr(0): 1, Fr(1): 1})
-        assert series_compose_exp_sqrt(one_plus, "inv_sqrt", order=2) == \
-            P("s", {Fr(0): 1, Fr(1): Fr(-1, 2)}, Fr(2))
+        assert one_plus.inv_sqrt(order=2) == P("s", {Fr(0): 1, Fr(1): Fr(-1, 2)}, Fr(2))
 
     def test_log1p_inverts_expm1(self):
         s = P.monomial("s", Fr(1, 2))
@@ -176,3 +175,216 @@ class TestSerialization:
         data = f.to_json()
         assert data["terms"] == [[1, 2, 1, 3, 0, 1]]
         assert data["truncation"] == [2, 1]
+
+
+# ---------------------------------------------------------------------------
+# the coefficient recurrences against term-by-term sums
+# ---------------------------------------------------------------------------
+
+def _precision(f, order):
+    rel = f.truncation
+    if order is not None:
+        rel = Fr(order) if rel is None else min(rel, Fr(order))
+    return rel
+
+
+def _normalized_tail(f, v, lead, rel):
+    inv_lead = lead.inverse()
+    return P(f.variable, {e - v: c * inv_lead for e, c in f.terms.items() if e != v}, rel)
+
+
+def naive_inverse(f, order=None):
+    """1/f as lead^-1 x^-v sum_k (-u)^k, one series product per term."""
+    if f.is_zero():
+        raise ZeroDivisionError("division by identically-zero series")
+    v, lead = f.leading()
+    rel = None if f.truncation is None else f.truncation - v
+    if order is not None:
+        rel = Fr(order) if rel is None else min(rel, Fr(order))
+    if len(f.terms) == 1:
+        return P.monomial(f.variable, -v, lead.inverse(), None if rel is None else rel - v)
+    if rel is None:
+        raise PreconditionError("needs an explicit order")
+    u = _normalized_tail(f, v, lead, rel)
+    if u.valuation() is None:
+        raise PreconditionError("normalized tail must have positive valuation")
+    acc = term = P.one(f.variable, rel)
+    k = 1
+    while k * u.valuation() < rel:
+        term = term * (-u)
+        acc = acc + term
+        k += 1
+    return (acc * lead.inverse()).shift(-v)
+
+
+def naive_exp(f, order=None):
+    rel = _precision(f, order)
+    if rel is None:
+        raise PreconditionError("needs an explicit order")
+    if f.is_zero():
+        return P.one(f.variable, rel)
+    if f.valuation() <= 0:
+        raise PreconditionError("needs positive valuation")
+    u = f.truncate(rel)
+    acc = term = P.one(f.variable, rel)
+    k = 1
+    while k * f.valuation() < rel:
+        term = term * u / k
+        acc = acc + term
+        k += 1
+    return acc
+
+
+def naive_log1p(f, order=None):
+    rel = _precision(f, order)
+    if rel is None:
+        raise PreconditionError("needs an explicit order")
+    if f.is_zero():
+        return P.zero(f.variable, rel)
+    if f.valuation() <= 0:
+        raise PreconditionError("needs positive valuation")
+    u = f.truncate(rel)
+    acc = P.zero(f.variable, rel)
+    power = P.one(f.variable, rel)
+    k = 1
+    while (k - 1) * f.valuation() < rel:
+        power = power * u
+        acc = acc + power * Fr((-1) ** (k + 1), k)
+        k += 1
+    return acc
+
+
+def naive_binomial(f, p, order=None):
+    """(lead x^v (1 + u))^p as root x^(pv) sum_k binom(p, k) u^k."""
+    rel = _precision(f, order)
+    if f.is_zero():
+        raise PreconditionError("no square root of the zero series")
+    v, lead = f.leading()
+    if (v / 2).denominator not in (1, 2):
+        raise PreconditionError("exponent denominator")
+    root = lead.sqrt()
+    if p < 0:
+        root = root.inverse()
+    if len(f.terms) == 1:
+        return P.monomial(f.variable, v * p, root, None if rel is None else rel - v)
+    if rel is None:
+        raise PreconditionError("needs an explicit order")
+    u = _normalized_tail(f, v, lead, rel)
+    if u.valuation() is None:
+        raise PreconditionError("normalized tail must have positive valuation")
+    acc = term = P.one(f.variable, rel)
+    coeff = Fr(1)
+    k = 0
+    while (k + 1) * u.valuation() < rel:
+        coeff = coeff * (p - k) / (k + 1)
+        term = term * u
+        acc = acc + term * coeff
+        k += 1
+    return (acc * root).shift(v * p)
+
+
+def _same_outcome(fast, naive):
+    """Both raise the same error type, or both return equal series."""
+    try:
+        expected = naive()
+    except (PreconditionError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)):
+            fast()
+        return
+    assert fast() == expected
+
+
+# leading coefficients: squares in Q(sqrt 3), some with irrational roots
+SQUARES = [ExactScalar(1), ExactScalar(Fr(1, 4)), ExactScalar(Fr(3, 16)),
+           ExactScalar(3), ExactScalar(Fr(9, 4)), ExactScalar(7, -4), ExactScalar(7, 4)]
+
+
+def grid_series(min_valuation, lead=None, max_terms=6):
+    """Random Q(sqrt 3) series on the half-integer grid, mostly truncated.
+
+    With ``lead`` given, the leading coefficient is drawn from it and the
+    valuation is a whole number, as square roots need.
+    """
+    if lead is None:
+        half = st.integers(2 * min_valuation, 4).map(lambda h: Fr(h, 2))
+        leads = small_scalars()
+    else:
+        half = st.integers(min_valuation, 2).map(Fr)
+        leads = st.sampled_from(lead)
+    truncations = st.integers(0, 14).map(lambda h: Fr(h, 2) if h else None)
+
+    @st.composite
+    def build(draw):
+        v = draw(half)
+        terms = {v: draw(leads.filter(lambda c: not c.is_zero()))}
+        for _ in range(draw(st.integers(0, max_terms))):
+            e = v + Fr(draw(st.integers(1, 12)), 2)
+            terms[e] = draw(small_scalars())
+        trunc = draw(truncations)
+        trunc = None if trunc is None else v + trunc
+        return P("s", terms, trunc)
+
+    return build()
+
+
+orders = st.integers(-2, 12).map(lambda h: Fr(h, 2) if h > -2 else None)
+
+
+class TestKernelAgainstTermwiseSums:
+    @settings(max_examples=80, deadline=None)
+    @given(grid_series(-2), orders)
+    def test_inverse(self, f, order):
+        _same_outcome(lambda: f.inverse(order), lambda: naive_inverse(f, order))
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid_series(1), orders)
+    def test_exp(self, f, order):
+        _same_outcome(lambda: f.exp(order), lambda: naive_exp(f, order))
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid_series(1), orders)
+    def test_log1p(self, f, order):
+        _same_outcome(lambda: f.log1p(order), lambda: naive_log1p(f, order))
+
+    @settings(max_examples=80, deadline=None)
+    @given(grid_series(-2, SQUARES), orders)
+    def test_sqrt(self, f, order):
+        _same_outcome(lambda: f.sqrt(order), lambda: naive_binomial(f, Fr(1, 2), order))
+
+    @settings(max_examples=80, deadline=None)
+    @given(grid_series(-2, SQUARES), orders)
+    def test_inv_sqrt(self, f, order):
+        _same_outcome(lambda: f.inv_sqrt(order), lambda: naive_binomial(f, Fr(-1, 2), order))
+
+    def test_irrational_root_of_the_leading_coefficient(self):
+        f = P("s", {Fr(0): Fr(3, 16), Fr(1, 2): 1, Fr(3): ExactScalar(1, 2)}, Fr(9, 2))
+        assert f.sqrt() == naive_binomial(f, Fr(1, 2))
+        assert f.inv_sqrt() == naive_binomial(f, Fr(-1, 2))
+        assert f.sqrt().leading() == (Fr(0), ExactScalar.sqrt3(Fr(1, 4)))
+
+
+class TestKernelCost:
+    """The recurrences take no series products; O(n^3) sums take one per term."""
+
+    @staticmethod
+    def _count_products(monkeypatch, fn):
+        calls = []
+        mul = P.__mul__
+
+        def counted(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(P, "__mul__", counted)
+            fn()
+        return len(calls)
+
+    def test_reciprocal_of_the_local_root_series(self, monkeypatch):
+        body = P("t", {Fr(0): 1, Fr(1): -1}, Fr(17))
+        local = P.monomial("t", Fr(1, 2), 1, Fr(17)) * body.sqrt()
+        assert self._count_products(monkeypatch, local.inverse) <= 4
+
+    def test_coefficient_stream(self, monkeypatch):
+        run = lambda: airy_wkb.wkb_coefficient_stream(24, "+")
+        assert self._count_products(monkeypatch, run) <= 4

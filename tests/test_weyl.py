@@ -7,14 +7,13 @@ import pytest
 
 from exactwkb.errors import PreconditionError
 from exactwkb.weyl import (D1, D2, DETA, ETA, X1, X2, WeylElement,
-                           pearcey_operators, verify_operator_identities,
-                           weyl_normal_product)
+                           pearcey_operators, verify_operator_identities)
 
 
 class TestNormalOrdering:
     def test_canonical_commutators(self):
-        assert weyl_normal_product(D1, X1) == X1 * D1 + WeylElement.scalar(1)
-        assert weyl_normal_product(DETA, ETA) == ETA * DETA + WeylElement.scalar(1)
+        assert D1 * X1 == X1 * D1 + WeylElement.scalar(1)
+        assert DETA * ETA == ETA * DETA + WeylElement.scalar(1)
         assert D2 * X2 == X2 * D2 + WeylElement.scalar(1)
 
     def test_cross_pairs_commute(self):
