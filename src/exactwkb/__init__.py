@@ -10,16 +10,14 @@ from .airy_borel import BorelSeries, borel_series, borel_transform, hypergeometr
 from .airy_wkb import (RiccatiSolution, WkbCoefficientStream,
                        closed_form_coefficients, integrate_s_odd,
                        riccati_recurrence, split_odd_even, wkb_coefficient_stream)
-from .branches import (BranchLabel, BranchValue, GBranch, branch_series,
-                       continue_branch, discontinuity, solve_cubic_x,
-                       start_branch, verify_branch_identities)
+from .branches import BranchLabel, branch_series, solve_cubic_x, verify_branch_identities
 from .errors import ExactWkbError, NumericError, PreconditionError, VerificationError
 from .pearcey import (CubicFieldElement, PearceyBranch, annihilation_residuals,
                       check_closedness, check_primitives, pearcey_recursion,
                       quartic_g_roots)
 from .resummation import (AiryValues, BorelSum, StokesContext, airy_reference,
-                          classify_stokes, continue_plus_sum_across, laplace_sum,
-                          verify_airy_connection, verify_voros)
+                          classify_stokes, laplace_sum, verify_airy_connection,
+                          verify_voros)
 from .series import EtaExpansion, ExactScalar, PuiseuxSeries
 from .weyl import WeylElement, pearcey_operators, verify_operator_identities
 

@@ -7,7 +7,7 @@ Scaling g by x removes all x-dependence: G = x*g satisfies
 with polynomial coefficients in the normalized Borel variable s, while
 X = G * s^(1/2) (1-s)^(1/2) satisfies 16 X^3 - 3 X = s^(1/2) (1-s)^(1/2).
 All continuation runs on G (single-valued coefficients, honest monodromy);
-X-values are derived through the square-root rule of the caller.
+X-values are G times the principal-root product of ``default_sqrt_rule``.
 
 Branch labels follow the local expansions at the two base points:
 
@@ -45,6 +45,9 @@ CHART_TERMS = 16
 DEFAULT_STEP = 0.01
 MATCH_MARGIN = 3.0
 MAX_HALVINGS = 40
+
+# root distance below which solve_cubic_x repairs a double root
+CLUSTER_TOL = 1e-6
 
 _LABEL_SWAP_AT_1 = {1: 1, 2: 3, 3: 2}  # anchor-1 label -> anchor-0 series shape
 
@@ -163,28 +166,6 @@ class BranchLabel:
             raise PreconditionError(f"anchor must be 0 or 1, got {self.anchor}")
 
 
-@dataclass(frozen=True)
-class BranchValue:
-    """A branch label with its current value along a continuation path."""
-
-    label: BranchLabel
-    s: complex
-    value: complex
-    path_history: tuple = ()
-
-
-@dataclass(frozen=True)
-class GBranch:
-    """A scaled branch value together with the x it belongs to (g = G/x)."""
-
-    x: complex
-    underlying: BranchValue
-
-    @property
-    def g_value(self) -> complex:
-        return self.underlying.value / self.x
-
-
 def branch_series(label: BranchLabel, order: int) -> PuiseuxSeries:
     """Exact local expansion, to ``order`` half-integer steps, at the anchor.
 
@@ -279,8 +260,7 @@ def solve_cubic_g(s: complex) -> tuple[complex, complex, complex]:
     return tuple(_polish_cubic(a3, -3, -1, r) for r in _depressed_cubic_roots(p, q))
 
 
-def solve_cubic_x(s: complex, sqrt_rule=default_sqrt_rule,
-                  cluster_tol: float = 1e-6) -> tuple[complex, complex, complex]:
+def solve_cubic_x(s: complex) -> tuple[complex, complex, complex]:
     """All roots of 16 X^3 - 3 X - c = 0 with c = s^(1/2)(1-s)^(1/2).
 
     Near-double roots (c near +-1/2) are refined on the derivative 48 X^2 - 3,
@@ -288,13 +268,13 @@ def solve_cubic_x(s: complex, sqrt_rule=default_sqrt_rule,
     simple root then follows from the vanishing root sum.  Roots are returned
     sorted by (real, imag).
     """
-    c = sqrt_rule(s)
+    c = default_sqrt_rule(s)
     roots = [(_polish_cubic(16, -3, -c, r))
              for r in _depressed_cubic_roots(-3 / 16, -c / 16)]
     # double-root repair
     for i in range(3):
         for j in range(i + 1, 3):
-            if abs(roots[i] - roots[j]) < cluster_tol:
+            if abs(roots[i] - roots[j]) < CLUSTER_TOL:
                 mean = (roots[i] + roots[j]) / 2
                 # Newton on F' = 48 X^2 - 3 from the cluster mean
                 t = complex(mean)
@@ -383,11 +363,15 @@ def _match_indices(predicted: tuple, candidates, scale: float) -> tuple | None:
 
 
 def _g_derivatives(s: complex, g: complex) -> complex:
-    """dG/ds from implicit differentiation of the scaled cubic."""
+    """dG/ds from implicit differentiation of the scaled cubic.
+
+    F_G vanishes only at the double root G = -1/2 of s = 1/2, which the
+    tracker reaches through the crossing chart; there it raises NumericError.
+    """
     f_s = 16 * (1 - 2 * s) * g ** 3
     f_g = 48 * s * (1 - s) * g ** 2 - 3
     if abs(f_g) < 1e-12:
-        return 0j
+        raise NumericError(f"dG/ds is undefined at the double root G = {g} of s = {s}")
     return -f_s / f_g
 
 
@@ -485,51 +469,8 @@ def continue_triple(path: list, triple: tuple,
     return current
 
 
-def start_branch(label: BranchLabel, s: complex) -> BranchValue:
-    """A BranchValue at a point near the label's anchor, from the exact series."""
-    local = sqrt_s(s) if label.anchor == 0 else sqrt_one_minus_s(s)
-    rho = abs(s - label.anchor)
-    if rho > 0.35:
-        raise PreconditionError("start point too far from the anchor for the series")
-    triple = anchored_g_triple(label.anchor, local)
-    value = triple[label.index - 1]
-    if label.family == "X":
-        value *= local * (sqrt_one_minus_s(s) if label.anchor == 0 else sqrt_s(s))
-    return BranchValue(label, s, value, (s,))
-
-
-def continue_branch(start: BranchValue, path: list,
-                    max_step: float = DEFAULT_STEP) -> BranchValue:
-    """Track one labeled branch along a polyline of s-waypoints.
-
-    Drags the full root triple (nearest-root matching with a >= 3x margin,
-    adaptive halving, crossing chart near s = 1/2) and returns the branch
-    with updated value and history.  For family "X" the value is converted
-    with the principal square-root rule, which is the meaningful convention
-    on the real interval where X-labels are defined.
-    """
-    label = start.label
-    s0 = start.s
-    if label.family == "X":
-        g_start = start.value / default_sqrt_rule(s0)
-    else:
-        g_start = start.value
-    triple = list(solve_cubic_g(s0))
-    # replace the nearest root by the exact tracked value, keep the others
-    nearest = min(range(3), key=lambda i: abs(triple[i] - g_start))
-    triple[nearest] = g_start
-    order = [nearest] + [i for i in range(3) if i != nearest]
-    ordered = tuple(triple[i] for i in order)
-    final = continue_triple([s0, *path], ordered, max_step)
-    value = final[0]
-    s_end = path[-1]
-    if label.family == "X":
-        value *= default_sqrt_rule(s_end)
-    return BranchValue(label, s_end, value, start.path_history + tuple(path))
-
-
 # ---------------------------------------------------------------------------
-# monodromy and discontinuities
+# monodromy
 # ---------------------------------------------------------------------------
 
 def _loop_path(s: complex, center: complex, n_steps: int, radius_cap: float = 0.35):
@@ -567,6 +508,12 @@ def monodromy_permutation(s: complex, triple: tuple, center: complex,
     """The permutation pi of the ordered triple by one counterclockwise loop
     around ``center``: the looped value of entry i is ``triple[pi[i]]``.
 
+    ``center`` is the base point 0 (y = -(2/3) x^(3/2)) or 1 (y = +(2/3)
+    x^(3/2)); counterclockwise in s is the same orientation in y for every x.
+    The discontinuity of entry i is ``triple[pi[i]] - triple[i]``: with the
+    labeling used here, Delta at 0 of branch 2 is g_1 - g_2 and Delta at 1 of
+    branch 3 is g_1 - g_3.
+
     Raises NumericError when a looped value does not match one entry of the
     triple under the MATCH_MARGIN rule of the tracker.
     """
@@ -576,28 +523,6 @@ def monodromy_permutation(s: complex, triple: tuple, center: complex,
     if perm is None:
         raise NumericError(f"looped triple at s = {s} matches no permutation of the triple")
     return perm
-
-
-def discontinuity(value: BranchValue, singular_point: int,
-                  n_steps: int = 48) -> complex:
-    """Delta of a branch at one of the square-root points, evaluated at value.s.
-
-    ``singular_point`` is the base point in s (0 for y = -(2/3) x^(3/2), 1 for
-    y = +(2/3) x^(3/2)); the loop is counterclockwise, which in y is the same
-    orientation for every x.  Returns continuation-around minus the value.
-    With the labeling used here, Delta at 0 of branch 2 is g_1 - g_2 and Delta
-    at 1 of branch 3 is g_1 - g_3.
-    """
-    if singular_point not in (0, 1):
-        raise PreconditionError("singular point must be the base point 0 or 1")
-    if value.label.family != "g":
-        raise PreconditionError("discontinuity is defined for the scaled branches")
-    triple = list(solve_cubic_g(value.s))
-    nearest = min(range(3), key=lambda i: abs(triple[i] - value.value))
-    rest = [triple[i] for i in range(3) if i != nearest]
-    ordered = (value.value, *rest)
-    looped = monodromy_triple(value.s, ordered, complex(singular_point), n_steps)
-    return looped[0] - value.value
 
 
 # ---------------------------------------------------------------------------

@@ -126,17 +126,20 @@ def cmd_wkb_borel(args) -> int:
 
 def cmd_branches_trace(args) -> int:
     family = "X" if args.label.upper().startswith("X") else "g"
-    index = int(args.label[-1])
-    label = branches.BranchLabel(family, index, 0)
-    start = branches.start_branch(label, args.start)
+    label = branches.BranchLabel(family, int(args.label[-1]), 0)
+    if abs(args.start) > 0.35:
+        raise PreconditionError("start point too far from the anchor for the series")
     samples = max(args.samples, 2)
+    path = [args.start + (args.stop - args.start) * k / (samples - 1) for k in range(samples)]
+    triple = branches.anchored_g_triple(0, branches.sqrt_s(args.start))
     rows = []
-    value = start
-    for k in range(samples):
-        s = args.start + (args.stop - args.start) * k / (samples - 1)
+    for k, s in enumerate(path):
         if k > 0:
-            value = branches.continue_branch(value, [s])
-        rows.append([f"{s:.10g}", repr(value.value.real), repr(value.value.imag)])
+            triple = branches.continue_triple(path[k - 1:k + 1], triple)
+        value = triple[label.index - 1]
+        if family == "X":
+            value *= branches.default_sqrt_rule(s)
+        rows.append([f"{s:.10g}", repr(value.real), repr(value.imag)])
     if args.csv:
         _emit_csv(["s", "re", "im"], rows)
     else:
@@ -223,12 +226,11 @@ def _voros_grid_points(grid: str):
 def run_voros_grid(grid: str = "default", plus_tol: float = 1e-6,
                    minus_tol: float = 1e-8, quad_tol: float = 1e-10) -> dict:
     points = []
-    worst_plus = worst_minus = worst_cut = worst_cut_airy = 0.0
+    worst_plus = worst_minus = worst_cut_airy = 0.0
     for x, eta in _voros_grid_points(grid):
         rep = resummation.verify_voros(x, eta, quad_tol)
         worst_plus = max(worst_plus, rep.plus_residual)
         worst_minus = max(worst_minus, rep.minus_residual)
-        worst_cut = max(worst_cut, rep.cut_vs_jump_residual)
         worst_cut_airy = max(worst_cut_airy, rep.cut_vs_airy_residual)
         points.append({
             "x": _cx(rep.x), "eta": eta,
@@ -238,7 +240,6 @@ def run_voros_grid(grid: str = "default", plus_tol: float = 1e-6,
             "cut_contribution": _cx(rep.cut_contribution),
             "plus_residual": rep.plus_residual,
             "minus_residual": rep.minus_residual,
-            "cut_vs_jump_residual": rep.cut_vs_jump_residual,
             "cut_vs_airy_residual": rep.cut_vs_airy_residual,
         })
     return {
@@ -247,7 +248,6 @@ def run_voros_grid(grid: str = "default", plus_tol: float = 1e-6,
         "points": points,
         "max_plus_residual": worst_plus,
         "max_minus_residual": worst_minus,
-        "max_cut_vs_jump_residual": worst_cut,
         "max_cut_vs_airy_residual": worst_cut_airy,
         "passed": (worst_plus < plus_tol and worst_minus < minus_tol
                    and worst_cut_airy < plus_tol),

@@ -428,32 +428,6 @@ def gamma_term_literal(ctx: StokesContext, eta: float,
     return total * (4.0 / 3.0) * ctx.x_three_halves
 
 
-def continue_plus_sum_across(ctx: StokesContext, eta: float, tol: float = 1e-8,
-                             literal_loop: bool = False) -> tuple[BorelSum, complex]:
-    """Analytic continuation of the region-I "+" Borel sum into region II.
-
-    Returns (continued sum, cut contribution).  The continued sum is the
-    direct region-II integral plus the cut term from the deformed path; with
-    ``literal_loop`` the cut term is recomputed by explicit loop quadrature
-    instead of the discontinuity reduction.
-    """
-    if ctx.region != REGION_II:
-        raise PreconditionError("continuation across the Stokes line targets region II")
-    direct = laplace_sum("+", ctx, eta, tol)
-    if literal_loop:
-        cut = gamma_term_literal(ctx, eta)
-        return _continued_plus_sum(direct, cut, 0.0), cut
-    cut_sum = gamma_term(ctx, eta, tol)
-    return (_continued_plus_sum(direct, cut_sum.value, cut_sum.quadrature_error_estimate),
-            cut_sum.value)
-
-
-def _continued_plus_sum(direct: BorelSum, cut: complex, cut_error: float) -> BorelSum:
-    """The region-I "+" sum continued to the point of ``direct``: direct + cut."""
-    return BorelSum("+", REGION_I, direct.eta, direct.value + cut,
-                    direct.quadrature_error_estimate + cut_error)
-
-
 def minus_sum_continued_from_region_I(ctx: StokesContext, eta: float,
                                       tol: float = 1e-10,
                                       reference_angle: float = 0.45) -> BorelSum:
@@ -659,7 +633,6 @@ class VorosReport:
     cut_contribution: complex
     plus_residual: float
     minus_residual: float
-    cut_vs_jump_residual: float
     cut_vs_airy_residual: float
 
     def passed(self, plus_tol: float, minus_tol: float) -> bool:
@@ -680,20 +653,18 @@ def verify_voros(x: complex, eta: float, quad_tol: float = 1e-10) -> VorosReport
     if ctx.region != REGION_II:
         raise PreconditionError("the Voros check samples x in region II")
     plus_direct = laplace_sum("+", ctx, eta, quad_tol)
-    cut_sum = gamma_term(ctx, eta, quad_tol)
-    cut = cut_sum.value
-    plus_cont = _continued_plus_sum(plus_direct, cut, cut_sum.quadrature_error_estimate)
+    cut = gamma_term(ctx, eta, quad_tol).value
+    plus_continued = plus_direct.value + cut
     minus_direct = laplace_sum("-", ctx, eta, quad_tol)
     minus_cont = minus_sum_continued_from_region_I(ctx, eta, quad_tol)
-    plus_res = (abs(plus_cont.value - plus_direct.value - 1j * minus_direct.value)
+    plus_res = (abs(plus_continued - plus_direct.value - 1j * minus_direct.value)
                 / abs(plus_direct.value))
     minus_res = abs(minus_cont.value - minus_direct.value) / abs(minus_direct.value)
-    cut_res = abs(cut - 1j * minus_direct.value) / abs(minus_direct.value)
     ai = airy_reference(eta ** (2.0 / 3.0) * complex(x)).ai
     cut_airy_res = abs(cut - 2j * SQRT_PI * eta ** (-1.0 / 3.0) * ai) / abs(cut)
-    return VorosReport(complex(x), eta, plus_cont.value, plus_direct.value,
+    return VorosReport(complex(x), eta, plus_continued, plus_direct.value,
                        minus_direct.value, minus_cont.value, cut,
-                       plus_res, minus_res, cut_res, cut_airy_res)
+                       plus_res, minus_res, cut_airy_res)
 
 
 def formal_solution_partial_sum(sign: str, x: complex, eta: float,

@@ -421,35 +421,25 @@ class PuiseuxSeries:
             raise PreconditionError("exp requires strictly positive valuation")
         return self._on_grid(rel, _exp_weight, ONE)
 
-    def log1p(self, order=None) -> "PuiseuxSeries":
-        """log(1 + f) for f with strictly positive valuation."""
-        rel = self.truncation
-        if order is not None:
-            rel = Fraction(order) if rel is None else min(rel, Fraction(order))
-        if rel is None:
-            raise PreconditionError("log1p of an exact series needs an explicit order")
-        if self.is_zero():
-            return PuiseuxSeries.zero(self.variable, rel)
-        v = self.valuation()
-        if v <= 0:
-            raise PreconditionError("log1p requires strictly positive valuation")
-        return self._on_grid(rel, _log1p_weight, None, forced=True)
-
     def _binomial_power(self, half_exponent: Fraction, order) -> "PuiseuxSeries":
-        """(lead * x^v (1+u))^p for p in {1/2, -1/2}, v even multiple of p."""
-        rel = self.truncation
-        if order is not None:
-            rel = Fraction(order) if rel is None else min(rel, Fraction(order))
+        """(lead * x^v (1+u))^p for p in {1/2, -1/2}, v even multiple of p.
+
+        ``order`` caps the relative precision, as for ``inverse``; the result
+        is known below rel + p v.
+        """
         if self.is_zero():
             raise PreconditionError("no square root of the zero series")
         v, lead = self.leading()
+        rel = None if self.truncation is None else self.truncation - v
+        if order is not None:
+            rel = Fraction(order) if rel is None else min(rel, Fraction(order))
         if (v / 2).denominator not in (1, 2):
             raise PreconditionError(f"sqrt would need exponent {v}/2 with denominator > 2")
         root = lead.sqrt()
         if half_exponent < 0:
             root = root.inverse()
         if len(self.terms) == 1:
-            trunc = None if rel is None else rel - v
+            trunc = None if rel is None else rel + v * half_exponent
             return PuiseuxSeries.monomial(self.variable, v * half_exponent, root, trunc)
         if rel is None:
             raise PreconditionError("sqrt of an exact multi-term series needs an explicit order")
@@ -468,9 +458,9 @@ class PuiseuxSeries:
         """Whether any term lies strictly between x^v and x^(v + rel)."""
         return any(v < e < v + rel for e in self.terms)
 
-    def _on_grid(self, rel: Fraction, weight, first, forced: bool = False,
-                 v: Fraction = 0, inv_lead: ExactScalar = ONE,
-                 scale: ExactScalar = ONE, shift: Fraction = 0) -> "PuiseuxSeries":
+    def _on_grid(self, rel: Fraction, weight, first, v: Fraction = 0,
+                 inv_lead: ExactScalar = ONE, scale: ExactScalar = ONE,
+                 shift: Fraction = 0) -> "PuiseuxSeries":
         """Run a coefficient recurrence on u, where self = lead x^v (1 + u).
 
         The tail u is laid on the grid h = 2e below ``rel``; the solution g of
@@ -483,7 +473,7 @@ class PuiseuxSeries:
             h = int(2 * (e - v))
             if 0 < h < n:
                 tail[h] = c if inv_lead is ONE else c * inv_lead
-        g = _grid_recurrence(tail, n, first, weight, forced)
+        g = _grid_recurrence(tail, n, first, weight)
         return PuiseuxSeries(self.variable,
                              {Fraction(h, 2) + shift: c if scale is ONE else c * scale
                               for h, c in g.items()},
@@ -567,22 +557,21 @@ def _product_trunc(f: PuiseuxSeries, g: PuiseuxSeries):
     return min(candidates) if candidates else None
 
 
-def _grid_recurrence(u: Mapping[int, object], n: int, first, weight,
-                     forced: bool = False) -> dict[int, object]:
+def _grid_recurrence(u: Mapping[int, object], n: int, first,
+                     weight) -> dict[int, object]:
     """Nonzero coefficients g_m, m < n, of the series fixed by
 
-        g_0 = first,   g_m = [u_m] + sum_{k <= m} weight(k, m) u_k g_{m-k},
+        g_0 = first,   g_m = sum_{k <= m} weight(k, m) u_k g_{m-k},
 
-    where u maps grid indices k >= 1 to nonzero ring elements and [u_m] is
-    present only when ``forced``.  The ring is Q(sqrt 3) for Puiseux series
-    and the Puiseux series themselves for eta-expansions; ``first`` None means
-    g_0 = 0.  The cost is one ring product, and one scaling by the weight
-    unless it is +-1, per pair (k, m - k) with both factors nonzero.
+    where u maps grid indices k >= 1 to nonzero ring elements.  The ring is
+    Q(sqrt 3) for Puiseux series and the Puiseux series themselves for
+    eta-expansions.  The cost is one ring product, and one scaling by the
+    weight unless it is +-1, per pair (k, m - k) with both factors nonzero.
     """
-    g = {} if first is None or n <= 0 else {0: first}
+    g = {} if n <= 0 else {0: first}
     support = sorted(u.items())
     for m in range(1, n):
-        acc = u.get(m) if forced else None
+        acc = None
         for k, uk in support:
             if k > m:
                 break
@@ -607,11 +596,6 @@ def _power_weight(p: Fraction):
 def _exp_weight(k: int, m: int) -> Fraction:
     """exp(u): g' = u' g, so g_m = (1/m) sum_k k u_k g_{m-k}."""
     return Fraction(k, m)
-
-
-def _log1p_weight(k: int, m: int) -> Fraction:
-    """log(1 + u): (1 + u) g' = u', so g_m = u_m - (1/m) sum_k (m-k) u_k g_{m-k}."""
-    return Fraction(k - m, m)
 
 
 class EtaExpansion:
@@ -743,12 +727,6 @@ class EtaExpansion:
         if set(self.terms) != set(other.terms):
             return False
         return all(self.terms[k].same_terms(other.terms[k]) for k in self.terms)
-
-    def to_json(self) -> dict:
-        return {
-            "truncation": self.truncation,
-            "terms": {str(k): s.to_json() for k, s in self.terms.items()},
-        }
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -92,13 +92,14 @@ def test_criterion_5_branch_facts():
         ok &= min(abs(r - 0.5) for r in half_roots) < 1e-12
 
         leading = {1: SQRT3_4, 2: 0.0, 3: -SQRT3_4}
+        start = branches.anchored_g_triple(0, branches.sqrt_s(0.01))
+        end = branches.continue_triple([0.01, 0.3, 0.7, 0.99], start)
         for index in (1, 2, 3):
-            start = branches.start_branch(branches.BranchLabel("X", index, 0), 0.01)
-            end = branches.continue_branch(start, [0.3, 0.7, 0.99])
+            value = end[index - 1] * branches.default_sqrt_rule(0.99)
             series = branches.branch_series(branches.BranchLabel("X", index, 1), 24)
             expected = sum(complex(c) * 0.1 ** (2 * e) for e, c in series.terms.items())
-            ok &= abs(end.value - expected) < 1e-6
-            ok &= abs(end.value - leading[index]) < 0.05
+            ok &= abs(value - expected) < 1e-6
+            ok &= abs(value - leading[index]) < 0.05
     _report("criterion 5: root sets and real-axis continuation", sw, ok)
 
 

@@ -7,13 +7,15 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from exactwkb.branches import (ANCHOR_SERIES_TERMS, CHART_TERMS, BranchLabel, BranchValue,
-                               GBranch, _local_c_series, _x_series_shape, anchored_g_triple,
-                               branch_series, continue_branch, continue_triple,
-                               crossing_chart_series, discontinuity, g_pde_residuals,
+from exactwkb.branches import (ANCHOR_SERIES_TERMS, CHART_TERMS, BranchLabel,
+                               _g_derivatives, _local_c_series, _x_series_shape,
+                               anchored_g_triple, branch_series, continue_triple,
+                               crossing_chart_series, default_sqrt_rule, g_pde_residuals,
                                monodromy_triple, solve_cubic_g, solve_cubic_g_xy,
-                               solve_cubic_x, start_branch, verify_branch_identities)
-from exactwkb.errors import NumericError, PreconditionError
+                               solve_cubic_x, sqrt_one_minus_s, sqrt_s,
+                               verify_branch_identities)
+from exactwkb.cli import main as cli_main
+from exactwkb.errors import NumericError
 from exactwkb.series import ExactScalar, PuiseuxSeries as P
 
 SQRT3_4 = math.sqrt(3) / 4
@@ -157,7 +159,6 @@ class TestRootSolving:
 
     def test_root_symmetric_functions(self):
         rng = random.Random(11)
-        from exactwkb.branches import default_sqrt_rule
         for _ in range(25):
             s = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
             if abs(s) < 0.05 or abs(s - 1) < 0.05:
@@ -182,60 +183,65 @@ class TestRootSolving:
             assert abs(sum(roots)) < 1e-10 * max(1.0, max(abs(r) for r in roots))
 
 
+def x_values(s, triple):
+    """The X form of a G triple at s: X = G s^(1/2) (1-s)^(1/2)."""
+    return tuple(g * default_sqrt_rule(s) for g in triple)
+
+
+def series_value(label, s):
+    series = branch_series(label, 24)
+    return sum(complex(c) * s ** (2 * e) for e, c in series.terms.items())
+
+
 class TestContinuation:
     def test_real_axis_landing_values(self):
         targets = {1: SQRT3_4, 2: 0.0, 3: -SQRT3_4}
+        start = anchored_g_triple(0, sqrt_s(0.01))
+        end = x_values(0.99, continue_triple([0.01, 0.3, 0.7, 0.99], start))
         for index in (1, 2, 3):
-            start = start_branch(BranchLabel("X", index, 0), 0.01)
-            end = continue_branch(start, [0.3, 0.7, 0.99])
-            series = branch_series(BranchLabel("X", index, 1), 24)
-            expected = sum(complex(c) * 0.1 ** (2 * e) for e, c in series.terms.items())
-            assert abs(end.value - expected) < 1e-6
-            assert abs(end.value - targets[index]) < 0.05
+            expected = series_value(BranchLabel("X", index, 1), 0.1)
+            assert abs(end[index - 1] - expected) < 1e-6
+            assert abs(end[index - 1] - targets[index]) < 0.05
 
     def test_waypoint_exactly_on_crossing(self):
-        start = start_branch(BranchLabel("X", 2, 0), 0.01)
-        through = continue_branch(start, [0.5, 0.99])
-        direct = continue_branch(start, [0.99])
-        assert abs(through.value - direct.value) < 1e-9
+        start = anchored_g_triple(0, sqrt_s(0.01))
+        through = x_values(0.99, continue_triple([0.01, 0.5, 0.99], start))
+        direct = x_values(0.99, continue_triple([0.01, 0.99], start))
+        assert abs(through[1] - direct[1]) < 1e-9
 
     def test_path_refinement_stability(self):
-        start = start_branch(BranchLabel("g", 3, 0), 0.04)
-        coarse = continue_branch(start, [0.3 + 0.2j, 0.8 + 0.1j, 0.9])
-        fine = continue_branch(start, [0.17 + 0.1j, 0.3 + 0.2j, 0.55 + 0.15j,
-                                       0.8 + 0.1j, 0.85 + 0.05j, 0.9])
-        assert abs(coarse.value - fine.value) < 1e-10
+        start = anchored_g_triple(0, sqrt_s(0.04))
+        coarse = continue_triple([0.04, 0.3 + 0.2j, 0.8 + 0.1j, 0.9], start)
+        fine = continue_triple([0.04, 0.17 + 0.1j, 0.3 + 0.2j, 0.55 + 0.15j,
+                                0.8 + 0.1j, 0.85 + 0.05j, 0.9], start)
+        assert abs(coarse[2] - fine[2]) < 1e-10
 
     def test_far_start_point_rejected(self):
-        with pytest.raises(PreconditionError):
-            start_branch(BranchLabel("X", 1, 0), 0.7)
-
-    def test_history_is_recorded(self):
-        start = start_branch(BranchLabel("g", 1, 0), 0.05)
-        end = continue_branch(start, [0.2, 0.4 + 0.1j])
-        assert end.path_history == (0.05, 0.2, 0.4 + 0.1j)
+        # the anchor series are trusted only within 0.35 of s = 0
+        assert cli_main(["branches", "trace", "--from", "0.7"]) == 3
 
     def test_reverse_continuation_from_base_1(self):
         # tracking backwards must land on the base-0 expansions with labels
         # swapped through the crossing: index 2 at s=1 comes from index 2 at 0
+        start = anchored_g_triple(1, sqrt_one_minus_s(0.99))
+        end = x_values(0.01, continue_triple([0.99, 0.7, 0.3, 0.01], start))
         for index, target_index in ((1, 1), (2, 2), (3, 3)):
-            start = start_branch(BranchLabel("X", index, 1), 0.99)
-            end = continue_branch(start, [0.7, 0.3, 0.01])
-            series = branch_series(BranchLabel("X", target_index, 0), 24)
-            expected = sum(complex(c) * 0.1 ** (2 * e) for e, c in series.terms.items())
-            assert abs(end.value - expected) < 1e-6
+            expected = series_value(BranchLabel("X", target_index, 0), 0.1)
+            assert abs(end[index - 1] - expected) < 1e-6
 
     def test_gbranch_satisfies_the_xy_cubic(self):
         x = 1.3 - 0.4j
         s = 0.3 + 0.2j
-        start = start_branch(BranchLabel("g", 1, 0), 0.05)
-        moved = continue_branch(start, [s])
-        wrapped = GBranch(x, moved)
+        moved = continue_triple([0.05, s], anchored_g_triple(0, sqrt_s(0.05)))
         x32 = x ** 1.5
         y = (4 / 3) * x32 * (s - 0.5)
-        g = wrapped.g_value
+        g = moved[0] / x
         residual = (9 * y * y - 4 * x ** 3) * g ** 3 + 3 * x * g + 1
         assert abs(residual) < 1e-10
+
+    def test_no_derivative_at_the_double_root(self):
+        with pytest.raises(NumericError):
+            _g_derivatives(0.5, -0.5)
 
 
 class TestMonodromy:
@@ -258,15 +264,13 @@ class TestMonodromy:
     def test_discontinuity_at_base_0(self):
         s0 = 0.04
         triple = anchored_g_triple(0, cmath.sqrt(s0))
-        value = BranchValue(BranchLabel("g", 2, 0), s0, triple[1])
-        delta = discontinuity(value, 0)
+        delta = monodromy_triple(s0, triple, 0.0, n_steps=48)[1] - triple[1]
         assert abs(delta - (triple[0] - triple[1])) < 1e-8
 
     def test_discontinuity_at_base_1(self):
         s1 = 0.96
         triple = anchored_g_triple(1, cmath.sqrt(1 - s1))
-        value = BranchValue(BranchLabel("g", 3, 1), s1, triple[2])
-        delta = discontinuity(value, 1)
+        delta = monodromy_triple(s1, triple, 1.0, n_steps=48)[2] - triple[2]
         assert abs(delta - (triple[0] - triple[2])) < 1e-8
 
     def test_regular_loop_has_zero_discontinuity(self):

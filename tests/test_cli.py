@@ -6,6 +6,8 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from exactwkb.branches import (ANCHOR_SERIES_TERMS, BranchLabel, branch_series,
+                               default_sqrt_rule)
 from exactwkb.cli import main
 
 
@@ -46,6 +48,38 @@ class TestTables:
         lines = out.strip().splitlines()
         assert lines[0] == "s,re,im"
         assert len(lines) == 9
+
+
+def trace_values(label, *flags):
+    code, out = run_cli(["branches", "trace", "--label", label, *flags, "--csv"])
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    return [(float(s), complex(float(re), float(im))) for s, re, im in rows]
+
+
+class TestTrace:
+    @pytest.mark.parametrize("label", ["X3", "g2"])
+    def test_samples_solve_the_cubic_and_start_on_the_anchor_series(self, label):
+        values = trace_values(label, "--from", "0.05", "--to", "0.4", "--samples", "8")
+        assert len(values) == 8
+        for s, v in values:
+            if label[0] == "X":
+                residual = 16 * v ** 3 - 3 * v - default_sqrt_rule(s)
+            else:
+                residual = 16 * s * (1 - s) * v ** 3 - 3 * v - 1
+            assert abs(residual) < 1e-12
+        s0, v0 = values[0]
+        series = branch_series(BranchLabel(label[0], int(label[1]), 0), ANCHOR_SERIES_TERMS)
+        assert abs(v0 - series(s0)) < 1e-12
+
+    @pytest.mark.parametrize("label", ["X2", "X3"])
+    def test_sample_on_the_crossing_keeps_the_label(self, label):
+        # 37 samples from 0.2 to 0.8 put one exactly on s = 1/2, where the
+        # crossing branches 2 and 3 coincide; 36 samples miss it
+        on = trace_values(label, "--from", "0.2", "--to", "0.8", "--samples", "37")
+        off = trace_values(label, "--from", "0.2", "--to", "0.8", "--samples", "36")
+        assert on[18][0] == 0.5
+        assert abs(on[-1][1] - off[-1][1]) < 1e-9
 
 
 class TestVerifiers:

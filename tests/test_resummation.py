@@ -11,8 +11,8 @@ from exactwkb.cli import run_voros_grid
 from exactwkb.errors import NumericError, PreconditionError
 from exactwkb.resummation import (BorelSum, RayField, _delta_integrand_factory,
                                   airy_reference, classify_stokes,
-                                  continue_plus_sum_across, formal_solution_partial_sum,
-                                  gamma_term, gamma_term_literal, laplace_sum,
+                                  formal_solution_partial_sum, gamma_term,
+                                  gamma_term_literal, laplace_sum,
                                   verify_airy_connection, verify_voros)
 
 SQRT_PI = math.sqrt(math.pi)
@@ -165,7 +165,6 @@ class TestConnectionFormulas:
         report = verify_voros(cmath.exp(1j * math.pi / 6), 8.0)
         assert report.plus_residual < 1e-6
         assert report.minus_residual < 1e-8
-        assert report.cut_vs_jump_residual < 1e-6
         assert report.cut_vs_airy_residual < 1e-6
         assert report.passed(1e-6, 1e-8)
 
@@ -204,17 +203,14 @@ class TestConnectionFormulas:
         literal = gamma_term_literal(ctx, 8.0)
         reduced = gamma_term(ctx, 8.0).value
         assert abs(literal - reduced) / abs(reduced) < 5e-3
-
-    def test_continued_sum_flag_equivalence(self):
-        ctx = classify_stokes(cmath.exp(1j * math.pi / 6))
-        by_delta, cut_delta = continue_plus_sum_across(ctx, 8.0)
-        by_literal, cut_literal = continue_plus_sum_across(ctx, 8.0, literal_loop=True)
-        assert abs(cut_delta - cut_literal) / abs(cut_delta) < 5e-3
-        assert abs(by_delta.value - by_literal.value) / abs(by_delta.value) < 1e-5
+        # the continued "+" sum, direct region-II integral plus either cut term
+        direct = laplace_sum("+", ctx, 8.0, 1e-8).value
+        by_delta, by_literal = direct + reduced, direct + literal
+        assert abs(by_delta - by_literal) / abs(by_delta) < 1e-5
 
     def test_region_I_input_rejected_for_continuation(self):
         with pytest.raises(PreconditionError):
-            continue_plus_sum_across(classify_stokes(cmath.exp(-1j * math.pi / 6)), 8.0)
+            verify_voros(cmath.exp(-1j * math.pi / 6), 8.0)
 
 
 class TestRayMonodromy:
