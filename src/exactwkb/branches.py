@@ -455,6 +455,8 @@ def continue_triple(path: list, triple: tuple,
     for s_next in path[1:]:
         s_prev = grid[-1]
         span = abs(s_next - s_prev)
+        if not cmath.isfinite(span):
+            raise PreconditionError(f"path segment {s_prev!r} -> {s_next!r} is not finite")
         n = max(1, int(span / max_step) + 1)
         for k in range(1, n + 1):
             grid.append(s_prev + (s_next - s_prev) * k / n)

@@ -9,8 +9,7 @@ rational-function coefficients.  Total derivatives use the implicit formulas
     dS/dx1 = -1 / (2 (6 S^2 + x2)),      dS/dx2 = -S / (6 S^2 + x2),
 
 and inverses are computed by solving the 3x3 multiplication system, so the
-whole recursion stays exact.  Numeric branch values substitute the three
-roots of the cubic afterwards.
+whole recursion stays exact.
 """
 
 from __future__ import annotations
@@ -164,29 +163,8 @@ class CubicFieldElement:
         """Formal d/dS of the representative."""
         return CubicFieldElement(self.c[1], 2 * self.c[2], 0)
 
-    # -- numeric substitution -----------------------------------------------
-
-    def evaluate(self, x1: complex, x2: complex, s_root: complex) -> complex:
-        out = 0j
-        for k, ci in enumerate(self.c):
-            num, den = ci.numer, ci.denom
-            num_v = _eval_poly(num, x1, x2)
-            den_v = _eval_poly(den, x1, x2)
-            if den_v == 0:
-                raise NumericError("coefficient denominator vanishes at the point")
-            out += (num_v / den_v) * s_root ** k
-        return out
-
     def __repr__(self) -> str:
         return f"({self.c[0]}) + ({self.c[1]})*S + ({self.c[2]})*S^2"
-
-
-def _eval_poly(poly, x1: complex, x2: complex) -> complex:
-    total = 0j
-    for (e1, e2), coeff in poly.terms():
-        total += complex(Fraction(coeff.numerator, coeff.denominator)) \
-            * x1 ** e1 * x2 ** e2
-    return total
 
 
 @lru_cache(maxsize=1)
@@ -391,9 +369,7 @@ def quartic_g_roots(x1: complex, x2: complex, y: complex,
 def _quartic_partials(x1, x2, y, g):
     """Value-level partial derivatives of F(g; x1, x2, y) for the implicit
     differentiation of the branch."""
-    a = 4 * x1 ** 2 * x2 * (36 * y - x2 ** 2) + 16 * y * (x2 ** 2 - 4 * y) ** 2 \
-        - 27 * x1 ** 4
-    c = 2 * (-8 * x2 * y + 2 * x2 ** 3 + 9 * x1 ** 2)
+    a, _, c, _, _ = quartic_coefficients(x1, x2, y)
     # first partials of the coefficients
     a_x1 = 8 * x1 * x2 * (36 * y - x2 ** 2) - 108 * x1 ** 3
     a_x2 = 4 * x1 ** 2 * (36 * y - x2 ** 2) - 8 * x1 ** 2 * x2 ** 2 \

@@ -38,6 +38,10 @@ OUTSIDE = "outside"
 
 _SERIES_HANDOFF = 0.8 * SERIES_ZONE
 
+# gates of VorosReport: the jump and the cut-vs-Airy witness, and the "-" sum
+VOROS_PLUS_TOL = 1e-6
+VOROS_MINUS_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class StokesContext:
@@ -635,9 +639,11 @@ class VorosReport:
     minus_residual: float
     cut_vs_airy_residual: float
 
-    def passed(self, plus_tol: float, minus_tol: float) -> bool:
-        return (self.plus_residual < plus_tol and self.minus_residual < minus_tol
-                and self.cut_vs_airy_residual < plus_tol)
+    @property
+    def passed(self) -> bool:
+        return (self.plus_residual < VOROS_PLUS_TOL
+                and self.minus_residual < VOROS_MINUS_TOL
+                and self.cut_vs_airy_residual < VOROS_PLUS_TOL)
 
 
 def verify_voros(x: complex, eta: float, quad_tol: float = 1e-10) -> VorosReport:

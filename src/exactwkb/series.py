@@ -502,26 +502,6 @@ class PuiseuxSeries:
         """Coefficient-wise equality, ignoring truncation metadata."""
         return self.variable == other.variable and self.terms == other.terms
 
-    def to_json(self) -> dict:
-        return {
-            "variable": self.variable,
-            "terms": [[e.numerator, e.denominator, c.a.numerator, c.a.denominator,
-                       c.b.numerator, c.b.denominator]
-                      for e, c in self.terms.items()],
-            "truncation": None if self.truncation is None else
-                          [self.truncation.numerator, self.truncation.denominator],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "PuiseuxSeries":
-        terms = {}
-        for en, ed, an, ad, bn, bd in data["terms"]:
-            terms[Fraction(en, ed)] = ExactScalar(Fraction(an, ad), Fraction(bn, bd))
-        trunc = data.get("truncation")
-        if trunc is not None:
-            trunc = Fraction(trunc[0], trunc[1])
-        return cls(data["variable"], terms, trunc)
-
     def __repr__(self) -> str:
         if not self.terms:
             body = "0"

@@ -14,7 +14,8 @@ from contextlib import redirect_stdout
 from fractions import Fraction as Fr
 
 from exactwkb import airy_borel, airy_wkb, branches, pearcey, resummation, weyl
-from exactwkb.cli import main as cli_main, run_pearcey_verify, run_voros_grid
+from exactwkb.cli import main as cli_main
+from exactwkb.verify import run_pearcey_verify, run_voros_grid
 
 SQRT3_4 = math.sqrt(3) / 4
 
@@ -115,7 +116,7 @@ def test_criterion_6_airy_identities_numeric():
 
 def test_criterion_7_voros_connection_formula():
     with _Stopwatch(120.0) as sw:
-        report = run_voros_grid("default", plus_tol=1e-6, minus_tol=1e-8)
+        report = run_voros_grid("default")
         ok = (report["passed"]
               and report["max_plus_residual"] < 1e-6
               and report["max_minus_residual"] < 1e-8)

@@ -3,6 +3,7 @@
 import io
 import json
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -81,6 +82,10 @@ class TestTrace:
         assert on[18][0] == 0.5
         assert abs(on[-1][1] - off[-1][1]) < 1e-9
 
+    @pytest.mark.parametrize("label", ["x3", "G2"])
+    def test_trace_label_letter_is_case_blind(self, label):
+        assert trace_values(label) == trace_values(label.swapcase())
+
 
 class TestVerifiers:
     def test_branches_verify(self):
@@ -119,6 +124,20 @@ class TestVerifiers:
         assert "plus_direct" in report["points"][0]
 
 
+class TestExactReports:
+    """Reports made only of rationals and booleans, recorded once and held byte
+    for byte; float-bearing reports are left out, their last bits follow the
+    platform's LAPACK."""
+
+    RECORDED = json.loads((Path(__file__).parent / "data" / "exact_reports.json").read_text())
+
+    @pytest.mark.parametrize("command", sorted(RECORDED))
+    def test_report_matches_the_recording(self, command):
+        code, out = run_cli(command.split())
+        assert code == 0
+        assert out == self.RECORDED[command]
+
+
 class TestExitCodes:
     def test_parse_error_is_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -137,6 +156,17 @@ class TestExitCodes:
 
     def test_unparseable_complex_is_3(self):
         code, _ = run_cli(["resum", "laplace", "--x", "one", "--eta", "8"])
+        assert code == 3
+
+    @pytest.mark.parametrize("label", ["Xq", "X13", "Y2", "X0", "X4", "", "gg"])
+    def test_bad_trace_label_is_3(self, label):
+        code, _ = run_cli(["branches", "trace", "--label", label])
+        assert code == 3
+
+    @pytest.mark.parametrize("endpoint", [["--from", "nan"], ["--to", "nan"],
+                                          ["--to", "inf"]])
+    def test_non_finite_trace_endpoint_is_3(self, endpoint):
+        code, _ = run_cli(["branches", "trace", *endpoint])
         assert code == 3
 
 

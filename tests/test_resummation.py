@@ -1,19 +1,20 @@
 """Stokes classification, the Airy oracle, Borel sums and connection checks."""
 
 import cmath
+import dataclasses
 import math
 
 import pytest
 
 from exactwkb import resummation
 from exactwkb.branches import monodromy_triple
-from exactwkb.cli import run_voros_grid
 from exactwkb.errors import NumericError, PreconditionError
 from exactwkb.resummation import (BorelSum, RayField, _delta_integrand_factory,
                                   airy_reference, classify_stokes,
                                   formal_solution_partial_sum, gamma_term,
                                   gamma_term_literal, laplace_sum,
                                   verify_airy_connection, verify_voros)
+from exactwkb.verify import run_voros_grid
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -166,7 +167,7 @@ class TestConnectionFormulas:
         assert report.plus_residual < 1e-6
         assert report.minus_residual < 1e-8
         assert report.cut_vs_airy_residual < 1e-6
-        assert report.passed(1e-6, 1e-8)
+        assert report.passed
 
     def test_airy_witness_rejects_wrong_branch_pair(self, monkeypatch):
         """A cut term from g_2 - g_3 in place of g_1 - g_3 fails the oracle gate."""
@@ -187,10 +188,21 @@ class TestConnectionFormulas:
         monkeypatch.setattr(resummation, "gamma_term", wrong_pair_gamma_term)
         report = verify_voros(cmath.exp(1j * math.pi / 6), 8.0)
         assert report.cut_vs_airy_residual > 1e-2
-        assert not report.passed(1e-6, 1e-8)
+        assert not report.passed
         grid = run_voros_grid("quick")
         assert grid["max_cut_vs_airy_residual"] > 1e-2
         assert not grid["passed"]
+
+    def test_grid_fails_on_a_nan_residual(self, monkeypatch):
+        # max(0.0, nan) is 0.0: a gate on the running maximum would pass this
+        real_verify_voros = resummation.verify_voros
+
+        def nan_minus_residual(x, eta, quad_tol):
+            return dataclasses.replace(real_verify_voros(x, eta, quad_tol),
+                                       minus_residual=math.nan)
+
+        monkeypatch.setattr(resummation, "verify_voros", nan_minus_residual)
+        assert not run_voros_grid("quick")["passed"]
 
     def test_cut_term_equals_jump(self):
         ctx = classify_stokes(cmath.exp(1j * math.pi / 6))

@@ -158,20 +158,6 @@ class TestCalculus:
         assert f.differentiate().integrate() == f
 
 
-class TestSerialization:
-    def test_json_round_trip(self):
-        f = P("s", {Fr(-1, 2): ExactScalar.sqrt3(Fr(1, 4)), Fr(1): Fr(-5, 18)}, Fr(7, 2))
-        data = f.to_json()
-        assert data["variable"] == "s"
-        assert PuiseuxSeries.from_json(data) == f
-
-    def test_json_schema_shape(self):
-        f = P("s", {Fr(1, 2): Fr(1, 3)}, 2)
-        data = f.to_json()
-        assert data["terms"] == [[1, 2, 1, 3, 0, 1]]
-        assert data["truncation"] == [2, 1]
-
-
 # ---------------------------------------------------------------------------
 # the coefficient recurrences against term-by-term sums
 # ---------------------------------------------------------------------------
