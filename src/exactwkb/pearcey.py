@@ -2,14 +2,23 @@
 closedness and primitive checks, and the Borel-plane quartic with its
 holonomic annihilation witnesses.
 
-The symbolic side lives in Q(x1, x2)[S] / (4 S^3 + 2 x2 S + x1): every
-recursion coefficient is a degree-<=2 polynomial in the cubic root S with
-rational-function coefficients.  Total derivatives use the implicit formulas
+The symbolic side lives in Q[x1, x2][1/D][S] / (4 S^3 + 2 x2 S + x1), where
+D = 27 x1^2 + 8 x2^3 is (up to a constant) the resultant of the cubic with its
+derivative.  An element is stored fraction-free, as a numerator triple
+(n0, n1, n2) of polynomials in Q[x1, x2] over one power D^m, and means
+(n0 + n1 S + n2 S^2) / D^m.  Every recursion coefficient has this shape,
+because the only denominator the recursion divides by is the unit 6 S^2 + x2,
+whose inverse is U / D with U = 8 x2^2 - 18 x1 S + 24 x2 S^2.  Total
+derivatives use the implicit formulas
 
-    dS/dx1 = -1 / (2 (6 S^2 + x2)),      dS/dx2 = -S / (6 S^2 + x2),
+    dS/dx1 = -1 / (2 (6 S^2 + x2)) = -U / (2 D),
+    dS/dx2 = -S / (6 S^2 + x2)     = -S U / D,
 
-and inverses are computed by solving the 3x3 multiplication system, so the
-whole recursion stays exact.
+and d(N / D^m) = (N' D - m N D') / D^(m+1).  An element is normalised by
+lowering m while all three numerators are exactly divisible by D, and only
+then; that (N, m) is unique, so equality and hashing compare it directly and
+no polynomial gcd is ever taken.  The reduced rational-function coefficients
+of Q(x1, x2) are built only where they are read (``CubicFieldElement.c``).
 """
 
 from __future__ import annotations
@@ -25,6 +34,13 @@ from sympy.polys.fields import field as _frac_field
 from .errors import NumericError, PreconditionError
 
 _FIELD, _X1, _X2 = _frac_field("x1 x2", QQ)
+_RING = _FIELD.ring
+_GENS = _RING.gens
+_D = 27 * _GENS[0] ** 2 + 8 * _GENS[1] ** 3
+_D_PARTIALS = tuple(_D.diff(x) for x in _GENS)
+# S^3 = -(x1 + 2 x2 S)/4 with these two multipliers
+_QUARTER_X1 = _GENS[0] * QQ(1, 4)
+_HALF_X2 = _GENS[1] * QQ(1, 2)
 
 
 def coefficient_field():
@@ -32,23 +48,98 @@ def coefficient_field():
     return _FIELD, _X1, _X2
 
 
-def _coerce(value):
+@lru_cache(maxsize=None)
+def _d_power(m: int):
+    return _RING.one if m == 0 else _d_power(m - 1) * _D
+
+
+def _mul(a: tuple, b: tuple) -> tuple:
+    """Product of two numerator triples, reduced by the cubic."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    d3 = a1 * b2 + a2 * b1
+    d4 = a2 * b2
+    return (a0 * b0 - _QUARTER_X1 * d3,
+            a0 * b1 + a1 * b0 - _HALF_X2 * d3 - _QUARTER_X1 * d4,
+            a0 * b2 + a1 * b1 + a2 * b0 - _HALF_X2 * d4)
+
+
+def _divide_by_d(n: tuple):
+    """The tuple n / D if D divides every polynomial in it, else None."""
+    quotients = []
+    for ni in n:
+        q, r = divmod(ni, _D)
+        if r:
+            return None
+        quotients.append(q)
+    return tuple(quotients)
+
+
+def _strip_d(p) -> tuple:
+    """(q, k) with p = q D^k and, unless p is 0, q not divisible by D."""
+    k = 0
+    while p and (lower := _divide_by_d((p,))) is not None:
+        (p,), k = lower, k + 1
+    return p, k
+
+
+def _split(value) -> tuple:
+    """(numerator, k) with value = numerator / D^k, for an int, a Fraction or
+    an element of Q[x1, x2] or Q(x1, x2)."""
     if isinstance(value, (int, Fraction)):
-        return _FIELD.ground_new(QQ(value.numerator, value.denominator)
-                                 if isinstance(value, Fraction) else QQ(value))
-    return value
+        return _RING.ground_new(QQ(value.numerator, value.denominator)), 0
+    value = _FIELD(value)
+    rest, k = _strip_d(value.denom)
+    if not rest.is_ground:
+        raise PreconditionError(
+            f"coefficient {value} has a denominator that is not a constant "
+            "times a power of 27 x1^2 + 8 x2^3")
+    return value.numer.quo_ground(rest.LC), k
 
 
 class CubicFieldElement:
-    """An element a0 + a1 S + a2 S^2 of the WKB coefficient ring."""
+    """An element (n0 + n1 S + n2 S^2) / D^m of the WKB coefficient ring.
 
-    __slots__ = ("c",)
+    ``n`` is the numerator triple in Q[x1, x2] and ``m`` the power of
+    D = 27 x1^2 + 8 x2^3, normalised as in the module docstring.  The
+    constructor takes the three coefficients as ints, Fractions or elements
+    of Q(x1, x2) whose reduced denominator is a constant times a power of D,
+    and raises ``PreconditionError`` for any other denominator (1/x1, say).
+    The ring is Q[x1, x2][1/D][S]/(cubic), not the field Q(x1, x2)[S]/(cubic):
+    ``inverse`` raises ``PreconditionError`` for an element that is not a
+    unit of it, such as 0 or x1.
+    """
+
+    __slots__ = ("n", "m", "_c")
 
     def __init__(self, c0=0, c1=0, c2=0):
-        object.__setattr__(self, "c", (_coerce(c0), _coerce(c1), _coerce(c2)))
+        parts = [_split(ci) for ci in (c0, c1, c2)]
+        m = max(k for _, k in parts)
+        self._store(tuple(p * _d_power(m - k) for p, k in parts), m)
+
+    @classmethod
+    def _new(cls, n: tuple, m: int) -> "CubicFieldElement":
+        self = object.__new__(cls)
+        self._store(n, m)
+        return self
+
+    def _store(self, n: tuple, m: int) -> None:
+        while m > 0 and (lower := _divide_by_d(n)) is not None:
+            n, m = lower, m - 1
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "_c", None)
 
     def __setattr__(self, *_):
         raise AttributeError("CubicFieldElement is immutable")
+
+    @property
+    def c(self) -> tuple:
+        """The three reduced coefficients in Q(x1, x2), built on first read."""
+        if self._c is None:
+            den = _d_power(self.m)
+            object.__setattr__(self, "_c", tuple(_FIELD.new(ni, den) for ni in self.n))
+        return self._c
 
     # -- constructors --------------------------------------------------
 
@@ -72,27 +163,32 @@ class CubicFieldElement:
     # -- predicates -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(not ci for ci in self.c)
+        return not any(self.n)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CubicFieldElement):
             return NotImplemented
-        return all((a - b) == 0 for a, b in zip(self.c, other.c))
+        return self.m == other.m and self.n == other.n
 
     def __hash__(self):
-        return hash(self.c)
+        # from the terms: sympy caches a polynomial's hash, and a quotient
+        # returned by divmod can carry one taken before it was filled in
+        return hash((self.m, *(frozenset(ni.items()) for ni in self.n)))
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "CubicFieldElement":
         if not isinstance(other, CubicFieldElement):
             other = CubicFieldElement.scalar(other)
-        return CubicFieldElement(*(a + b for a, b in zip(self.c, other.c)))
+        m = max(self.m, other.m)
+        a, b = _d_power(m - self.m), _d_power(m - other.m)
+        return CubicFieldElement._new(
+            tuple(x * a + y * b for x, y in zip(self.n, other.n)), m)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CubicFieldElement":
-        return CubicFieldElement(*(-a for a in self.c))
+        return CubicFieldElement._new(tuple(-ni for ni in self.n), self.m)
 
     def __sub__(self, other) -> "CubicFieldElement":
         if not isinstance(other, CubicFieldElement):
@@ -105,41 +201,36 @@ class CubicFieldElement:
     def __mul__(self, other) -> "CubicFieldElement":
         if not isinstance(other, CubicFieldElement):
             other = CubicFieldElement.scalar(other)
-        a0, a1, a2 = self.c
-        b0, b1, b2 = other.c
-        d = [a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a1 * b1 + a2 * b0,
-             a1 * b2 + a2 * b1, a2 * b2]
-        # reduce with S^3 = -(2 x2 S + x1)/4, S^4 = -(2 x2 S^2 + x1 S)/4
-        quarter = _FIELD.ground_new(QQ(1, 4))
-        c0 = d[0] - quarter * _X1 * d[3]
-        c1 = d[1] - quarter * (2 * _X2 * d[3] + _X1 * d[4])
-        c2 = d[2] - quarter * 2 * _X2 * d[4]
-        return CubicFieldElement(c0, c1, c2)
+        return CubicFieldElement._new(_mul(self.n, other.n), self.m + other.m)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CubicFieldElement":
-        """Solve u * v = 1 for v via the 3x3 multiplication matrix of u."""
-        cols = []
-        for basis in (CubicFieldElement(1), CubicFieldElement.root(),
-                      CubicFieldElement(0, 0, 1)):
-            cols.append((self * basis).c)
-        # matrix M with M[i][j] = coefficient of S^i in u * S^j
+        """Solve u * v = 1 for v via the 3x3 multiplication matrix of the
+        numerator; u is a unit exactly when that determinant is a nonzero
+        constant times a power of D."""
+        zero, one = _RING.zero, _RING.one
+        cols = [_mul(self.n, basis) for basis in ((one, zero, zero), (zero, one, zero),
+                                                  (zero, zero, one))]
+        # matrix M with M[i][j] = coefficient of S^i in N * S^j
         m = [[cols[j][i] for j in range(3)] for i in range(3)]
         det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-        if det == 0:
+        rest, k = _strip_d(det)
+        if not (rest and rest.is_ground):
             raise PreconditionError("element is not a unit in the cubic ring")
+
         def minor(r, c):
             rows = [i for i in range(3) if i != r]
             cs = [j for j in range(3) if j != c]
             return (m[rows[0]][cs[0]] * m[rows[1]][cs[1]]
                     - m[rows[0]][cs[1]] * m[rows[1]][cs[0]])
-        inv_det = det ** -1
-        # first column of M^{-1} (solution of M v = e_0)
-        v = [inv_det * minor(0, 0), -inv_det * minor(0, 1), inv_det * minor(0, 2)]
-        return CubicFieldElement(*v)
+        # first column of M^{-1} (solution of M v = e_0), times D^(self.m)
+        v = [minor(0, 0), -minor(0, 1), minor(0, 2)]
+        lift = _d_power(max(self.m - k, 0))
+        return CubicFieldElement._new(tuple((vi * lift).quo_ground(rest.LC) for vi in v),
+                                      max(k - self.m, 0))
 
     def __truediv__(self, other) -> "CubicFieldElement":
         if not isinstance(other, CubicFieldElement):
@@ -150,21 +241,28 @@ class CubicFieldElement:
 
     def d1(self) -> "CubicFieldElement":
         """Total derivative in x1, using the implicit derivative of the root."""
-        explicit = CubicFieldElement(*(ci.diff(_X1) for ci in self.c))
-        chain = self._ds() * _DS_DX1()
-        return explicit + chain
+        return self._derivative(0)
 
     def d2(self) -> "CubicFieldElement":
-        explicit = CubicFieldElement(*(ci.diff(_X2) for ci in self.c))
-        chain = self._ds() * _DS_DX2()
-        return explicit + chain
+        return self._derivative(1)
 
-    def _ds(self) -> "CubicFieldElement":
-        """Formal d/dS of the representative."""
-        return CubicFieldElement(self.c[1], 2 * self.c[2], 0)
+    def _derivative(self, i: int) -> "CubicFieldElement":
+        """(N' D - m N D') / D^(m+1) plus dN/dS dS/dx_i, where the formal
+        d/dS of the numerator is n1 + 2 n2 S."""
+        x, d_prime, m = _GENS[i], _D_PARTIALS[i], self.m
+        chain = _mul((self.n[1], 2 * self.n[2], _RING.zero), _CHAIN[i])
+        return CubicFieldElement._new(
+            tuple(ni.diff(x) * _D - m * ni * d_prime + ci
+                  for ni, ci in zip(self.n, chain)), m + 1)
 
     def __repr__(self) -> str:
         return f"({self.c[0]}) + ({self.c[1]})*S + ({self.c[2]})*S^2"
+
+
+# D (6 S^2 + x2)^-1, and the numerators of dS/dx1 and dS/dx2 over D
+_U = (8 * _GENS[1] ** 2, -18 * _GENS[0], 24 * _GENS[1])
+_CHAIN = (tuple(-ui * QQ(1, 2) for ui in _U),
+          _mul((_RING.zero, -_RING.one, _RING.zero), _U))
 
 
 @lru_cache(maxsize=1)
@@ -172,16 +270,6 @@ def _UNIT_DENOM() -> CubicFieldElement:
     """6 S^2 + x2, the derivative of the cubic (up to 2) and the only
     denominator the recursion ever needs."""
     return CubicFieldElement(_X2, 0, 6)
-
-
-@lru_cache(maxsize=1)
-def _DS_DX1() -> CubicFieldElement:
-    return (-CubicFieldElement.scalar(Fraction(1, 2))) * _UNIT_DENOM().inverse()
-
-
-@lru_cache(maxsize=1)
-def _DS_DX2() -> CubicFieldElement:
-    return (-CubicFieldElement.root()) * _UNIT_DENOM().inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +295,24 @@ class PearceyRecursion:
         return self.t_terms[k + 1]
 
 
+def _pair_sum(s: list, n: int, low: int) -> CubicFieldElement:
+    """The sum of S_a S_b over a + b = n with a, b >= low; s[k + 1] = S_k."""
+    total = sum((s[a + 1] * s[n - a + 1] for a in range(low, (n + 1) // 2)),
+                CubicFieldElement())
+    total = total + total
+    if n % 2 == 0 and n // 2 >= low:
+        total = total + s[n // 2 + 1] * s[n // 2 + 1]
+    return total
+
+
 def pearcey_recursion(order: int) -> PearceyRecursion:
     """Run the recursion for the coefficient streams.
 
     S_-1 = S (the cubic root), S_0 = -(1/2) d1 log(6 S^2 + x2), and each later
     S_k divides the lower-order cubic/derivative data by (6 S_-1^2 + x2); the
-    T_k follow from T_k = d1 S_(k-1) + sum_j S_j S_(k-j-1).
+    T_k follow from T_k = d1 S_(k-1) + sum_j S_j S_(k-j-1).  Both the cubic
+    term of S_k and the quadratic term of T_k read the pair sums
+    P_n = sum_(a+b=n) S_a S_b, each formed once.
     """
     if order < 0:
         raise PreconditionError("order must be >= 0")
@@ -222,29 +322,22 @@ def pearcey_recursion(order: int) -> PearceyRecursion:
     # S_0 from the logarithmic derivative of the unit
     s_list.append(CubicFieldElement.scalar(Fraction(-1, 2)) * unit.d1() * unit_inv)
     d1_cache = {-1: s_list[0].d1(), 0: s_list[1].d1()}
+    pairs = {n: _pair_sum(s_list, n, -1) for n in (-2, -1)}
     for k in range(1, order + 1):
-        triple_sum = CubicFieldElement()
-        for k1 in range(-1, k):
-            for k2 in range(-1, k):
-                k3 = k - 2 - k1 - k2
-                if -1 <= k3 < k:
-                    triple_sum = triple_sum + s_list[k1 + 1] * s_list[k2 + 1] * s_list[k3 + 1]
-        cross = CubicFieldElement()
-        for k1 in range(-1, k):
-            k2 = k - 2 - k1
-            if -1 <= k2 < k:
-                cross = cross + s_list[k1 + 1] * d1_cache[k2]
-        second = d1_cache[k - 2].d1() if k - 2 >= -1 else CubicFieldElement()
+        # P_(k-1) lacks its two terms S_-1 S_k until S_k is known
+        pairs[k - 1] = _pair_sum(s_list, k - 1, 0)
+        triple_sum = sum((s_list[k1 + 1] * pairs[k - 2 - k1] for k1 in range(-1, k)),
+                         CubicFieldElement())
+        cross = sum((s_list[k1 + 1] * d1_cache[k - 2 - k1] for k1 in range(-1, k)),
+                    CubicFieldElement())
+        second = d1_cache[k - 2].d1()
         body = triple_sum + CubicFieldElement.scalar(3) * cross + second
         s_k = CubicFieldElement.scalar(-2) * unit_inv * body
         s_list.append(s_k)
         d1_cache[k] = s_k.d1()
-    t_list = [s_list[0] * s_list[0]]  # T_-1 = S^2
-    for k in range(0, order + 1):
-        conv = CubicFieldElement()
-        for j in range(-1, k + 1):
-            conv = conv + s_list[j + 1] * s_list[k - j - 1 + 1]
-        t_list.append(d1_cache[k - 1] + conv)
+        pairs[k - 1] = pairs[k - 1] + CubicFieldElement.scalar(2) * s_list[0] * s_k
+    t_list = [pairs[-2]]  # T_-1 = S^2
+    t_list += [d1_cache[k - 1] + pairs[k - 1] for k in range(0, order + 1)]
     return PearceyRecursion(order, tuple(s_list), tuple(t_list))
 
 
@@ -298,20 +391,13 @@ def check_primitives(rec: PearceyRecursion) -> SymbolicCheckReport:
 
 def denominator_is_unit_power(rec: PearceyRecursion) -> bool:
     """Every S_k coefficient denominator divides a power of the resultant
-    27 x1^2 + 8 x2^3 of the cubic with its derivative (times a constant)."""
-    disc = 27 * _X1 ** 2 + 8 * _X2 ** 3
-    for k in range(1, rec.order + 1):
-        for ci in rec.s(k).c:
-            den = ci.denom
-            # strip all factors of disc, then nothing but a constant may remain
-            while True:
-                quo, rem = divmod(den, disc.numer)
-                if rem:
-                    break
-                den = quo
-            if any(sum(monom) > 0 for monom in den.monoms()):
-                return False
-    return True
+    27 x1^2 + 8 x2^3 of the cubic with its derivative (times a constant).
+
+    This holds by construction: an element is stored as a numerator triple
+    over D^m, so the check only reads the stored power.  The independent
+    witness is the test-suite oracle, which rebuilds the recursion in
+    Q(x1, x2) and strips D from each reduced denominator."""
+    return all(rec.s(k).m >= 0 for k in range(1, rec.order + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,9 @@ import random
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import QQ
 
 from exactwkb.errors import PreconditionError
 from exactwkb.pearcey import (CubicFieldElement, annihilation_residuals,
@@ -16,11 +19,136 @@ from exactwkb.pearcey import (CubicFieldElement, annihilation_residuals,
 F, X1, X2 = coefficient_field()
 S = CubicFieldElement.root()
 UNIT = CubicFieldElement(X2, 0, 6)  # 6 S^2 + x2
+DISC = 27 * X1 ** 2 + 8 * X2 ** 3
 
 
 @pytest.fixture(scope="module")
 def recursion():
     return pearcey_recursion(8)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the ring as triples (c0, c1, c2) of reduced elements of Q(x1, x2),
+# with every product and quotient cancelled by a gcd in the field
+# ---------------------------------------------------------------------------
+
+def field_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def field_mul(a, b):
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    d = [a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a1 * b1 + a2 * b0,
+         a1 * b2 + a2 * b1, a2 * b2]
+    # reduce with S^3 = -(2 x2 S + x1)/4, S^4 = -(2 x2 S^2 + x1 S)/4
+    return (d[0] - X1 * d[3] / 4, d[1] - (2 * X2 * d[3] + X1 * d[4]) / 4,
+            d[2] - 2 * X2 * d[4] / 4)
+
+
+def field_inverse(u):
+    """Solve u * v = 1 for v via the 3x3 multiplication matrix of u."""
+    one, zero = F(1), F(0)
+    cols = [field_mul(u, basis) for basis in ((one, zero, zero), (zero, one, zero),
+                                              (zero, zero, one))]
+    m = [[cols[j][i] for j in range(3)] for i in range(3)]
+    det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+           - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+           + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+    if det == 0:
+        raise ZeroDivisionError("zero divisor")
+
+    def minor(r, c):
+        rows = [i for i in range(3) if i != r]
+        cs = [j for j in range(3) if j != c]
+        return (m[rows[0]][cs[0]] * m[rows[1]][cs[1]]
+                - m[rows[0]][cs[1]] * m[rows[1]][cs[0]])
+    return (minor(0, 0) / det, -minor(0, 1) / det, minor(0, 2) / det)
+
+
+FIELD_UNIT = (X2, F(0), F(6))
+FIELD_DS = (field_mul((F(QQ(-1, 2)), F(0), F(0)), field_inverse(FIELD_UNIT)),
+            field_mul((F(0), F(-1), F(0)), field_inverse(FIELD_UNIT)))
+
+
+def field_d(a, i):
+    """Total derivative in x1 (i = 0) or x2 (i = 1)."""
+    explicit = tuple(ci.diff((X1, X2)[i]) for ci in a)
+    return field_add(explicit, field_mul((a[1], 2 * a[2], F(0)), FIELD_DS[i]))
+
+
+def field_recursion(order):
+    """S_k and T_k, k = -1..order, by the direct triple sum."""
+    zero = (F(0), F(0), F(0))
+    s_list = [(F(0), F(1), F(0))]
+    unit_inv = field_inverse(FIELD_UNIT)
+    s_list.append(field_mul((F(QQ(-1, 2)), F(0), F(0)),
+                            field_mul(field_d(FIELD_UNIT, 0), unit_inv)))
+    d1_cache = {-1: field_d(s_list[0], 0), 0: field_d(s_list[1], 0)}
+    for k in range(1, order + 1):
+        triple_sum = zero
+        for k1 in range(-1, k):
+            for k2 in range(-1, k):
+                k3 = k - 2 - k1 - k2
+                if -1 <= k3 < k:
+                    triple_sum = field_add(triple_sum, field_mul(
+                        field_mul(s_list[k1 + 1], s_list[k2 + 1]), s_list[k3 + 1]))
+        cross = zero
+        for k1 in range(-1, k):
+            k2 = k - 2 - k1
+            if -1 <= k2 < k:
+                cross = field_add(cross, field_mul(s_list[k1 + 1], d1_cache[k2]))
+        body = field_add(field_add(triple_sum, tuple(3 * ci for ci in cross)),
+                         field_d(d1_cache[k - 2], 0))
+        s_k = field_mul((F(-2), F(0), F(0)), field_mul(unit_inv, body))
+        s_list.append(s_k)
+        d1_cache[k] = field_d(s_k, 0)
+    t_list = [field_mul(s_list[0], s_list[0])]
+    for k in range(0, order + 1):
+        conv = zero
+        for j in range(-1, k + 1):
+            conv = field_add(conv, field_mul(s_list[j + 1], s_list[k - j]))
+        t_list.append(field_add(d1_cache[k - 1], conv))
+    return s_list, t_list
+
+
+def field_denominator_is_unit_power(triples):
+    """Every reduced denominator, stripped of all factors of the resultant,
+    leaves a constant."""
+    for ci in (ci for triple in triples for ci in triple):
+        den = ci.denom
+        while True:
+            quo, rem = divmod(den, DISC.numer)
+            if rem:
+                break
+            den = quo
+        if any(sum(monom) > 0 for monom in den.monoms()):
+            return False
+    return True
+
+
+ORACLE_ORDER = 5
+
+
+@pytest.fixture(scope="module")
+def oracle_recursion():
+    return field_recursion(ORACLE_ORDER)
+
+
+def numerators():
+    """Polynomials of total degree <= 4 with small rational coefficients."""
+    monomials = [(i, j) for i in range(5) for j in range(5 - i)]
+    term = st.tuples(st.sampled_from(monomials),
+                     st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    return st.lists(term, max_size=4).map(
+        lambda terms: sum((F(QQ(c.numerator, c.denominator)) * X1 ** i * X2 ** j
+                           for (i, j), c in terms), F(0)))
+
+
+def field_triples():
+    """Numerator triples over D^m, m <= 2, as reduced field triples."""
+    return st.builds(lambda n0, n1, n2, m: tuple(ni / DISC ** m for ni in (n0, n1, n2)),
+                     numerators(), numerators(), numerators(), st.integers(0, 2))
 
 
 class TestQuotientRing:
@@ -46,6 +174,22 @@ class TestQuotientRing:
     def test_non_unit_rejected(self):
         with pytest.raises(PreconditionError):
             CubicFieldElement().inverse()
+
+    def test_inverse_stays_in_the_ring(self):
+        # x1 is invertible in Q(x1, x2) but not in Q[x1, x2][1/D]
+        with pytest.raises(PreconditionError):
+            CubicFieldElement(X1).inverse()
+
+    @pytest.mark.parametrize("coefficients", [(1 / X1,), (0, X2 / (X1 * DISC)),
+                                              (0, 0, 1 / (DISC + 1))])
+    def test_denominator_outside_powers_of_d_rejected(self, coefficients):
+        with pytest.raises(PreconditionError):
+            CubicFieldElement(*coefficients)
+
+    def test_field_coefficients_with_powers_of_d_accepted(self):
+        a = CubicFieldElement(X1 / (3 * DISC ** 2), Fr(2, 7), X2)
+        assert a.m == 2
+        assert a.c == (X1 / (3 * DISC ** 2), F(QQ(2, 7)), X2)
 
     def test_derivative_is_a_derivation(self):
         a = S * S + CubicFieldElement(X1, 0, 0) * S
@@ -85,6 +229,75 @@ class TestRecursion:
 
     def test_denominator_shape(self, recursion):
         assert denominator_is_unit_power(recursion)
+
+    def test_closedness_and_primitives_to_order_12(self):
+        rec = pearcey_recursion(12)
+        for report in (check_closedness(rec), check_primitives(rec)):
+            assert report.passed, (report.name, report.failures)
+
+
+class TestAgainstFieldOracle:
+    def test_recursion_equals_the_field_recursion(self, oracle_recursion):
+        rec = pearcey_recursion(ORACLE_ORDER)
+        s_list, t_list = oracle_recursion
+        for k in range(-1, ORACLE_ORDER + 1):
+            assert rec.s(k).c == s_list[k + 1], k
+            assert rec.t(k).c == t_list[k + 1], k
+
+    def test_field_denominators_are_powers_of_d(self, oracle_recursion):
+        s_list, _ = oracle_recursion
+        assert field_denominator_is_unit_power(s_list[2:])
+        assert not field_denominator_is_unit_power([(1 / X1, F(0), F(0))])
+
+    @settings(max_examples=40, deadline=None)
+    @given(field_triples(), field_triples())
+    def test_ring_operations(self, a, b):
+        x, y = CubicFieldElement(*a), CubicFieldElement(*b)
+        assert x.c == a
+        assert (x + y).c == field_add(a, b)
+        assert (x - y).c == field_add(a, tuple(-ci for ci in b))
+        assert (x * y).c == field_mul(a, b)
+        assert x.d1().c == field_d(a, 0)
+        assert x.d2().c == field_d(a, 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+           st.integers(0, 2), st.integers(0, 2), st.integers(-1, 1))
+    def test_inverse_of_units(self, c, p, q, r):
+        # c (6 S^2 + x2)^p (8 x2^2 - 18 x1 S + 24 x2 S^2)^q D^r
+        u = CubicFieldElement.scalar(c) * CubicFieldElement(DISC ** r)
+        for _ in range(p):
+            u = u * UNIT
+        for _ in range(q):
+            u = u * CubicFieldElement(8 * X2 ** 2, -18 * X1, 24 * X2)
+        assert u.inverse().c == field_inverse(u.c)
+        assert (u * u.inverse()) == CubicFieldElement(1)
+
+    @settings(max_examples=25, deadline=None)
+    @given(field_triples())
+    def test_inverse_exactly_for_units(self, a):
+        x = CubicFieldElement(*a)
+        try:
+            expected = field_inverse(a)
+        except ZeroDivisionError:
+            expected = None
+        if expected is not None and field_denominator_is_unit_power([expected]):
+            assert x.inverse().c == expected
+        else:
+            with pytest.raises(PreconditionError):
+                x.inverse()
+
+    @settings(max_examples=40, deadline=None)
+    @given(field_triples(), field_triples())
+    def test_equal_elements_hash_equal(self, a, b):
+        x = CubicFieldElement(*a)
+        d = CubicFieldElement(DISC)
+        routes = [CubicFieldElement(*x.c), (x * d) * d.inverse(), (x + 1) - 1,
+                  CubicFieldElement._new(tuple(ni * DISC.numer for ni in x.n), x.m + 1)]
+        for other in routes:
+            assert other == x and hash(other) == hash(x)
+        y = CubicFieldElement(*b)
+        assert (x == y) == (a == b)
 
 
 class TestQuartic:
