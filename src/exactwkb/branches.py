@@ -66,18 +66,6 @@ def sqrt_one_minus_s(s: complex) -> complex:
     return cmath.sqrt(1 - s)
 
 
-def ray_local_root(s: complex) -> complex:
-    """(1-s)^(1/2) along summation rays past s = 1: the i-orientation rule.
-
-    Fixed as (s-1)^(1/2) = e^(-i pi/2) (1-s)^(1/2), i.e. (1-s)^(1/2) =
-    i * principal_sqrt(s-1).  This is the lateral determination that keeps the
-    "-" Borel sum continuous across the Stokes line and makes the +i prefactor
-    of the "-" transform come out right; it is the package's only point of
-    truth for that orientation.
-    """
-    return 1j * cmath.sqrt(s - 1)
-
-
 def default_sqrt_rule(s: complex) -> complex:
     """s^(1/2) (1-s)^(1/2) with principal roots on both factors."""
     return sqrt_s(s) * sqrt_one_minus_s(s)
@@ -309,7 +297,7 @@ def anchored_g_triple(anchor: int, local_root: complex,
 
     ``local_root`` is the chosen determination of s^(1/2) (anchor 0) or
     (1-s)^(1/2) (anchor 1); passing it explicitly is what selects the branch
-    orientation, see ``ray_local_root``.
+    orientation, see ``resummation.RayField._local_root``.
     """
     if local_root == 0:
         raise PreconditionError("branch values diverge at the base point itself")

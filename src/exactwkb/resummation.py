@@ -25,7 +25,7 @@ import mpmath
 import numpy as np
 
 from .branches import (SERIES_ZONE, anchored_g_triple, continue_triple,
-                       monodromy_permutation, ray_local_root, sqrt_s)
+                       monodromy_permutation, sqrt_s)
 from .errors import NumericError, PreconditionError
 
 TWO_PI_THIRDS = 2 * math.pi / 3
@@ -37,10 +37,14 @@ BOUNDARY = "boundary"
 OUTSIDE = "outside"
 
 _SERIES_HANDOFF = 0.8 * SERIES_ZONE
+# steps of each numeric monodromy loop around s = 1 in the cut term
+RAY_LOOP_STEPS = 32
 
 # gates of VorosReport: the jump and the cut-vs-Airy witness, and the "-" sum
+# against the oracle; every sum of verify_voros is integrated to VOROS_QUAD_TOL
 VOROS_PLUS_TOL = 1e-6
 VOROS_MINUS_TOL = 1e-8
+VOROS_QUAD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -103,36 +107,36 @@ class RayField:
     from the nearest cached sample.
     """
 
-    def __init__(self, anchor: int, kappa: complex, orientation: float = 1.0):
+    def __init__(self, anchor: int, kappa: complex):
         self.anchor = anchor
         self.kappa = kappa
-        self.orientation = orientation
         self._ts: list[float] = []
         self._triples: list[tuple] = []
 
     def _local_root(self, t: float) -> complex:
+        """s^(1/2) at anchor 0; at anchor 1, (1-s)^(1/2) by the i-orientation rule.
+
+        Past s = 1 the root is fixed as (s-1)^(1/2) = e^(-i pi/2) (1-s)^(1/2),
+        i.e. (1-s)^(1/2) = i * principal_sqrt(s-1).  This is the lateral
+        determination that keeps the "-" Borel sum continuous across the Stokes
+        line and makes the +i prefactor of the "-" transform come out right; it
+        is the package's only point of truth for that orientation.
+        """
         # formed from kappa*t directly: computing s = base + kappa*t and
         # subtracting the base back loses every digit for tiny t
-        delta = self.kappa * t
-        root = cmath.sqrt(delta)
-        if self.anchor == 1:
-            root *= 1j
-        return self.orientation * root
+        root = cmath.sqrt(self.kappa * t)
+        return 1j * root if self.anchor == 1 else root
 
     def _s_of(self, t: float) -> complex:
         return self.anchor + self.kappa * t
 
     def triple(self, t: float) -> tuple:
-        s = self._s_of(t)
-        rho = abs(self.kappa) * t
-        if rho <= _SERIES_HANDOFF and not self._ts:
+        if abs(self.kappa) * t <= _SERIES_HANDOFF:
             return anchored_g_triple(self.anchor, self._local_root(t))
         if not self._ts:
             t0 = _SERIES_HANDOFF / abs(self.kappa)
             self._ts.append(t0)
             self._triples.append(anchored_g_triple(self.anchor, self._local_root(t0)))
-        if rho <= _SERIES_HANDOFF:
-            return anchored_g_triple(self.anchor, self._local_root(t))
         idx = bisect.bisect_left(self._ts, t)
         if idx < len(self._ts) and abs(self._ts[idx] - t) < 1e-15 * max(1.0, t):
             return self._triples[idx]
@@ -140,11 +144,10 @@ class RayField:
             (i for i in (idx - 1, idx) if 0 <= i < len(self._ts)),
             key=lambda i: abs(self._ts[i] - t),
         )
-        triple = continue_triple([self._s_of(self._ts[nearest]), s],
+        triple = continue_triple([self._s_of(self._ts[nearest]), self._s_of(t)],
                                  self._triples[nearest], max_step=0.02)
-        pos = bisect.bisect_left(self._ts, t)
-        self._ts.insert(pos, t)
-        self._triples.insert(pos, triple)
+        self._ts.insert(idx, t)
+        self._triples.insert(idx, triple)
         return triple
 
 
@@ -250,10 +253,6 @@ def _require_summable(ctx: StokesContext):
             "approach the boundary through a region limit instead")
 
 
-def _ray_field(ctx: StokesContext, sign: str) -> RayField:
-    return RayField(0 if sign == "+" else 1, ctx.kappa)
-
-
 def _require_quadrature_inputs(eta: float, tol: float):
     if not (math.isfinite(eta) and eta > 0):
         raise PreconditionError(f"eta must be positive and finite, got {eta!r}")
@@ -272,8 +271,7 @@ def _scaled_sum(sign: str, ctx: StokesContext, eta: float, alpha: complex,
     return BorelSum(sign, ctx.region, eta, value, err * abs(scale))
 
 
-def laplace_sum(sign: str, ctx: StokesContext, eta: float, tol: float = 1e-10,
-                field: RayField | None = None) -> BorelSum:
+def laplace_sum(sign: str, ctx: StokesContext, eta: float, tol: float = 1e-10) -> BorelSum:
     """Borel sum of the normalized WKB solution along its summation ray.
 
     The integrand is the branch combination for the requested sign:
@@ -283,7 +281,7 @@ def laplace_sum(sign: str, ctx: StokesContext, eta: float, tol: float = 1e-10,
         raise PreconditionError(f"sign must be '+' or '-', got {sign!r}")
     _require_quadrature_inputs(eta, tol)
     _require_summable(ctx)
-    ray = field if field is not None else _ray_field(ctx, sign)
+    ray = RayField(0 if sign == "+" else 1, ctx.kappa)
     inv_pref = 1.0 / (SQRT_PI * ctx.x)
 
     if sign == "+":
@@ -301,7 +299,7 @@ def laplace_sum(sign: str, ctx: StokesContext, eta: float, tol: float = 1e-10,
     return _scaled_sum(sign, ctx, eta, alpha, raw, err)
 
 
-def _delta_integrand_factory(ctx: StokesContext, loop_steps: int):
+def _delta_integrand_factory(ctx: StokesContext):
     """Discontinuity of branch 3 at the "-" singular point along the "-" ray.
 
     The only branch points of G are s = 0, 1 and infinity (s = 1/2 is an
@@ -316,11 +314,11 @@ def _delta_integrand_factory(ctx: StokesContext, loop_steps: int):
     farthest node sampled so far and raises NumericError if the permutation
     differs there.
     """
-    ray = _ray_field(ctx, "-")
+    ray = RayField(1, ctx.kappa)
 
     def loop_permutation(t: float) -> tuple:
         return monodromy_permutation(ctx.ray_point("-", t), ray.triple(t), 1.0 + 0j,
-                                     n_steps=loop_steps)
+                                     n_steps=RAY_LOOP_STEPS)
 
     t_exit = _SERIES_HANDOFF / abs(ctx.kappa)
     perm = loop_permutation(t_exit)
@@ -345,8 +343,7 @@ def _delta_integrand_factory(ctx: StokesContext, loop_steps: int):
     return delta_g3, confirm_far_end
 
 
-def gamma_term(ctx: StokesContext, eta: float, tol: float = 1e-8,
-               loop_steps: int = 32) -> BorelSum:
+def gamma_term(ctx: StokesContext, eta: float, tol: float = 1e-8) -> BorelSum:
     """The branch-cut contribution picked up by the continued "+" sum.
 
     Computed through the discontinuity reduction: the loop integral around the
@@ -356,7 +353,7 @@ def gamma_term(ctx: StokesContext, eta: float, tol: float = 1e-8,
     """
     _require_quadrature_inputs(eta, tol)
     _require_summable(ctx)
-    delta_g3, confirm_far_end = _delta_integrand_factory(ctx, loop_steps)
+    delta_g3, confirm_far_end = _delta_integrand_factory(ctx)
     inv_pref = 1.0 / (SQRT_PI * ctx.x)
 
     def integrand(t: float) -> complex:
@@ -430,45 +427,6 @@ def gamma_term_literal(ctx: StokesContext, eta: float,
         total += 0.5 * (integrand(prev) + integrand(s_next)) * (s_next - prev)
         prev = s_next
     return total * (4.0 / 3.0) * ctx.x_three_halves
-
-
-def minus_sum_continued_from_region_I(ctx: StokesContext, eta: float,
-                                      tol: float = 1e-10,
-                                      reference_angle: float = 0.45) -> BorelSum:
-    """The region-I "-" Borel sum continued to a region-II point.
-
-    The "-" singular point never meets the "-" ray while x crosses the
-    positive real axis, so the continuation is again a plain ray integral.
-    The branch anchor is carried over by explicit continuation along an arc
-    from a region-I ray direction; matching the carried triple against the
-    two candidate root orientations decides whether the sheet flipped.  It
-    never does (that is the point of the check), and the resulting sum must
-    agree with the direct region-II evaluation.
-    """
-    if ctx.region != REGION_II:
-        raise PreconditionError("continuation targets region II")
-    rho0 = _SERIES_HANDOFF
-    theta_target = cmath.phase(ctx.kappa)
-    # region-I rays have arg kappa in (0, pi): anchor there and rotate down
-    s_ref = 1 + rho0 * cmath.exp(1j * reference_angle)
-    triple = anchored_g_triple(1, ray_local_root(s_ref))
-    arc = [1 + rho0 * cmath.exp(1j * (reference_angle + (theta_target - reference_angle) * k / 24))
-           for k in range(1, 25)]
-    carried = continue_triple([s_ref, *arc], triple, max_step=0.03)
-    s_probe = 1 + rho0 * cmath.exp(1j * theta_target)
-    orientation = None
-    for nu in (1.0, -1.0):
-        candidate = anchored_g_triple(1, nu * ray_local_root(s_probe))
-        if max(abs(a - b) for a, b in zip(candidate, carried)) < 1e-8:
-            orientation = nu
-            break
-    if orientation is None:
-        raise NumericError("carried anchor matches neither root orientation")
-    field = RayField(1, ctx.kappa, orientation=orientation)
-    # deliberately different refinement target so the two evaluations do not
-    # share a panel structure
-    out = laplace_sum("-", ctx, eta, tol * 0.3, field=field)
-    return BorelSum("-", REGION_I, eta, out.value, out.quadrature_error_estimate)
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +584,15 @@ def verify_airy_connection(x: complex, eta: float, tol: float = 1e-6,
 
 @dataclass(frozen=True)
 class VorosReport:
-    """Jump of the "+" sum and invariance of the "-" sum across the Stokes line."""
+    """Jump of the "+" sum and invariance of the "-" sum across the Stokes line.
+
+    ``plus_residual`` witnesses only the loop permutation (branch 3 -> 1): the
+    cut term and i * (the "-" sum) integrate the same g_1 - g_3 of one ray
+    triple.  ``minus_residual`` and ``cut_vs_airy_residual`` witness the
+    oracle: the "-" sum and the cut term against ``minus_continued`` =
+    2 sqrt(pi) eta^(-1/3) Ai(eta^(2/3) x) and i times it, from series code
+    shared with neither the Borel sums nor the branch tracking.
+    """
 
     x: complex
     eta: float
@@ -646,30 +612,31 @@ class VorosReport:
                 and self.cut_vs_airy_residual < VOROS_PLUS_TOL)
 
 
-def verify_voros(x: complex, eta: float, quad_tol: float = 1e-10) -> VorosReport:
+def verify_voros(x: complex, eta: float) -> VorosReport:
     """Numerically witness the connection formula at a region-II point.
 
     The continued "+" sum comes from the deformed path (direct region-II ray
     plus the cut term from numeric monodromy); the jump must equal
-    i * (the "-" sum), and the "-" sum itself must not jump.  The cut term is
-    also held against 2i sqrt(pi) eta^(-1/3) Ai(eta^(2/3) x) from the series
-    oracle, a witness that shares no code with the branch tracking.
+    i * (the "-" sum), and the "-" sum itself must not jump.  In region I the
+    "-" sum is 2 sqrt(pi) eta^(-1/3) Ai(eta^(2/3) x) (``verify_airy_connection``
+    holds it there); Ai is entire, so that value at x is the region-I sum
+    continued, and both the direct "-" sum and the cut term are held against it.
     """
     ctx = classify_stokes(x)
     if ctx.region != REGION_II:
         raise PreconditionError("the Voros check samples x in region II")
-    plus_direct = laplace_sum("+", ctx, eta, quad_tol)
-    cut = gamma_term(ctx, eta, quad_tol).value
+    plus_direct = laplace_sum("+", ctx, eta, VOROS_QUAD_TOL)
+    cut = gamma_term(ctx, eta, VOROS_QUAD_TOL).value
     plus_continued = plus_direct.value + cut
-    minus_direct = laplace_sum("-", ctx, eta, quad_tol)
-    minus_cont = minus_sum_continued_from_region_I(ctx, eta, quad_tol)
+    minus_direct = laplace_sum("-", ctx, eta, VOROS_QUAD_TOL)
     plus_res = (abs(plus_continued - plus_direct.value - 1j * minus_direct.value)
                 / abs(plus_direct.value))
-    minus_res = abs(minus_cont.value - minus_direct.value) / abs(minus_direct.value)
     ai = airy_reference(eta ** (2.0 / 3.0) * complex(x)).ai
-    cut_airy_res = abs(cut - 2j * SQRT_PI * eta ** (-1.0 / 3.0) * ai) / abs(cut)
+    minus_continued = 2 * SQRT_PI * eta ** (-1.0 / 3.0) * ai
+    minus_res = abs(minus_continued - minus_direct.value) / abs(minus_direct.value)
+    cut_airy_res = abs(cut - 1j * minus_continued) / abs(cut)
     return VorosReport(complex(x), eta, plus_continued, plus_direct.value,
-                       minus_direct.value, minus_cont.value, cut,
+                       minus_direct.value, minus_continued, cut,
                        plus_res, minus_res, cut_airy_res)
 
 

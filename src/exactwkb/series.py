@@ -14,9 +14,8 @@ exponent grid h = 2e, after normalising f = lead x^v (1 + u):
 - reciprocal and the binomial powers (1 + u)^p, p = -1, +-1/2, by
   J.C.P. Miller's power formula g_m = (1/m) sum_k ((p+1) k - m) u_k g_{m-k}
   (Knuth, TAOCP vol. 2, 4.7);
-- exp(u) from g' = u' g: g_m = (1/m) sum_k k u_k g_{m-k};
-- log(1 + u) from (1 + u) g' = u': g_m = u_m - (1/m) sum_{k<m} k g_k u_{m-k}
-  (both as in Brent & Kung, J. ACM 25, 1978).
+- exp(u) from g' = u' g: g_m = (1/m) sum_k k u_k g_{m-k} (Brent & Kung,
+  J. ACM 25, 1978).
 
 Eta-expansions use the same recurrences with Puiseux-series coefficients.
 """

@@ -17,7 +17,6 @@ from .errors import NumericError, PreconditionError
 
 VOROS_GRID_RADII = [0.8 + 0.4 * k / 9 for k in range(10)]
 VOROS_GRID_ETAS = [5.0, 8.0, 12.0]
-VOROS_QUAD_TOL = 1e-10
 PEARCEY_SEED = 42
 
 
@@ -58,12 +57,12 @@ def _voros_grid_points(grid: str):
 
 
 def run_voros_grid(grid: str = "default") -> dict:
-    reports = [resummation.verify_voros(x, eta, VOROS_QUAD_TOL)
+    reports = [resummation.verify_voros(x, eta)
                for x, eta in _voros_grid_points(grid)]
     return {
         "config": {"grid": grid, "plus_tol": resummation.VOROS_PLUS_TOL,
                    "minus_tol": resummation.VOROS_MINUS_TOL,
-                   "quad_tol": VOROS_QUAD_TOL},
+                   "quad_tol": resummation.VOROS_QUAD_TOL},
         "points": [{
             "x": rep.x, "eta": rep.eta,
             "plus_continued": rep.plus_continued,

@@ -7,9 +7,11 @@ import math
 import pytest
 
 from exactwkb import resummation
-from exactwkb.branches import monodromy_triple
+from exactwkb.branches import anchored_g_triple, continue_triple, monodromy_triple
 from exactwkb.errors import NumericError, PreconditionError
-from exactwkb.resummation import (BorelSum, RayField, _delta_integrand_factory,
+from exactwkb.resummation import (_SERIES_HANDOFF, RAY_LOOP_STEPS, BorelSum,
+                                  RayField, _delta_integrand_factory,
+                                  _laplace_quadrature, _scaled_sum,
                                   airy_reference, classify_stokes,
                                   formal_solution_partial_sum, gamma_term,
                                   gamma_term_literal, laplace_sum,
@@ -171,17 +173,17 @@ class TestConnectionFormulas:
 
     def test_airy_witness_rejects_wrong_branch_pair(self, monkeypatch):
         """A cut term from g_2 - g_3 in place of g_1 - g_3 fails the oracle gate."""
-        def wrong_pair_gamma_term(ctx, eta, tol=1e-8, loop_steps=32):
+        def wrong_pair_gamma_term(ctx, eta, tol=1e-8):
             ray = RayField(1, ctx.kappa)
-
-            class Swapped:
-                def triple(self, t):
-                    g1, g2, g3 = ray.triple(t)
-                    return (g2, g1, g3)
 
             # i times the "-" sum is the cut term; with g_1 and g_2 swapped it
             # integrates -(g_2 - g_3) / (sqrt(pi) x)
-            minus = laplace_sum("-", ctx, eta, tol, field=Swapped())
+            def swapped(t):
+                _, g2, g3 = ray.triple(t)
+                return 1j * (g2 - g3) / (SQRT_PI * ctx.x)
+
+            raw, err = _laplace_quadrature(swapped, eta, tol)
+            minus = _scaled_sum("-", ctx, eta, ctx.alpha_minus, raw, err)
             return BorelSum("+", ctx.region, eta, 1j * minus.value,
                             minus.quadrature_error_estimate)
 
@@ -197,11 +199,30 @@ class TestConnectionFormulas:
         # max(0.0, nan) is 0.0: a gate on the running maximum would pass this
         real_verify_voros = resummation.verify_voros
 
-        def nan_minus_residual(x, eta, quad_tol):
-            return dataclasses.replace(real_verify_voros(x, eta, quad_tol),
+        def nan_minus_residual(x, eta):
+            return dataclasses.replace(real_verify_voros(x, eta),
                                        minus_residual=math.nan)
 
         monkeypatch.setattr(resummation, "verify_voros", nan_minus_residual)
+        assert not run_voros_grid("quick")["passed"]
+
+    def test_oracle_rejects_a_wrong_minus_sum(self, monkeypatch):
+        """A "-" sum off by 1e-7 fails the no-jump gate.
+
+        A "-" sum continued by integrating the same ray again would carry the
+        same error and pass; the Ai value does not."""
+        real_laplace_sum = resummation.laplace_sum
+
+        def scaled_minus(sign, ctx, eta, tol=1e-10):
+            out = real_laplace_sum(sign, ctx, eta, tol)
+            if sign == "+":
+                return out
+            return dataclasses.replace(out, value=out.value * (1 + 1e-7))
+
+        monkeypatch.setattr(resummation, "laplace_sum", scaled_minus)
+        report = verify_voros(cmath.exp(1j * math.pi / 6), 8.0)
+        assert report.minus_residual > 1e-8
+        assert not report.passed
         assert not run_voros_grid("quick")["passed"]
 
     def test_cut_term_equals_jump(self):
@@ -231,13 +252,14 @@ class TestRayMonodromy:
     @pytest.mark.parametrize("arg", [0.3, math.pi / 6, 1.9])
     def test_permutation_matches_loop_at_each_node(self, arg):
         ctx = classify_stokes(cmath.exp(1j * arg))
-        delta_g3, confirm_far_end = _delta_integrand_factory(ctx, 32)
+        delta_g3, confirm_far_end = _delta_integrand_factory(ctx)
         field = RayField(1, ctx.kappa)
         # one node inside the 0.35 loop radius, two beyond it
         for rho in (0.2, 0.9, 2.0):
             t = rho / abs(ctx.kappa)
             triple = field.triple(t)
-            looped = monodromy_triple(ctx.ray_point("-", t), triple, 1.0, n_steps=32)
+            looped = monodromy_triple(ctx.ray_point("-", t), triple, 1.0,
+                                      n_steps=RAY_LOOP_STEPS)
             want = looped[2] - triple[2]
             assert abs(delta_g3(t) - want) <= 1e-12 * abs(want)
         confirm_far_end()
@@ -255,6 +277,29 @@ class TestRayMonodromy:
         with pytest.raises(NumericError):
             gamma_term(classify_stokes(cmath.exp(1j * math.pi / 6)), 8.0)
         assert len(calls) == 2
+
+
+class TestRayOrientation:
+    """The "-" ray's local root w = i sqrt(s - 1) is the sheet reached from region I."""
+
+    @pytest.mark.parametrize("arg", [0.3, math.pi / 6, 1.0, 1.9])
+    def test_region_I_triple_carried_to_the_ray(self, arg):
+        ctx = classify_stokes(cmath.exp(1j * arg))
+        theta = cmath.phase(ctx.kappa)
+        # arg kappa = 0.45 is a region-I ray direction; rotate down to this ray
+        # along the arc of radius _SERIES_HANDOFF around s = 1
+        angles = [0.45 + (theta - 0.45) * k / 24 for k in range(25)]
+        arc = [1 + _SERIES_HANDOFF * cmath.exp(1j * a) for a in angles]
+        carried = continue_triple(arc, anchored_g_triple(1, 1j * cmath.sqrt(arc[0] - 1)),
+                                  max_step=0.03)
+        s = arc[-1]
+        want = anchored_g_triple(1, 1j * cmath.sqrt(s - 1))
+        flipped = anchored_g_triple(1, -1j * cmath.sqrt(s - 1))
+        assert max(abs(a - b) for a, b in zip(carried, want)) < 1e-12
+        assert max(abs(a - b) for a, b in zip(carried, flipped)) > 1.0
+        # and the ray field evaluates that same sheet where it leaves the series
+        t = _SERIES_HANDOFF / abs(ctx.kappa)
+        assert max(abs(a - b) for a, b in zip(RayField(1, ctx.kappa).triple(t), want)) < 1e-12
 
 
 class TestWatsonConsistency:
