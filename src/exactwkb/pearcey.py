@@ -4,21 +4,24 @@ holonomic annihilation witnesses.
 
 The symbolic side lives in Q[x1, x2][1/D][S] / (4 S^3 + 2 x2 S + x1), where
 D = 27 x1^2 + 8 x2^3 is (up to a constant) the resultant of the cubic with its
-derivative.  An element is stored fraction-free, as a numerator triple
-(n0, n1, n2) of polynomials in Q[x1, x2] over one power D^m, and means
-(n0 + n1 S + n2 S^2) / D^m.  Every recursion coefficient has this shape,
-because the only denominator the recursion divides by is the unit 6 S^2 + x2,
-whose inverse is U / D with U = 8 x2^2 - 18 x1 S + 24 x2 S^2.  Total
+derivative.  An element is stored fraction-free over the integers, as a
+numerator triple (n0, n1, n2) in Z[x1, x2], a positive integer q and one power
+D^m, and means (n0 + n1 S + n2 S^2) / (q D^m).  Every recursion coefficient has
+this shape, because the only denominator the recursion divides by is the unit
+6 S^2 + x2, whose inverse is U / D with U = 8 x2^2 - 18 x1 S + 24 x2 S^2.  Total
 derivatives use the implicit formulas
 
     dS/dx1 = -1 / (2 (6 S^2 + x2)) = -U / (2 D),
     dS/dx2 = -S / (6 S^2 + x2)     = -S U / D,
 
 and d(N / D^m) = (N' D - m N D') / D^(m+1).  An element is normalised by
-lowering m while all three numerators are exactly divisible by D, and only
-then; that (N, m) is unique, so equality and hashing compare it directly and
-no polynomial gcd is ever taken.  The reduced rational-function coefficients
-of Q(x1, x2) are built only where they are read (``CubicFieldElement.c``).
+lowering m while D divides all three numerators, and by cancelling the common
+integer factor of q and the numerators.  D is irreducible and primitive, so by
+Gauss's lemma a quotient by D stays integral, and the normalised (N, q, m) is
+unique: equality and hashing compare it directly and no polynomial gcd is ever
+taken.  A polynomial is a dict {(e1, e2): int} of its nonzero coefficients.
+The reduced coefficients N / (q D^k) of Q(x1, x2) are built only where they are
+read (``CubicFieldElement.c``).
 """
 
 from __future__ import annotations
@@ -26,107 +29,302 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 import numpy as np
-from sympy import QQ
-from sympy.polys.fields import field as _frac_field
 
 from .errors import NumericError, PreconditionError
 
-_FIELD, _X1, _X2 = _frac_field("x1 x2", QQ)
-_RING = _FIELD.ring
-_GENS = _RING.gens
-_D = 27 * _GENS[0] ** 2 + 8 * _GENS[1] ** 3
-_D_PARTIALS = tuple(_D.diff(x) for x in _GENS)
-# S^3 = -(x1 + 2 x2 S)/4 with these two multipliers
-_QUARTER_X1 = _GENS[0] * QQ(1, 4)
-_HALF_X2 = _GENS[1] * QQ(1, 2)
+# ---------------------------------------------------------------------------
+# polynomials in Z[x1, x2]
+# ---------------------------------------------------------------------------
+
+_ONE = {(0, 0): 1}
+_D = {(2, 0): 27, (0, 3): 8}
+_D_PARTIALS = ({(1, 0): 54}, {(0, 2): 24})
 
 
-def coefficient_field():
-    """The shared rational-function field Q(x1, x2) and its generators."""
-    return _FIELD, _X1, _X2
+def _nonzero(p: dict) -> dict:
+    return {e: c for e, c in p.items() if c}
+
+
+def _acc_mul(out: dict, a: dict, b: dict, c: int = 1) -> dict:
+    """out += c a b in place; zeros may remain."""
+    for (i, j), u in a.items():
+        cu = c * u
+        for (k, l), v in b.items():
+            e = (i + k, j + l)
+            out[e] = out.get(e, 0) + cu * v
+    return out
+
+
+def _diff(p: dict, i: int) -> dict:
+    """The partial derivative in x1 (i = 0) or x2 (i = 1)."""
+    if i == 0:
+        return {(a - 1, b): a * c for (a, b), c in p.items() if a}
+    return {(a, b - 1): b * c for (a, b), c in p.items() if b}
 
 
 @lru_cache(maxsize=None)
-def _d_power(m: int):
-    return _RING.one if m == 0 else _d_power(m - 1) * _D
+def _d_power(m: int) -> dict:
+    return _ONE if m == 0 else _nonzero(_acc_mul({}, _d_power(m - 1), _D))
 
 
-def _mul(a: tuple, b: tuple) -> tuple:
-    """Product of two numerator triples, reduced by the cubic."""
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    d3 = a1 * b2 + a2 * b1
-    d4 = a2 * b2
-    return (a0 * b0 - _QUARTER_X1 * d3,
-            a0 * b1 + a1 * b0 - _HALF_X2 * d3 - _QUARTER_X1 * d4,
-            a0 * b2 + a1 * b1 + a2 * b0 - _HALF_X2 * d4)
+def _divide_by_d(p: dict):
+    """p / D if D divides p, else None.  Rows of equal x1 degree are divided
+    top-down by the leading term 27 x1^2."""
+    if not p:
+        return p
+    rows = [{} for _ in range(max(i for i, _ in p) + 1)]
+    for (i, j), c in p.items():
+        rows[i][j] = c
+    quotient = {}
+    for i in range(len(rows) - 1, 1, -1):
+        below = rows[i - 2]
+        for j, c in rows[i].items():
+            if c:
+                t, r = divmod(c, 27)
+                if r:
+                    return None
+                quotient[(i - 2, j)] = t
+                below[j + 3] = below.get(j + 3, 0) - 8 * t
+    if any(rows[0].values()) or (len(rows) > 1 and any(rows[1].values())):
+        return None
+    return quotient
 
 
-def _divide_by_d(n: tuple):
+def _divide_all_by_d(n: tuple):
     """The tuple n / D if D divides every polynomial in it, else None."""
     quotients = []
     for ni in n:
-        q, r = divmod(ni, _D)
-        if r:
+        if (qi := _divide_by_d(ni)) is None:
             return None
-        quotients.append(q)
+        quotients.append(qi)
     return tuple(quotients)
 
 
-def _strip_d(p) -> tuple:
-    """(q, k) with p = q D^k and, unless p is 0, q not divisible by D."""
+def _strip_d(p: dict) -> tuple:
+    """(r, k) with p = r D^k and, unless p is 0, r not divisible by D."""
     k = 0
-    while p and (lower := _divide_by_d((p,))) is not None:
-        (p,), k = lower, k + 1
+    while p and (lower := _divide_by_d(p)) is not None:
+        p, k = lower, k + 1
     return p, k
 
 
+def _normalise(n: tuple, q: int, m: int) -> tuple:
+    """(n, q, m) with m lowered while D divides every polynomial in n, and the
+    common integer factor of q and n cancelled."""
+    while m > 0 and (lower := _divide_all_by_d(n)) is not None:
+        n, m = lower, m - 1
+    g = gcd(q, *(c for ni in n for c in ni.values()))
+    if g > 1:
+        n, q = tuple({e: c // g for e, c in ni.items()} for ni in n), q // g
+    return n, q, m
+
+
+def _integral(terms) -> tuple:
+    """(p, a) with p an integer polynomial and sum(terms) = p / a, a > 0."""
+    terms = [((e1, e2), Fraction(int(c.numerator), int(c.denominator)))
+             for (e1, e2), c in terms]
+    a = lcm(*(c.denominator for _, c in terms))
+    return {e: int(c * a) for e, c in terms if c}, a
+
+
 def _split(value) -> tuple:
-    """(numerator, k) with value = numerator / D^k, for an int, a Fraction or
-    an element of Q[x1, x2] or Q(x1, x2)."""
+    """(numerator, q, k) with value = numerator / (q D^k), for an int, a
+    Fraction or a rational function read through ``.numer``/``.denom``
+    ``.terms()`` (a ``RationalCoefficient`` or an element of sympy's field)."""
     if isinstance(value, (int, Fraction)):
-        return _RING.ground_new(QQ(value.numerator, value.denominator)), 0
-    value = _FIELD(value)
-    rest, k = _strip_d(value.denom)
-    if not rest.is_ground:
+        value = Fraction(value)
+        return ({(0, 0): value.numerator} if value else {}), value.denominator, 0
+    try:
+        num, a = _integral(value.numer.terms())
+        den, b = _integral(value.denom.terms())
+    except (AttributeError, TypeError, ValueError):
+        raise PreconditionError(
+            f"coefficient {value!r} is not an int, a Fraction or a rational "
+            "function of x1, x2") from None
+    rest, k = _strip_d(den)
+    if set(rest) != {(0, 0)}:
         raise PreconditionError(
             f"coefficient {value} has a denominator that is not a constant "
             "times a power of 27 x1^2 + 8 x2^3")
-    return value.numer.quo_ground(rest.LC), k
+    # value = (num / a) / (rest D^k / b)
+    r = rest[(0, 0)] * a
+    return _acc_mul({}, num, _ONE, b if r > 0 else -b), abs(r), k
+
+
+def _poly_str(p: dict) -> str:
+    """The polynomial as sympy prints it: lex-descending terms, x1 > x2."""
+    if not p:
+        return "0"
+    text = ""
+    for (e1, e2), c in sorted(p.items(), reverse=True):
+        factors = [f"{abs(c)}"] if abs(c) != 1 or not (e1 or e2) else []
+        factors += [x if e == 1 else f"{x}**{e}" for x, e in (("x1", e1), ("x2", e2)) if e]
+        text += (" - " if c < 0 else " + ") + "*".join(factors)
+    return ("-" if text[1] == "-" else "") + text[3:]
+
+
+class _Terms:
+    """An integer polynomial read as sympy's are: ``terms()`` gives
+    ((e1, e2), Fraction) pairs in lex-descending order."""
+
+    __slots__ = ("p",)
+
+    def __init__(self, p: dict):
+        self.p = p
+
+    def terms(self) -> list:
+        return [(e, Fraction(c)) for e, c in sorted(self.p.items(), reverse=True)]
+
+
+class RationalCoefficient:
+    """A reduced element N / (q D^k) of Q(x1, x2): N in Z[x1, x2], q > 0 and
+    k >= 0, normalised as a ring element is, so D does not divide N unless
+    k = 0 and gcd(q, content of N) = 1.  D is irreducible, so this is the
+    reduced fraction.  ``numer`` and ``denom`` give N and the expanded
+    q D^k through ``terms()``, and ``str`` prints the fraction as sympy
+    prints its rational-function field.  Coefficients add, subtract and
+    multiply with each other and with ints and Fractions, and divide by
+    ints and Fractions.
+    """
+
+    __slots__ = ("num", "q", "k")
+
+    def __init__(self, value=0):
+        num, q, k = _split(value)
+        self._store(num, q, k)
+
+    @classmethod
+    def _new(cls, num: dict, q: int, k: int) -> "RationalCoefficient":
+        self = object.__new__(cls)
+        self._store(num, q, k)
+        return self
+
+    def _store(self, num: dict, q: int, k: int) -> None:
+        (self.num,), self.q, self.k = _normalise((num,), q, k)
+
+    @staticmethod
+    def _coerce(value):
+        if isinstance(value, (int, Fraction)):
+            return RationalCoefficient(value)
+        return value if isinstance(value, RationalCoefficient) else None
+
+    @property
+    def numer(self) -> _Terms:
+        return _Terms(self.num)
+
+    @property
+    def denom(self) -> _Terms:
+        return _Terms(_acc_mul({}, _d_power(self.k), _ONE, self.q))
+
+    def __add__(self, other) -> "RationalCoefficient":
+        if (other := self._coerce(other)) is None:
+            return NotImplemented
+        k, q = max(self.k, other.k), lcm(self.q, other.q)
+        num = _acc_mul({}, self.num, _d_power(k - self.k), q // self.q)
+        return RationalCoefficient._new(
+            _nonzero(_acc_mul(num, other.num, _d_power(k - other.k), q // other.q)), q, k)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "RationalCoefficient":
+        return RationalCoefficient._new(_acc_mul({}, self.num, _ONE, -1), self.q, self.k)
+
+    def __sub__(self, other) -> "RationalCoefficient":
+        if (other := self._coerce(other)) is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other) -> "RationalCoefficient":
+        return (-self) + other
+
+    def __mul__(self, other) -> "RationalCoefficient":
+        if (other := self._coerce(other)) is None:
+            return NotImplemented
+        return RationalCoefficient._new(_nonzero(_acc_mul({}, self.num, other.num)),
+                                        self.q * other.q, self.k + other.k)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "RationalCoefficient":
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return self * (1 / Fraction(other))
+
+    def __str__(self) -> str:
+        if self.k == 0 and self.q == 1:
+            return _poly_str(self.num)
+        numer = _poly_str(self.num)
+        if len(self.num) > 1:
+            numer = f"({numer})"
+        denom = _poly_str(_acc_mul({}, _d_power(self.k), _ONE, self.q))
+        return f"{numer}/({denom})" if self.k else f"{numer}/{denom}"
+
+    __repr__ = __str__
+
+
+def coefficient_field():
+    """The coefficient constructor and the generators x1, x2 of Q(x1, x2)."""
+    return (RationalCoefficient, RationalCoefficient._new({(1, 0): 1}, 1, 0),
+            RationalCoefficient._new({(0, 1): 1}, 1, 0))
+
+
+# ---------------------------------------------------------------------------
+# the cubic quotient ring
+# ---------------------------------------------------------------------------
+
+_MINUS_X1, _MINUS_2X2 = {(1, 0): -1}, {(0, 1): -2}
+
+
+def _mul(a: tuple, b: tuple) -> tuple:
+    """4 a b for two numerator triples, reduced by 4 S^3 = -(x1 + 2 x2 S)."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    d3 = _acc_mul(_acc_mul({}, a1, b2), a2, b1)
+    d4 = _acc_mul({}, a2, b2)
+    r0 = _acc_mul(_acc_mul({}, a0, b0, 4), d3, _MINUS_X1)
+    r1 = _acc_mul(_acc_mul(_acc_mul(_acc_mul({}, a0, b1, 4), a1, b0, 4), d3, _MINUS_2X2),
+                  d4, _MINUS_X1)
+    r2 = _acc_mul(_acc_mul(_acc_mul(_acc_mul({}, a0, b2, 4), a1, b1, 4), a2, b0, 4),
+                  d4, _MINUS_2X2)
+    return _nonzero(r0), _nonzero(r1), _nonzero(r2)
 
 
 class CubicFieldElement:
-    """An element (n0 + n1 S + n2 S^2) / D^m of the WKB coefficient ring.
+    """An element (n0 + n1 S + n2 S^2) / (q D^m) of the WKB coefficient ring.
 
-    ``n`` is the numerator triple in Q[x1, x2] and ``m`` the power of
-    D = 27 x1^2 + 8 x2^3, normalised as in the module docstring.  The
-    constructor takes the three coefficients as ints, Fractions or elements
-    of Q(x1, x2) whose reduced denominator is a constant times a power of D,
-    and raises ``PreconditionError`` for any other denominator (1/x1, say).
-    The ring is Q[x1, x2][1/D][S]/(cubic), not the field Q(x1, x2)[S]/(cubic):
-    ``inverse`` raises ``PreconditionError`` for an element that is not a
-    unit of it, such as 0 or x1.
+    ``n`` is the numerator triple in Z[x1, x2], ``q`` a positive integer and
+    ``m`` the power of D = 27 x1^2 + 8 x2^3, normalised as in the module
+    docstring.  The constructor takes the three coefficients as ints,
+    Fractions or rational functions of x1, x2 (read through
+    ``.numer``/``.denom`` ``.terms()``) whose reduced denominator is a constant
+    times a power of D, and raises ``PreconditionError`` for any other
+    denominator (1/x1, say) and any other value (a float, say).  The ring is
+    Q[x1, x2][1/D][S]/(cubic), not the field Q(x1, x2)[S]/(cubic): ``inverse``
+    raises ``PreconditionError`` for an element that is not a unit of it, such
+    as 0 or x1.
     """
 
-    __slots__ = ("n", "m", "_c")
+    __slots__ = ("n", "q", "m", "_c")
 
     def __init__(self, c0=0, c1=0, c2=0):
         parts = [_split(ci) for ci in (c0, c1, c2)]
-        m = max(k for _, k in parts)
-        self._store(tuple(p * _d_power(m - k) for p, k in parts), m)
+        q, m = lcm(*(qi for _, qi, _ in parts)), max(k for _, _, k in parts)
+        self._store(tuple(_nonzero(_acc_mul({}, p, _d_power(m - k), q // qi))
+                          for p, qi, k in parts), q, m)
 
     @classmethod
-    def _new(cls, n: tuple, m: int) -> "CubicFieldElement":
+    def _new(cls, n: tuple, q: int, m: int) -> "CubicFieldElement":
         self = object.__new__(cls)
-        self._store(n, m)
+        self._store(n, q, m)
         return self
 
-    def _store(self, n: tuple, m: int) -> None:
-        while m > 0 and (lower := _divide_by_d(n)) is not None:
-            n, m = lower, m - 1
+    def _store(self, n: tuple, q: int, m: int) -> None:
+        n, q, m = _normalise(n, q, m)
         object.__setattr__(self, "n", n)
+        object.__setattr__(self, "q", q)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "_c", None)
 
@@ -135,10 +333,11 @@ class CubicFieldElement:
 
     @property
     def c(self) -> tuple:
-        """The three reduced coefficients in Q(x1, x2), built on first read."""
+        """The three reduced coefficients N_i / (q D^k) of Q(x1, x2), as
+        ``RationalCoefficient``s, built on first read."""
         if self._c is None:
-            den = _d_power(self.m)
-            object.__setattr__(self, "_c", tuple(_FIELD.new(ni, den) for ni in self.n))
+            object.__setattr__(self, "_c", tuple(
+                RationalCoefficient._new(ni, self.q, self.m) for ni in self.n))
         return self._c
 
     # -- constructors --------------------------------------------------
@@ -154,11 +353,11 @@ class CubicFieldElement:
 
     @classmethod
     def x1(cls) -> "CubicFieldElement":
-        return cls(_X1, 0, 0)
+        return cls._new(({(1, 0): 1}, {}, {}), 1, 0)
 
     @classmethod
     def x2(cls) -> "CubicFieldElement":
-        return cls(_X2, 0, 0)
+        return cls._new(({(0, 1): 1}, {}, {}), 1, 0)
 
     # -- predicates -----------------------------------------------------
 
@@ -168,27 +367,28 @@ class CubicFieldElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CubicFieldElement):
             return NotImplemented
-        return self.m == other.m and self.n == other.n
+        return self.m == other.m and self.q == other.q and self.n == other.n
 
     def __hash__(self):
-        # from the terms: sympy caches a polynomial's hash, and a quotient
-        # returned by divmod can carry one taken before it was filled in
-        return hash((self.m, *(frozenset(ni.items()) for ni in self.n)))
+        return hash((self.m, self.q, *(frozenset(ni.items()) for ni in self.n)))
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "CubicFieldElement":
         if not isinstance(other, CubicFieldElement):
             other = CubicFieldElement.scalar(other)
-        m = max(self.m, other.m)
+        m, q = max(self.m, other.m), lcm(self.q, other.q)
         a, b = _d_power(m - self.m), _d_power(m - other.m)
+        ca, cb = q // self.q, q // other.q
         return CubicFieldElement._new(
-            tuple(x * a + y * b for x, y in zip(self.n, other.n)), m)
+            tuple(_nonzero(_acc_mul(_acc_mul({}, x, a, ca), y, b, cb))
+                  for x, y in zip(self.n, other.n)), q, m)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CubicFieldElement":
-        return CubicFieldElement._new(tuple(-ni for ni in self.n), self.m)
+        return CubicFieldElement._new(tuple(_acc_mul({}, ni, _ONE, -1) for ni in self.n),
+                                      self.q, self.m)
 
     def __sub__(self, other) -> "CubicFieldElement":
         if not isinstance(other, CubicFieldElement):
@@ -201,7 +401,8 @@ class CubicFieldElement:
     def __mul__(self, other) -> "CubicFieldElement":
         if not isinstance(other, CubicFieldElement):
             other = CubicFieldElement.scalar(other)
-        return CubicFieldElement._new(_mul(self.n, other.n), self.m + other.m)
+        return CubicFieldElement._new(_mul(self.n, other.n), 4 * self.q * other.q,
+                                      self.m + other.m)
 
     __rmul__ = __mul__
 
@@ -209,28 +410,26 @@ class CubicFieldElement:
         """Solve u * v = 1 for v via the 3x3 multiplication matrix of the
         numerator; u is a unit exactly when that determinant is a nonzero
         constant times a power of D."""
-        zero, one = _RING.zero, _RING.one
-        cols = [_mul(self.n, basis) for basis in ((one, zero, zero), (zero, one, zero),
-                                                  (zero, zero, one))]
-        # matrix M with M[i][j] = coefficient of S^i in N * S^j
+        cols = [_mul(self.n, basis) for basis in ((_ONE, {}, {}), ({}, _ONE, {}), ({}, {}, _ONE))]
+        # 4 M, with M[i][j] = coefficient of S^i in N * S^j
         m = [[cols[j][i] for j in range(3)] for i in range(3)]
-        det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-               - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-               + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-        rest, k = _strip_d(det)
-        if not (rest and rest.is_ground):
-            raise PreconditionError("element is not a unit in the cubic ring")
 
-        def minor(r, c):
-            rows = [i for i in range(3) if i != r]
-            cs = [j for j in range(3) if j != c]
-            return (m[rows[0]][cs[0]] * m[rows[1]][cs[1]]
-                    - m[rows[0]][cs[1]] * m[rows[1]][cs[0]])
-        # first column of M^{-1} (solution of M v = e_0), times D^(self.m)
-        v = [minor(0, 0), -minor(0, 1), minor(0, 2)]
+        def minor(c):
+            a, b = [j for j in range(3) if j != c]
+            return _nonzero(_acc_mul(_acc_mul({}, m[1][a], m[2][b]), m[1][b], m[2][a], -1))
+        # first column of (4 M)^{-1} times det(4 M), and det(4 M) = 64 det M
+        v = [minor(0), _acc_mul({}, minor(1), _ONE, -1), minor(2)]
+        det = _nonzero(_acc_mul(_acc_mul(_acc_mul({}, m[0][0], v[0]), m[0][1], v[1]),
+                                m[0][2], v[2]))
+        rest, k = _strip_d(det)
+        if set(rest) != {(0, 0)}:
+            raise PreconditionError("element is not a unit in the cubic ring")
+        # u^-1 = q D^m N^-1 = 4 q D^m v / (r D^k), r = rest
+        r = rest[(0, 0)]
         lift = _d_power(max(self.m - k, 0))
-        return CubicFieldElement._new(tuple((vi * lift).quo_ground(rest.LC) for vi in v),
-                                      max(k - self.m, 0))
+        return CubicFieldElement._new(
+            tuple(_nonzero(_acc_mul({}, vi, lift, 4 * self.q if r > 0 else -4 * self.q))
+                  for vi in v), abs(r), max(k - self.m, 0))
 
     def __truediv__(self, other) -> "CubicFieldElement":
         if not isinstance(other, CubicFieldElement):
@@ -247,29 +446,31 @@ class CubicFieldElement:
         return self._derivative(1)
 
     def _derivative(self, i: int) -> "CubicFieldElement":
-        """(N' D - m N D') / D^(m+1) plus dN/dS dS/dx_i, where the formal
-        d/dS of the numerator is n1 + 2 n2 S."""
-        x, d_prime, m = _GENS[i], _D_PARTIALS[i], self.m
-        chain = _mul((self.n[1], 2 * self.n[2], _RING.zero), _CHAIN[i])
+        """(N' D - m N D') / (q D^(m+1)) plus dN/dS dS/dx_i, where the formal
+        d/dS of the numerator is n1 + 2 n2 S; all over 4 q D^(m+1), as the
+        chain term comes from ``_mul``."""
+        n, m = self.n, self.m
+        chain = _mul((n[1], _acc_mul({}, n[2], _ONE, 2), {}), _CHAIN[i])
         return CubicFieldElement._new(
-            tuple(ni.diff(x) * _D - m * ni * d_prime + ci
-                  for ni, ci in zip(self.n, chain)), m + 1)
+            tuple(_nonzero(_acc_mul(_acc_mul(_acc_mul({}, _diff(ni, i), _D, 4),
+                                             ni, _D_PARTIALS[i], -4 * m), ci, _ONE))
+                  for ni, ci in zip(n, chain)), 4 * self.q, m + 1)
 
     def __repr__(self) -> str:
         return f"({self.c[0]}) + ({self.c[1]})*S + ({self.c[2]})*S^2"
 
 
-# D (6 S^2 + x2)^-1, and the numerators of dS/dx1 and dS/dx2 over D
-_U = (8 * _GENS[1] ** 2, -18 * _GENS[0], 24 * _GENS[1])
-_CHAIN = (tuple(-ui * QQ(1, 2) for ui in _U),
-          _mul((_RING.zero, -_RING.one, _RING.zero), _U))
+# D (6 S^2 + x2)^-1, and the numerators -U/2 and -S U of dS/dx1 and dS/dx2 over D
+_U = ({(0, 2): 8}, {(1, 0): -18}, {(0, 1): 24})
+_CHAIN = (tuple({e: -c // 2 for e, c in ui.items()} for ui in _U),
+          tuple({e: c // 4 for e, c in ui.items()} for ui in _mul(({}, {(0, 0): -1}, {}), _U)))
 
 
 @lru_cache(maxsize=1)
 def _UNIT_DENOM() -> CubicFieldElement:
     """6 S^2 + x2, the derivative of the cubic (up to 2) and the only
     denominator the recursion ever needs."""
-    return CubicFieldElement(_X2, 0, 6)
+    return CubicFieldElement._new(({(0, 1): 1}, {}, {(0, 0): 6}), 1, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,22 +1,29 @@
 """Quotient-ring recursion, closedness, primitives, quartic branches."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import QQ
+from sympy.polys.fields import field
 
 from exactwkb.errors import PreconditionError
-from exactwkb.pearcey import (CubicFieldElement, annihilation_residuals,
+from exactwkb.pearcey import (_D, CubicFieldElement, _acc_mul, _nonzero,
+                              annihilation_residuals,
                               branch_partials, check_closedness, check_primitives,
-                              coefficient_field,
                               denominator_is_unit_power, homogeneity_residual,
                               pearcey_recursion, quartic_coefficients,
                               quartic_g_roots)
 
-F, X1, X2 = coefficient_field()
+# the oracle's own field: sympy's Q(x1, x2), which cancels every fraction by a gcd
+F, X1, X2 = field("x1 x2", QQ)
 S = CubicFieldElement.root()
 UNIT = CubicFieldElement(X2, 0, 6)  # 6 S^2 + x2
 DISC = 27 * X1 ** 2 + 8 * X2 ** 3
@@ -127,6 +134,14 @@ def field_denominator_is_unit_power(triples):
     return True
 
 
+def field_of(element):
+    """The three coefficients of a ring element as reduced elements of F, read
+    through ``.numer``/``.denom`` ``.terms()``."""
+    def poly(terms):
+        return F.ring.from_dict({e: QQ(c.numerator, c.denominator) for e, c in terms})
+    return tuple(F.new(poly(ci.numer.terms()), poly(ci.denom.terms())) for ci in element.c)
+
+
 ORACLE_ORDER = 5
 
 
@@ -189,7 +204,17 @@ class TestQuotientRing:
     def test_field_coefficients_with_powers_of_d_accepted(self):
         a = CubicFieldElement(X1 / (3 * DISC ** 2), Fr(2, 7), X2)
         assert a.m == 2
-        assert a.c == (X1 / (3 * DISC ** 2), F(QQ(2, 7)), X2)
+        assert field_of(a) == (X1 / (3 * DISC ** 2), F(QQ(2, 7)), X2)
+
+    @pytest.mark.parametrize("value", [float("nan"), 0.5, 1.0, "x1", None, 1j,
+                                       X1.numer, [1, 2]])
+    def test_other_coefficients_rejected(self, value):
+        # a float is not silently made exact, and a polynomial of sympy's
+        # ring (no numer/denom) is not a rational function
+        with pytest.raises(PreconditionError):
+            CubicFieldElement(value)
+        with pytest.raises(PreconditionError):
+            CubicFieldElement(0, 0, value)
 
     def test_derivative_is_a_derivation(self):
         a = S * S + CubicFieldElement(X1, 0, 0) * S
@@ -241,8 +266,8 @@ class TestAgainstFieldOracle:
         rec = pearcey_recursion(ORACLE_ORDER)
         s_list, t_list = oracle_recursion
         for k in range(-1, ORACLE_ORDER + 1):
-            assert rec.s(k).c == s_list[k + 1], k
-            assert rec.t(k).c == t_list[k + 1], k
+            assert field_of(rec.s(k)) == s_list[k + 1], k
+            assert field_of(rec.t(k)) == t_list[k + 1], k
 
     def test_field_denominators_are_powers_of_d(self, oracle_recursion):
         s_list, _ = oracle_recursion
@@ -253,12 +278,12 @@ class TestAgainstFieldOracle:
     @given(field_triples(), field_triples())
     def test_ring_operations(self, a, b):
         x, y = CubicFieldElement(*a), CubicFieldElement(*b)
-        assert x.c == a
-        assert (x + y).c == field_add(a, b)
-        assert (x - y).c == field_add(a, tuple(-ci for ci in b))
-        assert (x * y).c == field_mul(a, b)
-        assert x.d1().c == field_d(a, 0)
-        assert x.d2().c == field_d(a, 1)
+        assert field_of(x) == a
+        assert field_of(x + y) == field_add(a, b)
+        assert field_of(x - y) == field_add(a, tuple(-ci for ci in b))
+        assert field_of(x * y) == field_mul(a, b)
+        assert field_of(x.d1()) == field_d(a, 0)
+        assert field_of(x.d2()) == field_d(a, 1)
 
     @settings(max_examples=40, deadline=None)
     @given(st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
@@ -270,7 +295,7 @@ class TestAgainstFieldOracle:
             u = u * UNIT
         for _ in range(q):
             u = u * CubicFieldElement(8 * X2 ** 2, -18 * X1, 24 * X2)
-        assert u.inverse().c == field_inverse(u.c)
+        assert field_of(u.inverse()) == field_inverse(field_of(u))
         assert (u * u.inverse()) == CubicFieldElement(1)
 
     @settings(max_examples=25, deadline=None)
@@ -282,7 +307,7 @@ class TestAgainstFieldOracle:
         except ZeroDivisionError:
             expected = None
         if expected is not None and field_denominator_is_unit_power([expected]):
-            assert x.inverse().c == expected
+            assert field_of(x.inverse()) == expected
         else:
             with pytest.raises(PreconditionError):
                 x.inverse()
@@ -293,11 +318,53 @@ class TestAgainstFieldOracle:
         x = CubicFieldElement(*a)
         d = CubicFieldElement(DISC)
         routes = [CubicFieldElement(*x.c), (x * d) * d.inverse(), (x + 1) - 1,
-                  CubicFieldElement._new(tuple(ni * DISC.numer for ni in x.n), x.m + 1)]
+                  CubicFieldElement._new(tuple(_nonzero(_acc_mul({}, ni, _D)) for ni in x.n),
+                                         x.q, x.m + 1),
+                  CubicFieldElement._new(tuple(_acc_mul({}, ni, {(0, 0): 6}) for ni in x.n),
+                                         6 * x.q, x.m)]
         for other in routes:
             assert other == x and hash(other) == hash(x)
         y = CubicFieldElement(*b)
         assert (x == y) == (a == b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(numerators(), st.integers(0, 3), numerators(), st.integers(0, 3))
+    def test_coefficients_print_as_the_field(self, n, m, n_other, m_other):
+        # N / (q D^m) with rational, negative and unit leading coefficients
+        value, other = n / DISC ** m, n_other / DISC ** m_other
+        a, b = CubicFieldElement(value, other).c[:2]
+        assert str(a) == str(value)
+        assert str(-a) == str(-value)
+        assert str(a / -6) == str(value / -6)
+        assert str(a + b) == str(value + other)
+        assert str(a - b) == str(value - other)
+        assert str(a * b) == str(value * other)
+
+
+class TestNoSympy:
+    def test_package_and_pearcey_path_never_load_sympy(self):
+        script = textwrap.dedent("""
+            import sys
+            import exactwkb
+            from exactwkb.pearcey import (CubicFieldElement, check_closedness,
+                                          check_primitives, pearcey_recursion)
+            rec = pearcey_recursion(4)
+            assert check_closedness(rec).passed and check_primitives(rec).passed
+            for term in rec.s_terms + rec.t_terms:
+                for coefficient in term.c:
+                    coefficient.numer.terms(), coefficient.denom.terms()
+                repr(term)
+            s = rec.s(-1)
+            unit = 6 * s * s + CubicFieldElement.x2()
+            assert unit * unit.inverse() == CubicFieldElement(1)
+            assert "sympy" not in sys.modules, "sympy was imported"
+        """)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestQuartic:
