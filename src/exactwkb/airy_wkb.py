@@ -65,9 +65,13 @@ def riccati_recurrence(order: int = DEFAULT_ORDER, sign: str = "+") -> RiccatiSo
     for j in range(-1, order):
         # coefficient of S_j' : c_j * e_j with e_j = -(3j+2)/2
         deriv = coeffs[j + 1] * _monomial_exponent(j)
-        conv = Fraction(0)
-        for k in range(0, j + 1):
-            conv += coeffs[k + 1] * coeffs[j - k + 1]
+        # sum_{k=0}^{j} c_k c_{j-k}: each pair k < j - k twice, plus the middle square
+        pairs = Fraction(0)
+        for k in range((j + 1) // 2):
+            pairs += coeffs[k + 1] * coeffs[j - k + 1]
+        conv = 2 * pairs
+        if j % 2 == 0:
+            conv += coeffs[j // 2 + 1] ** 2
         coeffs.append(-(deriv + conv) / (2 * s_m1))
     return RiccatiSolution(sign, order, tuple(coeffs))
 

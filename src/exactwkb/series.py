@@ -8,8 +8,15 @@ modules.  Exponent denominators are capped at 2 on purpose: every series in
 this problem lives in half-integer powers, so a finer denominator showing up
 means a symbol-manipulation bug and is rejected immediately.
 
-The transcendental operations run as O(n^2) coefficient recurrences on the
-exponent grid h = 2e, after normalising f = lead x^v (1 + u):
+Scalars are fraction-free: (p + q sqrt 3)/d is three ints with d > 0 and
+gcd(p, q, d) = 1, a canonical form, so each sum or product is integer work
+and one gcd (Knuth, TAOCP vol. 2, 4.5.1).  Series products and the
+recurrences below work on the integer exponent grid h = 2e; only the keys of
+``PuiseuxSeries.terms`` are Fractions, built once per result term.
+
+The transcendental operations run as O(n^2) coefficient recurrences on that
+grid, with integer weights and one division per coefficient, after
+normalising f = lead x^v (1 + u):
 
 - reciprocal and the binomial powers (1 + u)^p, p = -1, +-1/2, by
   J.C.P. Miller's power formula g_m = (1/m) sum_k ((p+1) k - m) u_k g_{m-k}
@@ -31,27 +38,35 @@ from .errors import PreconditionError
 RationalLike = Union[int, Fraction]
 
 _SQRT3 = math.sqrt(3.0)
+_gcd = math.gcd
 
 
-def _as_fraction(value: RationalLike) -> Fraction:
+def _ratio(value: RationalLike) -> tuple[int, int]:
+    """(numerator, denominator > 0) of an int or a Fraction."""
     if isinstance(value, Fraction):
-        return value
+        return value.numerator, value.denominator
     if isinstance(value, int):
-        return Fraction(value)
+        return value, 1
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
 class ExactScalar:
     """An element a + b*sqrt(3) of the quadratic field Q(sqrt(3)).
 
+    It is stored as three ints, (p + q*sqrt(3))/d with d > 0 and
+    gcd(p, q, d) = 1.  This form is canonical, so ``==`` and ``hash`` read
+    the ints; ``a`` = p/d and ``b`` = q/d are the parts as Fractions.
     Equality, arithmetic and zero-testing are exact; (sqrt 3)^2 reduces to 3.
     """
 
-    __slots__ = ("a", "b")
+    __slots__ = ("_pqd",)
 
     def __init__(self, a: RationalLike = 0, b: RationalLike = 0):
-        object.__setattr__(self, "a", _as_fraction(a))
-        object.__setattr__(self, "b", _as_fraction(b))
+        pa, da = _ratio(a)
+        pb, db = _ratio(b)
+        p, q, d = pa * db, pb * da, da * db
+        g = _gcd(p, q, d)
+        _set_pqd(self, (p // g, q // g, d // g))
 
     def __setattr__(self, *_):
         raise AttributeError("ExactScalar is immutable")
@@ -70,26 +85,47 @@ class ExactScalar:
     def coerce(cls, value) -> "ExactScalar":
         if isinstance(value, ExactScalar):
             return value
-        return cls(_as_fraction(value), 0)
+        n, d = _ratio(value)
+        return _canonical(n, 0, d)
 
-    # -- predicates ----------------------------------------------------
+    # -- parts and predicates -------------------------------------------
+
+    @property
+    def a(self) -> Fraction:
+        p, _, d = self._pqd
+        return Fraction(p, d)
+
+    @property
+    def b(self) -> Fraction:
+        _, q, d = self._pqd
+        return Fraction(q, d)
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return self._pqd == (0, 0, 1)
 
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self._pqd[1] == 0
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other) -> "ExactScalar":
-        other = ExactScalar.coerce(other)
-        return ExactScalar(self.a + other.a, self.b + other.b)
+        p, q, d = self._pqd
+        if isinstance(other, ExactScalar):
+            r, s, e = other._pqd
+            if d == e:
+                return _reduced(p + r, q + s, d)
+            return _reduced(p * e + r * d, q * e + s * d, d * e)
+        if isinstance(other, int):
+            # gcd(p + n d, q, d) = gcd(p, q, d) = 1
+            return _canonical(p + other * d, q, d)
+        r, e = _ratio(other)
+        return _reduced(p * e + r * d, q * e, d * e)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExactScalar":
-        return ExactScalar(-self.a, -self.b)
+        p, q, d = self._pqd
+        return _canonical(-p, -q, d)
 
     def __sub__(self, other) -> "ExactScalar":
         return self + (-ExactScalar.coerce(other))
@@ -98,21 +134,32 @@ class ExactScalar:
         return ExactScalar.coerce(other) + (-self)
 
     def __mul__(self, other) -> "ExactScalar":
-        other = ExactScalar.coerce(other)
-        return ExactScalar(
-            self.a * other.a + 3 * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
+        p, q, d = self._pqd
+        if isinstance(other, ExactScalar):
+            r, s, e = other._pqd
+            return _reduced(p * r + 3 * q * s, p * s + q * r, d * e)
+        if isinstance(other, int):
+            # gcd(n p, n q, d) = gcd(n, d), because gcd(p, q, d) = 1
+            g = _gcd(other, d)
+            n = other // g
+            return _canonical(p * n, q * n, d // g)
+        r, e = _ratio(other)
+        return _reduced(p * r, q * r, d * e)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "ExactScalar":
-        norm = self.a * self.a - 3 * self.b * self.b
+        # d / (p + q sqrt 3) = d (p - q sqrt 3) / (p^2 - 3 q^2)
+        p, q, d = self._pqd
+        norm = p * p - 3 * q * q
         if norm == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt 3)")
-        return ExactScalar(self.a / norm, -self.b / norm)
+        return _reduced(d * p, -d * q, norm)
 
     def __truediv__(self, other) -> "ExactScalar":
+        if isinstance(other, int) and other:
+            p, q, d = self._pqd
+            return _reduced(p, q, d * other)
         return self * ExactScalar.coerce(other).inverse()
 
     def __rtruediv__(self, other) -> "ExactScalar":
@@ -123,7 +170,7 @@ class ExactScalar:
             raise TypeError("exponent must be an integer")
         if n < 0:
             return self.inverse() ** (-n)
-        out = ExactScalar(1)
+        out = ONE
         base = self
         while n:
             if n & 1:
@@ -135,27 +182,28 @@ class ExactScalar:
     def sqrt(self) -> "ExactScalar":
         """Exact square root, defined only for perfect squares in Q(sqrt 3)."""
         if self.is_zero():
-            return ExactScalar(0)
-        if self.b == 0:
-            root = _fraction_sqrt(self.a)
+            return ZERO
+        a, b = self.a, self.b
+        if b == 0:
+            root = _fraction_sqrt(a)
             if root is not None:
                 return ExactScalar(root, 0)
-            if self.a > 0:
-                root = _fraction_sqrt(self.a / 3)
+            if a > 0:
+                root = _fraction_sqrt(a / 3)
                 if root is not None:
                     return ExactScalar(0, root)
             raise PreconditionError(f"{self!r} is not a perfect square in Q(sqrt 3)")
         # (p + q*sqrt3)^2 = p^2 + 3q^2 + 2pq sqrt3; solve for p, q.
-        disc = self.a * self.a - 3 * self.b * self.b
+        disc = a * a - 3 * b * b
         root_disc = _fraction_sqrt(disc) if disc >= 0 else None
         if root_disc is not None:
-            for p2 in ((self.a + root_disc) / 2, (self.a - root_disc) / 2):
+            for p2 in ((a + root_disc) / 2, (a - root_disc) / 2):
                 if p2 <= 0:
                     continue
                 p = _fraction_sqrt(p2)
                 if p is None:
                     continue
-                q = self.b / (2 * p)
+                q = b / (2 * p)
                 candidate = ExactScalar(p, q)
                 if candidate * candidate == self:
                     return candidate
@@ -164,28 +212,52 @@ class ExactScalar:
     # -- comparisons / conversions --------------------------------------
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, ExactScalar):
+            return self._pqd == other._pqd
         if isinstance(other, (int, Fraction)):
-            other = ExactScalar.coerce(other)
-        if not isinstance(other, ExactScalar):
-            return NotImplemented
-        return self.a == other.a and self.b == other.b
+            n, d = _ratio(other)
+            return self._pqd == (n, 0, d)
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        return hash(self._pqd)
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * _SQRT3
+        # int / int rounds correctly, so p / d is float(Fraction(p, d)) bitwise
+        p, q, d = self._pqd
+        return p / d + (q / d) * _SQRT3
 
     def __complex__(self) -> complex:
         return complex(float(self))
 
     def __repr__(self) -> str:
-        if self.b == 0:
-            return f"{self.a}"
-        if self.a == 0:
-            return f"{self.b}*sqrt3"
-        sign = "+" if self.b > 0 else "-"
-        return f"({self.a} {sign} {abs(self.b)}*sqrt3)"
+        a, b = self.a, self.b
+        if b == 0:
+            return f"{a}"
+        if a == 0:
+            return f"{b}*sqrt3"
+        sign = "+" if b > 0 else "-"
+        return f"({a} {sign} {abs(b)}*sqrt3)"
+
+
+_set_pqd = ExactScalar._pqd.__set__
+
+
+def _canonical(p: int, q: int, d: int) -> ExactScalar:
+    """(p + q sqrt 3)/d, trusting d > 0 and gcd(p, q, d) = 1."""
+    out = object.__new__(ExactScalar)
+    _set_pqd(out, (p, q, d))
+    return out
+
+
+def _reduced(p: int, q: int, d: int) -> ExactScalar:
+    """(p + q sqrt 3)/d for any d != 0, brought to the canonical form."""
+    if d < 0:
+        p, q, d = -p, -q, -d
+    g = _gcd(p, q, d)
+    if g != 1:
+        p, q, d = p // g, q // g, d // g
+    return _canonical(p, q, d)
 
 
 def _fraction_sqrt(q: Fraction) -> Fraction | None:
@@ -212,6 +284,16 @@ def _check_exponent(e: Fraction) -> Fraction:
     return e
 
 
+def _grid(e: Fraction | int) -> int:
+    """The grid index h = 2e of a half-integer exponent."""
+    return 2 * e.numerator // e.denominator
+
+
+def _grid_limit(e: Fraction) -> int:
+    """The least grid index h with h/2 >= e."""
+    return -(-2 * e.numerator // e.denominator)
+
+
 class PuiseuxSeries:
     """A truncated series sum_e c_e * var^e with exponents in (1/2)Z.
 
@@ -226,24 +308,37 @@ class PuiseuxSeries:
     def __init__(self, variable: str,
                  terms: Mapping[Fraction, ExactScalar] | Iterable[tuple] = (),
                  truncation: Fraction | int | None = None):
-        clean: dict[Fraction, ExactScalar] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         trunc = None if truncation is None else Fraction(truncation)
+        limit = None if trunc is None else _grid_limit(trunc)
+        grid: dict[int, tuple[Fraction, ExactScalar]] = {}
         for e, c in items:
             e = _check_exponent(Fraction(e))
             c = ExactScalar.coerce(c)
-            if c.is_zero():
+            h = _grid(e)
+            if limit is not None and h >= limit:
                 continue
-            if trunc is not None and e >= trunc:
-                continue
-            clean[e] = clean.get(e, ZERO) + c
-        clean = {e: c for e, c in clean.items() if not c.is_zero()}
+            if h in grid:
+                c = grid[h][1] + c
+            grid[h] = (e, c)
         object.__setattr__(self, "variable", variable)
-        object.__setattr__(self, "terms", dict(sorted(clean.items())))
+        object.__setattr__(self, "terms", {e: c for _, (e, c) in sorted(grid.items())
+                                           if not c.is_zero()})
         object.__setattr__(self, "truncation", trunc)
 
     def __setattr__(self, *_):
         raise AttributeError("PuiseuxSeries is immutable")
+
+    @classmethod
+    def _trusted(cls, variable: str, terms: dict[Fraction, ExactScalar],
+                 truncation: Fraction | None) -> "PuiseuxSeries":
+        """A series from terms already checked: half-integer keys in
+        increasing order, nonzero coefficients, all below ``truncation``."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "variable", variable)
+        object.__setattr__(out, "terms", terms)
+        object.__setattr__(out, "truncation", truncation)
+        return out
 
     # -- constructors ---------------------------------------------------
 
@@ -299,8 +394,8 @@ class PuiseuxSeries:
     __radd__ = __add__
 
     def __neg__(self) -> "PuiseuxSeries":
-        return PuiseuxSeries(self.variable, {e: -c for e, c in self.terms.items()},
-                             self.truncation)
+        return PuiseuxSeries._trusted(self.variable, {e: -c for e, c in self.terms.items()},
+                                      self.truncation)
 
     def __sub__(self, other) -> "PuiseuxSeries":
         if isinstance(other, (int, Fraction, ExactScalar)):
@@ -313,19 +408,26 @@ class PuiseuxSeries:
     def __mul__(self, other) -> "PuiseuxSeries":
         if isinstance(other, (int, Fraction, ExactScalar)):
             c = ExactScalar.coerce(other)
-            return PuiseuxSeries(self.variable,
-                                 {e: v * c for e, v in self.terms.items()},
-                                 self.truncation)
+            terms = {} if c.is_zero() else {e: v * c for e, v in self.terms.items()}
+            return PuiseuxSeries._trusted(self.variable, terms, self.truncation)
         self._same_variable(other)
         trunc = _product_trunc(self, other)
-        out: dict[Fraction, ExactScalar] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                if trunc is not None and e >= trunc:
-                    continue
-                out[e] = out.get(e, ZERO) + c1 * c2
-        return PuiseuxSeries(self.variable, out, trunc)
+        f = [(_grid(e), c) for e, c in self.terms.items()]
+        g = [(_grid(e), c) for e, c in other.terms.items()]
+        if not f or not g:
+            return PuiseuxSeries._trusted(self.variable, {}, trunc)
+        limit = f[-1][0] + g[-1][0] + 1 if trunc is None else _grid_limit(trunc)
+        out: dict[int, ExactScalar] = {}
+        for h1, c1 in f:
+            for h2, c2 in g:
+                h = h1 + h2
+                if h >= limit:
+                    break
+                acc = out.get(h)
+                out[h] = c1 * c2 if acc is None else acc + c1 * c2
+        return PuiseuxSeries._trusted(
+            self.variable,
+            {Fraction(h, 2): c for h, c in sorted(out.items()) if not c.is_zero()}, trunc)
 
     __rmul__ = __mul__
 
@@ -361,7 +463,7 @@ class PuiseuxSeries:
             raise PreconditionError("inverse: normalized tail must have positive valuation")
         # f = lead * x^v (1 + u); 1/f = lead^{-1} x^{-v} (1 + u)^{-1}
         inv_lead = lead.inverse()
-        return self._on_grid(rel, _power_weight(-1), ONE,
+        return self._on_grid(rel, _power_weights(-1),
                              v=v, inv_lead=inv_lead, scale=inv_lead, shift=-v)
 
     def __truediv__(self, other) -> "PuiseuxSeries":
@@ -418,7 +520,7 @@ class PuiseuxSeries:
         v = self.valuation()
         if v <= 0:
             raise PreconditionError("exp requires strictly positive valuation")
-        return self._on_grid(rel, _exp_weight, ONE)
+        return self._on_grid(rel, _EXP_WEIGHTS)
 
     def _binomial_power(self, half_exponent: Fraction, order) -> "PuiseuxSeries":
         """(lead * x^v (1+u))^p for p in {1/2, -1/2}, v even multiple of p.
@@ -444,7 +546,7 @@ class PuiseuxSeries:
             raise PreconditionError("sqrt of an exact multi-term series needs an explicit order")
         if not self._has_tail(v, rel):
             raise PreconditionError("sqrt: normalized tail must have positive valuation")
-        return self._on_grid(rel, _power_weight(half_exponent), ONE, v=v,
+        return self._on_grid(rel, _power_weights(half_exponent), v=v,
                              inv_lead=lead.inverse(), scale=root, shift=v * half_exponent)
 
     def sqrt(self, order=None) -> "PuiseuxSeries":
@@ -455,38 +557,34 @@ class PuiseuxSeries:
 
     def _has_tail(self, v: Fraction, rel: Fraction) -> bool:
         """Whether any term lies strictly between x^v and x^(v + rel)."""
-        return any(v < e < v + rel for e in self.terms)
+        low, high = _grid(v), _grid_limit(v + rel)
+        return any(low < _grid(e) < high for e in self.terms)
 
-    def _on_grid(self, rel: Fraction, weight, first, v: Fraction = 0,
+    def _on_grid(self, rel: Fraction, weights, v: Fraction | int = 0,
                  inv_lead: ExactScalar = ONE, scale: ExactScalar = ONE,
-                 shift: Fraction = 0) -> "PuiseuxSeries":
+                 shift: Fraction | int = 0) -> "PuiseuxSeries":
         """Run a coefficient recurrence on u, where self = lead x^v (1 + u).
 
         The tail u is laid on the grid h = 2e below ``rel``; the solution g of
-        ``_grid_recurrence`` comes back as scale * x^shift * g, known below
-        rel + shift.  Without ``v`` and ``inv_lead``, u is self itself.
+        ``_grid_recurrence`` from g_0 = 1 comes back as scale * x^shift * g,
+        known below rel + shift.  Without ``v`` and ``inv_lead``, u is self
+        itself.
         """
-        n = math.ceil(2 * rel)
+        n = _grid_limit(rel)
+        low = _grid(v)
         tail = {}
         for e, c in self.terms.items():
-            h = int(2 * (e - v))
+            h = _grid(e) - low
             if 0 < h < n:
                 tail[h] = c if inv_lead is ONE else c * inv_lead
-        g = _grid_recurrence(tail, n, first, weight)
-        return PuiseuxSeries(self.variable,
-                             {Fraction(h, 2) + shift: c if scale is ONE else c * scale
-                              for h, c in g.items()},
-                             rel + shift)
+        g = _grid_recurrence(tail, n, ONE, weights)
+        h0 = _grid(shift)
+        return PuiseuxSeries._trusted(
+            self.variable,
+            {Fraction(h + h0, 2): c if scale is ONE else c * scale for h, c in g.items()},
+            rel + shift)
 
     # -- conversions -----------------------------------------------------------
-
-    def __call__(self, value: complex) -> complex:
-        """Evaluate numerically; half-integer exponents use the principal root."""
-        sqrt_value = complex(value) ** 0.5
-        total = 0j
-        for e, c in self.terms.items():
-            total += complex(c) * sqrt_value ** (2 * e.numerator // e.denominator)
-        return total
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PuiseuxSeries):
@@ -526,27 +624,30 @@ def _min_trunc(a, b):
 
 
 def _product_trunc(f: PuiseuxSeries, g: PuiseuxSeries):
+    """The truncation of f * g; a factor that is exactly zero makes the
+    product exactly zero."""
     candidates = []
-    if f.truncation is not None:
-        vg = g.valuation()
-        candidates.append(f.truncation + (vg if vg is not None else g.truncation))
-    if g.truncation is not None:
-        vf = f.valuation()
-        candidates.append(g.truncation + (vf if vf is not None else f.truncation))
+    for a, b in ((f, g), (g, f)):
+        if a.truncation is not None:
+            vb = b.valuation() if b.terms else b.truncation
+            if vb is not None:
+                candidates.append(a.truncation + vb)
     return min(candidates) if candidates else None
 
 
 def _grid_recurrence(u: Mapping[int, object], n: int, first,
-                     weight) -> dict[int, object]:
+                     weights) -> dict[int, object]:
     """Nonzero coefficients g_m, m < n, of the series fixed by
 
-        g_0 = first,   g_m = sum_{k <= m} weight(k, m) u_k g_{m-k},
+        g_0 = first,   g_m = (1/divisor(m)) sum_{k <= m} weight(k, m) u_k g_{m-k},
 
-    where u maps grid indices k >= 1 to nonzero ring elements.  The ring is
-    Q(sqrt 3) for Puiseux series and the Puiseux series themselves for
-    eta-expansions.  The cost is one ring product, and one scaling by the
-    weight unless it is +-1, per pair (k, m - k) with both factors nonzero.
+    where ``weights`` is the pair of integer functions (weight, divisor) and u
+    maps grid indices k >= 1 to nonzero ring elements.  The ring is Q(sqrt 3)
+    for Puiseux series and the Puiseux series themselves for eta-expansions.
+    The cost is one ring product, and one scaling by the weight unless it is
+    +-1, per pair (k, m - k) with both factors nonzero, and one division per m.
     """
+    weight, divisor = weights
     g = {} if n <= 0 else {0: first}
     support = sorted(u.items())
     for m in range(1, n):
@@ -555,26 +656,37 @@ def _grid_recurrence(u: Mapping[int, object], n: int, first,
             if k > m:
                 break
             prev = g.get(m - k)
+            if prev is None:
+                continue
             w = weight(k, m)
-            if prev is None or w == 0:
+            if w == 0:
                 continue
             term = uk * prev
-            term = -term if w == -1 else term if w == 1 else term * w
+            term = term if w == 1 else -term if w == -1 else term * w
             acc = term if acc is None else acc + term
-        if acc is not None and not acc.is_zero():
+        if acc is None:
+            continue
+        den = divisor(m)
+        if den != 1:
+            acc = acc / den
+        if not acc.is_zero():
             g[m] = acc
     return g
 
 
-def _power_weight(p: Fraction):
+def _power_weights(p: Fraction | int):
     """(1 + u)^p by J.C.P. Miller's formula (Knuth, TAOCP vol. 2, 4.7):
-    g_m = (1/m) sum_k ((p+1) k - m) u_k g_{m-k}; p = -1 is the reciprocal."""
-    return lambda k, m: Fraction((p + 1) * k - m, m)
+    g_m = (1/m) sum_k ((p+1) k - m) u_k g_{m-k}, taken over the divisor 2m so
+    that the weights (2p+2) k - 2m are integers.  At p = -1 every weight is
+    -2m, and the reciprocal is g_m = -sum_k u_k g_{m-k}."""
+    if p == -1:
+        return (lambda k, m: -1), (lambda m: 1)
+    c = int(2 * p + 2)
+    return (lambda k, m: c * k - 2 * m), (lambda m: 2 * m)
 
 
-def _exp_weight(k: int, m: int) -> Fraction:
-    """exp(u): g' = u' g, so g_m = (1/m) sum_k k u_k g_{m-k}."""
-    return Fraction(k, m)
+# exp(u): g' = u' g, so g_m = (1/m) sum_k k u_k g_{m-k}
+_EXP_WEIGHTS = ((lambda k, m: k), (lambda m: m))
 
 
 class EtaExpansion:
@@ -678,7 +790,7 @@ class EtaExpansion:
         lead_inv = lead.inverse()
         # self = eta^{-v} lead (1 + u) with u of positive eta-valuation
         u = {k - v: s * lead_inv for k, s in self.terms.items() if k != v}
-        g = _grid_recurrence(u, rel + 1, PuiseuxSeries.one(lead.variable), _power_weight(-1))
+        g = _grid_recurrence(u, rel + 1, PuiseuxSeries.one(lead.variable), _power_weights(-1))
         return EtaExpansion({k - v: s * lead_inv for k, s in g.items()}, rel - v)
 
     def __truediv__(self, other: "EtaExpansion") -> "EtaExpansion":
@@ -694,7 +806,7 @@ class EtaExpansion:
             raise PreconditionError("exp requires strictly positive eta^-1 valuation")
         var = self.terms[v].variable
         g = _grid_recurrence(self.terms, self.truncation + 1, PuiseuxSeries.one(var),
-                             _exp_weight)
+                             _EXP_WEIGHTS)
         return EtaExpansion(g, self.truncation)
 
     def __eq__(self, other) -> bool:

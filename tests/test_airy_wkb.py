@@ -33,6 +33,17 @@ class TestRecurrence:
             exponents = list(term.terms)
             assert exponents == [Fr(-(3 * j + 2), 2)]
 
+    @pytest.mark.parametrize("order", [24, 40])
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_pair_convolution_matches_the_full_sum(self, order, sign):
+        # the recurrence c_j = -(e_j c_j' + sum_{k=0}^{j} c_k c_{j-k}) / (2 c_-1)
+        # with every pair of the convolution formed, as its oracle
+        c = [Fr(1) if sign == "+" else Fr(-1)]
+        for j in range(-1, order):
+            full = sum((c[k + 1] * c[j - k + 1] for k in range(j + 1)), Fr(0))
+            c.append(-(c[j + 1] * Fr(-(3 * j + 2), 2) + full) / (2 * c[0]))
+        assert riccati_recurrence(order, sign).coeffs == tuple(c)
+
     def test_residual_vanishes_to_truncation(self, solution):
         residual = riccati_residual(solution)
         assert residual.is_zero()

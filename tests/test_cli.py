@@ -12,6 +12,13 @@ from exactwkb.branches import (ANCHOR_SERIES_TERMS, BranchLabel, branch_series,
 from exactwkb.cli import main
 
 
+def evaluate(series, s):
+    """The exact series summed in floating point at s; half powers take the
+    principal root."""
+    root = complex(s) ** 0.5
+    return sum(complex(c) * root ** int(2 * e) for e, c in series.terms.items())
+
+
 def run_cli(argv):
     buffer = io.StringIO()
     with redirect_stdout(buffer):
@@ -71,7 +78,7 @@ class TestTrace:
             assert abs(residual) < 1e-12
         s0, v0 = values[0]
         series = branch_series(BranchLabel(label[0], int(label[1]), 0), ANCHOR_SERIES_TERMS)
-        assert abs(v0 - series(s0)) < 1e-12
+        assert abs(v0 - evaluate(series, s0)) < 1e-12
 
     @pytest.mark.parametrize("label", ["X2", "X3"])
     def test_sample_on_the_crossing_keeps_the_label(self, label):

@@ -1,5 +1,6 @@
 """Exact arithmetic substrate: scalars, Puiseux series, eta-expansions."""
 
+import math
 from fractions import Fraction as Fr
 
 from exactwkb import airy_wkb
@@ -342,7 +343,8 @@ class TestKernelAgainstTermwiseSums:
 
 
 class TestKernelCost:
-    """The recurrences take no series products; O(n^3) sums take one per term."""
+    """The recurrences take no series products; O(n^3) sums take one per term.
+    Products and recurrences take no Fraction arithmetic per pair of terms."""
 
     @staticmethod
     def _count_products(monkeypatch, fn):
@@ -366,3 +368,254 @@ class TestKernelCost:
     def test_coefficient_stream(self, monkeypatch):
         run = lambda: airy_wkb.wkb_coefficient_stream(24, "+")
         assert self._count_products(monkeypatch, run) <= 4
+
+    def test_products_and_recurrences_take_no_fraction_arithmetic_per_pair(self, monkeypatch):
+        body = P("t", {Fr(0): 1, Fr(1): -1}, Fr(17))
+        local = P.monomial("t", Fr(1, 2), 1, Fr(17)) * body.sqrt()
+        calls = []
+        with monkeypatch.context() as patch:
+            for name in ("__add__", "__mul__", "__rmul__", "__sub__", "__truediv__"):
+                def counted(self, other, method=getattr(Fr, name)):
+                    calls.append(1)
+                    return method(self, other)
+                patch.setattr(Fr, name, counted)
+            product = local * local
+            products = len(calls)
+            inverse = local.inverse()
+            inverses = len(calls) - products
+        # 17 terms each: 153 pairs in the product, 136 in the recurrence
+        assert products < 100 and inverses < 100
+        assert product.terms == {Fr(1): 1, Fr(2): -1} and len(inverse.terms) == 17
+
+
+# ---------------------------------------------------------------------------
+# ExactScalar against Fraction-pair arithmetic (a, b) = a + b sqrt 3
+# ---------------------------------------------------------------------------
+
+def pair(x):
+    return (x.a, x.b)
+
+
+def pair_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def pair_neg(x):
+    return (-x[0], -x[1])
+
+
+def pair_mul(x, y):
+    return (x[0] * y[0] + 3 * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def pair_inverse(x):
+    norm = x[0] * x[0] - 3 * x[1] * x[1]
+    if norm == 0:
+        raise ZeroDivisionError
+    return (x[0] / norm, -x[1] / norm)
+
+
+def pair_pow(x, n):
+    if n < 0:
+        x, n = pair_inverse(x), -n
+    out = (Fr(1), Fr(0))
+    for _ in range(n):
+        out = pair_mul(out, x)
+    return out
+
+
+def rational_sqrt(q):
+    if q < 0:
+        return None
+    num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if num * num == q.numerator and den * den == q.denominator:
+        return Fr(num, den)
+    return None
+
+
+def pair_sqrt(x):
+    """The root that ``ExactScalar.sqrt`` picks, or None for a non-square."""
+    a, b = x
+    if a == 0 and b == 0:
+        return x
+    if b == 0:
+        root = rational_sqrt(a)
+        if root is not None:
+            return (root, Fr(0))
+        root = rational_sqrt(a / 3)
+        return None if root is None else (Fr(0), root)
+    # (p + q sqrt 3)^2 = p^2 + 3 q^2 + 2 p q sqrt 3
+    disc = rational_sqrt(a * a - 3 * b * b)
+    if disc is None:
+        return None
+    for p2 in ((a + disc) / 2, (a - disc) / 2):
+        p = rational_sqrt(p2) if p2 > 0 else None
+        if p is not None and pair_mul((p, b / (2 * p)), (p, b / (2 * p))) == x:
+            return (p, b / (2 * p))
+    return None
+
+
+def pair_float(x):
+    return float(x[0]) + float(x[1]) * math.sqrt(3.0)
+
+
+def rationals(bound=10 ** 6):
+    return st.builds(Fr, st.integers(-bound, bound), st.integers(1, bound))
+
+
+def pairs():
+    return st.tuples(rationals(), rationals() | st.just(Fr(0)))
+
+
+def operands():
+    """An ExactScalar, an int or a Fraction, with its pair."""
+    return st.one_of(pairs().map(lambda x: (ExactScalar(*x), x)),
+                     st.integers(-50, 50).map(lambda n: (n, (Fr(n), Fr(0)))),
+                     rationals(50).map(lambda q: (q, (q, Fr(0)))))
+
+
+class TestScalarAgainstFractionPairs:
+    @settings(max_examples=150, deadline=None)
+    @given(pairs(), operands(), st.integers(-4, 4))
+    def test_arithmetic(self, x, other, n):
+        def check(got, want):
+            # the value, and the canonical form: equal to and hashing as the
+            # scalar built straight from the oracle's parts
+            assert pair(got) == want
+            assert got == ExactScalar(*want) and hash(got) == hash(ExactScalar(*want))
+
+        xs = ExactScalar(*x)
+        y, yp = other
+        check(xs, x)
+        check(xs + y, pair_add(x, yp))
+        check(y + xs, pair_add(x, yp))
+        check(xs - y, pair_add(x, pair_neg(yp)))
+        check(y - xs, pair_add(yp, pair_neg(x)))
+        check(-xs, pair_neg(x))
+        check(xs * y, pair_mul(x, yp))
+        check(y * xs, pair_mul(x, yp))
+        if yp == (0, 0):
+            with pytest.raises(ZeroDivisionError):
+                xs / y
+        else:
+            check(xs / y, pair_mul(x, pair_inverse(yp)))
+        if x == (0, 0):
+            for fails in (xs.inverse, lambda: y / xs, lambda: xs ** -1):
+                with pytest.raises(ZeroDivisionError):
+                    fails()
+            return
+        check(xs.inverse(), pair_inverse(x))
+        check(y / xs, pair_mul(yp, pair_inverse(x)))
+        check(xs ** n, pair_pow(x, n))
+
+    @settings(max_examples=150, deadline=None)
+    @given(pairs())
+    def test_sqrt(self, x):
+        for value in (x, pair_mul(x, x), (x[0] * x[0], Fr(0)), (3 * x[0] * x[0], Fr(0))):
+            want = pair_sqrt(value)
+            if want is None:
+                with pytest.raises(PreconditionError):
+                    ExactScalar(*value).sqrt()
+            else:
+                assert pair(ExactScalar(*value).sqrt()) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(pairs(), st.integers(1, 10 ** 6), st.integers(-10 ** 6, 10 ** 6).filter(bool))
+    def test_one_value_by_different_routes_is_equal_and_hashes_equal(self, x, k, n):
+        a, b = x
+        unreduced = (Fr(a.numerator * k, a.denominator * k), Fr(b.numerator * k, b.denominator * k))
+        k_sqrt3 = ExactScalar(k, n)   # a unit whenever k^2 != 3 n^2, always here
+        routes = [ExactScalar(a, b), ExactScalar(*unreduced),
+                  ExactScalar.rational(a) + ExactScalar.sqrt3(b),
+                  ExactScalar(a * n, b * n) / n, ExactScalar(a, b) * n / n,
+                  ExactScalar(a, b) * k_sqrt3 / k_sqrt3,
+                  ExactScalar(a, b) * k_sqrt3 * k_sqrt3.inverse()]
+        for route in routes:
+            assert route == routes[0] and hash(route) == hash(routes[0])
+            assert repr(route) == repr(routes[0])
+        if b == 0:
+            assert routes[-1] == a
+            assert (routes[-1] == a.numerator) == (a.denominator == 1)
+        assert ExactScalar(Fr(2, 4)) == ExactScalar(Fr(1, 2)) == Fr(1, 2)
+        assert hash(ExactScalar(Fr(2, 4))) == hash(ExactScalar(Fr(1, 2)))
+        assert hash(ExactScalar(6, 4) / 2) == hash(ExactScalar(3, 2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(rationals(10 ** 40), rationals(10 ** 40)))
+    def test_float_and_complex_as_the_parts(self, x):
+        value = ExactScalar(*x)
+        # bitwise: the numeric modules cache these values
+        assert float(value).hex() == pair_float(x).hex()
+        assert complex(value) == complex(pair_float(x))
+
+    @pytest.mark.parametrize("bad", [0.5, 1.0, "1"])
+    def test_non_rationals_rejected(self, bad):
+        for build in (lambda: ExactScalar(bad), lambda: ExactScalar(1, bad),
+                      lambda: ExactScalar.coerce(bad), lambda: ExactScalar(1) + bad,
+                      lambda: ExactScalar(1) * bad, lambda: ExactScalar(1) / bad):
+            with pytest.raises(TypeError):
+                build()
+
+    def test_immutable(self):
+        value = ExactScalar(1, 2)
+        with pytest.raises(AttributeError):
+            value.a = Fr(3)
+        with pytest.raises(AttributeError):
+            value._pqd = (3, 0, 1)
+        assert value == ExactScalar(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# series products against a termwise product keyed by Fraction exponents
+# ---------------------------------------------------------------------------
+
+def termwise_product(f, g):
+    """{exponent: (a, b)} and truncation of f * g: every pair of terms summed
+    at its Fraction exponent below the truncation, zero coefficients dropped."""
+    candidates = [a.truncation + (b.valuation() if b.terms else b.truncation)
+                  for a, b in ((f, g), (g, f))
+                  if a.truncation is not None and (b.terms or b.truncation is not None)]
+    trunc = min(candidates) if candidates else None
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = e1 + e2
+            if trunc is None or e < trunc:
+                out[e] = pair_add(out.get(e, (Fr(0), Fr(0))), pair_mul(pair(c1), pair(c2)))
+    return {e: ab for e, ab in out.items() if ab != (0, 0)}, trunc
+
+
+# few distinct coefficients, so that products cancel often
+CANCELLING = [ExactScalar(1), ExactScalar(-1), ExactScalar(2), ExactScalar.sqrt3(),
+              ExactScalar.sqrt3(-1), ExactScalar(1, 1), ExactScalar(Fr(1, 2), Fr(-1, 3))]
+
+
+def product_factors():
+    exponents = st.integers(-6, 12).map(lambda h: Fr(h, 2))
+    coefficients = st.sampled_from(CANCELLING) | small_scalars()
+    truncations = st.none() | st.integers(-4, 16).map(lambda h: Fr(h, 2))
+    return st.builds(lambda terms, trunc: P("s", terms, trunc),
+                     st.lists(st.tuples(exponents, coefficients), max_size=6), truncations)
+
+
+class TestProductAgainstTermwiseSum:
+    @settings(max_examples=120, deadline=None)
+    @given(product_factors(), product_factors())
+    def test_product(self, f, g):
+        want, trunc = termwise_product(f, g)
+        got = f * g
+        assert got.truncation == trunc
+        assert {e: pair(c) for e, c in got.terms.items()} == want
+        assert list(got.terms) == sorted(want)
+        assert all(not c.is_zero() for c in got.terms.values())
+
+    def test_cancelled_terms_are_dropped(self):
+        f = P("s", {Fr(1, 2): 1, Fr(1): ExactScalar.sqrt3()})
+        g = P("s", {Fr(1, 2): 1, Fr(1): ExactScalar.sqrt3(-1)}, Fr(4))
+        assert (f * g).terms == {Fr(1): ExactScalar(1), Fr(2): ExactScalar(-3)}
+        assert (f * g).truncation == Fr(9, 2)
+
+    def test_exact_zero_factor_gives_exact_zero(self):
+        f = P("s", {Fr(1): 1}, Fr(3))
+        for product in (f * P.zero("s"), P.zero("s") * f):
+            assert product == P.zero("s")
