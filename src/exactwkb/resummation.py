@@ -6,6 +6,11 @@ the normalized variable the integrand comes from the tracked branch triple
 The endpoint square-root singularity is removed by t = u^2 and the quadrature
 is adaptive Gauss-Legendre on u-panels.
 
+Across the Stokes line the "+" sum picks up a cut term.  It is i times the
+"-" sum, read through the permutation of the "-" ray triple by a numeric loop
+around s = 1: nothing is integrated a second time, and a loop that does not
+send branch 3 to branch 1 raises.
+
 The independent reference for the Airy identities is a from-scratch Maclaurin
 evaluation of Ai and Bi in configurable precision (mpmath floats, own series
 loop); in double precision it is reliable to |z| <= 6 and the working
@@ -19,14 +24,12 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 import mpmath
-import numpy as np
 
 from .branches import (SERIES_ZONE, anchored_g_triple, continue_triple,
-                       monodromy_permutation, sqrt_s)
-from .errors import NumericError, PreconditionError
+                       monodromy_permutation)
+from .errors import NumericError, PreconditionError, VerificationError
 
 TWO_PI_THIRDS = 2 * math.pi / 3
 SQRT_PI = math.sqrt(math.pi)
@@ -37,7 +40,7 @@ BOUNDARY = "boundary"
 OUTSIDE = "outside"
 
 _SERIES_HANDOFF = 0.8 * SERIES_ZONE
-# steps of each numeric monodromy loop around s = 1 in the cut term
+# steps of each numeric monodromy loop around s = 1 that reads the cut term
 RAY_LOOP_STEPS = 32
 
 # gates of VorosReport: the jump and the cut-vs-Airy witness, and the "-" sum
@@ -155,42 +158,68 @@ class RayField:
 # adaptive Gauss-Legendre quadrature
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _gl_nodes(n: int):
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    return tuple(nodes.tolist()), tuple(weights.tolist())
+# the 16-point Gauss-Legendre rule of every panel, as numpy's leggauss(16)
+# gives it (exactly symmetric; repr round-trips every float); held as literals
+# so that importing the package loads neither numpy.polynomial nor numpy.linalg
+_GL_HALF = ((0.09501250983763744, 0.18945061045506864),
+            (0.2816035507792589, 0.18260341504492364),
+            (0.45801677765722737, 0.16915651939500265),
+            (0.6178762444026438, 0.1495959888165767),
+            (0.755404408355003, 0.12462897125553407),
+            (0.8656312023878318, 0.0951585116824926),
+            (0.9445750230732326, 0.062253523938647456),
+            (0.9894009349916499, 0.027152459411754176))
+_GL_NODES = tuple(-x for x, _ in reversed(_GL_HALF)) + tuple(x for x, _ in _GL_HALF)
+_GL_WEIGHTS = tuple(w for _, w in reversed(_GL_HALF)) + tuple(w for _, w in _GL_HALF)
 
 
-def _gl_panel(f, a: float, b: float, n: int = 16) -> complex:
-    nodes, weights = _gl_nodes(n)
+def _gl_panel(f, a: float, b: float) -> complex:
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     total = 0j
-    for xk, wk in zip(nodes, weights):
+    for xk, wk in zip(_GL_NODES, _GL_WEIGHTS):
         total += wk * f(mid + half * xk)
     return total * half
 
 
-def _adaptive_panel(f, a: float, b: float, tol_abs: float, floor: float,
-                    depth: int = 0):
+def _adaptive_panel(f, a: float, b: float, whole: complex, tol_abs: float,
+                    floor: float, depth: int = 0):
     """Bisecting Gauss panel with a rounding floor on the acceptance test.
 
-    Without the floor, repeated budget halving eventually asks for accuracy
-    below the noise of the panel sums themselves and the recursion chases
-    rounding errors forever.
+    ``whole`` is the Gauss sum over the entire panel, already formed by the
+    caller; it is held against the sum of the two halves, which become the
+    children's own sums when the panel bisects.  Without the floor, repeated
+    budget halving eventually asks for accuracy below the noise of the panel
+    sums themselves and the recursion chases rounding errors forever.
     """
-    coarse = _gl_panel(f, a, b)
     mid = 0.5 * (a + b)
-    fine = _gl_panel(f, a, mid) + _gl_panel(f, mid, b)
-    err = abs(fine - coarse)
+    left = _gl_panel(f, a, mid)
+    right = _gl_panel(f, mid, b)
+    fine = left + right
+    err = abs(fine - whole)
     accept = max(tol_abs, floor)
     if err <= accept or depth >= 24:
         if depth >= 24 and err > accept:
             raise NumericError("quadrature panel refinement exhausted")
         return fine, err
-    left, el = _adaptive_panel(f, a, mid, tol_abs / 2, floor, depth + 1)
-    right, er = _adaptive_panel(f, mid, b, tol_abs / 2, floor, depth + 1)
+    left, el = _adaptive_panel(f, a, mid, left, tol_abs / 2, floor, depth + 1)
+    right, er = _adaptive_panel(f, mid, b, right, tol_abs / 2, floor, depth + 1)
     return left + right, el + er
+
+
+def _laplace_panels(eta: float, tol: float) -> tuple[list[float], float]:
+    """The main u-panel edges of the Laplace integral and the panel width.
+
+    The edges run from 0 to where e^(-u^2 eta) has fallen to tol * 1e-3, or
+    to e^(-30) if that is smaller; the quadrature's tail extension and the
+    far-end loop of ``gamma_term`` both start from the last edge."""
+    decay = max(-math.log(tol * 1e-3), 30.0)
+    u_max = math.sqrt(decay / eta)
+    width = 1.0 / math.sqrt(eta)
+    edges = [0.0, 0.5 * width, width]
+    while edges[-1] < u_max:
+        edges.append(min(edges[-1] + width, u_max))
+    return edges, width
 
 
 def _laplace_quadrature(integrand_t, eta: float, tol: float):
@@ -201,33 +230,30 @@ def _laplace_quadrature(integrand_t, eta: float, tol: float):
         t = u * u
         return integrand_t(t) * cmath.exp(-t * eta) * 2 * u
 
-    decay = max(-math.log(tol * 1e-3), 30.0)
-    u_max = math.sqrt(decay / eta)
-    width = 1.0 / math.sqrt(eta)
-    edges = [0.0, 0.5 * width, width]
-    while edges[-1] < u_max:
-        edges.append(min(edges[-1] + width, u_max))
-    # coarse pass to set the absolute tolerance scale
-    coarse = sum(_gl_panel(h, a, b) for a, b in zip(edges, edges[1:]))
-    scale = max(abs(coarse), 1e-280)
+    edges, width = _laplace_panels(eta, tol)
+    panels = list(zip(edges, edges[1:]))
+    # one Gauss sum per panel sets the absolute tolerance scale and is the
+    # whole-panel sum each panel is checked against
+    wholes = [_gl_panel(h, a, b) for a, b in panels]
+    scale = max(abs(sum(wholes)), 1e-280)
     tol_abs = scale * tol * 0.25
     floor = scale * 5e-16
     total = 0j
     err = 0.0
-    for a, b in zip(edges, edges[1:]):
-        value, e = _adaptive_panel(h, a, b, tol_abs / max(len(edges) - 1, 1), floor)
+    for (a, b), whole in zip(panels, wholes):
+        value, e = _adaptive_panel(h, a, b, whole, tol_abs / len(panels), floor)
         total += value
         err += e
     # tail extension, in case the integrand decays slower than assumed
     a = edges[-1]
     while True:
         b = a + width
-        value, e = _adaptive_panel(h, a, b, tol_abs, floor)
+        value, e = _adaptive_panel(h, a, b, _gl_panel(h, a, b), tol_abs, floor)
         total += value
         err += e
         if abs(value) < tol_abs:
             break
-        if b > 40 * u_max:
+        if b > 40 * edges[-1]:
             raise NumericError("Laplace tail did not converge")
         a = b
     return total, err
@@ -299,21 +325,29 @@ def laplace_sum(sign: str, ctx: StokesContext, eta: float, tol: float = 1e-10) -
     return _scaled_sum(sign, ctx, eta, alpha, raw, err)
 
 
-def _delta_integrand_factory(ctx: StokesContext):
-    """Discontinuity of branch 3 at the "-" singular point along the "-" ray.
+def gamma_term(ctx: StokesContext, minus: BorelSum) -> BorelSum:
+    """The branch-cut contribution picked up by the continued "+" sum: i * minus.
 
-    The only branch points of G are s = 0, 1 and infinity (s = 1/2 is an
-    analytic crossing), so one loop around s = 1 permutes the ordered ray
-    triple the same way at every point of the ray.  The permutation comes from
-    one numeric monodromy loop where the ray leaves the series zone, and
-    Delta g_3 = triple[pi(3)] - triple[3] follows at every node beyond.  Inside
-    the zone the looped value is the exact local element at -w: one turn flips
-    the local root.
+    The loop integral around the "-" cut is -1/sqrt(pi) times the Laplace
+    integral of the discontinuity Delta g_3 = triple[pi(3)] - triple[3] of the
+    "-" ray triple, with pi the permutation of one counterclockwise loop around
+    s = 1.  The only branch points of G are s = 0, 1 and infinity (s = 1/2 is
+    an analytic crossing), so pi is the same at every point of the ray; where
+    it sends branch 3 to branch 1 that integrand is i times the "-" sum's
+    i (g_1 - g_3)/(sqrt(pi) x), and the cut term is i * minus with nothing
+    integrated again.  The permutation is read by two numeric loops, where the
+    ray leaves the series zone and at the far end of its Laplace range at
+    ``VOROS_QUAD_TOL`` (a BorelSum does not record its tol).
 
-    Returns ``(delta_g3, confirm_far_end)``; the latter repeats the loop at the
-    farthest node sampled so far and raises NumericError if the permutation
-    differs there.
+    Raises PreconditionError unless ``minus`` is a "-" sum in ctx's region at a
+    valid eta, NumericError if the two loops disagree, and VerificationError
+    if the loop does not send branch 3 to branch 1.
     """
+    if minus.sign != "-" or minus.region != ctx.region:
+        raise PreconditionError(
+            f"the cut term takes the \"-\" sum in region {ctx.region!r}, "
+            f"got a {minus.sign!r} sum in region {minus.region!r}")
+    _require_quadrature_inputs(minus.eta, VOROS_QUAD_TOL)
     ray = RayField(1, ctx.kappa)
 
     def loop_permutation(t: float) -> tuple:
@@ -321,112 +355,20 @@ def _delta_integrand_factory(ctx: StokesContext):
                                      n_steps=RAY_LOOP_STEPS)
 
     t_exit = _SERIES_HANDOFF / abs(ctx.kappa)
+    t_far = _laplace_panels(minus.eta, VOROS_QUAD_TOL)[0][-1] ** 2
     perm = loop_permutation(t_exit)
-    image = perm[2]
-
-    def delta_g3(t: float) -> complex:
-        triple = ray.triple(t)
-        if abs(ctx.kappa) * t <= _SERIES_HANDOFF:
-            return anchored_g_triple(1, -ray._local_root(t))[2] - triple[2]
-        return triple[image] - triple[2]
-
-    def confirm_far_end():
-        t_far = ray._ts[-1] if ray._ts else t_exit
-        if t_far <= t_exit:
-            return
+    if t_far > t_exit:
         far = loop_permutation(t_far)
         if far != perm:
             raise NumericError(
                 f"monodromy permutation {far} at the far end of the ray differs "
                 f"from {perm} where it leaves the series zone")
-
-    return delta_g3, confirm_far_end
-
-
-def gamma_term(ctx: StokesContext, eta: float, tol: float = 1e-8) -> BorelSum:
-    """The branch-cut contribution picked up by the continued "+" sum.
-
-    Computed through the discontinuity reduction: the loop integral around the
-    cut equals -1/sqrt(pi) times the Laplace integral of Delta g_3 along the
-    "-" ray, with Delta read off the ray triple through the monodromy
-    permutation of the ray (numeric loops at both ends of the sampled range).
-    """
-    _require_quadrature_inputs(eta, tol)
-    _require_summable(ctx)
-    delta_g3, confirm_far_end = _delta_integrand_factory(ctx)
-    inv_pref = 1.0 / (SQRT_PI * ctx.x)
-
-    def integrand(t: float) -> complex:
-        return -delta_g3(t) * inv_pref
-
-    raw, err = _laplace_quadrature(integrand, eta, tol)
-    confirm_far_end()
-    return _scaled_sum("+", ctx, eta, ctx.alpha_minus, raw, err)
-
-
-def gamma_term_literal(ctx: StokesContext, eta: float,
-                       offset_angle: float = 0.12, inner_radius: float = 1e-4,
-                       arc_steps: int = 96) -> complex:
-    """Cross-check of the cut contribution by literal loop quadrature.
-
-    Integrates the continued "+" integrand along an explicit contour hugging
-    the "-" cut (in from one side, a small circle around the singular point
-    the long way, back out on the other side), with the branch field tracked
-    continuously along the path from the "+" ray anchor.  The traversal
-    direction matches the clockwise convention whose sign is pinned by the
-    discontinuity reduction.
-    """
-    _require_summable(ctx)
-    kappa = ctx.kappa
-    theta = cmath.phase(kappa)
-    decay = max(-math.log(1e-9), 30.0)
-    t_max = decay / eta
-    rho_max = abs(kappa) * t_max
-
-    def s_at(rho: float, ang: float) -> complex:
-        return 1 + rho * cmath.exp(1j * ang)
-
-    def y_of(s: complex) -> complex:
-        return (4.0 / 3.0) * ctx.x_three_halves * (s - 0.5)
-
-    # branch field connected to the "+" ray: start near s = 0 on that ray
-    start_s = _SERIES_HANDOFF * kappa / abs(kappa)
-    triple = anchored_g_triple(0, sqrt_s(start_s))
-    state = {"s": start_s, "triple": triple}
-
-    def advance(s_to: complex) -> tuple:
-        state["triple"] = continue_triple([state["s"], s_to], state["triple"],
-                                          max_step=0.03)
-        state["s"] = s_to
-        return state["triple"]
-
-    def integrand(s: complex) -> complex:
-        g1, g2, _ = advance(s)
-        return (g1 - g2) / (SQRT_PI * ctx.x) * cmath.exp(-y_of(s) * eta)
-
-    total = 0j
-    # side A: inward along angle theta + offset
-    ang_a = theta + offset_angle
-    rho_grid = np.geomspace(inner_radius, rho_max, 160)[::-1]
-    prev = s_at(rho_grid[0], ang_a)
-    advance(prev)
-    for rho in rho_grid[1:]:
-        s_next = s_at(rho, ang_a)
-        total += 0.5 * (integrand(prev) + integrand(s_next)) * (s_next - prev)
-        prev = s_next
-    # around the singular point the long way (through theta + pi)
-    for k in range(1, arc_steps + 1):
-        ang = ang_a + (2 * math.pi - 2 * offset_angle) * k / arc_steps
-        s_next = s_at(inner_radius, ang)
-        total += 0.5 * (integrand(prev) + integrand(s_next)) * (s_next - prev)
-        prev = s_next
-    # side B: outward along angle theta - offset (reached around the loop)
-    ang_b = ang_a + 2 * math.pi - 2 * offset_angle
-    for rho in np.geomspace(inner_radius, rho_max, 160)[1:]:
-        s_next = s_at(rho, ang_b)
-        total += 0.5 * (integrand(prev) + integrand(s_next)) * (s_next - prev)
-        prev = s_next
-    return total * (4.0 / 3.0) * ctx.x_three_halves
+    if perm[2] != 0:
+        raise VerificationError(
+            f"the loop around s = 1 permutes the \"-\" ray triple by {perm}, "
+            "which does not send branch 3 to branch 1")
+    return BorelSum("+", minus.region, minus.eta, 1j * minus.value,
+                    minus.quadrature_error_estimate)
 
 
 # ---------------------------------------------------------------------------
@@ -586,9 +528,10 @@ def verify_airy_connection(x: complex, eta: float, tol: float = 1e-6,
 class VorosReport:
     """Jump of the "+" sum and invariance of the "-" sum across the Stokes line.
 
-    ``plus_residual`` witnesses only the loop permutation (branch 3 -> 1): the
-    cut term and i * (the "-" sum) integrate the same g_1 - g_3 of one ray
-    triple.  ``minus_residual`` and ``cut_vs_airy_residual`` witness the
+    The cut term is i * (the "-" sum), read through the loop permutation
+    (``gamma_term``), so ``plus_residual`` is at rounding level by
+    construction; the permutation itself is checked by raising, not by this
+    residual.  ``minus_residual`` and ``cut_vs_airy_residual`` witness the
     oracle: the "-" sum and the cut term against ``minus_continued`` =
     2 sqrt(pi) eta^(-1/3) Ai(eta^(2/3) x) and i times it, from series code
     shared with neither the Borel sums nor the branch tracking.
@@ -616,19 +559,20 @@ def verify_voros(x: complex, eta: float) -> VorosReport:
     """Numerically witness the connection formula at a region-II point.
 
     The continued "+" sum comes from the deformed path (direct region-II ray
-    plus the cut term from numeric monodromy); the jump must equal
-    i * (the "-" sum), and the "-" sum itself must not jump.  In region I the
-    "-" sum is 2 sqrt(pi) eta^(-1/3) Ai(eta^(2/3) x) (``verify_airy_connection``
-    holds it there); Ai is entire, so that value at x is the region-I sum
-    continued, and both the direct "-" sum and the cut term are held against it.
+    plus the cut term, i * (the "-" sum) once numeric loops show the
+    permutation that makes it so); the jump must equal i * (the "-" sum), and
+    the "-" sum itself must not jump.  In region I the "-" sum is
+    2 sqrt(pi) eta^(-1/3) Ai(eta^(2/3) x) (``verify_airy_connection`` holds it
+    there); Ai is entire, so that value at x is the region-I sum continued, and
+    both the direct "-" sum and the cut term are held against it.
     """
     ctx = classify_stokes(x)
     if ctx.region != REGION_II:
         raise PreconditionError("the Voros check samples x in region II")
     plus_direct = laplace_sum("+", ctx, eta, VOROS_QUAD_TOL)
-    cut = gamma_term(ctx, eta, VOROS_QUAD_TOL).value
-    plus_continued = plus_direct.value + cut
     minus_direct = laplace_sum("-", ctx, eta, VOROS_QUAD_TOL)
+    cut = gamma_term(ctx, minus_direct).value
+    plus_continued = plus_direct.value + cut
     plus_res = (abs(plus_continued - plus_direct.value - 1j * minus_direct.value)
                 / abs(plus_direct.value))
     ai = airy_reference(eta ** (2.0 / 3.0) * complex(x)).ai

@@ -117,6 +117,13 @@ def _annihilation_residuals(x1, x2, y) -> tuple[list[float], float]:
 
 def run_pearcey_verify(order: int, points: int, seed: int,
                        ann_points: int = 20) -> dict:
+    """The exact recursion checks and the seeded numeric samples.
+
+    ``denominator_shape`` is reported but is not part of ``passed``: a ring
+    element is stored over a power of D, so it holds by construction.  Its
+    independent witness is the test suite's field oracle
+    (``TestAgainstFieldOracle::test_field_denominators_are_powers_of_d``).
+    """
     rec = pearcey.pearcey_recursion(order)
     closed = pearcey.check_closedness(rec)
     prims = pearcey.check_primitives(rec)
@@ -129,7 +136,7 @@ def run_pearcey_verify(order: int, points: int, seed: int,
     worst_annihilation = [max((rs[i] for rs, _ in annihilation), default=0.0)
                           for i in range(4)]
     worst_homogeneity = max((h for _, h in annihilation), default=0.0)
-    passed = (closed.passed and prims.passed and denom
+    passed = (closed.passed and prims.passed
               and worst_residual < 1e-12 and worst_sum < 1e-12
               and all(w < 1e-8 for w in worst_annihilation)
               and worst_homogeneity < 1e-10)

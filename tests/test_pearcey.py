@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from sympy import QQ
 from sympy.polys.fields import field
 
+from exactwkb import pearcey
 from exactwkb.errors import PreconditionError
 from exactwkb.pearcey import (_D, CubicFieldElement, _acc_mul, _nonzero,
                               annihilation_residuals,
@@ -21,6 +22,7 @@ from exactwkb.pearcey import (_D, CubicFieldElement, _acc_mul, _nonzero,
                               denominator_is_unit_power, homogeneity_residual,
                               pearcey_recursion, quartic_coefficients,
                               quartic_g_roots)
+from exactwkb.verify import run_pearcey_verify
 
 # the oracle's own field: sympy's Q(x1, x2), which cancels every fraction by a gcd
 F, X1, X2 = field("x1 x2", QQ)
@@ -254,6 +256,14 @@ class TestRecursion:
 
     def test_denominator_shape(self, recursion):
         assert denominator_is_unit_power(recursion)
+
+    def test_suite_verdict_leaves_out_the_stored_denominator_power(self, monkeypatch):
+        """The stored power of D is reported, not gated: it holds by
+        construction, and the field oracle below is its witness."""
+        monkeypatch.setattr(pearcey, "denominator_is_unit_power", lambda rec: False)
+        report = run_pearcey_verify(4, 5, 42, ann_points=2)
+        assert report["denominator_shape"] is False
+        assert report["passed"]
 
     def test_closedness_and_primitives_to_order_12(self):
         rec = pearcey_recursion(12)

@@ -4,21 +4,117 @@ import cmath
 import dataclasses
 import math
 
+import mpmath
 import pytest
 
 from exactwkb import resummation
-from exactwkb.branches import anchored_g_triple, continue_triple, monodromy_triple
-from exactwkb.errors import NumericError, PreconditionError
-from exactwkb.resummation import (_SERIES_HANDOFF, RAY_LOOP_STEPS, BorelSum,
-                                  RayField, _delta_integrand_factory,
+from exactwkb.branches import (anchored_g_triple, continue_triple,
+                               monodromy_permutation, monodromy_triple, sqrt_s)
+from exactwkb.errors import NumericError, PreconditionError, VerificationError
+from exactwkb.resummation import (_SERIES_HANDOFF, RAY_LOOP_STEPS,
+                                  VOROS_QUAD_TOL, BorelSum, RayField,
                                   _laplace_quadrature, _scaled_sum,
                                   airy_reference, classify_stokes,
                                   formal_solution_partial_sum, gamma_term,
-                                  gamma_term_literal, laplace_sum,
-                                  verify_airy_connection, verify_voros)
-from exactwkb.verify import run_voros_grid
+                                  laplace_sum, verify_airy_connection,
+                                  verify_voros)
+from exactwkb.verify import _voros_grid_points, run_voros_grid
 
 SQRT_PI = math.sqrt(math.pi)
+# the two points of the voros benchmark bundle: (|x| e^(i pi/6), eta)
+BENCH_POINTS = [(0.8 * cmath.exp(1j * math.pi / 6), 8.0),
+                (1.2 * cmath.exp(1j * math.pi / 6), 12.0)]
+
+
+def minus_sum(ctx, eta, tol=VOROS_QUAD_TOL):
+    return laplace_sum("-", ctx, eta, tol)
+
+
+def delta_g3_cut(ctx, eta, tol):
+    """The cut term as the Laplace integral of Delta g_3 along the "-" ray.
+
+    -1/sqrt(pi) times the integral of Delta g_3 = triple[pi(3)] - triple[3],
+    on a ray of its own, with pi from one numeric loop where the ray leaves
+    the series zone; inside the zone the looped value is the exact local
+    element at -w (one turn flips the local root).
+    """
+    ray = RayField(1, ctx.kappa)
+    t_exit = _SERIES_HANDOFF / abs(ctx.kappa)
+    image = monodromy_permutation(ctx.ray_point("-", t_exit), ray.triple(t_exit),
+                                  1.0 + 0j, n_steps=RAY_LOOP_STEPS)[2]
+    inv_pref = 1.0 / (SQRT_PI * ctx.x)
+
+    def integrand(t):
+        triple = ray.triple(t)
+        if abs(ctx.kappa) * t <= _SERIES_HANDOFF:
+            looped = anchored_g_triple(1, -ray._local_root(t))[2]
+        else:
+            looped = triple[image]
+        return -(looped - triple[2]) * inv_pref
+
+    raw, err = _laplace_quadrature(integrand, eta, tol)
+    return _scaled_sum("+", ctx, eta, ctx.alpha_minus, raw, err)
+
+
+def literal_loop_cut(ctx, eta, offset_angle=0.12, inner_radius=1e-4, arc_steps=96):
+    """The cut term by literal loop quadrature.
+
+    Integrates the continued "+" integrand along an explicit contour hugging
+    the "-" cut (in from one side, a small circle around the singular point
+    the long way, back out on the other side), with the branch field tracked
+    continuously along the path from the "+" ray anchor; trapezoid rule on
+    geometric radii.  The traversal direction matches the clockwise
+    convention whose sign is pinned by the discontinuity reduction.
+    """
+    kappa = ctx.kappa
+    theta = cmath.phase(kappa)
+    decay = max(-math.log(1e-9), 30.0)
+    t_max = decay / eta
+    rho_max = abs(kappa) * t_max
+    radii = [inner_radius * (rho_max / inner_radius) ** (k / 159) for k in range(160)]
+
+    def s_at(rho, ang):
+        return 1 + rho * cmath.exp(1j * ang)
+
+    def y_of(s):
+        return (4.0 / 3.0) * ctx.x_three_halves * (s - 0.5)
+
+    # branch field connected to the "+" ray: start near s = 0 on that ray
+    start_s = _SERIES_HANDOFF * kappa / abs(kappa)
+    state = {"s": start_s, "triple": anchored_g_triple(0, sqrt_s(start_s))}
+
+    def advance(s_to):
+        state["triple"] = continue_triple([state["s"], s_to], state["triple"],
+                                          max_step=0.03)
+        state["s"] = s_to
+        return state["triple"]
+
+    def integrand(s):
+        g1, g2, _ = advance(s)
+        return (g1 - g2) / (SQRT_PI * ctx.x) * cmath.exp(-y_of(s) * eta)
+
+    total = 0j
+    # side A: inward along angle theta + offset
+    ang_a = theta + offset_angle
+    prev = s_at(radii[-1], ang_a)
+    advance(prev)
+    for rho in radii[-2::-1]:
+        s_next = s_at(rho, ang_a)
+        total += 0.5 * (integrand(prev) + integrand(s_next)) * (s_next - prev)
+        prev = s_next
+    # around the singular point the long way (through theta + pi)
+    for k in range(1, arc_steps + 1):
+        ang = ang_a + (2 * math.pi - 2 * offset_angle) * k / arc_steps
+        s_next = s_at(inner_radius, ang)
+        total += 0.5 * (integrand(prev) + integrand(s_next)) * (s_next - prev)
+        prev = s_next
+    # side B: outward along angle theta - offset (reached around the loop)
+    ang_b = ang_a + 2 * math.pi - 2 * offset_angle
+    for rho in radii[1:]:
+        s_next = s_at(rho, ang_b)
+        total += 0.5 * (integrand(prev) + integrand(s_next)) * (s_next - prev)
+        prev = s_next
+    return total * (4.0 / 3.0) * ctx.x_three_halves
 
 
 class TestStokesClassification:
@@ -123,13 +219,11 @@ class TestLaplaceSums:
             laplace_sum("+", ctx, eta)
 
     def test_underflow_raises(self):
-        # e^(-alpha eta) is e^(-943) here: the raw sum is fine, the scaled one is not
-        with pytest.raises(NumericError):
-            laplace_sum("-", classify_stokes(cmath.exp(-1j * math.pi / 6)), 2000.0)
-
-    def test_cut_term_underflow_raises(self):
-        with pytest.raises(NumericError):
-            gamma_term(classify_stokes(cmath.exp(1j * math.pi / 6)), 2000.0)
+        # e^(-alpha eta) is e^(-943) at both points: the raw sum is fine, the
+        # scaled one is not; the region-II one is the sum the cut term takes
+        for x in (cmath.exp(-1j * math.pi / 6), cmath.exp(1j * math.pi / 6)):
+            with pytest.raises(NumericError):
+                laplace_sum("-", classify_stokes(x), 2000.0)
 
     def test_homogeneity(self):
         x = cmath.exp(-1j * math.pi / 6)
@@ -140,6 +234,60 @@ class TestLaplaceSums:
                                      eta / lam ** 3, 1e-12).value
                 base = laplace_sum(sign, classify_stokes(x), eta, 1e-12).value
                 assert abs(scaled - lam * base) / abs(lam * base) < 1e-10
+
+
+class TestLaplaceQuadrature:
+    """Adaptive panels against closed forms, and each Gauss sum formed once."""
+
+    def test_gauss_rule_is_the_16_point_legendre_rule(self):
+        """The literal rule against a 40-digit Newton solve of P_16 in mpmath.
+
+        The nodes are correctly rounded; the weights are numpy's, off the
+        exact ones by up to 63 ulp (about 1e-14 relative), and are kept so
+        that every Laplace sum keeps its bits."""
+        nodes, weights = resummation._GL_NODES, resummation._GL_WEIGHTS
+        assert len(nodes) == len(weights) == 16
+        assert list(nodes) == sorted(nodes)
+        with mpmath.workdps(40):
+            for x, w in zip(nodes, weights):
+                root = mpmath.findroot(lambda t: mpmath.legendre(16, t), mpmath.mpf(x))
+                slope = 16 * (root * mpmath.legendre(16, root)
+                              - mpmath.legendre(15, root)) / (root ** 2 - 1)
+                exact_weight = 2 / ((1 - root ** 2) * slope ** 2)
+                assert abs(x - root) <= math.ulp(x)
+                assert abs(w - exact_weight) <= 4e-14 * exact_weight
+
+    @pytest.mark.parametrize("integrand,exact,bisects,extends_tail", [
+        (lambda t: 1.0, 1 / 8, False, False),
+        (lambda t: math.cos(40 * t), 8 / (64 + 1600), True, False),
+        (lambda t: math.exp(0.8 * 8 * t), 1 / (8 * 0.2), False, True),
+    ], ids=["smooth", "oscillating", "slow tail"])
+    def test_each_gauss_sum_is_formed_once(self, monkeypatch, integrand, exact,
+                                           bisects, extends_tail):
+        calls = []
+        depths = []
+        real_panel = resummation._adaptive_panel
+
+        def counting_integrand(t):
+            calls.append(t)
+            return integrand(t)
+
+        def recording_panel(f, a, b, whole, tol_abs, floor, depth=0):
+            depths.append(depth)
+            return real_panel(f, a, b, whole, tol_abs, floor, depth)
+
+        monkeypatch.setattr(resummation, "_adaptive_panel", recording_panel)
+        value, _ = _laplace_quadrature(counting_integrand, 8.0, 1e-10)
+        assert abs(value - exact) <= 1e-12 * exact
+        # 16 nodes for the whole sum of each top-level panel, 2 x 16 for the
+        # halves of every panel; a bisected panel's halves are its children's
+        # whole sums
+        top = depths.count(0)
+        assert len(calls) == 16 * top + 32 * len(depths)
+        assert (len(depths) > top) == bisects
+        # the main panels plus one tail panel, unless the tail had to extend
+        main_panels = len(resummation._laplace_panels(8.0, 1e-10)[0]) - 1
+        assert (top > main_panels + 1) == extends_tail
 
 
 class TestConnectionFormulas:
@@ -173,7 +321,7 @@ class TestConnectionFormulas:
 
     def test_airy_witness_rejects_wrong_branch_pair(self, monkeypatch):
         """A cut term from g_2 - g_3 in place of g_1 - g_3 fails the oracle gate."""
-        def wrong_pair_gamma_term(ctx, eta, tol=1e-8):
+        def wrong_pair_gamma_term(ctx, minus):
             ray = RayField(1, ctx.kappa)
 
             # i times the "-" sum is the cut term; with g_1 and g_2 swapped it
@@ -182,10 +330,10 @@ class TestConnectionFormulas:
                 _, g2, g3 = ray.triple(t)
                 return 1j * (g2 - g3) / (SQRT_PI * ctx.x)
 
-            raw, err = _laplace_quadrature(swapped, eta, tol)
-            minus = _scaled_sum("-", ctx, eta, ctx.alpha_minus, raw, err)
-            return BorelSum("+", ctx.region, eta, 1j * minus.value,
-                            minus.quadrature_error_estimate)
+            raw, err = _laplace_quadrature(swapped, minus.eta, VOROS_QUAD_TOL)
+            wrong = _scaled_sum("-", ctx, minus.eta, ctx.alpha_minus, raw, err)
+            return BorelSum("+", ctx.region, minus.eta, 1j * wrong.value,
+                            wrong.quadrature_error_estimate)
 
         monkeypatch.setattr(resummation, "gamma_term", wrong_pair_gamma_term)
         report = verify_voros(cmath.exp(1j * math.pi / 6), 8.0)
@@ -226,15 +374,19 @@ class TestConnectionFormulas:
         assert not run_voros_grid("quick")["passed"]
 
     def test_cut_term_equals_jump(self):
-        ctx = classify_stokes(cmath.exp(1j * math.pi / 6))
-        cut = gamma_term(ctx, 8.0).value
-        minus = laplace_sum("-", ctx, 8.0, 1e-10).value
-        assert abs(cut - 1j * minus) / abs(minus) < 1e-6
+        """i * (the "-" sum) is the Laplace integral of Delta g_3, bit for bit,
+        at both benchmark points and on the quick grid."""
+        points = set(BENCH_POINTS) | set(_voros_grid_points("quick"))
+        assert len(points) == 3
+        for x, eta in points:
+            ctx = classify_stokes(x)
+            cut = gamma_term(ctx, minus_sum(ctx, eta)).value
+            assert cut == delta_g3_cut(ctx, eta, VOROS_QUAD_TOL).value
 
     def test_literal_loop_cross_check(self):
         ctx = classify_stokes(cmath.exp(1j * math.pi / 6))
-        literal = gamma_term_literal(ctx, 8.0)
-        reduced = gamma_term(ctx, 8.0).value
+        literal = literal_loop_cut(ctx, 8.0)
+        reduced = gamma_term(ctx, minus_sum(ctx, 8.0, 1e-8)).value
         assert abs(literal - reduced) / abs(reduced) < 5e-3
         # the continued "+" sum, direct region-II integral plus either cut term
         direct = laplace_sum("+", ctx, 8.0, 1e-8).value
@@ -251,8 +403,8 @@ class TestRayMonodromy:
 
     @pytest.mark.parametrize("arg", [0.3, math.pi / 6, 1.9])
     def test_permutation_matches_loop_at_each_node(self, arg):
+        """Branch 3 goes to branch 1 at every node, so the cut term is i * minus."""
         ctx = classify_stokes(cmath.exp(1j * arg))
-        delta_g3, confirm_far_end = _delta_integrand_factory(ctx)
         field = RayField(1, ctx.kappa)
         # one node inside the 0.35 loop radius, two beyond it
         for rho in (0.2, 0.9, 2.0):
@@ -261,8 +413,23 @@ class TestRayMonodromy:
             looped = monodromy_triple(ctx.ray_point("-", t), triple, 1.0,
                                       n_steps=RAY_LOOP_STEPS)
             want = looped[2] - triple[2]
-            assert abs(delta_g3(t) - want) <= 1e-12 * abs(want)
-        confirm_far_end()
+            assert abs((triple[0] - triple[2]) - want) <= 1e-12 * abs(want)
+        minus = minus_sum(ctx, 8.0)
+        assert gamma_term(ctx, minus).value == 1j * minus.value
+
+    def test_consistent_wrong_permutation_fails_verification(self, monkeypatch):
+        calls = []
+
+        def branch_3_to_2(*args, **kwargs):
+            calls.append(args)
+            return (0, 2, 1)
+
+        ctx = classify_stokes(cmath.exp(1j * math.pi / 6))
+        minus = minus_sum(ctx, 8.0)
+        monkeypatch.setattr(resummation, "monodromy_permutation", branch_3_to_2)
+        with pytest.raises(VerificationError, match=r"\(0, 2, 1\)"):
+            gamma_term(ctx, minus)
+        assert len(calls) == 2
 
     def test_far_end_disagreement_raises(self, monkeypatch):
         real = resummation.monodromy_permutation
@@ -273,10 +440,25 @@ class TestRayMonodromy:
             calls.append(perm)
             return perm if len(calls) == 1 else perm[::-1]
 
+        ctx = classify_stokes(cmath.exp(1j * math.pi / 6))
+        minus = minus_sum(ctx, 8.0)
         monkeypatch.setattr(resummation, "monodromy_permutation", reversed_after_first)
         with pytest.raises(NumericError):
-            gamma_term(classify_stokes(cmath.exp(1j * math.pi / 6)), 8.0)
+            gamma_term(ctx, minus)
         assert len(calls) == 2
+
+    def test_only_a_minus_sum_of_the_same_region_is_taken(self):
+        ctx = classify_stokes(cmath.exp(1j * math.pi / 6))
+        minus = minus_sum(ctx, 8.0)
+        other_region = minus_sum(classify_stokes(cmath.exp(-1j * math.pi / 6)), 8.0)
+        for wrong in (laplace_sum("+", ctx, 8.0), other_region):
+            with pytest.raises(PreconditionError):
+                gamma_term(ctx, wrong)
+        # ctx carries no eta; the far-end loop reads the Laplace range at the
+        # sum's own eta, which must be one a sum can be taken at
+        for eta in (0.0, -8.0, math.nan, math.inf):
+            with pytest.raises(PreconditionError):
+                gamma_term(ctx, dataclasses.replace(minus, eta=eta))
 
 
 class TestRayOrientation:
