@@ -219,11 +219,15 @@ class TestLaplaceSums:
             laplace_sum("+", ctx, eta)
 
     def test_underflow_raises(self):
-        # e^(-alpha eta) is e^(-943) at both points: the raw sum is fine, the
-        # scaled one is not; the region-II one is the sum the cut term takes
-        for x in (cmath.exp(-1j * math.pi / 6), cmath.exp(1j * math.pi / 6)):
-            with pytest.raises(NumericError):
-                laplace_sum("-", classify_stokes(x), 2000.0)
+        # e^(-alpha eta) is e^(-943) here: the raw sum is fine, the scaled one is not
+        with pytest.raises(NumericError):
+            laplace_sum("-", classify_stokes(cmath.exp(-1j * math.pi / 6)), 2000.0)
+
+    def test_cut_term_underflow_raises(self):
+        # the cut term is i times the region-II "-" sum, which underflows first
+        ctx = classify_stokes(cmath.exp(1j * math.pi / 6))
+        with pytest.raises(NumericError):
+            gamma_term(ctx, minus_sum(ctx, 2000.0))
 
     def test_homogeneity(self):
         x = cmath.exp(-1j * math.pi / 6)
