@@ -334,15 +334,27 @@ def _chart_values(delta: complex) -> tuple[complex, complex, complex]:
 
 
 def _match_indices(predicted: tuple, candidates, scale: float) -> tuple | None:
-    """Index of the nearest candidate for each predicted value, each candidate
-    used once and the runner-up at least MATCH_MARGIN times farther; None on
-    ambiguity."""
+    """Index of the nearest of the three candidates for each predicted value,
+    each candidate used once and the runner-up at least MATCH_MARGIN times
+    farther; None on ambiguity.
+
+    The nearest and the runner-up are found by comparisons, ties going to the
+    lower index: for distances that are not NaN, the choices of sorting the
+    (distance, index) pairs.
+    """
     taken = [False] * 3
     result = []
     for p in predicted:
-        dists = sorted(((abs(p - c) / scale, j) for j, c in enumerate(candidates)))
-        best, jbest = dists[0]
-        second = dists[1][0]
+        d0, d1, d2 = [abs(p - c) / scale for c in candidates]
+        if d0 <= d1:
+            if d2 < d0:
+                jbest, best, second = 2, d2, d0
+            else:
+                jbest, best, second = 0, d0, min(d1, d2)
+        elif d2 < d1:
+            jbest, best, second = 2, d2, d1
+        else:
+            jbest, best, second = 1, d1, min(d0, d2)
         if taken[jbest] or (best > 0 and second < MATCH_MARGIN * best):
             return None
         taken[jbest] = True

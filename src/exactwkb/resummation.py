@@ -4,12 +4,17 @@ The Laplace integrals run along the rays y = -+(2/3) x^(3/2) + t, t >= 0; in
 the normalized variable the integrand comes from the tracked branch triple
 (series evaluation near the base point, predictor-corrector tracking beyond).
 The endpoint square-root singularity is removed by t = u^2 and the quadrature
-is adaptive Gauss-Legendre on u-panels.
+is adaptive Gauss-Legendre on u-panels: each panel is the sum of the 16-point
+rule on its two halves, and its error estimate is read off the top Legendre
+coefficients of the same node values, so no third node set is formed.  The
+part of the integral past the last tail panel is bounded from the decay of
+the last two panels.
 
 Across the Stokes line the "+" sum picks up a cut term.  It is i times the
 "-" sum, read through the permutation of the "-" ray triple by a numeric loop
-around s = 1: nothing is integrated a second time, and a loop that does not
-send branch 3 to branch 1 raises.
+around s = 1: nothing is integrated a second time, the loops start from the
+branch field the "-" sum was summed along, and a loop that does not send
+branch 3 to branch 1 raises.
 
 The independent reference for the Airy identities is a from-scratch Maclaurin
 evaluation of Ai and Bi in configurable precision (mpmath floats, own series
@@ -23,7 +28,7 @@ import bisect
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import mpmath
 
@@ -173,37 +178,74 @@ _GL_NODES = tuple(-x for x, _ in reversed(_GL_HALF)) + tuple(x for x, _ in _GL_H
 _GL_WEIGHTS = tuple(w for _, w in reversed(_GL_HALF)) + tuple(w for _, w in _GL_HALF)
 
 
-def _gl_panel(f, a: float, b: float) -> complex:
+def _top_legendre_rows() -> tuple:
+    """(2n+1)/2 w_k P_n(x_k) at the 16 nodes for n = 14 and 15: the weights
+    that read the top two Legendre coefficients of the interpolant through
+    the node values off those values (three-term recurrence for P_n)."""
+    row14, row15 = [], []
+    for x, w in zip(_GL_NODES, _GL_WEIGHTS):
+        p_prev, p = 1.0, x
+        for n in range(1, 15):
+            p_prev, p = p, ((2 * n + 1) * x * p - n * p_prev) / (n + 1)
+        row14.append(14.5 * w * p_prev)
+        row15.append(15.5 * w * p)
+    return tuple(row14), tuple(row15)
+
+
+_LEGENDRE_14, _LEGENDRE_15 = _top_legendre_rows()
+
+
+def _gauss_sum(f, a: float, b: float) -> tuple[complex, float]:
+    """The 16-point Gauss sum over [a, b] and its error estimate.
+
+    The estimate reads the top two Legendre coefficients c_14, c_15 of the
+    interpolant through the same 16 values (one even and one odd degree, so a
+    function symmetric about the midpoint cannot hide).  The rule is exact
+    through degree 31 and misses at most (b - a) |c_n| on a term c_n P_n of
+    higher degree, since |P_n| <= 1 and the weights sum to 2; the estimate is
+    that miss with the top two coefficients in place of the unseen ones.
+    Where the coefficients decay it stands well above the true error, and
+    rounding in the values sets its floor.
+    """
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
+    values = [f(mid + half * xk) for xk in _GL_NODES]
     total = 0j
-    for xk, wk in zip(_GL_NODES, _GL_WEIGHTS):
-        total += wk * f(mid + half * xk)
-    return total * half
+    for wk, v in zip(_GL_WEIGHTS, values):
+        total += wk * v
+    c14 = sum(r * v for r, v in zip(_LEGENDRE_14, values))
+    c15 = sum(r * v for r, v in zip(_LEGENDRE_15, values))
+    return total * half, (b - a) * (abs(c14) + abs(c15))
 
 
-def _adaptive_panel(f, a: float, b: float, whole: complex, tol_abs: float,
+def _halves(f, a: float, b: float) -> tuple:
+    """The ``_gauss_sum`` results of the two halves of [a, b]."""
+    mid = 0.5 * (a + b)
+    return _gauss_sum(f, a, mid), _gauss_sum(f, mid, b)
+
+
+def _adaptive_panel(f, a: float, b: float, halves: tuple, tol_abs: float,
                     floor: float, depth: int = 0):
     """Bisecting Gauss panel with a rounding floor on the acceptance test.
 
-    ``whole`` is the Gauss sum over the entire panel, already formed by the
-    caller; it is held against the sum of the two halves, which become the
-    children's own sums when the panel bisects.  Without the floor, repeated
-    budget halving eventually asks for accuracy below the noise of the panel
-    sums themselves and the recursion chases rounding errors forever.
+    ``halves`` are the ``_gauss_sum`` results of the two halves of the panel,
+    formed by the caller: the panel's value is their sum, its error estimate
+    the sum of theirs.  A panel that fails the test bisects, and each child
+    forms the sums of its own two halves.  Without the floor, repeated budget
+    halving eventually asks for accuracy below the noise of the panel sums
+    themselves and the recursion chases rounding errors forever.
     """
-    mid = 0.5 * (a + b)
-    left = _gl_panel(f, a, mid)
-    right = _gl_panel(f, mid, b)
+    (left, el), (right, er) = halves
     fine = left + right
-    err = abs(fine - whole)
+    err = el + er
     accept = max(tol_abs, floor)
     if err <= accept or depth >= 24:
         if depth >= 24 and err > accept:
             raise NumericError("quadrature panel refinement exhausted")
         return fine, err
-    left, el = _adaptive_panel(f, a, mid, left, tol_abs / 2, floor, depth + 1)
-    right, er = _adaptive_panel(f, mid, b, right, tol_abs / 2, floor, depth + 1)
+    mid = 0.5 * (a + b)
+    left, el = _adaptive_panel(f, a, mid, _halves(f, a, mid), tol_abs / 2, floor, depth + 1)
+    right, er = _adaptive_panel(f, mid, b, _halves(f, mid, b), tol_abs / 2, floor, depth + 1)
     return left + right, el + er
 
 
@@ -224,7 +266,9 @@ def _laplace_panels(eta: float, tol: float) -> tuple[list[float], float]:
 
 def _laplace_quadrature(integrand_t, eta: float, tol: float):
     """integral_0^inf integrand(t) e^(-t eta) dt with t = u^2 removing the
-    endpoint square-root singularity; returns (value, error_estimate)."""
+    endpoint square-root singularity; returns (value, error_estimate).  The
+    estimate adds the panels' own to a bound on what lies past the last tail
+    panel."""
 
     def h(u: float) -> complex:
         t = u * u
@@ -232,23 +276,24 @@ def _laplace_quadrature(integrand_t, eta: float, tol: float):
 
     edges, width = _laplace_panels(eta, tol)
     panels = list(zip(edges, edges[1:]))
-    # one Gauss sum per panel sets the absolute tolerance scale and is the
-    # whole-panel sum each panel is checked against
-    wholes = [_gl_panel(h, a, b) for a, b in panels]
-    scale = max(abs(sum(wholes)), 1e-280)
+    # the halves of every main panel, formed once: their sum sets the
+    # absolute tolerance scale, and each panel starts from its own
+    halves = [_halves(h, a, b) for a, b in panels]
+    scale = max(abs(sum(left + right for (left, _), (right, _) in halves)), 1e-280)
     tol_abs = scale * tol * 0.25
     floor = scale * 5e-16
     total = 0j
     err = 0.0
-    for (a, b), whole in zip(panels, wholes):
-        value, e = _adaptive_panel(h, a, b, whole, tol_abs / len(panels), floor)
+    for (a, b), pair in zip(panels, halves):
+        value, e = _adaptive_panel(h, a, b, pair, tol_abs / len(panels), floor)
         total += value
         err += e
     # tail extension, in case the integrand decays slower than assumed
     a = edges[-1]
     while True:
         b = a + width
-        value, e = _adaptive_panel(h, a, b, _gl_panel(h, a, b), tol_abs, floor)
+        previous = value
+        value, e = _adaptive_panel(h, a, b, _halves(h, a, b), tol_abs, floor)
         total += value
         err += e
         if abs(value) < tol_abs:
@@ -256,7 +301,21 @@ def _laplace_quadrature(integrand_t, eta: float, tol: float):
         if b > 40 * edges[-1]:
             raise NumericError("Laplace tail did not converge")
         a = b
-    return total, err
+    return total, err + _tail_bound(value, previous)
+
+
+def _tail_bound(last: complex, previous: complex) -> float:
+    """What lies past the last tail panel, as the geometric series of its
+    value at the decay ratio of the last two panels.
+
+    Where the ratio falls from panel to panel, as the factor e^(-u^2 eta)
+    makes it do, this bounds the remainder; with no decay between the last
+    two panels there is no bound, and it is inf.
+    """
+    if last == 0:
+        return 0.0
+    ratio = abs(last) / abs(previous) if previous != 0 else math.inf
+    return abs(last) * ratio / (1 - ratio) if ratio < 1 else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +324,15 @@ def _laplace_quadrature(integrand_t, eta: float, tol: float):
 
 @dataclass(frozen=True)
 class BorelSum:
+    """A Borel sum; ``ray`` is the branch field it was summed along, which the
+    cut term reads again, and takes no part in its repr or equality."""
+
     sign: str
     region: str
     eta: float
     value: complex
     quadrature_error_estimate: float
+    ray: RayField | None = field(default=None, repr=False, compare=False)
 
 
 def _require_summable(ctx: StokesContext):
@@ -287,14 +350,14 @@ def _require_quadrature_inputs(eta: float, tol: float):
 
 
 def _scaled_sum(sign: str, ctx: StokesContext, eta: float, alpha: complex,
-                raw: complex, err: float) -> BorelSum:
+                raw: complex, err: float, ray: RayField | None = None) -> BorelSum:
     """The Borel sum e^(-alpha eta) * raw, refusing a result that underflows."""
     scale = cmath.exp(-alpha * eta)
     value = raw * scale
     if raw != 0 and abs(value) < sys.float_info.min:
         raise NumericError(
             f"e^(-alpha eta) = {scale!r} underflows the sum at eta = {eta!r}")
-    return BorelSum(sign, ctx.region, eta, value, err * abs(scale))
+    return BorelSum(sign, ctx.region, eta, value, err * abs(scale), ray)
 
 
 def laplace_sum(sign: str, ctx: StokesContext, eta: float, tol: float = 1e-10) -> BorelSum:
@@ -322,7 +385,7 @@ def laplace_sum(sign: str, ctx: StokesContext, eta: float, tol: float = 1e-10) -
         alpha = ctx.alpha_minus
 
     raw, err = _laplace_quadrature(integrand, eta, tol)
-    return _scaled_sum(sign, ctx, eta, alpha, raw, err)
+    return _scaled_sum(sign, ctx, eta, alpha, raw, err, ray)
 
 
 def gamma_term(ctx: StokesContext, minus: BorelSum) -> BorelSum:
@@ -337,18 +400,25 @@ def gamma_term(ctx: StokesContext, minus: BorelSum) -> BorelSum:
     i (g_1 - g_3)/(sqrt(pi) x), and the cut term is i * minus with nothing
     integrated again.  The permutation is read by two numeric loops, where the
     ray leaves the series zone and at the far end of its Laplace range at
-    ``VOROS_QUAD_TOL`` (a BorelSum does not record its tol).
+    ``VOROS_QUAD_TOL`` (a BorelSum does not record its tol).  Both loops start
+    from triples of ``minus.ray``, the branch field the "-" sum was summed
+    along, so the ray is not tracked a second time.
 
     Raises PreconditionError unless ``minus`` is a "-" sum in ctx's region at a
-    valid eta, NumericError if the two loops disagree, and VerificationError
-    if the loop does not send branch 3 to branch 1.
+    valid eta, summed along the "-" ray of ctx.x; NumericError if the two loops
+    disagree, and VerificationError if the loop does not send branch 3 to
+    branch 1.
     """
     if minus.sign != "-" or minus.region != ctx.region:
         raise PreconditionError(
             f"the cut term takes the \"-\" sum in region {ctx.region!r}, "
             f"got a {minus.sign!r} sum in region {minus.region!r}")
     _require_quadrature_inputs(minus.eta, VOROS_QUAD_TOL)
-    ray = RayField(1, ctx.kappa)
+    ray = minus.ray
+    if ray is None or ray.kappa != ctx.kappa:
+        raise PreconditionError(
+            "the cut term reads the \"-\" ray its sum was summed along, "
+            f"at x = {ctx.x!r}")
 
     def loop_permutation(t: float) -> tuple:
         return monodromy_permutation(ctx.ray_point("-", t), ray.triple(t), 1.0 + 0j,

@@ -6,9 +6,12 @@ import random
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from exactwkb.branches import (ANCHOR_SERIES_TERMS, CHART_TERMS, BranchLabel,
-                               _g_derivatives, _local_c_series, _x_series_shape,
+from exactwkb.branches import (ANCHOR_SERIES_TERMS, CHART_TERMS, MATCH_MARGIN,
+                               BranchLabel, _g_derivatives, _local_c_series,
+                               _match_indices, _x_series_shape,
                                anchored_g_triple, branch_series, continue_triple,
                                crossing_chart_series, default_sqrt_rule, g_pde_residuals,
                                monodromy_triple, solve_cubic_g, solve_cubic_g_xy,
@@ -242,6 +245,53 @@ class TestContinuation:
     def test_no_derivative_at_the_double_root(self):
         with pytest.raises(NumericError):
             _g_derivatives(0.5, -0.5)
+
+
+def sorted_match_indices(predicted, candidates, scale):
+    """The matcher by sorting (distance, index) pairs: the test oracle."""
+    taken = [False] * 3
+    result = []
+    for p in predicted:
+        dists = sorted(((abs(p - c) / scale, j) for j, c in enumerate(candidates)))
+        best, jbest = dists[0]
+        second = dists[1][0]
+        if taken[jbest] or (best > 0 and second < MATCH_MARGIN * best):
+            return None
+        taken[jbest] = True
+        result.append(jbest)
+    return tuple(result)
+
+
+# points of small lattices give exact ties, zero distances and runner-ups at
+# exactly MATCH_MARGIN times the nearest; finite floats give the rest
+_POINTS = st.one_of(st.builds(complex, st.integers(-6, 6)),
+                    st.builds(complex, st.integers(-4, 4), st.integers(-1, 1)),
+                    st.complex_numbers(max_magnitude=1e6, allow_nan=False,
+                                       allow_infinity=False))
+_TRIPLES = st.tuples(_POINTS, _POINTS, _POINTS)
+
+
+class TestMatchIndices:
+    @settings(max_examples=200, deadline=None)
+    @given(_TRIPLES, _TRIPLES, st.sampled_from([1.0, 0.5, 3.0, 1e-3]))
+    @example((0j, 0j, 0j), (1, -1, 3), 1.0)           # a tie at the nearest
+    @example((0j, 1 + 0j, 4 + 0j), (0, 1, 4), 1.0)     # zero distances
+    @example((0j, 5 + 0j, 5 + 0j), (0, 5, 5), 1.0)     # a tie at zero distance
+    @example((0j, -3 + 0j, 10 + 0j), (1, -3, 10), 1.0)  # runner-up at exactly MATCH_MARGIN
+    # a runner-up inside the margin in each position of nearest and runner-up
+    @example((0j, 5 + 0j, -2 + 0j), (1, 5, -2), 1.0)
+    @example((0j, -2 + 0j, 5 + 0j), (5, -2, 1), 1.0)
+    @example((0j, 5 + 0j, -2 + 0j), (5, 1, -2), 1.0)
+    @example((0j, -2 + 0j, 5 + 0j), (-2, 1, 5), 1.0)
+    def test_comparisons_choose_as_sorting_does(self, predicted, candidates, scale):
+        assert (_match_indices(predicted, candidates, scale)
+                == sorted_match_indices(predicted, candidates, scale))
+
+    def test_margin_boundary(self):
+        # a runner-up at exactly MATCH_MARGIN times the nearest is accepted, a
+        # hair nearer is ambiguous
+        assert _match_indices((0j, -3 + 0j, 10 + 0j), (1, -3, 10), 1.0) == (0, 1, 2)
+        assert _match_indices((0j, -3 + 0j, 10 + 0j), (1, -2.9999999, 10), 1.0) is None
 
 
 class TestMonodromy:

@@ -2,7 +2,9 @@
 
 import cmath
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -261,6 +263,28 @@ class TestLaplaceQuadrature:
                 assert abs(x - root) <= math.ulp(x)
                 assert abs(w - exact_weight) <= 4e-14 * exact_weight
 
+    def test_top_legendre_rows_read_the_top_coefficients(self):
+        """Applied to the node values of P_m, the two rows read the Legendre
+        coefficients c_14 and c_15 of P_m: 1 where m is the row's degree, 0
+        for every other m <= 15 (the 16-point rule is exact through 31)."""
+        nodes = resummation._GL_NODES
+        for m in range(16):
+            values = [float(mpmath.legendre(m, x)) for x in nodes]
+            for degree, row in ((14, resummation._LEGENDRE_14),
+                                (15, resummation._LEGENDRE_15)):
+                coefficient = sum(r * v for r, v in zip(row, values))
+                assert abs(coefficient - (m == degree)) <= 1e-13
+        # so a polynomial of degree 13 leaves only rounding in the estimate
+        _, estimate = resummation._gauss_sum(lambda u: u ** 13, 0.0, 1.0)
+        assert estimate <= 1e-14
+
+    @pytest.mark.parametrize("k", [1.0, 10.0, 30.0, 60.0])
+    def test_gauss_sum_estimate_not_below_its_error(self, k):
+        for f, exact in ((lambda u: cmath.exp(k * u), (cmath.exp(k) - 1) / k),
+                         (lambda u: math.cos(k * u), math.sin(k) / k)):
+            value, estimate = resummation._gauss_sum(f, 0.0, 1.0)
+            assert estimate >= abs(value - exact)
+
     @pytest.mark.parametrize("integrand,exact,bisects,extends_tail", [
         (lambda t: 1.0, 1 / 8, False, False),
         (lambda t: math.cos(40 * t), 8 / (64 + 1600), True, False),
@@ -276,18 +300,19 @@ class TestLaplaceQuadrature:
             calls.append(t)
             return integrand(t)
 
-        def recording_panel(f, a, b, whole, tol_abs, floor, depth=0):
+        def recording_panel(f, a, b, halves, tol_abs, floor, depth=0):
             depths.append(depth)
-            return real_panel(f, a, b, whole, tol_abs, floor, depth)
+            return real_panel(f, a, b, halves, tol_abs, floor, depth)
 
         monkeypatch.setattr(resummation, "_adaptive_panel", recording_panel)
-        value, _ = _laplace_quadrature(counting_integrand, 8.0, 1e-10)
+        value, estimate = _laplace_quadrature(counting_integrand, 8.0, 1e-10)
         assert abs(value - exact) <= 1e-12 * exact
-        # 16 nodes for the whole sum of each top-level panel, 2 x 16 for the
-        # halves of every panel; a bisected panel's halves are its children's
-        # whole sums
+        # the estimate, tail remainder included, is not below the achieved error
+        assert estimate >= abs(value - exact)
+        # 2 x 16 nodes for the halves of every panel and no other Gauss sum: a
+        # bisected panel's children form the halves of their own
         top = depths.count(0)
-        assert len(calls) == 16 * top + 32 * len(depths)
+        assert len(calls) == 32 * len(depths)
         assert (len(depths) > top) == bisects
         # the main panels plus one tail panel, unless the tail had to extend
         main_panels = len(resummation._laplace_panels(8.0, 1e-10)[0]) - 1
@@ -463,6 +488,65 @@ class TestRayMonodromy:
         for eta in (0.0, -8.0, math.nan, math.inf):
             with pytest.raises(PreconditionError):
                 gamma_term(ctx, dataclasses.replace(minus, eta=eta))
+
+    def test_one_ray_per_sign_and_the_cut_reads_the_minus_ray(self, monkeypatch):
+        """verify_voros builds one RayField per sign, and the far-end loop of
+        the cut term starts from a triple cached in the "-" sum's own ray."""
+        built = []
+        loop_starts = []
+
+        class RecordedRay(RayField):
+            def __init__(self, anchor, kappa):
+                super().__init__(anchor, kappa)
+                built.append(self)
+
+        real = resummation.monodromy_permutation
+
+        def recording(s, triple, center, **kwargs):
+            loop_starts.append(triple)
+            return real(s, triple, center, **kwargs)
+
+        monkeypatch.setattr(resummation, "RayField", RecordedRay)
+        monkeypatch.setattr(resummation, "monodromy_permutation", recording)
+        verify_voros(*BENCH_POINTS[0])
+        assert [ray.anchor for ray in built] == [0, 1]
+        assert len(loop_starts) == 2
+        assert any(triple is loop_starts[1] for triple in built[1]._triples)
+
+    def test_the_cut_reads_the_ray_of_its_own_minus_sum(self):
+        ctx = classify_stokes(cmath.exp(1j * math.pi / 6))
+        minus = minus_sum(ctx, 8.0)
+        other_x = minus_sum(classify_stokes(1.2 * cmath.exp(1j * math.pi / 6)), 8.0)
+        for wrong in (dataclasses.replace(minus, ray=None), other_x):
+            with pytest.raises(PreconditionError):
+                gamma_term(ctx, wrong)
+
+
+class TestRecordedVorosReports:
+    """Every float and complex field of verify_voros, held bit for bit (as
+    float.hex) at the quick grid and both benchmark points."""
+
+    RECORDED = json.loads((Path(__file__).parent / "data" / "voros_reports.json").read_text())
+
+    @staticmethod
+    def point(record):
+        x = complex(float.fromhex(record["x"][0]), float.fromhex(record["x"][1]))
+        return x, float.fromhex(record["eta"])
+
+    def test_recorded_points_are_the_quick_grid_and_the_bench_points(self):
+        recorded = {self.point(record) for record in self.RECORDED}
+        assert recorded == set(_voros_grid_points("quick")) | set(BENCH_POINTS)
+
+    @pytest.mark.parametrize("index", range(len(RECORDED)))
+    def test_report_keeps_its_bits(self, index):
+        record = self.RECORDED[index]
+        report = verify_voros(*self.point(record))
+
+        def hexed(v):
+            return [v.real.hex(), v.imag.hex()] if isinstance(v, complex) else v.hex()
+
+        assert {f.name: hexed(getattr(report, f.name))
+                for f in dataclasses.fields(report)} == record
 
 
 class TestRayOrientation:
