@@ -43,6 +43,8 @@ CHART_TIGHT = 2e-3
 CHART_TERMS = 16
 
 DEFAULT_STEP = 0.01
+LOOP_RADIUS_CAP = 0.35  # largest radius of a monodromy loop's circle
+POLISH_ITERATIONS = 8   # Newton steps of _polish_cubic at most
 MATCH_MARGIN = 3.0
 MAX_HALVINGS = 40
 
@@ -222,11 +224,10 @@ def _depressed_cubic_roots(p: complex, q: complex) -> tuple[complex, complex, co
     return tuple(roots)
 
 
-def _polish_cubic(a3: complex, a1: complex, a0: complex, root: complex,
-                  iterations: int = 8) -> complex:
+def _polish_cubic(a3: complex, a1: complex, a0: complex, root: complex) -> complex:
     """Newton polish of a root of a3 t^3 + a1 t + a0 (guarded near F' = 0)."""
     t = root
-    for _ in range(iterations):
+    for _ in range(POLISH_ITERATIONS):
         f = (a3 * t * t * t) + a1 * t + a0
         fp = 3 * a3 * t * t + a1
         if abs(fp) < 1e-13 * max(1.0, abs(a3 * t * t)):
@@ -291,8 +292,7 @@ def _g_series_terms(shape: int, n_terms: int) -> tuple:
                  for e, coeff in _g_series_shape(shape, n_terms).terms.items())
 
 
-def anchored_g_triple(anchor: int, local_root: complex,
-                      n_terms: int = ANCHOR_SERIES_TERMS) -> tuple[complex, complex, complex]:
+def anchored_g_triple(anchor: int, local_root: complex) -> tuple[complex, complex, complex]:
     """(G_1, G_2, G_3) near a base point, from the exact series.
 
     ``local_root`` is the chosen determination of s^(1/2) (anchor 0) or
@@ -305,7 +305,7 @@ def anchored_g_triple(anchor: int, local_root: complex,
     for index in (1, 2, 3):
         shape = index if anchor == 0 else _LABEL_SWAP_AT_1[index]
         total = 0j
-        for power, coeff in _g_series_terms(shape, n_terms):
+        for power, coeff in _g_series_terms(shape, ANCHOR_SERIES_TERMS):
             total += coeff * local_root ** power
         out.append(total)
     return tuple(out)
@@ -340,7 +340,8 @@ def _match_indices(predicted: tuple, candidates, scale: float) -> tuple | None:
 
     The nearest and the runner-up are found by comparisons, ties going to the
     lower index: for distances that are not NaN, the choices of sorting the
-    (distance, index) pairs.
+    (distance, index) pairs.  A NaN distance, from a NaN predicted value or
+    candidate, is ambiguous and gives None.
     """
     taken = [False] * 3
     result = []
@@ -355,7 +356,9 @@ def _match_indices(predicted: tuple, candidates, scale: float) -> tuple | None:
             jbest, best, second = 2, d2, d1
         else:
             jbest, best, second = 1, d1, min(d0, d2)
-        if taken[jbest] or (best > 0 and second < MATCH_MARGIN * best):
+        # negated so that a NaN nearest or runner-up fails it; a NaN candidate
+        # is never the nearest, so it is left unmatched and the match fails
+        if taken[jbest] or not (best == 0 or second >= MATCH_MARGIN * best):
             return None
         taken[jbest] = True
         result.append(jbest)
@@ -475,7 +478,7 @@ def continue_triple(path: list, triple: tuple,
 # monodromy
 # ---------------------------------------------------------------------------
 
-def _loop_path(s: complex, center: complex, n_steps: int, radius_cap: float = 0.35):
+def _loop_path(s: complex, center: complex, n_steps: int):
     """A closed path from s once counterclockwise around ``center``.
 
     Walks radially in to a capped radius, circles, and walks back out, so the
@@ -484,7 +487,7 @@ def _loop_path(s: complex, center: complex, n_steps: int, radius_cap: float = 0.
     rho = abs(s - center)
     if rho < 1e-9:
         raise PreconditionError("cannot loop around the point itself")
-    r0 = min(rho, radius_cap)
+    r0 = min(rho, LOOP_RADIUS_CAP)
     direction = (s - center) / rho
     path = []
     if rho > r0:

@@ -26,12 +26,11 @@ read (``CubicFieldElement.c``).
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-
-import numpy as np
 
 from .errors import NumericError, PreconditionError
 
@@ -605,6 +604,14 @@ def denominator_is_unit_power(rec: PearceyRecursion) -> bool:
 # the Borel-plane quartic
 # ---------------------------------------------------------------------------
 
+# the scaled residual |F(z)| / max_k |a_k z^k| every returned root must reach
+QUARTIC_TOL = 1e-12
+# |F| within the rounding of its evaluation: complex Horner and the last ulp of
+# the root give at most 1.9e-15 sum_k |a_k z^k|, and that sum is at most four
+# times the largest term
+QUARTIC_ROUNDING = 8e-15
+QUARTIC_SWEEPS = 100  # Aberth sweeps at most
+
 @dataclass(frozen=True)
 class PearceyBranch:
     x1: complex
@@ -621,36 +628,46 @@ def quartic_coefficients(x1: complex, x2: complex, y: complex):
     return (a, 0j, 2 * (-8 * x2 * y + 2 * x2 ** 3 + 9 * x1 ** 2), -8 * x1, 1 + 0j)
 
 
-def quartic_g_roots(x1: complex, x2: complex, y: complex,
-                    tol: float = 1e-12) -> list[PearceyBranch]:
+def quartic_g_roots(x1: complex, x2: complex, y: complex) -> list[PearceyBranch]:
     """All four branch values at a point off the singular locus.
 
-    Roots are polished by Newton until the scaled residual is below ``tol``;
-    labels order them by (real, imaginary) part.
+    The roots come from one Aberth-Ehrlich iteration (Aberth, Math. Comp. 27,
+    1973), started on a circle of the Fujiwara radius
+    2 max(|C/A|^(1/2), |D/A|^(1/3), |E/(2A)|^(1/4)), which bounds every root
+    (B = 0).  A sweep moves each root in turn by F / (F' - F sum_j 1/(z - z_j)).
+    The iteration ends after the first sweep in which every residual |F| lay
+    within the rounding of its evaluation, and keeps that sweep's steps.  A
+    root whose scaled residual is still above ``QUARTIC_TOL`` raises; labels
+    order the roots by (real, imaginary) part.
     """
     a, b, c, d, e = quartic_coefficients(x1, x2, y)
     if abs(a) < 1e-10 * max(1.0, abs(c), abs(d)):
         raise PreconditionError(
             f"point lies near the singular locus (leading coefficient {a:.3e})")
-    roots = np.roots([a, b, c, d, e])
-    polished = []
-    for r in roots:
-        z = complex(r)
-        for _ in range(60):
-            f = ((a * z + b) * z + c) * z ** 2 + d * z + e
-            fp = (4 * a * z + 3 * b) * z ** 2 + 2 * c * z + d
-            if abs(fp) < 1e-300:
+
+    def scale(z):
+        return max(abs(a * z ** 4), abs(c * z ** 2), abs(d * z), 1.0)
+
+    radius = 2 * max(abs(c / a) ** 0.5, abs(d / a) ** (1 / 3), abs(e / (2 * a)) ** 0.25)
+    # turned by 0.4 rad, off the axes that real or even quartics are symmetric about
+    roots = [radius * cmath.exp(0.4j) * 1j ** k for k in range(4)]
+    try:
+        for _ in range(QUARTIC_SWEEPS):
+            settled = True
+            for i, z in enumerate(roots):
+                f = (((a * z + b) * z + c) * z + d) * z + e
+                fp = ((4 * a * z + 3 * b) * z + 2 * c) * z + d
+                roots[i] = z - f / (fp - f * sum(1 / (z - w) for w in roots[:i] + roots[i + 1:]))
+                settled = settled and abs(f) <= QUARTIC_ROUNDING * scale(z)
+            if settled:
                 break
-            step = f / fp
-            z -= step
-            if abs(step) < 1e-17 * max(1.0, abs(z)):
-                break
-        scale = max(abs(a * z ** 4), abs(c * z ** 2), abs(d * z), 1.0)
-        if abs(((a * z + b) * z + c) * z ** 2 + d * z + e) > tol * scale:
-            raise NumericError(f"quartic root did not refine below {tol}")
-        polished.append(z)
-    polished.sort(key=lambda z: (round(z.real, 12), round(z.imag, 12)))
-    return [PearceyBranch(x1, x2, y, z, i + 1) for i, z in enumerate(polished)]
+    except ZeroDivisionError:
+        raise NumericError("two quartic roots met in the Aberth iteration") from None
+    for z in roots:
+        if abs(((a * z + b) * z + c) * z ** 2 + d * z + e) > QUARTIC_TOL * scale(z):
+            raise NumericError(f"quartic root did not refine below {QUARTIC_TOL}")
+    roots.sort(key=lambda z: (round(z.real, 12), round(z.imag, 12)))
+    return [PearceyBranch(x1, x2, y, z, i + 1) for i, z in enumerate(roots)]
 
 
 def _quartic_partials(x1, x2, y, g):

@@ -43,16 +43,20 @@ REGION_I = "I"
 REGION_II = "II"
 BOUNDARY = "boundary"
 OUTSIDE = "outside"
+# |arg x - ray| below which classify_stokes puts x on a Stokes ray
+STOKES_BOUNDARY_TOL = 1e-12
 
 _SERIES_HANDOFF = 0.8 * SERIES_ZONE
 # steps of each numeric monodromy loop around s = 1 that reads the cut term
 RAY_LOOP_STEPS = 32
 
-# gates of VorosReport: the jump and the cut-vs-Airy witness, and the "-" sum
-# against the oracle; every sum of verify_voros is integrated to VOROS_QUAD_TOL
+# gates of VorosReport: the jump, and the "-" sum against the oracle; every
+# sum of verify_voros is integrated to VOROS_QUAD_TOL, and both sums of
+# verify_airy_connection to AIRY_LINK_QUAD_TOL
 VOROS_PLUS_TOL = 1e-6
 VOROS_MINUS_TOL = 1e-8
 VOROS_QUAD_TOL = 1e-10
+AIRY_LINK_QUAD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -86,7 +90,7 @@ class StokesContext:
         return base + self.kappa * t
 
 
-def classify_stokes(x: complex, boundary_tol: float = 1e-12) -> StokesContext:
+def classify_stokes(x: complex) -> StokesContext:
     """Classify x against the Stokes rays arg x in {0, +-2 pi/3}."""
     if not cmath.isfinite(x):
         raise PreconditionError(f"x must be finite, got {x!r}")
@@ -94,7 +98,7 @@ def classify_stokes(x: complex, boundary_tol: float = 1e-12) -> StokesContext:
         raise PreconditionError("x = 0 is the turning point")
     arg = cmath.phase(complex(x))
     for ray in (0.0, TWO_PI_THIRDS, -TWO_PI_THIRDS):
-        if abs(arg - ray) < boundary_tol or abs(arg + 2 * math.pi - ray) < boundary_tol:
+        if min(abs(arg - ray), abs(arg + 2 * math.pi - ray)) < STOKES_BOUNDARY_TOL:
             return StokesContext(complex(x), BOUNDARY)
     if -TWO_PI_THIRDS < arg < 0:
         return StokesContext(complex(x), REGION_I)
@@ -268,7 +272,9 @@ def _laplace_quadrature(integrand_t, eta: float, tol: float):
     """integral_0^inf integrand(t) e^(-t eta) dt with t = u^2 removing the
     endpoint square-root singularity; returns (value, error_estimate).  The
     estimate adds the panels' own to a bound on what lies past the last tail
-    panel."""
+    panel.  It covers only the panels and the tail, not the rounding of the
+    integrand values, so it is not a bound on the achieved error (see
+    ``BorelSum``)."""
 
     def h(u: float) -> complex:
         t = u * u
@@ -325,7 +331,14 @@ def _tail_bound(last: complex, previous: complex) -> float:
 @dataclass(frozen=True)
 class BorelSum:
     """A Borel sum; ``ray`` is the branch field it was summed along, which the
-    cut term reads again, and takes no part in its repr or equality."""
+    cut term reads again, and takes no part in its repr or equality.
+
+    ``quadrature_error_estimate`` covers the quadrature panels and the tail
+    only, not the rounding of the integrand values (tracked branch values and
+    their differences), so it is an estimate, not a bound: on the default
+    Voros grid the achieved error exceeds it in 11 of 60 sums, by up to 1.74
+    times against 40-digit values of Ai.
+    """
 
     sign: str
     region: str
@@ -364,7 +377,9 @@ def laplace_sum(sign: str, ctx: StokesContext, eta: float, tol: float = 1e-10) -
     """Borel sum of the normalized WKB solution along its summation ray.
 
     The integrand is the branch combination for the requested sign:
-    (g_1 - g_2)/sqrt(pi) for "+", i (g_1 - g_3)/sqrt(pi) for "-".
+    (g_1 - g_2)/sqrt(pi) for "+", i (g_1 - g_3)/sqrt(pi) for "-".  The sum's
+    ``quadrature_error_estimate`` leaves out the rounding of the integrand
+    values, so it is not a bound on the achieved error (see ``BorelSum``).
     """
     if sign not in ("+", "-"):
         raise PreconditionError(f"sign must be '+' or '-', got {sign!r}")
@@ -454,9 +469,10 @@ class AiryValues:
 
 
 AIRY_ORACLE_MAX_ABS = 40.0
+AIRY_ORACLE_TOL = 1e-12  # relative accuracy every airy_reference value reaches
 
 
-def airy_reference(z: complex, tol: float = 1e-12) -> AiryValues:
+def airy_reference(z: complex) -> AiryValues:
     """Ai, Bi and derivatives from their Maclaurin series, summed in adaptive
     precision so the cancellation at moderate |z| stays controlled.
 
@@ -472,14 +488,14 @@ def airy_reference(z: complex, tol: float = 1e-12) -> AiryValues:
             f"|z| = {r:.3g} outside the oracle's documented range (<= {AIRY_ORACLE_MAX_ABS})")
     dps = 25 + int(0.62 * r ** 1.5)
     for _ in range(4):
-        values, lost_ok = _airy_series_attempt(z, dps, tol)
+        values, lost_ok = _airy_series_attempt(z, dps)
         if lost_ok:
             return values
         dps = int(dps * 1.6) + 10
     raise NumericError("airy_reference could not reach the requested accuracy")
 
 
-def _airy_series_attempt(z: complex, dps: int, tol: float):
+def _airy_series_attempt(z: complex, dps: int):
     with mpmath.workdps(dps):
         zm = mpmath.mpc(z)
         z3 = zm ** 3
@@ -516,7 +532,7 @@ def _airy_series_attempt(z: complex, dps: int, tol: float):
         # enough digits must survive the cancellation for every output
         floor = max_mag * mpmath.mpf(10) ** (-(dps - 8))
         ok = all(abs(v) > floor or abs(v) == 0
-                 for v in (ai, bi)) and mpmath.mpf(10) ** (-dps + 8) * max_mag < tol * max(abs(ai), abs(bi))
+                 for v in (ai, bi)) and mpmath.mpf(10) ** (-dps + 8) * max_mag < AIRY_ORACLE_TOL * max(abs(ai), abs(bi))
         values = AiryValues(complex(ai), complex(bi), complex(aip), complex(bip))
     return values, ok
 
@@ -553,8 +569,7 @@ class AiryLinkReport:
         return self.max_residual < self.tol
 
 
-def verify_airy_connection(x: complex, eta: float, tol: float = 1e-6,
-                           quad_tol: float = 1e-10) -> AiryLinkReport:
+def verify_airy_connection(x: complex, eta: float, tol: float = 1e-6) -> AiryLinkReport:
     """Check the expressions of Ai and Bi through the two Borel sums at x.
 
     In region I:  Ai = eta^(1/3) Psi_- / (2 sqrt(pi)),
@@ -565,8 +580,8 @@ def verify_airy_connection(x: complex, eta: float, tol: float = 1e-6,
     """
     ctx = classify_stokes(x)
     _require_summable(ctx)
-    plus_sum = laplace_sum("+", ctx, eta, quad_tol)
-    minus_sum = laplace_sum("-", ctx, eta, quad_tol)
+    plus_sum = laplace_sum("+", ctx, eta, AIRY_LINK_QUAD_TOL)
+    minus_sum = laplace_sum("-", ctx, eta, AIRY_LINK_QUAD_TOL)
     psi_plus = plus_sum.value
     psi_minus = minus_sum.value
     z = eta ** (2.0 / 3.0) * complex(x)
@@ -601,10 +616,11 @@ class VorosReport:
     The cut term is i * (the "-" sum), read through the loop permutation
     (``gamma_term``), so ``plus_residual`` is at rounding level by
     construction; the permutation itself is checked by raising, not by this
-    residual.  ``minus_residual`` and ``cut_vs_airy_residual`` witness the
-    oracle: the "-" sum and the cut term against ``minus_continued`` =
-    2 sqrt(pi) eta^(-1/3) Ai(eta^(2/3) x) and i times it, from series code
-    shared with neither the Borel sums nor the branch tracking.
+    residual.  ``minus_residual`` witnesses the oracle: the "-" sum against
+    ``minus_continued`` = 2 sqrt(pi) eta^(-1/3) Ai(eta^(2/3) x), from series
+    code shared with neither the Borel sums nor the branch tracking.  The cut
+    term held against i times that value would repeat this residual bit for
+    bit, since multiplying by i is exact, so the report carries no such field.
     """
 
     x: complex
@@ -616,13 +632,11 @@ class VorosReport:
     cut_contribution: complex
     plus_residual: float
     minus_residual: float
-    cut_vs_airy_residual: float
 
     @property
     def passed(self) -> bool:
         return (self.plus_residual < VOROS_PLUS_TOL
-                and self.minus_residual < VOROS_MINUS_TOL
-                and self.cut_vs_airy_residual < VOROS_PLUS_TOL)
+                and self.minus_residual < VOROS_MINUS_TOL)
 
 
 def verify_voros(x: complex, eta: float) -> VorosReport:
@@ -634,7 +648,7 @@ def verify_voros(x: complex, eta: float) -> VorosReport:
     the "-" sum itself must not jump.  In region I the "-" sum is
     2 sqrt(pi) eta^(-1/3) Ai(eta^(2/3) x) (``verify_airy_connection`` holds it
     there); Ai is entire, so that value at x is the region-I sum continued, and
-    both the direct "-" sum and the cut term are held against it.
+    the direct "-" sum is held against it.
     """
     ctx = classify_stokes(x)
     if ctx.region != REGION_II:
@@ -648,10 +662,8 @@ def verify_voros(x: complex, eta: float) -> VorosReport:
     ai = airy_reference(eta ** (2.0 / 3.0) * complex(x)).ai
     minus_continued = 2 * SQRT_PI * eta ** (-1.0 / 3.0) * ai
     minus_res = abs(minus_continued - minus_direct.value) / abs(minus_direct.value)
-    cut_airy_res = abs(cut - 1j * minus_continued) / abs(cut)
     return VorosReport(complex(x), eta, plus_continued, plus_direct.value,
-                       minus_direct.value, minus_continued, cut,
-                       plus_res, minus_res, cut_airy_res)
+                       minus_direct.value, minus_continued, cut, plus_res, minus_res)
 
 
 def formal_solution_partial_sum(sign: str, x: complex, eta: float,

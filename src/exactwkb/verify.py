@@ -71,11 +71,9 @@ def run_voros_grid(grid: str = "default") -> dict:
             "cut_contribution": rep.cut_contribution,
             "plus_residual": rep.plus_residual,
             "minus_residual": rep.minus_residual,
-            "cut_vs_airy_residual": rep.cut_vs_airy_residual,
         } for rep in reports],
         "max_plus_residual": max(rep.plus_residual for rep in reports),
         "max_minus_residual": max(rep.minus_residual for rep in reports),
-        "max_cut_vs_airy_residual": max(rep.cut_vs_airy_residual for rep in reports),
         "passed": all(rep.passed for rep in reports),
     }
 

@@ -293,6 +293,16 @@ class TestMatchIndices:
         assert _match_indices((0j, -3 + 0j, 10 + 0j), (1, -3, 10), 1.0) == (0, 1, 2)
         assert _match_indices((0j, -3 + 0j, 10 + 0j), (1, -2.9999999, 10), 1.0) is None
 
+    @pytest.mark.parametrize("predicted, candidates", [
+        ((math.nan, 0, 5), (0, 1, 5)),     # a NaN prediction: every distance NaN
+        ((0, 1, 5), (math.nan, 1, 5)),     # a NaN candidate in each position
+        ((0, 1, 5), (0, math.nan, 5)),
+        ((0, 1, 5), (0, 1, math.nan)),
+        ((0, 1, complex(5, math.nan)), (0, 1, 5)),
+    ])
+    def test_nan_distance_is_ambiguous(self, predicted, candidates):
+        assert _match_indices(predicted, candidates, 1.0) is None
+
 
 class TestMonodromy:
     def test_loop_at_base_0_swaps_the_unbounded_pair(self):

@@ -7,7 +7,9 @@ import sys
 import textwrap
 from fractions import Fraction as Fr
 from pathlib import Path
+from types import SimpleNamespace
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,7 @@ from sympy import QQ
 from sympy.polys.fields import field
 
 from exactwkb import pearcey
-from exactwkb.errors import PreconditionError
+from exactwkb.errors import NumericError, PreconditionError
 from exactwkb.pearcey import (_D, CubicFieldElement, _acc_mul, _nonzero,
                               annihilation_residuals,
                               branch_partials, check_closedness, check_primitives,
@@ -351,6 +353,17 @@ class TestAgainstFieldOracle:
         assert str(a * b) == str(value * other)
 
 
+def run_in_a_fresh_interpreter(script: str):
+    """Run ``script`` in a new Python process with this tree's ``src`` first
+    on the path, so that its ``sys.modules`` starts empty, and require exit 0."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestNoSympy:
     def test_package_and_pearcey_path_never_load_sympy(self):
         script = textwrap.dedent("""
@@ -369,12 +382,28 @@ class TestNoSympy:
             assert unit * unit.inverse() == CubicFieldElement(1)
             assert "sympy" not in sys.modules, "sympy was imported"
         """)
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
+        run_in_a_fresh_interpreter(script)
+
+
+class TestNoNumpy:
+    def test_package_voros_point_and_pearcey_suite_never_load_numpy(self):
+        script = textwrap.dedent("""
+            import cmath, math, sys
+            import exactwkb
+            from exactwkb.resummation import verify_voros
+            from exactwkb.verify import run_pearcey_verify
+            assert verify_voros(cmath.exp(1j * math.pi / 6), 8.0).passed
+            assert run_pearcey_verify(4, 20, 42, ann_points=5)["passed"]
+            assert "numpy" not in sys.modules, "numpy was imported"
+        """)
+        run_in_a_fresh_interpreter(script)
+
+    def test_mpmath_is_the_only_runtime_dependency(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        project = tomllib.loads(pyproject.read_text())["project"]
+        assert [d.split(">")[0] for d in project["dependencies"]] == ["mpmath"]
+        assert any(d.startswith("numpy") for d in project["optional-dependencies"]["test"])
 
 
 class TestQuartic:
@@ -409,6 +438,32 @@ class TestQuartic:
                 g = br.value
                 residual = abs(((a * g + b) * g + c) * g * g + d * g + e)
                 assert residual < 1e-12 * max(abs(a * g ** 4), 1.0)
+
+    def test_roots_against_mpmath(self):
+        # the four roots of the float-coefficient quartic, each to 1e-13
+        # relative, against 50-digit roots; and the stop test of the iteration
+        # is reachable: the scaled residual at each correctly rounded root,
+        # evaluated as the iteration evaluates it, is within QUARTIC_ROUNDING
+        rng = random.Random(13)
+        for _ in range(60):
+            x1, x2, y = (complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                         for _ in range(3))
+            a, b, c, d, e = quartic_coefficients(x1, x2, y)
+            with mpmath.workdps(50):
+                exact = [complex(r) for r in mpmath.polyroots(
+                    [mpmath.mpc(v) for v in (a, b, c, d, e)], maxsteps=200, extraprec=200)]
+            roots = [br.value for br in quartic_g_roots(x1, x2, y)]
+            for z in exact:
+                assert min(abs(g - z) for g in roots) <= 1e-13 * abs(z)
+                f = (((a * z + b) * z + c) * z + d) * z + e
+                scale = max(abs(a * z ** 4), abs(c * z ** 2), abs(d * z), 1.0)
+                assert abs(f) <= pearcey.QUARTIC_ROUNDING * scale
+
+    def test_roots_that_meet_raise_a_numeric_error(self, monkeypatch):
+        # a start circle of radius 0 puts all four roots on one point
+        monkeypatch.setattr(pearcey, "cmath", SimpleNamespace(exp=lambda z: 0j))
+        with pytest.raises(NumericError, match="met"):
+            quartic_g_roots(0.9 + 0.3j, -1.1 + 0.2j, 0.8 - 0.4j)
 
     def test_even_pairing_when_x1_vanishes(self):
         roots = [b.value for b in quartic_g_roots(0.0, 1.3, 0.7)]
@@ -455,3 +510,16 @@ class TestAnnihilation:
     def test_scaling_law(self):
         assert homogeneity_residual(1.0, 1.0, 1.0, 2.0) < 1e-10
         assert homogeneity_residual(0.7 + 0.1j, -1.2, 0.9 - 0.3j, 2.0) < 1e-10
+
+    def test_scaling_law_sees_a_coefficient_of_the_wrong_weight(self, monkeypatch):
+        # g -> l^-3 g is a symmetry only while every coefficient of g^k has
+        # weight 3k; a constant added to the g^1 coefficient breaks it
+        real = pearcey.quartic_coefficients
+
+        def broken(x1, x2, y):
+            a, b, c, d, e = real(x1, x2, y)
+            return a, b, c, d + 0.5, e
+
+        monkeypatch.setattr(pearcey, "quartic_coefficients", broken)
+        assert homogeneity_residual(0.7 + 0.1j, -1.2, 0.9 - 0.3j, 2.0) > 1e-3
+        assert not run_pearcey_verify(4, 20, 42, ann_points=5)["passed"]

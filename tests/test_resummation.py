@@ -345,11 +345,10 @@ class TestConnectionFormulas:
         report = verify_voros(cmath.exp(1j * math.pi / 6), 8.0)
         assert report.plus_residual < 1e-6
         assert report.minus_residual < 1e-8
-        assert report.cut_vs_airy_residual < 1e-6
         assert report.passed
 
     def test_airy_witness_rejects_wrong_branch_pair(self, monkeypatch):
-        """A cut term from g_2 - g_3 in place of g_1 - g_3 fails the oracle gate."""
+        """A cut term from g_2 - g_3 in place of g_1 - g_3 fails the jump gate."""
         def wrong_pair_gamma_term(ctx, minus):
             ray = RayField(1, ctx.kappa)
 
@@ -366,10 +365,13 @@ class TestConnectionFormulas:
 
         monkeypatch.setattr(resummation, "gamma_term", wrong_pair_gamma_term)
         report = verify_voros(cmath.exp(1j * math.pi / 6), 8.0)
-        assert report.cut_vs_airy_residual > 1e-2
+        assert report.plus_residual > 100 * resummation.VOROS_PLUS_TOL
+        assert report.minus_residual < resummation.VOROS_MINUS_TOL
         assert not report.passed
         grid = run_voros_grid("quick")
-        assert grid["max_cut_vs_airy_residual"] > 1e-2
+        assert all(point["plus_residual"] > 10 * resummation.VOROS_PLUS_TOL
+                   and point["minus_residual"] < resummation.VOROS_MINUS_TOL
+                   for point in grid["points"])
         assert not grid["passed"]
 
     def test_grid_fails_on_a_nan_residual(self, monkeypatch):
