@@ -474,6 +474,37 @@ def continue_triple(path: list, triple: tuple,
     return current
 
 
+# largest |start| of trace_branch: its first value comes from the exact series
+# at s = 0, which must still be accurate there
+TRACE_START_MAX = 0.35
+
+
+def trace_branch(family: str, index: int, start: float, stop: float,
+                 samples: int) -> list[tuple[float, complex]]:
+    """(s, value) of branch ``index`` of ``family`` ("X" or "g") at ``samples``
+    evenly spaced points from ``start`` to ``stop``.
+
+    The branch is labelled at the base point 0: its value at ``start`` comes
+    from the exact series there and is continued sample by sample.
+    """
+    BranchLabel(family, index, 0)  # rejects an unknown family or index
+    if abs(start) > TRACE_START_MAX:
+        raise PreconditionError("start point too far from the anchor for the series")
+    if samples < 2:
+        raise PreconditionError(f"a trace needs at least 2 samples, got {samples}")
+    path = [start + (stop - start) * k / (samples - 1) for k in range(samples)]
+    triple = anchored_g_triple(0, sqrt_s(start))
+    out = []
+    for k, s in enumerate(path):
+        if k > 0:
+            triple = continue_triple(path[k - 1:k + 1], triple)
+        value = triple[index - 1]
+        if family == "X":
+            value *= default_sqrt_rule(s)
+        out.append((s, value))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # monodromy
 # ---------------------------------------------------------------------------
@@ -555,7 +586,7 @@ def _series_equal_through(a: PuiseuxSeries, b: PuiseuxSeries, order: Fraction) -
     return all(a.coeff(e) == b.coeff(e) for e in exps)
 
 
-def verify_branch_identities(order: int = 6) -> BranchIdentityReport:
+def verify_branch_identities(order: int) -> BranchIdentityReport:
     """Termwise identities tying the Borel expansions to branch differences.
 
     Checks, as exact Puiseux identities through the given s-order:

@@ -52,11 +52,14 @@ RAY_LOOP_STEPS = 32
 
 # gates of VorosReport: the jump, and the "-" sum against the oracle; every
 # sum of verify_voros is integrated to VOROS_QUAD_TOL, and both sums of
-# verify_airy_connection to AIRY_LINK_QUAD_TOL
+# verify_airy_connection to AIRY_LINK_QUAD_TOL; AIRY_LINK_TOL is the default
+# gate of verify_airy_connection and LAPLACE_TOL the default of laplace_sum
 VOROS_PLUS_TOL = 1e-6
 VOROS_MINUS_TOL = 1e-8
 VOROS_QUAD_TOL = 1e-10
 AIRY_LINK_QUAD_TOL = 1e-10
+AIRY_LINK_TOL = 1e-6
+LAPLACE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -373,7 +376,8 @@ def _scaled_sum(sign: str, ctx: StokesContext, eta: float, alpha: complex,
     return BorelSum(sign, ctx.region, eta, value, err * abs(scale), ray)
 
 
-def laplace_sum(sign: str, ctx: StokesContext, eta: float, tol: float = 1e-10) -> BorelSum:
+def laplace_sum(sign: str, ctx: StokesContext, eta: float,
+                tol: float = LAPLACE_TOL) -> BorelSum:
     """Borel sum of the normalized WKB solution along its summation ray.
 
     The integrand is the branch combination for the requested sign:
@@ -569,17 +573,20 @@ class AiryLinkReport:
         return self.max_residual < self.tol
 
 
-def verify_airy_connection(x: complex, eta: float, tol: float = 1e-6) -> AiryLinkReport:
+def verify_airy_connection(x: complex, eta: float,
+                           tol: float = AIRY_LINK_TOL) -> AiryLinkReport:
     """Check the expressions of Ai and Bi through the two Borel sums at x.
 
     In region I:  Ai = eta^(1/3) Psi_- / (2 sqrt(pi)),
                   Bi = eta^(1/3) Psi_+ / sqrt(pi) - i eta^(1/3) Psi_- / (2 sqrt(pi));
     in region II the Bi relation carries +i instead.  The inverse expressions
     of Psi_+- through Ai and Bi are checked as well, Psi_+ through Ai at the
-    rotated point z e^(+-2 pi i/3).
+    rotated point z e^(+-2 pi i/3).  The gate ``tol`` must be positive and
+    finite, as ``eta`` must.
     """
     ctx = classify_stokes(x)
     _require_summable(ctx)
+    _require_quadrature_inputs(eta, tol)
     plus_sum = laplace_sum("+", ctx, eta, AIRY_LINK_QUAD_TOL)
     minus_sum = laplace_sum("-", ctx, eta, AIRY_LINK_QUAD_TOL)
     psi_plus = plus_sum.value

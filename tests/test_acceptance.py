@@ -117,15 +117,15 @@ def test_criterion_6_airy_identities_numeric():
 def test_criterion_7_voros_connection_formula():
     with _Stopwatch(120.0) as sw:
         report = run_voros_grid("default")
-        ok = (report["passed"]
-              and report["max_plus_residual"] < 1e-6
-              and report["max_minus_residual"] < 1e-8)
+        ok = (report.passed
+              and report.body["max_plus_residual"] < 1e-6
+              and report.body["max_minus_residual"] < 1e-8)
     _report("criterion 7: Voros formula on the 10x3 grid", sw, ok)
 
 
 def test_criterion_8_pearcey_symbolic_suite():
     with _Stopwatch(120.0) as sw:
-        report = run_pearcey_verify(order=8, points=100, seed=42, ann_points=20)
+        report = run_pearcey_verify(order=8, points=100, seed=42, ann_points=20).body
         ok = (report["closedness"]["passed"]
               and report["primitives"]["passed"]
               and report["quartic"]["max_residual"] < 1e-12

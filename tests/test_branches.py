@@ -10,15 +10,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exactwkb.branches import (ANCHOR_SERIES_TERMS, CHART_TERMS, MATCH_MARGIN,
-                               BranchLabel, _g_derivatives, _local_c_series,
+                               TRACE_START_MAX, BranchLabel, _g_derivatives, _local_c_series,
                                _match_indices, _x_series_shape,
                                anchored_g_triple, branch_series, continue_triple,
                                crossing_chart_series, default_sqrt_rule, g_pde_residuals,
                                monodromy_triple, solve_cubic_g, solve_cubic_g_xy,
                                solve_cubic_x, sqrt_one_minus_s, sqrt_s,
-                               verify_branch_identities)
+                               trace_branch, verify_branch_identities)
 from exactwkb.cli import main as cli_main
-from exactwkb.errors import NumericError
+from exactwkb.errors import NumericError, PreconditionError
 from exactwkb.series import ExactScalar, PuiseuxSeries as P
 
 SQRT3_4 = math.sqrt(3) / 4
@@ -222,6 +222,12 @@ class TestContinuation:
     def test_far_start_point_rejected(self):
         # the anchor series are trusted only within 0.35 of s = 0
         assert cli_main(["branches", "trace", "--from", "0.7"]) == 3
+
+    @pytest.mark.parametrize("start, samples", [(TRACE_START_MAX + 1e-9, 8),
+                                                (-0.36, 8), (0.05, 1), (0.05, -3)])
+    def test_trace_rejects_a_far_start_or_too_few_samples(self, start, samples):
+        with pytest.raises(PreconditionError):
+            trace_branch("X", 3, start, 0.4, samples)
 
     def test_reverse_continuation_from_base_1(self):
         # tracking backwards must land on the base-0 expansions with labels

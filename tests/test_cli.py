@@ -1,5 +1,6 @@
 """CLI surface: formats, exit codes, determinism."""
 
+import ast
 import io
 import json
 from contextlib import redirect_stdout
@@ -9,6 +10,7 @@ import pytest
 
 from exactwkb.branches import (ANCHOR_SERIES_TERMS, BranchLabel, branch_series,
                                default_sqrt_rule)
+from exactwkb import cli, verify
 from exactwkb.cli import main
 
 
@@ -134,7 +136,7 @@ class TestVerifiers:
 class TestExactReports:
     """Reports made only of rationals and booleans, recorded once and held byte
     for byte; float-bearing reports are left out, their last bits follow the
-    platform's LAPACK."""
+    platform's libm."""
 
     RECORDED = json.loads((Path(__file__).parent / "data" / "exact_reports.json").read_text())
 
@@ -176,6 +178,22 @@ class TestExitCodes:
         code, _ = run_cli(["branches", "trace", *endpoint])
         assert code == 3
 
+    @pytest.mark.parametrize("samples", ["1", "-3"])
+    def test_too_few_trace_samples_is_3(self, samples):
+        code, out = run_cli(["branches", "trace", "--samples", samples])
+        assert (code, out) == (3, "")
+
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_airy_link_gate_not_positive_and_finite_is_3(self, tol):
+        code, out = run_cli(["verify", "airy-link", "--x", "0.866,-0.5",
+                             "--eta", "8", "--tol", tol])
+        assert (code, out) == (3, "")
+
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_empty_pearcey_sample_is_3(self, points):
+        code, out = run_cli(["pearcey", "verify", "--order", "2", "--points", points])
+        assert (code, out) == (3, "")
+
 
 class TestDeterminism:
     def test_seeded_reports_are_byte_identical(self):
@@ -190,3 +208,39 @@ class TestDeterminism:
         _, out_a = run_cli(["weyl", "verify", "--json"])
         _, out_b = run_cli(["weyl", "verify", "--json"])
         assert out_a == out_b
+
+
+def package_modules(source):
+    """The package modules a module's source imports, by short name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.split(".")[0] == "exactwkb"):
+            module = (node.module or "").removeprefix("exactwkb").lstrip(".")
+            found |= {module} if module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.removeprefix("exactwkb.") for alias in node.names
+                      if alias.name.split(".")[0] == "exactwkb"}
+    return found
+
+
+class TestReportPath:
+    def test_import_finder_sees_every_form(self):
+        source = ("from . import branches, verify\nfrom .errors import X\n"
+                  "import exactwkb.pearcey\nfrom exactwkb.series import P\nimport json")
+        assert package_modules(source) == {"branches", "verify", "errors",
+                                           "pearcey", "series"}
+
+    def test_cli_imports_only_verify_and_errors(self):
+        """Every report is built in exactwkb.verify, so the CLI needs no other
+        package module."""
+        assert package_modules(Path(cli.__file__).read_text()) == {"verify", "errors"}
+
+    def test_verify_all_reads_each_subcommand_verdict(self, monkeypatch):
+        failing = verify.Report({}, passed=False)
+        for name in ("wkb_coeffs", "wkb_borel", "branches_verify", "airy_link",
+                     "run_voros_grid", "run_pearcey_verify", "weyl_verify"):
+            monkeypatch.setattr(verify, name, lambda *args, **kwargs: failing)
+        report = verify.run_all(fast=True)
+        assert report.body["sections"] and not any(report.body["sections"].values())
+        assert not report.passed

@@ -264,8 +264,29 @@ class TestRecursion:
         construction, and the field oracle below is its witness."""
         monkeypatch.setattr(pearcey, "denominator_is_unit_power", lambda rec: False)
         report = run_pearcey_verify(4, 5, 42, ann_points=2)
-        assert report["denominator_shape"] is False
-        assert report["passed"]
+        assert report.body["denominator_shape"] is False
+        assert report.passed
+
+    @pytest.mark.parametrize("points, ann_points", [(0, 2), (-1, 2), (5, 0)])
+    def test_suite_rejects_an_empty_sample(self, points, ann_points):
+        with pytest.raises(PreconditionError):
+            run_pearcey_verify(2, points, 42, ann_points=ann_points)
+
+    def test_suite_raises_a_root_finder_failure(self, monkeypatch):
+        """A NumericError is reported, not drawn again like a point outside
+        the domain."""
+        real = pearcey.quartic_g_roots
+        calls = []
+
+        def fails_first(x1, x2, y):
+            calls.append((x1, x2, y))
+            if len(calls) == 1:
+                raise NumericError("no convergence")
+            return real(x1, x2, y)
+
+        monkeypatch.setattr(pearcey, "quartic_g_roots", fails_first)
+        with pytest.raises(NumericError):
+            run_pearcey_verify(2, 5, 42, ann_points=2)
 
     def test_closedness_and_primitives_to_order_12(self):
         rec = pearcey_recursion(12)
@@ -393,7 +414,7 @@ class TestNoNumpy:
             from exactwkb.resummation import verify_voros
             from exactwkb.verify import run_pearcey_verify
             assert verify_voros(cmath.exp(1j * math.pi / 6), 8.0).passed
-            assert run_pearcey_verify(4, 20, 42, ann_points=5)["passed"]
+            assert run_pearcey_verify(4, 20, 42, ann_points=5).passed
             assert "numpy" not in sys.modules, "numpy was imported"
         """)
         run_in_a_fresh_interpreter(script)
@@ -522,4 +543,4 @@ class TestAnnihilation:
 
         monkeypatch.setattr(pearcey, "quartic_coefficients", broken)
         assert homogeneity_residual(0.7 + 0.1j, -1.2, 0.9 - 0.3j, 2.0) > 1e-3
-        assert not run_pearcey_verify(4, 20, 42, ann_points=5)["passed"]
+        assert not run_pearcey_verify(4, 20, 42, ann_points=5).passed

@@ -371,8 +371,8 @@ class TestConnectionFormulas:
         grid = run_voros_grid("quick")
         assert all(point["plus_residual"] > 10 * resummation.VOROS_PLUS_TOL
                    and point["minus_residual"] < resummation.VOROS_MINUS_TOL
-                   for point in grid["points"])
-        assert not grid["passed"]
+                   for point in grid.body["points"])
+        assert not grid.passed
 
     def test_grid_fails_on_a_nan_residual(self, monkeypatch):
         # max(0.0, nan) is 0.0: a gate on the running maximum would pass this
@@ -383,7 +383,7 @@ class TestConnectionFormulas:
                                        minus_residual=math.nan)
 
         monkeypatch.setattr(resummation, "verify_voros", nan_minus_residual)
-        assert not run_voros_grid("quick")["passed"]
+        assert not run_voros_grid("quick").passed
 
     def test_oracle_rejects_a_wrong_minus_sum(self, monkeypatch):
         """A "-" sum off by 1e-7 fails the no-jump gate.
@@ -402,7 +402,7 @@ class TestConnectionFormulas:
         report = verify_voros(cmath.exp(1j * math.pi / 6), 8.0)
         assert report.minus_residual > 1e-8
         assert not report.passed
-        assert not run_voros_grid("quick")["passed"]
+        assert not run_voros_grid("quick").passed
 
     def test_cut_term_equals_jump(self):
         """i * (the "-" sum) is the Laplace integral of Delta g_3, bit for bit,
