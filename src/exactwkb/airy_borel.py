@@ -26,8 +26,6 @@ from .series import PuiseuxSeries
 S_VAR = "s"   # expansion variable at the base point s = 0
 U_VAR = "u"   # u = 1 - s, expansion variable at the base point s = 1
 
-PREFACTOR_TAG = "sqrt(3)/(2*sqrt(pi)*x)"
-
 
 @dataclass(frozen=True)
 class BorelSeries:

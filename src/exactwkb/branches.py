@@ -25,7 +25,9 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import islice, repeat
+from operator import add, itemgetter, mul
 
 from .airy_borel import borel_series
 from .errors import NumericError, PreconditionError
@@ -207,34 +209,40 @@ def crossing_chart_series(branch: str, family: str = "X",
 # numeric roots
 # ---------------------------------------------------------------------------
 
+# omega ** k, k = 0, 1, 2, for the primitive cube root omega of unity
+_OMEGA_POWERS = tuple(complex(-0.5, SQRT3 / 2) ** k for k in range(3))
+
+
 def _depressed_cubic_roots(p: complex, q: complex) -> tuple[complex, complex, complex]:
     """Roots of t^3 + p t + q by Cardano, deterministic branch choices."""
     if p == 0 and q == 0:
         return (0j, 0j, 0j)
     disc = (q / 2) ** 2 + (p / 3) ** 3
-    u3 = -q / 2 + cmath.sqrt(disc)
+    half_q = -q / 2
+    u3 = half_q + cmath.sqrt(disc)
     if abs(u3) < 1e-30:
-        u3 = -q / 2 - cmath.sqrt(disc)
+        u3 = half_q - cmath.sqrt(disc)
     u = u3 ** (1.0 / 3.0)
-    omega = complex(-0.5, SQRT3 / 2)
-    roots = []
-    for k in range(3):
-        uk = u * omega ** k
-        roots.append(uk - p / (3 * uk))
-    return tuple(roots)
+    w0, w1, w2 = _OMEGA_POWERS
+    u0, u1, u2 = u * w0, u * w1, u * w2
+    return (u0 - p / (3 * u0), u1 - p / (3 * u1), u2 - p / (3 * u2))
 
 
 def _polish_cubic(a3: complex, a1: complex, a0: complex, root: complex) -> complex:
     """Newton polish of a root of a3 t^3 + a1 t + a0 (guarded near F' = 0)."""
     t = root
+    a3_3 = 3 * a3
     for _ in range(POLISH_ITERATIONS):
-        f = (a3 * t * t * t) + a1 * t + a0
-        fp = 3 * a3 * t * t + a1
-        if abs(fp) < 1e-13 * max(1.0, abs(a3 * t * t)):
+        a3_tt = a3 * t * t
+        fp = a3_3 * t * t + a1
+        # the guards compare with max(1.0, |.|), written out
+        size = abs(a3_tt)
+        if abs(fp) < 1e-13 * (size if size > 1.0 else 1.0):
             break
-        step = f / fp
+        step = (a3_tt * t + a1 * t + a0) / fp
         t -= step
-        if abs(step) <= 1e-16 * max(1.0, abs(t)):
+        size = abs(t)
+        if abs(step) <= 1e-16 * (size if size > 1.0 else 1.0):
             break
     return t
 
@@ -244,9 +252,9 @@ def solve_cubic_g(s: complex) -> tuple[complex, complex, complex]:
     a3 = 16 * s * (1 - s)
     if abs(a3) < 1e-12:
         raise NumericError(f"cubic degenerates at s = {s}")
-    p = -3 / a3
-    q = -1 / a3
-    return tuple(_polish_cubic(a3, -3, -1, r) for r in _depressed_cubic_roots(p, q))
+    r0, r1, r2 = _depressed_cubic_roots(-3 / a3, -1 / a3)
+    return (_polish_cubic(a3, -3, -1, r0), _polish_cubic(a3, -3, -1, r1),
+            _polish_cubic(a3, -3, -1, r2))
 
 
 def solve_cubic_x(s: complex) -> tuple[complex, complex, complex]:
@@ -285,11 +293,18 @@ def solve_cubic_x(s: complex) -> tuple[complex, complex, complex]:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _g_series_terms(shape: int, n_terms: int) -> tuple:
-    """The terms of ``_g_series_shape`` as (power of the local root, complex
-    coefficient) pairs, converted from the exact coefficients once."""
-    return tuple((int(2 * e), complex(coeff))
-                 for e, coeff in _g_series_shape(shape, n_terms).terms.items())
+def _anchor_terms(anchor: int) -> tuple:
+    """The series of ``anchored_g_triple`` at an anchor, converted from the
+    exact coefficients once: the powers of the local root they use, and per
+    branch its complex coefficients with a getter of their powers' values."""
+    series = [_g_series_shape(index if anchor == 0 else _LABEL_SWAP_AT_1[index],
+                              ANCHOR_SERIES_TERMS).terms for index in (1, 2, 3)]
+    powers = sorted({int(2 * e) for terms in series for e in terms})
+    where = {power: k for k, power in enumerate(powers)}
+    return tuple(powers), tuple(
+        (tuple(complex(coeff) for coeff in terms.values()),
+         itemgetter(*(where[int(2 * e)] for e in terms)))
+        for terms in series)
 
 
 def anchored_g_triple(anchor: int, local_root: complex) -> tuple[complex, complex, complex]:
@@ -301,14 +316,12 @@ def anchored_g_triple(anchor: int, local_root: complex) -> tuple[complex, comple
     """
     if local_root == 0:
         raise PreconditionError("branch values diverge at the base point itself")
-    out = []
-    for index in (1, 2, 3):
-        shape = index if anchor == 0 else _LABEL_SWAP_AT_1[index]
-        total = 0j
-        for power, coeff in _g_series_terms(shape, ANCHOR_SERIES_TERMS):
-            total += coeff * local_root ** power
-        out.append(total)
-    return tuple(out)
+    powers, ((c1, pick1), (c2, pick2), (c3, pick3)) = _anchor_terms(anchor)
+    values = list(map(pow, repeat(local_root), powers))
+    # each sum runs from 0j through the terms in series order, as a loop of +=
+    return (reduce(add, map(mul, c1, pick1(values)), 0j),
+            reduce(add, map(mul, c2, pick2(values)), 0j),
+            reduce(add, map(mul, c3, pick3(values)), 0j))
 
 
 @lru_cache(maxsize=None)
@@ -343,19 +356,22 @@ def _match_indices(predicted: tuple, candidates, scale: float) -> tuple | None:
     (distance, index) pairs.  A NaN distance, from a NaN predicted value or
     candidate, is ambiguous and gives None.
     """
-    taken = [False] * 3
+    c0, c1, c2 = candidates
+    taken = [False, False, False]
     result = []
     for p in predicted:
-        d0, d1, d2 = [abs(p - c) / scale for c in candidates]
+        d0 = abs(p - c0) / scale
+        d1 = abs(p - c1) / scale
+        d2 = abs(p - c2) / scale
         if d0 <= d1:
             if d2 < d0:
                 jbest, best, second = 2, d2, d0
             else:
-                jbest, best, second = 0, d0, min(d1, d2)
+                jbest, best, second = 0, d0, d2 if d2 < d1 else d1
         elif d2 < d1:
             jbest, best, second = 2, d2, d1
         else:
-            jbest, best, second = 1, d1, min(d0, d2)
+            jbest, best, second = 1, d1, d2 if d2 < d0 else d0
         # negated so that a NaN nearest or runner-up fails it; a NaN candidate
         # is never the nearest, so it is left unmatched and the match fails
         if taken[jbest] or not (best == 0 or second >= MATCH_MARGIN * best):
@@ -365,21 +381,15 @@ def _match_indices(predicted: tuple, candidates, scale: float) -> tuple | None:
     return tuple(result)
 
 
-def _g_derivatives(s: complex, g: complex) -> complex:
-    """dG/ds from implicit differentiation of the scaled cubic.
-
-    F_G vanishes only at the double root G = -1/2 of s = 1/2, which the
-    tracker reaches through the crossing chart; there it raises NumericError.
-    """
-    f_s = 16 * (1 - 2 * s) * g ** 3
-    f_g = 48 * s * (1 - s) * g ** 2 - 3
-    if abs(f_g) < 1e-12:
-        raise NumericError(f"dG/ds is undefined at the double root G = {g} of s = {s}")
-    return -f_s / f_g
-
-
 def _step_triple(s0: complex, triple: tuple, s1: complex, depth: int = 0) -> tuple:
-    """One continuation step for the ordered root triple of the scaled cubic."""
+    """One continuation step for the ordered root triple of the scaled cubic.
+
+    Each branch is predicted by an Euler step on dG/ds = -F_s / F_G, from
+    implicit differentiation of the scaled cubic, and matched to a root at s1.
+    On a root, F_G vanishes only at the double root G = -1/2 of s = 1/2,
+    which the tracker reaches through the crossing chart; a prediction that
+    meets F_G = 0 raises NumericError.
+    """
     if depth > MAX_HALVINGS:
         raise NumericError(f"continuation step underflow near s = {s0}")
 
@@ -388,15 +398,33 @@ def _step_triple(s0: complex, triple: tuple, s1: complex, depth: int = 0) -> tup
         return _step_triple_chart(s0, triple, s1, depth)
 
     ds = s1 - s0
-    predicted = tuple(g + _g_derivatives(s0, g) * ds for g in triple)
-    candidates = list(solve_cubic_g(s1))
-    scale = max(1.0, max(abs(g) for g in triple))
-    matched = _match_indices(predicted, candidates, scale)
+    # the factors of F_s = 16 (1 - 2s) G^3 and F_G = 48 s (1 - s) G^2 - 3 at s0
+    f_s0 = 16 * (1 - 2 * s0)
+    f_g0 = 48 * s0 * (1 - s0)
+    predicted = []
+    for g in triple:
+        f_s = f_s0 * g ** 3
+        f_g = f_g0 * g ** 2 - 3
+        if abs(f_g) < 1e-12:
+            raise NumericError(f"dG/ds is undefined at the double root G = {g} of s = {s0}")
+        predicted.append(g + -f_s / f_g * ds)
+    candidates = solve_cubic_g(s1)
+    # max(1.0, max(|g|)), written out
+    g0, g1, g2 = triple
+    scale = abs(g0)
+    size = abs(g1)
+    if size > scale:
+        scale = size
+    size = abs(g2)
+    if size > scale:
+        scale = size
+    matched = _match_indices(predicted, candidates, scale if scale > 1.0 else 1.0)
     if matched is None:
         mid = (s0 + s1) / 2
         half = _step_triple(s0, triple, mid, depth + 1)
         return _step_triple(mid, half, s1, depth + 1)
-    return tuple(candidates[j] for j in matched)
+    j0, j1, j2 = matched
+    return (candidates[j0], candidates[j1], candidates[j2])
 
 
 def _step_triple_chart(s0: complex, triple: tuple, s1: complex, depth: int) -> tuple:
@@ -443,6 +471,9 @@ def _step_triple_chart(s0: complex, triple: tuple, s1: complex, depth: int) -> t
 
 
 COLLISION_NUDGE = 1e-4
+# most continuation steps one continue_triple call takes; the largest path
+# of the tests, the Voros grids, the CLI defaults and the benchmark takes 132
+MAX_PATH_STEPS = 100_000
 
 
 def continue_triple(path: list, triple: tuple,
@@ -453,24 +484,35 @@ def continue_triple(path: list, triple: tuple,
     along the direction of travel: the branches are analytic through the
     crossing, but their identities cannot be read off from the collided value
     itself, so the tracker must not sample exactly there.
+
+    A path of more than MAX_PATH_STEPS steps raises PreconditionError before
+    any step is taken.
     """
     grid = [complex(path[0])]
+    steps = 0
     for s_next in path[1:]:
         s_prev = grid[-1]
         span = abs(s_next - s_prev)
         if not cmath.isfinite(span):
             raise PreconditionError(f"path segment {s_prev!r} -> {s_next!r} is not finite")
-        n = max(1, int(span / max_step) + 1)
+        n = max(1, int(min(span / max_step, MAX_PATH_STEPS)) + 1)
+        steps += n
+        if steps > MAX_PATH_STEPS:
+            raise PreconditionError(
+                f"the path needs more than MAX_PATH_STEPS = {MAX_PATH_STEPS} steps")
+        delta = s_next - s_prev
         for k in range(1, n + 1):
-            grid.append(s_prev + (s_next - s_prev) * k / n)
+            grid.append(s_prev + delta * k / n)
     for i in range(1, len(grid) - 1):
         if abs(grid[i] - 0.5) < COLLISION_NUDGE:
             direction = grid[i + 1] - grid[i - 1]
             direction /= max(abs(direction), 1e-30)
             grid[i] = grid[i] + 2 * COLLISION_NUDGE * direction
     current = triple
-    for k in range(1, len(grid)):
-        current = _step_triple(grid[k - 1], current, grid[k])
+    s0 = grid[0]
+    for s1 in islice(grid, 1, None):
+        current = _step_triple(s0, current, s1)
+        s0 = s1
     return current
 
 

@@ -125,6 +125,7 @@ class RayField:
     def __init__(self, anchor: int, kappa: complex):
         self.anchor = anchor
         self.kappa = kappa
+        self._abs_kappa = abs(kappa)
         self._ts: list[float] = []
         self._triples: list[tuple] = []
 
@@ -146,23 +147,26 @@ class RayField:
         return self.anchor + self.kappa * t
 
     def triple(self, t: float) -> tuple:
-        if abs(self.kappa) * t <= _SERIES_HANDOFF:
+        if self._abs_kappa * t <= _SERIES_HANDOFF:
             return anchored_g_triple(self.anchor, self._local_root(t))
-        if not self._ts:
-            t0 = _SERIES_HANDOFF / abs(self.kappa)
-            self._ts.append(t0)
-            self._triples.append(anchored_g_triple(self.anchor, self._local_root(t0)))
-        idx = bisect.bisect_left(self._ts, t)
-        if idx < len(self._ts) and abs(self._ts[idx] - t) < 1e-15 * max(1.0, t):
-            return self._triples[idx]
-        nearest = min(
-            (i for i in (idx - 1, idx) if 0 <= i < len(self._ts)),
-            key=lambda i: abs(self._ts[i] - t),
-        )
-        triple = continue_triple([self._s_of(self._ts[nearest]), self._s_of(t)],
-                                 self._triples[nearest], max_step=0.02)
-        self._ts.insert(idx, t)
-        self._triples.insert(idx, triple)
+        ts, triples = self._ts, self._triples
+        if not ts:
+            t0 = _SERIES_HANDOFF / self._abs_kappa
+            ts.append(t0)
+            triples.append(anchored_g_triple(self.anchor, self._local_root(t0)))
+        idx = bisect.bisect_left(ts, t)
+        n = len(ts)
+        if idx < n and abs(ts[idx] - t) < 1e-15 * (t if t > 1.0 else 1.0):
+            return triples[idx]
+        # the nearer cached sample, the lower one on a tie
+        if idx == n or (idx > 0 and not abs(ts[idx] - t) < abs(ts[idx - 1] - t)):
+            nearest = idx - 1
+        else:
+            nearest = idx
+        triple = continue_triple([self._s_of(ts[nearest]), self._s_of(t)],
+                                 triples[nearest], max_step=0.02)
+        ts.insert(idx, t)
+        triples.insert(idx, triple)
         return triple
 
 

@@ -6,12 +6,15 @@ import random
 from fractions import Fraction as Fr
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from exactwkb.branches import (ANCHOR_SERIES_TERMS, CHART_TERMS, MATCH_MARGIN,
-                               TRACE_START_MAX, BranchLabel, _g_derivatives, _local_c_series,
-                               _match_indices, _x_series_shape,
+from exactwkb import branches
+from exactwkb.branches import (ANCHOR_SERIES_TERMS, CHART_TERMS, CHART_ZONE, MATCH_MARGIN,
+                               MAX_HALVINGS, POLISH_ITERATIONS, SQRT3, TRACE_START_MAX,
+                               BranchLabel, _depressed_cubic_roots, _local_c_series,
+                               _match_indices, _polish_cubic, _step_triple,
+                               _step_triple_chart, _x_series_shape,
                                anchored_g_triple, branch_series, continue_triple,
                                crossing_chart_series, default_sqrt_rule, g_pde_residuals,
                                monodromy_triple, solve_cubic_g, solve_cubic_g_xy,
@@ -249,8 +252,40 @@ class TestContinuation:
         assert abs(residual) < 1e-10
 
     def test_no_derivative_at_the_double_root(self):
-        with pytest.raises(NumericError):
-            _g_derivatives(0.5, -0.5)
+        # F_G = 48 s (1-s) G^2 - 3 vanishes on a root only at the double root
+        # of s = 1/2, which the crossing chart handles; a value placed where
+        # it vanishes (G = 5/8 at s = 1/5) raises instead of dividing by ~0
+        with pytest.raises(NumericError, match="dG/ds is undefined"):
+            _step_triple(0.2, (0.625, 0.625, 0.625), 0.21)
+
+    def test_a_path_over_the_step_budget_raises_before_any_step(self, monkeypatch):
+        steps = []
+        monkeypatch.setattr(branches, "_step_triple",
+                            lambda s0, triple, s1: steps.append(s1) or triple)
+        with pytest.raises(PreconditionError, match="MAX_PATH_STEPS"):
+            continue_triple([0.01, 1e10], anchored_g_triple(0, sqrt_s(0.01)))
+        with pytest.raises(PreconditionError, match="MAX_PATH_STEPS"):
+            trace_branch("X", 3, 0.01, 1e10, 2)
+        assert steps == []
+
+    @pytest.mark.parametrize("path, n_steps", [([0.0, 4.5, 9.0], 10),
+                                               ([0.0, 4.5, 9.0, 9.5], None)])
+    def test_the_step_budget_counts_every_segment(self, monkeypatch, path, n_steps):
+        # segments of 4.5, 4.5 and 0.5 at max_step 1 take 5, 5 and 1 steps
+        monkeypatch.setattr(branches, "MAX_PATH_STEPS", 10)
+        steps = []
+        monkeypatch.setattr(branches, "_step_triple",
+                            lambda s0, triple, s1: steps.append(s1) or triple)
+        if n_steps is None:
+            with pytest.raises(PreconditionError):
+                continue_triple(path, (0j, 0j, 0j), max_step=1.0)
+        else:
+            continue_triple(path, (0j, 0j, 0j), max_step=1.0)
+        assert len(steps) == (n_steps or 0)
+
+    @pytest.mark.parametrize("stop", ["1e10", "1e307"])   # 1e307 / DEFAULT_STEP overflows
+    def test_trace_over_the_step_budget_is_3(self, stop):
+        assert cli_main(["branches", "trace", "--to", stop, "--samples", "2"]) == 3
 
 
 def sorted_match_indices(predicted, candidates, scale):
@@ -262,6 +297,29 @@ def sorted_match_indices(predicted, candidates, scale):
         best, jbest = dists[0]
         second = dists[1][0]
         if taken[jbest] or (best > 0 and second < MATCH_MARGIN * best):
+            return None
+        taken[jbest] = True
+        result.append(jbest)
+    return tuple(result)
+
+
+def list_match_indices(predicted, candidates, scale):
+    """The matcher with a list of distances per predicted value and the
+    builtin min: the form the written-out matcher must agree with."""
+    taken = [False] * 3
+    result = []
+    for p in predicted:
+        d0, d1, d2 = [abs(p - c) / scale for c in candidates]
+        if d0 <= d1:
+            if d2 < d0:
+                jbest, best, second = 2, d2, d0
+            else:
+                jbest, best, second = 0, d0, min(d1, d2)
+        elif d2 < d1:
+            jbest, best, second = 2, d2, d1
+        else:
+            jbest, best, second = 1, d1, min(d0, d2)
+        if taken[jbest] or not (best == 0 or second >= MATCH_MARGIN * best):
             return None
         taken[jbest] = True
         result.append(jbest)
@@ -308,6 +366,212 @@ class TestMatchIndices:
     ])
     def test_nan_distance_is_ambiguous(self, predicted, candidates):
         assert _match_indices(predicted, candidates, 1.0) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(_TRIPLES, _TRIPLES, st.sampled_from([1.0, 0.5, 3.0, 1e-3]))
+    @example((0j, 0j, 0j), (1, -1, 3), 1.0)
+    @example((0j, 1 + 0j, 4 + 0j), (0, 1, 4), 1.0)
+    @example((0j, 5 + 0j, -2 + 0j), (1, 5, -2), 1.0)
+    @example((0j, -2 + 0j, 5 + 0j), (-2, 1, 5), 1.0)
+    @example((math.nan, 0, 5), (0, 1, 5), 1.0)
+    @example((0, 1, 5), (0, 1, math.nan), 1.0)
+    def test_written_out_comparisons_choose_as_the_list_form_does(
+            self, predicted, candidates, scale):
+        assert (_match_indices(predicted, candidates, scale)
+                == list_match_indices(predicted, candidates, scale))
+
+
+# ---------------------------------------------------------------------------
+# the tracker kernel composed of its small steps, as it was before it was
+# written out: Cardano and three Newton polishes, dG/ds per branch and the
+# list-form matcher.  The written-out kernel must keep every bit of it.
+# ---------------------------------------------------------------------------
+
+def cardano_roots(p, q):
+    if p == 0 and q == 0:
+        return (0j, 0j, 0j)
+    disc = (q / 2) ** 2 + (p / 3) ** 3
+    u3 = -q / 2 + cmath.sqrt(disc)
+    if abs(u3) < 1e-30:
+        u3 = -q / 2 - cmath.sqrt(disc)
+    u = u3 ** (1.0 / 3.0)
+    omega = complex(-0.5, SQRT3 / 2)
+    roots = []
+    for k in range(3):
+        uk = u * omega ** k
+        roots.append(uk - p / (3 * uk))
+    return tuple(roots)
+
+
+def newton_polish(a3, a1, a0, root):
+    t = root
+    for _ in range(POLISH_ITERATIONS):
+        f = (a3 * t * t * t) + a1 * t + a0
+        fp = 3 * a3 * t * t + a1
+        if abs(fp) < 1e-13 * max(1.0, abs(a3 * t * t)):
+            break
+        step = f / fp
+        t -= step
+        if abs(step) <= 1e-16 * max(1.0, abs(t)):
+            break
+    return t
+
+
+def composed_solve_cubic_g(s):
+    a3 = 16 * s * (1 - s)
+    if abs(a3) < 1e-12:
+        raise NumericError(f"cubic degenerates at s = {s}")
+    p = -3 / a3
+    q = -1 / a3
+    return tuple(newton_polish(a3, -3, -1, r) for r in cardano_roots(p, q))
+
+
+def g_derivative(s, g):
+    f_s = 16 * (1 - 2 * s) * g ** 3
+    f_g = 48 * s * (1 - s) * g ** 2 - 3
+    if abs(f_g) < 1e-12:
+        raise NumericError(f"dG/ds is undefined at the double root G = {g} of s = {s}")
+    return -f_s / f_g
+
+
+def composed_step_triple(s0, triple, s1, depth=0):
+    if depth > MAX_HALVINGS:
+        raise NumericError(f"continuation step underflow near s = {s0}")
+    if abs(s1 - 0.5) < CHART_ZONE or abs(s0 - 0.5) < CHART_ZONE:
+        return _step_triple_chart(s0, triple, s1, depth)
+    ds = s1 - s0
+    predicted = tuple(g + g_derivative(s0, g) * ds for g in triple)
+    candidates = list(composed_solve_cubic_g(s1))
+    scale = max(1.0, max(abs(g) for g in triple))
+    matched = list_match_indices(predicted, candidates, scale)
+    if matched is None:
+        mid = (s0 + s1) / 2
+        half = composed_step_triple(s0, triple, mid, depth + 1)
+        return composed_step_triple(mid, half, s1, depth + 1)
+    return tuple(candidates[j] for j in matched)
+
+
+def termwise_anchored_g_triple(anchor, local_root):
+    if local_root == 0:
+        raise PreconditionError("branch values diverge at the base point itself")
+    out = []
+    for index in (1, 2, 3):
+        total = 0j
+        terms = branch_series(BranchLabel("g", index, anchor), ANCHOR_SERIES_TERMS).terms
+        for e, coeff in terms.items():
+            total += complex(coeff) * local_root ** int(2 * e)
+        out.append(total)
+    return tuple(out)
+
+
+def outcome(fn, *args):
+    """What fn(*args) gives, each float as float.hex, or what it raises."""
+    try:
+        value = fn(*args)
+    except (ArithmeticError, NumericError, PreconditionError) as exc:
+        return type(exc).__name__, str(exc)
+    return tuple((type(z).__name__, z.real.hex(), z.imag.hex()) for z in value)
+
+
+_FINITE = {"allow_nan": False, "allow_infinity": False}
+
+
+def _near(base, smallest):
+    """Points at a distance from ``smallest`` to 0.05 of ``base``, any direction."""
+    return st.builds(lambda r, phi: base + r * cmath.exp(1j * phi),
+                     st.floats(smallest, 0.05), st.floats(-math.pi, math.pi))
+
+
+_S_ANYWHERE = st.one_of(st.complex_numbers(max_magnitude=1e4, **_FINITE),
+                        st.floats(-3, 3), _near(0, 1e-15), _near(1, 1e-15))
+_COEFFS = st.one_of(st.complex_numbers(max_magnitude=1e3, **_FINITE),
+                    st.builds(complex, st.integers(-4, 4), st.integers(-4, 4)),
+                    st.floats(-10, 10))
+NAN = float("nan")
+
+
+class TestKernelKeepsItsBits:
+    @settings(max_examples=300, deadline=None)
+    @given(_S_ANYWHERE)
+    @example(0.0)
+    @example(1e-14 + 0j)            # |16 s (1 - s)| below 1e-12: raises
+    @example(1 - 1e-14j)
+    @example(0.99)
+    @example(0.5)                   # the double root
+    @example(complex(NAN, 0.2))
+    def test_solve_cubic_g(self, s):
+        assert outcome(solve_cubic_g, s) == outcome(composed_solve_cubic_g, s)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_COEFFS, _COEFFS)
+    @example(0j, 0j)
+    @example(-3 / 4, -1 / 4)        # the scaled cubic at s = 1/2: a double root
+    def test_depressed_cubic_roots(self, p, q):
+        assert outcome(_depressed_cubic_roots, p, q) == outcome(cardano_roots, p, q)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_COEFFS, _COEFFS, _COEFFS, _COEFFS)
+    @example(4 + 0j, -3, -1, -0.5 + 0j)   # F' = 0 at the double root
+    @example(1 + 0j, 0.01 + 0j, 0j, 0.05 + 0j)
+    def test_polish_cubic(self, a3, a1, a0, root):
+        def polish(*args):
+            return (_polish_cubic(*args),)
+
+        def oracle(*args):
+            return (newton_polish(*args),)
+
+        assert outcome(polish, a3, a1, a0, root) == outcome(oracle, a3, a1, a0, root)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.complex_numbers(max_magnitude=2, **_FINITE),
+           st.complex_numbers(max_magnitude=0.3, **_FINITE),
+           st.permutations([0, 1, 2]))
+    @example(0.1 + 0.05j, 0.2, [0, 1, 2])      # steps that halve, see below
+    @example(0.9 + 0.05j, -0.3, [2, 0, 1])
+    @example(0.3 + 0.2j, 0.01, [1, 2, 0])
+    def test_step_triple_off_the_chart(self, s0, ds, order):
+        s1 = s0 + ds
+        assume(abs(s0 - 0.5) >= CHART_ZONE and abs(s1 - 0.5) >= CHART_ZONE)
+        assume(abs(16 * s0 * (1 - s0)) >= 1e-12)
+        roots = solve_cubic_g(s0)
+        triple = tuple(roots[j] for j in order)
+        assert (outcome(_step_triple, s0, triple, s1)
+                == outcome(composed_step_triple, s0, triple, s1))
+
+    @pytest.mark.parametrize("s0, triple, s1", [
+        (0.2, (NAN, 0j, 1 + 0j), 0.21),                  # matching fails at every depth
+        (0.2, (complex(0.3, NAN), 0j, 1 + 0j), 0.21),
+        (0.2, solve_cubic_g(0.2), complex(NAN, 0.0)),
+        (complex(NAN, NAN), solve_cubic_g(0.2), 0.21),
+        (0.2, (0.625, 0.625, 0.625), 0.21),              # F_G = 0: dG/ds undefined
+    ])
+    def test_step_triple_on_nan_and_undefined_inputs(self, s0, triple, s1):
+        assert (outcome(_step_triple, s0, triple, s1)
+                == outcome(composed_step_triple, s0, triple, s1))
+
+    def test_the_examples_halve(self, monkeypatch):
+        solves = []
+        monkeypatch.setattr(branches, "solve_cubic_g",
+                            lambda s, solve=solve_cubic_g: solves.append(s) or solve(s))
+        for s0, ds, halvings in ((0.1 + 0.05j, 0.2, 2), (0.9 + 0.05j, -0.3, 4)):
+            solves.clear()
+            _step_triple(s0, solve_cubic_g(s0), s0 + ds)
+            assert len(solves) == 2 * halvings + 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([0, 1]), st.floats(1e-8, 0.6), st.floats(-math.pi, math.pi))
+    @example(0, 0.3, 0.0)
+    @example(1, 0.3, math.pi / 2)
+    def test_anchored_g_triple(self, anchor, radius, phase):
+        root = cmath.rect(radius, phase)
+        assert (outcome(anchored_g_triple, anchor, root)
+                == outcome(termwise_anchored_g_triple, anchor, root))
+
+    @pytest.mark.parametrize("root", [0j, 0.0, complex(NAN, 0.1), complex(0.2, -0.0)])
+    @pytest.mark.parametrize("anchor", [0, 1])
+    def test_anchored_g_triple_at_edge_inputs(self, anchor, root):
+        assert (outcome(anchored_g_triple, anchor, root)
+                == outcome(termwise_anchored_g_triple, anchor, root))
 
 
 class TestMonodromy:

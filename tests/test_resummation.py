@@ -2,8 +2,11 @@
 
 import cmath
 import dataclasses
+import functools
+import importlib
 import json
 import math
+import sys
 from pathlib import Path
 
 import mpmath
@@ -524,31 +527,95 @@ class TestRayMonodromy:
                 gamma_term(ctx, wrong)
 
 
+def _recorded(name):
+    return json.loads((Path(__file__).parent / "data" / name).read_text())
+
+
+def _recorded_point(record):
+    x = complex(float.fromhex(record["x"][0]), float.fromhex(record["x"][1]))
+    return x, float.fromhex(record["eta"])
+
+
+def _assert_report_keeps_its_bits(record):
+    report = verify_voros(*_recorded_point(record))
+
+    def hexed(v):
+        return [v.real.hex(), v.imag.hex()] if isinstance(v, complex) else v.hex()
+
+    assert {f.name: hexed(getattr(report, f.name))
+            for f in dataclasses.fields(report)} == record
+
+
 class TestRecordedVorosReports:
     """Every float and complex field of verify_voros, held bit for bit (as
-    float.hex) at the quick grid and both benchmark points."""
+    float.hex) at the quick grid, both benchmark points and the default grid."""
 
-    RECORDED = json.loads((Path(__file__).parent / "data" / "voros_reports.json").read_text())
-
-    @staticmethod
-    def point(record):
-        x = complex(float.fromhex(record["x"][0]), float.fromhex(record["x"][1]))
-        return x, float.fromhex(record["eta"])
+    RECORDED = _recorded("voros_reports.json")
+    DEFAULT_GRID = _recorded("voros_default_grid.json")
 
     def test_recorded_points_are_the_quick_grid_and_the_bench_points(self):
-        recorded = {self.point(record) for record in self.RECORDED}
+        recorded = {_recorded_point(record) for record in self.RECORDED}
         assert recorded == set(_voros_grid_points("quick")) | set(BENCH_POINTS)
 
     @pytest.mark.parametrize("index", range(len(RECORDED)))
     def test_report_keeps_its_bits(self, index):
-        record = self.RECORDED[index]
-        report = verify_voros(*self.point(record))
+        _assert_report_keeps_its_bits(self.RECORDED[index])
 
-        def hexed(v):
-            return [v.real.hex(), v.imag.hex()] if isinstance(v, complex) else v.hex()
+    def test_default_grid_is_recorded_in_its_order(self):
+        assert ([_recorded_point(record) for record in self.DEFAULT_GRID]
+                == _voros_grid_points("default"))
 
-        assert {f.name: hexed(getattr(report, f.name))
-                for f in dataclasses.fields(report)} == record
+    @pytest.mark.parametrize("index", range(len(DEFAULT_GRID)))
+    def test_default_grid_report_keeps_its_bits(self, index):
+        _assert_report_keeps_its_bits(self.DEFAULT_GRID[index])
+
+
+# the tracker functions a boundary tracer hooks, as (module, attribute path),
+# with the calls one verify_voros makes at each benchmark point
+TRACKER_HOOKS = (("exactwkb.branches", "solve_cubic_g"),
+                 ("exactwkb.branches", "continue_triple"),
+                 ("exactwkb.branches", "anchored_g_triple"),
+                 ("exactwkb.resummation", "RayField.triple"),
+                 ("exactwkb.branches", "monodromy_triple"))
+TRACKER_CALLS = ((879, 411, 107, 514, 2), (487, 369, 149, 514, 2))
+
+
+def count_calls(monkeypatch, module_name, path):
+    """Wrap the function ``path`` names wherever the package binds that same
+    object, in a module or in a class of one, as a boundary tracer does; the
+    returned list counts its calls."""
+    owner = importlib.import_module(module_name)
+    *outer, attr = path.split(".")
+    for part in outer:
+        owner = vars(owner)[part]
+    target = vars(owner)[attr]
+    calls = [0]
+
+    @functools.wraps(target)
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return target(*args, **kwargs)
+
+    owners = [m for key, m in list(sys.modules.items())
+              if m is not None and (key == "exactwkb" or key.startswith("exactwkb."))]
+    owners += [v for m in owners for v in vars(m).values() if isinstance(v, type)]
+    for owner in owners:
+        for key, value in list(vars(owner).items()):
+            if value is target:
+                monkeypatch.setattr(owner, key, counted)
+    return calls
+
+
+class TestTracerBoundaries:
+    """The tracker's hooked functions stay real calls at the layer
+    boundaries: a function folded into its caller would stop being counted,
+    and its per-layer benchmark metric would read zero."""
+
+    @pytest.mark.parametrize("point, expected", list(zip(BENCH_POINTS, TRACKER_CALLS)))
+    def test_one_voros_point_makes_the_recorded_calls(self, monkeypatch, point, expected):
+        counters = [count_calls(monkeypatch, *hook) for hook in TRACKER_HOOKS]
+        verify_voros(*point)
+        assert tuple(c[0] for c in counters) == expected
 
 
 class TestRayOrientation:
