@@ -54,26 +54,42 @@ class RiccatiSolution:
             {j: self.term(j) for j in range(-1, self.order + 1)}, self.order)
 
 
-def riccati_recurrence(order: int = DEFAULT_ORDER, sign: str = "+") -> RiccatiSolution:
-    """Compute S_-1 .. S_order for the chosen square-root branch."""
+def _require_order_and_sign(order: int, sign: str) -> None:
+    if isinstance(order, bool) or not isinstance(order, int):
+        raise PreconditionError(f"order must be an int, got {order!r}")
     if order < 0:
         raise PreconditionError("order must be >= 0")
     if sign not in ("+", "-"):
         raise PreconditionError(f"sign must be '+' or '-', got {sign!r}")
-    s_m1 = Fraction(1) if sign == "+" else Fraction(-1)
-    coeffs = [s_m1]  # index j+1
+
+
+def riccati_recurrence(order: int = DEFAULT_ORDER, sign: str = "+") -> RiccatiSolution:
+    """Compute S_-1 .. S_order for the chosen square-root branch.
+
+    With S_j = c_j x^(e_j), e_j = -(3j+2)/2, and s = c_-1 = +-1, the recurrence
+    is c_(j+1) = -(e_j c_j + sum_(k=0..j) c_k c_(j-k)) / (2 s).  It runs on
+    the integers N_j = c_j 8^(j+1), and the Fractions are built once, at the
+    end.
+    """
+    _require_order_and_sign(order, sign)
+    s = 1 if sign == "+" else -1
+    # Multiplying the recurrence by 8^(j+2), with 1/(2s) = s/2 and
+    # 4 e_j = -2(3j+2), gives
+    #     N_(j+1) = s (2(3j+2) N_j - conv_j / 2),  conv_j = sum_(k=0..j) N_k N_(j-k).
+    # Every N_j with j >= 0 is even, by induction: N_0 = s (-2 s) = -2, and if
+    # N_0 .. N_j are even then each product N_k N_(j-k) is divisible by 4, so
+    # conv_j / 2 is an even integer and so is N_(j+1).  The halving is exact.
+    n = [s]  # index j+1
     for j in range(-1, order):
-        # coefficient of S_j' : c_j * e_j with e_j = -(3j+2)/2
-        deriv = coeffs[j + 1] * _monomial_exponent(j)
-        # sum_{k=0}^{j} c_k c_{j-k}: each pair k < j - k twice, plus the middle square
-        pairs = Fraction(0)
+        # conv_j / 2: each pair k < j - k once, plus half the middle square
+        half_conv = 0
         for k in range((j + 1) // 2):
-            pairs += coeffs[k + 1] * coeffs[j - k + 1]
-        conv = 2 * pairs
+            half_conv += n[k + 1] * n[j - k + 1]
         if j % 2 == 0:
-            conv += coeffs[j // 2 + 1] ** 2
-        coeffs.append(-(deriv + conv) / (2 * s_m1))
-    return RiccatiSolution(sign, order, tuple(coeffs))
+            half_conv += n[j // 2 + 1] ** 2 // 2
+        n.append(s * (2 * (3 * j + 2) * n[j + 1] - half_conv))
+    coeffs = tuple(Fraction(n_j, 8 ** (j + 1)) for j, n_j in enumerate(n, start=-1))
+    return RiccatiSolution(sign, order, coeffs)
 
 
 def riccati_residual(solution: RiccatiSolution) -> EtaExpansion:
@@ -149,10 +165,7 @@ def wkb_coefficient_stream(order: int = DEFAULT_ORDER, sign: str = "+") -> WkbCo
     of the odd tail; both are series in w = eta^-1 x^-3/2 with rational
     coefficients, so the result is exact.
     """
-    if order < 0:
-        raise PreconditionError("order must be >= 0")
-    if sign not in ("+", "-"):
-        raise PreconditionError(f"sign must be '+' or '-', got {sign!r}")
+    _require_order_and_sign(order, sign)
     source = riccati_recurrence(max(order, 1), "+")
     trunc = Fraction(order + 1)
     a_terms = {}
@@ -187,10 +200,7 @@ def closed_form_coefficients(order: int, sign: str = "+") -> list[Fraction]:
     prefactor of the explicit solution formula, which is why the values are
     plain rationals.
     """
-    if order < 0:
-        raise PreconditionError("order must be >= 0")
-    if sign not in ("+", "-"):
-        raise PreconditionError(f"sign must be '+' or '-', got {sign!r}")
+    _require_order_and_sign(order, sign)
     ratio = Fraction(3, 4) if sign == "+" else Fraction(-3, 4)
     out = [Fraction(1)]
     for n in range(1, order + 1):

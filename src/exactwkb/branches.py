@@ -34,6 +34,7 @@ from .errors import NumericError, PreconditionError
 from .series import ExactScalar, PuiseuxSeries
 
 SQRT3 = 3.0 ** 0.5
+_INF = float("inf")
 
 # |s - base| below which branch values come from the exact local series.
 SERIES_ZONE = 0.10
@@ -248,10 +249,17 @@ def _polish_cubic(a3: complex, a1: complex, a0: complex, root: complex) -> compl
 
 
 def solve_cubic_g(s: complex) -> tuple[complex, complex, complex]:
-    """All roots of 16 s (1-s) G^3 - 3 G - 1 = 0, unordered but polished."""
+    """All roots of 16 s (1-s) G^3 - 3 G - 1 = 0, unordered but polished.
+
+    A point s where 16 s (1-s) is NaN or infinite raises PreconditionError.
+    """
     a3 = 16 * s * (1 - s)
-    if abs(a3) < 1e-12:
-        raise NumericError(f"cubic degenerates at s = {s}")
+    size = abs(a3)
+    # one chained comparison on the hot path; NaN fails it too
+    if not 1e-12 <= size < _INF:
+        if size < 1e-12:
+            raise NumericError(f"cubic degenerates at s = {s}")
+        raise PreconditionError(f"16 s (1-s) is not finite at s = {s!r}")
     r0, r1, r2 = _depressed_cubic_roots(-3 / a3, -1 / a3)
     return (_polish_cubic(a3, -3, -1, r0), _polish_cubic(a3, -3, -1, r1),
             _polish_cubic(a3, -3, -1, r2))
@@ -316,6 +324,8 @@ def anchored_g_triple(anchor: int, local_root: complex) -> tuple[complex, comple
     """
     if local_root == 0:
         raise PreconditionError("branch values diverge at the base point itself")
+    if not cmath.isfinite(local_root):
+        raise PreconditionError(f"local root {local_root!r} is not finite")
     powers, ((c1, pick1), (c2, pick2), (c3, pick3)) = _anchor_terms(anchor)
     values = list(map(pow, repeat(local_root), powers))
     # each sum runs from 0j through the terms in series order, as a loop of +=

@@ -9,14 +9,16 @@ this problem lives in half-integer powers, so a finer denominator showing up
 means a symbol-manipulation bug and is rejected immediately.
 
 Scalars are fraction-free: (p + q sqrt 3)/d is three ints with d > 0 and
-gcd(p, q, d) = 1, a canonical form, so each sum or product is integer work
-and one gcd (Knuth, TAOCP vol. 2, 4.5.1).  Series products and the
+gcd(p, q, d) = 1, a canonical form, so each scalar sum or product is integer
+work and one gcd (Knuth, TAOCP vol. 2, 4.5.1).  Series products and the
 recurrences below work on the integer exponent grid h = 2e; only the keys of
-``PuiseuxSeries.terms`` are Fractions, built once per result term.
+``PuiseuxSeries.terms`` are Fractions, built once per result term.  Products
+and recurrences reduce once per coefficient, not once per pair of terms: each
+coefficient is an integer dot product over a common denominator, reduced at
+the end.
 
 The transcendental operations run as O(n^2) coefficient recurrences on that
-grid, with integer weights and one division per coefficient, after
-normalising f = lead x^v (1 + u):
+grid, with integer weights, after normalising f = lead x^v (1 + u):
 
 - reciprocal and the binomial powers (1 + u)^p, p = -1, +-1/2, by
   J.C.P. Miller's power formula g_m = (1/m) sum_k ((p+1) k - m) u_k g_{m-k}
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Mapping, Union
 
 from .errors import PreconditionError
@@ -412,22 +415,21 @@ class PuiseuxSeries:
             return PuiseuxSeries._trusted(self.variable, terms, self.truncation)
         self._same_variable(other)
         trunc = _product_trunc(self, other)
-        f = [(_grid(e), c) for e, c in self.terms.items()]
-        g = [(_grid(e), c) for e, c in other.terms.items()]
-        if not f or not g:
+        if not self.terms or not other.terms:
             return PuiseuxSeries._trusted(self.variable, {}, trunc)
+        f = list(zip(map(_grid, self.terms), _over_one_denominator(self.terms.values())))
+        g = list(zip(map(_grid, other.terms), _over_one_denominator(other.terms.values())))
         limit = f[-1][0] + g[-1][0] + 1 if trunc is None else _grid_limit(trunc)
-        out: dict[int, ExactScalar] = {}
+        pairs: dict[int, list] = {}
         for h1, c1 in f:
             for h2, c2 in g:
                 h = h1 + h2
                 if h >= limit:
                     break
-                acc = out.get(h)
-                out[h] = c1 * c2 if acc is None else acc + c1 * c2
+                pairs.setdefault(h, []).append((1, c1, c2))
+        out = ((h, _dot(terms)) for h, terms in sorted(pairs.items()))
         return PuiseuxSeries._trusted(
-            self.variable,
-            {Fraction(h, 2): c for h, c in sorted(out.items()) if not c.is_zero()}, trunc)
+            self.variable, {Fraction(h, 2): c for h, c in out if not c.is_zero()}, trunc)
 
     __rmul__ = __mul__
 
@@ -566,7 +568,7 @@ class PuiseuxSeries:
         """Run a coefficient recurrence on u, where self = lead x^v (1 + u).
 
         The tail u is laid on the grid h = 2e below ``rel``; the solution g of
-        ``_grid_recurrence`` from g_0 = 1 comes back as scale * x^shift * g,
+        ``_grid_recurrence`` from g_0 = scale comes back as x^shift * g,
         known below rel + shift.  Without ``v`` and ``inv_lead``, u is self
         itself.
         """
@@ -576,13 +578,11 @@ class PuiseuxSeries:
         for e, c in self.terms.items():
             h = _grid(e) - low
             if 0 < h < n:
-                tail[h] = c if inv_lead is ONE else c * inv_lead
-        g = _grid_recurrence(tail, n, ONE, weights)
+                tail[h] = c if inv_lead == ONE else c * inv_lead
+        g = _grid_recurrence(tail, n, scale, weights)
         h0 = _grid(shift)
         return PuiseuxSeries._trusted(
-            self.variable,
-            {Fraction(h + h0, 2): c if scale is ONE else c * scale for h, c in g.items()},
-            rel + shift)
+            self.variable, {Fraction(h + h0, 2): c for h, c in g.items()}, rel + shift)
 
     # -- conversions -----------------------------------------------------------
 
@@ -635,6 +635,59 @@ def _product_trunc(f: PuiseuxSeries, g: PuiseuxSeries):
     return min(candidates) if candidates else None
 
 
+def _dot(terms: Iterable[tuple[int, tuple, tuple]], den: int = 1) -> ExactScalar:
+    """(1/den) sum w x y over the terms (w, x, y), reduced once.
+
+    w is an int, and x, y are the integer triples (p, q, d) of
+    (p + q sqrt 3)/d, d > 0, reduced or not.  The products are added over the
+    lcm of their denominators, so a sum whose factors share one denominator
+    per side takes no gcd before the final reduction.
+    """
+    num_p = num_q = 0
+    common = 1
+    for w, (p, q, d), (r, s, e) in terms:
+        a = p * r + 3 * q * s
+        b = p * s + q * r
+        d *= e
+        if d != common:
+            if common % d:  # raise common to lcm(common, d)
+                up = d // _gcd(common, d)
+                num_p *= up
+                num_q *= up
+                common *= up
+            k = common // d
+            a *= k
+            b *= k
+        if w != 1:
+            a *= w
+            b *= w
+        num_p += a
+        num_q += b
+    return _reduced(num_p, num_q, common * den)
+
+
+def _over_one_denominator(coeffs: Iterable[ExactScalar]) -> list[tuple[int, int, int]]:
+    """The triples (p, q, d) of the coefficients, all brought to the lcm d of
+    their denominators."""
+    triples = [c._pqd for c in coeffs]
+    # a list, not a generator: an argument tuple built from a generator is
+    # resized, so it is freed into another size's free list than it was
+    # taken from, and that free list grows call by call up to its cap
+    common = math.lcm(*[d for _, _, d in triples])
+    return [(p * (common // d), q * (common // d), common) for p, q, d in triples]
+
+
+def _ring_dot(terms: Iterable[tuple[int, object, object]], den: int = 1):
+    """(1/den) sum w x y over the terms (w, x, y), w an int, in a ring of
+    series: one ring product and one ring sum per term."""
+    acc = None
+    for w, x, y in terms:
+        term = x * y
+        term = term if w == 1 else -term if w == -1 else term * w
+        acc = term if acc is None else acc + term
+    return acc if den == 1 else acc / den
+
+
 def _grid_recurrence(u: Mapping[int, object], n: int, first,
                      weights) -> dict[int, object]:
     """Nonzero coefficients g_m, m < n, of the series fixed by
@@ -644,33 +697,42 @@ def _grid_recurrence(u: Mapping[int, object], n: int, first,
     where ``weights`` is the pair of integer functions (weight, divisor) and u
     maps grid indices k >= 1 to nonzero ring elements.  The ring is Q(sqrt 3)
     for Puiseux series and the Puiseux series themselves for eta-expansions.
-    The cost is one ring product, and one scaling by the weight unless it is
-    +-1, per pair (k, m - k) with both factors nonzero, and one division per m.
+    The recurrence is linear in g, so ``first`` scales the whole solution.
+
+    Each g_m is one weighted sum of products over the pairs (k, m - k) with
+    both factors nonzero, divided by divisor(m): in Q(sqrt 3) an integer dot
+    product reduced once (``_dot``), for series the ring sum (``_ring_dot``).
     """
     weight, divisor = weights
     g = {} if n <= 0 else {0: first}
-    support = sorted(u.items())
-    for m in range(1, n):
-        acc = None
+    keys = sorted(u)
+    # the factors as the sums take them: in Q(sqrt 3) integer triples, u's
+    # over one denominator; series as they are
+    if isinstance(first, ExactScalar):
+        dot, factor = _dot, attrgetter("_pqd")
+        support = list(zip(keys, _over_one_denominator(u[k] for k in keys)))
+    else:
+        dot, factor = _ring_dot, lambda value: value
+        support = [(k, u[k]) for k in keys]
+    factors = {m: factor(c) for m, c in g.items()}
+    # g_m vanishes unless m is a sum of indices of u, so a multiple of their gcd
+    step = math.gcd(*keys) or 1
+    for m in range(step, n, step):
+        terms = []
         for k, uk in support:
             if k > m:
                 break
-            prev = g.get(m - k)
+            prev = factors.get(m - k)
             if prev is None:
                 continue
             w = weight(k, m)
-            if w == 0:
-                continue
-            term = uk * prev
-            term = term if w == 1 else -term if w == -1 else term * w
-            acc = term if acc is None else acc + term
-        if acc is None:
-            continue
-        den = divisor(m)
-        if den != 1:
-            acc = acc / den
-        if not acc.is_zero():
-            g[m] = acc
+            if w:
+                terms.append((w, uk, prev))
+        if terms:
+            value = dot(terms, divisor(m))
+            if not value.is_zero():
+                g[m] = value
+                factors[m] = factor(value)
     return g
 
 

@@ -33,11 +33,13 @@ class TestRecurrence:
             exponents = list(term.terms)
             assert exponents == [Fr(-(3 * j + 2), 2)]
 
-    @pytest.mark.parametrize("order", [24, 40])
+    @pytest.mark.parametrize("order", [24, 40, 120])
     @pytest.mark.parametrize("sign", ["+", "-"])
     def test_pair_convolution_matches_the_full_sum(self, order, sign):
         # the recurrence c_j = -(e_j c_j' + sum_{k=0}^{j} c_k c_{j-k}) / (2 c_-1)
-        # with every pair of the convolution formed, as its oracle
+        # on Fractions, with every pair of the convolution formed, as its
+        # oracle; order 120 holds the scale 8^(j+1) of the integer recurrence
+        # far past where a wrong power of 8 would stay hidden
         c = [Fr(1) if sign == "+" else Fr(-1)]
         for j in range(-1, order):
             full = sum((c[k + 1] * c[j - k + 1] for k in range(j + 1)), Fr(0))
@@ -116,3 +118,20 @@ class TestCoefficientStream:
         closed = closed_form_coefficients(1, "+")
         assert closed == [Fr(1), Fr(5, 48)]
         assert closed_form_coefficients(1, "-")[1] == Fr(-5, 48)
+
+
+class TestOrderArguments:
+    @pytest.mark.parametrize("order", [3.0, True, False, "3", None, Fr(3)])
+    @pytest.mark.parametrize("fn", [riccati_recurrence, wkb_coefficient_stream,
+                                    closed_form_coefficients])
+    def test_an_order_that_is_not_an_int_raises(self, fn, order):
+        with pytest.raises(PreconditionError, match=r"order must be an int, got "):
+            fn(order, "+")
+
+    @pytest.mark.parametrize("fn", [riccati_recurrence, wkb_coefficient_stream,
+                                    closed_form_coefficients])
+    def test_a_negative_order_or_unknown_sign_raises(self, fn):
+        with pytest.raises(PreconditionError, match="order must be >= 0"):
+            fn(-1, "+")
+        with pytest.raises(PreconditionError, match="sign must be"):
+            fn(2, "*")

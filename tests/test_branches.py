@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import re
 from fractions import Fraction as Fr
 
 import pytest
@@ -421,6 +422,8 @@ def composed_solve_cubic_g(s):
     a3 = 16 * s * (1 - s)
     if abs(a3) < 1e-12:
         raise NumericError(f"cubic degenerates at s = {s}")
+    if not cmath.isfinite(a3):
+        raise PreconditionError(f"16 s (1-s) is not finite at s = {s!r}")
     p = -3 / a3
     q = -1 / a3
     return tuple(newton_polish(a3, -3, -1, r) for r in cardano_roots(p, q))
@@ -454,6 +457,8 @@ def composed_step_triple(s0, triple, s1, depth=0):
 def termwise_anchored_g_triple(anchor, local_root):
     if local_root == 0:
         raise PreconditionError("branch values diverge at the base point itself")
+    if not cmath.isfinite(local_root):
+        raise PreconditionError(f"local root {local_root!r} is not finite")
     out = []
     for index in (1, 2, 3):
         total = 0j
@@ -572,6 +577,17 @@ class TestKernelKeepsItsBits:
     def test_anchored_g_triple_at_edge_inputs(self, anchor, root):
         assert (outcome(anchored_g_triple, anchor, root)
                 == outcome(termwise_anchored_g_triple, anchor, root))
+
+    @pytest.mark.parametrize("s", [complex(NAN, 0.2), NAN, complex(0.3, math.inf), 1e200])
+    def test_a_non_finite_cubic_raises_and_names_the_point(self, s):
+        with pytest.raises(PreconditionError, match=re.escape(f"at s = {s!r}")):
+            solve_cubic_g(s)
+
+    @pytest.mark.parametrize("root", [complex(NAN, 0.1), NAN, complex(math.inf, 0.0)])
+    @pytest.mark.parametrize("anchor", [0, 1])
+    def test_a_non_finite_local_root_raises_and_names_it(self, anchor, root):
+        with pytest.raises(PreconditionError, match=re.escape(f"local root {root!r}")):
+            anchored_g_triple(anchor, root)
 
 
 class TestMonodromy:

@@ -3,7 +3,7 @@
 import math
 from fractions import Fraction as Fr
 
-from exactwkb import airy_wkb
+from exactwkb import airy_wkb, series
 
 import pytest
 from hypothesis import given, settings
@@ -344,7 +344,8 @@ class TestKernelAgainstTermwiseSums:
 
 class TestKernelCost:
     """The recurrences take no series products; O(n^3) sums take one per term.
-    Products and recurrences take no Fraction arithmetic per pair of terms."""
+    Products and recurrences take no Fraction arithmetic per pair of terms,
+    and reduce once per coefficient; the Riccati recurrence takes none."""
 
     @staticmethod
     def _count_products(monkeypatch, fn):
@@ -386,6 +387,35 @@ class TestKernelCost:
         # 17 terms each: 153 pairs in the product, 136 in the recurrence
         assert products < 100 and inverses < 100
         assert product.terms == {Fr(1): 1, Fr(2): -1} and len(inverse.terms) == 17
+
+    def test_products_and_recurrences_reduce_once_per_coefficient(self, monkeypatch):
+        body = P("t", {Fr(0): 1, Fr(1): -1}, Fr(17))
+        local = P.monomial("t", Fr(1, 2), 1, Fr(17)) * body.sqrt()
+        calls = []
+        reduced = series._reduced
+        monkeypatch.setattr(series, "_reduced", lambda *args: calls.append(1) or reduced(*args))
+        product = local * local
+        products = len(calls)
+        inverse = local.inverse()
+        inverses = len(calls) - products
+        # 17 coefficients each, t^1 .. t^17 from 153 pairs and t^(-1/2) ..
+        # t^(31/2) from 136; a reduction per pair would take about 290
+        assert product.truncation == Fr(35, 2) and products <= 17 + 2
+        assert len(inverse.terms) == 17 and inverses <= 17 + 2
+
+    def test_riccati_recurrence_takes_no_fraction_arithmetic(self, monkeypatch):
+        calls = []
+        with monkeypatch.context() as patch:
+            for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__",
+                         "__truediv__", "__rtruediv__", "__pow__", "__neg__"):
+                def counted(*args, method=getattr(Fr, name)):
+                    calls.append(1)
+                    return method(*args)
+                patch.setattr(Fr, name, counted)
+            airy_wkb.riccati_recurrence(24, "+")
+        # the 144 pairs of the convolutions run on ints; the 26 Fractions are
+        # built, not computed
+        assert calls == []
 
 
 # ---------------------------------------------------------------------------
