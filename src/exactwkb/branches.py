@@ -484,6 +484,28 @@ COLLISION_NUDGE = 1e-4
 # most continuation steps one continue_triple call takes; the largest path
 # of the tests, the Voros grids, the CLI defaults and the benchmark takes 132
 MAX_PATH_STEPS = 100_000
+# relative residual of the scaled cubic, or relative sum of the three values,
+# above which a failed continuation is put down to its start triple
+START_TRIPLE_TOL = 1e-8
+
+
+def _start_triple_fault(s: complex, triple: tuple) -> str | None:
+    """Why ``triple`` cannot start a continuation at s, or None if it can: a
+    value is not finite, a value leaves 16 s (1-s) G^3 - 3 G - 1 a relative
+    residual above START_TRIPLE_TOL, or the three do not sum to 0 as the
+    three roots do (the cubic has no G^2 term)."""
+    if not all(cmath.isfinite(g) for g in triple):
+        return "is not finite"
+    a3 = 16 * s * (1 - s)
+    for g in triple:
+        residual = abs((a3 * g * g - 3) * g - 1)
+        if residual > START_TRIPLE_TOL * (abs(a3 * g * g * g) + 3 * abs(g) + 1):
+            return (f"does not solve the cubic: G = {g!r} leaves the residual "
+                    f"{residual:.3g}")
+    total = sum(triple)
+    if abs(total) > START_TRIPLE_TOL * sum(abs(g) for g in triple):
+        return f"is not the three roots of the cubic: its values sum to {total!r}"
+    return None
 
 
 def continue_triple(path: list, triple: tuple,
@@ -496,7 +518,10 @@ def continue_triple(path: list, triple: tuple,
     itself, so the tracker must not sample exactly there.
 
     A path of more than MAX_PATH_STEPS steps raises PreconditionError before
-    any step is taken.
+    any step is taken.  A continuation that fails with NumericError raises
+    PreconditionError instead when the start triple is at fault: it is not
+    finite or is not the root triple of the cubic at path[0]
+    (``_start_triple_fault``, which only a failed call runs).
     """
     grid = [complex(path[0])]
     steps = 0
@@ -520,9 +545,16 @@ def continue_triple(path: list, triple: tuple,
             grid[i] = grid[i] + 2 * COLLISION_NUDGE * direction
     current = triple
     s0 = grid[0]
-    for s1 in islice(grid, 1, None):
-        current = _step_triple(s0, current, s1)
-        s0 = s1
+    try:
+        for s1 in islice(grid, 1, None):
+            current = _step_triple(s0, current, s1)
+            s0 = s1
+    except NumericError as err:
+        fault = _start_triple_fault(grid[0], triple)
+        if fault is None:
+            raise
+        raise PreconditionError(
+            f"start triple {triple!r} at s = {grid[0]!r} {fault}") from err
     return current
 
 

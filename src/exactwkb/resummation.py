@@ -17,8 +17,9 @@ branch field the "-" sum was summed along, and a loop that does not send
 branch 3 to branch 1 raises.
 
 The independent reference for the Airy identities is a from-scratch Maclaurin
-evaluation of Ai and Bi in configurable precision (mpmath floats, own series
-loop); in double precision it is reliable to |z| <= 6 and the working
+evaluation of Ai and Bi in configurable precision: its own series loop runs on
+integers scaled by 2^prec, and mpmath floats form the four values once from
+the sums.  In double precision it would be reliable to |z| <= 6; the working
 precision is raised automatically beyond that.
 """
 
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import bisect
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -478,20 +480,29 @@ class AiryValues:
 
 AIRY_ORACLE_MAX_ABS = 40.0
 AIRY_ORACLE_TOL = 1e-12  # relative accuracy every airy_reference value reaches
+# bits the oracle's fixed-point series loop carries past 10^-dps
+AIRY_GUARD_BITS = 32
+_LOG2_10 = math.log2(10)
 
 
 def airy_reference(z: complex) -> AiryValues:
     """Ai, Bi and derivatives from their Maclaurin series, summed in adaptive
     precision so the cancellation at moderate |z| stays controlled.
 
-    Independent of every WKB code path.  Double-precision-reliable up to
-    |z| ~ 6 on its own; beyond that the working precision grows like
-    |z|^(3/2) and the hard cap is |z| <= 40.  Accuracy near the real zeros
-    of Ai and Bi is absolute (scaled to the larger of the two), not relative.
+    Independent of every WKB code path.  Each attempt sums the series on
+    integers scaled by 2^prec (``_airy_series_attempt``) and forms the four
+    values in mpmath at dps digits.  Double-precision-reliable up to |z| ~ 6
+    on its own; beyond that the working precision grows like |z|^(3/2), an
+    attempt whose values fail the acceptance test is repeated at more digits,
+    and the hard cap is |z| <= 40; a z that is not finite raises
+    PreconditionError.  Every value reaches AIRY_ORACLE_TOL relative accuracy
+    except near the real zeros of Ai and Bi, where the accuracy is absolute
+    (scaled to the larger of |Ai| and |Bi|, or of |Ai'| and |Bi'|).
     """
     z = complex(z)
     r = abs(z)
-    if r > AIRY_ORACLE_MAX_ABS:
+    # negated so that a NaN |z| fails it too
+    if not r <= AIRY_ORACLE_MAX_ABS:
         raise PreconditionError(
             f"|z| = {r:.3g} outside the oracle's documented range (<= {AIRY_ORACLE_MAX_ABS})")
     dps = 25 + int(0.62 * r ** 1.5)
@@ -503,36 +514,111 @@ def airy_reference(z: complex) -> AiryValues:
     raise NumericError("airy_reference could not reach the requested accuracy")
 
 
-def _airy_series_attempt(z: complex, dps: int):
+@functools.lru_cache(maxsize=None)
+def _airy_constants(dps: int) -> tuple:
+    """c1 = Ai(0) = 3^(-2/3) / Gamma(2/3), c2 = -Ai'(0) = 3^(-1/3) / Gamma(1/3)
+    and sqrt(3) at dps digits; dps takes a few hundred values at most."""
     with mpmath.workdps(dps):
-        zm = mpmath.mpc(z)
-        z3 = zm ** 3
-        f = mpmath.mpc(1)
-        fp = mpmath.mpc(0)   # f'
-        g = zm
-        gp = mpmath.mpc(1)   # g'
-        term_f = mpmath.mpc(1)
-        term_g = zm
-        max_mag = mpmath.mpf(1)
-        eps = mpmath.mpf(10) ** (-(dps + 3))
-        k = 1
-        while True:
-            term_f = term_f * z3 / (3 * k * (3 * k - 1))
-            term_g = term_g * z3 / (3 * k * (3 * k + 1))
-            f += term_f
-            g += term_g
-            if z != 0:
-                fp += term_f * (3 * k) / zm
-            gp += term_g * (3 * k + 1) / zm if z != 0 else 0
-            max_mag = max(max_mag, abs(term_f), abs(term_g))
-            if abs(term_f) < eps * max_mag and abs(term_g) < eps * max_mag:
-                break
-            k += 1
-            if k > 100000:
-                raise NumericError("Airy series did not terminate")
-        c1 = mpmath.power(3, mpmath.mpf(-2) / 3) / mpmath.gamma(mpmath.mpf(2) / 3)
-        c2 = mpmath.power(3, mpmath.mpf(-1) / 3) / mpmath.gamma(mpmath.mpf(1) / 3)
-        sqrt3 = mpmath.sqrt(3)
+        return (mpmath.power(3, mpmath.mpf(-2) / 3) / mpmath.gamma(mpmath.mpf(2) / 3),
+                mpmath.power(3, mpmath.mpf(-1) / 3) / mpmath.gamma(mpmath.mpf(1) / 3),
+                mpmath.sqrt(3))
+
+
+def _fixed(x: float, prec: int) -> int:
+    """floor(x 2^prec); exact when 2^-prec reaches the lowest bit of x."""
+    num, den = x.as_integer_ratio()
+    return (num << prec) // den
+
+
+def _airy_series_attempt(z: complex, dps: int):
+    """One summation of the Maclaurin series at dps digits: the values, and
+    whether they pass the acceptance test.
+
+    Ai = c1 f - c2 g and Bi = sqrt(3) (c1 f + c2 g) (DLMF 9.4.1-9.4.2), with
+    f = sum t_k, t_0 = 1, t_k = t_(k-1) z^3 / (3k (3k-1)) and
+    g = sum t_k, t_0 = z, t_k = t_(k-1) z^3 / (3k (3k+1)).  The loop runs on
+    pairs of ints scaled by 2^prec, one unit u = 2^-prec, with
+    prec = ceil(dps log2 10) + AIRY_GUARD_BITS + 3 e, where 2^-e is the
+    smallest nonzero part of z when that is below 1: each term is
+    ((t z^3) >> prec) // (3k (3k -+ 1)).  It adds up z f' = sum 3k t_k and
+    z (g' - 1) = sum (3k+1) t_k and divides by z once, after the loop.
+    Termination compares squared magnitudes, |t|^2 10^(2 (dps+3)) against
+    max_mag^2, max_mag being the largest |t| seen and at least 1.  The sums
+    go to mpmath once, for the combinations with c1 and c2 and for the
+    acceptance test.
+
+    Error bound.  z is exact on the grid, z^3 is within (1 + |z|) sqrt(2) u,
+    and every floor loses less than one unit, so the k-th term is within
+    5 k u max_mag: 2 u of fresh rounding per step, carried onward by later
+    steps, whose product of ratios is at most a term of f and so at most
+    max_mag, and k times the rounding of z^3 relative to z^3.  Over the N
+    terms, f and g are within 5 N^2 u max_mag and the two derivative sums
+    within 15 N^3 u max_mag.  Since |z| >= 2^-(e+1), the division by z
+    leaves z f' and z (g' - 1) within 30 N^3 2^e u max_mag, and the 3 e extra
+    bits of prec absorb the 2^e.  A first attempt at |z| <= 40 takes
+    N <= 335 terms, so 30 N^3 < 2^31 and every bound is below
+    10^-dps max_mag, eight digits under the acceptance floor
+    10^-(dps-8) max_mag; the fourth escalated attempt at |z| = 40 takes 722
+    terms, 30 N^3 < 2^34, still seven digits under it.  The remaining 2 e
+    extra bits serve a z near 0 or near an axis: there a value's smaller part
+    can be as small as the product of z's parts, and they keep the error
+    below that part's own last bit.
+    """
+    e = max([-math.frexp(part)[1] for part in (z.real, z.imag) if part] + [0])
+    prec = math.ceil(dps * _LOG2_10) + AIRY_GUARD_BITS + 3 * e
+    zr, zi = _fixed(z.real, prec), _fixed(z.imag, prec)
+    sr, si = (zr * zr - zi * zi) >> prec, (2 * zr * zi) >> prec
+    cr, ci = (sr * zr - si * zi) >> prec, (sr * zi + si * zr) >> prec   # z^3
+    one = 1 << prec
+    fr, fi, gr, gi = one, 0, zr, zi
+    dfr = dfi = dgr = dgi = 0   # z f' and z (g' - 1)
+    tfr, tfi, tgr, tgi = one, 0, zr, zi
+    csum, cdiff = cr + ci, ci - cr   # for three-product complex multiplication
+    max_mag2 = one * one
+    stop = 10 ** (2 * (dps + 3))
+    # |t|^2 <= limit exactly when |t|^2 10^(2 (dps+3)) < max_mag^2
+    limit = (max_mag2 - 1) // stop
+    k = 1
+    while True:
+        k3 = 3 * k
+        den = k3 * (k3 - 1)
+        p = cr * (tfr + tfi)
+        tfr, tfi = ((p - tfi * csum) >> prec) // den, ((p + tfr * cdiff) >> prec) // den
+        den += 2 * k3
+        p = cr * (tgr + tgi)
+        tgr, tgi = ((p - tgi * csum) >> prec) // den, ((p + tgr * cdiff) >> prec) // den
+        fr += tfr
+        fi += tfi
+        gr += tgr
+        gi += tgi
+        dfr += k3 * tfr
+        dfi += k3 * tfi
+        dgr += (k3 + 1) * tgr
+        dgi += (k3 + 1) * tgi
+        mag_f = tfr * tfr + tfi * tfi
+        mag_g = tgr * tgr + tgi * tgi
+        if mag_f > max_mag2 or mag_g > max_mag2:
+            max_mag2 = mag_f if mag_f > mag_g else mag_g
+            limit = (max_mag2 - 1) // stop
+        elif mag_f <= limit and mag_g <= limit:
+            break
+        k += 1
+        if k > 100000:
+            raise NumericError("Airy series did not terminate")
+    c1, c2, sqrt3 = _airy_constants(dps)
+    with mpmath.workdps(dps):
+        def to_mpc(re: int, im: int):
+            return mpmath.mpc(mpmath.mpf((re, -prec)), mpmath.mpf((im, -prec)))
+
+        f = to_mpc(fr, fi)
+        g = to_mpc(gr, gi)
+        if z != 0:
+            zm = mpmath.mpc(z)
+            fp = to_mpc(dfr, dfi) / zm
+            gp = 1 + to_mpc(dgr, dgi) / zm
+        else:
+            fp, gp = mpmath.mpc(0), mpmath.mpc(1)
+        max_mag = mpmath.sqrt(mpmath.mpf((max_mag2, -2 * prec)))
         ai = c1 * f - c2 * g
         bi = sqrt3 * (c1 * f + c2 * g)
         aip = c1 * fp - c2 * gp

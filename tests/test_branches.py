@@ -252,6 +252,33 @@ class TestContinuation:
         residual = (9 * y * y - 4 * x ** 3) * g ** 3 + 3 * x * g + 1
         assert abs(residual) < 1e-10
 
+    @pytest.mark.parametrize("triple, reason", [
+        ((math.nan, 0j, 1 + 0j), "is not finite"),
+        ((1 + 0j, 2 + 0j, 3 + 0j), "does not solve the cubic: G = \\(1\\+0j\\)"),
+    ])
+    def test_a_bad_start_triple_is_named_with_its_fault(self, triple, reason):
+        # both used to halve MAX_HALVINGS times and end in "continuation step
+        # underflow near s = (0.2+0j)", naming neither the triple nor the cause
+        with pytest.raises(PreconditionError, match=re.escape(repr(triple)) + ".* " + reason):
+            continue_triple([0.2, 0.21], triple)
+
+    def test_roots_that_are_not_the_three_roots_are_named(self):
+        root = solve_cubic_g(0.2)[0]
+        with pytest.raises(PreconditionError, match="values sum to"):
+            continue_triple([0.2, 0.21], (root, root, root))
+
+    def test_a_good_start_triple_keeps_the_tracker_error(self):
+        start = anchored_g_triple(0, sqrt_s(0.05))
+        with pytest.raises(NumericError, match="cubic degenerates"):
+            continue_triple([0.05, 0.0], start)
+
+    def test_a_successful_call_runs_no_diagnosis(self, monkeypatch):
+        diagnosed = []
+        monkeypatch.setattr(branches, "_start_triple_fault",
+                            lambda s, triple: diagnosed.append(s))
+        continue_triple([0.05, 0.3 + 0.2j], anchored_g_triple(0, sqrt_s(0.05)))
+        assert diagnosed == []
+
     def test_no_derivative_at_the_double_root(self):
         # F_G = 48 s (1-s) G^2 - 3 vanishes on a root only at the double root
         # of s = 1/2, which the crossing chart handles; a value placed where

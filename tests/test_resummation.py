@@ -1,11 +1,14 @@
 """Stokes classification, the Airy oracle, Borel sums and connection checks."""
 
+import ast
+import builtins
 import cmath
 import dataclasses
 import functools
 import importlib
 import json
 import math
+import random
 import sys
 from pathlib import Path
 
@@ -16,7 +19,7 @@ from exactwkb import resummation
 from exactwkb.branches import (anchored_g_triple, continue_triple,
                                monodromy_permutation, monodromy_triple, sqrt_s)
 from exactwkb.errors import NumericError, PreconditionError, VerificationError
-from exactwkb.resummation import (_SERIES_HANDOFF, RAY_LOOP_STEPS,
+from exactwkb.resummation import (_SERIES_HANDOFF, AIRY_ORACLE_TOL, RAY_LOOP_STEPS,
                                   VOROS_QUAD_TOL, BorelSum, RayField,
                                   _laplace_quadrature, _scaled_sum,
                                   airy_reference, classify_stokes,
@@ -26,9 +29,15 @@ from exactwkb.resummation import (_SERIES_HANDOFF, RAY_LOOP_STEPS,
 from exactwkb.verify import _voros_grid_points, run_voros_grid
 
 SQRT_PI = math.sqrt(math.pi)
+NAN = float("nan")
+INF = float("inf")
 # the two points of the voros benchmark bundle: (|x| e^(i pi/6), eta)
 BENCH_POINTS = [(0.8 * cmath.exp(1j * math.pi / 6), 8.0),
                 (1.2 * cmath.exp(1j * math.pi / 6), 12.0)]
+
+
+def _recorded(name):
+    return json.loads((Path(__file__).parent / "data" / name).read_text())
 
 
 def minus_sum(ctx, eta, tol=VOROS_QUAD_TOL):
@@ -178,6 +187,200 @@ class TestAiryOracle:
     def test_range_guard(self):
         with pytest.raises(PreconditionError):
             airy_reference(50.0)
+
+    @pytest.mark.parametrize("z", [complex(NAN, 0), complex(0, NAN), complex(INF, 0),
+                                   complex(-INF, 0), complex(0, INF), complex(0, -INF)])
+    def test_a_z_that_is_not_finite_raises(self, z):
+        with pytest.raises(PreconditionError, match="outside the oracle's documented range"):
+            airy_reference(z)
+
+    def test_a_failed_attempt_escalates_and_the_fourth_raises(self, monkeypatch):
+        tried = []
+
+        def failing(z, dps):
+            tried.append(dps)
+            return resummation.AiryValues(0j, 0j, 0j, 0j), False
+
+        monkeypatch.setattr(resummation, "_airy_series_attempt", failing)
+        with pytest.raises(NumericError, match="could not reach the requested accuracy"):
+            airy_reference(8.0)
+        expected = [25 + int(0.62 * 8 ** 1.5)]
+        for _ in range(3):
+            expected.append(int(expected[-1] * 1.6) + 10)
+        assert tried == expected
+
+    def test_an_escalated_attempt_that_passes_is_returned(self, monkeypatch):
+        attempt = resummation._airy_series_attempt
+        tried = []
+
+        def failing_twice(z, dps):
+            tried.append(dps)
+            values, ok = attempt(z, dps)
+            return values, ok and len(tried) == 3
+
+        monkeypatch.setattr(resummation, "_airy_series_attempt", failing_twice)
+        got = airy_reference(8.0)
+        assert len(tried) == 3
+        assert got == attempt(8.0 + 0j, tried[-1])[0]
+
+
+def mpmath_airy(z: complex) -> list:
+    """Ai, Bi, Ai', Bi' at z from mpmath at 50 digits, in AiryValues order."""
+    with mpmath.workdps(50):
+        zm = mpmath.mpc(z)
+        return [complex(f(zm, derivative=d))
+                for d in (0, 1) for f in (mpmath.airyai, mpmath.airybi)]
+
+
+def _accuracy_sweep() -> list:
+    """120 seeded points of |z| <= 40 over all arguments."""
+    rng = random.Random(1717)
+    return [cmath.rect(40 * math.sqrt(rng.random()), rng.uniform(-math.pi, math.pi))
+            for _ in range(120)]
+
+
+def _near_real_zeros() -> list:
+    """Points at and beside negative real zeros of Ai, Bi, Ai' and Bi'."""
+    points = []
+    with mpmath.workdps(30):
+        for zero in (mpmath.airyaizero, mpmath.airybizero):
+            for derivative in (0, 1):
+                for k in (1, 2, 10, 50):
+                    at = float(zero(k, derivative=derivative))
+                    points += [complex(at), complex(at + 1e-9), complex(at, 1e-6)]
+    return points
+
+
+class TestOracleAccuracy:
+    """airy_reference against mpmath at 50 digits, to the accuracy its
+    docstring states."""
+
+    @staticmethod
+    def _values(z):
+        v = airy_reference(z)
+        return [v.ai, v.bi, v.ai_prime, v.bi_prime]
+
+    @pytest.mark.parametrize("z", _accuracy_sweep())
+    def test_every_value_reaches_the_relative_tolerance(self, z):
+        for got, want in zip(self._values(z), mpmath_airy(z)):
+            assert abs(got - want) <= AIRY_ORACLE_TOL * abs(want)
+
+    @pytest.mark.parametrize("z", _near_real_zeros())
+    def test_near_the_real_zeros_the_error_is_absolute(self, z):
+        ai, bi, aip, bip = mpmath_airy(z)
+        scales = [max(abs(ai), abs(bi))] * 2 + [max(abs(aip), abs(bip))] * 2
+        for got, want, scale in zip(self._values(z), (ai, bi, aip, bip), scales):
+            assert abs(got - want) <= AIRY_ORACLE_TOL * scale
+
+
+class TestOracleKeepsItsBits:
+    """Every AiryValues field, held bit for bit (as float.hex) at z = 0, the
+    benchmark points, every point of both Voros grids, the Airy link's points
+    and their rotations, |z| = 11.7, 25 and 40 in twelve directions and a few
+    more."""
+
+    RECORDED = _recorded("airy_reference_pins.json")
+
+    @staticmethod
+    def _z(record):
+        return complex(float.fromhex(record["z"][0]), float.fromhex(record["z"][1]))
+
+    def test_recorded_points_cover_the_checks_that_call_the_oracle(self):
+        recorded = {self._z(record) for record in self.RECORDED}
+        voros = BENCH_POINTS + _voros_grid_points("quick") + _voros_grid_points("default")
+        assert {eta ** (2.0 / 3.0) * complex(x) for x, eta in voros} <= recorded
+        for x, eta in ((cmath.exp(-1j * math.pi / 6), 10.0),
+                       (cmath.exp(-1j * math.pi / 6), 5.0), (complex(0.866, -0.5), 10.0)):
+            z = eta ** (2.0 / 3.0) * x
+            assert {z, z * cmath.exp(2j * math.pi / 3)} <= recorded
+        assert {abs(z) for z in recorded} >= {0.0, 40.0}
+
+    @pytest.mark.parametrize("index", range(len(RECORDED)))
+    def test_values_keep_their_bits(self, index):
+        record = self.RECORDED[index]
+        values = airy_reference(self._z(record))
+        for name in ("ai", "bi", "ai_prime", "bi_prime"):
+            value = getattr(values, name)
+            assert [value.real.hex(), value.imag.hex()] == record[name], name
+
+
+MPC_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                  "__truediv__", "__rtruediv__", "__pow__", "__rpow__", "__neg__",
+                  "__pos__", "__abs__")
+
+
+def count_mpc_arithmetic(monkeypatch) -> list:
+    """Count every arithmetic call on mpmath.mpc; the returned list holds it."""
+    calls = [0]
+    for name in MPC_ARITHMETIC:
+        method = getattr(mpmath.mpc, name)
+
+        def counted(*args, _method=method):
+            calls[0] += 1
+            return _method(*args)
+
+        monkeypatch.setattr(mpmath.mpc, name, counted)
+    return calls
+
+
+def _global_names(node) -> set:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+class TestOracleCostAndIndependence:
+    def test_mpc_arithmetic_does_not_grow_with_the_terms(self, monkeypatch):
+        # |z| = 1 sums about 10 terms, |z| = 40 about 330; both in one attempt
+        counts = []
+        for r in (1.0, 40.0):
+            z = cmath.rect(r, 0.7)
+            airy_reference(z)   # fills the per-dps constants
+            calls = count_mpc_arithmetic(monkeypatch)
+            airy_reference(z)
+            counts.append(calls[0])
+            monkeypatch.undo()
+        assert counts[0] == counts[1] < 40
+
+    def test_the_series_loop_names_no_wkb_branch_or_borel_code(self):
+        """_airy_series_attempt and the resummation helpers it calls refer to
+        no name of airy_wkb, airy_borel or branches, and to no name the
+        Borel-sum code of resummation defines or imports."""
+        from exactwkb import airy_borel, airy_wkb, branches
+
+        source = Path(resummation.__file__).read_text()
+        tree = ast.parse(source)
+        lines = source.splitlines()
+        start = lines.index("# independent Airy oracle") + 1
+        end = lines.index("# verification reports") + 1
+        oracle, elsewhere = {}, set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = {node.name}
+            elif isinstance(node, ast.Assign):
+                names = set().union(*map(_global_names, node.targets))
+            elif isinstance(node, ast.AnnAssign):
+                names = _global_names(node.target)
+            elif isinstance(node, ast.ImportFrom) and node.module != "errors" and node.level:
+                names = {alias.asname or alias.name for alias in node.names}
+            else:
+                continue
+            if start < node.lineno < end:
+                oracle.update(dict.fromkeys(names, node))
+            else:
+                elsewhere |= names
+        foreign = {"airy_wkb", "airy_borel", "branches"} | elsewhere
+        for module in (airy_wkb, airy_borel, branches):
+            foreign |= {name for name, value in vars(module).items()
+                        if getattr(value, "__module__", None) == module.__name__
+                        or isinstance(value, (int, float, complex, str, tuple))}
+        foreign -= set(vars(builtins))
+        seen, todo = set(), ["_airy_series_attempt"]
+        while todo:
+            name = todo.pop()
+            seen.add(name)
+            todo += [n for n in _global_names(oracle[name]) if n in oracle and n not in seen]
+        used = set().union(*(_global_names(oracle[name]) for name in seen))
+        assert "_airy_constants" in seen and "AIRY_GUARD_BITS" in used
+        assert used & foreign == set()
 
 
 class TestLaplaceSums:
@@ -525,10 +728,6 @@ class TestRayMonodromy:
         for wrong in (dataclasses.replace(minus, ray=None), other_x):
             with pytest.raises(PreconditionError):
                 gamma_term(ctx, wrong)
-
-
-def _recorded(name):
-    return json.loads((Path(__file__).parent / "data" / name).read_text())
 
 
 def _recorded_point(record):
