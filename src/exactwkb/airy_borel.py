@@ -42,7 +42,16 @@ class BorelSeries:
     prefactor_i: bool
 
     def coefficients(self, count: int) -> list[Fraction]:
-        """The rational tail coefficients d_0..d_{count-1} (d_0 = 1)."""
+        """The rational tail coefficients d_0..d_{count-1} (d_0 = 1).
+
+        A coefficient at or past the series truncation is unknown, not zero,
+        and asking for it raises.
+        """
+        trunc = self.series.truncation
+        if trunc is not None and count > 0 and Fraction(2 * count - 3, 2) >= trunc:
+            raise PreconditionError(
+                f"d_{count - 1} lies at {self.series.variable}^({2 * count - 3}/2), "
+                f"past the series truncation O({self.series.variable}^{trunc})")
         out = []
         for n in range(count):
             c = self.series.coeff(Fraction(2 * n - 1, 2))
@@ -57,26 +66,24 @@ def borel_transform(stream: WkbCoefficientStream) -> BorelSeries:
 
     Termwise, eta^(-n-1/2) exp(-alpha eta) becomes (y-alpha)^(n-1/2)/Gamma(n+1/2);
     in the normalized variable the n-th tail coefficient is
-    c_n (4/3)^n / (1/2)_n, a pure rational because the Gamma ratio reduces to a
-    Pochhammer factor.
+    d_n = c_n (4/3)^n / (1/2)_n, a pure rational because the Gamma ratio
+    reduces to a Pochhammer factor.  With (1/2)_n = (2n-1)!! / 2^n the scale is
+    the integer ratio 8^n / (3^n (2n-1)!!), times (-1)^n for the "-" stream
+    written in u = 1-s.  Its numerator and denominator are running integer
+    products, and each d_n is reduced once.
     """
     order = len(stream.coeffs) - 1
-    var = S_VAR if stream.sign == "+" else U_VAR
-    terms = {}
-    pochhammer = Fraction(1)
-    scale = Fraction(1)
+    minus = stream.sign == "-"
+    up, down = 1, 1  # (+-8)^n and 3^n (2n-1)!!
+    terms = []
     for n, c_n in enumerate(stream.coeffs):
         if n > 0:
-            pochhammer *= Fraction(2 * n - 1, 2)  # (1/2)_n
-            scale *= Fraction(4, 3)
-        d_n = c_n * scale / pochhammer
-        if stream.sign == "-":
-            # expressed in u = 1-s the (s-1)^n factor contributes (-1)^n
-            d_n *= (-1) ** n
-        terms[Fraction(2 * n - 1, 2)] = d_n
-    series = PuiseuxSeries(var, terms, Fraction(2 * order + 1, 2))
-    return BorelSeries(stream.sign, 0 if stream.sign == "+" else 1,
-                       series, prefactor_i=(stream.sign == "-"))
+            up *= -8 if minus else 8
+            down *= 3 * (2 * n - 1)
+        terms.append((2 * n - 1, c_n.numerator * up, c_n.denominator * down))
+    series = PuiseuxSeries.from_grid(U_VAR if minus else S_VAR, terms,
+                                     Fraction(2 * order + 1, 2))
+    return BorelSeries(stream.sign, 1 if minus else 0, series, prefactor_i=minus)
 
 
 def borel_series(order: int, sign: str = "+") -> BorelSeries:

@@ -6,6 +6,12 @@ The normalized solution pair carries the unit prefactor
 eta^(-1/2) x^(-1/4) exp(+-(2/3) x^(3/2) eta) as metadata only, so every number
 stored here is an exact rational.
 
+The recurrence runs on the integers N_j = c_j 8^(j+1).  The coefficient
+stream is built from those integers too: its inputs 1 + A and +-B, the even
+part and the primitive of S_odd, are rational series made straight from
+integer numerator/denominator pairs, and its coefficients are read off the
+kernel's product.  No Fraction arithmetic is done per term.
+
 Two independent derivations of the same coefficients are exposed: the
 recurrence-driven stream (via the odd-part primitive) and the closed product
 formula with Pochhammer factors.  Tests require them to agree exactly.
@@ -63,22 +69,17 @@ def _require_order_and_sign(order: int, sign: str) -> None:
         raise PreconditionError(f"sign must be '+' or '-', got {sign!r}")
 
 
-def riccati_recurrence(order: int = DEFAULT_ORDER, sign: str = "+") -> RiccatiSolution:
-    """Compute S_-1 .. S_order for the chosen square-root branch.
+def _riccati_integers(order: int, s: int) -> list[int]:
+    """The integers N_j = c_j 8^(j+1), j = -1 .. order, of the branch c_-1 = s.
 
-    With S_j = c_j x^(e_j), e_j = -(3j+2)/2, and s = c_-1 = +-1, the recurrence
-    is c_(j+1) = -(e_j c_j + sum_(k=0..j) c_k c_(j-k)) / (2 s).  It runs on
-    the integers N_j = c_j 8^(j+1), and the Fractions are built once, at the
-    end.
+    With S_j = c_j x^(e_j), e_j = -(3j+2)/2, the recurrence is
+    c_(j+1) = -(e_j c_j + sum_(k=0..j) c_k c_(j-k)) / (2 s).  Multiplying it by
+    8^(j+2), with 1/(2s) = s/2 and 4 e_j = -2(3j+2), gives
+        N_(j+1) = s (2(3j+2) N_j - conv_j / 2),  conv_j = sum_(k=0..j) N_k N_(j-k).
+    Every N_j with j >= 0 is even, by induction: N_0 = s (-2 s) = -2, and if
+    N_0 .. N_j are even then each product N_k N_(j-k) is divisible by 4, so
+    conv_j / 2 is an even integer and so is N_(j+1).  The halving is exact.
     """
-    _require_order_and_sign(order, sign)
-    s = 1 if sign == "+" else -1
-    # Multiplying the recurrence by 8^(j+2), with 1/(2s) = s/2 and
-    # 4 e_j = -2(3j+2), gives
-    #     N_(j+1) = s (2(3j+2) N_j - conv_j / 2),  conv_j = sum_(k=0..j) N_k N_(j-k).
-    # Every N_j with j >= 0 is even, by induction: N_0 = s (-2 s) = -2, and if
-    # N_0 .. N_j are even then each product N_k N_(j-k) is divisible by 4, so
-    # conv_j / 2 is an even integer and so is N_(j+1).  The halving is exact.
     n = [s]  # index j+1
     for j in range(-1, order):
         # conv_j / 2: each pair k < j - k once, plus half the middle square
@@ -88,6 +89,17 @@ def riccati_recurrence(order: int = DEFAULT_ORDER, sign: str = "+") -> RiccatiSo
         if j % 2 == 0:
             half_conv += n[j // 2 + 1] ** 2 // 2
         n.append(s * (2 * (3 * j + 2) * n[j + 1] - half_conv))
+    return n
+
+
+def riccati_recurrence(order: int = DEFAULT_ORDER, sign: str = "+") -> RiccatiSolution:
+    """Compute S_-1 .. S_order for the chosen square-root branch.
+
+    The recurrence runs on the integers N_j = c_j 8^(j+1) of
+    ``_riccati_integers``, and the Fractions are built once, at the end.
+    """
+    _require_order_and_sign(order, sign)
+    n = _riccati_integers(order, 1 if sign == "+" else -1)
     coeffs = tuple(Fraction(n_j, 8 ** (j + 1)) for j, n_j in enumerate(n, start=-1))
     return RiccatiSolution(sign, order, coeffs)
 
@@ -162,34 +174,32 @@ def wkb_coefficient_stream(order: int = DEFAULT_ORDER, sign: str = "+") -> WkbCo
     """Expand (1 + A)^(-1/2) exp(sign * B) where A, B come from the recurrence.
 
     A collects the even part of S_odd / (eta x^(1/2)) - 1 and B the primitive
-    of the odd tail; both are series in w = eta^-1 x^-3/2 with rational
-    coefficients, so the result is exact.
+    of the odd tail; both are series in w = eta^-1 x^-3/2.  For odd j the
+    Riccati integers N_j = c_j 8^(j+1) give them directly: A has
+    a_(j+1) = N_j / 8^(j+1), and B has b_j = -2 N_j / (3j 8^(j+1)), the
+    primitive c_j x^(e_j+1) / (e_j+1) with e_j + 1 = -3j/2.  The kernel takes
+    the inverse square root, the exponential and one product; the stream is
+    read off the product's rational coefficients, so the result is exact.
     """
     _require_order_and_sign(order, sign)
-    source = riccati_recurrence(max(order, 1), "+")
-    trunc = Fraction(order + 1)
-    a_terms = {}
-    b_terms = {}
-    for j in range(1, source.order + 1, 2):
-        c = source.coefficient(j)
-        # eta^-j S_j / (eta x^(1/2)) = c * w^(j+1)
+    s = 1 if sign == "+" else -1
+    n = _riccati_integers(order, 1)  # n[j + 1] = N_j
+    one_plus_a = [(0, 1, 1)]
+    phase = []
+    for j in range(1, order + 1, 2):
+        scale = 8 ** (j + 1)
+        # eta^-j S_j / (eta x^(1/2)) = c_j w^(j+1), on the grid h = 2(j+1)
         if j + 1 <= order:
-            a_terms[Fraction(j + 1)] = c
-        # primitive of eta^-j S_j is (c/(e_j+1)) x^(e_j+1) = b_j w^j
-        if j <= order:
-            b_terms[Fraction(j)] = c / (_monomial_exponent(j) + 1)
-    a_series = PuiseuxSeries(W_VAR, a_terms, trunc)
-    b_series = PuiseuxSeries(W_VAR, b_terms, trunc)
-    one_plus_a = PuiseuxSeries.one(W_VAR, trunc) + a_series
-    amplitude = one_plus_a.inv_sqrt()
-    phase = b_series if sign == "+" else -b_series
-    stream = amplitude * phase.exp()
-    coeffs = []
-    for n in range(order + 1):
-        c = stream.coeff(Fraction(n))
+            one_plus_a.append((2 * j + 2, n[j + 1], scale))
+        phase.append((2 * j, -2 * s * n[j + 1], 3 * j * scale))
+    trunc = order + 1
+    amplitude = PuiseuxSeries.from_grid(W_VAR, one_plus_a, trunc).inv_sqrt()
+    stream = amplitude * PuiseuxSeries.from_grid(W_VAR, phase, trunc).exp()
+    coeffs = [Fraction(0)] * (order + 1)
+    for e, c in stream.terms.items():
         if not c.is_rational():
             raise PreconditionError("coefficient stream left the rationals")
-        coeffs.append(c.a)
+        coeffs[e.numerator] = c.a
     return WkbCoefficientStream(sign, tuple(coeffs))
 
 

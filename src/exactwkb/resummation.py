@@ -364,9 +364,13 @@ def _require_summable(ctx: StokesContext):
             "approach the boundary through a region limit instead")
 
 
-def _require_quadrature_inputs(eta: float, tol: float):
+def _require_eta(eta: float):
     if not (math.isfinite(eta) and eta > 0):
         raise PreconditionError(f"eta must be positive and finite, got {eta!r}")
+
+
+def _require_quadrature_inputs(eta: float, tol: float):
+    _require_eta(eta)
     if not (math.isfinite(tol) and tol > 0):
         raise PreconditionError(f"tol must be positive and finite, got {tol!r}")
 
@@ -765,9 +769,16 @@ def verify_voros(x: complex, eta: float) -> VorosReport:
 
 def formal_solution_partial_sum(sign: str, x: complex, eta: float,
                                 n_terms: int) -> complex:
-    """Truncated normalized WKB solution, for Watson-style consistency checks."""
+    """Truncated normalized WKB solution, for Watson-style consistency checks.
+
+    x must be finite and nonzero (x = 0 is the turning point), and eta
+    positive and finite.
+    """
     from .airy_wkb import wkb_coefficient_stream
 
+    if not cmath.isfinite(x) or x == 0:
+        raise PreconditionError(f"x must be finite and nonzero, got {x!r}")
+    _require_eta(eta)
     stream = wkb_coefficient_stream(n_terms - 1, sign)
     x32 = cmath.exp(1.5 * cmath.log(complex(x)))
     w = 1.0 / (eta * x32)

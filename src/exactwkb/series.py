@@ -357,6 +357,30 @@ class PuiseuxSeries:
     def monomial(cls, variable: str, exponent, coeff=ONE, truncation=None) -> "PuiseuxSeries":
         return cls(variable, {Fraction(exponent): ExactScalar.coerce(coeff)}, truncation)
 
+    @classmethod
+    def from_grid(cls, variable: str, coeffs: Iterable[tuple[int, int, int]],
+                  truncation: Fraction | int | None = None) -> "PuiseuxSeries":
+        """The rational series sum (n/d) var^(h/2) over the triples (h, n, d).
+
+        Grid indices h must increase; n, d are ints with d != 0, reduced here
+        once each, and zero terms are dropped.  Terms at or past the
+        truncation are refused.
+        """
+        trunc = None if truncation is None else Fraction(truncation)
+        limit = None if trunc is None else _grid_limit(trunc)
+        terms = {}
+        last = -math.inf
+        for h, n, d in coeffs:
+            if h <= last:
+                raise PreconditionError(f"grid indices must increase, got {h} after {last}")
+            if limit is not None and h >= limit:
+                raise PreconditionError(
+                    f"term {variable}^({h}/2) lies past the truncation {trunc}")
+            last = h
+            if n:
+                terms[Fraction(h, 2)] = _reduced(n, 0, d)
+        return cls._trusted(variable, terms, trunc)
+
     # -- structure ------------------------------------------------------
 
     def is_zero(self) -> bool:

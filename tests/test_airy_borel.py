@@ -7,6 +7,25 @@ import pytest
 from exactwkb.airy_borel import (borel_series, borel_transform, exchange_symmetry_holds,
                                  hypergeometric_oracle)
 from exactwkb.airy_wkb import wkb_coefficient_stream
+from exactwkb.errors import PreconditionError
+from exactwkb.series import PuiseuxSeries
+
+
+def termwise_borel_series(stream):
+    """d_n = c_n (4/3)^n / (1/2)_n, times (-1)^n for "-", one Fraction step
+    per term, through the general series constructor: the transform's oracle."""
+    terms = {}
+    pochhammer = scale = Fr(1)
+    for n, c_n in enumerate(stream.coeffs):
+        if n > 0:
+            pochhammer *= Fr(2 * n - 1, 2)
+            scale *= Fr(4, 3)
+        d_n = c_n * scale / pochhammer
+        if stream.sign == "-":
+            d_n *= (-1) ** n
+        terms[Fr(2 * n - 1, 2)] = d_n
+    var = "s" if stream.sign == "+" else "u"
+    return PuiseuxSeries(var, terms, Fr(2 * len(stream.coeffs) - 1, 2))
 
 
 class TestBorelTransform:
@@ -31,6 +50,29 @@ class TestBorelTransform:
         for sign in "+-":
             for c in borel_transform(wkb_coefficient_stream(10, sign)).coefficients(11):
                 assert isinstance(c, Fr)
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 24, 60, 120])
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_integer_scaling_matches_the_termwise_fractions(self, order, sign):
+        stream = wkb_coefficient_stream(order, sign)
+        mine = borel_transform(stream)
+        want = termwise_borel_series(stream)
+        assert mine.series == want
+        assert list(mine.series.terms) == list(want.terms)
+        assert mine.series.truncation == Fr(2 * order + 1, 2)
+        assert (mine.base_point, mine.prefactor_i) == ((0, False) if sign == "+" else (1, True))
+
+    def test_a_coefficient_past_the_truncation_raises(self):
+        series = borel_series(4, "+")
+        assert series.coefficients(5) == hypergeometric_oracle("+", 5)
+        assert series.coefficients(0) == []
+        for count in (6, 8):
+            with pytest.raises(PreconditionError,
+                               match=r"d_%d lies at s\^\(%d/2\), past the series "
+                                     r"truncation O\(s\^9/2\)" % (count - 1, 2 * count - 3)):
+                series.coefficients(count)
+        with pytest.raises(PreconditionError, match=r"O\(u\^1/2\)"):
+            borel_series(0, "-").coefficients(2)
 
 
 class TestHypergeometricOracle:

@@ -8,6 +8,32 @@ from exactwkb.airy_wkb import (check_even_is_log_derivative, closed_form_coeffic
                                integrate_s_odd, riccati_recurrence, riccati_residual,
                                split_odd_even, wkb_coefficient_stream)
 from exactwkb.errors import PreconditionError
+from exactwkb.series import PuiseuxSeries
+
+
+def fraction_route_stream(order, sign):
+    """The stream as (1 + A)^(-1/2) exp(sign B), with A and B built from the
+    Fraction coefficients of the Riccati solution and read back by exponent:
+    a_(j+1) = c_j, b_j = c_j / (e_j + 1) for odd j, as the stream's oracle."""
+    source = riccati_recurrence(max(order, 1), "+")
+    trunc = Fr(order + 1)
+    a_terms, b_terms = {}, {}
+    for j in range(1, source.order + 1, 2):
+        c = source.coefficient(j)
+        if j + 1 <= order:
+            a_terms[Fr(j + 1)] = c
+        if j <= order:
+            b_terms[Fr(j)] = c / (Fr(-(3 * j + 2), 2) + 1)
+    one_plus_a = PuiseuxSeries.one("w", trunc) + PuiseuxSeries("w", a_terms, trunc)
+    b_series = PuiseuxSeries("w", b_terms, trunc)
+    phase = b_series if sign == "+" else -b_series
+    stream = one_plus_a.inv_sqrt() * phase.exp()
+    coeffs = []
+    for n in range(order + 1):
+        c = stream.coeff(Fr(n))
+        assert c.is_rational()
+        coeffs.append(c.a)
+    return tuple(coeffs)
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +139,14 @@ class TestCoefficientStream:
         stream = wkb_coefficient_stream(20, sign)
         closed = closed_form_coefficients(20, sign)
         assert list(stream.coeffs) == closed
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 24, 60, 120])
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_integer_inputs_match_the_fraction_route(self, order, sign):
+        stream = wkb_coefficient_stream(order, sign)
+        assert stream.sign == sign
+        assert stream.coeffs == fraction_route_stream(order, sign)
+        assert all(type(c) is Fr for c in stream.coeffs)
 
     def test_closed_form_low_orders(self):
         closed = closed_form_coefficients(1, "+")

@@ -841,6 +841,22 @@ class TestRayOrientation:
 
 
 class TestWatsonConsistency:
+    @pytest.mark.parametrize("x,eta,message", [
+        (0, 10.0, r"x must be finite and nonzero, got 0"),
+        (0j, 10.0, r"x must be finite and nonzero"),
+        (complex(NAN, 1), 10.0, r"x must be finite and nonzero"),
+        (complex(1, INF), 10.0, r"x must be finite and nonzero"),
+        (INF, 10.0, r"x must be finite and nonzero"),
+        (1j, 0.0, r"eta must be positive and finite, got 0.0"),
+        (1j, -1.0, r"eta must be positive and finite, got -1.0"),
+        (1j, NAN, r"eta must be positive and finite, got nan"),
+        (1j, INF, r"eta must be positive and finite, got inf"),
+        (1j, -INF, r"eta must be positive and finite"),
+    ])
+    def test_a_point_outside_the_domain_raises(self, x, eta, message):
+        with pytest.raises(PreconditionError, match=message):
+            formal_solution_partial_sum("-", x, eta, 3)
+
     def test_partial_sums_track_first_omitted_term(self):
         from exactwkb.airy_wkb import closed_form_coefficients
         x = cmath.exp(-1j * math.pi / 6)

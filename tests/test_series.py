@@ -3,7 +3,7 @@
 import math
 from fractions import Fraction as Fr
 
-from exactwkb import airy_wkb, series
+from exactwkb import airy_borel, airy_wkb, series
 
 import pytest
 from hypothesis import given, settings
@@ -58,6 +58,19 @@ class TestPuiseuxArithmetic:
         one_plus = P("s", {Fr(0): 1, Fr(1): 1}, Fr(3))
         inv = P.one("s", Fr(3)) / one_plus
         assert inv == P("s", {Fr(0): 1, Fr(1): -1, Fr(2): 1}, Fr(3))
+
+    def test_from_grid_is_the_general_constructor_on_integer_pairs(self):
+        got = P.from_grid("w", [(-1, 6, -4), (0, 0, 5), (3, 10, 4), (8, 2, 2)], Fr(9, 2))
+        assert got == P("w", {Fr(-1, 2): Fr(-3, 2), Fr(3, 2): Fr(5, 2), Fr(4): 1}, Fr(9, 2))
+        assert list(got.terms) == [Fr(-1, 2), Fr(3, 2), Fr(4)]
+        assert [c._pqd for c in got.terms.values()] == [(-3, 0, 2), (5, 0, 2), (1, 0, 1)]
+        assert P.from_grid("w", [(0, 1, 1), (2, 1, 3)]).truncation is None
+
+    def test_from_grid_refuses_unordered_or_truncated_terms(self):
+        with pytest.raises(PreconditionError, match="grid indices must increase, got 2 after 2"):
+            P.from_grid("w", [(0, 1, 1), (2, 1, 1), (2, 1, 1)], 4)
+        with pytest.raises(PreconditionError, match=r"w\^\(8/2\) lies past the truncation 4"):
+            P.from_grid("w", [(0, 1, 1), (8, 1, 1)], 4)
 
     def test_half_power_leading_parts_add(self):
         a = P("s", {Fr(0): ExactScalar.sqrt3(Fr(1, 4)), Fr(1, 2): Fr(1, 6)})
@@ -403,19 +416,41 @@ class TestKernelCost:
         assert product.truncation == Fr(35, 2) and products <= 17 + 2
         assert len(inverse.terms) == 17 and inverses <= 17 + 2
 
-    def test_riccati_recurrence_takes_no_fraction_arithmetic(self, monkeypatch):
+    @staticmethod
+    def _count_fraction_arithmetic(monkeypatch, fn):
         calls = []
         with monkeypatch.context() as patch:
-            for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__",
+            for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                          "__truediv__", "__rtruediv__", "__pow__", "__neg__"):
                 def counted(*args, method=getattr(Fr, name)):
                     calls.append(1)
                     return method(*args)
                 patch.setattr(Fr, name, counted)
-            airy_wkb.riccati_recurrence(24, "+")
+            fn()
+        return len(calls)
+
+    def test_riccati_recurrence_takes_no_fraction_arithmetic(self, monkeypatch):
+        run = lambda: airy_wkb.riccati_recurrence(24, "+")
         # the 144 pairs of the convolutions run on ints; the 26 Fractions are
         # built, not computed
-        assert calls == []
+        assert self._count_fraction_arithmetic(monkeypatch, run) == 0
+
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_coefficient_stream_takes_no_fraction_arithmetic_per_term(self, monkeypatch, sign):
+        # A and B come from the Riccati integers and the stream is read off
+        # the product's coefficients; what is left is the kernel's truncation
+        # bookkeeping, a few Fraction steps per call at every order
+        counts = [self._count_fraction_arithmetic(
+            monkeypatch, lambda: airy_wkb.wkb_coefficient_stream(order, sign))
+            for order in (24, 120)]
+        assert counts[0] == counts[1] <= 10
+
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_borel_transform_takes_no_fraction_arithmetic(self, monkeypatch, sign):
+        stream = airy_wkb.wkb_coefficient_stream(60, sign)
+        run = lambda: airy_borel.borel_transform(stream)
+        # the scale 8^n / (3^n (2n-1)!!) is two running integer products
+        assert self._count_fraction_arithmetic(monkeypatch, run) == 0
 
 
 # ---------------------------------------------------------------------------
