@@ -19,9 +19,14 @@ lowering m while D divides all three numerators, and by cancelling the common
 integer factor of q and the numerators.  D is irreducible and primitive, so by
 Gauss's lemma a quotient by D stays integral, and the normalised (N, q, m) is
 unique: equality and hashing compare it directly and no polynomial gcd is ever
-taken.  A polynomial is a dict {(e1, e2): int} of its nonzero coefficients.
-The reduced coefficients N / (q D^k) of Q(x1, x2) are built only where they are
-read (``CubicFieldElement.c``).
+taken.  Whether D divides a numerator is read off the curve D = 0, which
+(8 v^3, -6 v^2) parametrises: D divides p exactly when p(8 v^3, -6 v^2) = 0,
+one integer sum per weight 3 e1 + 2 e2; only then is p divided.  A sum of
+products, as the recursion and its checks form them, is lifted to one common
+denominator and normalised once (``_ring_sum``).  A polynomial is a dict
+{(e1, e2): int} of its nonzero coefficients.  The reduced coefficients
+N / (q D^k) of Q(x1, x2) are built only where they are read
+(``CubicFieldElement.c``).
 """
 
 from __future__ import annotations
@@ -30,9 +35,9 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 
-from .errors import NumericError, PreconditionError
+from .errors import NumericError, PreconditionError, VerificationError
 
 # ---------------------------------------------------------------------------
 # polynomials in Z[x1, x2]
@@ -69,9 +74,31 @@ def _d_power(m: int) -> dict:
     return _ONE if m == 0 else _nonzero(_acc_mul({}, _d_power(m - 1), _D))
 
 
-def _divide_by_d(p: dict):
-    """p / D if D divides p, else None.  Rows of equal x1 degree are divided
-    top-down by the leading term 27 x1^2."""
+@lru_cache(maxsize=None)
+def _curve_monomial(e1: int, e2: int) -> tuple:
+    """(3 e1 + 2 e2, 8^e1 (-6)^e2): x1^e1 x2^e2 at (8 v^3, -6 v^2) is the
+    integer times v to the weight."""
+    return 3 * e1 + 2 * e2, 8 ** e1 * (-6) ** e2
+
+
+def _vanishes_on_curve(p: dict) -> bool:
+    """Whether p(8 v^3, -6 v^2) = 0 identically in v, that is whether every
+    weight 3 e1 + 2 e2 has sum c 8^e1 (-6)^e2 = 0 over the terms of p.
+
+    (8 v^3, -6 v^2) runs through the zero set of D = 27 x1^2 + 8 x2^3.  D is
+    irreducible, so by the Nullstellensatz p vanishes there exactly when D
+    divides p (Cox, Little & O'Shea, Ideals, Varieties, and Algorithms,
+    sec. 4.2)."""
+    sums = {}
+    for (e1, e2), c in p.items():
+        w, v = _curve_monomial(e1, e2)
+        sums[w] = sums.get(w, 0) + c * v
+    return not any(sums.values())
+
+
+def _row_divide(p: dict):
+    """p / D if the division leaves no remainder, else None.  Rows of equal x1
+    degree are divided top-down by the leading term 27 x1^2."""
     if not p:
         return p
     rows = [{} for _ in range(max(i for i, _ in p) + 1)]
@@ -92,14 +119,21 @@ def _divide_by_d(p: dict):
     return quotient
 
 
-def _divide_all_by_d(n: tuple):
-    """The tuple n / D if D divides every polynomial in it, else None."""
-    quotients = []
-    for ni in n:
-        if (qi := _divide_by_d(ni)) is None:
-            return None
-        quotients.append(qi)
-    return tuple(quotients)
+def _divide_by_d(p: dict):
+    """p / D if D divides p, else None.
+
+    Divisibility is read off the curve first (``_vanishes_on_curve``), and the
+    row division runs only when it holds.  D is primitive, so by Gauss's lemma
+    the quotient of an integer polynomial is an integer polynomial, and a row
+    division that leaves a remainder contradicts the curve test: it raises
+    ``VerificationError``."""
+    if not _vanishes_on_curve(p):
+        return None
+    if (quotient := _row_divide(p)) is None:
+        raise VerificationError(
+            "the curve test and the row division disagree on whether "
+            "27 x1^2 + 8 x2^3 divides a polynomial")
+    return quotient
 
 
 def _strip_d(p: dict) -> tuple:
@@ -112,9 +146,15 @@ def _strip_d(p: dict) -> tuple:
 
 def _normalise(n: tuple, q: int, m: int) -> tuple:
     """(n, q, m) with m lowered while D divides every polynomial in n, and the
-    common integer factor of q and n cancelled."""
-    while m > 0 and (lower := _divide_all_by_d(n)) is not None:
-        n, m = lower, m - 1
+    common integer factor of q and n cancelled; zero has q = 1 and m = 0.
+
+    Each step tests all of n on the curve before it divides any, so an n that
+    D does not divide costs one pass over its terms.  A sum of products is
+    normalised once, by ``_ring_sum``, not once per term."""
+    if not any(n):
+        return n, 1, 0
+    while m > 0 and all(_vanishes_on_curve(ni) for ni in n):
+        n, m = tuple(_divide_by_d(ni) for ni in n), m - 1
     g = gcd(q, *(c for ni in n for c in ni.values()))
     if g > 1:
         n, q = tuple({e: c // g for e, c in ni.items()} for ni in n), q // g
@@ -472,6 +512,9 @@ def _UNIT_DENOM() -> CubicFieldElement:
     return CubicFieldElement._new(({(0, 1): 1}, {}, {(0, 0): 6}), 1, 0)
 
 
+_RING_ONE = CubicFieldElement._new((_ONE, {}, {}), 1, 0)
+
+
 # ---------------------------------------------------------------------------
 # the WKB recursion
 # ---------------------------------------------------------------------------
@@ -495,14 +538,33 @@ class PearceyRecursion:
         return self.t_terms[k + 1]
 
 
-def _pair_sum(s: list, n: int, low: int) -> CubicFieldElement:
-    """The sum of S_a S_b over a + b = n with a, b >= low; s[k + 1] = S_k."""
-    total = sum((s[a + 1] * s[n - a + 1] for a in range(low, (n + 1) // 2)),
-                CubicFieldElement())
-    total = total + total
+def _ring_sum(terms) -> CubicFieldElement:
+    """The sum of w a b over the (w, a, b) of ``terms``, w an int, reduced once.
+
+    Each raw product 4 a b, over q_a q_b D^(m_a + m_b), comes from ``_mul``; a
+    term whose b is ``_RING_ONE`` takes a as it stands.  Every term is lifted
+    to the common q and m and added, and only the sum is normalised, where
+    chained ``+`` and ``*`` would normalise each product and each partial
+    sum."""
+    raw = [(w, _mul(a.n, b.n), a.q * b.q, a.m + b.m) if b is not _RING_ONE
+           else (4 * w, a.n, a.q, a.m) for w, a, b in terms]
+    q = lcm(*(qi for _, _, qi, _ in raw))
+    m = max((mi for *_, mi in raw), default=0)
+    out = ({}, {}, {})
+    for w, n, qi, mi in raw:
+        lift, c = _d_power(m - mi), w * (q // qi)
+        for total, ni in zip(out, n):
+            _acc_mul(total, ni, lift, c)
+    return CubicFieldElement._new(tuple(_nonzero(total) for total in out), 4 * q, m)
+
+
+def _pair_terms(s: list, n: int, low: int) -> list:
+    """The terms (w, S_a, S_b) of the sum of S_a S_b over a + b = n with
+    a, b >= low, each unordered pair once; s[k + 1] = S_k."""
+    terms = [(2, s[a + 1], s[n - a + 1]) for a in range(low, (n + 1) // 2)]
     if n % 2 == 0 and n // 2 >= low:
-        total = total + s[n // 2 + 1] * s[n // 2 + 1]
-    return total
+        terms.append((1, s[n // 2 + 1], s[n // 2 + 1]))
+    return terms
 
 
 def pearcey_recursion(order: int) -> PearceyRecursion:
@@ -512,8 +574,11 @@ def pearcey_recursion(order: int) -> PearceyRecursion:
     S_k divides the lower-order cubic/derivative data by (6 S_-1^2 + x2); the
     T_k follow from T_k = d1 S_(k-1) + sum_j S_j S_(k-j-1).  Both the cubic
     term of S_k and the quadratic term of T_k read the pair sums
-    P_n = sum_(a+b=n) S_a S_b, each formed once.
+    P_n = sum_(a+b=n) S_a S_b, each formed once.  Every sum of products is
+    one ``_ring_sum``, normalised once.
     """
+    if isinstance(order, bool) or not isinstance(order, int):
+        raise PreconditionError(f"order must be an int, got {order!r}")
     if order < 0:
         raise PreconditionError("order must be >= 0")
     unit = _UNIT_DENOM()
@@ -522,20 +587,19 @@ def pearcey_recursion(order: int) -> PearceyRecursion:
     # S_0 from the logarithmic derivative of the unit
     s_list.append(CubicFieldElement.scalar(Fraction(-1, 2)) * unit.d1() * unit_inv)
     d1_cache = {-1: s_list[0].d1(), 0: s_list[1].d1()}
-    pairs = {n: _pair_sum(s_list, n, -1) for n in (-2, -1)}
+    pairs = {n: _ring_sum(_pair_terms(s_list, n, -1)) for n in (-2, -1)}
     for k in range(1, order + 1):
         # P_(k-1) lacks its two terms S_-1 S_k until S_k is known
-        pairs[k - 1] = _pair_sum(s_list, k - 1, 0)
-        triple_sum = sum((s_list[k1 + 1] * pairs[k - 2 - k1] for k1 in range(-1, k)),
-                         CubicFieldElement())
-        cross = sum((s_list[k1 + 1] * d1_cache[k - 2 - k1] for k1 in range(-1, k)),
-                    CubicFieldElement())
-        second = d1_cache[k - 2].d1()
-        body = triple_sum + CubicFieldElement.scalar(3) * cross + second
-        s_k = CubicFieldElement.scalar(-2) * unit_inv * body
+        partial = _pair_terms(s_list, k - 1, 0)
+        pairs[k - 1] = _ring_sum(partial)
+        body = _ring_sum(
+            [(1, s_list[k1 + 1], pairs[k - 2 - k1]) for k1 in range(-1, k)]
+            + [(3, s_list[k1 + 1], d1_cache[k - 2 - k1]) for k1 in range(-1, k)]
+            + [(1, d1_cache[k - 2].d1(), _RING_ONE)])
+        s_k = _ring_sum([(-2, unit_inv, body)])
         s_list.append(s_k)
         d1_cache[k] = s_k.d1()
-        pairs[k - 1] = pairs[k - 1] + CubicFieldElement.scalar(2) * s_list[0] * s_k
+        pairs[k - 1] = _ring_sum(partial + [(2, s_list[0], s_k)])
     t_list = [pairs[-2]]  # T_-1 = S^2
     t_list += [d1_cache[k - 1] + pairs[k - 1] for k in range(0, order + 1)]
     return PearceyRecursion(order, tuple(s_list), tuple(t_list))
@@ -556,7 +620,8 @@ def check_closedness(rec: PearceyRecursion) -> SymbolicCheckReport:
     """d2 S_k - d1 T_k = 0 exactly in the quotient ring for every k."""
     failures = []
     for k in range(-1, rec.order + 1):
-        if not (rec.s(k).d2() - rec.t(k).d1()).is_zero():
+        if not _ring_sum([(1, rec.s(k).d2(), _RING_ONE),
+                          (-1, rec.t(k).d1(), _RING_ONE)]).is_zero():
             failures.append(k)
     return SymbolicCheckReport("closedness", rec.order, tuple(failures))
 
@@ -565,8 +630,11 @@ def check_primitives(rec: PearceyRecursion) -> SymbolicCheckReport:
     """The homogeneity-constrained primitives reproduce the streams.
 
     For k != 0 the primitive is -(1/(4k)) (3 x1 S_k + 2 x2 T_k); its partials
-    must equal S_k and T_k.  For k = 0 the primitive is -(1/2) log(6 S^2 + x2)
-    and the same identities are checked through the logarithmic derivative.
+    must equal S_k and T_k.  With P = 3 x1 S_k + 2 x2 T_k this is checked as
+    d1 P + 4k S_k = 0 and d2 P + 4k T_k = 0, the identities times -4k, so no
+    rational scalar enters.  For k = 0 the primitive is -(1/2) log(6 S^2 + x2)
+    and the same identities are checked, times -2, through the logarithmic
+    derivative.
     """
     failures = []
     x1 = CubicFieldElement.x1()
@@ -575,15 +643,12 @@ def check_primitives(rec: PearceyRecursion) -> SymbolicCheckReport:
         if k == 0:
             unit = _UNIT_DENOM()
             unit_inv = unit.inverse()
-            half = CubicFieldElement.scalar(Fraction(-1, 2))
-            ok = ((half * unit.d1() * unit_inv - rec.s(0)).is_zero()
-                  and (half * unit.d2() * unit_inv - rec.t(0)).is_zero())
+            ok = (_ring_sum([(1, unit.d1(), unit_inv), (2, rec.s(0), _RING_ONE)]).is_zero()
+                  and _ring_sum([(1, unit.d2(), unit_inv), (2, rec.t(0), _RING_ONE)]).is_zero())
         else:
-            prim = CubicFieldElement.scalar(Fraction(-1, 4 * k)) \
-                * (CubicFieldElement.scalar(3) * x1 * rec.s(k)
-                   + CubicFieldElement.scalar(2) * x2 * rec.t(k))
-            ok = ((prim.d1() - rec.s(k)).is_zero()
-                  and (prim.d2() - rec.t(k)).is_zero())
+            prim = _ring_sum([(3, x1, rec.s(k)), (2, x2, rec.t(k))])
+            ok = (_ring_sum([(1, prim.d1(), _RING_ONE), (4 * k, rec.s(k), _RING_ONE)]).is_zero()
+                  and _ring_sum([(1, prim.d2(), _RING_ONE), (4 * k, rec.t(k), _RING_ONE)]).is_zero())
         if not ok:
             failures.append(k)
     return SymbolicCheckReport("primitives", rec.order, tuple(failures))
@@ -637,9 +702,13 @@ def quartic_g_roots(x1: complex, x2: complex, y: complex) -> list[PearceyBranch]
     (B = 0).  A sweep moves each root in turn by F / (F' - F sum_j 1/(z - z_j)).
     The iteration ends after the first sweep in which every residual |F| lay
     within the rounding of its evaluation, and keeps that sweep's steps.  A
-    root whose scaled residual is still above ``QUARTIC_TOL`` raises; labels
-    order the roots by (real, imaginary) part.
+    root whose scaled residual is still above ``QUARTIC_TOL``, or is NaN,
+    raises ``NumericError``; labels order the roots by (real, imaginary) part.
+    An ``x1``, ``x2`` or ``y`` that is not finite raises ``PreconditionError``.
     """
+    for name, value in (("x1", x1), ("x2", x2), ("y", y)):
+        if not (isfinite(value.real) and isfinite(value.imag)):
+            raise PreconditionError(f"{name} = {value!r} is not finite")
     a, b, c, d, e = quartic_coefficients(x1, x2, y)
     if abs(a) < 1e-10 * max(1.0, abs(c), abs(d)):
         raise PreconditionError(
@@ -664,7 +733,7 @@ def quartic_g_roots(x1: complex, x2: complex, y: complex) -> list[PearceyBranch]
     except ZeroDivisionError:
         raise NumericError("two quartic roots met in the Aberth iteration") from None
     for z in roots:
-        if abs(((a * z + b) * z + c) * z ** 2 + d * z + e) > QUARTIC_TOL * scale(z):
+        if not abs(((a * z + b) * z + c) * z ** 2 + d * z + e) <= QUARTIC_TOL * scale(z):
             raise NumericError(f"quartic root did not refine below {QUARTIC_TOL}")
     roots.sort(key=lambda z: (round(z.real, 12), round(z.imag, 12)))
     return [PearceyBranch(x1, x2, y, z, i + 1) for i, z in enumerate(roots)]

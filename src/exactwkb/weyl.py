@@ -6,6 +6,11 @@ rational coefficients; products are reduced with the commutation rules
 may be negative (localization at eta); the falling-factorial reduction rule is
 valid there as well, but every shipped identity is verified in eta-cleared
 polynomial form.
+
+A coefficient is an ``int`` unless a caller gives a rational that is not an
+integer: every reduction weight is an integer, so the Pearcey operators and
+their identities are checked on integers alone.  A ``Fraction`` that is an
+integer is stored as that int, which prints, compares and hashes the same.
 """
 
 from __future__ import annotations
@@ -29,27 +34,52 @@ def _falling(c: int, j: int) -> int:
     return out
 
 
+def _monomial(mono) -> Monomial:
+    if not (isinstance(mono, tuple) and len(mono) == 6
+            and all(isinstance(e, int) and not isinstance(e, bool) for e in mono)):
+        raise PreconditionError(f"monomial must be a tuple of six ints, got {mono!r}")
+    if any(e < 0 for i, e in enumerate(mono) if i != 2):
+        raise PreconditionError("only eta may carry negative exponents")
+    return mono
+
+
+def _is_scalar(value) -> bool:
+    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+
+
 class WeylElement:
-    """A finite rational combination of normal-ordered monomials."""
+    """A finite rational combination of normal-ordered monomials.
+
+    Coefficients are ints or Fractions and monomials tuples of six ints, of
+    which only the eta exponent may be negative; anything else raises
+    ``PreconditionError``.  ``+``, ``-`` and ``*`` take WeylElements, ints
+    and Fractions, and return ``NotImplemented`` for any other operand.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[Monomial, Fraction] | None = None):
+    def __init__(self, terms: dict[Monomial, int | Fraction] | None = None):
         clean = {}
         for mono, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
-            if any(e < 0 for i, e in enumerate(mono) if i != 2):
-                raise PreconditionError("only eta may carry negative exponents")
-            clean[tuple(mono)] = clean.get(tuple(mono), Fraction(0)) + coeff
-        self.terms = {m: c for m, c in sorted(clean.items()) if c != 0}
+            if not _is_scalar(coeff):
+                raise PreconditionError(
+                    f"coefficient must be an int or a Fraction, got {coeff!r}")
+            mono = _monomial(mono)
+            clean[mono] = clean.get(mono, 0) + coeff
+        self.terms = _normal(clean)
+
+    @classmethod
+    def _new(cls, terms: dict) -> "WeylElement":
+        """An element from checked monomials and int or Fraction sums."""
+        self = object.__new__(cls)
+        self.terms = _normal(terms)
+        return self
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def monomial(cls, x1=0, x2=0, eta=0, d1=0, d2=0, deta=0, coeff=1) -> "WeylElement":
-        return cls({(x1, x2, eta, d1, d2, deta): Fraction(coeff)})
+        return cls({(x1, x2, eta, d1, d2, deta): coeff})
 
     @classmethod
     def scalar(cls, coeff) -> "WeylElement":
@@ -69,39 +99,47 @@ class WeylElement:
     # -- linear structure ------------------------------------------------------
 
     def __add__(self, other) -> "WeylElement":
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             other = WeylElement.scalar(other)
+        elif not isinstance(other, WeylElement):
+            return NotImplemented
         merged = dict(self.terms)
         for m, c in other.terms.items():
-            merged[m] = merged.get(m, Fraction(0)) + c
-        return WeylElement(merged)
+            merged[m] = merged.get(m, 0) + c
+        return WeylElement._new(merged)
 
     __radd__ = __add__
 
     def __neg__(self) -> "WeylElement":
-        return WeylElement({m: -c for m, c in self.terms.items()})
+        return WeylElement._new({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "WeylElement":
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             other = WeylElement.scalar(other)
+        elif not isinstance(other, WeylElement):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other) -> "WeylElement":
+        if not _is_scalar(other):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other) -> "WeylElement":
-        if isinstance(other, (int, Fraction)):
-            return WeylElement({m: c * other for m, c in self.terms.items()})
-        out: dict[Monomial, Fraction] = {}
+        if _is_scalar(other):
+            return WeylElement._new({m: c * other for m, c in self.terms.items()})
+        if not isinstance(other, WeylElement):
+            return NotImplemented
+        out: dict[Monomial, int | Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                for mono, coeff in _monomial_product(m1, m2):
-                    key = mono
-                    out[key] = out.get(key, Fraction(0)) + c1 * c2 * coeff
-        return WeylElement(out)
+                c12 = c1 * c2
+                for mono, weight in _monomial_product(m1, m2):
+                    out[mono] = out.get(mono, 0) + c12 * weight
+        return WeylElement._new(out)
 
     def __rmul__(self, other) -> "WeylElement":
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             return self * other
         return NotImplemented
 
@@ -122,12 +160,11 @@ class WeylElement:
             for (p, q, r), pc in poly.items():
                 if d > p or e > q:
                     continue
-                factor = (Fraction(_falling(p, d)) * _falling(q, e)
-                          * _falling(r, f))
+                factor = _falling(p, d) * _falling(q, e) * _falling(r, f)
                 if factor == 0:
                     continue
                 key = (p - d + a, q - e + b, r - f + c)
-                out[key] = out.get(key, Fraction(0)) + coeff * pc * factor
+                out[key] = out.get(key, 0) + coeff * pc * factor
         return {k: v for k, v in out.items() if v != 0}
 
     def __repr__(self) -> str:
@@ -142,11 +179,19 @@ class WeylElement:
         return " + ".join(parts)
 
 
+def _normal(terms: dict) -> dict:
+    """The nonzero terms in monomial order, a Fraction that is an integer as
+    that int."""
+    return {m: c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c
+            for m, c in sorted(terms.items()) if c}
+
+
 def _monomial_product(m1: Monomial, m2: Monomial):
     """Normal-ordered expansion of (normal monomial) * (normal monomial).
 
     Each conjugate pair contributes d^d x^a = sum_j C(d,j) (a)_j x^(a-j) d^(d-j);
-    the three pairs act independently, all other generator pairs commute.
+    the three pairs act independently, all other generator pairs commute.  The
+    weights are ints.
     """
     a1, b1, c1, d1, e1, f1 = m1
     a2, b2, c2, d2, e2, f2 = m2
@@ -160,7 +205,7 @@ def _monomial_product(m1: Monomial, m2: Monomial):
                     continue
                 mono = (a1 + a2 - j1, b1 + b2 - j2, c1 + c2 - j3,
                         d1 + d2 - j1, e1 + e2 - j2, f1 + f2 - j3)
-                yield mono, Fraction(w1 * w2 * w3)
+                yield mono, w1 * w2 * w3
 
 
 # short generator aliases

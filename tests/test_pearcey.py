@@ -17,9 +17,10 @@ from sympy import QQ
 from sympy.polys.fields import field
 
 from exactwkb import pearcey
-from exactwkb.errors import NumericError, PreconditionError
-from exactwkb.pearcey import (_D, CubicFieldElement, _acc_mul, _nonzero,
-                              annihilation_residuals,
+from exactwkb.errors import NumericError, PreconditionError, VerificationError
+from exactwkb.pearcey import (_D, _RING_ONE, CubicFieldElement, _acc_mul,
+                              _divide_by_d, _nonzero, _ring_sum, _row_divide,
+                              _vanishes_on_curve, annihilation_residuals,
                               branch_partials, check_closedness, check_primitives,
                               denominator_is_unit_power, homogeneity_residual,
                               pearcey_recursion, quartic_coefficients,
@@ -228,6 +229,122 @@ class TestQuotientRing:
         assert (lhs - rhs).is_zero()
 
 
+def integer_polynomials(max_degree=6, max_terms=6):
+    """Integer polynomials {(e1, e2): c} with small nonzero coefficients."""
+    monomials = [(i, j) for i in range(max_degree + 1) for j in range(max_degree + 1 - i)]
+    return st.dictionaries(st.sampled_from(monomials),
+                           st.integers(-40, 40).filter(bool), max_size=max_terms)
+
+
+def times_d(p: dict) -> dict:
+    return _nonzero(_acc_mul({}, p, _D))
+
+
+class TestDivisibilityByD:
+    """D divides p exactly when p vanishes on (8 v^3, -6 v^2); the curve test
+    is held against the row division by 27 x1^2, which makes no use of it."""
+
+    def test_the_curve_is_the_zero_set_of_d(self):
+        assert _vanishes_on_curve(_D)
+        assert not _vanishes_on_curve({(2, 0): 27, (0, 3): -8})
+        assert not _vanishes_on_curve({(1, 0): 1}) and not _vanishes_on_curve({(0, 0): 1})
+
+    @settings(max_examples=200, deadline=None)
+    @given(integer_polynomials())
+    def test_the_curve_test_agrees_with_the_row_division(self, p):
+        assert _vanishes_on_curve(p) == (_row_divide(dict(p)) is not None)
+
+    @settings(max_examples=100, deadline=None)
+    @given(integer_polynomials(max_terms=8).filter(bool))
+    def test_every_multiple_of_d_is_divided(self, p):
+        multiple = times_d(p)
+        assert _vanishes_on_curve(multiple)
+        assert _row_divide(dict(multiple)) == p
+        assert _divide_by_d(multiple) == p
+        assert _divide_by_d(times_d(multiple)) == multiple
+
+    @settings(max_examples=100, deadline=None)
+    @given(integer_polynomials(), st.integers(0, 8), st.integers(0, 8),
+           st.integers(-40, 40).filter(bool))
+    def test_a_multiple_plus_one_term_is_not_divided(self, p, e1, e2, c):
+        q = times_d(p)
+        q[(e1, e2)] = q.get((e1, e2), 0) + c
+        q = _nonzero(q)
+        assert not _vanishes_on_curve(q)
+        assert _row_divide(dict(q)) is None and _divide_by_d(q) is None
+
+    def test_a_row_division_that_contradicts_the_curve_raises(self, monkeypatch):
+        monkeypatch.setattr(pearcey, "_vanishes_on_curve", lambda p: True)
+        with pytest.raises(VerificationError, match="disagree"):
+            _divide_by_d({(1, 0): 1})
+
+
+def weights():
+    return st.integers(-6, 6)
+
+
+class TestRingSum:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(weights(), field_triples(), field_triples()),
+                    min_size=1, max_size=4),
+           st.lists(st.tuples(weights(), field_triples()), max_size=2))
+    def test_the_sum_equals_the_chained_operations(self, products, linear):
+        terms = [(w, CubicFieldElement(*a), CubicFieldElement(*b)) for w, a, b in products]
+        terms += [(w, CubicFieldElement(*a), _RING_ONE) for w, a in linear]
+        chained = CubicFieldElement()
+        for w, a, b in terms:
+            chained = chained + CubicFieldElement.scalar(w) * a * b
+        total = _ring_sum(terms)
+        assert total == chained
+        assert (total.n, total.q, total.m) == (chained.n, chained.q, chained.m)
+
+    def test_no_terms_sum_to_zero(self):
+        assert _ring_sum([]) == CubicFieldElement() and _ring_sum([]).is_zero()
+
+    def test_terms_that_cancel_sum_to_the_normal_zero(self):
+        a = UNIT.inverse()
+        zero = _ring_sum([(2, a, S), (-1, a, S + S)])
+        assert zero.is_zero() and (zero.q, zero.m) == (1, 0)
+
+
+class TestRingCost:
+    """Sums of products are normalised once, no row division is tried that
+    fails, and the recursion takes no public ring products past S_0."""
+
+    @staticmethod
+    def _results(monkeypatch, name):
+        """The list that collects every result of ``pearcey.<name>``."""
+        results = []
+        real = getattr(pearcey, name)
+        monkeypatch.setattr(pearcey, name,
+                            lambda *args: results.append(real(*args)) or results[-1])
+        return results
+
+    @staticmethod
+    def _order_4_with_checks():
+        rec = pearcey_recursion(4)
+        assert check_closedness(rec).passed and check_primitives(rec).passed
+
+    def test_normalisations_per_order_4_recursion_and_checks(self, monkeypatch):
+        normalised = self._results(monkeypatch, "_normalise")
+        self._order_4_with_checks()
+        # a normalisation per product and per partial sum took 270
+        assert len(normalised) <= 100
+
+    def test_no_row_division_fails(self, monkeypatch):
+        quotients = self._results(monkeypatch, "_row_divide")
+        self._order_4_with_checks()
+        assert quotients and all(q is not None for q in quotients)
+
+    def test_public_products_only_for_s0(self, monkeypatch):
+        calls = []
+        mul = CubicFieldElement.__mul__
+        monkeypatch.setattr(CubicFieldElement, "__mul__",
+                            lambda a, b: calls.append(1) or mul(a, b))
+        self._order_4_with_checks()
+        assert len(calls) == 2
+
+
 class TestRecursion:
     def test_t_minus_one_is_s_squared(self, recursion):
         assert (recursion.t(-1) - S * S).is_zero()
@@ -287,6 +404,11 @@ class TestRecursion:
         monkeypatch.setattr(pearcey, "quartic_g_roots", fails_first)
         with pytest.raises(NumericError):
             run_pearcey_verify(2, 5, 42, ann_points=2)
+
+    @pytest.mark.parametrize("order", [2.5, None, "3", True, False, -1])
+    def test_an_order_that_is_not_a_nonnegative_int_raises(self, order):
+        with pytest.raises(PreconditionError, match="order"):
+            pearcey_recursion(order)
 
     def test_closedness_and_primitives_to_order_12(self):
         rec = pearcey_recursion(12)
@@ -490,6 +612,23 @@ class TestQuartic:
         roots = [b.value for b in quartic_g_roots(0.0, 1.3, 0.7)]
         for v in roots:
             assert min(abs(v + w) for w in roots) < 1e-10
+
+    @pytest.mark.parametrize("point, name", [
+        ((float("nan"), 1, 1), "x1"), ((1, complex(0, float("nan")), 1), "x2"),
+        ((1, 1, float("inf")), "y"), ((complex(float("-inf"), 1), 1, 1), "x1"),
+        ((0.9 + 0.3j, -1.1 + 0.2j, complex(0.8, float("nan"))), "y")])
+    def test_a_point_that_is_not_finite_raises(self, point, name):
+        with pytest.raises(PreconditionError, match=f"{name} = "):
+            quartic_g_roots(*point)
+
+    def test_a_nan_residual_fails_the_final_check(self, monkeypatch):
+        # finite inputs whose coefficients are NaN: the singular-locus guard
+        # compares with NaN, so only the residual check can refuse the roots
+        nan = complex(float("nan"), 0)
+        monkeypatch.setattr(pearcey, "quartic_coefficients",
+                            lambda x1, x2, y: (nan, 0j, 1 + 0j, 1 + 0j, 1 + 0j))
+        with pytest.raises(NumericError, match="did not refine"):
+            quartic_g_roots(0.9 + 0.3j, -1.1 + 0.2j, 0.8 - 0.4j)
 
     def test_singular_locus_rejected(self):
         # leading coefficient vanishes at x1=x2=y=0 direction scaled suitably

@@ -5,6 +5,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from exactwkb import weyl
 from exactwkb.errors import PreconditionError
 from exactwkb.weyl import (D1, D2, DETA, ETA, X1, X2, WeylElement,
                            pearcey_operators, verify_operator_identities)
@@ -94,3 +95,65 @@ class TestOperatorIdentities:
         for name, op in ops.items():
             has_deta = any(mono[5] for mono in op.terms)
             assert has_deta == (name == "P4")
+
+
+class TestTypedInputs:
+    @pytest.mark.parametrize("coeff", [0.1, 0.5, float("nan"), 1j, "3", None, True])
+    def test_a_coefficient_that_is_not_an_int_or_fraction_raises(self, coeff):
+        with pytest.raises(PreconditionError, match="coefficient"):
+            WeylElement.scalar(coeff)
+        with pytest.raises(PreconditionError, match="coefficient"):
+            WeylElement({(1, 0, 0, 0, 0, 0): coeff})
+
+    @pytest.mark.parametrize("mono", [(1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0),
+                                      (1.5, 0, 0, 0, 0, 0), (True, 0, 0, 0, 0, 0), "x1"])
+    def test_a_monomial_that_is_not_six_ints_raises(self, mono):
+        with pytest.raises(PreconditionError, match="monomial"):
+            WeylElement({mono: 1})
+
+    def test_a_fractional_exponent_raises(self):
+        with pytest.raises(PreconditionError):
+            WeylElement.monomial(x1=1.5)
+
+    @pytest.mark.parametrize("other", [0.5, 1j, "x", None])
+    def test_an_unsupported_operand_is_not_implemented(self, other):
+        assert X1.__add__(other) is NotImplemented
+        assert X1.__sub__(other) is NotImplemented
+        assert X1.__mul__(other) is NotImplemented
+        for op in (lambda: X1 + other, lambda: other + X1, lambda: X1 - other,
+                   lambda: other - X1, lambda: X1 * other, lambda: other * X1):
+            with pytest.raises(TypeError):
+                op()
+
+
+class TestIntegerCoefficients:
+    def test_operators_and_residuals_have_int_coefficients(self):
+        for op in pearcey_operators().values():
+            assert all(type(c) is int for c in op.terms.values())
+        product = pearcey_operators()["Q1"] * pearcey_operators()["P2"]
+        assert product.terms and all(type(c) is int for c in product.terms.values())
+
+    def test_a_rational_stays_a_fraction_until_it_is_an_integer(self):
+        half = X1 * Fr(1, 2)
+        assert half.terms == {(1, 0, 0, 0, 0, 0): Fr(1, 2)}
+        assert type((half * 2).terms[(1, 0, 0, 0, 0, 0)]) is int
+        assert type(WeylElement.scalar(Fr(6, 3)).terms[(0,) * 6]) is int
+
+    def test_an_integral_fraction_prints_compares_and_hashes_as_its_int(self):
+        mono = (1, 0, 2, 0, 1, 0)
+        for value in (3, -1, 1, 12):
+            a, b = WeylElement({mono: value}), WeylElement({mono: Fr(value)})
+            assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert repr(WeylElement({mono: Fr(-3, 2)})) == "-3/2*x1*eta^2*d2"
+
+    def test_the_identities_construct_no_fraction(self, monkeypatch):
+        calls = []
+        new = Fr.__new__
+        monkeypatch.setattr(Fr, "__new__", staticmethod(
+            lambda cls, *args, **kwargs: calls.append(1) or new(cls, *args, **kwargs)))
+        assert verify_operator_identities().passed
+        assert calls == []
+
+    def test_product_weights_are_ints(self):
+        weights = [w for _, w in weyl._monomial_product((0, 0, 0, 3, 2, 2), (3, 2, -1, 0, 0, 0))]
+        assert weights and all(type(w) is int for w in weights)
