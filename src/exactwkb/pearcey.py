@@ -27,6 +27,15 @@ denominator and normalised once (``_ring_sum``).  A polynomial is a dict
 {(e1, e2): int} of its nonzero coefficients.  The reduced coefficients
 N / (q D^k) of Q(x1, x2) are built only where they are read
 (``CubicFieldElement.c``).
+
+The numeric side solves the Borel-plane quartic A g^4 + C g^2 + D g + 1 by an
+Aberth iteration (``quartic_g_roots``), at points whose weighted scale
+max(|x1|^(1/3), |x2|^(1/2), |y|^(1/4)) is at most ``QUARTIC_SCALE_MAX``, and
+witnesses each branch with the four annihilators through exact implicit
+derivatives.  The weighted homogeneity g -> l^-3 g under (x1, x2, y) ->
+(l^3 x1, l^2 x2, l^4 y) is checked by one solve at the point scaled by the
+non-dyadic ``HOMOGENEITY_LAMBDA``, whose roots are mapped back and held
+against the unscaled quartic (``homogeneity_residual``).
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isfinite, lcm
+from math import gcd, inf, lcm
 
 from .errors import NumericError, PreconditionError, VerificationError
 
@@ -676,6 +685,16 @@ QUARTIC_TOL = 1e-12
 # times the largest term
 QUARTIC_ROUNDING = 8e-15
 QUARTIC_SWEEPS = 100  # Aberth sweeps at most
+# the largest weighted scale max(|x1|^(1/3), |x2|^(1/2), |y|^(1/4)) of a point:
+# A has weight 12, so |A| stays near 1e240 up to it, and near 5e245 at three
+# times it
+QUARTIC_SCALE_MAX = 1e20
+_X1_MAX, _X2_MAX, _Y_MAX = (QUARTIC_SCALE_MAX ** w for w in (3, 2, 4))
+# lambda of the homogeneity check (x1, x2, y) -> (l^3 x1, l^2 x2, l^4 y); a power
+# of two would scale every coefficient exactly, and the Aberth iteration would
+# mostly return the base roots' bits scaled, so the check would compare the
+# solver with itself
+HOMOGENEITY_LAMBDA = 3.0
 
 @dataclass(frozen=True)
 class PearceyBranch:
@@ -686,8 +705,35 @@ class PearceyBranch:
     label: int
 
 
+def _is_finite(value) -> bool:
+    return abs(value.real) < inf and abs(value.imag) < inf
+
+
+def _check_point(x1, x2, y) -> None:
+    """Raise ``PreconditionError``, naming the coordinate, unless the point is
+    finite and its weighted scale is at most ``QUARTIC_SCALE_MAX``."""
+    try:
+        if abs(x1) <= _X1_MAX and abs(x2) <= _X2_MAX and abs(y) <= _Y_MAX:
+            return
+    except OverflowError:  # a finite complex whose modulus overflows
+        pass
+    for name, value, limit in (("x1", x1, _X1_MAX), ("x2", x2, _X2_MAX), ("y", y, _Y_MAX)):
+        if not _is_finite(value):
+            raise PreconditionError(f"{name} = {value!r} is not finite")
+        if not (abs(value.real) <= limit and abs(value.imag) <= limit
+                and abs(value) <= limit):
+            raise PreconditionError(
+                f"{name} = {value!r} puts the point beyond the weighted scale "
+                f"{QUARTIC_SCALE_MAX:g}")
+
+
 def quartic_coefficients(x1: complex, x2: complex, y: complex):
-    """(A, B, C, D, E) of A g^4 + B g^3 + C g^2 + D g + E annihilating g."""
+    """(A, B, C, D, E) of A g^4 + B g^3 + C g^2 + D g + E annihilating g.
+
+    A point that is not finite, or whose weighted scale is above
+    ``QUARTIC_SCALE_MAX``, raises ``PreconditionError`` before any power is
+    formed."""
+    _check_point(x1, x2, y)
     a = 4 * x1 ** 2 * x2 * (36 * y - x2 ** 2) + 16 * y * (x2 ** 2 - 4 * y) ** 2 \
         - 27 * x1 ** 4
     return (a, 0j, 2 * (-8 * x2 * y + 2 * x2 ** 3 + 9 * x1 ** 2), -8 * x1, 1 + 0j)
@@ -699,16 +745,16 @@ def quartic_g_roots(x1: complex, x2: complex, y: complex) -> list[PearceyBranch]
     The roots come from one Aberth-Ehrlich iteration (Aberth, Math. Comp. 27,
     1973), started on a circle of the Fujiwara radius
     2 max(|C/A|^(1/2), |D/A|^(1/3), |E/(2A)|^(1/4)), which bounds every root
-    (B = 0).  A sweep moves each root in turn by F / (F' - F sum_j 1/(z - z_j)).
-    The iteration ends after the first sweep in which every residual |F| lay
-    within the rounding of its evaluation, and keeps that sweep's steps.  A
-    root whose scaled residual is still above ``QUARTIC_TOL``, or is NaN,
-    raises ``NumericError``; labels order the roots by (real, imaginary) part.
-    An ``x1``, ``x2`` or ``y`` that is not finite raises ``PreconditionError``.
+    (B = 0).  A sweep moves each root in turn by F / (F' - F sum_j 1/(z - z_j)),
+    the sum taken over the other three roots in index order; the four roots
+    are held in locals, so a sweep builds no list.  The iteration ends after
+    the first sweep in which every residual |F| lay within the rounding of its
+    evaluation, and keeps that sweep's steps.  A root whose scaled residual is
+    still above ``QUARTIC_TOL``, or is NaN, raises ``NumericError``; labels
+    order the roots by (real, imaginary) part.  A point that is not finite,
+    or whose weighted scale is above ``QUARTIC_SCALE_MAX``, raises
+    ``PreconditionError`` (``quartic_coefficients``).
     """
-    for name, value in (("x1", x1), ("x2", x2), ("y", y)):
-        if not (isfinite(value.real) and isfinite(value.imag)):
-            raise PreconditionError(f"{name} = {value!r} is not finite")
     a, b, c, d, e = quartic_coefficients(x1, x2, y)
     if abs(a) < 1e-10 * max(1.0, abs(c), abs(d)):
         raise PreconditionError(
@@ -719,19 +765,37 @@ def quartic_g_roots(x1: complex, x2: complex, y: complex) -> list[PearceyBranch]
 
     radius = 2 * max(abs(c / a) ** 0.5, abs(d / a) ** (1 / 3), abs(e / (2 * a)) ** 0.25)
     # turned by 0.4 rad, off the axes that real or even quartics are symmetric about
-    roots = [radius * cmath.exp(0.4j) * 1j ** k for k in range(4)]
+    z0, z1, z2, z3 = (radius * cmath.exp(0.4j) * 1j ** k for k in range(4))
+    a4, b3, c2 = 4 * a, 3 * b, 2 * c
     try:
         for _ in range(QUARTIC_SWEEPS):
-            settled = True
-            for i, z in enumerate(roots):
-                f = (((a * z + b) * z + c) * z + d) * z + e
-                fp = ((4 * a * z + 3 * b) * z + 2 * c) * z + d
-                roots[i] = z - f / (fp - f * sum(1 / (z - w) for w in roots[:i] + roots[i + 1:]))
-                settled = settled and abs(f) <= QUARTIC_ROUNDING * scale(z)
+            # each other-root sum starts from the int 0, as sum() does: 0 + (-0.0)
+            # is 0.0, so without it a zero part could change sign
+            f = (((a * z0 + b) * z0 + c) * z0 + d) * z0 + e
+            fp = ((a4 * z0 + b3) * z0 + c2) * z0 + d
+            step = f / (fp - f * (0 + 1 / (z0 - z1) + 1 / (z0 - z2) + 1 / (z0 - z3)))
+            settled = abs(f) <= QUARTIC_ROUNDING * scale(z0)
+            z0 -= step
+            f = (((a * z1 + b) * z1 + c) * z1 + d) * z1 + e
+            fp = ((a4 * z1 + b3) * z1 + c2) * z1 + d
+            step = f / (fp - f * (0 + 1 / (z1 - z0) + 1 / (z1 - z2) + 1 / (z1 - z3)))
+            settled = settled and abs(f) <= QUARTIC_ROUNDING * scale(z1)
+            z1 -= step
+            f = (((a * z2 + b) * z2 + c) * z2 + d) * z2 + e
+            fp = ((a4 * z2 + b3) * z2 + c2) * z2 + d
+            step = f / (fp - f * (0 + 1 / (z2 - z0) + 1 / (z2 - z1) + 1 / (z2 - z3)))
+            settled = settled and abs(f) <= QUARTIC_ROUNDING * scale(z2)
+            z2 -= step
+            f = (((a * z3 + b) * z3 + c) * z3 + d) * z3 + e
+            fp = ((a4 * z3 + b3) * z3 + c2) * z3 + d
+            step = f / (fp - f * (0 + 1 / (z3 - z0) + 1 / (z3 - z1) + 1 / (z3 - z2)))
+            settled = settled and abs(f) <= QUARTIC_ROUNDING * scale(z3)
+            z3 -= step
             if settled:
                 break
     except ZeroDivisionError:
         raise NumericError("two quartic roots met in the Aberth iteration") from None
+    roots = [z0, z1, z2, z3]
     for z in roots:
         if not abs(((a * z + b) * z + c) * z ** 2 + d * z + e) <= QUARTIC_TOL * scale(z):
             raise NumericError(f"quartic root did not refine below {QUARTIC_TOL}")
@@ -741,8 +805,11 @@ def quartic_g_roots(x1: complex, x2: complex, y: complex) -> list[PearceyBranch]
 
 def _quartic_partials(x1, x2, y, g):
     """Value-level partial derivatives of F(g; x1, x2, y) for the implicit
-    differentiation of the branch."""
+    differentiation of the branch.  A point or a value ``g`` that is not
+    finite raises ``PreconditionError``."""
     a, _, c, _, _ = quartic_coefficients(x1, x2, y)
+    if not _is_finite(g):
+        raise PreconditionError(f"value = {g!r} is not finite")
     # first partials of the coefficients
     a_x1 = 8 * x1 * x2 * (36 * y - x2 ** 2) - 108 * x1 ** 3
     a_x2 = 4 * x1 ** 2 * (36 * y - x2 ** 2) - 8 * x1 ** 2 * x2 ** 2 \
@@ -787,7 +854,11 @@ def _quartic_partials(x1, x2, y, g):
 
 
 def branch_partials(branch: PearceyBranch) -> dict:
-    """First and second partial derivatives of the branch in (x1, x2, y)."""
+    """First and second partial derivatives of the branch in (x1, x2, y).
+
+    A branch whose ``x1``, ``x2``, ``y`` or ``value`` is not finite raises
+    ``PreconditionError`` naming the field, as does a point beyond
+    ``QUARTIC_SCALE_MAX``."""
     x1, x2, y, g = branch.x1, branch.x2, branch.y, branch.value
     f_g, fv, fvw, fvg, f_gg = _quartic_partials(x1, x2, y, g)
     if abs(f_g) < 1e-10:
@@ -805,7 +876,8 @@ def annihilation_residuals(branch: PearceyBranch) -> tuple[float, float, float, 
     """Scaled residuals of the four Borel-plane operators applied to the branch.
 
     The operators are evaluated through exact implicit derivatives; each
-    residual is normalized by the sum of its term magnitudes.
+    residual is normalized by the sum of its term magnitudes.  A branch that
+    ``branch_partials`` refuses raises the same ``PreconditionError``.
     """
     x1, x2, y, g = branch.x1, branch.x2, branch.y, branch.value
     d = branch_partials(branch)
@@ -829,18 +901,25 @@ def annihilation_residuals(branch: PearceyBranch) -> tuple[float, float, float, 
     return (r1, r2, r3, r4)
 
 
-def homogeneity_residual(x1: complex, x2: complex, y: complex,
-                         lam: float = 2.0) -> float:
-    """Scaled-branch mismatch under (x1,x2,y) -> (l^3 x1, l^2 x2, l^4 y).
+def homogeneity_residual(x1: complex, x2: complex, y: complex) -> float:
+    """How far the branches at the scaled point, mapped back, lie from roots
+    of the quartic at (x1, x2, y).
 
-    Every branch value must scale by l^-3; branches are matched by that
-    prediction and the worst relative mismatch is returned.
+    The scaling (x1, x2, y) -> (l^3 x1, l^2 x2, l^4 y), with l =
+    ``HOMOGENEITY_LAMBDA``, takes every branch value g to l^-3 g.  The quartic
+    is solved once, at the scaled point; each root g' is mapped back to
+    z = l^3 g' and held against the base quartic F by its relative Newton
+    correction |F(z) / (z F'(z))|, to first order its relative distance from
+    the nearest base root.  The worst of the four is returned.  A point whose
+    scaled image is beyond ``QUARTIC_SCALE_MAX`` raises ``PreconditionError``.
     """
-    base = quartic_g_roots(x1, x2, y)
-    scaled = quartic_g_roots(lam ** 3 * x1, lam ** 2 * x2, lam ** 4 * y)
+    lam3 = HOMOGENEITY_LAMBDA ** 3
+    a, b, c, d, e = quartic_coefficients(x1, x2, y)
     worst = 0.0
-    for b in base:
-        target = b.value * lam ** -3.0
-        match = min(scaled, key=lambda s: abs(s.value - target))
-        worst = max(worst, abs(match.value - target) / max(abs(target), 1e-300))
+    for branch in quartic_g_roots(lam3 * x1, HOMOGENEITY_LAMBDA ** 2 * x2,
+                                  HOMOGENEITY_LAMBDA ** 4 * y):
+        z = lam3 * branch.value
+        f = (((a * z + b) * z + c) * z + d) * z + e
+        fp = ((4 * a * z + 3 * b) * z + 2 * c) * z + d
+        worst = max(worst, abs(f / (z * fp)))
     return worst

@@ -28,7 +28,8 @@ PEARCEY_SEED = 42
 
 # gates of run_pearcey_verify: the scaled quartic residual and |sum of the
 # roots| at each sampled point, each annihilator's residual over the four
-# roots, and the homogeneity residual
+# roots, and the homogeneity residual: the relative Newton correction of the
+# roots at the point scaled by pearcey.HOMOGENEITY_LAMBDA, mapped back
 PEARCEY_QUARTIC_TOL = 1e-12
 PEARCEY_ROOT_SUM_TOL = 1e-12
 PEARCEY_ANNIHILATION_TOL = 1e-8
@@ -230,11 +231,12 @@ def _quartic_residuals(x1, x2, y) -> tuple[float, float]:
 
 def _annihilation_residuals(x1, x2, y) -> tuple[list[float], float]:
     """Worst residual of each annihilator over the four roots, and the
-    homogeneity residual."""
+    homogeneity residual, which solves the quartic once more, at the scaled
+    point."""
     per_root = [pearcey.annihilation_residuals(br)
                 for br in pearcey.quartic_g_roots(x1, x2, y)]
     return ([max(column) for column in zip(*per_root)],
-            pearcey.homogeneity_residual(x1, x2, y, 2.0))
+            pearcey.homogeneity_residual(x1, x2, y))
 
 
 def run_pearcey_verify(order: int = 8, points: int = 100, seed: int = PEARCEY_SEED,

@@ -172,8 +172,8 @@ def test_criterion_10b_homogeneity_scaling():
                 base = resummation.laplace_sum(
                     sign, resummation.classify_stokes(x), eta, 1e-12).value
                 ok &= abs(scaled - lam * base) / abs(lam * base) < 1e-10
-        ok &= pearcey.homogeneity_residual(1.0, 1.0, 1.0, 2.0) < 1e-10
-        ok &= pearcey.homogeneity_residual(0.7 + 0.1j, -1.2, 0.9 - 0.3j, 2.0) < 1e-10
+        ok &= pearcey.homogeneity_residual(1.0, 1.0, 1.0) < 1e-10
+        ok &= pearcey.homogeneity_residual(0.7 + 0.1j, -1.2, 0.9 - 0.3j) < 1e-10
     _report("criterion 10b: weighted homogeneity of sums and branches", sw, ok)
 
 

@@ -1,5 +1,7 @@
 """Quotient-ring recursion, closedness, primitives, quartic branches."""
 
+import importlib.util
+import json
 import os
 import random
 import subprocess
@@ -18,14 +20,16 @@ from sympy.polys.fields import field
 
 from exactwkb import pearcey
 from exactwkb.errors import NumericError, PreconditionError, VerificationError
-from exactwkb.pearcey import (_D, _RING_ONE, CubicFieldElement, _acc_mul,
-                              _divide_by_d, _nonzero, _ring_sum, _row_divide,
-                              _vanishes_on_curve, annihilation_residuals,
+from exactwkb.pearcey import (_D, _RING_ONE, CubicFieldElement, PearceyBranch,
+                              _acc_mul, _divide_by_d, _nonzero, _ring_sum,
+                              _row_divide, _vanishes_on_curve, annihilation_residuals,
                               branch_partials, check_closedness, check_primitives,
                               denominator_is_unit_power, homogeneity_residual,
                               pearcey_recursion, quartic_coefficients,
                               quartic_g_roots)
-from exactwkb.verify import run_pearcey_verify
+from exactwkb.verify import PEARCEY_HOMOGENEITY_TOL, run_pearcey_verify
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # the oracle's own field: sympy's Q(x1, x2), which cancels every fraction by a gcd
 F, X1, X2 = field("x1 x2", QQ)
@@ -37,6 +41,28 @@ DISC = 27 * X1 ** 2 + 8 * X2 ** 3
 @pytest.fixture(scope="module")
 def recursion():
     return pearcey_recursion(8)
+
+
+@pytest.fixture(scope="module")
+def bench_workloads():
+    """bench/workloads.py, loaded from its file: the seeded inputs and the op
+    of the ``pearcey`` benchmark workload."""
+    pytest.importorskip("numpy")
+    path = ROOT / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses resolve names through it
+    spec.loader.exec_module(module)
+    return module
+
+
+def _results(monkeypatch, name):
+    """The list that collects every result of ``pearcey.<name>``."""
+    results = []
+    real = getattr(pearcey, name)
+    monkeypatch.setattr(pearcey, name,
+                        lambda *args: results.append(real(*args)) or results[-1])
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -312,27 +338,18 @@ class TestRingCost:
     fails, and the recursion takes no public ring products past S_0."""
 
     @staticmethod
-    def _results(monkeypatch, name):
-        """The list that collects every result of ``pearcey.<name>``."""
-        results = []
-        real = getattr(pearcey, name)
-        monkeypatch.setattr(pearcey, name,
-                            lambda *args: results.append(real(*args)) or results[-1])
-        return results
-
-    @staticmethod
     def _order_4_with_checks():
         rec = pearcey_recursion(4)
         assert check_closedness(rec).passed and check_primitives(rec).passed
 
     def test_normalisations_per_order_4_recursion_and_checks(self, monkeypatch):
-        normalised = self._results(monkeypatch, "_normalise")
+        normalised = _results(monkeypatch, "_normalise")
         self._order_4_with_checks()
         # a normalisation per product and per partial sum took 270
         assert len(normalised) <= 100
 
     def test_no_row_division_fails(self, monkeypatch):
-        quotients = self._results(monkeypatch, "_row_divide")
+        quotients = _results(monkeypatch, "_row_divide")
         self._order_4_with_checks()
         assert quotients and all(q is not None for q in quotients)
 
@@ -499,7 +516,7 @@ class TestAgainstFieldOracle:
 def run_in_a_fresh_interpreter(script: str):
     """Run ``script`` in a new Python process with this tree's ``src`` first
     on the path, so that its ``sys.modules`` starts empty, and require exit 0."""
-    src = Path(__file__).resolve().parents[1] / "src"
+    src = ROOT / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
@@ -543,7 +560,7 @@ class TestNoNumpy:
 
     def test_mpmath_is_the_only_runtime_dependency(self):
         tomllib = pytest.importorskip("tomllib")
-        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        pyproject = ROOT / "pyproject.toml"
         project = tomllib.loads(pyproject.read_text())["project"]
         assert [d.split(">")[0] for d in project["dependencies"]] == ["mpmath"]
         assert any(d.startswith("numpy") for d in project["optional-dependencies"]["test"])
@@ -635,6 +652,46 @@ class TestQuartic:
         with pytest.raises(PreconditionError):
             quartic_g_roots(0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("point, name", [
+        ((1e80, 1, 1), "x1"), ((1, 1e120, 1), "x2"), ((1, 1, 1e200), "y"),
+        ((complex(1.5e308, 1.5e308), 1, 1), "x1"), ((1, 1, 10 ** 400), "y")])
+    def test_a_coordinate_too_large_raises(self, point, name):
+        # A = 4 x1^2 x2 (36 y - x2^2) + ... - 27 x1^4 overflowed untyped here
+        for solve in (quartic_coefficients, quartic_g_roots, homogeneity_residual):
+            with pytest.raises(PreconditionError, match=f"{name} = .* weighted scale"):
+                solve(*point)
+
+    def test_a_point_just_inside_the_scale_bound_solves(self):
+        # the point (0.7 + 0.1j, -1.2, 0.9 - 0.3j) scaled to the weighted scale
+        # 0.99 QUARTIC_SCALE_MAX: its roots are the base roots times s^-3
+        x1, x2, y = 0.7 + 0.1j, -1.2, 0.9 - 0.3j
+        s = 0.99 * pearcey.QUARTIC_SCALE_MAX / abs(x2) ** 0.5
+        assert max(abs(x1) ** (1 / 3), abs(x2) ** 0.5, abs(y) ** 0.25) == abs(x2) ** 0.5
+        base = [b.value * s ** -3 for b in quartic_g_roots(x1, x2, y)]
+        branches = quartic_g_roots(s ** 3 * x1, s ** 2 * x2, s ** 4 * y)
+        for branch in branches:
+            assert min(abs(branch.value / g - 1) for g in base) < 1e-13
+            assert max(annihilation_residuals(branch)) < 1e-8
+
+
+def _hexed_complex(pair):
+    return complex(float.fromhex(pair[0]), float.fromhex(pair[1]))
+
+
+class TestQuarticRootPins:
+    """Every root of the Aberth iteration, held bit for bit (as float.hex) at
+    the quartic points of the pearcey benchmark's seeds 0-11 and four points
+    of these tests."""
+
+    RECORDED = json.loads((ROOT / "tests" / "data" / "quartic_root_pins.json").read_text())
+
+    @pytest.mark.parametrize("index", range(len(RECORDED)))
+    def test_roots_keep_their_bits(self, index):
+        record = self.RECORDED[index]
+        point = [_hexed_complex(v) for v in record["point"]]
+        roots = [[b.value.real.hex(), b.value.imag.hex()] for b in quartic_g_roots(*point)]
+        assert roots == record["roots"]
+
 
 class TestAnnihilation:
     def test_operators_annihilate_every_branch(self):
@@ -668,8 +725,8 @@ class TestAnnihilation:
         assert abs(fd_y - d["first"]["y"]) < 1e-6
 
     def test_scaling_law(self):
-        assert homogeneity_residual(1.0, 1.0, 1.0, 2.0) < 1e-10
-        assert homogeneity_residual(0.7 + 0.1j, -1.2, 0.9 - 0.3j, 2.0) < 1e-10
+        assert homogeneity_residual(1.0, 1.0, 1.0) < 1e-10
+        assert homogeneity_residual(0.7 + 0.1j, -1.2, 0.9 - 0.3j) < 1e-10
 
     def test_scaling_law_sees_a_coefficient_of_the_wrong_weight(self, monkeypatch):
         # g -> l^-3 g is a symmetry only while every coefficient of g^k has
@@ -681,5 +738,67 @@ class TestAnnihilation:
             return a, b, c, d + 0.5, e
 
         monkeypatch.setattr(pearcey, "quartic_coefficients", broken)
-        assert homogeneity_residual(0.7 + 0.1j, -1.2, 0.9 - 0.3j, 2.0) > 1e-3
+        assert homogeneity_residual(0.7 + 0.1j, -1.2, 0.9 - 0.3j) > 1e-3
         assert not run_pearcey_verify(4, 20, 42, ann_points=5).passed
+
+    @pytest.mark.parametrize("fields, name", [
+        ((float("nan"), 1, 1, 0.5), "x1"), ((1, complex(float("inf"), 0), 1, 0.5), "x2"),
+        ((1, 1, float("-inf"), 0.5), "y"), ((1, 1, 1, float("inf")), "value"),
+        ((1, 1, 1, complex(0.5, float("nan"))), "value")])
+    def test_a_branch_that_is_not_finite_raises(self, fields, name):
+        branch = PearceyBranch(*fields, 1)
+        for measure in (annihilation_residuals, branch_partials):
+            with pytest.raises(PreconditionError, match=f"{name} = .* not finite"):
+                measure(branch)
+
+
+def _relative_newton_correction(x1, x2, y, roots):
+    """The worst |F(z) / (z F'(z))| over ``roots`` of the quartic F at (x1, x2, y),
+    evaluated as ``homogeneity_residual`` evaluates it."""
+    a, b, c, d, e = quartic_coefficients(x1, x2, y)
+    worst = 0.0
+    for z in roots:
+        f = (((a * z + b) * z + c) * z + d) * z + e
+        fp = ((4 * a * z + 3 * b) * z + 2 * c) * z + d
+        worst = max(worst, abs(f / (z * fp)))
+    return worst
+
+
+class TestHomogeneity:
+    """The homogeneity check solves once, at a scaled point that is not a
+    power-of-two image of the base point, and measures the roots."""
+
+    @pytest.fixture(scope="class")
+    def points(self, bench_workloads):
+        """The 400 quartic points of the pearcey benchmark's seeds 0-49."""
+        return [p for seed in range(50) for p in bench_workloads.pearcey_inputs(seed)["quartic"]]
+
+    def test_one_solve_per_check(self, monkeypatch):
+        solves = _results(monkeypatch, "quartic_g_roots")
+        homogeneity_residual(0.7 + 0.1j, -1.2, 0.9 - 0.3j)
+        lam = pearcey.HOMOGENEITY_LAMBDA
+        assert len(solves) == 1
+        branch = solves[0][0]
+        assert (branch.x1, branch.x2, branch.y) == (
+            lam ** 3 * (0.7 + 0.1j), lam ** 2 * -1.2, lam ** 4 * (0.9 - 0.3j))
+
+    def test_sixteen_solves_per_bench_op(self, monkeypatch, bench_workloads):
+        # 8 points, each solved for its roots and once at the scaled point
+        inputs = bench_workloads.pearcey_inputs(0)
+        solves = _results(monkeypatch, "quartic_g_roots")
+        bench_workloads.pearcey_run(inputs)
+        assert len(solves) == 16
+
+    def test_the_residual_measures_the_roots(self, points):
+        residuals = [homogeneity_residual(*p) for p in points]
+        assert len(residuals) == 400
+        assert 0.0 not in residuals
+        assert max(residuals) < PEARCEY_HOMOGENEITY_TOL
+
+    def test_the_check_is_not_the_solver_against_itself(self, points):
+        # under lambda = 2 the scaled roots, mapped back, were the base roots
+        # bit for bit at 320 of these points, so the residual was the base
+        # roots' own Newton correction there; at lambda = 3 it equals it at 5
+        same = sum(homogeneity_residual(*p) == _relative_newton_correction(
+                       *p, [b.value for b in quartic_g_roots(*p)]) for p in points)
+        assert same < len(points) // 10
