@@ -18,6 +18,13 @@ Branch labels follow the local expansions at the two base points:
 which is exactly the correspondence produced by continuation along the real
 interval (0,1); branches 2 and 3 cross at s = 1/2 where the tracker switches
 to the local crossing chart and disambiguates by the sign of the linear term.
+
+The tracker's kernel, ``step_triple``, sizes its own steps from the geometry of
+the cubic: a step longer than STEP_REACH times the distance to the nearest of
+s = 0, 1/2 and 1 is bisected, as is a step whose roots match ambiguously.  A
+summation ray (``resummation.RayField``) calls it once per quadrature node,
+straight from the nearest cached node; ``continue_triple`` walks a polyline in
+steps of at most ``max_step`` and serves the monodromy loops and traces.
 """
 
 from __future__ import annotations
@@ -50,6 +57,9 @@ LOOP_RADIUS_CAP = 0.35  # largest radius of a monodromy loop's circle
 POLISH_ITERATIONS = 8   # Newton steps of _polish_cubic at most
 MATCH_MARGIN = 3.0
 MAX_HALVINGS = 40
+# longest step of step_triple, as a fraction of the distance from its start to
+# the nearest special point of the cubic, s = 0, 1/2 or 1
+STEP_REACH = 0.5
 
 # root distance below which solve_cubic_x repairs a double root
 CLUSTER_TOL = 1e-6
@@ -391,14 +401,24 @@ def _match_indices(predicted: tuple, candidates, scale: float) -> tuple | None:
     return tuple(result)
 
 
-def _step_triple(s0: complex, triple: tuple, s1: complex, depth: int = 0) -> tuple:
+def step_triple(s0: complex, triple: tuple, s1: complex, depth: int = 0) -> tuple:
     """One continuation step for the ordered root triple of the scaled cubic.
 
+    The step chooses its own size.  Outside the crossing chart, a step longer
+    than STEP_REACH times the distance from s0 to the nearest special point of
+    the cubic is bisected: s = 0 and 1, where 16 s (1-s) vanishes and a root
+    runs off to infinity, and s = 1/2, where two roots meet (the discriminant
+    is 27 a (4 - a) with a = 16 s (1-s)).  So a step that passes a branch point
+    closely is taken in pieces that each keep their distance from it, however
+    long the caller's step is.
+
     Each branch is predicted by an Euler step on dG/ds = -F_s / F_G, from
-    implicit differentiation of the scaled cubic, and matched to a root at s1.
-    On a root, F_G vanishes only at the double root G = -1/2 of s = 1/2,
-    which the tracker reaches through the crossing chart; a prediction that
-    meets F_G = 0 raises NumericError.
+    implicit differentiation of the scaled cubic, and matched to a root at s1;
+    an ambiguous match is bisected too.  Each bisection counts one level of
+    depth, and a step deeper than MAX_HALVINGS raises NumericError.  On a
+    root, F_G vanishes only at the double root G = -1/2 of s = 1/2, which the
+    tracker reaches through the crossing chart; a prediction that meets
+    F_G = 0 raises NumericError.
     """
     if depth > MAX_HALVINGS:
         raise NumericError(f"continuation step underflow near s = {s0}")
@@ -408,6 +428,8 @@ def _step_triple(s0: complex, triple: tuple, s1: complex, depth: int = 0) -> tup
         return _step_triple_chart(s0, triple, s1, depth)
 
     ds = s1 - s0
+    if abs(ds) > STEP_REACH * min(abs(s0), abs(s0 - 0.5), abs(1 - s0)):
+        return _bisected_step(s0, triple, s1, depth)
     # the factors of F_s = 16 (1 - 2s) G^3 and F_G = 48 s (1 - s) G^2 - 3 at s0
     f_s0 = 16 * (1 - 2 * s0)
     f_g0 = 48 * s0 * (1 - s0)
@@ -430,11 +452,17 @@ def _step_triple(s0: complex, triple: tuple, s1: complex, depth: int = 0) -> tup
         scale = size
     matched = _match_indices(predicted, candidates, scale if scale > 1.0 else 1.0)
     if matched is None:
-        mid = (s0 + s1) / 2
-        half = _step_triple(s0, triple, mid, depth + 1)
-        return _step_triple(mid, half, s1, depth + 1)
+        return _bisected_step(s0, triple, s1, depth)
     j0, j1, j2 = matched
     return (candidates[j0], candidates[j1], candidates[j2])
+
+
+def _bisected_step(s0: complex, triple: tuple, s1: complex, depth: int) -> tuple:
+    """The step from s0 to s1 as two steps through its midpoint, one level
+    deeper."""
+    mid = (s0 + s1) / 2
+    half = step_triple(s0, triple, mid, depth + 1)
+    return step_triple(mid, half, s1, depth + 1)
 
 
 def _step_triple_chart(s0: complex, triple: tuple, s1: complex, depth: int) -> tuple:
@@ -448,9 +476,7 @@ def _step_triple_chart(s0: complex, triple: tuple, s1: complex, depth: int) -> t
     d0, d1 = s0 - 0.5, s1 - 0.5
     if max(abs(d0), abs(d1)) > 2.5 * CHART_ZONE:
         # too far for the chart to be trusted; force smaller steps
-        mid = (s0 + s1) / 2
-        half = _step_triple(s0, triple, mid, depth + 1)
-        return _step_triple(mid, half, s1, depth + 1)
+        return _bisected_step(s0, triple, s1, depth)
 
     ref0 = _chart_values(d0)
     ref1 = _chart_values(d1)
@@ -512,6 +538,11 @@ def continue_triple(path: list, triple: tuple,
                     max_step: float = DEFAULT_STEP) -> tuple:
     """Continue an ordered root triple along a polyline of s-waypoints.
 
+    Each segment is cut into equal steps of at most ``max_step``, and each step
+    is one ``step_triple`` call, which bisects it further where the cubic asks
+    for it.  The monodromy loops, ``trace_branch`` and the tests walk this way;
+    a summation ray calls ``step_triple`` directly.
+
     Interior grid points falling onto the crossing point s = 1/2 are nudged
     along the direction of travel: the branches are analytic through the
     crossing, but their identities cannot be read off from the collided value
@@ -547,7 +578,7 @@ def continue_triple(path: list, triple: tuple,
     s0 = grid[0]
     try:
         for s1 in islice(grid, 1, None):
-            current = _step_triple(s0, current, s1)
+            current = step_triple(s0, current, s1)
             s0 = s1
     except NumericError as err:
         fault = _start_triple_fault(grid[0], triple)

@@ -751,7 +751,8 @@ def quartic_g_roots(x1: complex, x2: complex, y: complex) -> list[PearceyBranch]
     the first sweep in which every residual |F| lay within the rounding of its
     evaluation, and keeps that sweep's steps.  A root whose scaled residual is
     still above ``QUARTIC_TOL``, or is NaN, raises ``NumericError``; labels
-    order the roots by (real, imaginary) part.  A point that is not finite,
+    order the roots by (real, imaginary) part, each part rounded to 12 digits
+    relative to the largest root's modulus.  A point that is not finite,
     or whose weighted scale is above ``QUARTIC_SCALE_MAX``, raises
     ``PreconditionError`` (``quartic_coefficients``).
     """
@@ -799,7 +800,10 @@ def quartic_g_roots(x1: complex, x2: complex, y: complex) -> list[PearceyBranch]
     for z in roots:
         if not abs(((a * z + b) * z + c) * z ** 2 + d * z + e) <= QUARTIC_TOL * scale(z):
             raise NumericError(f"quartic root did not refine below {QUARTIC_TOL}")
-    roots.sort(key=lambda z: (round(z.real, 12), round(z.imag, 12)))
+    # parts rounded relative to the largest root, so that roots of any size
+    # are ordered; rounded absolutely, roots below 5e-13 would all tie at 0
+    big = max(abs(z0), abs(z1), abs(z2), abs(z3))
+    roots.sort(key=lambda z: (round(z.real / big, 12), round(z.imag / big, 12)))
     return [PearceyBranch(x1, x2, y, z, i + 1) for i, z in enumerate(roots)]
 
 
@@ -829,7 +833,10 @@ def _quartic_partials(x1, x2, y, g):
     c_x1x1 = 36
     c_x2x2 = 24 * x2
     c_x2y = -16
-    g2, g3, g4 = g * g, g ** 3, g ** 4
+    try:
+        g2, g3, g4 = g * g, g ** 3, g ** 4
+    except OverflowError:
+        raise PreconditionError(f"value = {g!r} is too large: its powers overflow") from None
     f_g = 4 * a * g3 + 2 * c * g - 8 * x1
     partials = {
         "x1": a_x1 * g4 + c_x1 * g2 - 8 * g,
@@ -858,7 +865,8 @@ def branch_partials(branch: PearceyBranch) -> dict:
 
     A branch whose ``x1``, ``x2``, ``y`` or ``value`` is not finite raises
     ``PreconditionError`` naming the field, as does a point beyond
-    ``QUARTIC_SCALE_MAX``."""
+    ``QUARTIC_SCALE_MAX`` and a ``value`` so large that its powers or the
+    partials overflow."""
     x1, x2, y, g = branch.x1, branch.x2, branch.y, branch.value
     f_g, fv, fvw, fvg, f_gg = _quartic_partials(x1, x2, y, g)
     if abs(f_g) < 1e-10:
@@ -869,6 +877,8 @@ def branch_partials(branch: PearceyBranch) -> dict:
         gv, gw = first[v], first[w]
         second[(v, w)] = -(fvw_val + fvg[v] * gw + fvg[w] * gv
                            + f_gg * gv * gw) / f_g
+    if not all(map(_is_finite, (*first.values(), *second.values()))):
+        raise PreconditionError(f"value = {g!r} is too large: the partials overflow")
     return {"first": first, "second": second}
 
 

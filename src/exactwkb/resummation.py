@@ -2,7 +2,9 @@
 
 The Laplace integrals run along the rays y = -+(2/3) x^(3/2) + t, t >= 0; in
 the normalized variable the integrand comes from the tracked branch triple
-(series evaluation near the base point, predictor-corrector tracking beyond).
+(series evaluation near the base point; beyond it, one predictor-corrector
+step per node from the nearest node already tracked, which the step kernel
+bisects where the cubic asks for it).
 The endpoint square-root singularity is removed by t = u^2 and the quadrature
 is adaptive Gauss-Legendre on u-panels: each panel is the sum of the 16-point
 rule on its two halves, and its error estimate is read off the top Legendre
@@ -34,8 +36,8 @@ from dataclasses import dataclass, field
 
 import mpmath
 
-from .branches import (SERIES_ZONE, anchored_g_triple, continue_triple,
-                       monodromy_permutation)
+from .branches import (SERIES_ZONE, anchored_g_triple, monodromy_permutation,
+                       step_triple)
 from .errors import NumericError, PreconditionError, VerificationError
 
 TWO_PI_THIRDS = 2 * math.pi / 3
@@ -120,8 +122,10 @@ class RayField:
     """Cached values of the ordered branch triple along one summation ray.
 
     Close to the base point the exact local series is evaluated directly (the
-    local root fixes the branch orientation); farther out the triple is tracked
-    from the nearest cached sample.
+    local root fixes the branch orientation); farther out each new node costs
+    one ``step_triple`` call, from the nearest cached sample straight to the
+    node, and the kernel bisects that step where the cubic asks for it.  The
+    cache holds each sample's t, its point s = anchor + kappa t and its triple.
     """
 
     def __init__(self, anchor: int, kappa: complex):
@@ -129,6 +133,7 @@ class RayField:
         self.kappa = kappa
         self._abs_kappa = abs(kappa)
         self._ts: list[float] = []
+        self._ss: list[complex] = []
         self._triples: list[tuple] = []
 
     def _local_root(self, t: float) -> complex:
@@ -145,16 +150,14 @@ class RayField:
         root = cmath.sqrt(self.kappa * t)
         return 1j * root if self.anchor == 1 else root
 
-    def _s_of(self, t: float) -> complex:
-        return self.anchor + self.kappa * t
-
     def triple(self, t: float) -> tuple:
         if self._abs_kappa * t <= _SERIES_HANDOFF:
             return anchored_g_triple(self.anchor, self._local_root(t))
-        ts, triples = self._ts, self._triples
+        ts, ss, triples = self._ts, self._ss, self._triples
         if not ts:
             t0 = _SERIES_HANDOFF / self._abs_kappa
             ts.append(t0)
+            ss.append(self.anchor + self.kappa * t0)
             triples.append(anchored_g_triple(self.anchor, self._local_root(t0)))
         idx = bisect.bisect_left(ts, t)
         n = len(ts)
@@ -165,9 +168,10 @@ class RayField:
             nearest = idx - 1
         else:
             nearest = idx
-        triple = continue_triple([self._s_of(ts[nearest]), self._s_of(t)],
-                                 triples[nearest], max_step=0.02)
+        s = self.anchor + self.kappa * t
+        triple = step_triple(ss[nearest], triples[nearest], s)
         ts.insert(idx, t)
+        ss.insert(idx, s)
         triples.insert(idx, triple)
         return triple
 

@@ -1,6 +1,7 @@
 """Branch expansions, root solving, continuation, monodromy, discontinuities."""
 
 import cmath
+import itertools
 import math
 import random
 import re
@@ -12,10 +13,10 @@ from hypothesis import strategies as st
 
 from exactwkb import branches
 from exactwkb.branches import (ANCHOR_SERIES_TERMS, CHART_TERMS, CHART_ZONE, MATCH_MARGIN,
-                               MAX_HALVINGS, POLISH_ITERATIONS, SQRT3, TRACE_START_MAX,
-                               BranchLabel, _depressed_cubic_roots, _local_c_series,
-                               _match_indices, _polish_cubic, _step_triple,
-                               _step_triple_chart, _x_series_shape,
+                               MAX_HALVINGS, POLISH_ITERATIONS, SQRT3, STEP_REACH,
+                               TRACE_START_MAX, BranchLabel, _depressed_cubic_roots,
+                               _local_c_series, _match_indices, _polish_cubic,
+                               _step_triple_chart, _x_series_shape, step_triple,
                                anchored_g_triple, branch_series, continue_triple,
                                crossing_chart_series, default_sqrt_rule, g_pde_residuals,
                                monodromy_triple, solve_cubic_g, solve_cubic_g_xy,
@@ -284,11 +285,11 @@ class TestContinuation:
         # of s = 1/2, which the crossing chart handles; a value placed where
         # it vanishes (G = 5/8 at s = 1/5) raises instead of dividing by ~0
         with pytest.raises(NumericError, match="dG/ds is undefined"):
-            _step_triple(0.2, (0.625, 0.625, 0.625), 0.21)
+            step_triple(0.2, (0.625, 0.625, 0.625), 0.21)
 
     def test_a_path_over_the_step_budget_raises_before_any_step(self, monkeypatch):
         steps = []
-        monkeypatch.setattr(branches, "_step_triple",
+        monkeypatch.setattr(branches, "step_triple",
                             lambda s0, triple, s1: steps.append(s1) or triple)
         with pytest.raises(PreconditionError, match="MAX_PATH_STEPS"):
             continue_triple([0.01, 1e10], anchored_g_triple(0, sqrt_s(0.01)))
@@ -302,7 +303,7 @@ class TestContinuation:
         # segments of 4.5, 4.5 and 0.5 at max_step 1 take 5, 5 and 1 steps
         monkeypatch.setattr(branches, "MAX_PATH_STEPS", 10)
         steps = []
-        monkeypatch.setattr(branches, "_step_triple",
+        monkeypatch.setattr(branches, "step_triple",
                             lambda s0, triple, s1: steps.append(s1) or triple)
         if n_steps is None:
             with pytest.raises(PreconditionError):
@@ -314,6 +315,37 @@ class TestContinuation:
     @pytest.mark.parametrize("stop", ["1e10", "1e307"])   # 1e307 / DEFAULT_STEP overflows
     def test_trace_over_the_step_budget_is_3(self, stop):
         assert cli_main(["branches", "trace", "--to", stop, "--samples", "2"]) == 3
+
+
+class TestStepRule:
+    """A step longer than STEP_REACH times the distance from its start to
+    s = 0, 1/2 or 1 is bisected before anything is solved."""
+
+    def test_a_step_that_passes_a_branch_point_keeps_the_labels_of_a_fine_walk(
+            self, monkeypatch):
+        # 0.02 long, the old fixed step of the summation rays, and 1e-6 from
+        # s = 0 at its closest; bisected on ambiguous matches alone, it swapped
+        # branches 2 and 3
+        s0, s1 = -0.007 + 1e-6j, 0.013 + 1e-6j
+        start = solve_cubic_g(s0)
+        solves = []
+        monkeypatch.setattr(branches, "solve_cubic_g",
+                            lambda s, solve=solve_cubic_g: solves.append(s) or solve(s))
+        stepped = step_triple(s0, start, s1)
+        assert len(solves) > 30
+        assert min(abs(s) for s in solves) < 1e-5
+        # the walk: pieces of at most a quarter of the distance to the nearest
+        # special point, so the rule bisects none of them
+        solves.clear()
+        s, walked, pieces = s0, start, 0
+        unit = (s1 - s0) / abs(s1 - s0)
+        while s != s1:
+            length = 0.25 * min(abs(s - point) for point in (0, 0.5, 1))
+            s_next = s1 if abs(s1 - s) <= length else s + length * unit
+            walked = step_triple(s, walked, s_next)
+            s, pieces = s_next, pieces + 1
+        assert len(solves) == pieces
+        assert stepped == walked
 
 
 def sorted_match_indices(predicted, candidates, scale):
@@ -470,6 +502,11 @@ def composed_step_triple(s0, triple, s1, depth=0):
     if abs(s1 - 0.5) < CHART_ZONE or abs(s0 - 0.5) < CHART_ZONE:
         return _step_triple_chart(s0, triple, s1, depth)
     ds = s1 - s0
+    special = [abs(s0 - point) for point in (0, 0.5, 1)]
+    if abs(ds) > STEP_REACH * min(special):
+        mid = (s0 + s1) / 2
+        half = composed_step_triple(s0, triple, mid, depth + 1)
+        return composed_step_triple(mid, half, s1, depth + 1)
     predicted = tuple(g + g_derivative(s0, g) * ds for g in triple)
     candidates = list(composed_solve_cubic_g(s1))
     scale = max(1.0, max(abs(g) for g in triple))
@@ -567,7 +604,7 @@ class TestKernelKeepsItsBits:
         assume(abs(16 * s0 * (1 - s0)) >= 1e-12)
         roots = solve_cubic_g(s0)
         triple = tuple(roots[j] for j in order)
-        assert (outcome(_step_triple, s0, triple, s1)
+        assert (outcome(step_triple, s0, triple, s1)
                 == outcome(composed_step_triple, s0, triple, s1))
 
     @pytest.mark.parametrize("s0, triple, s1", [
@@ -578,17 +615,31 @@ class TestKernelKeepsItsBits:
         (0.2, (0.625, 0.625, 0.625), 0.21),              # F_G = 0: dG/ds undefined
     ])
     def test_step_triple_on_nan_and_undefined_inputs(self, s0, triple, s1):
-        assert (outcome(_step_triple, s0, triple, s1)
+        assert (outcome(step_triple, s0, triple, s1)
                 == outcome(composed_step_triple, s0, triple, s1))
 
-    def test_the_examples_halve(self, monkeypatch):
+    @pytest.mark.parametrize("s0, ds, pieces", [
+        # 0.112 from s = 0 a piece may be 0.056 long: 0.2 halves twice; 0.158
+        # from 0 it may be 0.079, 0.206 from 0 it may be 0.103
+        (0.1 + 0.05j, 0.2, (0.05, 0.05, 0.1)),
+        # 0.112 from s = 1: -0.3 halves three times; then 0.146, 0.182 from 1,
+        # 0.255 from 1 and 1/2, and 0.182 from 1/2
+        (0.9 + 0.05j, -0.3, (-0.0375, -0.0375, -0.075, -0.075, -0.075)),
+        # past s = 1/2 at 0.06, outside the crossing chart: 0.117, 0.078, 0.065,
+        # 0.06, 0.065, 0.078 and 0.096 from 1/2
+        (0.6 + 0.06j, -0.2, (-0.05, -0.025, -0.025, -0.025, -0.025, -0.025, -0.025)),
+    ])
+    def test_the_examples_halve(self, monkeypatch, s0, ds, pieces):
+        # the step rule bisects before it solves, so the only solves are at the
+        # ends of the pieces; matching alone halved the first two steps after a
+        # solve at each rejected end, 5 and 9 solves, and took the third in one
         solves = []
         monkeypatch.setattr(branches, "solve_cubic_g",
                             lambda s, solve=solve_cubic_g: solves.append(s) or solve(s))
-        for s0, ds, halvings in ((0.1 + 0.05j, 0.2, 2), (0.9 + 0.05j, -0.3, 4)):
-            solves.clear()
-            _step_triple(s0, solve_cubic_g(s0), s0 + ds)
-            assert len(solves) == 2 * halvings + 1
+        step_triple(s0, solve_cubic_g(s0), s0 + ds)
+        ends = list(itertools.accumulate(pieces, initial=s0))[1:]
+        assert len(solves) == len(pieces)
+        assert max(abs(s - end) for s, end in zip(solves, ends)) < 1e-15
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from([0, 1]), st.floats(1e-8, 0.6), st.floats(-math.pi, math.pi))

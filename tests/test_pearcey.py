@@ -581,6 +581,19 @@ class TestQuartic:
                 weight = 3 * (4 - k)
                 assert abs(s - b * lam ** weight) <= 1e-9 * max(1.0, abs(s))
 
+    @pytest.mark.parametrize("scale", [3.0, 1e5, 1e9])
+    def test_roots_of_any_size_keep_the_order_of_the_unscaled_point(self, scale):
+        # at 1e5 every root is below 1e-15 and every part rounded to 12 digits
+        # was 0, so the labels kept the Aberth iteration's order
+        x1, x2, y = 0.7 + 0.1j, -1.2, 0.9 - 0.3j
+        base = quartic_g_roots(x1, x2, y)
+        scaled = quartic_g_roots(scale ** 3 * x1, scale ** 2 * x2, scale ** 4 * y)
+        assert [b.label for b in scaled] == [1, 2, 3, 4]
+        for b, s in zip(base, scaled):
+            assert abs(s.value * scale ** 3 - b.value) < 1e-12
+        reals = [b.value.real for b in scaled]
+        assert reals == sorted(reals)
+
     def test_roots_sum_to_zero_and_refine(self):
         rng = random.Random(42)
         checked = 0
@@ -749,6 +762,16 @@ class TestAnnihilation:
         branch = PearceyBranch(*fields, 1)
         for measure in (annihilation_residuals, branch_partials):
             with pytest.raises(PreconditionError, match=f"{name} = .* not finite"):
+                measure(branch)
+
+    @pytest.mark.parametrize("value", [1e200, 1e200 + 0j, 1e77])
+    def test_a_value_too_large_for_the_partials_raises(self, value):
+        # 1e200 ** 3 raised an untyped OverflowError, and with 1e200 + 0j
+        # "complex exponentiation"; at 1e77 the fourth power is finite but the
+        # partials overflow and the residuals were NaN
+        branch = PearceyBranch(1, 1, 1, value, 1)
+        for measure in (annihilation_residuals, branch_partials):
+            with pytest.raises(PreconditionError, match=r"value = .* too large"):
                 measure(branch)
 
 

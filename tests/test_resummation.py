@@ -15,8 +15,8 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from exactwkb import resummation
-from exactwkb.branches import (anchored_g_triple, continue_triple,
+from exactwkb import branches, resummation
+from exactwkb.branches import (_loop_path, anchored_g_triple, continue_triple,
                                monodromy_permutation, monodromy_triple, sqrt_s)
 from exactwkb.errors import NumericError, PreconditionError, VerificationError
 from exactwkb.resummation import (_SERIES_HANDOFF, AIRY_ORACLE_TOL, RAY_LOOP_STEPS,
@@ -776,7 +776,7 @@ TRACKER_HOOKS = (("exactwkb.branches", "solve_cubic_g"),
                  ("exactwkb.branches", "anchored_g_triple"),
                  ("exactwkb.resummation", "RayField.triple"),
                  ("exactwkb.branches", "monodromy_triple"))
-TRACKER_CALLS = ((879, 411, 107, 514, 2), (487, 369, 149, 514, 2))
+TRACKER_CALLS = ((533, 2, 107, 514, 2), (449, 2, 149, 514, 2))
 
 
 def count_calls(monkeypatch, module_name, path):
@@ -815,6 +815,82 @@ class TestTracerBoundaries:
         counters = [count_calls(monkeypatch, *hook) for hook in TRACKER_HOOKS]
         verify_voros(*point)
         assert tuple(c[0] for c in counters) == expected
+
+
+class TestRayCost:
+    """Each tracked node of a summation ray costs one kernel call and one
+    cubic solve; the only other solves are the steps of the two loops."""
+
+    @pytest.mark.parametrize("point", BENCH_POINTS)
+    def test_one_solve_per_tracked_node_plus_the_loop_steps(self, monkeypatch, point):
+        x, eta = point
+        ctx = classify_stokes(x)
+        solves = count_calls(monkeypatch, "exactwkb.branches", "solve_cubic_g")
+        ray_calls = [0]
+
+        def counted(*args, kernel=branches.step_triple):
+            ray_calls[0] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(resummation, "step_triple", counted)
+        plus = laplace_sum("+", ctx, eta, VOROS_QUAD_TOL)
+        minus = laplace_sum("-", ctx, eta, VOROS_QUAD_TOL)
+
+        def tracked():
+            # each ray's first cached sample comes from the series
+            return len(plus.ray._ts) - 1 + len(minus.ray._ts) - 1
+
+        assert tracked() > 300
+        assert ray_calls[0] == solves[0] == tracked()
+        # the loops start from two nodes of the "-" ray, the far one new
+        gamma_term(ctx, minus)
+        t_exit = _SERIES_HANDOFF / abs(ctx.kappa)
+        t_far = resummation._laplace_panels(eta, VOROS_QUAD_TOL)[0][-1] ** 2
+        loop_steps = 0
+        for t in (t_exit, t_far):
+            path = [ctx.ray_point("-", t), *_loop_path(ctx.ray_point("-", t), 1.0,
+                                                       RAY_LOOP_STEPS)]
+            # monodromy_triple walks its loop in steps of at most 0.12
+            loop_steps += sum(int(abs(b - a) / 0.12) + 1 for a, b in zip(path, path[1:]))
+        assert ray_calls[0] == tracked()
+        assert solves[0] == tracked() + loop_steps
+
+
+class TestGrazingRays:
+    """Rays that pass a branch point within 1e-6 to 1e-8, where the fixed
+    steps of 0.02 the rays once took mis-tracked and the quadrature raised.
+    Each Borel sum is held against mpmath's Ai at 30 digits."""
+
+    @staticmethod
+    def mpmath_sums(x, eta, region):
+        turn = 1 if region == "I" else -1
+        with mpmath.workdps(30):
+            z = mpmath.mpf(eta) ** (mpmath.mpf(2) / 3) * mpmath.mpc(x)
+            scale = 2 * mpmath.sqrt(mpmath.pi) / mpmath.cbrt(eta)
+            plus = scale * mpmath.exp(turn * 1j * mpmath.pi / 6) * mpmath.airyai(
+                z * mpmath.exp(turn * 2j * mpmath.pi / 3))
+            minus = scale * mpmath.airyai(z)
+            return complex(plus), complex(minus)
+
+    @pytest.mark.parametrize("r, arg, region", [
+        (0.5, 2 * math.pi / 3 - 1e-6, "II"),      # the "-" ray grazes s = 0
+        (1.0, -1e-8, "I"),                        # the "+" ray grazes s = 1
+        (1.0, 2 * math.pi / 3 - 1e-8, "II"),
+        (1.0, -2 * math.pi / 3 + 1e-8, "I"),
+    ])
+    def test_the_sums_match_mpmath(self, r, arg, region):
+        x = r * cmath.exp(1j * arg)
+        report = verify_airy_connection(x, 10.0)
+        assert report.region == region
+        assert report.passed
+        plus, minus = self.mpmath_sums(x, 10.0, region)
+        assert abs(report.psi_plus - plus) < 1e-12 * abs(plus)
+        assert abs(report.psi_minus - minus) < 1e-12 * abs(minus)
+        if region == "II":
+            voros = verify_voros(x, 10.0)
+            assert voros.passed
+            assert abs(voros.plus_direct - plus) < 1e-12 * abs(plus)
+            assert abs(voros.minus_direct - minus) < 1e-12 * abs(minus)
 
 
 class TestRayOrientation:
