@@ -21,10 +21,11 @@ to the local crossing chart and disambiguates by the sign of the linear term.
 
 The tracker's kernel, ``step_triple``, sizes its own steps from the geometry of
 the cubic: a step longer than STEP_REACH times the distance to the nearest of
-s = 0, 1/2 and 1 is bisected, as is a step whose roots match ambiguously.  A
-summation ray (``resummation.RayField``) calls it once per quadrature node,
-straight from the nearest cached node; ``continue_triple`` walks a polyline in
-steps of at most ``max_step`` and serves the monodromy loops and traces.
+s = 0, 1/2 and 1 is bisected, as is a step whose roots match ambiguously.  It
+is the one step rule of every continuation: a summation ray
+(``resummation.RayField``) calls it once per quadrature node, straight from
+the nearest cached node, and ``continue_triple``, which serves the monodromy
+loops and traces, calls it once per pair of waypoints.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import islice, repeat
+from itertools import pairwise, repeat
 from operator import add, itemgetter, mul
 
 from .airy_borel import borel_series
@@ -52,14 +53,18 @@ CHART_ZONE = 0.04
 CHART_TIGHT = 2e-3
 CHART_TERMS = 16
 
-DEFAULT_STEP = 0.01
-LOOP_RADIUS_CAP = 0.35  # largest radius of a monodromy loop's circle
+LOOP_RADIUS_CAP = 0.35  # largest radius of a monodromy loop's polygon
+LOOP_VERTICES = 4       # corners of a monodromy loop's polygon
 POLISH_ITERATIONS = 8   # Newton steps of _polish_cubic at most
 MATCH_MARGIN = 3.0
 MAX_HALVINGS = 40
 # longest step of step_triple, as a fraction of the distance from its start to
 # the nearest special point of the cubic, s = 0, 1/2 or 1
 STEP_REACH = 0.5
+# distance from s = 1/2 below which a waypoint or a bisection midpoint is moved
+# on by twice this along the direction of travel: the tracker must not sample
+# the crossing itself, where the two crossing branches take one value
+COLLISION_NUDGE = 1e-4
 
 # root distance below which solve_cubic_x repairs a double root
 CLUSTER_TOL = 1e-6
@@ -414,8 +419,10 @@ def step_triple(s0: complex, triple: tuple, s1: complex, depth: int = 0) -> tupl
 
     Each branch is predicted by an Euler step on dG/ds = -F_s / F_G, from
     implicit differentiation of the scaled cubic, and matched to a root at s1;
-    an ambiguous match is bisected too.  Each bisection counts one level of
-    depth, and a step deeper than MAX_HALVINGS raises NumericError.  On a
+    an ambiguous match is bisected too.  A midpoint within COLLISION_NUDGE of
+    s = 1/2 is moved on along the step, since the crossing itself does not
+    tell its two branches apart.  Each bisection counts one level of depth,
+    and a step deeper than MAX_HALVINGS raises NumericError.  On a
     root, F_G vanishes only at the double root G = -1/2 of s = 1/2, which the
     tracker reaches through the crossing chart; a prediction that meets
     F_G = 0 raises NumericError.
@@ -459,8 +466,10 @@ def step_triple(s0: complex, triple: tuple, s1: complex, depth: int = 0) -> tupl
 
 def _bisected_step(s0: complex, triple: tuple, s1: complex, depth: int) -> tuple:
     """The step from s0 to s1 as two steps through its midpoint, one level
-    deeper."""
+    deeper; a midpoint on the crossing is nudged off it along the step."""
     mid = (s0 + s1) / 2
+    if abs(mid - 0.5) < COLLISION_NUDGE:
+        mid = _nudged(mid, s1 - s0)
     half = step_triple(s0, triple, mid, depth + 1)
     return step_triple(mid, half, s1, depth + 1)
 
@@ -506,10 +515,6 @@ def _step_triple_chart(s0: complex, triple: tuple, s1: complex, depth: int) -> t
     return tuple(out)
 
 
-COLLISION_NUDGE = 1e-4
-# most continuation steps one continue_triple call takes; the largest path
-# of the tests, the Voros grids, the CLI defaults and the benchmark takes 132
-MAX_PATH_STEPS = 100_000
 # relative residual of the scaled cubic, or relative sum of the three values,
 # above which a failed continuation is put down to its start triple
 START_TRIPLE_TOL = 1e-8
@@ -534,58 +539,52 @@ def _start_triple_fault(s: complex, triple: tuple) -> str | None:
     return None
 
 
-def continue_triple(path: list, triple: tuple,
-                    max_step: float = DEFAULT_STEP) -> tuple:
+def _nudged(s: complex, direction: complex) -> complex:
+    """s moved by 2 COLLISION_NUDGE along ``direction``, off the crossing."""
+    return s + 2 * COLLISION_NUDGE * direction / max(abs(direction), 1e-30)
+
+
+def continue_triple(path: list, triple: tuple) -> tuple:
     """Continue an ordered root triple along a polyline of s-waypoints.
 
-    Each segment is cut into equal steps of at most ``max_step``, and each step
-    is one ``step_triple`` call, which bisects it further where the cubic asks
-    for it.  The monodromy loops, ``trace_branch`` and the tests walk this way;
-    a summation ray calls ``step_triple`` directly.
+    Each segment is one ``step_triple`` call, which cuts it into the pieces
+    the cubic asks for; the monodromy loops, ``trace_branch`` and the tests
+    walk this way, and a summation ray calls ``step_triple`` directly.
+    Interior waypoints within COLLISION_NUDGE of the crossing s = 1/2 are
+    nudged along the direction of travel, as the kernel's midpoints are.
 
-    Interior grid points falling onto the crossing point s = 1/2 are nudged
-    along the direction of travel: the branches are analytic through the
-    crossing, but their identities cannot be read off from the collided value
-    itself, so the tracker must not sample exactly there.
-
-    A path of more than MAX_PATH_STEPS steps raises PreconditionError before
-    any step is taken.  A continuation that fails with NumericError raises
-    PreconditionError instead when the start triple is at fault: it is not
-    finite or is not the root triple of the cubic at path[0]
-    (``_start_triple_fault``, which only a failed call runs).
+    A segment that is not finite, or that is longer than 2^MAX_HALVINGS *
+    STEP_REACH times the distance from its start to s = 0 and s = 1, raises
+    PreconditionError before any step is taken: the kernel would halve it
+    more than MAX_HALVINGS times for its first piece.  A continuation
+    that fails with NumericError raises PreconditionError instead when the
+    start triple is at fault: it is not finite or is not the root triple of
+    the cubic at path[0] (``_start_triple_fault``, which only a failed call
+    runs).
     """
-    grid = [complex(path[0])]
-    steps = 0
-    for s_next in path[1:]:
-        s_prev = grid[-1]
-        span = abs(s_next - s_prev)
+    points = [complex(s) for s in path]
+    for i in range(1, len(points) - 1):
+        if abs(points[i] - 0.5) < COLLISION_NUDGE:
+            points[i] = _nudged(points[i], points[i + 1] - points[i - 1])
+    reach = 2 ** MAX_HALVINGS * STEP_REACH
+    for s0, s1 in pairwise(points):
+        span = abs(s1 - s0)
         if not cmath.isfinite(span):
-            raise PreconditionError(f"path segment {s_prev!r} -> {s_next!r} is not finite")
-        n = max(1, int(min(span / max_step, MAX_PATH_STEPS)) + 1)
-        steps += n
-        if steps > MAX_PATH_STEPS:
+            raise PreconditionError(f"path segment {s0!r} -> {s1!r} is not finite")
+        if span > reach * min(abs(s0), abs(1 - s0)):
             raise PreconditionError(
-                f"the path needs more than MAX_PATH_STEPS = {MAX_PATH_STEPS} steps")
-        delta = s_next - s_prev
-        for k in range(1, n + 1):
-            grid.append(s_prev + delta * k / n)
-    for i in range(1, len(grid) - 1):
-        if abs(grid[i] - 0.5) < COLLISION_NUDGE:
-            direction = grid[i + 1] - grid[i - 1]
-            direction /= max(abs(direction), 1e-30)
-            grid[i] = grid[i] + 2 * COLLISION_NUDGE * direction
+                f"path segment {s0!r} -> {s1!r} is longer than 2^MAX_HALVINGS * "
+                "STEP_REACH times the distance from its start to s = 0 and 1")
     current = triple
-    s0 = grid[0]
     try:
-        for s1 in islice(grid, 1, None):
+        for s0, s1 in pairwise(points):
             current = step_triple(s0, current, s1)
-            s0 = s1
     except NumericError as err:
-        fault = _start_triple_fault(grid[0], triple)
+        fault = _start_triple_fault(points[0], triple)
         if fault is None:
             raise
         raise PreconditionError(
-            f"start triple {triple!r} at s = {grid[0]!r} {fault}") from err
+            f"start triple {triple!r} at s = {points[0]!r} {fault}") from err
     return current
 
 
@@ -624,11 +623,13 @@ def trace_branch(family: str, index: int, start: float, stop: float,
 # monodromy
 # ---------------------------------------------------------------------------
 
-def _loop_path(s: complex, center: complex, n_steps: int):
+def _loop_path(s: complex, center: complex):
     """A closed path from s once counterclockwise around ``center``.
 
-    Walks radially in to a capped radius, circles, and walks back out, so the
-    circle never strays near the other branch point or the crossing.
+    Walks radially in to a capped radius, goes round a regular polygon of
+    LOOP_VERTICES corners on that circle, and walks back out, so the loop
+    never strays near the other branch point or the crossing; the kernel
+    sizes the steps along each chord.
     """
     rho = abs(s - center)
     if rho < 1e-9:
@@ -639,23 +640,22 @@ def _loop_path(s: complex, center: complex, n_steps: int):
     if rho > r0:
         path.append(center + direction * r0)
     phase0 = cmath.phase(direction)
-    for k in range(1, n_steps + 1):
-        ang = phase0 + 2 * cmath.pi * k / n_steps
+    for k in range(1, LOOP_VERTICES + 1):
+        ang = phase0 + 2 * cmath.pi * k / LOOP_VERTICES
         path.append(center + r0 * cmath.exp(1j * ang))
     if rho > r0:
         path.append(s)
     return path
 
 
-def monodromy_triple(s: complex, triple: tuple, center: complex,
-                     n_steps: int = 24) -> tuple:
-    """Continue the ordered triple once counterclockwise around ``center``."""
-    return continue_triple([s, *_loop_path(s, center, n_steps)], triple,
-                           max_step=0.12)
+def monodromy_triple(s: complex, triple: tuple, center: complex) -> tuple:
+    """Continue the ordered triple once counterclockwise around ``center``,
+    along ``_loop_path``."""
+    return continue_triple([s, *_loop_path(s, center)], triple)
 
 
-def monodromy_permutation(s: complex, triple: tuple, center: complex,
-                          n_steps: int = 24) -> tuple[int, int, int]:
+def monodromy_permutation(s: complex, triple: tuple,
+                          center: complex) -> tuple[int, int, int]:
     """The permutation pi of the ordered triple by one counterclockwise loop
     around ``center``: the looped value of entry i is ``triple[pi[i]]``.
 
@@ -668,7 +668,7 @@ def monodromy_permutation(s: complex, triple: tuple, center: complex,
     Raises NumericError when a looped value does not match one entry of the
     triple under the MATCH_MARGIN rule of the tracker.
     """
-    looped = monodromy_triple(s, triple, center, n_steps)
+    looped = monodromy_triple(s, triple, center)
     scale = max(1.0, max(abs(g) for g in triple))
     perm = _match_indices(looped, triple, scale)
     if perm is None:

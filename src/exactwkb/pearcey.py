@@ -754,10 +754,13 @@ def quartic_g_roots(x1: complex, x2: complex, y: complex) -> list[PearceyBranch]
     order the roots by (real, imaginary) part, each part rounded to 12 digits
     relative to the largest root's modulus.  A point that is not finite,
     or whose weighted scale is above ``QUARTIC_SCALE_MAX``, raises
-    ``PreconditionError`` (``quartic_coefficients``).
+    ``PreconditionError`` (``quartic_coefficients``), and so does a point near
+    the singular locus: |A| at most 1e-10 times max(|x1|^4, |x2|^6, |y|^3),
+    the twelfth power of its weighted scale, as A has weight 12, so the test
+    refuses a point at every scale or at none.
     """
     a, b, c, d, e = quartic_coefficients(x1, x2, y)
-    if abs(a) < 1e-10 * max(1.0, abs(c), abs(d)):
+    if abs(a) <= 1e-10 * max(abs(x1) ** 4, abs(x2) ** 6, abs(y) ** 3):
         raise PreconditionError(
             f"point lies near the singular locus (leading coefficient {a:.3e})")
 

@@ -51,8 +51,6 @@ OUTSIDE = "outside"
 STOKES_BOUNDARY_TOL = 1e-12
 
 _SERIES_HANDOFF = 0.8 * SERIES_ZONE
-# steps of each numeric monodromy loop around s = 1 that reads the cut term
-RAY_LOOP_STEPS = 32
 
 # gates of VorosReport: the jump, and the "-" sum against the oracle; every
 # sum of verify_voros is integrated to VOROS_QUAD_TOL, and both sums of
@@ -454,8 +452,7 @@ def gamma_term(ctx: StokesContext, minus: BorelSum) -> BorelSum:
             f"at x = {ctx.x!r}")
 
     def loop_permutation(t: float) -> tuple:
-        return monodromy_permutation(ctx.ray_point("-", t), ray.triple(t), 1.0 + 0j,
-                                     n_steps=RAY_LOOP_STEPS)
+        return monodromy_permutation(ctx.ray_point("-", t), ray.triple(t), 1.0 + 0j)
 
     t_exit = _SERIES_HANDOFF / abs(ctx.kappa)
     t_far = _laplace_panels(minus.eta, VOROS_QUAD_TOL)[0][-1] ** 2

@@ -12,8 +12,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from exactwkb import branches
-from exactwkb.branches import (ANCHOR_SERIES_TERMS, CHART_TERMS, CHART_ZONE, MATCH_MARGIN,
-                               MAX_HALVINGS, POLISH_ITERATIONS, SQRT3, STEP_REACH,
+from exactwkb.branches import (ANCHOR_SERIES_TERMS, CHART_TERMS, CHART_ZONE, COLLISION_NUDGE,
+                               MATCH_MARGIN, MAX_HALVINGS, POLISH_ITERATIONS, SQRT3, STEP_REACH,
                                TRACE_START_MAX, BranchLabel, _depressed_cubic_roots,
                                _local_c_series, _match_indices, _polish_cubic,
                                _step_triple_chart, _x_series_shape, step_triple,
@@ -287,33 +287,32 @@ class TestContinuation:
         with pytest.raises(NumericError, match="dG/ds is undefined"):
             step_triple(0.2, (0.625, 0.625, 0.625), 0.21)
 
-    def test_a_path_over_the_step_budget_raises_before_any_step(self, monkeypatch):
+    def test_a_segment_past_the_halving_reach_raises_before_any_step(self, monkeypatch):
+        # 0.01 from s = 0 a first piece is 0.005 long at most, and 2^MAX_HALVINGS
+        # of them reach 5.5e9, short of 1e10; the last path's third segment
+        # starts on s = 1, where no piece is short enough
         steps = []
         monkeypatch.setattr(branches, "step_triple",
                             lambda s0, triple, s1: steps.append(s1) or triple)
-        with pytest.raises(PreconditionError, match="MAX_PATH_STEPS"):
-            continue_triple([0.01, 1e10], anchored_g_triple(0, sqrt_s(0.01)))
-        with pytest.raises(PreconditionError, match="MAX_PATH_STEPS"):
+        start = anchored_g_triple(0, sqrt_s(0.01))
+        reach = 2 ** MAX_HALVINGS * STEP_REACH * 0.01
+        for path in ([0.01, 1e10], [0.01, 0.01 + 1.01 * reach * 1j],
+                     [0.01, 0.3, 0.3 + 1e12j], [0.01, 0.3, 1.0, 1.1]):
+            with pytest.raises(PreconditionError, match=re.escape("2^MAX_HALVINGS")):
+                continue_triple(path, start)
+        with pytest.raises(PreconditionError, match=re.escape("2^MAX_HALVINGS")):
             trace_branch("X", 3, 0.01, 1e10, 2)
         assert steps == []
 
-    @pytest.mark.parametrize("path, n_steps", [([0.0, 4.5, 9.0], 10),
-                                               ([0.0, 4.5, 9.0, 9.5], None)])
-    def test_the_step_budget_counts_every_segment(self, monkeypatch, path, n_steps):
-        # segments of 4.5, 4.5 and 0.5 at max_step 1 take 5, 5 and 1 steps
-        monkeypatch.setattr(branches, "MAX_PATH_STEPS", 10)
-        steps = []
-        monkeypatch.setattr(branches, "step_triple",
-                            lambda s0, triple, s1: steps.append(s1) or triple)
-        if n_steps is None:
-            with pytest.raises(PreconditionError):
-                continue_triple(path, (0j, 0j, 0j), max_step=1.0)
-        else:
-            continue_triple(path, (0j, 0j, 0j), max_step=1.0)
-        assert len(steps) == (n_steps or 0)
+    def test_a_segment_just_within_the_halving_reach_is_walked(self):
+        # straight up from s = 0.01, the distance to s = 0 and 1 only grows
+        s = 0.01 + 0.99 * 2 ** MAX_HALVINGS * STEP_REACH * 0.01j
+        walked = continue_triple([0.01, s], anchored_g_triple(0, sqrt_s(0.01)))
+        for g in walked:
+            assert abs((16 * s * (1 - s) * g * g - 3) * g - 1) < 1e-14
 
-    @pytest.mark.parametrize("stop", ["1e10", "1e307"])   # 1e307 / DEFAULT_STEP overflows
-    def test_trace_over_the_step_budget_is_3(self, stop):
+    @pytest.mark.parametrize("stop", ["1e10", "1e307"])
+    def test_trace_past_the_halving_reach_is_3(self, stop):
         assert cli_main(["branches", "trace", "--to", stop, "--samples", "2"]) == 3
 
 
@@ -504,18 +503,22 @@ def composed_step_triple(s0, triple, s1, depth=0):
     ds = s1 - s0
     special = [abs(s0 - point) for point in (0, 0.5, 1)]
     if abs(ds) > STEP_REACH * min(special):
-        mid = (s0 + s1) / 2
-        half = composed_step_triple(s0, triple, mid, depth + 1)
-        return composed_step_triple(mid, half, s1, depth + 1)
+        return composed_bisected_step(s0, triple, s1, depth)
     predicted = tuple(g + g_derivative(s0, g) * ds for g in triple)
     candidates = list(composed_solve_cubic_g(s1))
     scale = max(1.0, max(abs(g) for g in triple))
     matched = list_match_indices(predicted, candidates, scale)
     if matched is None:
-        mid = (s0 + s1) / 2
-        half = composed_step_triple(s0, triple, mid, depth + 1)
-        return composed_step_triple(mid, half, s1, depth + 1)
+        return composed_bisected_step(s0, triple, s1, depth)
     return tuple(candidates[j] for j in matched)
+
+
+def composed_bisected_step(s0, triple, s1, depth):
+    mid = (s0 + s1) / 2
+    if abs(mid - 0.5) < COLLISION_NUDGE:
+        mid += 2 * COLLISION_NUDGE * (s1 - s0) / max(abs(s1 - s0), 1e-30)
+    half = composed_step_triple(s0, triple, mid, depth + 1)
+    return composed_step_triple(mid, half, s1, depth + 1)
 
 
 def termwise_anchored_g_triple(anchor, local_root):
@@ -688,22 +691,34 @@ class TestMonodromy:
     def test_discontinuity_at_base_0(self):
         s0 = 0.04
         triple = anchored_g_triple(0, cmath.sqrt(s0))
-        delta = monodromy_triple(s0, triple, 0.0, n_steps=48)[1] - triple[1]
+        delta = monodromy_triple(s0, triple, 0.0)[1] - triple[1]
         assert abs(delta - (triple[0] - triple[1])) < 1e-8
 
     def test_discontinuity_at_base_1(self):
         s1 = 0.96
         triple = anchored_g_triple(1, cmath.sqrt(1 - s1))
-        delta = monodromy_triple(s1, triple, 1.0, n_steps=48)[2] - triple[2]
+        delta = monodromy_triple(s1, triple, 1.0)[2] - triple[2]
         assert abs(delta - (triple[0] - triple[2])) < 1e-8
+
+    @pytest.mark.parametrize("center", [0.0, 1.0])
+    def test_a_step_bisected_onto_the_crossing_keeps_the_labels(self, center):
+        # 0.45 -> 0.55 bisects onto s = 1/2 exactly, where the crossing
+        # branches take one value; after the loop around s = 1 the chart's
+        # conventional order there swapped branches 1 and 2 of the triple
+        moved = continue_triple([0.05, 0.45], anchored_g_triple(0, sqrt_s(0.05)))
+        looped = monodromy_triple(0.45, moved, center)
+        walked = continue_triple([0.45 + 0.001 * k for k in range(101)], looped)
+        for stepped in (step_triple(0.45, looped, 0.55),
+                        continue_triple([0.45, 0.55], looped)):
+            assert max(abs(a - b) for a, b in zip(stepped, walked)) < 1e-12
 
     def test_regular_loop_has_zero_discontinuity(self):
         from exactwkb.branches import _loop_path
         s0 = 0.04
         triple = anchored_g_triple(0, cmath.sqrt(s0))
         moved = continue_triple([s0, 0.5 + 0.3j], triple)
-        loop = _loop_path(0.5 + 0.3j, 0.3 + 0.3j, 48)
-        returned = continue_triple([0.5 + 0.3j, *loop], moved, max_step=0.05)
+        loop = _loop_path(0.5 + 0.3j, 0.3 + 0.3j)
+        returned = continue_triple([0.5 + 0.3j, *loop], moved)
         assert max(abs(a - b) for a, b in zip(returned, moved)) < 1e-10
 
 

@@ -581,10 +581,12 @@ class TestQuartic:
                 weight = 3 * (4 - k)
                 assert abs(s - b * lam ** weight) <= 1e-9 * max(1.0, abs(s))
 
-    @pytest.mark.parametrize("scale", [3.0, 1e5, 1e9])
+    @pytest.mark.parametrize("scale", [3.0, 1e5, 1e9, 1e-3, 0.01, 0.03, 0.1, 1.0])
     def test_roots_of_any_size_keep_the_order_of_the_unscaled_point(self, scale):
         # at 1e5 every root is below 1e-15 and every part rounded to 12 digits
-        # was 0, so the labels kept the Aberth iteration's order
+        # was 0, so the labels kept the Aberth iteration's order; at 1e-3 to
+        # 0.03 the singular-locus test, which compared A of weight 12 with an
+        # absolute 1.0, refused the point
         x1, x2, y = 0.7 + 0.1j, -1.2, 0.9 - 0.3j
         base = quartic_g_roots(x1, x2, y)
         scaled = quartic_g_roots(scale ** 3 * x1, scale ** 2 * x2, scale ** 4 * y)
@@ -659,6 +661,13 @@ class TestQuartic:
                             lambda x1, x2, y: (nan, 0j, 1 + 0j, 1 + 0j, 1 + 0j))
         with pytest.raises(NumericError, match="did not refine"):
             quartic_g_roots(0.9 + 0.3j, -1.1 + 0.2j, 0.8 - 0.4j)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e9])
+    @pytest.mark.parametrize("x1, x2, y", [(0, -1.2, 0), (0, 2.0, 1.0)])
+    def test_a_singular_point_is_refused_at_every_scale(self, x1, x2, y, scale):
+        # A = 0 where x1 = 0 and y (x2^2 - 4 y)^2 = 0
+        with pytest.raises(PreconditionError, match="singular locus"):
+            quartic_g_roots(scale ** 3 * x1, scale ** 2 * x2, scale ** 4 * y)
 
     def test_singular_locus_rejected(self):
         # leading coefficient vanishes at x1=x2=y=0 direction scaled suitably

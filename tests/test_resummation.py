@@ -6,6 +6,7 @@ import cmath
 import dataclasses
 import functools
 import importlib
+import importlib.util
 import json
 import math
 import random
@@ -16,12 +17,12 @@ import mpmath
 import pytest
 
 from exactwkb import branches, resummation
-from exactwkb.branches import (_loop_path, anchored_g_triple, continue_triple,
-                               monodromy_permutation, monodromy_triple, sqrt_s)
+from exactwkb.branches import (STEP_REACH, _loop_path, _match_indices, anchored_g_triple,
+                               continue_triple, monodromy_permutation, monodromy_triple,
+                               sqrt_s)
 from exactwkb.errors import NumericError, PreconditionError, VerificationError
-from exactwkb.resummation import (_SERIES_HANDOFF, AIRY_ORACLE_TOL, RAY_LOOP_STEPS,
-                                  VOROS_QUAD_TOL, BorelSum, RayField,
-                                  _laplace_quadrature, _scaled_sum,
+from exactwkb.resummation import (_SERIES_HANDOFF, AIRY_ORACLE_TOL, VOROS_QUAD_TOL,
+                                  BorelSum, RayField, _laplace_quadrature, _scaled_sum,
                                   airy_reference, classify_stokes,
                                   formal_solution_partial_sum, gamma_term,
                                   laplace_sum, verify_airy_connection,
@@ -55,7 +56,7 @@ def delta_g3_cut(ctx, eta, tol):
     ray = RayField(1, ctx.kappa)
     t_exit = _SERIES_HANDOFF / abs(ctx.kappa)
     image = monodromy_permutation(ctx.ray_point("-", t_exit), ray.triple(t_exit),
-                                  1.0 + 0j, n_steps=RAY_LOOP_STEPS)[2]
+                                  1.0 + 0j)[2]
     inv_pref = 1.0 / (SQRT_PI * ctx.x)
 
     def integrand(t):
@@ -98,8 +99,7 @@ def literal_loop_cut(ctx, eta, offset_angle=0.12, inner_radius=1e-4, arc_steps=9
     state = {"s": start_s, "triple": anchored_g_triple(0, sqrt_s(start_s))}
 
     def advance(s_to):
-        state["triple"] = continue_triple([state["s"], s_to], state["triple"],
-                                          max_step=0.03)
+        state["triple"] = continue_triple([state["s"], s_to], state["triple"])
         state["s"] = s_to
         return state["triple"]
 
@@ -638,6 +638,25 @@ class TestConnectionFormulas:
 class TestRayMonodromy:
     """The once-per-ray permutation against a numeric loop at each node."""
 
+    @pytest.mark.parametrize("center", [0.0, 1.0])
+    @pytest.mark.parametrize("point", BENCH_POINTS)
+    def test_a_loop_keeps_the_bits_of_a_fine_walk(self, point, center):
+        # one kernel call per chord of the loop against waypoints every 0.01
+        # along the same chords: both end on the loop's last corner, whose
+        # polished roots they return in the same order
+        ctx = classify_stokes(point[0])
+        t = _SERIES_HANDOFF / abs(ctx.kappa)
+        s, triple = ctx.ray_point("-", t), RayField(1, ctx.kappa).triple(t)
+        corners = [s, *_loop_path(s, center)]
+        fine = [s]
+        for a, b in zip(corners, corners[1:]):
+            n = math.ceil(abs(b - a) / 0.01)
+            fine += [a + (b - a) * k / n for k in range(1, n)] + [b]
+        walked = continue_triple(fine, triple)
+        assert monodromy_triple(s, triple, center) == walked
+        scale = max(1.0, max(abs(g) for g in triple))
+        assert monodromy_permutation(s, triple, center) == _match_indices(walked, triple, scale)
+
     @pytest.mark.parametrize("arg", [0.3, math.pi / 6, 1.9])
     def test_permutation_matches_loop_at_each_node(self, arg):
         """Branch 3 goes to branch 1 at every node, so the cut term is i * minus."""
@@ -647,8 +666,7 @@ class TestRayMonodromy:
         for rho in (0.2, 0.9, 2.0):
             t = rho / abs(ctx.kappa)
             triple = field.triple(t)
-            looped = monodromy_triple(ctx.ray_point("-", t), triple, 1.0,
-                                      n_steps=RAY_LOOP_STEPS)
+            looped = monodromy_triple(ctx.ray_point("-", t), triple, 1.0)
             want = looped[2] - triple[2]
             assert abs((triple[0] - triple[2]) - want) <= 1e-12 * abs(want)
         minus = minus_sum(ctx, 8.0)
@@ -770,13 +788,15 @@ class TestRecordedVorosReports:
 
 
 # the tracker functions a boundary tracer hooks, as (module, attribute path),
-# with the calls one verify_voros makes at each benchmark point
+# with the calls one verify_voros makes at each benchmark point: the solves are
+# one per tracked ray node and one per kernel piece of the two loops'
+# chords, as TestRayCost derives them
 TRACKER_HOOKS = (("exactwkb.branches", "solve_cubic_g"),
                  ("exactwkb.branches", "continue_triple"),
                  ("exactwkb.branches", "anchored_g_triple"),
                  ("exactwkb.resummation", "RayField.triple"),
                  ("exactwkb.branches", "monodromy_triple"))
-TRACKER_CALLS = ((533, 2, 107, 514, 2), (449, 2, 149, 514, 2))
+TRACKER_CALLS = ((459, 2, 107, 514, 2), (409, 2, 149, 514, 2))
 
 
 def count_calls(monkeypatch, module_name, path):
@@ -810,6 +830,23 @@ class TestTracerBoundaries:
     boundaries: a function folded into its caller would stop being counted,
     and its per-layer benchmark metric would read zero."""
 
+    def test_every_benchmark_hook_finds_its_target(self):
+        # the benchmark's tracer skips a hook whose target is gone, and the
+        # per-layer metric it fed then reads nothing without failing anything
+        path = Path(__file__).parents[1] / "bench" / "tracer.py"
+        if not path.is_file():
+            pytest.skip("no benchmark tracer in this tree")
+        spec = importlib.util.spec_from_file_location("benchmark_tracer", path)
+        tracer_module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer_module)
+        tracer = tracer_module.Tracer()
+        try:
+            tracer.install(tracer_module.HOOKS)
+        finally:
+            tracer.uninstall()
+        assert tracer.absent == []
+        assert len(tracer.names) == len(tracer_module.HOOKS)
+
     @pytest.mark.parametrize("point, expected", list(zip(BENCH_POINTS, TRACKER_CALLS)))
     def test_one_voros_point_makes_the_recorded_calls(self, monkeypatch, point, expected):
         counters = [count_calls(monkeypatch, *hook) for hook in TRACKER_HOOKS]
@@ -817,9 +854,19 @@ class TestTracerBoundaries:
         assert tuple(c[0] for c in counters) == expected
 
 
+def kernel_pieces(s0, s1):
+    """The solves of one ``step_triple`` call off the crossing chart whose
+    roots all match clearly: the pieces its step rule cuts s0 -> s1 into."""
+    if abs(s1 - s0) <= STEP_REACH * min(abs(s0), abs(s0 - 0.5), abs(1 - s0)):
+        return 1
+    mid = (s0 + s1) / 2
+    return kernel_pieces(s0, mid) + kernel_pieces(mid, s1)
+
+
 class TestRayCost:
     """Each tracked node of a summation ray costs one kernel call and one
-    cubic solve; the only other solves are the steps of the two loops."""
+    cubic solve; the only other solves are the kernel pieces of the two
+    loops' chords."""
 
     @pytest.mark.parametrize("point", BENCH_POINTS)
     def test_one_solve_per_tracked_node_plus_the_loop_steps(self, monkeypatch, point):
@@ -848,10 +895,9 @@ class TestRayCost:
         t_far = resummation._laplace_panels(eta, VOROS_QUAD_TOL)[0][-1] ** 2
         loop_steps = 0
         for t in (t_exit, t_far):
-            path = [ctx.ray_point("-", t), *_loop_path(ctx.ray_point("-", t), 1.0,
-                                                       RAY_LOOP_STEPS)]
-            # monodromy_triple walks its loop in steps of at most 0.12
-            loop_steps += sum(int(abs(b - a) / 0.12) + 1 for a, b in zip(path, path[1:]))
+            path = [ctx.ray_point("-", t), *_loop_path(ctx.ray_point("-", t), 1.0)]
+            # monodromy_triple makes one kernel call per chord of its loop
+            loop_steps += sum(map(kernel_pieces, path, path[1:]))
         assert ray_calls[0] == tracked()
         assert solves[0] == tracked() + loop_steps
 
@@ -904,8 +950,7 @@ class TestRayOrientation:
         # along the arc of radius _SERIES_HANDOFF around s = 1
         angles = [0.45 + (theta - 0.45) * k / 24 for k in range(25)]
         arc = [1 + _SERIES_HANDOFF * cmath.exp(1j * a) for a in angles]
-        carried = continue_triple(arc, anchored_g_triple(1, 1j * cmath.sqrt(arc[0] - 1)),
-                                  max_step=0.03)
+        carried = continue_triple(arc, anchored_g_triple(1, 1j * cmath.sqrt(arc[0] - 1)))
         s = arc[-1]
         want = anchored_g_triple(1, 1j * cmath.sqrt(s - 1))
         flipped = anchored_g_triple(1, -1j * cmath.sqrt(s - 1))
