@@ -196,10 +196,11 @@ def wkb_coefficient_stream(order: int = DEFAULT_ORDER, sign: str = "+") -> WkbCo
     amplitude = PuiseuxSeries.from_grid(W_VAR, one_plus_a, trunc).inv_sqrt()
     stream = amplitude * PuiseuxSeries.from_grid(W_VAR, phase, trunc).exp()
     coeffs = [Fraction(0)] * (order + 1)
-    for e, c in stream.terms.items():
-        if not c.is_rational():
+    # read off the kernel's grid: one Fraction per coefficient
+    for h, (p, q, d) in stream._grid.items():
+        if q:
             raise PreconditionError("coefficient stream left the rationals")
-        coeffs[e.numerator] = c.a
+        coeffs[h // 2] = Fraction(p, d)
     return WkbCoefficientStream(sign, tuple(coeffs))
 
 

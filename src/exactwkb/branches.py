@@ -116,7 +116,7 @@ def _newton_root_series(c_series: PuiseuxSeries, seed: PuiseuxSeries,
     x, known, prec = seed, trunc, Fraction(1, 2)
     for _ in range(200):
         prec = min(prec, known)
-        xp = PuiseuxSeries(x.variable, x.terms, prec)
+        xp = x._known_to(prec)
         f = xp * xp * xp * 16 - xp * 3 - c_series.truncate(prec)
         if f.is_zero():
             if prec == known:
@@ -544,6 +544,15 @@ def _nudged(s: complex, direction: complex) -> complex:
     return s + 2 * COLLISION_NUDGE * direction / max(abs(direction), 1e-30)
 
 
+def _closest_approach(s0: complex, s1: complex, point: int) -> float:
+    """The distance from ``point`` to the segment s0 -> s1."""
+    ds = s1 - s0
+    # the projection's parameter along ds; a complex quotient does not overflow
+    # where |ds|^2 would
+    t = ((point - s0) / ds).real if ds else 0.0
+    return abs(s0 + min(max(t, 0.0), 1.0) * ds - point)
+
+
 def continue_triple(path: list, triple: tuple) -> tuple:
     """Continue an ordered root triple along a polyline of s-waypoints.
 
@@ -554,9 +563,10 @@ def continue_triple(path: list, triple: tuple) -> tuple:
     nudged along the direction of travel, as the kernel's midpoints are.
 
     A segment that is not finite, or that is longer than 2^MAX_HALVINGS *
-    STEP_REACH times the distance from its start to s = 0 and s = 1, raises
-    PreconditionError before any step is taken: the kernel would halve it
-    more than MAX_HALVINGS times for its first piece.  A continuation
+    STEP_REACH times its closest approach to the branch point s = 0 or s = 1,
+    raises PreconditionError before any step is taken: the kernel would halve
+    it more than MAX_HALVINGS times for its piece nearest that point, and a
+    segment through the point has no such piece.  A continuation
     that fails with NumericError raises PreconditionError instead when the
     start triple is at fault: it is not finite or is not the root triple of
     the cubic at path[0] (``_start_triple_fault``, which only a failed call
@@ -571,10 +581,11 @@ def continue_triple(path: list, triple: tuple) -> tuple:
         span = abs(s1 - s0)
         if not cmath.isfinite(span):
             raise PreconditionError(f"path segment {s0!r} -> {s1!r} is not finite")
-        if span > reach * min(abs(s0), abs(1 - s0)):
+        gap, point = min((_closest_approach(s0, s1, point), point) for point in (0, 1))
+        if span > reach * gap:
             raise PreconditionError(
-                f"path segment {s0!r} -> {s1!r} is longer than 2^MAX_HALVINGS * "
-                "STEP_REACH times the distance from its start to s = 0 and 1")
+                f"path segment {s0!r} -> {s1!r} comes within {gap:.3g} of the branch point "
+                f"s = {point}, and is longer than 2^MAX_HALVINGS * STEP_REACH times that distance")
     current = triple
     try:
         for s0, s1 in pairwise(points):

@@ -10,12 +10,15 @@ means a symbol-manipulation bug and is rejected immediately.
 
 Scalars are fraction-free: (p + q sqrt 3)/d is three ints with d > 0 and
 gcd(p, q, d) = 1, a canonical form, so each scalar sum or product is integer
-work and one gcd (Knuth, TAOCP vol. 2, 4.5.1).  Series products and the
-recurrences below work on the integer exponent grid h = 2e; only the keys of
-``PuiseuxSeries.terms`` are Fractions, built once per result term.  Products
-and recurrences reduce once per coefficient, not once per pair of terms: each
-coefficient is an integer dot product over a common denominator, reduced at
-the end.
+work and one gcd (Knuth, TAOCP vol. 2, 4.5.1).  A series holds ints alone:
+each term keyed by its grid index h = 2e, each coefficient as its triple
+(p, q, d), and the truncation as the grid limit 2 * truncation, so a
+truncation, like an exponent, must be a half-integer.  Products and the
+recurrences below run on these ints; Fractions and ExactScalars are built only
+where the API is read (``terms``, once per series, and ``truncation``,
+``valuation``, ``leading``, ``coeff``).  Products and recurrences reduce once
+per coefficient, not once per pair of terms: each coefficient is an integer
+dot product over a common denominator, reduced at the end.
 
 The transcendental operations run as O(n^2) coefficient recurrences on that
 grid, with integer weights, after normalising f = lead x^v (1 + u):
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import attrgetter
+from itertools import chain
 from typing import Iterable, Mapping, Union
 
 from .errors import PreconditionError
@@ -89,7 +92,7 @@ class ExactScalar:
         if isinstance(value, ExactScalar):
             return value
         n, d = _ratio(value)
-        return _canonical(n, 0, d)
+        return _scalar((n, 0, d))
 
     # -- parts and predicates -------------------------------------------
 
@@ -116,19 +119,19 @@ class ExactScalar:
         if isinstance(other, ExactScalar):
             r, s, e = other._pqd
             if d == e:
-                return _reduced(p + r, q + s, d)
-            return _reduced(p * e + r * d, q * e + s * d, d * e)
+                return _scalar(_reduce(p + r, q + s, d))
+            return _scalar(_reduce(p * e + r * d, q * e + s * d, d * e))
         if isinstance(other, int):
             # gcd(p + n d, q, d) = gcd(p, q, d) = 1
-            return _canonical(p + other * d, q, d)
+            return _scalar((p + other * d, q, d))
         r, e = _ratio(other)
-        return _reduced(p * e + r * d, q * e, d * e)
+        return _scalar(_reduce(p * e + r * d, q * e, d * e))
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExactScalar":
         p, q, d = self._pqd
-        return _canonical(-p, -q, d)
+        return _scalar((-p, -q, d))
 
     def __sub__(self, other) -> "ExactScalar":
         return self + (-ExactScalar.coerce(other))
@@ -140,29 +143,24 @@ class ExactScalar:
         p, q, d = self._pqd
         if isinstance(other, ExactScalar):
             r, s, e = other._pqd
-            return _reduced(p * r + 3 * q * s, p * s + q * r, d * e)
+            return _scalar(_reduce(p * r + 3 * q * s, p * s + q * r, d * e))
         if isinstance(other, int):
             # gcd(n p, n q, d) = gcd(n, d), because gcd(p, q, d) = 1
             g = _gcd(other, d)
             n = other // g
-            return _canonical(p * n, q * n, d // g)
+            return _scalar((p * n, q * n, d // g))
         r, e = _ratio(other)
-        return _reduced(p * r, q * r, d * e)
+        return _scalar(_reduce(p * r, q * r, d * e))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "ExactScalar":
-        # d / (p + q sqrt 3) = d (p - q sqrt 3) / (p^2 - 3 q^2)
-        p, q, d = self._pqd
-        norm = p * p - 3 * q * q
-        if norm == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt 3)")
-        return _reduced(d * p, -d * q, norm)
+        return _scalar(_invert(self._pqd))
 
     def __truediv__(self, other) -> "ExactScalar":
         if isinstance(other, int) and other:
             p, q, d = self._pqd
-            return _reduced(p, q, d * other)
+            return _scalar(_reduce(p, q, d * other))
         return self * ExactScalar.coerce(other).inverse()
 
     def __rtruediv__(self, other) -> "ExactScalar":
@@ -246,21 +244,30 @@ class ExactScalar:
 _set_pqd = ExactScalar._pqd.__set__
 
 
-def _canonical(p: int, q: int, d: int) -> ExactScalar:
-    """(p + q sqrt 3)/d, trusting d > 0 and gcd(p, q, d) = 1."""
+def _scalar(pqd: tuple[int, int, int]) -> ExactScalar:
+    """The scalar of a canonical triple (p, q, d): d > 0, gcd(p, q, d) = 1."""
     out = object.__new__(ExactScalar)
-    _set_pqd(out, (p, q, d))
+    _set_pqd(out, pqd)
     return out
 
 
-def _reduced(p: int, q: int, d: int) -> ExactScalar:
-    """(p + q sqrt 3)/d for any d != 0, brought to the canonical form."""
+def _reduce(p: int, q: int, d: int) -> tuple[int, int, int]:
+    """The canonical triple of (p + q sqrt 3)/d for any d != 0."""
     if d < 0:
         p, q, d = -p, -q, -d
     g = _gcd(p, q, d)
     if g != 1:
-        p, q, d = p // g, q // g, d // g
-    return _canonical(p, q, d)
+        return p // g, q // g, d // g
+    return p, q, d
+
+
+def _invert(pqd: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The canonical triple of 1/x: d / (p + q sqrt 3) = d (p - q sqrt 3) / (p^2 - 3 q^2)."""
+    p, q, d = pqd
+    norm = p * p - 3 * q * q
+    if norm == 0:
+        raise ZeroDivisionError("division by zero in Q(sqrt 3)")
+    return _reduce(d * p, -d * q, norm)
 
 
 def _fraction_sqrt(q: Fraction) -> Fraction | None:
@@ -281,67 +288,84 @@ ONE = ExactScalar(1)
 SQRT3 = ExactScalar.sqrt3()
 
 
-def _check_exponent(e: Fraction) -> Fraction:
-    if e.denominator not in (1, 2):
-        raise PreconditionError(f"exponent {e} has denominator {e.denominator}; only 1 or 2 allowed")
-    return e
+def _half(value, what: str) -> int:
+    """The grid index 2 value of a half-integer exponent or truncation."""
+    if isinstance(value, int):
+        return 2 * value
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    if value.denominator > 2:
+        raise PreconditionError(
+            f"{what} {value} has denominator {value.denominator}; only 1 or 2 allowed")
+    return 2 * value.numerator // value.denominator
 
 
-def _grid(e: Fraction | int) -> int:
-    """The grid index h = 2e of a half-integer exponent."""
-    return 2 * e.numerator // e.denominator
-
-
-def _grid_limit(e: Fraction) -> int:
-    """The least grid index h with h/2 >= e."""
-    return -(-2 * e.numerator // e.denominator)
+_ZERO_PQD = (0, 0, 1)
+_ONE_PQD = (1, 0, 1)
 
 
 class PuiseuxSeries:
     """A truncated series sum_e c_e * var^e with exponents in (1/2)Z.
 
     ``truncation`` is the first exponent *not* represented; ``None`` means the
-    series is exact (a Puiseux polynomial).  Arithmetic propagates the
-    truncation as the minimum of the operand precisions, shifted by valuations
-    under multiplication and inversion.
+    series is exact (a Puiseux polynomial).  Like the exponents, it is a
+    half-integer.  Arithmetic propagates the truncation as the minimum of the
+    operand precisions, shifted by valuations under multiplication and
+    inversion.
+
+    Inside, everything is an int: ``_grid`` maps the grid index h = 2e of each
+    nonzero term, in increasing order, to the canonical triple (p, q, d) of
+    its coefficient, and ``_limit`` is 2 * truncation.  ``terms`` and
+    ``truncation`` are read off them, ``terms`` once and then cached.
     """
 
-    __slots__ = ("variable", "terms", "truncation")
+    __slots__ = ("variable", "_grid", "_limit", "_terms")
 
     def __init__(self, variable: str,
                  terms: Mapping[Fraction, ExactScalar] | Iterable[tuple] = (),
                  truncation: Fraction | int | None = None):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        trunc = None if truncation is None else Fraction(truncation)
-        limit = None if trunc is None else _grid_limit(trunc)
-        grid: dict[int, tuple[Fraction, ExactScalar]] = {}
+        limit = None if truncation is None else _half(truncation, "truncation")
+        grid: dict[int, ExactScalar] = {}
         for e, c in items:
-            e = _check_exponent(Fraction(e))
+            h = _half(e, "exponent")
             c = ExactScalar.coerce(c)
-            h = _grid(e)
-            if limit is not None and h >= limit:
-                continue
-            if h in grid:
-                c = grid[h][1] + c
-            grid[h] = (e, c)
-        object.__setattr__(self, "variable", variable)
-        object.__setattr__(self, "terms", {e: c for _, (e, c) in sorted(grid.items())
-                                           if not c.is_zero()})
-        object.__setattr__(self, "truncation", trunc)
+            if limit is None or h < limit:
+                grid[h] = grid[h] + c if h in grid else c
+        self._set(variable, {h: c._pqd for h, c in sorted(grid.items()) if not c.is_zero()},
+                  limit)
+
+    def _set(self, variable: str, grid: dict, limit: int | None) -> "PuiseuxSeries":
+        for name, value in (("variable", variable), ("_grid", grid), ("_limit", limit),
+                            ("_terms", None)):
+            object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, *_):
         raise AttributeError("PuiseuxSeries is immutable")
 
     @classmethod
-    def _trusted(cls, variable: str, terms: dict[Fraction, ExactScalar],
-                 truncation: Fraction | None) -> "PuiseuxSeries":
-        """A series from terms already checked: half-integer keys in
-        increasing order, nonzero coefficients, all below ``truncation``."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "variable", variable)
-        object.__setattr__(out, "terms", terms)
-        object.__setattr__(out, "truncation", truncation)
-        return out
+    def _trusted(cls, variable: str, grid: dict[int, tuple],
+                 limit: int | None) -> "PuiseuxSeries":
+        """A series from a grid already checked: increasing indices, nonzero
+        canonical triples, all below ``limit``."""
+        return object.__new__(cls)._set(variable, grid, limit)
+
+    def _term(self, h: int, c: tuple, limit: int | None) -> "PuiseuxSeries":
+        """c var^(h/2) + O(var^(limit/2)), the term dropped at or past the limit."""
+        return self._trusted(self.variable, {h: c} if limit is None or h < limit else {}, limit)
+
+    @property
+    def terms(self) -> dict[Fraction, ExactScalar]:
+        """{exponent: coefficient}, in increasing order of the exponent."""
+        if self._terms is None:
+            object.__setattr__(self, "_terms", {Fraction(h, 2): _scalar(c)
+                                                for h, c in self._grid.items()})
+        return self._terms
+
+    @property
+    def truncation(self) -> Fraction | None:
+        return None if self._limit is None else Fraction(self._limit, 2)
 
     # -- constructors ---------------------------------------------------
 
@@ -355,7 +379,7 @@ class PuiseuxSeries:
 
     @classmethod
     def monomial(cls, variable: str, exponent, coeff=ONE, truncation=None) -> "PuiseuxSeries":
-        return cls(variable, {Fraction(exponent): ExactScalar.coerce(coeff)}, truncation)
+        return cls(variable, {exponent: coeff}, truncation)
 
     @classmethod
     def from_grid(cls, variable: str, coeffs: Iterable[tuple[int, int, int]],
@@ -366,40 +390,39 @@ class PuiseuxSeries:
         once each, and zero terms are dropped.  Terms at or past the
         truncation are refused.
         """
-        trunc = None if truncation is None else Fraction(truncation)
-        limit = None if trunc is None else _grid_limit(trunc)
-        terms = {}
+        limit = None if truncation is None else _half(truncation, "truncation")
+        grid = {}
         last = -math.inf
         for h, n, d in coeffs:
             if h <= last:
                 raise PreconditionError(f"grid indices must increase, got {h} after {last}")
             if limit is not None and h >= limit:
                 raise PreconditionError(
-                    f"term {variable}^({h}/2) lies past the truncation {trunc}")
+                    f"term {variable}^({h}/2) lies past the truncation {Fraction(limit, 2)}")
             last = h
             if n:
-                terms[Fraction(h, 2)] = _reduced(n, 0, d)
-        return cls._trusted(variable, terms, trunc)
+                grid[h] = _reduce(n, 0, d)
+        return cls._trusted(variable, grid, limit)
 
     # -- structure ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._grid
 
     def valuation(self) -> Fraction | None:
         """Smallest stored exponent, or None for the (truncated) zero series."""
-        if not self.terms:
+        if not self._grid:
             return None
-        return next(iter(self.terms))
+        return Fraction(next(iter(self._grid)), 2)
 
     def coeff(self, exponent) -> ExactScalar:
         return self.terms.get(Fraction(exponent), ZERO)
 
     def leading(self) -> tuple[Fraction, ExactScalar]:
-        if not self.terms:
+        if not self._grid:
             raise PreconditionError("zero series has no leading term")
-        e = next(iter(self.terms))
-        return e, self.terms[e]
+        h, c = next(iter(self._grid.items()))
+        return Fraction(h, 2), _scalar(c)
 
     def _same_variable(self, other: "PuiseuxSeries"):
         if self.variable != other.variable:
@@ -412,17 +435,19 @@ class PuiseuxSeries:
         if isinstance(other, (int, Fraction, ExactScalar)):
             other = PuiseuxSeries.monomial(self.variable, 0, ExactScalar.coerce(other))
         self._same_variable(other)
-        trunc = _min_trunc(self.truncation, other.truncation)
-        merged = dict(self.terms)
-        for e, c in other.terms.items():
-            merged[e] = merged.get(e, ZERO) + c
-        return PuiseuxSeries(self.variable, merged, trunc)
+        limit = min((x for x in (self._limit, other._limit) if x is not None), default=None)
+        sums: dict[int, list] = {}
+        for h, c in chain(self._grid.items(), other._grid.items()):
+            if limit is None or h < limit:
+                sums.setdefault(h, []).append((1, c, _ONE_PQD))
+        grid = {h: c for h, c in ((h, _dot(sums[h])) for h in sorted(sums)) if c != _ZERO_PQD}
+        return PuiseuxSeries._trusted(self.variable, grid, limit)
 
     __radd__ = __add__
 
     def __neg__(self) -> "PuiseuxSeries":
-        return PuiseuxSeries._trusted(self.variable, {e: -c for e, c in self.terms.items()},
-                                      self.truncation)
+        return PuiseuxSeries._trusted(
+            self.variable, {h: (-p, -q, d) for h, (p, q, d) in self._grid.items()}, self._limit)
 
     def __sub__(self, other) -> "PuiseuxSeries":
         if isinstance(other, (int, Fraction, ExactScalar)):
@@ -434,35 +459,48 @@ class PuiseuxSeries:
 
     def __mul__(self, other) -> "PuiseuxSeries":
         if isinstance(other, (int, Fraction, ExactScalar)):
-            c = ExactScalar.coerce(other)
-            terms = {} if c.is_zero() else {e: v * c for e, v in self.terms.items()}
-            return PuiseuxSeries._trusted(self.variable, terms, self.truncation)
+            c = ExactScalar.coerce(other)._pqd
+            grid = {} if c == _ZERO_PQD else {h: _dot(((1, v, c),))
+                                              for h, v in self._grid.items()}
+            return PuiseuxSeries._trusted(self.variable, grid, self._limit)
         self._same_variable(other)
-        trunc = _product_trunc(self, other)
-        if not self.terms or not other.terms:
-            return PuiseuxSeries._trusted(self.variable, {}, trunc)
-        f = list(zip(map(_grid, self.terms), _over_one_denominator(self.terms.values())))
-        g = list(zip(map(_grid, other.terms), _over_one_denominator(other.terms.values())))
-        limit = f[-1][0] + g[-1][0] + 1 if trunc is None else _grid_limit(trunc)
-        pairs: dict[int, list] = {}
-        for h1, c1 in f:
-            for h2, c2 in g:
-                h = h1 + h2
-                if h >= limit:
+        limit = _product_limit(self, other)
+        if not self._grid or not other._grid:
+            return PuiseuxSeries._trusted(self.variable, {}, limit)
+        # each factor over one denominator, so each product coefficient is an
+        # integer sum over their product, reduced once
+        f = list(zip(self._grid, _over_one_denominator(self._grid.values())))
+        g = list(zip(other._grid, _over_one_denominator(other._grid.values())))
+        low = f[0][0] + g[0][0]
+        size = (f[-1][0] + g[-1][0] + 1 if limit is None else limit) - low
+        num_p, num_q = [0] * size, [0] * size
+        for h1, (p, q, _) in f:
+            for h2, (r, s, _) in g:
+                i = h1 + h2 - low
+                if i >= size:
                     break
-                pairs.setdefault(h, []).append((1, c1, c2))
-        out = ((h, _dot(terms)) for h, terms in sorted(pairs.items()))
-        return PuiseuxSeries._trusted(
-            self.variable, {Fraction(h, 2): c for h, c in out if not c.is_zero()}, trunc)
+                num_p[i] += p * r + 3 * q * s
+                num_q[i] += p * s + q * r
+        den = f[0][1][2] * g[0][1][2]
+        grid = {low + i: _reduce(a, b, den) for i, (a, b) in enumerate(zip(num_p, num_q)) if a or b}
+        return PuiseuxSeries._trusted(self.variable, grid, limit)
 
     __rmul__ = __mul__
 
     def shift(self, exponent) -> "PuiseuxSeries":
         """Multiply by var^exponent."""
-        d = _check_exponent(Fraction(exponent))
-        trunc = None if self.truncation is None else self.truncation + d
-        return PuiseuxSeries(self.variable,
-                             {e + d: c for e, c in self.terms.items()}, trunc)
+        d = _half(exponent, "exponent")
+        return PuiseuxSeries._trusted(self.variable, {h + d: c for h, c in self._grid.items()},
+                                      None if self._limit is None else self._limit + d)
+
+    def _precision(self, order, v: int = 0) -> int | None:
+        """The grid limit of the precision relative to var^(v/2): what is known
+        of self past that term, capped by ``order``."""
+        rel = None if self._limit is None else self._limit - v
+        if order is not None:
+            cap = _half(order, "order")
+            rel = cap if rel is None else min(rel, cap)
+        return rel
 
     def inverse(self, order: Fraction | int | None = None) -> "PuiseuxSeries":
         """Multiplicative inverse as a truncated series.
@@ -473,23 +511,18 @@ class PuiseuxSeries:
         """
         if self.is_zero():
             raise ZeroDivisionError("division by identically-zero series")
-        v, lead = self.leading()
-        rel = None
-        if self.truncation is not None:
-            rel = self.truncation - v
-        if order is not None:
-            rel = Fraction(order) if rel is None else min(rel, Fraction(order))
-        if len(self.terms) == 1:
-            trunc = None if rel is None else rel - v
-            return PuiseuxSeries.monomial(self.variable, -v, lead.inverse(), trunc)
+        v, lead = next(iter(self._grid.items()))
+        rel = self._precision(order, v)
+        inv_lead = _invert(lead)
+        if len(self._grid) == 1:
+            return self._term(-v, inv_lead, None if rel is None else rel - v)
         if rel is None:
             raise PreconditionError(
                 "inverse of an exact multi-term series needs an explicit order")
         if not self._has_tail(v, rel):
             raise PreconditionError("inverse: normalized tail must have positive valuation")
         # f = lead * x^v (1 + u); 1/f = lead^{-1} x^{-v} (1 + u)^{-1}
-        inv_lead = lead.inverse()
-        return self._on_grid(rel, _power_weights(-1),
+        return self._on_grid(rel, _power_weights(-2),
                              v=v, inv_lead=inv_lead, scale=inv_lead, shift=-v)
 
     def __truediv__(self, other) -> "PuiseuxSeries":
@@ -512,116 +545,116 @@ class PuiseuxSeries:
     # -- calculus ----------------------------------------------------------
 
     def differentiate(self) -> "PuiseuxSeries":
-        trunc = None if self.truncation is None else self.truncation - 1
-        return PuiseuxSeries(self.variable,
-                             {e - 1: c * e for e, c in self.terms.items() if e != 0},
-                             trunc)
+        # c var^(h/2) has the derivative (h/2) c var^(h/2 - 1)
+        grid = {h - 2: _reduce(h * p, h * q, 2 * d)
+                for h, (p, q, d) in self._grid.items() if h}
+        return PuiseuxSeries._trusted(self.variable, grid,
+                                      None if self._limit is None else self._limit - 2)
 
     def integrate(self) -> "PuiseuxSeries":
         """Term-by-term primitive with no integration constant."""
-        out = {}
-        for e, c in self.terms.items():
-            if e == -1:
-                raise PreconditionError("cannot integrate an exponent -1 term termwise")
-            out[e + 1] = c / (e + 1)
-        trunc = None if self.truncation is None else self.truncation + 1
-        return PuiseuxSeries(self.variable, out, trunc)
+        if -2 in self._grid:
+            raise PreconditionError("cannot integrate an exponent -1 term termwise")
+        # c var^(h/2) has the primitive 2c / (h + 2) var^(h/2 + 1)
+        grid = {h + 2: _reduce(2 * p, 2 * q, (h + 2) * d)
+                for h, (p, q, d) in self._grid.items()}
+        return PuiseuxSeries._trusted(self.variable, grid,
+                                      None if self._limit is None else self._limit + 2)
 
     # -- compositions --------------------------------------------------------
 
     def truncate(self, order) -> "PuiseuxSeries":
-        order = Fraction(order)
-        trunc = order if self.truncation is None else min(self.truncation, order)
-        return PuiseuxSeries(self.variable, self.terms, trunc)
+        if self._limit is not None and self._limit < _half(order, "truncation"):
+            return self
+        return self._known_to(order)
+
+    def _known_to(self, truncation) -> "PuiseuxSeries":
+        """The terms below ``truncation``, claimed known up to it, past the
+        present truncation too: a Newton iterate is known further than the
+        arithmetic that made it claims."""
+        limit = _half(truncation, "truncation")
+        return PuiseuxSeries._trusted(
+            self.variable, {h: c for h, c in self._grid.items() if h < limit}, limit)
 
     def exp(self, order=None) -> "PuiseuxSeries":
         """exp of a series with strictly positive valuation."""
-        rel = self.truncation
-        if order is not None:
-            rel = Fraction(order) if rel is None else min(rel, Fraction(order))
+        rel = self._precision(order)
         if rel is None:
             raise PreconditionError("exp of an exact series needs an explicit order")
         if self.is_zero():
-            return PuiseuxSeries.one(self.variable, rel)
-        v = self.valuation()
-        if v <= 0:
+            return self._term(0, _ONE_PQD, rel)
+        if next(iter(self._grid)) <= 0:
             raise PreconditionError("exp requires strictly positive valuation")
         return self._on_grid(rel, _EXP_WEIGHTS)
 
-    def _binomial_power(self, half_exponent: Fraction, order) -> "PuiseuxSeries":
-        """(lead * x^v (1+u))^p for p in {1/2, -1/2}, v even multiple of p.
+    def _binomial_power(self, sign: int, order) -> "PuiseuxSeries":
+        """(lead * x^v (1+u))^p for p = sign/2, v an even multiple of p.
 
         ``order`` caps the relative precision, as for ``inverse``; the result
         is known below rel + p v.
         """
         if self.is_zero():
             raise PreconditionError("no square root of the zero series")
-        v, lead = self.leading()
-        rel = None if self.truncation is None else self.truncation - v
-        if order is not None:
-            rel = Fraction(order) if rel is None else min(rel, Fraction(order))
-        if (v / 2).denominator not in (1, 2):
-            raise PreconditionError(f"sqrt would need exponent {v}/2 with denominator > 2")
-        root = lead.sqrt()
-        if half_exponent < 0:
-            root = root.inverse()
-        if len(self.terms) == 1:
-            trunc = None if rel is None else rel + v * half_exponent
-            return PuiseuxSeries.monomial(self.variable, v * half_exponent, root, trunc)
+        v, lead = next(iter(self._grid.items()))
+        rel = self._precision(order, v)
+        if v % 2:
+            raise PreconditionError(
+                f"sqrt would need exponent {Fraction(v, 2)}/2 with denominator > 2")
+        root = _scalar(lead).sqrt()._pqd
+        if sign < 0:
+            root = _invert(root)
+        shift = sign * v // 2
+        if len(self._grid) == 1:
+            return self._term(shift, root, None if rel is None else rel + shift)
         if rel is None:
             raise PreconditionError("sqrt of an exact multi-term series needs an explicit order")
         if not self._has_tail(v, rel):
             raise PreconditionError("sqrt: normalized tail must have positive valuation")
-        return self._on_grid(rel, _power_weights(half_exponent), v=v,
-                             inv_lead=lead.inverse(), scale=root, shift=v * half_exponent)
+        return self._on_grid(rel, _power_weights(sign), v=v,
+                             inv_lead=_invert(lead), scale=root, shift=shift)
 
     def sqrt(self, order=None) -> "PuiseuxSeries":
-        return self._binomial_power(Fraction(1, 2), order)
+        return self._binomial_power(1, order)
 
     def inv_sqrt(self, order=None) -> "PuiseuxSeries":
-        return self._binomial_power(Fraction(-1, 2), order)
+        return self._binomial_power(-1, order)
 
-    def _has_tail(self, v: Fraction, rel: Fraction) -> bool:
-        """Whether any term lies strictly between x^v and x^(v + rel)."""
-        low, high = _grid(v), _grid_limit(v + rel)
-        return any(low < _grid(e) < high for e in self.terms)
+    def _has_tail(self, v: int, rel: int) -> bool:
+        """Whether any term lies strictly between the grid indices v and v + rel."""
+        return any(v < h < v + rel for h in self._grid)
 
-    def _on_grid(self, rel: Fraction, weights, v: Fraction | int = 0,
-                 inv_lead: ExactScalar = ONE, scale: ExactScalar = ONE,
-                 shift: Fraction | int = 0) -> "PuiseuxSeries":
-        """Run a coefficient recurrence on u, where self = lead x^v (1 + u).
+    def _on_grid(self, rel: int, weights, v: int = 0, inv_lead: tuple = _ONE_PQD,
+                 scale: tuple = _ONE_PQD, shift: int = 0) -> "PuiseuxSeries":
+        """Run a coefficient recurrence on u, where self = lead x^(v/2) (1 + u).
 
-        The tail u is laid on the grid h = 2e below ``rel``; the solution g of
-        ``_grid_recurrence`` from g_0 = scale comes back as x^shift * g,
-        known below rel + shift.  Without ``v`` and ``inv_lead``, u is self
-        itself.
+        The tail u is laid on the grid below ``rel``; the solution g of
+        ``_grid_recurrence`` from g_0 = scale comes back as x^(shift/2) * g,
+        known below the grid index rel + shift.  Without ``v`` and
+        ``inv_lead``, u is self itself.
         """
-        n = _grid_limit(rel)
-        low = _grid(v)
         tail = {}
-        for e, c in self.terms.items():
-            h = _grid(e) - low
-            if 0 < h < n:
-                tail[h] = c if inv_lead == ONE else c * inv_lead
-        g = _grid_recurrence(tail, n, scale, weights)
-        h0 = _grid(shift)
+        for h, c in self._grid.items():
+            h -= v
+            if 0 < h < rel:
+                tail[h] = c if inv_lead == _ONE_PQD else _dot(((1, c, inv_lead),))
+        g = _grid_recurrence(tail, rel, scale, weights)
         return PuiseuxSeries._trusted(
-            self.variable, {Fraction(h + h0, 2): c for h, c in g.items()}, rel + shift)
+            self.variable, {h + shift: c for h, c in g.items()}, rel + shift)
 
     # -- conversions -----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
-        return (self.variable == other.variable and self.terms == other.terms
-                and self.truncation == other.truncation)
+        return (self.variable == other.variable and self._grid == other._grid
+                and self._limit == other._limit)
 
     def __hash__(self):
-        return hash((self.variable, tuple(self.terms.items()), self.truncation))
+        return hash((self.variable, tuple(self._grid.items()), self._limit))
 
     def same_terms(self, other: "PuiseuxSeries") -> bool:
         """Coefficient-wise equality, ignoring truncation metadata."""
-        return self.variable == other.variable and self.terms == other.terms
+        return self.variable == other.variable and self._grid == other._grid
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -639,28 +672,20 @@ class PuiseuxSeries:
         return body
 
 
-def _min_trunc(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
-def _product_trunc(f: PuiseuxSeries, g: PuiseuxSeries):
-    """The truncation of f * g; a factor that is exactly zero makes the
+def _product_limit(f: PuiseuxSeries, g: PuiseuxSeries):
+    """The grid limit of f * g; a factor that is exactly zero makes the
     product exactly zero."""
     candidates = []
     for a, b in ((f, g), (g, f)):
-        if a.truncation is not None:
-            vb = b.valuation() if b.terms else b.truncation
+        if a._limit is not None:
+            vb = next(iter(b._grid)) if b._grid else b._limit
             if vb is not None:
-                candidates.append(a.truncation + vb)
+                candidates.append(a._limit + vb)
     return min(candidates) if candidates else None
 
 
-def _dot(terms: Iterable[tuple[int, tuple, tuple]], den: int = 1) -> ExactScalar:
-    """(1/den) sum w x y over the terms (w, x, y), reduced once.
+def _dot(terms: Iterable[tuple[int, tuple, tuple]], den: int = 1) -> tuple[int, int, int]:
+    """The canonical triple of (1/den) sum w x y over the terms (w, x, y).
 
     w is an int, and x, y are the integer triples (p, q, d) of
     (p + q sqrt 3)/d, d > 0, reduced or not.  The products are added over the
@@ -687,13 +712,11 @@ def _dot(terms: Iterable[tuple[int, tuple, tuple]], den: int = 1) -> ExactScalar
             b *= w
         num_p += a
         num_q += b
-    return _reduced(num_p, num_q, common * den)
+    return _reduce(num_p, num_q, common * den)
 
 
-def _over_one_denominator(coeffs: Iterable[ExactScalar]) -> list[tuple[int, int, int]]:
-    """The triples (p, q, d) of the coefficients, all brought to the lcm d of
-    their denominators."""
-    triples = [c._pqd for c in coeffs]
+def _over_one_denominator(triples) -> list[tuple[int, int, int]]:
+    """The triples (p, q, d), all brought to the lcm d of their denominators."""
     # a list, not a generator: an argument tuple built from a generator is
     # resized, so it is freed into another size's free list than it was
     # taken from, and that free list grows call by call up to its cap
@@ -719,9 +742,10 @@ def _grid_recurrence(u: Mapping[int, object], n: int, first,
         g_0 = first,   g_m = (1/divisor(m)) sum_{k <= m} weight(k, m) u_k g_{m-k},
 
     where ``weights`` is the pair of integer functions (weight, divisor) and u
-    maps grid indices k >= 1 to nonzero ring elements.  The ring is Q(sqrt 3)
-    for Puiseux series and the Puiseux series themselves for eta-expansions.
-    The recurrence is linear in g, so ``first`` scales the whole solution.
+    maps grid indices k >= 1 to nonzero ring elements.  The ring is Q(sqrt 3),
+    as canonical triples (p, q, d), for Puiseux series and the Puiseux series
+    themselves for eta-expansions.  The recurrence is linear in g, so
+    ``first`` scales the whole solution.
 
     Each g_m is one weighted sum of products over the pairs (k, m - k) with
     both factors nonzero, divided by divisor(m): in Q(sqrt 3) an integer dot
@@ -729,24 +753,17 @@ def _grid_recurrence(u: Mapping[int, object], n: int, first,
     """
     weight, divisor = weights
     g = {} if n <= 0 else {0: first}
-    keys = sorted(u)
-    # the factors as the sums take them: in Q(sqrt 3) integer triples, u's
-    # over one denominator; series as they are
-    if isinstance(first, ExactScalar):
-        dot, factor = _dot, attrgetter("_pqd")
-        support = list(zip(keys, _over_one_denominator(u[k] for k in keys)))
-    else:
-        dot, factor = _ring_dot, lambda value: value
-        support = [(k, u[k]) for k in keys]
-    factors = {m: factor(c) for m, c in g.items()}
+    dot, is_zero = ((_dot, _ZERO_PQD.__eq__) if isinstance(first, tuple)
+                    else (_ring_dot, PuiseuxSeries.is_zero))
+    support = sorted(u.items())
     # g_m vanishes unless m is a sum of indices of u, so a multiple of their gcd
-    step = math.gcd(*keys) or 1
+    step = math.gcd(*u) or 1
     for m in range(step, n, step):
         terms = []
         for k, uk in support:
             if k > m:
                 break
-            prev = factors.get(m - k)
+            prev = g.get(m - k)
             if prev is None:
                 continue
             w = weight(k, m)
@@ -754,20 +771,19 @@ def _grid_recurrence(u: Mapping[int, object], n: int, first,
                 terms.append((w, uk, prev))
         if terms:
             value = dot(terms, divisor(m))
-            if not value.is_zero():
+            if not is_zero(value):
                 g[m] = value
-                factors[m] = factor(value)
     return g
 
 
-def _power_weights(p: Fraction | int):
-    """(1 + u)^p by J.C.P. Miller's formula (Knuth, TAOCP vol. 2, 4.7):
-    g_m = (1/m) sum_k ((p+1) k - m) u_k g_{m-k}, taken over the divisor 2m so
-    that the weights (2p+2) k - 2m are integers.  At p = -1 every weight is
-    -2m, and the reciprocal is g_m = -sum_k u_k g_{m-k}."""
-    if p == -1:
+def _power_weights(p2: int):
+    """(1 + u)^p, p = p2/2, by J.C.P. Miller's formula (Knuth, TAOCP vol. 2,
+    4.7): g_m = (1/m) sum_k ((p+1) k - m) u_k g_{m-k}, taken over the divisor
+    2m so that the weights (p2+2) k - 2m are integers.  At p = -1 every weight
+    is -2m, and the reciprocal is g_m = -sum_k u_k g_{m-k}."""
+    if p2 == -2:
         return (lambda k, m: -1), (lambda m: 1)
-    c = int(2 * p + 2)
+    c = p2 + 2
     return (lambda k, m: c * k - 2 * m), (lambda m: 2 * m)
 
 
@@ -870,13 +886,13 @@ class EtaExpansion:
         if v is None:
             raise ZeroDivisionError("division by identically-zero expansion")
         lead = self.terms[v]
-        if len(lead.terms) != 1:
+        if len(lead._grid) != 1:
             raise PreconditionError("inverse needs a single-monomial leading coefficient")
         rel = self.truncation - v
         lead_inv = lead.inverse()
         # self = eta^{-v} lead (1 + u) with u of positive eta-valuation
         u = {k - v: s * lead_inv for k, s in self.terms.items() if k != v}
-        g = _grid_recurrence(u, rel + 1, PuiseuxSeries.one(lead.variable), _power_weights(-1))
+        g = _grid_recurrence(u, rel + 1, PuiseuxSeries.one(lead.variable), _power_weights(-2))
         return EtaExpansion({k - v: s * lead_inv for k, s in g.items()}, rel - v)
 
     def __truediv__(self, other: "EtaExpansion") -> "EtaExpansion":

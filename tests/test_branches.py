@@ -269,9 +269,11 @@ class TestContinuation:
             continue_triple([0.2, 0.21], (root, root, root))
 
     def test_a_good_start_triple_keeps_the_tracker_error(self):
-        start = anchored_g_triple(0, sqrt_s(0.05))
+        # 0.02 long and ending 5e-14 from s = 0, within the halving reach of
+        # that distance (0.0275), where the cubic is too degenerate to solve
+        start = anchored_g_triple(0, sqrt_s(0.02))
         with pytest.raises(NumericError, match="cubic degenerates"):
-            continue_triple([0.05, 0.0], start)
+            continue_triple([0.02, 5e-14], start)
 
     def test_a_successful_call_runs_no_diagnosis(self, monkeypatch):
         diagnosed = []
@@ -314,6 +316,27 @@ class TestContinuation:
     @pytest.mark.parametrize("stop", ["1e10", "1e307"])
     def test_trace_past_the_halving_reach_is_3(self, stop):
         assert cli_main(["branches", "trace", "--to", stop, "--samples", "2"]) == 3
+
+    def test_a_segment_is_measured_by_its_closest_approach(self, monkeypatch):
+        # each path starts far from both branch points and runs through, or
+        # within 1e-13 of, one of them; a step's start alone would allow it
+        steps = []
+        monkeypatch.setattr(branches, "step_triple",
+                            lambda s0, triple, s1: steps.append(s1) or triple)
+        start = anchored_g_triple(0, sqrt_s(0.3))
+        for path, point in (([0.3, 1.5], 1), ([0.3, -0.3], 0), ([0.3, 0.6j, -0.6j], 0),
+                            ([0.3, -0.3 + 1e-13j], 0), ([0.3, 2 - 1e-13j], 1),
+                            ([0.3, 0.7, 1.0], 1)):
+            with pytest.raises(PreconditionError, match=f"of the branch point s = {point}, "):
+                continue_triple(path, start)
+        assert steps == []
+
+    @pytest.mark.parametrize("stop", ["1.5", "1e3", "1e6"])
+    def test_trace_through_a_branch_point_is_3(self, stop, capsys):
+        # the segment from 0.01 runs through s = 1, where no piece of it is
+        # short enough for the kernel: refused, not walked into an underflow
+        assert cli_main(["branches", "trace", "--to", stop, "--samples", "2"]) == 3
+        assert "of the branch point s = 1, " in capsys.readouterr().err
 
 
 class TestStepRule:

@@ -825,6 +825,26 @@ def count_calls(monkeypatch, module_name, path):
     return calls
 
 
+def bench_module(name):
+    """The benchmark's module ``name``, loaded from its file; the test is
+    skipped in a tree without the benchmark."""
+    path = Path(__file__).parents[1] / "bench" / f"{name}.py"
+    if not path.is_file():
+        pytest.skip(f"no benchmark {name} in this tree")
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    # registered first: a dataclass reads its module's namespace as it is built
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# the kernel calls of one op of the benchmark's exact-series workload: two
+# streams and two Borel series (one (1 + A)^(-1/2) exp(B) each), a square
+# root, a product and a reciprocal at branch-build size
+SERIES_KERNEL_CALLS = {"__mul__": 5, "inverse": 1, "sqrt": 1, "inv_sqrt": 4, "exp": 4}
+
+
 class TestTracerBoundaries:
     """The tracker's hooked functions stay real calls at the layer
     boundaries: a function folded into its caller would stop being counted,
@@ -833,12 +853,7 @@ class TestTracerBoundaries:
     def test_every_benchmark_hook_finds_its_target(self):
         # the benchmark's tracer skips a hook whose target is gone, and the
         # per-layer metric it fed then reads nothing without failing anything
-        path = Path(__file__).parents[1] / "bench" / "tracer.py"
-        if not path.is_file():
-            pytest.skip("no benchmark tracer in this tree")
-        spec = importlib.util.spec_from_file_location("benchmark_tracer", path)
-        tracer_module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracer_module)
+        tracer_module = bench_module("tracer")
         tracer = tracer_module.Tracer()
         try:
             tracer.install(tracer_module.HOOKS)
@@ -852,6 +867,14 @@ class TestTracerBoundaries:
         counters = [count_calls(monkeypatch, *hook) for hook in TRACKER_HOOKS]
         verify_voros(*point)
         assert tuple(c[0] for c in counters) == expected
+
+    def test_one_exact_series_op_makes_the_recorded_kernel_calls(self, monkeypatch):
+        # the benchmark's series.* metrics count these calls
+        workloads = bench_module("workloads")
+        counters = {name: count_calls(monkeypatch, "exactwkb.series", f"PuiseuxSeries.{name}")
+                    for name in SERIES_KERNEL_CALLS}
+        workloads.exact_series_run(workloads.exact_series_inputs(0))
+        assert {name: c[0] for name, c in counters.items()} == SERIES_KERNEL_CALLS
 
 
 def kernel_pieces(s0, s1):

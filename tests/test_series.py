@@ -405,8 +405,8 @@ class TestKernelCost:
         body = P("t", {Fr(0): 1, Fr(1): -1}, Fr(17))
         local = P.monomial("t", Fr(1, 2), 1, Fr(17)) * body.sqrt()
         calls = []
-        reduced = series._reduced
-        monkeypatch.setattr(series, "_reduced", lambda *args: calls.append(1) or reduced(*args))
+        reduce = series._reduce
+        monkeypatch.setattr(series, "_reduce", lambda *args: calls.append(1) or reduce(*args))
         product = local * local
         products = len(calls)
         inverse = local.inverse()
@@ -415,6 +415,46 @@ class TestKernelCost:
         # t^(31/2) from 136; a reduction per pair would take about 290
         assert product.truncation == Fr(35, 2) and products <= 17 + 2
         assert len(inverse.terms) == 17 and inverses <= 17 + 2
+
+    @staticmethod
+    def _count_fractions_built(monkeypatch, fn):
+        calls = []
+        new = Fr.__new__
+
+        def counted(cls, *args, **kwargs):
+            calls.append(1)
+            return new(cls, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Fr, "__new__", counted)
+            fn()
+        return len(calls)
+
+    @pytest.mark.parametrize("trunc", [17, 33])
+    def test_products_and_recurrences_build_no_fraction(self, monkeypatch, trunc):
+        # the kernel keys its terms by the int grid index; Fractions are built
+        # where the API is read, and a product or a reciprocal reads none of it
+        body = P("t", {Fr(0): 1, Fr(1): -1}, Fr(trunc))
+        root = body.sqrt()
+        local = P.monomial("t", Fr(1, 2), 1, Fr(trunc)) * root
+        count = lambda fn: self._count_fractions_built(monkeypatch, fn)
+        assert count(lambda: local * local) == count(lambda: root * local) == 0
+        assert count(local.inverse) == 0
+        # the square root of the leading coefficient is taken on Fractions
+        assert count(body.sqrt) <= 6
+        assert len(local.inverse().terms) == trunc
+
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_a_stream_builds_one_fraction_per_coefficient(self, monkeypatch, sign):
+        # the same few Fractions besides, whatever the order: the stream's
+        # truncations 17 and 33, and the default order 24
+        extra = []
+        for order in (16, 24, 32):
+            run = lambda: airy_wkb.wkb_coefficient_stream(order, sign)
+            extra.append(self._count_fractions_built(monkeypatch, run) - (order + 1))
+            borel = lambda: airy_borel.borel_series(order, sign)
+            assert self._count_fractions_built(monkeypatch, borel) <= order + 1 + extra[-1] + 2
+        assert extra[0] == extra[1] == extra[2] <= 5
 
     @staticmethod
     def _count_fraction_arithmetic(monkeypatch, fn):
@@ -684,3 +724,85 @@ class TestProductAgainstTermwiseSum:
         f = P("s", {Fr(1): 1}, Fr(3))
         for product in (f * P.zero("s"), P.zero("s") * f):
             assert product == P.zero("s")
+
+
+# ---------------------------------------------------------------------------
+# the API over the int grid: Fraction exponents and half-integer truncations
+# ---------------------------------------------------------------------------
+
+class TestHalfIntegerTruncations:
+    """A truncation, like an exponent, is a half-integer at every entry."""
+
+    @pytest.mark.parametrize("bad", [Fr(1, 3), Fr(9, 4), Fr(-5, 6)])
+    def test_every_entry_refuses_a_truncation_off_the_grid(self, bad):
+        f = P("s", {Fr(0): 1, Fr(1, 2): Fr(1, 3)}, Fr(5))
+        g = P("s", {Fr(1): 1, Fr(2): 1})
+        for build in (lambda: P("s", {Fr(0): 1}, bad), lambda: P.zero("s", bad),
+                      lambda: P.monomial("s", 1, 1, bad),
+                      lambda: P.from_grid("s", [(0, 1, 1)], bad),
+                      lambda: f.truncate(bad), lambda: g.truncate(bad),
+                      lambda: f.inverse(bad), lambda: g.inverse(bad),
+                      lambda: P.monomial("s", 1).inverse(bad),
+                      lambda: f.sqrt(bad), lambda: f.inv_sqrt(bad),
+                      lambda: P.monomial("s", 2, 4).sqrt(bad),
+                      lambda: g.exp(bad), lambda: P.zero("s").exp(bad)):
+            with pytest.raises(PreconditionError, match="only 1 or 2 allowed"):
+                build()
+
+    def test_half_integer_truncations_are_kept(self):
+        assert P("s", {Fr(0): 1, Fr(5, 2): 1}, Fr(5, 2)).truncation == Fr(5, 2)
+        assert P("s", {Fr(0): 1}, 3).truncation == Fr(3)
+        assert P.from_grid("s", [(-2, 1, 1)], Fr(-1, 2)).terms == {Fr(-1): ExactScalar(1)}
+        assert P("s", {Fr(1): 1, Fr(2): 1}).exp(Fr(7, 2)).truncation == Fr(7, 2)
+
+
+def built_series():
+    """Series from each route: the constructor, from_grid, a product, and
+    the inverse, square root and exp recurrences."""
+    @st.composite
+    def build(draw):
+        route = draw(st.sampled_from(["new", "grid", "product", "inverse", "sqrt", "exp"]))
+        if route == "grid":
+            indices = sorted(draw(st.sets(st.integers(-6, 12), max_size=6)))
+            trunc = draw(st.none() | st.integers(13, 16).map(lambda h: Fr(h, 2)))
+            return P.from_grid("s", [(h, draw(st.integers(-5, 5)), draw(st.integers(1, 7)))
+                                     for h in indices], trunc)
+        if route == "new":
+            return draw(grid_series(-2))
+        if route == "product":
+            return draw(product_factors()) * draw(product_factors())
+        order = draw(orders)
+        try:
+            if route == "inverse":
+                return draw(grid_series(-2)).inverse(order)
+            if route == "sqrt":
+                return draw(grid_series(-2, SQUARES)).sqrt(order)
+            return draw(grid_series(1)).exp(order)
+        except (PreconditionError, ZeroDivisionError):
+            return P.zero("s", order)
+
+    return build()
+
+
+class TestSeriesApi:
+    @settings(max_examples=150, deadline=None)
+    @given(built_series())
+    def test_fraction_keys_and_truncations_whatever_the_route(self, f):
+        terms = f.terms
+        assert all(type(e) is Fr for e in terms) and list(terms) == sorted(terms)
+        assert all(type(c) is ExactScalar and not c.is_zero() for c in terms.values())
+        assert f.truncation is None or type(f.truncation) is Fr
+        assert f.truncation is None or all(e < f.truncation for e in terms)
+        assert f.terms == terms and f.terms is terms
+        if terms:
+            assert f.valuation() == next(iter(terms))
+            assert f.leading() == next(iter(terms.items()))
+        # the same series by other routes: equal, with equal hashes
+        routes = [P(f.variable, list(terms.items())[::-1], f.truncation),
+                  f * P.one(f.variable), f + P.zero(f.variable), -(-f)]
+        if all(c.is_rational() for c in terms.values()):
+            routes.append(P.from_grid(f.variable, [(int(2 * e), c.a.numerator, c.a.denominator)
+                                                   for e, c in terms.items()], f.truncation))
+        for other in routes:
+            assert other == f and hash(other) == hash(f)
+            assert other.terms == terms and other.truncation == f.truncation
