@@ -5,28 +5,41 @@ holonomic annihilation witnesses.
 The symbolic side lives in Q[x1, x2][1/D][S] / (4 S^3 + 2 x2 S + x1), where
 D = 27 x1^2 + 8 x2^3 is (up to a constant) the resultant of the cubic with its
 derivative.  An element is stored fraction-free over the integers, as a
-numerator triple (n0, n1, n2) in Z[x1, x2], a positive integer q and one power
-D^m, and means (n0 + n1 S + n2 S^2) / (q D^m).  Every recursion coefficient has
-this shape, because the only denominator the recursion divides by is the unit
-6 S^2 + x2, whose inverse is U / D with U = 8 x2^2 - 18 x1 S + 24 x2 S^2.  Total
-derivatives use the implicit formulas
+numerator N in Z[x1, x2][S] of degree at most 2 in S, a positive integer q and
+one power D^m, and means N / (q D^m).  N is one dict over its monomials
+x1^a x2^b S^i, keyed by the packed int a << 24 | b << 3 | i (Monagan & Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007): the key of a product is the sum of the keys, so a ring
+product is one double loop (``_mul``) that reduces 4 S^3 = -(x1 + 2 x2 S) as
+it goes.  A stored key keeps b below 2^19, which leaves b's 21 bits room for
+the sums that products form; a numerator past that raises instead of carrying
+into a.
+
+Every recursion coefficient has this shape, because the only denominator the
+recursion divides by is the unit 6 S^2 + x2, whose inverse is U / D with
+U = 8 x2^2 - 18 x1 S + 24 x2 S^2.  Total derivatives use the implicit formulas
 
     dS/dx1 = -1 / (2 (6 S^2 + x2)) = -U / (2 D),
     dS/dx2 = -S / (6 S^2 + x2)     = -S U / D,
 
 and d(N / D^m) = (N' D - m N D') / D^(m+1).  An element is normalised by
-lowering m while D divides all three numerators, and by cancelling the common
-integer factor of q and the numerators.  D is irreducible and primitive, so by
-Gauss's lemma a quotient by D stays integral, and the normalised (N, q, m) is
-unique: equality and hashing compare it directly and no polynomial gcd is ever
-taken.  Whether D divides a numerator is read off the curve D = 0, which
-(8 v^3, -6 v^2) parametrises: D divides p exactly when p(8 v^3, -6 v^2) = 0,
-one integer sum per weight 3 e1 + 2 e2; only then is p divided.  A sum of
-products, as the recursion and its checks form them, is lifted to one common
-denominator and normalised once (``_ring_sum``).  A polynomial is a dict
-{(e1, e2): int} of its nonzero coefficients.  The reduced coefficients
-N / (q D^k) of Q(x1, x2) are built only where they are read
-(``CubicFieldElement.c``).
+lowering m while D divides N, and by cancelling the common integer factor of
+q and N.  D is irreducible and primitive, so by Gauss's lemma a quotient by D
+stays integral, and the normalised (N, q, m) is unique: equality and hashing
+compare it directly and no polynomial gcd is ever taken.  Whether D divides N
+is read off the curve D = 0, which (8 v^3, -6 v^2) parametrises: D divides a
+polynomial p exactly when p(8 v^3, -6 v^2) = 0, one integer sum per power of
+S and weight 3 a + 2 b; only then is N divided.  A sum of products, as the
+recursion and its checks form them, is lifted to one common denominator and
+normalised once (``_ring_sum``).  The numerator triple of tuple-keyed dicts
+(``CubicFieldElement.n``) and the reduced coefficients N_i / (q D^k) of
+Q(x1, x2) (``CubicFieldElement.c``) are built only where they are read.
+
+The Pearcey system is weighted homogeneous: x1, x2 and S have the weights 3,
+2 and 1, so x1^a x2^b S^i has the weight 3 a + 2 b + i, and the cubic and D
+have the single weights 3 and 6.  ``pearcey_recursion`` holds every S_k to the
+single weight -3 - 4k and every T_k to -2 - 4k, once D^m is taken out, and
+raises ``VerificationError`` where one falls short.
 
 The numeric side solves the Borel-plane quartic A g^4 + C g^2 + D g + 1 by an
 Aberth iteration (``quartic_g_roots``), at points whose weighted scale
@@ -34,8 +47,9 @@ max(|x1|^(1/3), |x2|^(1/2), |y|^(1/4)) is at most ``QUARTIC_SCALE_MAX``, and
 witnesses each branch with the four annihilators through exact implicit
 derivatives.  The weighted homogeneity g -> l^-3 g under (x1, x2, y) ->
 (l^3 x1, l^2 x2, l^4 y) is checked by one solve at the point scaled by the
-non-dyadic ``HOMOGENEITY_LAMBDA``, whose roots are mapped back and held
-against the unscaled quartic (``homogeneity_residual``).
+non-dyadic ``HOMOGENEITY_LAMBDA``, or by its inverse where that image would
+lie beyond the scale bound; the roots are mapped back and held against the
+unscaled quartic (``homogeneity_residual``).
 """
 
 from __future__ import annotations
@@ -45,85 +59,125 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, inf, lcm
+from typing import NamedTuple
 
 from .errors import NumericError, PreconditionError, VerificationError
 
 # ---------------------------------------------------------------------------
-# polynomials in Z[x1, x2]
+# packed polynomials in Z[x1, x2][S]
 # ---------------------------------------------------------------------------
 
-_ONE = {(0, 0): 1}
-_D = {(2, 0): 27, (0, 3): 8}
-_D_PARTIALS = ({(1, 0): 54}, {(0, 2): 24})
+# x1^a x2^b S^i is the key a << 24 | b << 3 | i; b has 21 bits and S 3
+_X1, _X2 = 1 << 24, 1 << 3
+_B_BITS = (1 << 21) - 1
+_CARRY = 3 << 22  # set in a key whose b is 2^19 or more
+_ONE = {0: 1}
+_D = {2 * _X1: 27, 3 * _X2: 8}
+_D_PARTIALS = ({_X1: 54}, {2 * _X2: 24})
+# M S^i, i = 3 or 4, is -(M x1 S^(i-3) + 2 M x2 S^(i-2)) / 4: the key offsets
+_TO_X1, _TO_X2 = _X1 - 3, _X2 - 2
+
+
+def _pack(e1: int, e2: int) -> int:
+    """The key of x1^e1 x2^e2."""
+    if e1 < 0 or not 0 <= e2 < 1 << 19:
+        raise PreconditionError(f"x1^{e1} x2^{e2} does not fit a packed key")
+    return e1 << 24 | e2 << 3
+
+
+def _exponents(key: int) -> tuple:
+    """(a, b) of the key of x1^a x2^b S^i."""
+    return key >> 24, key >> 3 & _B_BITS
 
 
 def _nonzero(p: dict) -> dict:
-    return {e: c for e, c in p.items() if c}
+    return {k: c for k, c in p.items() if c}
 
 
-def _acc_mul(out: dict, a: dict, b: dict, c: int = 1) -> dict:
-    """out += c a b in place; zeros may remain."""
-    for (i, j), u in a.items():
-        cu = c * u
-        for (k, l), v in b.items():
-            e = (i + k, j + l)
-            out[e] = out.get(e, 0) + cu * v
+def _mul(out: dict, a: dict, b: dict, c: int = 4) -> dict:
+    """out += c a b in place, reduced by 4 S^3 = -(x1 + 2 x2 S) as it goes;
+    zeros may remain.  A term that reaches S^3 or S^4 is divided by 4, so c is
+    a multiple of 4 unless a or b is free of S."""
+    get = out.get
+    for ka, ua in a.items():
+        cu = c * ua
+        for kb, ub in b.items():
+            k = ka + kb
+            if k & 7 < 3:
+                out[k] = get(k, 0) + cu * ub
+            else:
+                half = cu * ub >> 1
+                k1, k2 = k + _TO_X1, k + _TO_X2
+                out[k1] = get(k1, 0) - (half >> 1)
+                out[k2] = get(k2, 0) - half
     return out
 
 
 def _diff(p: dict, i: int) -> dict:
-    """The partial derivative in x1 (i = 0) or x2 (i = 1)."""
+    """The partial derivative in x1 (i = 0), in x2 (i = 1) or, formally, in S
+    (i = 2)."""
     if i == 0:
-        return {(a - 1, b): a * c for (a, b), c in p.items() if a}
-    return {(a, b - 1): b * c for (a, b), c in p.items() if b}
+        return {k - _X1: (k >> 24) * c for k, c in p.items() if k >= _X1}
+    if i == 1:
+        return {k - _X2: (k >> 3 & _B_BITS) * c for k, c in p.items() if k >> 3 & _B_BITS}
+    return {k - 1: (k & 7) * c for k, c in p.items() if k & 7}
+
+
+def _components(p: dict) -> tuple:
+    """(n0, n1, n2) with p = n0 + n1 S + n2 S^2, each free of S."""
+    parts = ({}, {}, {})
+    for k, c in p.items():
+        parts[k & 7][k & ~7] = c
+    return parts
 
 
 @lru_cache(maxsize=None)
 def _d_power(m: int) -> dict:
-    return _ONE if m == 0 else _nonzero(_acc_mul({}, _d_power(m - 1), _D))
+    return _ONE if m == 0 else _nonzero(_mul({}, _d_power(m - 1), _D, 1))
 
 
 @lru_cache(maxsize=None)
-def _curve_monomial(e1: int, e2: int) -> tuple:
-    """(3 e1 + 2 e2, 8^e1 (-6)^e2): x1^e1 x2^e2 at (8 v^3, -6 v^2) is the
-    integer times v to the weight."""
-    return 3 * e1 + 2 * e2, 8 ** e1 * (-6) ** e2
+def _curve_monomial(key: int) -> tuple:
+    """(group, 8^a (-6)^b) of x1^a x2^b S^i: at (8 v^3, -6 v^2) the monomial
+    is the integer times v^(3 a + 2 b) S^i, and the group packs that weight
+    with i."""
+    a, b = _exponents(key)
+    return (3 * a + 2 * b) << 3 | key & 7, 8 ** a * (-6) ** b
 
 
 def _vanishes_on_curve(p: dict) -> bool:
     """Whether p(8 v^3, -6 v^2) = 0 identically in v, that is whether every
-    weight 3 e1 + 2 e2 has sum c 8^e1 (-6)^e2 = 0 over the terms of p.
+    power of S and weight 3 a + 2 b has sum c 8^a (-6)^b = 0 over the terms
+    of p.
 
     (8 v^3, -6 v^2) runs through the zero set of D = 27 x1^2 + 8 x2^3.  D is
-    irreducible, so by the Nullstellensatz p vanishes there exactly when D
-    divides p (Cox, Little & O'Shea, Ideals, Varieties, and Algorithms,
-    sec. 4.2)."""
+    irreducible, so by the Nullstellensatz a polynomial vanishes there exactly
+    when D divides it (Cox, Little & O'Shea, Ideals, Varieties, and
+    Algorithms, sec. 4.2)."""
     sums = {}
-    for (e1, e2), c in p.items():
-        w, v = _curve_monomial(e1, e2)
-        sums[w] = sums.get(w, 0) + c * v
+    for k, c in p.items():
+        group, v = _curve_monomial(k)
+        sums[group] = sums.get(group, 0) + c * v
     return not any(sums.values())
 
 
 def _row_divide(p: dict):
     """p / D if the division leaves no remainder, else None.  Rows of equal x1
     degree are divided top-down by the leading term 27 x1^2."""
-    if not p:
-        return p
-    rows = [{} for _ in range(max(i for i, _ in p) + 1)]
-    for (i, j), c in p.items():
-        rows[i][j] = c
+    rows = {}
+    for k, c in p.items():
+        rows.setdefault(k >> 24, {})[k & _X1 - 1] = c
     quotient = {}
-    for i in range(len(rows) - 1, 1, -1):
-        below = rows[i - 2]
-        for j, c in rows[i].items():
+    for a in range(max(rows, default=0), 1, -1):
+        below = rows.setdefault(a - 2, {})
+        for low, c in rows.get(a, {}).items():
             if c:
                 t, r = divmod(c, 27)
                 if r:
                     return None
-                quotient[(i - 2, j)] = t
-                below[j + 3] = below.get(j + 3, 0) - 8 * t
-    if any(rows[0].values()) or (len(rows) > 1 and any(rows[1].values())):
+                quotient[(a - 2) << 24 | low] = t
+                below[low + 3 * _X2] = below.get(low + 3 * _X2, 0) - 8 * t
+    if any(rows.get(0, {}).values()) or any(rows.get(1, {}).values()):
         return None
     return quotient
 
@@ -153,38 +207,46 @@ def _strip_d(p: dict) -> tuple:
     return p, k
 
 
-def _normalise(n: tuple, q: int, m: int) -> tuple:
-    """(n, q, m) with m lowered while D divides every polynomial in n, and the
-    common integer factor of q and n cancelled; zero has q = 1 and m = 0.
+def _normalise(n: dict, q: int, m: int) -> tuple:
+    """(n, q, m) with the zero terms of n dropped, m lowered while D divides
+    n, and the common integer factor of q and n cancelled; zero has q = 1 and
+    m = 0.
 
-    Each step tests all of n on the curve before it divides any, so an n that
-    D does not divide costs one pass over its terms.  A sum of products is
-    normalised once, by ``_ring_sum``, not once per term."""
-    if not any(n):
+    Each step tests n on the curve before it divides, so an n that D does not
+    divide costs one pass over its terms.  A key whose b is 2^19 or more
+    raises ``PreconditionError``, before a product of it could carry into a.
+    A sum of products is normalised once, by ``_ring_sum``, not once per
+    term."""
+    n = _nonzero(n)
+    if not n:
         return n, 1, 0
-    while m > 0 and all(_vanishes_on_curve(ni) for ni in n):
-        n, m = tuple(_divide_by_d(ni) for ni in n), m - 1
-    g = gcd(q, *(c for ni in n for c in ni.values()))
+    if any(map(_CARRY.__and__, n)):
+        raise PreconditionError("an x2 degree of 2^19 or more does not fit a packed key")
+    while m > 0 and (lower := _divide_by_d(n)) is not None:
+        n, m = lower, m - 1
+    g = gcd(q, *n.values())
     if g > 1:
-        n, q = tuple({e: c // g for e, c in ni.items()} for ni in n), q // g
+        n, q = {k: c // g for k, c in n.items()}, q // g
     return n, q, m
 
 
 def _integral(terms) -> tuple:
-    """(p, a) with p an integer polynomial and sum(terms) = p / a, a > 0."""
-    terms = [((e1, e2), Fraction(int(c.numerator), int(c.denominator)))
-             for (e1, e2), c in terms]
+    """(p, a) with p a packed integer polynomial and sum(terms) = p / a, a > 0."""
+    terms = [(_pack(*e), Fraction(int(c.numerator), int(c.denominator))) for e, c in terms]
     a = lcm(*(c.denominator for _, c in terms))
-    return {e: int(c * a) for e, c in terms if c}, a
+    return {k: int(c * a) for k, c in terms if c}, a
 
 
 def _split(value) -> tuple:
-    """(numerator, q, k) with value = numerator / (q D^k), for an int, a
-    Fraction or a rational function read through ``.numer``/``.denom``
-    ``.terms()`` (a ``RationalCoefficient`` or an element of sympy's field)."""
+    """(numerator, q, k) with value = numerator / (q D^k), the numerator packed,
+    for an int, a Fraction, a ``RationalCoefficient`` or a rational function
+    read through ``.numer``/``.denom`` ``.terms()`` (an element of sympy's
+    field, say)."""
     if isinstance(value, (int, Fraction)):
         value = Fraction(value)
-        return ({(0, 0): value.numerator} if value else {}), value.denominator, 0
+        return ({0: value.numerator} if value else {}), value.denominator, 0
+    if isinstance(value, RationalCoefficient):
+        return value.num, value.q, value.k
     try:
         num, a = _integral(value.numer.terms())
         den, b = _integral(value.denom.terms())
@@ -193,13 +255,14 @@ def _split(value) -> tuple:
             f"coefficient {value!r} is not an int, a Fraction or a rational "
             "function of x1, x2") from None
     rest, k = _strip_d(den)
-    if set(rest) != {(0, 0)}:
+    if set(rest) != {0}:
         raise PreconditionError(
             f"coefficient {value} has a denominator that is not a constant "
             "times a power of 27 x1^2 + 8 x2^3")
     # value = (num / a) / (rest D^k / b)
-    r = rest[(0, 0)] * a
-    return _acc_mul({}, num, _ONE, b if r > 0 else -b), abs(r), k
+    r = rest[0] * a
+    sign_b = b if r > 0 else -b
+    return {e: sign_b * c for e, c in num.items()}, abs(r), k
 
 
 def _poly_str(p: dict) -> str:
@@ -207,7 +270,8 @@ def _poly_str(p: dict) -> str:
     if not p:
         return "0"
     text = ""
-    for (e1, e2), c in sorted(p.items(), reverse=True):
+    for key, c in sorted(p.items(), reverse=True):
+        e1, e2 = _exponents(key)
         factors = [f"{abs(c)}"] if abs(c) != 1 or not (e1 or e2) else []
         factors += [x if e == 1 else f"{x}**{e}" for x, e in (("x1", e1), ("x2", e2)) if e]
         text += (" - " if c < 0 else " + ") + "*".join(factors)
@@ -224,25 +288,24 @@ class _Terms:
         self.p = p
 
     def terms(self) -> list:
-        return [(e, Fraction(c)) for e, c in sorted(self.p.items(), reverse=True)]
+        return [(_exponents(k), Fraction(c)) for k, c in sorted(self.p.items(), reverse=True)]
 
 
 class RationalCoefficient:
-    """A reduced element N / (q D^k) of Q(x1, x2): N in Z[x1, x2], q > 0 and
-    k >= 0, normalised as a ring element is, so D does not divide N unless
-    k = 0 and gcd(q, content of N) = 1.  D is irreducible, so this is the
-    reduced fraction.  ``numer`` and ``denom`` give N and the expanded
-    q D^k through ``terms()``, and ``str`` prints the fraction as sympy
-    prints its rational-function field.  Coefficients add, subtract and
-    multiply with each other and with ints and Fractions, and divide by
-    ints and Fractions.
+    """A reduced element N / (q D^k) of Q(x1, x2): N in Z[x1, x2], packed as
+    a ring numerator is, q > 0 and k >= 0, normalised as a ring element is,
+    so D does not divide N unless k = 0 and gcd(q, content of N) = 1.  D is
+    irreducible, so this is the reduced fraction.  ``numer`` and ``denom``
+    give N and the expanded q D^k through ``terms()``, and ``str`` prints the
+    fraction as sympy prints its rational-function field.  Coefficients add,
+    subtract and multiply with each other and with ints and Fractions, and
+    divide by ints and Fractions.
     """
 
     __slots__ = ("num", "q", "k")
 
     def __init__(self, value=0):
-        num, q, k = _split(value)
-        self._store(num, q, k)
+        self._store(*_split(value))
 
     @classmethod
     def _new(cls, num: dict, q: int, k: int) -> "RationalCoefficient":
@@ -251,7 +314,7 @@ class RationalCoefficient:
         return self
 
     def _store(self, num: dict, q: int, k: int) -> None:
-        (self.num,), self.q, self.k = _normalise((num,), q, k)
+        self.num, self.q, self.k = _normalise(num, q, k)
 
     @staticmethod
     def _coerce(value):
@@ -265,20 +328,23 @@ class RationalCoefficient:
 
     @property
     def denom(self) -> _Terms:
-        return _Terms(_acc_mul({}, _d_power(self.k), _ONE, self.q))
+        return _Terms(self._denominator())
+
+    def _denominator(self) -> dict:
+        return {e: self.q * c for e, c in _d_power(self.k).items()}
 
     def __add__(self, other) -> "RationalCoefficient":
         if (other := self._coerce(other)) is None:
             return NotImplemented
         k, q = max(self.k, other.k), lcm(self.q, other.q)
-        num = _acc_mul({}, self.num, _d_power(k - self.k), q // self.q)
+        num = _mul({}, self.num, _d_power(k - self.k), q // self.q)
         return RationalCoefficient._new(
-            _nonzero(_acc_mul(num, other.num, _d_power(k - other.k), q // other.q)), q, k)
+            _mul(num, other.num, _d_power(k - other.k), q // other.q), q, k)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RationalCoefficient":
-        return RationalCoefficient._new(_acc_mul({}, self.num, _ONE, -1), self.q, self.k)
+        return RationalCoefficient._new({e: -c for e, c in self.num.items()}, self.q, self.k)
 
     def __sub__(self, other) -> "RationalCoefficient":
         if (other := self._coerce(other)) is None:
@@ -291,7 +357,7 @@ class RationalCoefficient:
     def __mul__(self, other) -> "RationalCoefficient":
         if (other := self._coerce(other)) is None:
             return NotImplemented
-        return RationalCoefficient._new(_nonzero(_acc_mul({}, self.num, other.num)),
+        return RationalCoefficient._new(_mul({}, self.num, other.num, 1),
                                         self.q * other.q, self.k + other.k)
 
     __rmul__ = __mul__
@@ -307,7 +373,7 @@ class RationalCoefficient:
         numer = _poly_str(self.num)
         if len(self.num) > 1:
             numer = f"({numer})"
-        denom = _poly_str(_acc_mul({}, _d_power(self.k), _ONE, self.q))
+        denom = _poly_str(self._denominator())
         return f"{numer}/({denom})" if self.k else f"{numer}/{denom}"
 
     __repr__ = __str__
@@ -315,38 +381,33 @@ class RationalCoefficient:
 
 def coefficient_field():
     """The coefficient constructor and the generators x1, x2 of Q(x1, x2)."""
-    return (RationalCoefficient, RationalCoefficient._new({(1, 0): 1}, 1, 0),
-            RationalCoefficient._new({(0, 1): 1}, 1, 0))
+    return (RationalCoefficient, RationalCoefficient._new({_X1: 1}, 1, 0),
+            RationalCoefficient._new({_X2: 1}, 1, 0))
 
 
 # ---------------------------------------------------------------------------
 # the cubic quotient ring
 # ---------------------------------------------------------------------------
 
-_MINUS_X1, _MINUS_2X2 = {(1, 0): -1}, {(0, 1): -2}
+class _Raw(NamedTuple):
+    """num / (q D^m) not normalised: a term of ``_ring_sum``, which normalises
+    only the sum."""
 
-
-def _mul(a: tuple, b: tuple) -> tuple:
-    """4 a b for two numerator triples, reduced by 4 S^3 = -(x1 + 2 x2 S)."""
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    d3 = _acc_mul(_acc_mul({}, a1, b2), a2, b1)
-    d4 = _acc_mul({}, a2, b2)
-    r0 = _acc_mul(_acc_mul({}, a0, b0, 4), d3, _MINUS_X1)
-    r1 = _acc_mul(_acc_mul(_acc_mul(_acc_mul({}, a0, b1, 4), a1, b0, 4), d3, _MINUS_2X2),
-                  d4, _MINUS_X1)
-    r2 = _acc_mul(_acc_mul(_acc_mul(_acc_mul({}, a0, b2, 4), a1, b1, 4), a2, b0, 4),
-                  d4, _MINUS_2X2)
-    return _nonzero(r0), _nonzero(r1), _nonzero(r2)
+    num: dict
+    q: int
+    m: int
 
 
 class CubicFieldElement:
-    """An element (n0 + n1 S + n2 S^2) / (q D^m) of the WKB coefficient ring.
+    """An element N / (q D^m) of the WKB coefficient ring.
 
-    ``n`` is the numerator triple in Z[x1, x2], ``q`` a positive integer and
-    ``m`` the power of D = 27 x1^2 + 8 x2^3, normalised as in the module
-    docstring.  The constructor takes the three coefficients as ints,
-    Fractions or rational functions of x1, x2 (read through
+    ``num`` is the packed numerator N in Z[x1, x2][S], of degree at most 2 in
+    S, ``q`` a positive integer and ``m`` the power of D = 27 x1^2 + 8 x2^3,
+    normalised as in the module docstring.  ``n`` reads N as the triple
+    (n0, n1, n2) of N = n0 + n1 S + n2 S^2, each a dict {(e1, e2): int} of its
+    nonzero coefficients, and ``c`` as three ``RationalCoefficient``s; both
+    are built on first read.  The constructor takes the three coefficients as
+    ints, Fractions or rational functions of x1, x2 (read through
     ``.numer``/``.denom`` ``.terms()``) whose reduced denominator is a constant
     times a power of D, and raises ``PreconditionError`` for any other
     denominator (1/x1, say) and any other value (a float, say).  The ring is
@@ -355,29 +416,43 @@ class CubicFieldElement:
     as 0 or x1.
     """
 
-    __slots__ = ("n", "q", "m", "_c")
+    __slots__ = ("num", "q", "m", "_n", "_c")
 
     def __init__(self, c0=0, c1=0, c2=0):
         parts = [_split(ci) for ci in (c0, c1, c2)]
         q, m = lcm(*(qi for _, qi, _ in parts)), max(k for _, _, k in parts)
-        self._store(tuple(_nonzero(_acc_mul({}, p, _d_power(m - k), q // qi))
-                          for p, qi, k in parts), q, m)
+        num = {}
+        for i, (p, qi, k) in enumerate(parts):
+            _mul(num, {e + i: c for e, c in p.items()}, _d_power(m - k), q // qi)
+        self._store(num, q, m)
 
     @classmethod
-    def _new(cls, n: tuple, q: int, m: int) -> "CubicFieldElement":
+    def _new(cls, num: dict, q: int, m: int) -> "CubicFieldElement":
         self = object.__new__(cls)
-        self._store(n, q, m)
+        self._store(num, q, m)
         return self
 
-    def _store(self, n: tuple, q: int, m: int) -> None:
-        n, q, m = _normalise(n, q, m)
-        object.__setattr__(self, "n", n)
+    def _store(self, num: dict, q: int, m: int) -> None:
+        num, q, m = _normalise(num, q, m)
+        object.__setattr__(self, "num", num)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "m", m)
+        object.__setattr__(self, "_n", None)
         object.__setattr__(self, "_c", None)
 
     def __setattr__(self, *_):
         raise AttributeError("CubicFieldElement is immutable")
+
+    def __reduce__(self):
+        return CubicFieldElement._new, (self.num, self.q, self.m)
+
+    @property
+    def n(self) -> tuple:
+        """The numerator triple (n0, n1, n2), built on first read."""
+        if self._n is None:
+            object.__setattr__(self, "_n", tuple(
+                {_exponents(k): c for k, c in part.items()} for part in _components(self.num)))
+        return self._n
 
     @property
     def c(self) -> tuple:
@@ -385,7 +460,8 @@ class CubicFieldElement:
         ``RationalCoefficient``s, built on first read."""
         if self._c is None:
             object.__setattr__(self, "_c", tuple(
-                RationalCoefficient._new(ni, self.q, self.m) for ni in self.n))
+                RationalCoefficient._new(part, self.q, self.m)
+                for part in _components(self.num)))
         return self._c
 
     # -- constructors --------------------------------------------------
@@ -393,7 +469,7 @@ class CubicFieldElement:
     @classmethod
     def root(cls) -> "CubicFieldElement":
         """The class of S itself."""
-        return cls(0, 1, 0)
+        return cls._new({1: 1}, 1, 0)
 
     @classmethod
     def scalar(cls, value) -> "CubicFieldElement":
@@ -401,24 +477,24 @@ class CubicFieldElement:
 
     @classmethod
     def x1(cls) -> "CubicFieldElement":
-        return cls._new(({(1, 0): 1}, {}, {}), 1, 0)
+        return cls._new({_X1: 1}, 1, 0)
 
     @classmethod
     def x2(cls) -> "CubicFieldElement":
-        return cls._new(({(0, 1): 1}, {}, {}), 1, 0)
+        return cls._new({_X2: 1}, 1, 0)
 
     # -- predicates -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.n)
+        return not self.num
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CubicFieldElement):
             return NotImplemented
-        return self.m == other.m and self.q == other.q and self.n == other.n
+        return self.m == other.m and self.q == other.q and self.num == other.num
 
     def __hash__(self):
-        return hash((self.m, self.q, *(frozenset(ni.items()) for ni in self.n)))
+        return hash((self.m, self.q, frozenset(self.num.items())))
 
     # -- ring operations ---------------------------------------------------
 
@@ -426,17 +502,14 @@ class CubicFieldElement:
         if not isinstance(other, CubicFieldElement):
             other = CubicFieldElement.scalar(other)
         m, q = max(self.m, other.m), lcm(self.q, other.q)
-        a, b = _d_power(m - self.m), _d_power(m - other.m)
-        ca, cb = q // self.q, q // other.q
+        num = _mul({}, self.num, _d_power(m - self.m), q // self.q)
         return CubicFieldElement._new(
-            tuple(_nonzero(_acc_mul(_acc_mul({}, x, a, ca), y, b, cb))
-                  for x, y in zip(self.n, other.n)), q, m)
+            _mul(num, other.num, _d_power(m - other.m), q // other.q), q, m)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CubicFieldElement":
-        return CubicFieldElement._new(tuple(_acc_mul({}, ni, _ONE, -1) for ni in self.n),
-                                      self.q, self.m)
+        return CubicFieldElement._new({k: -c for k, c in self.num.items()}, self.q, self.m)
 
     def __sub__(self, other) -> "CubicFieldElement":
         if not isinstance(other, CubicFieldElement):
@@ -449,7 +522,7 @@ class CubicFieldElement:
     def __mul__(self, other) -> "CubicFieldElement":
         if not isinstance(other, CubicFieldElement):
             other = CubicFieldElement.scalar(other)
-        return CubicFieldElement._new(_mul(self.n, other.n), 4 * self.q * other.q,
+        return CubicFieldElement._new(_mul({}, self.num, other.num), 4 * self.q * other.q,
                                       self.m + other.m)
 
     __rmul__ = __mul__
@@ -458,26 +531,26 @@ class CubicFieldElement:
         """Solve u * v = 1 for v via the 3x3 multiplication matrix of the
         numerator; u is a unit exactly when that determinant is a nonzero
         constant times a power of D."""
-        cols = [_mul(self.n, basis) for basis in ((_ONE, {}, {}), ({}, _ONE, {}), ({}, {}, _ONE))]
         # 4 M, with M[i][j] = coefficient of S^i in N * S^j
-        m = [[cols[j][i] for j in range(3)] for i in range(3)]
+        m = tuple(zip(*(_components(_mul({}, self.num, {j: 1})) for j in range(3))))
 
         def minor(c):
             a, b = [j for j in range(3) if j != c]
-            return _nonzero(_acc_mul(_acc_mul({}, m[1][a], m[2][b]), m[1][b], m[2][a], -1))
+            return _mul(_mul({}, m[1][a], m[2][b], 1), m[1][b], m[2][a], -1)
         # first column of (4 M)^{-1} times det(4 M), and det(4 M) = 64 det M
-        v = [minor(0), _acc_mul({}, minor(1), _ONE, -1), minor(2)]
-        det = _nonzero(_acc_mul(_acc_mul(_acc_mul({}, m[0][0], v[0]), m[0][1], v[1]),
-                                m[0][2], v[2]))
-        rest, k = _strip_d(det)
-        if set(rest) != {(0, 0)}:
+        v = (minor(0), {k: -c for k, c in minor(1).items()}, minor(2))
+        det = {}
+        for j in range(3):
+            _mul(det, m[0][j], v[j], 1)
+        rest, k = _strip_d(_nonzero(det))
+        if set(rest) != {0}:
             raise PreconditionError("element is not a unit in the cubic ring")
         # u^-1 = q D^m N^-1 = 4 q D^m v / (r D^k), r = rest
-        r = rest[(0, 0)]
-        lift = _d_power(max(self.m - k, 0))
+        r = rest[0]
         return CubicFieldElement._new(
-            tuple(_nonzero(_acc_mul({}, vi, lift, 4 * self.q if r > 0 else -4 * self.q))
-                  for vi in v), abs(r), max(k - self.m, 0))
+            _mul({}, {e + i: c for i, vi in enumerate(v) for e, c in vi.items()},
+                 _d_power(max(self.m - k, 0)), 4 * self.q if r > 0 else -4 * self.q),
+            abs(r), max(k - self.m, 0))
 
     def __truediv__(self, other) -> "CubicFieldElement":
         if not isinstance(other, CubicFieldElement):
@@ -488,40 +561,33 @@ class CubicFieldElement:
 
     def d1(self) -> "CubicFieldElement":
         """Total derivative in x1, using the implicit derivative of the root."""
-        return self._derivative(0)
+        return CubicFieldElement._new(*self._partial(0))
 
     def d2(self) -> "CubicFieldElement":
-        return self._derivative(1)
+        return CubicFieldElement._new(*self._partial(1))
 
-    def _derivative(self, i: int) -> "CubicFieldElement":
-        """(N' D - m N D') / (q D^(m+1)) plus dN/dS dS/dx_i, where the formal
-        d/dS of the numerator is n1 + 2 n2 S; all over 4 q D^(m+1), as the
-        chain term comes from ``_mul``."""
-        n, m = self.n, self.m
-        chain = _mul((n[1], _acc_mul({}, n[2], _ONE, 2), {}), _CHAIN[i])
-        return CubicFieldElement._new(
-            tuple(_nonzero(_acc_mul(_acc_mul(_acc_mul({}, _diff(ni, i), _D, 4),
-                                             ni, _D_PARTIALS[i], -4 * m), ci, _ONE))
-                  for ni, ci in zip(n, chain)), 4 * self.q, m + 1)
+    def _partial(self, i: int) -> _Raw:
+        """(N' D - m N D') / (q D^(m+1)) plus dN/dS dS/dx_i, with
+        dS/dx_i = _CHAIN[i] / D; all over 4 q D^(m+1), not normalised."""
+        n, m = self.num, self.m
+        out = _mul({}, _diff(n, i), _D)
+        if m:
+            _mul(out, n, _D_PARTIALS[i], -4 * m)
+        return _Raw(_mul(out, _diff(n, 2), _CHAIN[i]), 4 * self.q, m + 1)
 
     def __repr__(self) -> str:
         return f"({self.c[0]}) + ({self.c[1]})*S + ({self.c[2]})*S^2"
 
 
 # D (6 S^2 + x2)^-1, and the numerators -U/2 and -S U of dS/dx1 and dS/dx2 over D
-_U = ({(0, 2): 8}, {(1, 0): -18}, {(0, 1): 24})
-_CHAIN = (tuple({e: -c // 2 for e, c in ui.items()} for ui in _U),
-          tuple({e: c // 4 for e, c in ui.items()} for ui in _mul(({}, {(0, 0): -1}, {}), _U)))
-
-
-@lru_cache(maxsize=1)
-def _UNIT_DENOM() -> CubicFieldElement:
-    """6 S^2 + x2, the derivative of the cubic (up to 2) and the only
-    denominator the recursion ever needs."""
-    return CubicFieldElement._new(({(0, 1): 1}, {}, {(0, 0): 6}), 1, 0)
-
-
-_RING_ONE = CubicFieldElement._new((_ONE, {}, {}), 1, 0)
+_U = {2 * _X2: 8, _X1 + 1: -18, _X2 + 2: 24}
+_CHAIN = ({k: -c // 2 for k, c in _U.items()},
+          {k: c // 4 for k, c in _nonzero(_mul({}, {1: -1}, _U)).items()})
+# 6 S^2 + x2, the derivative of the cubic (up to 2) and the only denominator
+# the recursion ever needs, and its inverse U / D
+_UNIT = CubicFieldElement._new({_X2: 1, 2: 6}, 1, 0)
+_UNIT_INV = CubicFieldElement._new(_U, 1, 1)
+_RING_ONE = CubicFieldElement._new(_ONE, 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -550,21 +616,26 @@ class PearceyRecursion:
 def _ring_sum(terms) -> CubicFieldElement:
     """The sum of w a b over the (w, a, b) of ``terms``, w an int, reduced once.
 
-    Each raw product 4 a b, over q_a q_b D^(m_a + m_b), comes from ``_mul``; a
-    term whose b is ``_RING_ONE`` takes a as it stands.  Every term is lifted
-    to the common q and m and added, and only the sum is normalised, where
-    chained ``+`` and ``*`` would normalise each product and each partial
-    sum."""
-    raw = [(w, _mul(a.n, b.n), a.q * b.q, a.m + b.m) if b is not _RING_ONE
-           else (4 * w, a.n, a.q, a.m) for w, a, b in terms]
-    q = lcm(*(qi for _, _, qi, _ in raw))
+    a and b are ring elements or ``_Raw`` records.  Each raw product 4 a b is
+    over q_a q_b D^(m_a + m_b); a term whose b is ``_RING_ONE`` takes 4 a.
+    Every term is lifted to the common q and m and added into one numerator,
+    a term that needs no lift by D straight from ``_mul``, and only the sum is
+    normalised, where chained ``+`` and ``*`` would normalise each product and
+    each partial sum."""
+    raw = [(4 * w, a, None, a.q, a.m) if b is _RING_ONE else (w, a, b, a.q * b.q, a.m + b.m)
+           for w, a, b in terms]
+    q = lcm(*(qi for *_, qi, _ in raw))
     m = max((mi for *_, mi in raw), default=0)
-    out = ({}, {}, {})
-    for w, n, qi, mi in raw:
-        lift, c = _d_power(m - mi), w * (q // qi)
-        for total, ni in zip(out, n):
-            _acc_mul(total, ni, lift, c)
-    return CubicFieldElement._new(tuple(_nonzero(total) for total in out), 4 * q, m)
+    out = {}
+    for w, a, b, qi, mi in raw:
+        c = w * (q // qi)
+        if b is None:
+            _mul(out, a.num, _d_power(m - mi), c)
+        elif mi == m:
+            _mul(out, a.num, b.num, 4 * c)
+        else:
+            _mul(out, _mul({}, a.num, b.num), _d_power(m - mi), c)
+    return CubicFieldElement._new(out, 4 * q, m)
 
 
 def _pair_terms(s: list, n: int, low: int) -> list:
@@ -576,6 +647,18 @@ def _pair_terms(s: list, n: int, low: int) -> list:
     return terms
 
 
+def _check_weights(name: str, elements, base: int) -> None:
+    """Raise ``VerificationError`` unless the element of index k (from k = -1)
+    has the single weight base - 4k once D^m is taken out: every monomial
+    x1^a x2^b S^i of its numerator has 3 a + 2 b + i = base - 4k + 6m."""
+    for k, element in enumerate(elements, -1):
+        want = base - 4 * k + 6 * element.m
+        if any(3 * (key >> 24) + 2 * (key >> 3 & _B_BITS) + (key & 7) != want
+               for key in element.num):
+            raise VerificationError(
+                f"{name}_{k} is not weighted homogeneous of weight {base - 4 * k}")
+
+
 def pearcey_recursion(order: int) -> PearceyRecursion:
     """Run the recursion for the coefficient streams.
 
@@ -583,34 +666,35 @@ def pearcey_recursion(order: int) -> PearceyRecursion:
     S_k divides the lower-order cubic/derivative data by (6 S_-1^2 + x2); the
     T_k follow from T_k = d1 S_(k-1) + sum_j S_j S_(k-j-1).  Both the cubic
     term of S_k and the quadratic term of T_k read the pair sums
-    P_n = sum_(a+b=n) S_a S_b, each formed once.  Every sum of products is
-    one ``_ring_sum``, normalised once.
+    P_n = sum_(a+b=n) S_a S_b, each formed once: P_(k-1) is completed from its
+    sum without S_-1 S_k.  Every sum of products is one ``_ring_sum``,
+    normalised once.  Every S_k and T_k is held to its weight, -3 - 4k and
+    -2 - 4k (``VerificationError`` otherwise).
     """
     if isinstance(order, bool) or not isinstance(order, int):
         raise PreconditionError(f"order must be an int, got {order!r}")
     if order < 0:
         raise PreconditionError("order must be >= 0")
-    unit = _UNIT_DENOM()
-    unit_inv = unit.inverse()
     s_list = [CubicFieldElement.root()]
     # S_0 from the logarithmic derivative of the unit
-    s_list.append(CubicFieldElement.scalar(Fraction(-1, 2)) * unit.d1() * unit_inv)
+    s_list.append(CubicFieldElement.scalar(Fraction(-1, 2)) * _UNIT.d1() * _UNIT_INV)
     d1_cache = {-1: s_list[0].d1(), 0: s_list[1].d1()}
     pairs = {n: _ring_sum(_pair_terms(s_list, n, -1)) for n in (-2, -1)}
     for k in range(1, order + 1):
         # P_(k-1) lacks its two terms S_-1 S_k until S_k is known
-        partial = _pair_terms(s_list, k - 1, 0)
-        pairs[k - 1] = _ring_sum(partial)
+        partial = pairs[k - 1] = _ring_sum(_pair_terms(s_list, k - 1, 0))
         body = _ring_sum(
             [(1, s_list[k1 + 1], pairs[k - 2 - k1]) for k1 in range(-1, k)]
             + [(3, s_list[k1 + 1], d1_cache[k - 2 - k1]) for k1 in range(-1, k)]
-            + [(1, d1_cache[k - 2].d1(), _RING_ONE)])
-        s_k = _ring_sum([(-2, unit_inv, body)])
+            + [(1, d1_cache[k - 2]._partial(0), _RING_ONE)])
+        s_k = _ring_sum([(-2, _UNIT_INV, body)])
         s_list.append(s_k)
         d1_cache[k] = s_k.d1()
-        pairs[k - 1] = _ring_sum(partial + [(2, s_list[0], s_k)])
+        pairs[k - 1] = _ring_sum([(1, partial, _RING_ONE), (2, s_list[0], s_k)])
     t_list = [pairs[-2]]  # T_-1 = S^2
     t_list += [d1_cache[k - 1] + pairs[k - 1] for k in range(0, order + 1)]
+    _check_weights("S", s_list, -3)
+    _check_weights("T", t_list, -2)
     return PearceyRecursion(order, tuple(s_list), tuple(t_list))
 
 
@@ -629,8 +713,8 @@ def check_closedness(rec: PearceyRecursion) -> SymbolicCheckReport:
     """d2 S_k - d1 T_k = 0 exactly in the quotient ring for every k."""
     failures = []
     for k in range(-1, rec.order + 1):
-        if not _ring_sum([(1, rec.s(k).d2(), _RING_ONE),
-                          (-1, rec.t(k).d1(), _RING_ONE)]).is_zero():
+        if not _ring_sum([(1, rec.s(k)._partial(1), _RING_ONE),
+                          (-1, rec.t(k)._partial(0), _RING_ONE)]).is_zero():
             failures.append(k)
     return SymbolicCheckReport("closedness", rec.order, tuple(failures))
 
@@ -649,16 +733,15 @@ def check_primitives(rec: PearceyRecursion) -> SymbolicCheckReport:
     x1 = CubicFieldElement.x1()
     x2 = CubicFieldElement.x2()
     for k in range(-1, rec.order + 1):
+        # d_x P times factor, plus w S_k (x = x1) or w T_k (x = x2), is 0; at
+        # k = 0, P is log(6 S^2 + x2) and d_x P is d_x(6 S^2 + x2) (6 S^2 + x2)^-1
         if k == 0:
-            unit = _UNIT_DENOM()
-            unit_inv = unit.inverse()
-            ok = (_ring_sum([(1, unit.d1(), unit_inv), (2, rec.s(0), _RING_ONE)]).is_zero()
-                  and _ring_sum([(1, unit.d2(), unit_inv), (2, rec.t(0), _RING_ONE)]).is_zero())
+            prim, factor, w = _UNIT, _UNIT_INV, 2
         else:
             prim = _ring_sum([(3, x1, rec.s(k)), (2, x2, rec.t(k))])
-            ok = (_ring_sum([(1, prim.d1(), _RING_ONE), (4 * k, rec.s(k), _RING_ONE)]).is_zero()
-                  and _ring_sum([(1, prim.d2(), _RING_ONE), (4 * k, rec.t(k), _RING_ONE)]).is_zero())
-        if not ok:
+            factor, w = _RING_ONE, 4 * k
+        if not all(_ring_sum([(1, prim._partial(i), factor), (w, stream, _RING_ONE)]).is_zero()
+                   for i, stream in enumerate((rec.s(k), rec.t(k)))):
             failures.append(k)
     return SymbolicCheckReport("primitives", rec.order, tuple(failures))
 
@@ -667,11 +750,12 @@ def denominator_is_unit_power(rec: PearceyRecursion) -> bool:
     """Every S_k coefficient denominator divides a power of the resultant
     27 x1^2 + 8 x2^3 of the cubic with its derivative (times a constant).
 
-    This holds by construction: an element is stored as a numerator triple
-    over D^m, so the check only reads the stored power.  The independent
-    witness is the test-suite oracle, which rebuilds the recursion in
-    Q(x1, x2) and strips D from each reduced denominator."""
+    This holds by construction: an element is stored as a numerator over D^m,
+    so the check only reads the stored power.  The independent witness is the
+    test-suite oracle, which rebuilds the recursion in Q(x1, x2) and strips D
+    from each reduced denominator."""
     return all(rec.s(k).m >= 0 for k in range(1, rec.order + 1))
+
 
 
 # ---------------------------------------------------------------------------
@@ -709,11 +793,16 @@ def _is_finite(value) -> bool:
     return abs(value.real) < inf and abs(value.imag) < inf
 
 
+def _within_scale(x1, x2, y) -> bool:
+    """Whether the point's weighted scale is at most ``QUARTIC_SCALE_MAX``."""
+    return abs(x1) <= _X1_MAX and abs(x2) <= _X2_MAX and abs(y) <= _Y_MAX
+
+
 def _check_point(x1, x2, y) -> None:
     """Raise ``PreconditionError``, naming the coordinate, unless the point is
     finite and its weighted scale is at most ``QUARTIC_SCALE_MAX``."""
     try:
-        if abs(x1) <= _X1_MAX and abs(x2) <= _X2_MAX and abs(y) <= _Y_MAX:
+        if _within_scale(x1, x2, y):
             return
     except OverflowError:  # a finite complex whose modulus overflows
         pass
@@ -918,19 +1007,24 @@ def homogeneity_residual(x1: complex, x2: complex, y: complex) -> float:
     """How far the branches at the scaled point, mapped back, lie from roots
     of the quartic at (x1, x2, y).
 
-    The scaling (x1, x2, y) -> (l^3 x1, l^2 x2, l^4 y), with l =
-    ``HOMOGENEITY_LAMBDA``, takes every branch value g to l^-3 g.  The quartic
-    is solved once, at the scaled point; each root g' is mapped back to
-    z = l^3 g' and held against the base quartic F by its relative Newton
-    correction |F(z) / (z F'(z))|, to first order its relative distance from
-    the nearest base root.  The worst of the four is returned.  A point whose
-    scaled image is beyond ``QUARTIC_SCALE_MAX`` raises ``PreconditionError``.
+    The scaling (x1, x2, y) -> (l^3 x1, l^2 x2, l^4 y) takes every branch
+    value g to l^-3 g.  l is ``HOMOGENEITY_LAMBDA``, or its inverse, which is
+    not dyadic either, at a point that l would take beyond
+    ``QUARTIC_SCALE_MAX``: one whose weighted scale lies above
+    ``QUARTIC_SCALE_MAX / HOMOGENEITY_LAMBDA``.  The quartic is solved once, at
+    the scaled point; each root g' is mapped back to z = l^3 g' and held
+    against the base quartic F by its relative Newton correction
+    |F(z) / (z F'(z))|, to first order its relative distance from the nearest
+    base root.  The worst of the four is returned.  A point beyond
+    ``QUARTIC_SCALE_MAX`` raises ``PreconditionError``.
     """
-    lam3 = HOMOGENEITY_LAMBDA ** 3
     a, b, c, d, e = quartic_coefficients(x1, x2, y)
+    lam = HOMOGENEITY_LAMBDA
+    if not _within_scale(lam ** 3 * x1, lam ** 2 * x2, lam ** 4 * y):
+        lam = 1 / HOMOGENEITY_LAMBDA
+    lam3 = lam ** 3
     worst = 0.0
-    for branch in quartic_g_roots(lam3 * x1, HOMOGENEITY_LAMBDA ** 2 * x2,
-                                  HOMOGENEITY_LAMBDA ** 4 * y):
+    for branch in quartic_g_roots(lam3 * x1, lam ** 2 * x2, lam ** 4 * y):
         z = lam3 * branch.value
         f = (((a * z + b) * z + c) * z + d) * z + e
         fp = ((4 * a * z + 3 * b) * z + 2 * c) * z + d

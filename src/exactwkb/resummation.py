@@ -379,9 +379,18 @@ def _require_quadrature_inputs(eta: float, tol: float):
 
 def _scaled_sum(sign: str, ctx: StokesContext, eta: float, alpha: complex,
                 raw: complex, err: float, ray: RayField | None = None) -> BorelSum:
-    """The Borel sum e^(-alpha eta) * raw, refusing a result that underflows."""
-    scale = cmath.exp(-alpha * eta)
+    """The Borel sum e^(-alpha eta) * raw, refusing a result that underflows
+    or overflows."""
+    try:
+        scale = cmath.exp(-alpha * eta)
+    except OverflowError:
+        raise NumericError(
+            f"e^(-alpha eta) overflows at alpha = {alpha!r}, eta = {eta!r}") from None
     value = raw * scale
+    if not cmath.isfinite(value):
+        raise NumericError(
+            f"e^(-alpha eta) = {scale!r} times the integral {raw!r} overflows the sum "
+            f"at eta = {eta!r}")
     if raw != 0 and abs(value) < sys.float_info.min:
         raise NumericError(
             f"e^(-alpha eta) = {scale!r} underflows the sum at eta = {eta!r}")

@@ -77,6 +77,9 @@ class ExactScalar:
     def __setattr__(self, *_):
         raise AttributeError("ExactScalar is immutable")
 
+    def __reduce__(self):
+        return _scalar, (self._pqd,)
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -343,6 +346,9 @@ class PuiseuxSeries:
 
     def __setattr__(self, *_):
         raise AttributeError("PuiseuxSeries is immutable")
+
+    def __reduce__(self):
+        return PuiseuxSeries._trusted, (self.variable, self._grid, self._limit)
 
     @classmethod
     def _trusted(cls, variable: str, grid: dict[int, tuple],
@@ -819,6 +825,9 @@ class EtaExpansion:
 
     def __setattr__(self, *_):
         raise AttributeError("EtaExpansion is immutable")
+
+    def __reduce__(self):
+        return EtaExpansion, (self.terms, self.truncation)
 
     @classmethod
     def zero(cls, truncation: int) -> "EtaExpansion":

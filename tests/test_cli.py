@@ -163,6 +163,15 @@ class TestExitCodes:
         code, _ = run_cli(["resum", "laplace", "--x", "0.866,-0.5", *quadrature_args])
         assert code == 3
 
+    def test_overflowing_borel_sum_is_5(self, capsys):
+        # the region-II "+" sum grows like e^(|Re alpha| eta): at |x| = 3 on
+        # arg x = pi/6, e^(-alpha eta) overflows above eta of about 290
+        code, out = run_cli(["resum", "laplace", "--x", "2.598,1.5", "--eta", "300",
+                             "--sign", "+"])
+        err = capsys.readouterr().err
+        assert code == 5 and out == ""
+        assert "e^(-alpha eta) overflows" in err and "Traceback" not in err
+
     def test_unparseable_complex_is_3(self):
         code, _ = run_cli(["resum", "laplace", "--x", "one", "--eta", "8"])
         assert code == 3

@@ -1,8 +1,10 @@
 """Quotient-ring recursion, closedness, primitives, quartic branches."""
 
+import copy
 import importlib.util
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -20,9 +22,10 @@ from sympy.polys.fields import field
 
 from exactwkb import pearcey
 from exactwkb.errors import NumericError, PreconditionError, VerificationError
-from exactwkb.pearcey import (_D, _RING_ONE, CubicFieldElement, PearceyBranch,
-                              _acc_mul, _divide_by_d, _nonzero, _ring_sum,
-                              _row_divide, _vanishes_on_curve, annihilation_residuals,
+from exactwkb.pearcey import (_D, _RING_ONE, _UNIT, _UNIT_INV, CubicFieldElement,
+                              PearceyBranch, _divide_by_d, _mul, _nonzero, _pack,
+                              _ring_sum, _row_divide, _vanishes_on_curve,
+                              annihilation_residuals,
                               branch_partials, check_closedness, check_primitives,
                               denominator_is_unit_power, homogeneity_residual,
                               pearcey_recursion, quartic_coefficients,
@@ -41,6 +44,11 @@ DISC = 27 * X1 ** 2 + 8 * X2 ** 3
 @pytest.fixture(scope="module")
 def recursion():
     return pearcey_recursion(8)
+
+
+@pytest.fixture(scope="module")
+def recursion_12():
+    return pearcey_recursion(12)
 
 
 @pytest.fixture(scope="module")
@@ -247,6 +255,26 @@ class TestQuotientRing:
         with pytest.raises(PreconditionError):
             CubicFieldElement(0, 0, value)
 
+    def test_the_unit_inverse_is_u_over_d(self):
+        assert _UNIT == UNIT and _UNIT.inverse() == _UNIT_INV
+        assert _UNIT * _UNIT_INV == CubicFieldElement(1)
+
+    def test_an_x2_degree_past_the_packed_field_raises(self):
+        big = CubicFieldElement(X2 ** (2 ** 18 - 1))
+        assert big.n[0] == {(0, 2 ** 18 - 1): 1}
+        with pytest.raises(PreconditionError, match="packed key"):
+            big * big * CubicFieldElement.x2() * CubicFieldElement.x2()
+        with pytest.raises(PreconditionError, match="packed key"):
+            CubicFieldElement(X2 ** (2 ** 19))
+
+    @pytest.mark.parametrize("how", [copy.copy, copy.deepcopy,
+                                     lambda v: pickle.loads(pickle.dumps(v))])
+    def test_copies_are_equal_and_hash_equal(self, how):
+        for x in (S, UNIT.inverse(), pearcey_recursion(2).s(2), CubicFieldElement()):
+            y = how(x)
+            assert y == x and hash(y) == hash(x)
+            assert (y.n, y.q, y.m) == (x.n, x.q, x.m) and repr(y) == repr(x)
+
     def test_derivative_is_a_derivation(self):
         a = S * S + CubicFieldElement(X1, 0, 0) * S
         b = UNIT
@@ -262,8 +290,18 @@ def integer_polynomials(max_degree=6, max_terms=6):
                            st.integers(-40, 40).filter(bool), max_size=max_terms)
 
 
+def packed(p: dict) -> dict:
+    """{(e1, e2): c} as the ring packs it."""
+    return {_pack(e1, e2): c for (e1, e2), c in p.items()}
+
+
+def numerator(n: tuple) -> dict:
+    """The packed numerator n0 + n1 S + n2 S^2 of a triple of {(e1, e2): c}."""
+    return {key + i: c for i, ni in enumerate(n) for key, c in packed(ni).items()}
+
+
 def times_d(p: dict) -> dict:
-    return _nonzero(_acc_mul({}, p, _D))
+    return _nonzero(_mul({}, p, _D, 1))
 
 
 class TestDivisibilityByD:
@@ -272,17 +310,20 @@ class TestDivisibilityByD:
 
     def test_the_curve_is_the_zero_set_of_d(self):
         assert _vanishes_on_curve(_D)
-        assert not _vanishes_on_curve({(2, 0): 27, (0, 3): -8})
-        assert not _vanishes_on_curve({(1, 0): 1}) and not _vanishes_on_curve({(0, 0): 1})
+        assert not _vanishes_on_curve(packed({(2, 0): 27, (0, 3): -8}))
+        assert (not _vanishes_on_curve(packed({(1, 0): 1}))
+                and not _vanishes_on_curve(packed({(0, 0): 1})))
 
     @settings(max_examples=200, deadline=None)
     @given(integer_polynomials())
     def test_the_curve_test_agrees_with_the_row_division(self, p):
+        p = packed(p)
         assert _vanishes_on_curve(p) == (_row_divide(dict(p)) is not None)
 
     @settings(max_examples=100, deadline=None)
     @given(integer_polynomials(max_terms=8).filter(bool))
     def test_every_multiple_of_d_is_divided(self, p):
+        p = packed(p)
         multiple = times_d(p)
         assert _vanishes_on_curve(multiple)
         assert _row_divide(dict(multiple)) == p
@@ -293,16 +334,25 @@ class TestDivisibilityByD:
     @given(integer_polynomials(), st.integers(0, 8), st.integers(0, 8),
            st.integers(-40, 40).filter(bool))
     def test_a_multiple_plus_one_term_is_not_divided(self, p, e1, e2, c):
-        q = times_d(p)
-        q[(e1, e2)] = q.get((e1, e2), 0) + c
+        q = times_d(packed(p))
+        key = _pack(e1, e2)
+        q[key] = q.get(key, 0) + c
         q = _nonzero(q)
         assert not _vanishes_on_curve(q)
         assert _row_divide(dict(q)) is None and _divide_by_d(q) is None
 
+    @settings(max_examples=100, deadline=None)
+    @given(integer_polynomials(), integer_polynomials(), integer_polynomials())
+    def test_a_numerator_is_divided_exactly_when_each_power_of_s_is(self, n0, n1, n2):
+        n = numerator((n0, n1, n2))
+        assert _vanishes_on_curve(n) == all(_vanishes_on_curve(packed(ni))
+                                            for ni in (n0, n1, n2))
+        assert _divide_by_d(times_d(n)) == n
+
     def test_a_row_division_that_contradicts_the_curve_raises(self, monkeypatch):
         monkeypatch.setattr(pearcey, "_vanishes_on_curve", lambda p: True)
         with pytest.raises(VerificationError, match="disagree"):
-            _divide_by_d({(1, 0): 1})
+            _divide_by_d(packed({(1, 0): 1}))
 
 
 def weights():
@@ -335,7 +385,8 @@ class TestRingSum:
 
 class TestRingCost:
     """Sums of products are normalised once, no row division is tried that
-    fails, and the recursion takes no public ring products past S_0."""
+    fails, a ring product is one kernel call, and the recursion takes no
+    public ring products past S_0."""
 
     @staticmethod
     def _order_4_with_checks():
@@ -347,6 +398,13 @@ class TestRingCost:
         self._order_4_with_checks()
         # a normalisation per product and per partial sum took 270
         assert len(normalised) <= 100
+
+    def test_kernel_calls_per_order_4_recursion_and_checks(self, monkeypatch):
+        products = _results(monkeypatch, "_mul")
+        self._order_4_with_checks()
+        # one call per ring product, lift or derivative part: 222; the
+        # per-component products of a numerator triple took 2,078 calls
+        assert len(products) <= 250
 
     def test_no_row_division_fails(self, monkeypatch):
         quotients = _results(monkeypatch, "_row_divide")
@@ -427,10 +485,43 @@ class TestRecursion:
         with pytest.raises(PreconditionError, match="order"):
             pearcey_recursion(order)
 
-    def test_closedness_and_primitives_to_order_12(self):
-        rec = pearcey_recursion(12)
-        for report in (check_closedness(rec), check_primitives(rec)):
+    def test_closedness_and_primitives_to_order_12(self, recursion_12):
+        for report in (check_closedness(recursion_12), check_primitives(recursion_12)):
             assert report.passed, (report.name, report.failures)
+
+    def test_every_s_and_t_keeps_its_pinned_numerator_and_denominator(self, recursion_12):
+        """(n, q, m) of every S_k and T_k at order 12, as the numerator triple
+        of tuple-keyed dicts computed them before the packed layout."""
+        pins = json.loads((ROOT / "tests" / "data" / "pearcey_recursion_pins.json").read_text())
+        assert pins["order"] == 12
+        for name, element in (("s", recursion_12.s), ("t", recursion_12.t)):
+            for k in range(-1, 13):
+                x, pin = element(k), pins[name][str(k)]
+                n = [sorted([e1, e2, c] for (e1, e2), c in ni.items()) for ni in x.n]
+                assert (n, x.q, x.m) == (pin["n"], pin["q"], pin["m"]), (name, k)
+
+    def test_every_s_and_t_has_its_single_weight(self, recursion_12):
+        # x1, x2 and S weigh 3, 2 and 1, and D weighs 6
+        for k in range(-1, 13):
+            for x, want in ((recursion_12.s(k), -3 - 4 * k), (recursion_12.t(k), -2 - 4 * k)):
+                assert not x.is_zero()
+                assert {3 * e1 + 2 * e2 + i - 6 * x.m for i, ni in enumerate(x.n)
+                        for e1, e2 in ni} == {want}
+
+    def test_a_term_differentiated_in_x2_for_x1_fails_the_weight_check(self, monkeypatch):
+        # d1_cache[0] = d2 S_0 in place of d1 S_0: every S_k from S_1 on reads it
+        s0 = pearcey_recursion(0).s(0)
+        d1 = CubicFieldElement.d1
+        calls = []
+
+        def mutated(self):
+            calls.append(self)
+            return self.d2() if len(calls) == 3 else d1(self)
+
+        monkeypatch.setattr(CubicFieldElement, "d1", mutated)
+        with pytest.raises(VerificationError, match="S_1 is not weighted homogeneous"):
+            pearcey_recursion(1)
+        assert calls[2] == s0
 
 
 class TestAgainstFieldOracle:
@@ -490,9 +581,9 @@ class TestAgainstFieldOracle:
         x = CubicFieldElement(*a)
         d = CubicFieldElement(DISC)
         routes = [CubicFieldElement(*x.c), (x * d) * d.inverse(), (x + 1) - 1,
-                  CubicFieldElement._new(tuple(_nonzero(_acc_mul({}, ni, _D)) for ni in x.n),
-                                         x.q, x.m + 1),
-                  CubicFieldElement._new(tuple(_acc_mul({}, ni, {(0, 0): 6}) for ni in x.n),
+                  CubicFieldElement._new(numerator(x.n), x.q, x.m),
+                  CubicFieldElement._new(times_d(numerator(x.n)), x.q, x.m + 1),
+                  CubicFieldElement._new({k: 6 * c for k, c in numerator(x.n).items()},
                                          6 * x.q, x.m)]
         for other in routes:
             assert other == x and hash(other) == hash(x)
@@ -813,6 +904,22 @@ class TestHomogeneity:
         branch = solves[0][0]
         assert (branch.x1, branch.x2, branch.y) == (
             lam ** 3 * (0.7 + 0.1j), lam ** 2 * -1.2, lam ** 4 * (0.9 - 0.3j))
+
+    @pytest.mark.parametrize("fraction, lam", [(0.3, 3.0), (1 / 3, 3.0), (0.34, 1 / 3),
+                                               (0.5, 1 / 3), (1.0, 1 / 3)])
+    def test_a_point_that_lambda_would_take_past_the_bound_is_scaled_down(
+            self, monkeypatch, fraction, lam):
+        # the point (0.7 + 0.1j, -1.2, 0.9 - 0.3j) at the weighted scale
+        # fraction * QUARTIC_SCALE_MAX; above a third of it, l = 3 would take
+        # the point beyond the bound, and 1/3 is not dyadic either
+        x1, x2, y = 0.7 + 0.1j, -1.2, 0.9 - 0.3j
+        s = fraction * pearcey.QUARTIC_SCALE_MAX / abs(x2) ** 0.5
+        point = (s ** 3 * x1, s ** 2 * x2, s ** 4 * y)
+        solves = _results(monkeypatch, "quartic_g_roots")
+        assert homogeneity_residual(*point) < PEARCEY_HOMOGENEITY_TOL
+        branch = solves[0][0]
+        assert (branch.x1, branch.x2, branch.y) == (
+            lam ** 3 * point[0], lam ** 2 * point[1], lam ** 4 * point[2])
 
     def test_sixteen_solves_per_bench_op(self, monkeypatch, bench_workloads):
         # 8 points, each solved for its roots and once at the scaled point

@@ -431,6 +431,16 @@ class TestLaplaceSums:
         with pytest.raises(NumericError):
             laplace_sum("-", classify_stokes(cmath.exp(-1j * math.pi / 6)), 2000.0)
 
+    def test_overflow_raises(self):
+        # region II at |x| = 3: e^(-alpha eta) overflows at eta = 300, and at
+        # eta = 289.5 it is finite but the scaled sum is not
+        ctx = classify_stokes(3 * cmath.exp(1j * math.pi / 6))
+        with pytest.raises(NumericError, match=r"e\^\(-alpha eta\) overflows"):
+            laplace_sum("+", ctx, 300.0)
+        with pytest.raises(NumericError, match="overflows the sum"):
+            _scaled_sum("+", ctx, 289.5, ctx.alpha_plus, 1e10 + 0j, 0.0)
+        assert _scaled_sum("+", ctx, 289.5, ctx.alpha_plus, 1e-10 + 0j, 0.0).value
+
     def test_cut_term_underflow_raises(self):
         # the cut term is i times the region-II "-" sum, which underflows first
         ctx = classify_stokes(cmath.exp(1j * math.pi / 6))

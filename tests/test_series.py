@@ -1,6 +1,8 @@
 """Exact arithmetic substrate: scalars, Puiseux series, eta-expansions."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction as Fr
 
 from exactwkb import airy_borel, airy_wkb, series
@@ -806,3 +808,33 @@ class TestSeriesApi:
         for other in routes:
             assert other == f and hash(other) == hash(f)
             assert other.terms == terms and other.truncation == f.truncation
+
+
+COPIES = [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))]
+
+
+class TestCopies:
+    """Exact values are immutable, and a copy or a pickle round trip gives an
+    equal value with an equal hash; a series keeps its internal grid."""
+
+    @pytest.mark.parametrize("how", COPIES)
+    def test_scalars(self, how):
+        for x in (ExactScalar(), ExactScalar(Fr(-3, 4), 2), ExactScalar.sqrt3()):
+            y = how(x)
+            assert y == x and hash(y) == hash(x) and y._pqd == x._pqd
+
+    @pytest.mark.parametrize("how", COPIES)
+    def test_series(self, how):
+        for f in (P("s", {Fr(-1, 2): ExactScalar(1, 2), 3: 5}, Fr(9, 2)), P.zero("t"),
+                  P.one("s", 3), airy_borel.borel_series(8, "+").series):
+            g = how(f)
+            assert g == f and hash(g) == hash(f)
+            assert (g.variable, g._grid, g._limit) == (f.variable, f._grid, f._limit)
+            assert g.terms == f.terms and g.truncation == f.truncation
+
+    @pytest.mark.parametrize("how", COPIES)
+    def test_eta_expansions_and_borel_series(self, how):
+        e = EtaExpansion({-1: P.one("x", 4), 2: P.monomial("x", Fr(1, 2), 3)}, 3)
+        assert how(e) == e
+        b = airy_borel.borel_series(8, "-")
+        assert how(b) == b and how(b).series._grid == b.series._grid
