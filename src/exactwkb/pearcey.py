@@ -59,7 +59,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, inf, lcm
-from typing import NamedTuple
 
 from .errors import NumericError, PreconditionError, VerificationError
 
@@ -88,6 +87,12 @@ def _pack(e1: int, e2: int) -> int:
 def _exponents(key: int) -> tuple:
     """(a, b) of the key of x1^a x2^b S^i."""
     return key >> 24, key >> 3 & _B_BITS
+
+
+def _weight(key: int) -> int:
+    """3 a + 2 b + i, the weight of x1^a x2^b S^i."""
+    a, b = _exponents(key)
+    return 3 * a + 2 * b + (key & 7)
 
 
 def _nonzero(p: dict) -> dict:
@@ -139,10 +144,10 @@ def _d_power(m: int) -> dict:
 @lru_cache(maxsize=None)
 def _curve_monomial(key: int) -> tuple:
     """(group, 8^a (-6)^b) of x1^a x2^b S^i: at (8 v^3, -6 v^2) the monomial
-    is the integer times v^(3 a + 2 b) S^i, and the group packs that weight
-    with i."""
+    is the integer times v^(3 a + 2 b) S^i, and the group packs the weight
+    3 a + 2 b + i with i."""
     a, b = _exponents(key)
-    return (3 * a + 2 * b) << 3 | key & 7, 8 ** a * (-6) ** b
+    return _weight(key) << 3 | key & 7, 8 ** a * (-6) ** b
 
 
 def _vanishes_on_curve(p: dict) -> bool:
@@ -239,14 +244,12 @@ def _integral(terms) -> tuple:
 
 def _split(value) -> tuple:
     """(numerator, q, k) with value = numerator / (q D^k), the numerator packed,
-    for an int, a Fraction, a ``RationalCoefficient`` or a rational function
-    read through ``.numer``/``.denom`` ``.terms()`` (an element of sympy's
-    field, say)."""
+    for an int, a Fraction or a rational function read through
+    ``.numer``/``.denom`` ``.terms()`` (a ``RationalCoefficient`` or an element
+    of sympy's field)."""
     if isinstance(value, (int, Fraction)):
         value = Fraction(value)
         return ({0: value.numerator} if value else {}), value.denominator, 0
-    if isinstance(value, RationalCoefficient):
-        return value.num, value.q, value.k
     try:
         num, a = _integral(value.numer.terms())
         den, b = _integral(value.denom.terms())
@@ -261,8 +264,7 @@ def _split(value) -> tuple:
             "times a power of 27 x1^2 + 8 x2^3")
     # value = (num / a) / (rest D^k / b)
     r = rest[0] * a
-    sign_b = b if r > 0 else -b
-    return {e: sign_b * c for e, c in num.items()}, abs(r), k
+    return _mul({}, num, _ONE, b if r > 0 else -b), abs(r), k
 
 
 def _poly_str(p: dict) -> str:
@@ -328,10 +330,7 @@ class RationalCoefficient:
 
     @property
     def denom(self) -> _Terms:
-        return _Terms(self._denominator())
-
-    def _denominator(self) -> dict:
-        return {e: self.q * c for e, c in _d_power(self.k).items()}
+        return _Terms(_mul({}, _d_power(self.k), _ONE, self.q))
 
     def __add__(self, other) -> "RationalCoefficient":
         if (other := self._coerce(other)) is None:
@@ -373,7 +372,7 @@ class RationalCoefficient:
         numer = _poly_str(self.num)
         if len(self.num) > 1:
             numer = f"({numer})"
-        denom = _poly_str(self._denominator())
+        denom = _poly_str(_mul({}, _d_power(self.k), _ONE, self.q))
         return f"{numer}/({denom})" if self.k else f"{numer}/{denom}"
 
     __repr__ = __str__
@@ -388,15 +387,6 @@ def coefficient_field():
 # ---------------------------------------------------------------------------
 # the cubic quotient ring
 # ---------------------------------------------------------------------------
-
-class _Raw(NamedTuple):
-    """num / (q D^m) not normalised: a term of ``_ring_sum``, which normalises
-    only the sum."""
-
-    num: dict
-    q: int
-    m: int
-
 
 class CubicFieldElement:
     """An element N / (q D^m) of the WKB coefficient ring.
@@ -561,19 +551,19 @@ class CubicFieldElement:
 
     def d1(self) -> "CubicFieldElement":
         """Total derivative in x1, using the implicit derivative of the root."""
-        return CubicFieldElement._new(*self._partial(0))
+        return self._derivative(0)
 
     def d2(self) -> "CubicFieldElement":
-        return CubicFieldElement._new(*self._partial(1))
+        return self._derivative(1)
 
-    def _partial(self, i: int) -> _Raw:
+    def _derivative(self, i: int) -> "CubicFieldElement":
         """(N' D - m N D') / (q D^(m+1)) plus dN/dS dS/dx_i, with
-        dS/dx_i = _CHAIN[i] / D; all over 4 q D^(m+1), not normalised."""
+        dS/dx_i = _CHAIN[i] / D; all over 4 q D^(m+1)."""
         n, m = self.num, self.m
         out = _mul({}, _diff(n, i), _D)
         if m:
             _mul(out, n, _D_PARTIALS[i], -4 * m)
-        return _Raw(_mul(out, _diff(n, 2), _CHAIN[i]), 4 * self.q, m + 1)
+        return CubicFieldElement._new(_mul(out, _diff(n, 2), _CHAIN[i]), 4 * self.q, m + 1)
 
     def __repr__(self) -> str:
         return f"({self.c[0]}) + ({self.c[1]})*S + ({self.c[2]})*S^2"
@@ -616,12 +606,11 @@ class PearceyRecursion:
 def _ring_sum(terms) -> CubicFieldElement:
     """The sum of w a b over the (w, a, b) of ``terms``, w an int, reduced once.
 
-    a and b are ring elements or ``_Raw`` records.  Each raw product 4 a b is
-    over q_a q_b D^(m_a + m_b); a term whose b is ``_RING_ONE`` takes 4 a.
-    Every term is lifted to the common q and m and added into one numerator,
-    a term that needs no lift by D straight from ``_mul``, and only the sum is
-    normalised, where chained ``+`` and ``*`` would normalise each product and
-    each partial sum."""
+    Each raw product 4 a b is over q_a q_b D^(m_a + m_b); a term whose b is
+    ``_RING_ONE`` takes 4 a.  Every term is lifted to the common q and m and
+    added into one numerator, a term that needs no lift by D straight from
+    ``_mul``, and only the sum is normalised, where chained ``+`` and ``*``
+    would normalise each product and each partial sum."""
     raw = [(4 * w, a, None, a.q, a.m) if b is _RING_ONE else (w, a, b, a.q * b.q, a.m + b.m)
            for w, a, b in terms]
     q = lcm(*(qi for *_, qi, _ in raw))
@@ -653,8 +642,7 @@ def _check_weights(name: str, elements, base: int) -> None:
     x1^a x2^b S^i of its numerator has 3 a + 2 b + i = base - 4k + 6m."""
     for k, element in enumerate(elements, -1):
         want = base - 4 * k + 6 * element.m
-        if any(3 * (key >> 24) + 2 * (key >> 3 & _B_BITS) + (key & 7) != want
-               for key in element.num):
+        if any(_weight(key) != want for key in element.num):
             raise VerificationError(
                 f"{name}_{k} is not weighted homogeneous of weight {base - 4 * k}")
 
@@ -686,7 +674,7 @@ def pearcey_recursion(order: int) -> PearceyRecursion:
         body = _ring_sum(
             [(1, s_list[k1 + 1], pairs[k - 2 - k1]) for k1 in range(-1, k)]
             + [(3, s_list[k1 + 1], d1_cache[k - 2 - k1]) for k1 in range(-1, k)]
-            + [(1, d1_cache[k - 2]._partial(0), _RING_ONE)])
+            + [(1, d1_cache[k - 2].d1(), _RING_ONE)])
         s_k = _ring_sum([(-2, _UNIT_INV, body)])
         s_list.append(s_k)
         d1_cache[k] = s_k.d1()
@@ -713,8 +701,8 @@ def check_closedness(rec: PearceyRecursion) -> SymbolicCheckReport:
     """d2 S_k - d1 T_k = 0 exactly in the quotient ring for every k."""
     failures = []
     for k in range(-1, rec.order + 1):
-        if not _ring_sum([(1, rec.s(k)._partial(1), _RING_ONE),
-                          (-1, rec.t(k)._partial(0), _RING_ONE)]).is_zero():
+        if not _ring_sum([(1, rec.s(k).d2(), _RING_ONE),
+                          (-1, rec.t(k).d1(), _RING_ONE)]).is_zero():
             failures.append(k)
     return SymbolicCheckReport("closedness", rec.order, tuple(failures))
 
@@ -740,8 +728,8 @@ def check_primitives(rec: PearceyRecursion) -> SymbolicCheckReport:
         else:
             prim = _ring_sum([(3, x1, rec.s(k)), (2, x2, rec.t(k))])
             factor, w = _RING_ONE, 4 * k
-        if not all(_ring_sum([(1, prim._partial(i), factor), (w, stream, _RING_ONE)]).is_zero()
-                   for i, stream in enumerate((rec.s(k), rec.t(k)))):
+        if not all(_ring_sum([(1, d(), factor), (w, stream, _RING_ONE)]).is_zero()
+                   for d, stream in ((prim.d1, rec.s(k)), (prim.d2, rec.t(k)))):
             failures.append(k)
     return SymbolicCheckReport("primitives", rec.order, tuple(failures))
 
