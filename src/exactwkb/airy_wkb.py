@@ -133,17 +133,15 @@ def split_odd_even(solution: RiccatiSolution) -> tuple[EtaExpansion, EtaExpansio
 
 
 def check_even_is_log_derivative(s_odd: EtaExpansion, s_even: EtaExpansion) -> bool:
-    """Termwise check of S_even = -(1/2) d/dx log S_odd up to the truncation."""
-    candidate = (s_odd.d_dx() / s_odd).scale(Fraction(-1, 2))
-    trunc = min(candidate.truncation, s_even.truncation)
-    for k in range(-1, trunc + 1):
-        lhs = candidate.coeff(k)
-        rhs = s_even.coeff(k)
-        if (lhs is None) != (rhs is None):
-            return False
-        if lhs is not None and not lhs.same_terms(rhs):
-            return False
-    return True
+    """Termwise check of S_even = -(1/2) d/dx log S_odd up to the truncation.
+
+    S_odd leads with eta x^(1/2), a unit, so the identity holds exactly when
+    its product form -2 S_even S_odd = S_odd' does, which takes no inverse."""
+    lhs = (s_even * s_odd).scale(-2)
+    rhs = s_odd.d_dx()
+    trunc = min(lhs.truncation, rhs.truncation)
+    return all(k in lhs.terms and k in rhs.terms and lhs.terms[k].same_terms(rhs.terms[k])
+               for k in {*lhs.terms, *rhs.terms} if k <= trunc)
 
 
 def integrate_s_odd(s_odd: EtaExpansion) -> EtaExpansion:

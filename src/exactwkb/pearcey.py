@@ -31,9 +31,11 @@ is read off the curve D = 0, which (8 v^3, -6 v^2) parametrises: D divides a
 polynomial p exactly when p(8 v^3, -6 v^2) = 0, one integer sum per power of
 S and weight 3 a + 2 b; only then is N divided.  A sum of products, as the
 recursion and its checks form them, is lifted to one common denominator and
-normalised once (``_ring_sum``).  The numerator triple of tuple-keyed dicts
-(``CubicFieldElement.n``) and the reduced coefficients N_i / (q D^k) of
-Q(x1, x2) (``CubicFieldElement.c``) are built only where they are read.
+normalised once (``_ring_sum``), and so is each public sum and product.
+There is no second type for Q(x1, x2): a coefficient N_i / (q D^m) is an
+element free of S, normalised as any other (``CubicFieldElement.c``).  The
+numerator triple of tuple-keyed dicts (``CubicFieldElement.n``) and the three
+coefficients are built only where they are read.
 
 The Pearcey system is weighted homogeneous: x1, x2 and S have the weights 3,
 2 and 1, so x1^a x2^b S^i has the weight 3 a + 2 b + i, and the cubic and D
@@ -244,12 +246,15 @@ def _integral(terms) -> tuple:
 
 def _split(value) -> tuple:
     """(numerator, q, k) with value = numerator / (q D^k), the numerator packed,
-    for an int, a Fraction or a rational function read through
-    ``.numer``/``.denom`` ``.terms()`` (a ``RationalCoefficient`` or an element
-    of sympy's field)."""
+    for an int, a Fraction, an element of the ring free of S, taken as it is
+    stored, or a rational function read through ``.numer``/``.denom``
+    ``.terms()`` (an element of sympy's field).  An element that carries S
+    raises ``PreconditionError``."""
     if isinstance(value, (int, Fraction)):
         value = Fraction(value)
         return ({0: value.numerator} if value else {}), value.denominator, 0
+    if isinstance(value, CubicFieldElement):
+        return value.numer.p, value.q, value.m
     try:
         num, a = _integral(value.numer.terms())
         den, b = _integral(value.denom.terms())
@@ -293,95 +298,16 @@ class _Terms:
         return [(_exponents(k), Fraction(c)) for k, c in sorted(self.p.items(), reverse=True)]
 
 
-class RationalCoefficient:
-    """A reduced element N / (q D^k) of Q(x1, x2): N in Z[x1, x2], packed as
-    a ring numerator is, q > 0 and k >= 0, normalised as a ring element is,
-    so D does not divide N unless k = 0 and gcd(q, content of N) = 1.  D is
-    irreducible, so this is the reduced fraction.  ``numer`` and ``denom``
-    give N and the expanded q D^k through ``terms()``, and ``str`` prints the
-    fraction as sympy prints its rational-function field.  Coefficients add,
-    subtract and multiply with each other and with ints and Fractions, and
-    divide by ints and Fractions.
-    """
-
-    __slots__ = ("num", "q", "k")
-
-    def __init__(self, value=0):
-        self._store(*_split(value))
-
-    @classmethod
-    def _new(cls, num: dict, q: int, k: int) -> "RationalCoefficient":
-        self = object.__new__(cls)
-        self._store(num, q, k)
-        return self
-
-    def _store(self, num: dict, q: int, k: int) -> None:
-        self.num, self.q, self.k = _normalise(num, q, k)
-
-    @staticmethod
-    def _coerce(value):
-        if isinstance(value, (int, Fraction)):
-            return RationalCoefficient(value)
-        return value if isinstance(value, RationalCoefficient) else None
-
-    @property
-    def numer(self) -> _Terms:
-        return _Terms(self.num)
-
-    @property
-    def denom(self) -> _Terms:
-        return _Terms(_mul({}, _d_power(self.k), _ONE, self.q))
-
-    def __add__(self, other) -> "RationalCoefficient":
-        if (other := self._coerce(other)) is None:
-            return NotImplemented
-        k, q = max(self.k, other.k), lcm(self.q, other.q)
-        num = _mul({}, self.num, _d_power(k - self.k), q // self.q)
-        return RationalCoefficient._new(
-            _mul(num, other.num, _d_power(k - other.k), q // other.q), q, k)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RationalCoefficient":
-        return RationalCoefficient._new({e: -c for e, c in self.num.items()}, self.q, self.k)
-
-    def __sub__(self, other) -> "RationalCoefficient":
-        if (other := self._coerce(other)) is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "RationalCoefficient":
-        return (-self) + other
-
-    def __mul__(self, other) -> "RationalCoefficient":
-        if (other := self._coerce(other)) is None:
-            return NotImplemented
-        return RationalCoefficient._new(_mul({}, self.num, other.num, 1),
-                                        self.q * other.q, self.k + other.k)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RationalCoefficient":
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        return self * (1 / Fraction(other))
-
-    def __str__(self) -> str:
-        if self.k == 0 and self.q == 1:
-            return _poly_str(self.num)
-        numer = _poly_str(self.num)
-        if len(self.num) > 1:
-            numer = f"({numer})"
-        denom = _poly_str(_mul({}, _d_power(self.k), _ONE, self.q))
-        return f"{numer}/({denom})" if self.k else f"{numer}/{denom}"
-
-    __repr__ = __str__
-
-
-def coefficient_field():
-    """The coefficient constructor and the generators x1, x2 of Q(x1, x2)."""
-    return (RationalCoefficient, RationalCoefficient._new({_X1: 1}, 1, 0),
-            RationalCoefficient._new({_X2: 1}, 1, 0))
+def _fraction_str(c: "CubicFieldElement") -> str:
+    """An element free of S, N / (q D^m) normalised, as sympy prints its
+    rational-function field."""
+    numer = _poly_str(c.num)
+    if c.m == 0 and c.q == 1:
+        return numer
+    if len(c.num) > 1:
+        numer = f"({numer})"
+    denom = _poly_str(c.denom.p)
+    return f"{numer}/({denom})" if c.m else f"{numer}/{denom}"
 
 
 # ---------------------------------------------------------------------------
@@ -395,15 +321,19 @@ class CubicFieldElement:
     S, ``q`` a positive integer and ``m`` the power of D = 27 x1^2 + 8 x2^3,
     normalised as in the module docstring.  ``n`` reads N as the triple
     (n0, n1, n2) of N = n0 + n1 S + n2 S^2, each a dict {(e1, e2): int} of its
-    nonzero coefficients, and ``c`` as three ``RationalCoefficient``s; both
-    are built on first read.  The constructor takes the three coefficients as
-    ints, Fractions or rational functions of x1, x2 (read through
+    nonzero coefficients, and ``c`` as the three coefficients N_i / (q D^m),
+    each an element free of S; both are built on first read.  An element free
+    of S is a coefficient of Q(x1, x2): ``numer`` and ``denom`` read its N and
+    its expanded q D^m through ``terms()`` as sympy's polynomials are read,
+    and ``numer`` raises ``PreconditionError`` on an element that carries S.
+    The constructor takes the three coefficients as ints, Fractions, elements
+    free of S or rational functions of x1, x2 (read through
     ``.numer``/``.denom`` ``.terms()``) whose reduced denominator is a constant
     times a power of D, and raises ``PreconditionError`` for any other
-    denominator (1/x1, say) and any other value (a float, say).  The ring is
-    Q[x1, x2][1/D][S]/(cubic), not the field Q(x1, x2)[S]/(cubic): ``inverse``
-    raises ``PreconditionError`` for an element that is not a unit of it, such
-    as 0 or x1.
+    denominator (1/x1, say), an element that carries S and any other value (a
+    float, say).  The ring is Q[x1, x2][1/D][S]/(cubic), not the field
+    Q(x1, x2)[S]/(cubic): ``inverse`` raises ``PreconditionError`` for an
+    element that is not a unit of it, such as 0 or x1.
     """
 
     __slots__ = ("num", "q", "m", "_n", "_c")
@@ -446,13 +376,24 @@ class CubicFieldElement:
 
     @property
     def c(self) -> tuple:
-        """The three reduced coefficients N_i / (q D^k) of Q(x1, x2), as
-        ``RationalCoefficient``s, built on first read."""
+        """The three coefficients N_i / (q D^m), each normalised as an element
+        free of S, built on first read."""
         if self._c is None:
             object.__setattr__(self, "_c", tuple(
-                RationalCoefficient._new(part, self.q, self.m)
-                for part in _components(self.num)))
+                CubicFieldElement._new(part, self.q, self.m) for part in _components(self.num)))
         return self._c
+
+    @property
+    def numer(self) -> _Terms:
+        """N of an element free of S."""
+        if any(k & 7 for k in self.num):
+            raise PreconditionError(f"{self!r} carries S, so it is not a coefficient of Q(x1, x2)")
+        return _Terms(self.num)
+
+    @property
+    def denom(self) -> _Terms:
+        """q D^m, expanded."""
+        return _Terms(_mul({}, _d_power(self.m), _ONE, self.q))
 
     # -- constructors --------------------------------------------------
 
@@ -489,12 +430,7 @@ class CubicFieldElement:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "CubicFieldElement":
-        if not isinstance(other, CubicFieldElement):
-            other = CubicFieldElement.scalar(other)
-        m, q = max(self.m, other.m), lcm(self.q, other.q)
-        num = _mul({}, self.num, _d_power(m - self.m), q // self.q)
-        return CubicFieldElement._new(
-            _mul(num, other.num, _d_power(m - other.m), q // other.q), q, m)
+        return _ring_sum([(1, self, _RING_ONE), (1, _element(other), _RING_ONE)])
 
     __radd__ = __add__
 
@@ -502,18 +438,13 @@ class CubicFieldElement:
         return CubicFieldElement._new({k: -c for k, c in self.num.items()}, self.q, self.m)
 
     def __sub__(self, other) -> "CubicFieldElement":
-        if not isinstance(other, CubicFieldElement):
-            other = CubicFieldElement.scalar(other)
-        return self + (-other)
+        return _ring_sum([(1, self, _RING_ONE), (-1, _element(other), _RING_ONE)])
 
     def __rsub__(self, other) -> "CubicFieldElement":
-        return (-self) + other
+        return _element(other) - self
 
     def __mul__(self, other) -> "CubicFieldElement":
-        if not isinstance(other, CubicFieldElement):
-            other = CubicFieldElement.scalar(other)
-        return CubicFieldElement._new(_mul({}, self.num, other.num), 4 * self.q * other.q,
-                                      self.m + other.m)
+        return _ring_sum([(1, self, _element(other))])
 
     __rmul__ = __mul__
 
@@ -543,9 +474,7 @@ class CubicFieldElement:
             abs(r), max(k - self.m, 0))
 
     def __truediv__(self, other) -> "CubicFieldElement":
-        if not isinstance(other, CubicFieldElement):
-            other = CubicFieldElement.scalar(other)
-        return self * other.inverse()
+        return self * _element(other).inverse()
 
     # -- derivatives -----------------------------------------------------------
 
@@ -566,7 +495,18 @@ class CubicFieldElement:
         return CubicFieldElement._new(_mul(out, _diff(n, 2), _CHAIN[i]), 4 * self.q, m + 1)
 
     def __repr__(self) -> str:
-        return f"({self.c[0]}) + ({self.c[1]})*S + ({self.c[2]})*S^2"
+        c0, c1, c2 = map(_fraction_str, self.c)
+        return f"({c0}) + ({c1})*S + ({c2})*S^2"
+
+
+def _element(value) -> CubicFieldElement:
+    """value as a ring element: an element itself, else a scalar."""
+    return value if isinstance(value, CubicFieldElement) else CubicFieldElement.scalar(value)
+
+
+def coefficient_field():
+    """The coefficient constructor and the generators x1, x2 of Q(x1, x2)."""
+    return CubicFieldElement, CubicFieldElement.x1(), CubicFieldElement.x2()
 
 
 # D (6 S^2 + x2)^-1, and the numerators -U/2 and -S U of dS/dx1 and dS/dx2 over D
@@ -647,6 +587,16 @@ def _check_weights(name: str, elements, base: int) -> None:
                 f"{name}_{k} is not weighted homogeneous of weight {base - 4 * k}")
 
 
+# d1 and d2 of the unit, which the k = 0 primitive reads; S_-1 = S and
+# S_0 = -(1/2) d1(6 S^2 + x2) (6 S^2 + x2)^-1, their d1 and the pair sums
+# P_-2 and P_-1: none depends on the order of the recursion
+_UNIT_D = (_UNIT.d1(), _UNIT.d2())
+_S_LOW = (CubicFieldElement.root(),
+          CubicFieldElement.scalar(Fraction(-1, 2)) * _UNIT_D[0] * _UNIT_INV)
+_D1_S_LOW = tuple(s.d1() for s in _S_LOW)
+_PAIRS_LOW = {n: _ring_sum(_pair_terms(_S_LOW, n, -1)) for n in (-2, -1)}
+
+
 def pearcey_recursion(order: int) -> PearceyRecursion:
     """Run the recursion for the coefficient streams.
 
@@ -655,19 +605,18 @@ def pearcey_recursion(order: int) -> PearceyRecursion:
     T_k follow from T_k = d1 S_(k-1) + sum_j S_j S_(k-j-1).  Both the cubic
     term of S_k and the quadratic term of T_k read the pair sums
     P_n = sum_(a+b=n) S_a S_b, each formed once: P_(k-1) is completed from its
-    sum without S_-1 S_k.  Every sum of products is one ``_ring_sum``,
-    normalised once.  Every S_k and T_k is held to its weight, -3 - 4k and
-    -2 - 4k (``VerificationError`` otherwise).
+    sum without S_-1 S_k.  S_-1, S_0, their d1 and P_-2, P_-1 are formed once,
+    at import.  Every sum of products is one ``_ring_sum``, normalised once.
+    Every S_k and T_k is held to its weight, -3 - 4k and -2 - 4k
+    (``VerificationError`` otherwise).
     """
     if isinstance(order, bool) or not isinstance(order, int):
         raise PreconditionError(f"order must be an int, got {order!r}")
     if order < 0:
         raise PreconditionError("order must be >= 0")
-    s_list = [CubicFieldElement.root()]
-    # S_0 from the logarithmic derivative of the unit
-    s_list.append(CubicFieldElement.scalar(Fraction(-1, 2)) * _UNIT.d1() * _UNIT_INV)
-    d1_cache = {-1: s_list[0].d1(), 0: s_list[1].d1()}
-    pairs = {n: _ring_sum(_pair_terms(s_list, n, -1)) for n in (-2, -1)}
+    s_list = list(_S_LOW)
+    d1_cache = dict(enumerate(_D1_S_LOW, -1))
+    pairs = dict(_PAIRS_LOW)
     for k in range(1, order + 1):
         # P_(k-1) lacks its two terms S_-1 S_k until S_k is known
         partial = pairs[k - 1] = _ring_sum(_pair_terms(s_list, k - 1, 0))
@@ -724,12 +673,12 @@ def check_primitives(rec: PearceyRecursion) -> SymbolicCheckReport:
         # d_x P times factor, plus w S_k (x = x1) or w T_k (x = x2), is 0; at
         # k = 0, P is log(6 S^2 + x2) and d_x P is d_x(6 S^2 + x2) (6 S^2 + x2)^-1
         if k == 0:
-            prim, factor, w = _UNIT, _UNIT_INV, 2
+            partials, factor, w = _UNIT_D, _UNIT_INV, 2
         else:
             prim = _ring_sum([(3, x1, rec.s(k)), (2, x2, rec.t(k))])
-            factor, w = _RING_ONE, 4 * k
-        if not all(_ring_sum([(1, d(), factor), (w, stream, _RING_ONE)]).is_zero()
-                   for d, stream in ((prim.d1, rec.s(k)), (prim.d2, rec.t(k)))):
+            partials, factor, w = (prim.d1(), prim.d2()), _RING_ONE, 4 * k
+        if not all(_ring_sum([(1, d, factor), (w, stream, _RING_ONE)]).is_zero()
+                   for d, stream in zip(partials, (rec.s(k), rec.t(k)))):
             failures.append(k)
     return SymbolicCheckReport("primitives", rec.order, tuple(failures))
 

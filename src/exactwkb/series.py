@@ -29,7 +29,8 @@ grid, with integer weights, after normalising f = lead x^v (1 + u):
 - exp(u) from g' = u' g: g_m = (1/m) sum_k k u_k g_{m-k} (Brent & Kung,
   J. ACM 25, 1978).
 
-Eta-expansions use the same recurrences with Puiseux-series coefficients.
+Eta-expansions are finite sums of series; they add, multiply, differentiate
+and integrate termwise, and take no recurrence.
 """
 
 from __future__ import annotations
@@ -730,37 +731,23 @@ def _over_one_denominator(triples) -> list[tuple[int, int, int]]:
     return [(p * (common // d), q * (common // d), common) for p, q, d in triples]
 
 
-def _ring_dot(terms: Iterable[tuple[int, object, object]], den: int = 1):
-    """(1/den) sum w x y over the terms (w, x, y), w an int, in a ring of
-    series: one ring product and one ring sum per term."""
-    acc = None
-    for w, x, y in terms:
-        term = x * y
-        term = term if w == 1 else -term if w == -1 else term * w
-        acc = term if acc is None else acc + term
-    return acc if den == 1 else acc / den
-
-
-def _grid_recurrence(u: Mapping[int, object], n: int, first,
-                     weights) -> dict[int, object]:
+def _grid_recurrence(u: Mapping[int, tuple], n: int, first: tuple,
+                     weights) -> dict[int, tuple]:
     """Nonzero coefficients g_m, m < n, of the series fixed by
 
         g_0 = first,   g_m = (1/divisor(m)) sum_{k <= m} weight(k, m) u_k g_{m-k},
 
     where ``weights`` is the pair of integer functions (weight, divisor) and u
-    maps grid indices k >= 1 to nonzero ring elements.  The ring is Q(sqrt 3),
-    as canonical triples (p, q, d), for Puiseux series and the Puiseux series
-    themselves for eta-expansions.  The recurrence is linear in g, so
-    ``first`` scales the whole solution.
+    maps grid indices k >= 1 to nonzero elements of Q(sqrt 3).  Every element,
+    ``first`` and each g_m included, is a canonical triple (p, q, d).  The
+    recurrence is linear in g, so ``first`` scales the whole solution.
 
     Each g_m is one weighted sum of products over the pairs (k, m - k) with
-    both factors nonzero, divided by divisor(m): in Q(sqrt 3) an integer dot
-    product reduced once (``_dot``), for series the ring sum (``_ring_dot``).
+    both factors nonzero, divided by divisor(m): an integer dot product
+    reduced once (``_dot``).
     """
     weight, divisor = weights
     g = {} if n <= 0 else {0: first}
-    dot, is_zero = ((_dot, _ZERO_PQD.__eq__) if isinstance(first, tuple)
-                    else (_ring_dot, PuiseuxSeries.is_zero))
     support = sorted(u.items())
     # g_m vanishes unless m is a sum of indices of u, so a multiple of their gcd
     step = math.gcd(*u) or 1
@@ -776,8 +763,8 @@ def _grid_recurrence(u: Mapping[int, object], n: int, first,
             if w:
                 terms.append((w, uk, prev))
         if terms:
-            value = dot(terms, divisor(m))
-            if not is_zero(value):
+            value = _dot(terms, divisor(m))
+            if value != _ZERO_PQD:
                 g[m] = value
     return g
 
@@ -888,37 +875,6 @@ class EtaExpansion:
     def integrate_x(self) -> "EtaExpansion":
         return EtaExpansion({k: s.integrate() for k, s in self.terms.items()},
                             self.truncation)
-
-    def inverse(self) -> "EtaExpansion":
-        """Inverse when the leading eta-coefficient is an invertible monomial."""
-        v = self.valuation()
-        if v is None:
-            raise ZeroDivisionError("division by identically-zero expansion")
-        lead = self.terms[v]
-        if len(lead._grid) != 1:
-            raise PreconditionError("inverse needs a single-monomial leading coefficient")
-        rel = self.truncation - v
-        lead_inv = lead.inverse()
-        # self = eta^{-v} lead (1 + u) with u of positive eta-valuation
-        u = {k - v: s * lead_inv for k, s in self.terms.items() if k != v}
-        g = _grid_recurrence(u, rel + 1, PuiseuxSeries.one(lead.variable), _power_weights(-2))
-        return EtaExpansion({k - v: s * lead_inv for k, s in g.items()}, rel - v)
-
-    def __truediv__(self, other: "EtaExpansion") -> "EtaExpansion":
-        return self * other.inverse()
-
-    def exp(self) -> "EtaExpansion":
-        """exp of an expansion supported on strictly positive eta^-1 powers."""
-        v = self.valuation()
-        if v is None:
-            var = "x"
-            return EtaExpansion({0: PuiseuxSeries.one(var)}, self.truncation)
-        if v <= 0:
-            raise PreconditionError("exp requires strictly positive eta^-1 valuation")
-        var = self.terms[v].variable
-        g = _grid_recurrence(self.terms, self.truncation + 1, PuiseuxSeries.one(var),
-                             _EXP_WEIGHTS)
-        return EtaExpansion(g, self.truncation)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EtaExpansion):

@@ -4,11 +4,11 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from exactwkb.airy_wkb import (check_even_is_log_derivative, closed_form_coefficients,
+from exactwkb.airy_wkb import (X_VAR, check_even_is_log_derivative, closed_form_coefficients,
                                integrate_s_odd, riccati_recurrence, riccati_residual,
                                split_odd_even, wkb_coefficient_stream)
 from exactwkb.errors import PreconditionError
-from exactwkb.series import PuiseuxSeries
+from exactwkb.series import EtaExpansion, PuiseuxSeries
 
 
 def fraction_route_stream(order, sign):
@@ -100,9 +100,25 @@ class TestSplitAndIntegrate:
         assert s_even.coeff(0).coeff(-1) == Fr(-1, 4)
         assert s_even.coeff(2).coeff(-4) == Fr(-15, 64)
 
-    def test_even_part_is_log_derivative(self, solution):
-        s_odd, s_even = split_odd_even(solution)
+    @pytest.mark.parametrize("order", [2, 12, 24])
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_even_part_is_log_derivative(self, order, sign):
+        s_odd, s_even = split_odd_even(riccati_recurrence(order, sign))
         assert check_even_is_log_derivative(s_odd, s_even)
+
+    @pytest.mark.parametrize("k", [0, 4, 12])
+    def test_a_changed_even_coefficient_is_not_the_log_derivative(self, solution, k):
+        s_odd, s_even = split_odd_even(solution)
+        changed = dict(s_even.terms)
+        changed[k] = s_even.coeff(k) + PuiseuxSeries.monomial(X_VAR, Fr(-(3 * k + 2), 2),
+                                                              Fr(1, 1024))
+        assert not check_even_is_log_derivative(s_odd, EtaExpansion(changed, s_even.truncation))
+
+    @pytest.mark.parametrize("k", [0, 4, 12])
+    def test_an_even_part_without_a_term_is_not_the_log_derivative(self, solution, k):
+        s_odd, s_even = split_odd_even(solution)
+        dropped = {j: s for j, s in s_even.terms.items() if j != k}
+        assert not check_even_is_log_derivative(s_odd, EtaExpansion(dropped, s_even.truncation))
 
     def test_both_signs_share_the_split(self):
         plus = split_odd_even(riccati_recurrence(8, "+"))

@@ -255,6 +255,32 @@ class TestQuotientRing:
         with pytest.raises(PreconditionError):
             CubicFieldElement(0, 0, value)
 
+    @pytest.mark.parametrize("coefficients", [(S,), (0, S * S), (UNIT,)])
+    def test_an_element_that_carries_s_is_not_a_coefficient(self, coefficients):
+        with pytest.raises(PreconditionError, match="carries S"):
+            CubicFieldElement(*coefficients)
+
+    def test_only_an_element_free_of_s_has_a_numerator(self):
+        with pytest.raises(PreconditionError, match="carries S"):
+            S.numer
+        x = CubicFieldElement(X1 / (3 * DISC), 0, 0)
+        assert x.numer.terms() == [((1, 0), 1)]
+        assert x.denom.terms() == [((2, 0), 81), ((0, 3), 24)]
+
+    def test_every_element_is_rebuilt_from_its_coefficients(self, recursion):
+        for x in recursion.s_terms + recursion.t_terms:
+            assert all(not any(k & 7 for k in ci.num) for ci in x.c)
+            assert CubicFieldElement(*x.c) == x
+
+    def test_a_perturbed_coefficient_moves_the_element_by_its_s_term(self, recursion):
+        # the route of the bench's perturbation check
+        _, x1, x2 = pearcey.coefficient_field()
+        assert (x1, x2) == (CubicFieldElement(X1), CubicFieldElement(X2))
+        s = recursion.s(3)
+        perturbed = CubicFieldElement(s.c[0], s.c[1] + x2 / 1000, s.c[2])
+        assert perturbed - s == (x2 / 1000) * S
+        assert perturbed != s
+
     def test_the_unit_inverse_is_u_over_d(self):
         assert _UNIT == UNIT and _UNIT.inverse() == _UNIT_INV
         assert _UNIT * _UNIT_INV == CubicFieldElement(1)
@@ -385,8 +411,9 @@ class TestRingSum:
 
 class TestRingCost:
     """Sums of products are normalised once, no row division is tried that
-    fails, a ring product is one kernel call, and the recursion takes no
-    public ring products past S_0."""
+    fails, a ring product is one kernel call, and the recursion and its
+    checks take no public ring products: what does not depend on the order
+    is formed once, at import."""
 
     @staticmethod
     def _order_4_with_checks():
@@ -396,28 +423,30 @@ class TestRingCost:
     def test_normalisations_per_order_4_recursion_and_checks(self, monkeypatch):
         normalised = _results(monkeypatch, "_normalise")
         self._order_4_with_checks()
-        # a normalisation per product and per partial sum took 270
-        assert len(normalised) <= 100
+        # a normalisation per product and per partial sum took 270; 87 while
+        # S_0 and the unit's partials were formed per call, 76 now
+        assert len(normalised) <= 80
 
     def test_kernel_calls_per_order_4_recursion_and_checks(self, monkeypatch):
         products = _results(monkeypatch, "_mul")
         self._order_4_with_checks()
-        # one call per ring product, lift or derivative part: 222; the
-        # per-component products of a numerator triple took 2,078 calls
-        assert len(products) <= 250
+        # one call per ring product, lift or derivative part: 204 (222 while
+        # S_0 and the unit's partials were formed per call); the per-component
+        # products of a numerator triple took 2,078 calls
+        assert len(products) <= 215
 
     def test_no_row_division_fails(self, monkeypatch):
         quotients = _results(monkeypatch, "_row_divide")
         self._order_4_with_checks()
         assert quotients and all(q is not None for q in quotients)
 
-    def test_public_products_only_for_s0(self, monkeypatch):
+    def test_no_public_products(self, monkeypatch):
         calls = []
         mul = CubicFieldElement.__mul__
         monkeypatch.setattr(CubicFieldElement, "__mul__",
                             lambda a, b: calls.append(1) or mul(a, b))
         self._order_4_with_checks()
-        assert len(calls) == 2
+        assert len(calls) == 0
 
 
 class TestRecursion:
@@ -509,19 +538,12 @@ class TestRecursion:
                         for e1, e2 in ni} == {want}
 
     def test_a_term_differentiated_in_x2_for_x1_fails_the_weight_check(self, monkeypatch):
-        # d1_cache[0] = d2 S_0 in place of d1 S_0: every S_k from S_1 on reads it
-        s0 = pearcey_recursion(0).s(0)
-        d1 = CubicFieldElement.d1
-        calls = []
-
-        def mutated(self):
-            calls.append(self)
-            return self.d2() if len(calls) == 3 else d1(self)
-
-        monkeypatch.setattr(CubicFieldElement, "d1", mutated)
+        # d2 S_0 in place of d1 S_0, which every S_k from S_1 on reads
+        s_minus_1, s0 = pearcey_recursion(0).s_terms
+        assert pearcey._D1_S_LOW == (s_minus_1.d1(), s0.d1())
+        monkeypatch.setattr(pearcey, "_D1_S_LOW", (s_minus_1.d1(), s0.d2()))
         with pytest.raises(VerificationError, match="S_1 is not weighted homogeneous"):
             pearcey_recursion(1)
-        assert calls[2] == s0
 
 
 class TestAgainstFieldOracle:
@@ -596,12 +618,10 @@ class TestAgainstFieldOracle:
         # N / (q D^m) with rational, negative and unit leading coefficients
         value, other = n / DISC ** m, n_other / DISC ** m_other
         a, b = CubicFieldElement(value, other).c[:2]
-        assert str(a) == str(value)
-        assert str(-a) == str(-value)
-        assert str(a / -6) == str(value / -6)
-        assert str(a + b) == str(value + other)
-        assert str(a - b) == str(value - other)
-        assert str(a * b) == str(value * other)
+        for x, field_value in ((a, value), (-a, -value), (a / -6, value / -6),
+                               (a + b, value + other), (a - b, value - other),
+                               (a * b, value * other)):
+            assert repr(x) == f"({field_value}) + (0)*S + (0)*S^2"
 
 
 def run_in_a_fresh_interpreter(script: str):
@@ -621,7 +641,8 @@ class TestNoSympy:
             import sys
             import exactwkb
             from exactwkb.pearcey import (CubicFieldElement, check_closedness,
-                                          check_primitives, pearcey_recursion)
+                                          check_primitives, coefficient_field,
+                                          pearcey_recursion)
             rec = pearcey_recursion(4)
             assert check_closedness(rec).passed and check_primitives(rec).passed
             for term in rec.s_terms + rec.t_terms:
@@ -631,6 +652,10 @@ class TestNoSympy:
             s = rec.s(-1)
             unit = 6 * s * s + CubicFieldElement.x2()
             assert unit * unit.inverse() == CubicFieldElement(1)
+            _, x1, x2 = coefficient_field()
+            s3 = rec.s(3)
+            perturbed = CubicFieldElement(s3.c[0], s3.c[1] + x2 / 1000, s3.c[2])
+            assert perturbed - s3 == (x2 / 1000) * s
             assert "sympy" not in sys.modules, "sympy was imported"
         """)
         run_in_a_fresh_interpreter(script)

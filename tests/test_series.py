@@ -116,13 +116,6 @@ class TestCompositions:
         with pytest.raises(PreconditionError):
             P.one("s", 3).exp()
 
-    def test_eta_expansion_exp(self):
-        e = EtaExpansion({1: P.monomial("x", Fr(-3, 2), Fr(5, 48))}, 2)
-        result = e.exp()
-        assert result.coeff(0) == P.one("x")
-        assert result.coeff(1) == P.monomial("x", Fr(-3, 2), Fr(5, 48))
-        assert result.coeff(2) == P.monomial("x", Fr(-3), Fr(25, 4608))
-
 
 def small_scalars():
     fractions = st.fractions(min_value=-3, max_value=3, max_denominator=6)
