@@ -18,7 +18,7 @@ from .pearcey import (CubicFieldElement, PearceyBranch, annihilation_residuals,
 from .resummation import (AiryValues, BorelSum, StokesContext, airy_reference,
                           classify_stokes, laplace_sum, verify_airy_connection,
                           verify_voros)
-from .series import EtaExpansion, ExactScalar, PuiseuxSeries
+from .series import ExactScalar, PuiseuxSeries
 from .weyl import WeylElement, pearcey_operators, verify_operator_identities
 
 __version__ = "0.1.0"

@@ -2,15 +2,20 @@
 
 The Riccati recurrence below produces the coefficient stream S_j; each S_j is
 forced by weighted homogeneity to be a single monomial c_j * x^(-(3j+2)/2).
+So S = sum_j eta^-j S_j is x^-1 f(w) with f = sum_j c_j w^j, in the one
+variable w = eta^-1 x^-3/2, and every identity below is an identity of
+w-series: since dw/dx = -(3/2) w / x, x^2 d/dx (x^-1 f) = -f - (3/2) w f'.
+A primitive in x carries no x^-1: x^-1 w^j has the primitive -2/(3j) w^j.
 The normalized solution pair carries the unit prefactor
 eta^(-1/2) x^(-1/4) exp(+-(2/3) x^(3/2) eta) as metadata only, so every number
 stored here is an exact rational.
 
-The recurrence runs on the integers N_j = c_j 8^(j+1).  The coefficient
-stream is built from those integers too: its inputs 1 + A and +-B, the even
-part and the primitive of S_odd, are rational series made straight from
-integer numerator/denominator pairs, and its coefficients are read off the
-kernel's product.  No Fraction arithmetic is done per term.
+The recurrence runs on the integers N_j = c_j 8^(j+1), and they are laid on
+the w grid in one place (``_w_series``): the solution's f, its odd and even
+parts, and the coefficient stream's inputs 1 + A = w f_odd and +-B, the
+primitive of f_odd past its w^-1 phase term, are all read from there.  The
+stream's coefficients are read off the kernel's product, so no Fraction
+arithmetic is done per term.
 
 Two independent derivations of the same coefficients are exposed: the
 recurrence-driven stream (via the odd-part primitive) and the closed product
@@ -23,41 +28,50 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .series import EtaExpansion, PuiseuxSeries
+from .series import PuiseuxSeries, _reduce
 
-X_VAR = "x"
 W_VAR = "w"  # shorthand for the combination eta^-1 x^-3/2
 
 DEFAULT_ORDER = 24
 
 
-def _monomial_exponent(j: int) -> Fraction:
-    return Fraction(-(3 * j + 2), 2)
-
-
 @dataclass(frozen=True)
 class RiccatiSolution:
-    """Truncated formal solution of S' + S^2 = eta^2 x.
+    """Truncated formal solution of S' + S^2 = eta^2 x, as f = x S.
 
-    ``coeffs[j]`` is the rational coefficient of x^(-(3j+2)/2) in S_j for
-    j = -1 .. order (index shifted by one in the tuple).
+    ``numerators[j + 1]`` is the Riccati integer N_j = c_j 8^(j+1), and c_j
+    is the coefficient of w^j in f, for j = -1 .. order.
     """
 
     sign: str
     order: int
-    coeffs: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """c_-1 .. c_order."""
+        return tuple(Fraction(n_j, 8 ** i) for i, n_j in enumerate(self.numerators))
 
     def coefficient(self, j: int) -> Fraction:
         if j < -1 or j > self.order:
             raise PreconditionError(f"S_{j} not computed (order {self.order})")
-        return self.coeffs[j + 1]
+        return Fraction(self.numerators[j + 1], 8 ** (j + 1))
 
-    def term(self, j: int) -> PuiseuxSeries:
-        return PuiseuxSeries.monomial(X_VAR, _monomial_exponent(j), self.coefficient(j))
+    def series(self) -> PuiseuxSeries:
+        """f = sum_(j=-1..order) c_j w^j, known below w^(order+1)."""
+        return _w_series(self.numerators, range(-1, self.order + 1))
 
-    def as_expansion(self) -> EtaExpansion:
-        return EtaExpansion(
-            {j: self.term(j) for j in range(-1, self.order + 1)}, self.order)
+
+def _w_series(n, js: range, s: int = 1) -> PuiseuxSeries:
+    """sum_(j in js) s N_j / 8^(j+1) w^j, known below w^(js.stop), from the
+    Riccati integers n[j + 1] = N_j."""
+    return PuiseuxSeries.from_grid(W_VAR, [(2 * j, s * n[j + 1], 8 ** (j + 1)) for j in js],
+                                   js.stop)
+
+
+def _x2_d_dx(f: PuiseuxSeries) -> PuiseuxSeries:
+    """x^2 d/dx (x^-1 f(w)) = -f - (3/2) w f'."""
+    return -f - f.differentiate().shift(1) * Fraction(3, 2)
 
 
 def _require_order_and_sign(order: int, sign: str) -> None:
@@ -93,68 +107,53 @@ def _riccati_integers(order: int, s: int) -> list[int]:
 
 
 def riccati_recurrence(order: int = DEFAULT_ORDER, sign: str = "+") -> RiccatiSolution:
-    """Compute S_-1 .. S_order for the chosen square-root branch.
-
-    The recurrence runs on the integers N_j = c_j 8^(j+1) of
-    ``_riccati_integers``, and the Fractions are built once, at the end.
-    """
+    """Compute S_-1 .. S_order for the chosen square-root branch, as the
+    integers N_j of ``_riccati_integers``."""
     _require_order_and_sign(order, sign)
-    n = _riccati_integers(order, 1 if sign == "+" else -1)
-    coeffs = tuple(Fraction(n_j, 8 ** (j + 1)) for j, n_j in enumerate(n, start=-1))
-    return RiccatiSolution(sign, order, coeffs)
+    return RiccatiSolution(sign, order, tuple(_riccati_integers(order, 1 if sign == "+" else -1)))
 
 
-def riccati_residual(solution: RiccatiSolution) -> EtaExpansion:
-    """S' + S^2 - eta^2 x for the truncated S; only high eta^-1 powers survive."""
-    s = solution.as_expansion()
-    residual = s.d_dx() + s * s - EtaExpansion(
-        {-2: PuiseuxSeries.monomial(X_VAR, 1)}, s.truncation)
-    return residual
+def riccati_residual(solution: RiccatiSolution) -> PuiseuxSeries:
+    """x^2 (S' + S^2 - eta^2 x) = -f - (3/2) w f' + f^2 - w^-2 for the
+    truncated f = x S; it is known below w^order, and vanishes there."""
+    f = solution.series()
+    return _x2_d_dx(f) + f * f - PuiseuxSeries.monomial(W_VAR, -2)
 
 
-def split_odd_even(solution: RiccatiSolution) -> tuple[EtaExpansion, EtaExpansion]:
-    """Split S into its odd and even eta^-1 parts (relative to the + branch).
+def split_odd_even(solution: RiccatiSolution) -> tuple[PuiseuxSeries, PuiseuxSeries]:
+    """(f_odd, f_even): f's odd and even powers of w, relative to the + branch.
 
-    For the "-" branch the odd part is negated first, so that both branches
-    satisfy S = sign * S_odd + S_even with a common S_odd.
+    For the "-" branch the odd part is negated, so that both branches
+    satisfy f = sign * f_odd + f_even with a common f_odd.
     """
     if solution.order < 2:
         raise PreconditionError("need order >= 2 to split odd and even parts")
+    n, stop = solution.numerators, solution.order + 1
     flip = 1 if solution.sign == "+" else -1
-    odd = {}
-    even = {}
-    for j in range(-1, solution.order + 1):
-        term = solution.term(j)
-        if j % 2:  # odd j, includes j = -1
-            odd[j] = term * flip
-        else:
-            even[j] = term
-    return (EtaExpansion(odd, solution.order), EtaExpansion(even, solution.order))
+    return _w_series(n, range(-1, stop, 2), flip), _w_series(n, range(0, stop, 2))
 
 
-def check_even_is_log_derivative(s_odd: EtaExpansion, s_even: EtaExpansion) -> bool:
-    """Termwise check of S_even = -(1/2) d/dx log S_odd up to the truncation.
+def check_even_is_log_derivative(s_odd: PuiseuxSeries, s_even: PuiseuxSeries) -> bool:
+    """Check S_even = -(1/2) d/dx log S_odd up to the truncation.
 
-    S_odd leads with eta x^(1/2), a unit, so the identity holds exactly when
-    its product form -2 S_even S_odd = S_odd' does, which takes no inverse."""
-    lhs = (s_even * s_odd).scale(-2)
-    rhs = s_odd.d_dx()
-    trunc = min(lhs.truncation, rhs.truncation)
-    return all(k in lhs.terms and k in rhs.terms and lhs.terms[k].same_terms(rhs.terms[k])
-               for k in {*lhs.terms, *rhs.terms} if k <= trunc)
+    S_odd = x^-1 f_odd leads with the unit eta x^(1/2), so the identity holds
+    exactly when its product form -2 S_even S_odd = S_odd' does, which takes
+    no inverse: times x^2, -2 f_even f_odd = -f_odd - (3/2) w f_odd'."""
+    return (s_even * s_odd * 2 + _x2_d_dx(s_odd)).is_zero()
 
 
-def integrate_s_odd(s_odd: EtaExpansion) -> EtaExpansion:
-    """Primitive of S_odd with all integration constants forced to zero.
+def integrate_s_odd(s_odd: PuiseuxSeries) -> PuiseuxSeries:
+    """The x-primitive of S_odd = x^-1 f_odd(w), integration constants zero.
 
     The contour-integral normalization amounts to the plain termwise primitive
-    c x^e -> c x^(e+1)/(e+1); exponent -1 never occurs here and signals
-    corrupted input.
+    x^-1 c w^j -> -2c/(3j) w^j; a w^0 term, S_odd's x^-1 term, never occurs
+    here and signals corrupted input.
     """
-    try:
-        return s_odd.integrate_x()
-    except PreconditionError as exc:
-        raise PreconditionError(f"unexpected x^-1 term in S_odd: {exc}") from exc
+    if 0 in s_odd._grid:
+        raise PreconditionError("unexpected x^-1 term in S_odd: it has no termwise primitive")
+    # c w^(h/2) -> -4c / (3h) w^(h/2)
+    grid = {h: _reduce(-4 * p, -4 * q, 3 * h * d) for h, (p, q, d) in s_odd._grid.items()}
+    return PuiseuxSeries._trusted(s_odd.variable, grid, s_odd._limit)
 
 
 @dataclass(frozen=True)
@@ -164,35 +163,23 @@ class WkbCoefficientStream:
     sign: str
     coeffs: tuple[Fraction, ...]
 
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
 
 def wkb_coefficient_stream(order: int = DEFAULT_ORDER, sign: str = "+") -> WkbCoefficientStream:
     """Expand (1 + A)^(-1/2) exp(sign * B) where A, B come from the recurrence.
 
-    A collects the even part of S_odd / (eta x^(1/2)) - 1 and B the primitive
-    of the odd tail; both are series in w = eta^-1 x^-3/2.  For odd j the
-    Riccati integers N_j = c_j 8^(j+1) give them directly: A has
-    a_(j+1) = N_j / 8^(j+1), and B has b_j = -2 N_j / (3j 8^(j+1)), the
-    primitive c_j x^(e_j+1) / (e_j+1) with e_j + 1 = -3j/2.  The kernel takes
-    the inverse square root, the exponential and one product; the stream is
-    read off the product's rational coefficients, so the result is exact.
+    Both are series in w = eta^-1 x^-3/2, read from the Riccati integers
+    through ``_w_series``: 1 + A = w f_odd, which is S_odd / (eta x^(1/2)),
+    and B is the primitive of f_odd past its w^-1 term, the phase
+    (2/3) eta x^(3/2) that the prefactor carries.  The kernel takes the
+    inverse square root, the exponential and one product; the stream is read
+    off the product's rational coefficients, so the result is exact.
     """
     _require_order_and_sign(order, sign)
-    s = 1 if sign == "+" else -1
-    n = _riccati_integers(order, 1)  # n[j + 1] = N_j
-    one_plus_a = [(0, 1, 1)]
-    phase = []
-    for j in range(1, order + 1, 2):
-        scale = 8 ** (j + 1)
-        # eta^-j S_j / (eta x^(1/2)) = c_j w^(j+1), on the grid h = 2(j+1)
-        if j + 1 <= order:
-            one_plus_a.append((2 * j + 2, n[j + 1], scale))
-        phase.append((2 * j, -2 * s * n[j + 1], 3 * j * scale))
-    trunc = order + 1
-    amplitude = PuiseuxSeries.from_grid(W_VAR, one_plus_a, trunc).inv_sqrt()
-    stream = amplitude * PuiseuxSeries.from_grid(W_VAR, phase, trunc).exp()
+    n = _riccati_integers(order, 1)
+    # 1 + A = w f_odd below the stream's truncation w^(order + 1): j < order
+    amplitude = _w_series(n, range(-1, order, 2)).shift(1).inv_sqrt()
+    phase = integrate_s_odd(_w_series(n, range(1, order + 1, 2), 1 if sign == "+" else -1))
+    stream = amplitude * phase.exp()
     coeffs = [Fraction(0)] * (order + 1)
     # read off the kernel's grid: one Fraction per coefficient
     for h, (p, q, d) in stream._grid.items():

@@ -79,13 +79,6 @@ _D_PARTIALS = ({_X1: 54}, {2 * _X2: 24})
 _TO_X1, _TO_X2 = _X1 - 3, _X2 - 2
 
 
-def _pack(e1: int, e2: int) -> int:
-    """The key of x1^e1 x2^e2."""
-    if e1 < 0 or not 0 <= e2 < 1 << 19:
-        raise PreconditionError(f"x1^{e1} x2^{e2} does not fit a packed key")
-    return e1 << 24 | e2 << 3
-
-
 def _exponents(key: int) -> tuple:
     """(a, b) of the key of x1^a x2^b S^i."""
     return key >> 24, key >> 3 & _B_BITS
@@ -237,39 +230,18 @@ def _normalise(n: dict, q: int, m: int) -> tuple:
     return n, q, m
 
 
-def _integral(terms) -> tuple:
-    """(p, a) with p a packed integer polynomial and sum(terms) = p / a, a > 0."""
-    terms = [(_pack(*e), Fraction(int(c.numerator), int(c.denominator))) for e, c in terms]
-    a = lcm(*(c.denominator for _, c in terms))
-    return {k: int(c * a) for k, c in terms if c}, a
-
-
 def _split(value) -> tuple:
     """(numerator, q, k) with value = numerator / (q D^k), the numerator packed,
-    for an int, a Fraction, an element of the ring free of S, taken as it is
-    stored, or a rational function read through ``.numer``/``.denom``
-    ``.terms()`` (an element of sympy's field).  An element that carries S
-    raises ``PreconditionError``."""
+    for an int, a Fraction or an element of the ring free of S, taken as it is
+    stored.  An element that carries S, and any other value, raises
+    ``PreconditionError``."""
     if isinstance(value, (int, Fraction)):
         value = Fraction(value)
         return ({0: value.numerator} if value else {}), value.denominator, 0
     if isinstance(value, CubicFieldElement):
         return value.numer.p, value.q, value.m
-    try:
-        num, a = _integral(value.numer.terms())
-        den, b = _integral(value.denom.terms())
-    except (AttributeError, TypeError, ValueError):
-        raise PreconditionError(
-            f"coefficient {value!r} is not an int, a Fraction or a rational "
-            "function of x1, x2") from None
-    rest, k = _strip_d(den)
-    if set(rest) != {0}:
-        raise PreconditionError(
-            f"coefficient {value} has a denominator that is not a constant "
-            "times a power of 27 x1^2 + 8 x2^3")
-    # value = (num / a) / (rest D^k / b)
-    r = rest[0] * a
-    return _mul({}, num, _ONE, b if r > 0 else -b), abs(r), k
+    raise PreconditionError(
+        f"coefficient {value!r} is not an int, a Fraction or an element free of S")
 
 
 def _poly_str(p: dict) -> str:
@@ -326,14 +298,13 @@ class CubicFieldElement:
     of S is a coefficient of Q(x1, x2): ``numer`` and ``denom`` read its N and
     its expanded q D^m through ``terms()`` as sympy's polynomials are read,
     and ``numer`` raises ``PreconditionError`` on an element that carries S.
-    The constructor takes the three coefficients as ints, Fractions, elements
-    free of S or rational functions of x1, x2 (read through
-    ``.numer``/``.denom`` ``.terms()``) whose reduced denominator is a constant
-    times a power of D, and raises ``PreconditionError`` for any other
-    denominator (1/x1, say), an element that carries S and any other value (a
-    float, say).  The ring is Q[x1, x2][1/D][S]/(cubic), not the field
-    Q(x1, x2)[S]/(cubic): ``inverse`` raises ``PreconditionError`` for an
-    element that is not a unit of it, such as 0 or x1.
+    The constructor takes the three coefficients as ints, Fractions or
+    elements free of S, and raises ``PreconditionError`` for an element that
+    carries S and for any other value (a float, say).  The ring is
+    Q[x1, x2][1/D][S]/(cubic), not the field Q(x1, x2)[S]/(cubic): ``inverse``
+    raises ``PreconditionError`` for an element that is not a unit of it, such
+    as 0 or x1, and so does a division by one.  A division by an int or a
+    Fraction multiplies by its reciprocal.
     """
 
     __slots__ = ("num", "q", "m", "_n", "_c")
@@ -474,6 +445,10 @@ class CubicFieldElement:
             abs(r), max(k - self.m, 0))
 
     def __truediv__(self, other) -> "CubicFieldElement":
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                raise PreconditionError("division by zero in the cubic ring")
+            return self * Fraction(1, other)
         return self * _element(other).inverse()
 
     # -- derivatives -----------------------------------------------------------

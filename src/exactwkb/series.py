@@ -1,6 +1,5 @@
-"""Exact arithmetic substrate: rationals adjoined sqrt(3), truncated Puiseux
-series with half-integer exponents, and finite expansions in the large
-parameter.
+"""Exact arithmetic substrate: rationals adjoined sqrt(3) and truncated
+Puiseux series with half-integer exponents.
 
 Everything here is immutable and exact.  Floating point enters only through
 the explicit ``complex()``/``float()`` conversions used by the numeric
@@ -28,9 +27,6 @@ grid, with integer weights, after normalising f = lead x^v (1 + u):
   (Knuth, TAOCP vol. 2, 4.7);
 - exp(u) from g' = u' g: g_m = (1/m) sum_k k u_k g_{m-k} (Brent & Kung,
   J. ACM 25, 1978).
-
-Eta-expansions are finite sums of series; they add, multiply, differentiate
-and integrate termwise, and take no recurrence.
 """
 
 from __future__ import annotations
@@ -558,16 +554,6 @@ class PuiseuxSeries:
         return PuiseuxSeries._trusted(self.variable, grid,
                                       None if self._limit is None else self._limit - 2)
 
-    def integrate(self) -> "PuiseuxSeries":
-        """Term-by-term primitive with no integration constant."""
-        if -2 in self._grid:
-            raise PreconditionError("cannot integrate an exponent -1 term termwise")
-        # c var^(h/2) has the primitive 2c / (h + 2) var^(h/2 + 1)
-        grid = {h + 2: _reduce(2 * p, 2 * q, (h + 2) * d)
-                for h, (p, q, d) in self._grid.items()}
-        return PuiseuxSeries._trusted(self.variable, grid,
-                                      None if self._limit is None else self._limit + 2)
-
     # -- compositions --------------------------------------------------------
 
     def truncate(self, order) -> "PuiseuxSeries":
@@ -783,111 +769,3 @@ def _power_weights(p2: int):
 # exp(u): g' = u' g, so g_m = (1/m) sum_k k u_k g_{m-k}
 _EXP_WEIGHTS = ((lambda k, m: k), (lambda m: m))
 
-
-class EtaExpansion:
-    """A finite sum over integer k of eta^(-k) * (Puiseux series in x).
-
-    ``truncation`` is the largest represented k, i.e. the expansion is valid
-    modulo eta^-(truncation+1).  Negative k (positive powers of eta) are
-    allowed; the Riccati data starts at k = -1.
-    """
-
-    __slots__ = ("terms", "truncation")
-
-    def __init__(self, terms: Mapping[int, PuiseuxSeries] | Iterable[tuple],
-                 truncation: int):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: dict[int, PuiseuxSeries] = {}
-        for k, series in items:
-            if not isinstance(series, PuiseuxSeries):
-                raise TypeError("EtaExpansion terms must be PuiseuxSeries")
-            if k > truncation or series.is_zero():
-                continue
-            if k in clean:
-                series = clean[k] + series
-            clean[k] = series
-        clean = {k: s for k, s in clean.items() if not s.is_zero()}
-        object.__setattr__(self, "terms", dict(sorted(clean.items())))
-        object.__setattr__(self, "truncation", int(truncation))
-
-    def __setattr__(self, *_):
-        raise AttributeError("EtaExpansion is immutable")
-
-    def __reduce__(self):
-        return EtaExpansion, (self.terms, self.truncation)
-
-    @classmethod
-    def zero(cls, truncation: int) -> "EtaExpansion":
-        return cls({}, truncation)
-
-    def coeff(self, k: int) -> PuiseuxSeries | None:
-        return self.terms.get(k)
-
-    def valuation(self) -> int | None:
-        if not self.terms:
-            return None
-        return next(iter(self.terms))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "EtaExpansion") -> "EtaExpansion":
-        trunc = min(self.truncation, other.truncation)
-        merged = dict(self.terms)
-        for k, s in other.terms.items():
-            merged[k] = merged[k] + s if k in merged else s
-        return EtaExpansion(merged, trunc)
-
-    def __neg__(self) -> "EtaExpansion":
-        return EtaExpansion({k: -s for k, s in self.terms.items()}, self.truncation)
-
-    def __sub__(self, other: "EtaExpansion") -> "EtaExpansion":
-        return self + (-other)
-
-    def scale(self, c) -> "EtaExpansion":
-        return EtaExpansion({k: s * ExactScalar.coerce(c) for k, s in self.terms.items()},
-                            self.truncation)
-
-    def __mul__(self, other) -> "EtaExpansion":
-        if isinstance(other, (int, Fraction, ExactScalar)):
-            return self.scale(other)
-        va = self.valuation()
-        vb = other.valuation()
-        if va is None or vb is None:
-            return EtaExpansion.zero(min(self.truncation, other.truncation))
-        trunc = min(self.truncation + vb, other.truncation + va)
-        out: dict[int, PuiseuxSeries] = {}
-        for k1, s1 in self.terms.items():
-            for k2, s2 in other.terms.items():
-                k = k1 + k2
-                if k > trunc:
-                    continue
-                prod = s1 * s2
-                out[k] = out[k] + prod if k in out else prod
-        return EtaExpansion(out, trunc)
-
-    __rmul__ = __mul__
-
-    def d_dx(self) -> "EtaExpansion":
-        return EtaExpansion({k: s.differentiate() for k, s in self.terms.items()},
-                            self.truncation)
-
-    def integrate_x(self) -> "EtaExpansion":
-        return EtaExpansion({k: s.integrate() for k, s in self.terms.items()},
-                            self.truncation)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EtaExpansion):
-            return NotImplemented
-        return self.terms == other.terms and self.truncation == other.truncation
-
-    def same_terms(self, other: "EtaExpansion") -> bool:
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[k].same_terms(other.terms[k]) for k in self.terms)
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return f"0 + O(eta^-{self.truncation + 1})"
-        parts = [f"eta^{-k}*({s!r})" for k, s in self.terms.items()]
-        return " + ".join(parts) + f" + O(eta^-{self.truncation + 1})"

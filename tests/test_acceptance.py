@@ -46,12 +46,13 @@ def test_criterion_1_exact_coefficient_reproduction():
         sol = airy_wkb.riccati_recurrence(6, "+")
         s_odd, s_even = airy_wkb.split_odd_even(sol)
         prim = airy_wkb.integrate_s_odd(s_odd)
-        ok = (s_odd.coeff(1).coeff(Fr(-5, 2)) == Fr(-5, 32)
-              and s_odd.coeff(3).coeff(Fr(-11, 2)) == Fr(-1105, 2048)
-              and s_even.coeff(2).coeff(Fr(-4)) == Fr(-15, 64)
-              and prim.coeff(-1).coeff(Fr(3, 2)) == Fr(2, 3)
-              and prim.coeff(1).coeff(Fr(-3, 2)) == Fr(5, 48)
-              and prim.coeff(3).coeff(Fr(-9, 2)) == Fr(1105, 9216))
+        # S = x^-1 f(w), w = eta^-1 x^-3/2: eta^-j S_j is the w^j term
+        ok = (s_odd.coeff(1) == Fr(-5, 32)
+              and s_odd.coeff(3) == Fr(-1105, 2048)
+              and s_even.coeff(2) == Fr(-15, 64)
+              and prim.coeff(-1) == Fr(2, 3)
+              and prim.coeff(1) == Fr(5, 48)
+              and prim.coeff(3) == Fr(1105, 9216))
     _report("criterion 1: exact Riccati/odd-part coefficients", sw, ok)
 
 

@@ -1,14 +1,15 @@
 """Riccati recurrence, odd/even split, primitives and coefficient streams."""
 
+from dataclasses import replace
 from fractions import Fraction as Fr
 
 import pytest
 
-from exactwkb.airy_wkb import (X_VAR, check_even_is_log_derivative, closed_form_coefficients,
+from exactwkb.airy_wkb import (W_VAR, check_even_is_log_derivative, closed_form_coefficients,
                                integrate_s_odd, riccati_recurrence, riccati_residual,
                                split_odd_even, wkb_coefficient_stream)
 from exactwkb.errors import PreconditionError
-from exactwkb.series import EtaExpansion, PuiseuxSeries
+from exactwkb.series import PuiseuxSeries
 
 
 def fraction_route_stream(order, sign):
@@ -41,6 +42,13 @@ def solution():
     return riccati_recurrence(12, "+")
 
 
+def with_numerator_plus_two(solution, j):
+    """The solution with N_j = c_j 8^(j+1) raised by 2, the recurrence not rerun."""
+    n = list(solution.numerators)
+    n[j + 1] += 2
+    return replace(solution, numerators=tuple(n))
+
+
 class TestRecurrence:
     @pytest.mark.parametrize("j,coeff", [
         (-1, Fr(1)),
@@ -54,10 +62,11 @@ class TestRecurrence:
         assert solution.coefficient(j) == coeff
 
     def test_monomial_exponent_law(self, solution):
-        for j in range(-1, solution.order + 1):
-            term = solution.term(j)
-            exponents = list(term.terms)
-            assert exponents == [Fr(-(3 * j + 2), 2)]
+        # eta^-j c_j x^(-(3j+2)/2) = x^-1 c_j w^j: S_j is the w^j term of f = x S
+        f = solution.series()
+        assert f.variable == W_VAR and f.truncation == solution.order + 1
+        assert f.terms == {Fr(j): solution.coefficient(j)
+                           for j in range(-1, solution.order + 1)}
 
     @pytest.mark.parametrize("order", [24, 40, 120])
     @pytest.mark.parametrize("sign", ["+", "-"])
@@ -72,33 +81,38 @@ class TestRecurrence:
             c.append(-(c[j + 1] * Fr(-(3 * j + 2), 2) + full) / (2 * c[0]))
         assert riccati_recurrence(order, sign).coeffs == tuple(c)
 
-    def test_residual_vanishes_to_truncation(self, solution):
-        residual = riccati_residual(solution)
+    @pytest.mark.parametrize("order", [2, 12, 24, 40])
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_residual_vanishes_to_truncation(self, order, sign):
+        residual = riccati_residual(riccati_recurrence(order, sign))
+        assert residual.variable == W_VAR
         assert residual.is_zero()
-        assert residual.truncation == solution.order - 1
+        assert residual.truncation == order
+
+    @pytest.mark.parametrize("j", [1, 5, 11])
+    def test_a_changed_numerator_leaves_a_residual(self, solution, j):
+        # c_j + 2/8^(j+1) first shows in f^2 as 2 c_-1 (2/8^(j+1)) w^(j-1)
+        residual = riccati_residual(with_numerator_plus_two(solution, j))
+        assert residual.truncation == solution.order
+        assert residual.valuation() == j - 1
 
     def test_minus_branch_parity(self, solution):
         minus = riccati_recurrence(12, "-")
         for j in range(-1, 13):
             assert minus.coefficient(j) == (-1) ** j * solution.coefficient(j)
 
-    def test_weighted_homogeneity_of_exponents(self, solution):
-        # (x, eta) -> (l^2 x, l^-3 eta) multiplies eta^-j x^e by l^(2e + 3j);
-        # every term of S must scale like S itself, i.e. weight -2... +1 for
-        # the eta-power bookkeeping handled per term below
-        for j in range(-1, solution.order + 1):
-            e = Fr(-(3 * j + 2), 2)
-            assert 2 * e + 3 * j == -2
-
 
 class TestSplitAndIntegrate:
     def test_split_reproduces_display(self, solution):
         s_odd, s_even = split_odd_even(solution)
-        assert s_odd.coeff(-1).coeff(Fr(1, 2)) == 1
-        assert s_odd.coeff(1).coeff(Fr(-5, 2)) == Fr(-5, 32)
-        assert s_odd.coeff(3).coeff(Fr(-11, 2)) == Fr(-1105, 2048)
-        assert s_even.coeff(0).coeff(-1) == Fr(-1, 4)
-        assert s_even.coeff(2).coeff(-4) == Fr(-15, 64)
+        assert s_odd.coeff(-1) == 1
+        assert s_odd.coeff(1) == Fr(-5, 32)
+        assert s_odd.coeff(3) == Fr(-1105, 2048)
+        assert s_even.coeff(0) == Fr(-1, 4)
+        assert s_even.coeff(2) == Fr(-15, 64)
+        assert {e.numerator % 2 for e in s_odd.terms} == {1}
+        assert {e.numerator % 2 for e in s_even.terms} == {0}
+        assert s_odd.truncation == s_even.truncation == solution.order + 1
 
     @pytest.mark.parametrize("order", [2, 12, 24])
     @pytest.mark.parametrize("sign", ["+", "-"])
@@ -109,16 +123,21 @@ class TestSplitAndIntegrate:
     @pytest.mark.parametrize("k", [0, 4, 12])
     def test_a_changed_even_coefficient_is_not_the_log_derivative(self, solution, k):
         s_odd, s_even = split_odd_even(solution)
-        changed = dict(s_even.terms)
-        changed[k] = s_even.coeff(k) + PuiseuxSeries.monomial(X_VAR, Fr(-(3 * k + 2), 2),
-                                                              Fr(1, 1024))
-        assert not check_even_is_log_derivative(s_odd, EtaExpansion(changed, s_even.truncation))
+        changed = s_even + PuiseuxSeries.monomial(W_VAR, k, Fr(1, 1024))
+        assert changed.truncation == s_even.truncation
+        assert not check_even_is_log_derivative(s_odd, changed)
 
     @pytest.mark.parametrize("k", [0, 4, 12])
     def test_an_even_part_without_a_term_is_not_the_log_derivative(self, solution, k):
         s_odd, s_even = split_odd_even(solution)
-        dropped = {j: s for j, s in s_even.terms.items() if j != k}
-        assert not check_even_is_log_derivative(s_odd, EtaExpansion(dropped, s_even.truncation))
+        dropped = s_even - PuiseuxSeries.monomial(W_VAR, k, s_even.coeff(k))
+        assert Fr(k) not in dropped.terms and dropped.truncation == s_even.truncation
+        assert not check_even_is_log_derivative(s_odd, dropped)
+
+    @pytest.mark.parametrize("j", [1, 5, 11])
+    def test_a_changed_odd_numerator_is_not_the_log_derivative(self, solution, j):
+        assert not check_even_is_log_derivative(
+            *split_odd_even(with_numerator_plus_two(solution, j)))
 
     def test_both_signs_share_the_split(self):
         plus = split_odd_even(riccati_recurrence(8, "+"))
@@ -127,10 +146,24 @@ class TestSplitAndIntegrate:
         assert plus[1].same_terms(minus[1])
 
     def test_primitive_values(self, solution):
-        prim = integrate_s_odd(split_odd_even(solution)[0])
-        assert prim.coeff(-1).coeff(Fr(3, 2)) == Fr(2, 3)
-        assert prim.coeff(1).coeff(Fr(-3, 2)) == Fr(5, 48)
-        assert prim.coeff(3).coeff(Fr(-9, 2)) == Fr(1105, 9216)
+        s_odd = split_odd_even(solution)[0]
+        prim = integrate_s_odd(s_odd)
+        assert prim.coeff(-1) == Fr(2, 3)
+        assert prim.coeff(1) == Fr(5, 48)
+        assert prim.coeff(3) == Fr(1105, 9216)
+        assert list(prim.terms) == list(s_odd.terms)
+        assert prim.truncation == s_odd.truncation
+
+    def test_the_primitive_differentiates_back(self, solution):
+        # d/dx P(w) = x^-1 (-(3/2) w P'(w)), so -(3/2) w P' = f_odd
+        s_odd = split_odd_even(solution)[0]
+        prim = integrate_s_odd(s_odd)
+        assert (prim.differentiate().shift(1) * Fr(-3, 2)).same_terms(s_odd)
+
+    def test_an_x_to_the_minus_one_term_has_no_primitive(self):
+        # x^-1 w^0: its primitive is a logarithm
+        with pytest.raises(PreconditionError, match="x\\^-1 term"):
+            integrate_s_odd(PuiseuxSeries(W_VAR, {-1: 1, 0: Fr(1, 3)}, 3))
 
     def test_split_needs_enough_order(self):
         with pytest.raises(PreconditionError):

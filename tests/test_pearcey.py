@@ -3,6 +3,7 @@
 import copy
 import importlib.util
 import json
+import math
 import os
 import pickle
 import random
@@ -23,7 +24,7 @@ from sympy.polys.fields import field
 from exactwkb import pearcey
 from exactwkb.errors import NumericError, PreconditionError, VerificationError
 from exactwkb.pearcey import (_D, _RING_ONE, _UNIT, _UNIT_INV, CubicFieldElement,
-                              PearceyBranch, _divide_by_d, _mul, _nonzero, _pack,
+                              PearceyBranch, _divide_by_d, _mul, _nonzero,
                               _ring_sum, _row_divide, _vanishes_on_curve,
                               annihilation_residuals,
                               branch_partials, check_closedness, check_primitives,
@@ -36,9 +37,11 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # the oracle's own field: sympy's Q(x1, x2), which cancels every fraction by a gcd
 F, X1, X2 = field("x1 x2", QQ)
-S = CubicFieldElement.root()
-UNIT = CubicFieldElement(X2, 0, 6)  # 6 S^2 + x2
 DISC = 27 * X1 ** 2 + 8 * X2 ** 3
+S = CubicFieldElement.root()
+RING_X1, RING_X2 = CubicFieldElement.x1(), CubicFieldElement.x2()
+RING_DISC = 27 * RING_X1 * RING_X1 + 8 * RING_X2 * RING_X2 * RING_X2
+UNIT = CubicFieldElement(RING_X2, 0, 6)  # 6 S^2 + x2
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +176,33 @@ def field_denominator_is_unit_power(triples):
     return True
 
 
+def key(e1, e2):
+    """The packed key of x1^e1 x2^e2."""
+    return e1 << 24 | e2 << 3
+
+
+def ring(value):
+    """A value of F whose reduced denominator is a constant times a power of D,
+    as the ring element free of S built from its normalised (num, q, m)."""
+    den, m = value.denom, 0
+    while True:
+        quotient, rest = divmod(den, DISC.numer)
+        if rest:
+            break
+        den, m = quotient, m + 1
+    assert den.is_ground, f"{value} has a denominator that is not a power of D"
+    # value = sum_e b_e x^e / D^m, each b_e = a_e / den a Fraction
+    constant = Fr(int(den.LC.numerator), int(den.LC.denominator))
+    b = {e: Fr(int(a.numerator), int(a.denominator)) / constant for e, a in value.numer.terms()}
+    q = math.lcm(*(c.denominator for c in b.values()))
+    return CubicFieldElement._new({key(*e): int(c * q) for e, c in b.items()}, q, m)
+
+
+def ring_triple(a):
+    """The ring element c0 + c1 S + c2 S^2 of a field triple."""
+    return CubicFieldElement(*map(ring, a))
+
+
 def field_of(element):
     """The three coefficients of a ring element as reduced elements of F, read
     through ``.numer``/``.denom`` ``.terms()``."""
@@ -208,7 +238,7 @@ def field_triples():
 class TestQuotientRing:
     def test_defining_relation(self):
         s_cubed = S * S * S
-        assert (s_cubed - CubicFieldElement(-X1 / 4, -X2 / 2, 0)).is_zero()
+        assert (s_cubed - CubicFieldElement(-RING_X1 / 4, -RING_X2 / 2, 0)).is_zero()
 
     def test_implicit_first_derivative(self):
         # 2 (6 S^2 + x2) dS/dx1 + 1 = 0
@@ -232,24 +262,25 @@ class TestQuotientRing:
     def test_inverse_stays_in_the_ring(self):
         # x1 is invertible in Q(x1, x2) but not in Q[x1, x2][1/D]
         with pytest.raises(PreconditionError):
-            CubicFieldElement(X1).inverse()
+            CubicFieldElement(RING_X1).inverse()
 
-    @pytest.mark.parametrize("coefficients", [(1 / X1,), (0, X2 / (X1 * DISC)),
-                                              (0, 0, 1 / (DISC + 1))])
-    def test_denominator_outside_powers_of_d_rejected(self, coefficients):
-        with pytest.raises(PreconditionError):
-            CubicFieldElement(*coefficients)
+    @pytest.mark.parametrize("numerator, denominator", [
+        (1, RING_X1), (RING_X2, RING_X1 * RING_DISC), (1, RING_DISC + 1)])
+    def test_denominator_outside_powers_of_d_rejected(self, numerator, denominator):
+        with pytest.raises(PreconditionError, match="not a unit"):
+            CubicFieldElement(numerator) / denominator
 
     def test_field_coefficients_with_powers_of_d_accepted(self):
-        a = CubicFieldElement(X1 / (3 * DISC ** 2), Fr(2, 7), X2)
+        a = CubicFieldElement(RING_X1 / (3 * RING_DISC * RING_DISC), Fr(2, 7), RING_X2)
         assert a.m == 2
         assert field_of(a) == (X1 / (3 * DISC ** 2), F(QQ(2, 7)), X2)
+        assert ring(X1 / (3 * DISC ** 2)) == a.c[0]
 
     @pytest.mark.parametrize("value", [float("nan"), 0.5, 1.0, "x1", None, 1j,
-                                       X1.numer, [1, 2]])
+                                       X1.numer, X1, X2 / DISC, [1, 2]])
     def test_other_coefficients_rejected(self, value):
-        # a float is not silently made exact, and a polynomial of sympy's
-        # ring (no numer/denom) is not a rational function
+        # a float is not silently made exact, and a value of sympy's ring or
+        # field is not read: the oracle converts its values on its own side
         with pytest.raises(PreconditionError):
             CubicFieldElement(value)
         with pytest.raises(PreconditionError):
@@ -263,7 +294,7 @@ class TestQuotientRing:
     def test_only_an_element_free_of_s_has_a_numerator(self):
         with pytest.raises(PreconditionError, match="carries S"):
             S.numer
-        x = CubicFieldElement(X1 / (3 * DISC), 0, 0)
+        x = CubicFieldElement(RING_X1 / (3 * RING_DISC), 0, 0)
         assert x.numer.terms() == [((1, 0), 1)]
         assert x.denom.terms() == [((2, 0), 81), ((0, 3), 24)]
 
@@ -275,23 +306,45 @@ class TestQuotientRing:
     def test_a_perturbed_coefficient_moves_the_element_by_its_s_term(self, recursion):
         # the route of the bench's perturbation check
         _, x1, x2 = pearcey.coefficient_field()
-        assert (x1, x2) == (CubicFieldElement(X1), CubicFieldElement(X2))
+        assert (x1, x2) == (CubicFieldElement(RING_X1), CubicFieldElement(RING_X2))
         s = recursion.s(3)
         perturbed = CubicFieldElement(s.c[0], s.c[1] + x2 / 1000, s.c[2])
         assert perturbed - s == (x2 / 1000) * S
         assert perturbed != s
+
+    def test_a_scalar_divisor_is_a_product_by_its_reciprocal(self):
+        rec = pearcey_recursion(4)
+        for x in rec.s_terms + rec.t_terms:
+            assert x / 1000 == x * Fr(1, 1000)
+            assert x / Fr(3, 7) == x * Fr(7, 3)
+            assert x / -2 == x * Fr(-1, 2)
+
+    def test_a_scalar_division_takes_no_inverse(self, monkeypatch):
+        calls = []
+        inverse = CubicFieldElement.inverse
+        monkeypatch.setattr(CubicFieldElement, "inverse",
+                            lambda u: calls.append(1) or inverse(u))
+        x = pearcey_recursion(4).s(4)
+        x / 1000, x / Fr(3, 7)
+        assert calls == []
+        assert x / UNIT == x * _UNIT_INV and calls == [1]
+
+    @pytest.mark.parametrize("zero", [0, Fr(0), CubicFieldElement()])
+    def test_a_division_by_zero_raises(self, zero):
+        with pytest.raises(PreconditionError):
+            S / zero
 
     def test_the_unit_inverse_is_u_over_d(self):
         assert _UNIT == UNIT and _UNIT.inverse() == _UNIT_INV
         assert _UNIT * _UNIT_INV == CubicFieldElement(1)
 
     def test_an_x2_degree_past_the_packed_field_raises(self):
-        big = CubicFieldElement(X2 ** (2 ** 18 - 1))
+        big = CubicFieldElement._new({key(0, 2 ** 18 - 1): 1}, 1, 0)
         assert big.n[0] == {(0, 2 ** 18 - 1): 1}
         with pytest.raises(PreconditionError, match="packed key"):
             big * big * CubicFieldElement.x2() * CubicFieldElement.x2()
         with pytest.raises(PreconditionError, match="packed key"):
-            CubicFieldElement(X2 ** (2 ** 19))
+            CubicFieldElement._new({key(0, 2 ** 19): 1}, 1, 0)
 
     @pytest.mark.parametrize("how", [copy.copy, copy.deepcopy,
                                      lambda v: pickle.loads(pickle.dumps(v))])
@@ -302,7 +355,7 @@ class TestQuotientRing:
             assert (y.n, y.q, y.m) == (x.n, x.q, x.m) and repr(y) == repr(x)
 
     def test_derivative_is_a_derivation(self):
-        a = S * S + CubicFieldElement(X1, 0, 0) * S
+        a = S * S + CubicFieldElement(RING_X1, 0, 0) * S
         b = UNIT
         lhs = (a * b).d1()
         rhs = a.d1() * b + a * b.d1()
@@ -318,7 +371,7 @@ def integer_polynomials(max_degree=6, max_terms=6):
 
 def packed(p: dict) -> dict:
     """{(e1, e2): c} as the ring packs it."""
-    return {_pack(e1, e2): c for (e1, e2), c in p.items()}
+    return {key(e1, e2): c for (e1, e2), c in p.items()}
 
 
 def numerator(n: tuple) -> dict:
@@ -361,8 +414,8 @@ class TestDivisibilityByD:
            st.integers(-40, 40).filter(bool))
     def test_a_multiple_plus_one_term_is_not_divided(self, p, e1, e2, c):
         q = times_d(packed(p))
-        key = _pack(e1, e2)
-        q[key] = q.get(key, 0) + c
+        k = key(e1, e2)
+        q[k] = q.get(k, 0) + c
         q = _nonzero(q)
         assert not _vanishes_on_curve(q)
         assert _row_divide(dict(q)) is None and _divide_by_d(q) is None
@@ -391,8 +444,8 @@ class TestRingSum:
                     min_size=1, max_size=4),
            st.lists(st.tuples(weights(), field_triples()), max_size=2))
     def test_the_sum_equals_the_chained_operations(self, products, linear):
-        terms = [(w, CubicFieldElement(*a), CubicFieldElement(*b)) for w, a, b in products]
-        terms += [(w, CubicFieldElement(*a), _RING_ONE) for w, a in linear]
+        terms = [(w, ring_triple(a), ring_triple(b)) for w, a, b in products]
+        terms += [(w, ring_triple(a), _RING_ONE) for w, a in linear]
         chained = CubicFieldElement()
         for w, a, b in terms:
             chained = chained + CubicFieldElement.scalar(w) * a * b
@@ -562,7 +615,7 @@ class TestAgainstFieldOracle:
     @settings(max_examples=40, deadline=None)
     @given(field_triples(), field_triples())
     def test_ring_operations(self, a, b):
-        x, y = CubicFieldElement(*a), CubicFieldElement(*b)
+        x, y = ring_triple(a), ring_triple(b)
         assert field_of(x) == a
         assert field_of(x + y) == field_add(a, b)
         assert field_of(x - y) == field_add(a, tuple(-ci for ci in b))
@@ -575,18 +628,18 @@ class TestAgainstFieldOracle:
            st.integers(0, 2), st.integers(0, 2), st.integers(-1, 1))
     def test_inverse_of_units(self, c, p, q, r):
         # c (6 S^2 + x2)^p (8 x2^2 - 18 x1 S + 24 x2 S^2)^q D^r
-        u = CubicFieldElement.scalar(c) * CubicFieldElement(DISC ** r)
+        u = CubicFieldElement.scalar(c) * CubicFieldElement(ring(DISC ** r))
         for _ in range(p):
             u = u * UNIT
         for _ in range(q):
-            u = u * CubicFieldElement(8 * X2 ** 2, -18 * X1, 24 * X2)
+            u = u * CubicFieldElement(8 * RING_X2 * RING_X2, -18 * RING_X1, 24 * RING_X2)
         assert field_of(u.inverse()) == field_inverse(field_of(u))
         assert (u * u.inverse()) == CubicFieldElement(1)
 
     @settings(max_examples=25, deadline=None)
     @given(field_triples())
     def test_inverse_exactly_for_units(self, a):
-        x = CubicFieldElement(*a)
+        x = ring_triple(a)
         try:
             expected = field_inverse(a)
         except ZeroDivisionError:
@@ -600,8 +653,8 @@ class TestAgainstFieldOracle:
     @settings(max_examples=40, deadline=None)
     @given(field_triples(), field_triples())
     def test_equal_elements_hash_equal(self, a, b):
-        x = CubicFieldElement(*a)
-        d = CubicFieldElement(DISC)
+        x = ring_triple(a)
+        d = RING_DISC
         routes = [CubicFieldElement(*x.c), (x * d) * d.inverse(), (x + 1) - 1,
                   CubicFieldElement._new(numerator(x.n), x.q, x.m),
                   CubicFieldElement._new(times_d(numerator(x.n)), x.q, x.m + 1),
@@ -609,7 +662,7 @@ class TestAgainstFieldOracle:
                                          6 * x.q, x.m)]
         for other in routes:
             assert other == x and hash(other) == hash(x)
-        y = CubicFieldElement(*b)
+        y = ring_triple(b)
         assert (x == y) == (a == b)
 
     @settings(max_examples=60, deadline=None)
@@ -617,7 +670,7 @@ class TestAgainstFieldOracle:
     def test_coefficients_print_as_the_field(self, n, m, n_other, m_other):
         # N / (q D^m) with rational, negative and unit leading coefficients
         value, other = n / DISC ** m, n_other / DISC ** m_other
-        a, b = CubicFieldElement(value, other).c[:2]
+        a, b = CubicFieldElement(ring(value), ring(other)).c[:2]
         for x, field_value in ((a, value), (-a, -value), (a / -6, value / -6),
                                (a + b, value + other), (a - b, value - other),
                                (a * b, value * other)):
