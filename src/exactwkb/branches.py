@@ -38,7 +38,7 @@ from itertools import pairwise, repeat
 from operator import add, itemgetter, mul
 
 from .airy_borel import borel_series
-from .errors import NumericError, PreconditionError
+from .errors import NumericError, PreconditionError, VerificationError
 from .series import ExactScalar, PuiseuxSeries
 
 SQRT3 = 3.0 ** 0.5
@@ -155,6 +155,13 @@ def _g_series_shape(shape: int, n_terms: int) -> PuiseuxSeries:
     x_series = _x_series_shape(shape, n_terms + 2)
     c = _local_c_series("t", Fraction(n_terms + 2, 2))
     return (x_series / c).truncate(Fraction(n_terms - 1, 2))
+
+
+def _anchor_series(anchor: int, n_terms: int) -> list[PuiseuxSeries]:
+    """The series of G_1, G_2, G_3 at a base point, to ``n_terms``
+    half-integer steps in the local variable."""
+    return [_g_series_shape(index if anchor == 0 else _LABEL_SWAP_AT_1[index], n_terms)
+            for index in (1, 2, 3)]
 
 
 @dataclass(frozen=True)
@@ -320,8 +327,7 @@ def _anchor_terms(anchor: int) -> tuple:
     """The series of ``anchored_g_triple`` at an anchor, converted from the
     exact coefficients once: the powers of the local root they use, and per
     branch its complex coefficients with a getter of their powers' values."""
-    series = [_g_series_shape(index if anchor == 0 else _LABEL_SWAP_AT_1[index],
-                              ANCHOR_SERIES_TERMS).terms for index in (1, 2, 3)]
+    series = [g.terms for g in _anchor_series(anchor, ANCHOR_SERIES_TERMS)]
     powers = sorted({int(2 * e) for terms in series for e in terms})
     where = {power: k for k, power in enumerate(powers)}
     return tuple(powers), tuple(
@@ -661,30 +667,42 @@ def _loop_path(s: complex, center: complex):
 
 def monodromy_triple(s: complex, triple: tuple, center: complex) -> tuple:
     """Continue the ordered triple once counterclockwise around ``center``,
-    along ``_loop_path``."""
+    along ``_loop_path``: the numeric loop that the tests hold
+    ``loop_permutation`` against."""
     return continue_triple([s, *_loop_path(s, center)], triple)
 
 
-def monodromy_permutation(s: complex, triple: tuple,
-                          center: complex) -> tuple[int, int, int]:
-    """The permutation pi of the ordered triple by one counterclockwise loop
-    around ``center``: the looped value of entry i is ``triple[pi[i]]``.
+def loop_permutation(anchor: int, n_terms: int = ANCHOR_SERIES_TERMS) -> tuple[int, int, int]:
+    """The permutation pi of the branch triple by one loop around the base
+    point ``anchor``, read from its exact series: the looped value of entry i
+    is entry pi[i].
 
-    ``center`` is the base point 0 (y = -(2/3) x^(3/2)) or 1 (y = +(2/3)
-    x^(3/2)); counterclockwise in s is the same orientation in y for every x.
-    The discontinuity of entry i is ``triple[pi[i]] - triple[i]``: with the
-    labeling used here, Delta at 0 of branch 2 is g_1 - g_2 and Delta at 1 of
-    branch 3 is g_1 - g_3.
+    A loop around the base point turns the local root u^(1/2) into -u^(1/2),
+    so branch i continued round it has the series of G_i with the terms of
+    odd grid index negated, and it goes to the one branch whose series that
+    is.  The negation is its own inverse, so either orientation of the loop
+    gives pi.  A summation ray carries the labels of its base point's series
+    outward, and G branches only at s = 0, 1 and infinity, so pi is also the
+    permutation of the ray's triple by a loop round that base point from any
+    point of the ray (``monodromy_triple``).  The discontinuity of entry i is
+    then ``triple[pi[i]] - triple[i]``: Delta at 0 of branch 2 is g_1 - g_2,
+    and Delta at 1 of branch 3 is g_1 - g_3.  ``n_terms`` defaults to the
+    series ``anchored_g_triple`` evaluates.
 
-    Raises NumericError when a looped value does not match one entry of the
-    triple under the MATCH_MARGIN rule of the tracker.
+    Raises PreconditionError for an anchor other than 0 or 1, and
+    VerificationError when a negated series equals none of the three, or
+    more than one.
     """
-    looped = monodromy_triple(s, triple, center)
-    scale = max(1.0, max(abs(g) for g in triple))
-    perm = _match_indices(looped, triple, scale)
-    if perm is None:
-        raise NumericError(f"looped triple at s = {s} matches no permutation of the triple")
-    return perm
+    if anchor not in (0, 1):
+        raise PreconditionError(f"anchor must be 0 or 1, got {anchor}")
+    series = _anchor_series(anchor, n_terms)
+    images = [[j for j, other in enumerate(series) if other == looped]
+              for looped in (g.negate_root() for g in series)]
+    if any(len(found) != 1 for found in images):
+        raise VerificationError(
+            f"a loop round s = {anchor} sends branches 1, 2, 3 to the branches "
+            f"{images} (counted from 0), not to one each")
+    return tuple(found[0] for found in images)
 
 
 # ---------------------------------------------------------------------------
@@ -699,17 +717,31 @@ class BranchIdentityReport:
     sum_zero_anchor0: bool
     sum_zero_anchor1: bool
     two_g1_plus_g2_form: bool
+    loop_anchor0: str | None
+    loop_anchor1: str | None
 
     @property
     def passed(self) -> bool:
         return (self.plus_identity and self.minus_identity
                 and self.sum_zero_anchor0 and self.sum_zero_anchor1
-                and self.two_g1_plus_g2_form)
+                and self.two_g1_plus_g2_form
+                and self.loop_anchor0 == "(1 2)" and self.loop_anchor1 == "(1 3)")
 
 
 def _series_equal_through(a: PuiseuxSeries, b: PuiseuxSeries, order: Fraction) -> bool:
     exps = {e for e in a.terms if e <= order} | {e for e in b.terms if e <= order}
     return all(a.coeff(e) == b.coeff(e) for e in exps)
+
+
+def _loop_cycles(anchor: int, n_terms: int) -> str | None:
+    """``loop_permutation`` in cycle notation on the labels 1..3, "()" for
+    the identity, or None where the series give no permutation.  The
+    permutation is an involution, so its cycles are transpositions."""
+    try:
+        perm = loop_permutation(anchor, n_terms)
+    except VerificationError:
+        return None
+    return "".join(f"({i + 1} {j + 1})" for i, j in enumerate(perm) if i < j) or "()"
 
 
 def verify_branch_identities(order: int) -> BranchIdentityReport:
@@ -719,7 +751,9 @@ def verify_branch_identities(order: int) -> BranchIdentityReport:
     sqrt(pi) x psi_plus_B  = (X_1 - X_2)/(s(1-s))^(1/2)   at the base point 0,
     sqrt(pi) x psi_minus_B / i = (X_1 - X_3)/(s(1-s))^(1/2) at the base point 1,
     plus the root-sum relation g_3 = -g_1 - g_2 at both base points and the
-    equivalent (2 g_1 + g_2) form of the minus combination.
+    equivalent (2 g_1 + g_2) form of the minus combination.  It reports the
+    loop permutation at each base point, read exactly from the same series
+    (``loop_permutation``): it must be (1 2) at s = 0 and (1 3) at s = 1.
     """
     if order < 2:
         raise PreconditionError("order must be >= 2")
@@ -727,8 +761,8 @@ def verify_branch_identities(order: int) -> BranchIdentityReport:
     half = ExactScalar(0, Fraction(1, 2))  # sqrt(3)/2
     limit = Fraction(order)
 
-    g_at_0 = [_g_series_shape(i, n_terms) for i in (1, 2, 3)]
-    g_at_1 = [_g_series_shape(_LABEL_SWAP_AT_1[i], n_terms) for i in (1, 2, 3)]
+    g_at_0 = _anchor_series(0, n_terms)
+    g_at_1 = _anchor_series(1, n_terms)
 
     borel_plus = borel_series(order + 2, "+").series
     lhs_plus = PuiseuxSeries("t", borel_plus.terms, borel_plus.truncation) * half
@@ -746,7 +780,8 @@ def verify_branch_identities(order: int) -> BranchIdentityReport:
     alt = (g_at_1[0] * 2 + g_at_1[1])
     alt_ok = _series_equal_through(alt, rhs_minus, limit)
 
-    return BranchIdentityReport(limit, plus_ok, minus_ok, zero0, zero1, alt_ok)
+    return BranchIdentityReport(limit, plus_ok, minus_ok, zero0, zero1, alt_ok,
+                                _loop_cycles(0, n_terms), _loop_cycles(1, n_terms))
 
 
 # ---------------------------------------------------------------------------

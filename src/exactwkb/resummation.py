@@ -13,15 +13,16 @@ part of the integral past the last tail panel is bounded from the decay of
 the last two panels.
 
 Across the Stokes line the "+" sum picks up a cut term.  It is i times the
-"-" sum, read through the permutation of the "-" ray triple by a numeric loop
-around s = 1: nothing is integrated a second time, the loops start from the
-branch field the "-" sum was summed along, and a loop that does not send
-branch 3 to branch 1 raises.
+"-" sum, read through the permutation of the "-" ray triple by a loop around
+s = 1: that permutation is read exactly from the local series at s = 1
+(``branches.loop_permutation``), nothing is integrated a second time, and a
+permutation that does not send branch 3 to branch 1 raises.
 
 The independent reference for the Airy identities is a from-scratch Maclaurin
 evaluation of Ai and Bi in configurable precision: its own series loop runs on
 integers scaled by 2^prec, and mpmath floats form the four values once from
-the sums.  In double precision it would be reliable to |z| <= 6; the working
+the sums; mpmath is imported on the oracle's first call, not with the
+package.  In double precision it would be reliable to |z| <= 6; the working
 precision is raised automatically beyond that.
 """
 
@@ -32,12 +33,9 @@ import cmath
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import mpmath
-
-from .branches import (SERIES_ZONE, anchored_g_triple, monodromy_permutation,
-                       step_triple)
+from .branches import SERIES_ZONE, anchored_g_triple, loop_permutation, step_triple
 from .errors import NumericError, PreconditionError, VerificationError
 
 TWO_PI_THIRDS = 2 * math.pi / 3
@@ -268,8 +266,8 @@ def _laplace_panels(eta: float, tol: float) -> tuple[list[float], float]:
     """The main u-panel edges of the Laplace integral and the panel width.
 
     The edges run from 0 to where e^(-u^2 eta) has fallen to tol * 1e-3, or
-    to e^(-30) if that is smaller; the quadrature's tail extension and the
-    far-end loop of ``gamma_term`` both start from the last edge."""
+    to e^(-30) if that is smaller; the quadrature's tail extension starts
+    from the last edge."""
     decay = max(-math.log(tol * 1e-3), 30.0)
     u_max = math.sqrt(decay / eta)
     width = 1.0 / math.sqrt(eta)
@@ -341,8 +339,7 @@ def _tail_bound(last: complex, previous: complex) -> float:
 
 @dataclass(frozen=True)
 class BorelSum:
-    """A Borel sum; ``ray`` is the branch field it was summed along, which the
-    cut term reads again, and takes no part in its repr or equality.
+    """A Borel sum, taken at the point ``x``.
 
     ``quadrature_error_estimate`` covers the quadrature panels and the tail
     only, not the rounding of the integrand values (tracked branch values and
@@ -356,7 +353,7 @@ class BorelSum:
     eta: float
     value: complex
     quadrature_error_estimate: float
-    ray: RayField | None = field(default=None, repr=False, compare=False)
+    x: complex
 
 
 def _require_summable(ctx: StokesContext):
@@ -378,7 +375,7 @@ def _require_quadrature_inputs(eta: float, tol: float):
 
 
 def _scaled_sum(sign: str, ctx: StokesContext, eta: float, alpha: complex,
-                raw: complex, err: float, ray: RayField | None = None) -> BorelSum:
+                raw: complex, err: float) -> BorelSum:
     """The Borel sum e^(-alpha eta) * raw, refusing a result that underflows
     or overflows."""
     try:
@@ -394,7 +391,7 @@ def _scaled_sum(sign: str, ctx: StokesContext, eta: float, alpha: complex,
     if raw != 0 and abs(value) < sys.float_info.min:
         raise NumericError(
             f"e^(-alpha eta) = {scale!r} underflows the sum at eta = {eta!r}")
-    return BorelSum(sign, ctx.region, eta, value, err * abs(scale), ray)
+    return BorelSum(sign, ctx.region, eta, value, err * abs(scale), ctx.x)
 
 
 def laplace_sum(sign: str, ctx: StokesContext, eta: float,
@@ -425,7 +422,7 @@ def laplace_sum(sign: str, ctx: StokesContext, eta: float,
         alpha = ctx.alpha_minus
 
     raw, err = _laplace_quadrature(integrand, eta, tol)
-    return _scaled_sum(sign, ctx, eta, alpha, raw, err, ray)
+    return _scaled_sum(sign, ctx, eta, alpha, raw, err)
 
 
 def gamma_term(ctx: StokesContext, minus: BorelSum) -> BorelSum:
@@ -433,51 +430,33 @@ def gamma_term(ctx: StokesContext, minus: BorelSum) -> BorelSum:
 
     The loop integral around the "-" cut is -1/sqrt(pi) times the Laplace
     integral of the discontinuity Delta g_3 = triple[pi(3)] - triple[3] of the
-    "-" ray triple, with pi the permutation of one counterclockwise loop around
-    s = 1.  The only branch points of G are s = 0, 1 and infinity (s = 1/2 is
-    an analytic crossing), so pi is the same at every point of the ray; where
-    it sends branch 3 to branch 1 that integrand is i times the "-" sum's
-    i (g_1 - g_3)/(sqrt(pi) x), and the cut term is i * minus with nothing
-    integrated again.  The permutation is read by two numeric loops, where the
-    ray leaves the series zone and at the far end of its Laplace range at
-    ``VOROS_QUAD_TOL`` (a BorelSum does not record its tol).  Both loops start
-    from triples of ``minus.ray``, the branch field the "-" sum was summed
-    along, so the ray is not tracked a second time.
+    "-" ray triple, with pi the permutation of one loop around s = 1.  The
+    only branch points of G are s = 0, 1 and infinity (s = 1/2 is an analytic
+    crossing), so pi is the same at every point of the ray, and it is the
+    permutation of the local series at s = 1, read exactly
+    (``branches.loop_permutation``).  Where it sends branch 3 to branch 1 that
+    integrand is i times the "-" sum's i (g_1 - g_3)/(sqrt(pi) x), and the cut
+    term is i * minus with nothing integrated or tracked again.
 
-    Raises PreconditionError unless ``minus`` is a "-" sum in ctx's region at a
-    valid eta, summed along the "-" ray of ctx.x; NumericError if the two loops
-    disagree, and VerificationError if the loop does not send branch 3 to
-    branch 1.
+    Raises PreconditionError unless ``minus`` is a "-" sum taken at ctx.x, in
+    ctx's region, at a valid eta; VerificationError if the permutation does
+    not send branch 3 to branch 1.
     """
     if minus.sign != "-" or minus.region != ctx.region:
         raise PreconditionError(
             f"the cut term takes the \"-\" sum in region {ctx.region!r}, "
             f"got a {minus.sign!r} sum in region {minus.region!r}")
-    _require_quadrature_inputs(minus.eta, VOROS_QUAD_TOL)
-    ray = minus.ray
-    if ray is None or ray.kappa != ctx.kappa:
+    _require_eta(minus.eta)
+    if minus.x != ctx.x:
         raise PreconditionError(
-            "the cut term reads the \"-\" ray its sum was summed along, "
-            f"at x = {ctx.x!r}")
-
-    def loop_permutation(t: float) -> tuple:
-        return monodromy_permutation(ctx.ray_point("-", t), ray.triple(t), 1.0 + 0j)
-
-    t_exit = _SERIES_HANDOFF / abs(ctx.kappa)
-    t_far = _laplace_panels(minus.eta, VOROS_QUAD_TOL)[0][-1] ** 2
-    perm = loop_permutation(t_exit)
-    if t_far > t_exit:
-        far = loop_permutation(t_far)
-        if far != perm:
-            raise NumericError(
-                f"monodromy permutation {far} at the far end of the ray differs "
-                f"from {perm} where it leaves the series zone")
+            f"the cut term takes the \"-\" sum at x = {ctx.x!r}, got one at {minus.x!r}")
+    perm = loop_permutation(1)
     if perm[2] != 0:
         raise VerificationError(
             f"the loop around s = 1 permutes the \"-\" ray triple by {perm}, "
             "which does not send branch 3 to branch 1")
     return BorelSum("+", minus.region, minus.eta, 1j * minus.value,
-                    minus.quadrature_error_estimate)
+                    minus.quadrature_error_estimate, ctx.x)
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +511,8 @@ def airy_reference(z: complex) -> AiryValues:
 def _airy_constants(dps: int) -> tuple:
     """c1 = Ai(0) = 3^(-2/3) / Gamma(2/3), c2 = -Ai'(0) = 3^(-1/3) / Gamma(1/3)
     and sqrt(3) at dps digits; dps takes a few hundred values at most."""
+    import mpmath
+
     with mpmath.workdps(dps):
         return (mpmath.power(3, mpmath.mpf(-2) / 3) / mpmath.gamma(mpmath.mpf(2) / 3),
                 mpmath.power(3, mpmath.mpf(-1) / 3) / mpmath.gamma(mpmath.mpf(1) / 3),
@@ -578,6 +559,8 @@ def _airy_series_attempt(z: complex, dps: int):
     can be as small as the product of z's parts, and they keep the error
     below that part's own last bit.
     """
+    import mpmath
+
     e = max([-math.frexp(part)[1] for part in (z.real, z.imag) if part] + [0])
     prec = math.ceil(dps * _LOG2_10) + AIRY_GUARD_BITS + 3 * e
     zr, zi = _fixed(z.real, prec), _fixed(z.imag, prec)
@@ -724,14 +707,15 @@ def verify_airy_connection(x: complex, eta: float,
 class VorosReport:
     """Jump of the "+" sum and invariance of the "-" sum across the Stokes line.
 
-    The cut term is i * (the "-" sum), read through the loop permutation
-    (``gamma_term``), so ``plus_residual`` is at rounding level by
-    construction; the permutation itself is checked by raising, not by this
-    residual.  ``minus_residual`` witnesses the oracle: the "-" sum against
-    ``minus_continued`` = 2 sqrt(pi) eta^(-1/3) Ai(eta^(2/3) x), from series
-    code shared with neither the Borel sums nor the branch tracking.  The cut
-    term held against i times that value would repeat this residual bit for
-    bit, since multiplying by i is exact, so the report carries no such field.
+    The cut term is i * (the "-" sum), read through the loop permutation at
+    s = 1 (``gamma_term``), so ``plus_residual`` is at rounding level by
+    construction; the permutation itself is read exactly from the local
+    series and checked by raising, not by this residual.  ``minus_residual``
+    witnesses the oracle: the "-" sum against ``minus_continued`` =
+    2 sqrt(pi) eta^(-1/3) Ai(eta^(2/3) x), from series code shared with
+    neither the Borel sums nor the branch tracking.  The cut term held against
+    i times that value would repeat this residual bit for bit, since
+    multiplying by i is exact, so the report carries no such field.
     """
 
     x: complex
@@ -754,8 +738,8 @@ def verify_voros(x: complex, eta: float) -> VorosReport:
     """Numerically witness the connection formula at a region-II point.
 
     The continued "+" sum comes from the deformed path (direct region-II ray
-    plus the cut term, i * (the "-" sum) once numeric loops show the
-    permutation that makes it so); the jump must equal i * (the "-" sum), and
+    plus the cut term, i * (the "-" sum) once the exact loop permutation at
+    s = 1 shows that it is so); the jump must equal i * (the "-" sum), and
     the "-" sum itself must not jump.  In region I the "-" sum is
     2 sqrt(pi) eta^(-1/3) Ai(eta^(2/3) x) (``verify_airy_connection`` holds it
     there); Ai is entire, so that value at x is the region-I sum continued, and

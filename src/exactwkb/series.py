@@ -490,6 +490,13 @@ class PuiseuxSeries:
 
     __rmul__ = __mul__
 
+    def negate_root(self) -> "PuiseuxSeries":
+        """The series with var^(1/2) replaced by -var^(1/2): every term of odd
+        grid index negated."""
+        return PuiseuxSeries._trusted(
+            self.variable, {h: (-p, -q, d) if h & 1 else (p, q, d)
+                            for h, (p, q, d) in self._grid.items()}, self._limit)
+
     def shift(self, exponent) -> "PuiseuxSeries":
         """Multiply by var^exponent."""
         d = _half(exponent, "exponent")
@@ -644,10 +651,6 @@ class PuiseuxSeries:
 
     def __hash__(self):
         return hash((self.variable, tuple(self._grid.items()), self._limit))
-
-    def same_terms(self, other: "PuiseuxSeries") -> bool:
-        """Coefficient-wise equality, ignoring truncation metadata."""
-        return self.variable == other.variable and self._grid == other._grid
 
     def __repr__(self) -> str:
         if not self.terms:

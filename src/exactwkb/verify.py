@@ -122,7 +122,8 @@ def branches_verify(order: int = 6) -> Report:
         "command": "branches verify",
         "config": {"order": order},
         **_fields(report, "plus_identity", "minus_identity", "sum_zero_anchor0",
-                  "sum_zero_anchor1", "two_g1_plus_g2_form", "passed"),
+                  "sum_zero_anchor1", "two_g1_plus_g2_form", "loop_anchor0",
+                  "loop_anchor1", "passed"),
     }, report.passed)
 
 

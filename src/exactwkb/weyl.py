@@ -151,22 +151,6 @@ class WeylElement:
             out = out * self
         return out
 
-    # -- action on polynomials ----------------------------------------------
-
-    def apply_to(self, poly: dict[tuple[int, int, int], Fraction]) -> dict:
-        """Act on a Laurent-in-eta polynomial sum of x1^p x2^q eta^r terms."""
-        out: dict[tuple[int, int, int], Fraction] = {}
-        for (a, b, c, d, e, f), coeff in self.terms.items():
-            for (p, q, r), pc in poly.items():
-                if d > p or e > q:
-                    continue
-                factor = _falling(p, d) * _falling(q, e) * _falling(r, f)
-                if factor == 0:
-                    continue
-                key = (p - d + a, q - e + b, r - f + c)
-                out[key] = out.get(key, 0) + coeff * pc * factor
-        return {k: v for k, v in out.items() if v != 0}
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
@@ -216,17 +200,20 @@ D1 = WeylElement.monomial(d1=1)
 D2 = WeylElement.monomial(d2=1)
 DETA = WeylElement.monomial(deta=1)
 
+# the annihilating operators of the Pearcey integral, and the auxiliary pair
+# that compares the two presentations of the system
+P1 = 4 * (D1 * D2) + 2 * (ETA * X2 * D1) + ETA * ETA * X1
+P2 = 4 * (D2 * D2) + ETA * X1 * D1 + 2 * (ETA * X2 * D2) + ETA
+P3 = ETA * D2 - D1 * D1
+P4 = 3 * (X1 * D1) + 2 * (X2 * D2) - 4 * (ETA * DETA) - WeylElement.scalar(1)
+Q1 = 4 * (D1 * D1 * D1) + 2 * (X2 * ETA * ETA * D1) + X1 * ETA * ETA * ETA
+Q2 = ETA * D2 - D1 * D1
+
 
 def pearcey_operators() -> dict[str, WeylElement]:
-    """The annihilating operators of the Pearcey integral and the auxiliary
-    pair used to compare the two presentations of the system."""
-    p1 = 4 * (D1 * D2) + 2 * (ETA * X2 * D1) + ETA * ETA * X1
-    p2 = 4 * (D2 * D2) + ETA * X1 * D1 + 2 * (ETA * X2 * D2) + ETA
-    p3 = ETA * D2 - D1 * D1
-    p4 = 3 * (X1 * D1) + 2 * (X2 * D2) - 4 * (ETA * DETA) - WeylElement.scalar(1)
-    q1 = 4 * (D1 * D1 * D1) + 2 * (X2 * ETA * ETA * D1) + X1 * ETA * ETA * ETA
-    q2 = ETA * D2 - D1 * D1
-    return {"P1": p1, "P2": p2, "P3": p3, "P4": p4, "Q1": q1, "Q2": q2}
+    """A fresh dict of the module's operators P1..P4, Q1 and Q2 by name; the
+    elements are the module's own, built once."""
+    return {"P1": P1, "P2": P2, "P3": P3, "P4": P4, "Q1": Q1, "Q2": Q2}
 
 
 @dataclass(frozen=True)
@@ -260,19 +247,16 @@ def verify_operator_identities() -> WeylReport:
         Q1 = eta P1 - 4 d1 P3
         eta   * P2 = d1 P1 + 2 (2 d2 + eta x2) P3
     """
-    ops = pearcey_operators()
-    p1, p2, p3, p4 = ops["P1"], ops["P2"], ops["P3"], ops["P4"]
-    q1, q2 = ops["Q1"], ops["Q2"]
     checks = (
         IdentityCheck("eta*P1 - (Q1 + 4*d1*Q2)", 1,
-                      ETA * p1 - (q1 + 4 * (D1 * q2))),
+                      ETA * P1 - (Q1 + 4 * (D1 * Q2))),
         IdentityCheck("eta^2*P2 - (d1*Q1 + (4*Q2 + 8*d1^2 + 2*eta^2*x2)*Q2)", 2,
-                      ETA * ETA * p2
-                      - (D1 * q1 + (4 * q2 + 8 * (D1 * D1)
-                                    + 2 * (ETA * ETA * X2)) * q2)),
+                      ETA * ETA * P2
+                      - (D1 * Q1 + (4 * Q2 + 8 * (D1 * D1)
+                                    + 2 * (ETA * ETA * X2)) * Q2)),
         IdentityCheck("Q1 - (eta*P1 - 4*d1*P3)", 0,
-                      q1 - (ETA * p1 - 4 * (D1 * p3))),
+                      Q1 - (ETA * P1 - 4 * (D1 * P3))),
         IdentityCheck("eta*P2 - (d1*P1 + 2*(2*d2 + eta*x2)*P3)", 1,
-                      ETA * p2 - (D1 * p1 + 2 * ((2 * D2 + ETA * X2) * p3))),
+                      ETA * P2 - (D1 * P1 + 2 * ((2 * D2 + ETA * X2) * P3))),
     )
     return WeylReport(checks)

@@ -12,6 +12,11 @@ from exactwkb.errors import PreconditionError
 from exactwkb.series import PuiseuxSeries
 
 
+def same_terms(a, b):
+    """Coefficient-wise equality of two series, their truncations left aside."""
+    return a.variable == b.variable and a.terms == b.terms
+
+
 def fraction_route_stream(order, sign):
     """The stream as (1 + A)^(-1/2) exp(sign B), with A and B built from the
     Fraction coefficients of the Riccati solution and read back by exponent:
@@ -142,8 +147,8 @@ class TestSplitAndIntegrate:
     def test_both_signs_share_the_split(self):
         plus = split_odd_even(riccati_recurrence(8, "+"))
         minus = split_odd_even(riccati_recurrence(8, "-"))
-        assert plus[0].same_terms(minus[0])
-        assert plus[1].same_terms(minus[1])
+        assert same_terms(plus[0], minus[0])
+        assert same_terms(plus[1], minus[1])
 
     def test_primitive_values(self, solution):
         s_odd = split_odd_even(solution)[0]
@@ -158,7 +163,7 @@ class TestSplitAndIntegrate:
         # d/dx P(w) = x^-1 (-(3/2) w P'(w)), so -(3/2) w P' = f_odd
         s_odd = split_odd_even(solution)[0]
         prim = integrate_s_odd(s_odd)
-        assert (prim.differentiate().shift(1) * Fr(-3, 2)).same_terms(s_odd)
+        assert same_terms(prim.differentiate().shift(1) * Fr(-3, 2), s_odd)
 
     def test_an_x_to_the_minus_one_term_has_no_primitive(self):
         # x^-1 w^0: its primitive is a logarithm

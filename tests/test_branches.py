@@ -19,11 +19,12 @@ from exactwkb.branches import (ANCHOR_SERIES_TERMS, CHART_TERMS, CHART_ZONE, COL
                                _step_triple_chart, _x_series_shape, step_triple,
                                anchored_g_triple, branch_series, continue_triple,
                                crossing_chart_series, default_sqrt_rule, g_pde_residuals,
-                               monodromy_triple, solve_cubic_g, solve_cubic_g_xy,
+                               loop_permutation, monodromy_triple, solve_cubic_g,
+                               solve_cubic_g_xy,
                                solve_cubic_x, sqrt_one_minus_s, sqrt_s,
                                trace_branch, verify_branch_identities)
 from exactwkb.cli import main as cli_main
-from exactwkb.errors import NumericError, PreconditionError
+from exactwkb.errors import NumericError, PreconditionError, VerificationError
 from exactwkb.series import ExactScalar, PuiseuxSeries as P
 
 SQRT3_4 = math.sqrt(3) / 4
@@ -753,7 +754,67 @@ class TestIdentities:
         assert report.sum_zero_anchor0
         assert report.sum_zero_anchor1
         assert report.two_g1_plus_g2_form
+        assert report.loop_anchor0 == "(1 2)"
+        assert report.loop_anchor1 == "(1 3)"
         assert report.passed
+
+
+def shape_1_for_shape_2(monkeypatch):
+    """Hand every reader of the anchor series shape 1 where it asks for
+    shape 2: G_2 at s = 0 and G_3 at s = 1 become copies of G_1."""
+    real = branches._g_series_shape
+    monkeypatch.setattr(branches, "_g_series_shape",
+                        lambda shape, n: real(1 if shape == 2 else shape, n))
+
+
+class TestExactLoopPermutation:
+    """The loop permutation read from the exact anchor series: a loop round a
+    base point negates the local root, so G_i goes to the branch whose series
+    is G_i with its half-integer powers negated."""
+
+    @pytest.mark.parametrize("n_terms", [8, 18, ANCHOR_SERIES_TERMS])
+    def test_the_permutation_is_the_same_at_every_order(self, n_terms):
+        assert loop_permutation(0, n_terms) == (1, 0, 2)
+        assert loop_permutation(1, n_terms) == (2, 1, 0)
+
+    def test_the_default_order_is_the_anchored_one(self):
+        assert loop_permutation(1) == loop_permutation(1, ANCHOR_SERIES_TERMS)
+
+    @pytest.mark.parametrize("n_terms", [8, 18, ANCHOR_SERIES_TERMS])
+    def test_the_conjugate_pairs_and_the_unramified_branch(self, n_terms):
+        at_0 = branches._anchor_series(0, n_terms)
+        at_1 = branches._anchor_series(1, n_terms)
+        assert at_0[0].negate_root() == at_0[1]
+        assert at_1[0].negate_root() == at_1[2]
+        # the third branch has whole powers only
+        for g in (at_0[2], at_1[1]):
+            assert g.negate_root() == g
+            assert all(e.denominator == 1 for e in g.terms)
+        # the wrong pair: G_1 against G_2 at s = 1
+        assert at_1[0].negate_root() != at_1[1]
+        assert at_1[0].negate_root() != at_1[0]
+
+    def test_the_numeric_loops_agree(self):
+        for anchor, s in ((0, 0.04), (1, 0.96)):
+            root = cmath.sqrt(s if anchor == 0 else 1 - s)
+            triple = anchored_g_triple(anchor, root)
+            looped = monodromy_triple(s, triple, float(anchor))
+            perm = loop_permutation(anchor)
+            assert max(abs(looped[i] - triple[perm[i]]) for i in range(3)) < 1e-9
+
+    def test_shape_1_in_place_of_shape_2_fails_both_anchor_checks(self, monkeypatch):
+        shape_1_for_shape_2(monkeypatch)
+        for anchor in (0, 1):
+            with pytest.raises(VerificationError, match=f"s = {anchor}"):
+                loop_permutation(anchor, 18)
+        report = verify_branch_identities(6)
+        assert report.loop_anchor0 is None and report.loop_anchor1 is None
+        assert not report.passed
+
+    def test_an_anchor_other_than_0_or_1_raises(self):
+        for anchor in (-1, 2, 0.5):
+            with pytest.raises(PreconditionError):
+                loop_permutation(anchor)
 
 
 class TestPdeSystem:

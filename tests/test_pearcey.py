@@ -727,6 +727,16 @@ class TestNoNumpy:
         """)
         run_in_a_fresh_interpreter(script)
 
+    def test_mpmath_loads_on_the_first_oracle_call(self):
+        script = textwrap.dedent("""
+            import sys
+            import exactwkb, exactwkb.cli
+            assert "mpmath" not in sys.modules, "mpmath was imported with the package"
+            exactwkb.airy_reference(1)
+            assert "mpmath" in sys.modules
+        """)
+        run_in_a_fresh_interpreter(script)
+
     def test_mpmath_is_the_only_runtime_dependency(self):
         tomllib = pytest.importorskip("tomllib")
         pyproject = ROOT / "pyproject.toml"

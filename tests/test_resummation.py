@@ -18,8 +18,7 @@ import pytest
 
 from exactwkb import branches, resummation
 from exactwkb.branches import (STEP_REACH, _loop_path, _match_indices, anchored_g_triple,
-                               continue_triple, monodromy_permutation, monodromy_triple,
-                               sqrt_s)
+                               continue_triple, loop_permutation, monodromy_triple, sqrt_s)
 from exactwkb.errors import NumericError, PreconditionError, VerificationError
 from exactwkb.resummation import (_SERIES_HANDOFF, AIRY_ORACLE_TOL, VOROS_QUAD_TOL,
                                   BorelSum, RayField, _laplace_quadrature, _scaled_sum,
@@ -45,6 +44,16 @@ def minus_sum(ctx, eta, tol=VOROS_QUAD_TOL):
     return laplace_sum("-", ctx, eta, tol)
 
 
+def numeric_loop_permutation(s, triple, center):
+    """The permutation of ``triple`` by one numeric loop from s around
+    ``center``: the looped value of entry i is ``triple[pi[i]]``, matched
+    under the tracker's MATCH_MARGIN rule."""
+    looped = monodromy_triple(s, triple, center)
+    perm = _match_indices(looped, triple, max(1.0, max(abs(g) for g in triple)))
+    assert perm is not None, f"looped triple at s = {s} matches no permutation"
+    return perm
+
+
 def delta_g3_cut(ctx, eta, tol):
     """The cut term as the Laplace integral of Delta g_3 along the "-" ray.
 
@@ -55,8 +64,8 @@ def delta_g3_cut(ctx, eta, tol):
     """
     ray = RayField(1, ctx.kappa)
     t_exit = _SERIES_HANDOFF / abs(ctx.kappa)
-    image = monodromy_permutation(ctx.ray_point("-", t_exit), ray.triple(t_exit),
-                                  1.0 + 0j)[2]
+    image = numeric_loop_permutation(ctx.ray_point("-", t_exit), ray.triple(t_exit),
+                                     1.0 + 0j)[2]
     inv_pref = 1.0 / (SQRT_PI * ctx.x)
 
     def integrand(t):
@@ -577,7 +586,7 @@ class TestConnectionFormulas:
             raw, err = _laplace_quadrature(swapped, minus.eta, VOROS_QUAD_TOL)
             wrong = _scaled_sum("-", ctx, minus.eta, ctx.alpha_minus, raw, err)
             return BorelSum("+", ctx.region, minus.eta, 1j * wrong.value,
-                            wrong.quadrature_error_estimate)
+                            wrong.quadrature_error_estimate, ctx.x)
 
         monkeypatch.setattr(resummation, "gamma_term", wrong_pair_gamma_term)
         report = verify_voros(cmath.exp(1j * math.pi / 6), 8.0)
@@ -646,7 +655,8 @@ class TestConnectionFormulas:
 
 
 class TestRayMonodromy:
-    """The once-per-ray permutation against a numeric loop at each node."""
+    """The exact loop permutations against numeric loops from nodes of the
+    "-" ray, and the cut term that reads the one at s = 1."""
 
     @pytest.mark.parametrize("center", [0.0, 1.0])
     @pytest.mark.parametrize("point", BENCH_POINTS)
@@ -664,53 +674,28 @@ class TestRayMonodromy:
             fine += [a + (b - a) * k / n for k in range(1, n)] + [b]
         walked = continue_triple(fine, triple)
         assert monodromy_triple(s, triple, center) == walked
+        # and the loop permutes the "-" ray triple as the exact series at its
+        # center do
         scale = max(1.0, max(abs(g) for g in triple))
-        assert monodromy_permutation(s, triple, center) == _match_indices(walked, triple, scale)
+        assert _match_indices(walked, triple, scale) == loop_permutation(int(center))
 
     @pytest.mark.parametrize("arg", [0.3, math.pi / 6, 1.9])
     def test_permutation_matches_loop_at_each_node(self, arg):
         """Branch 3 goes to branch 1 at every node, so the cut term is i * minus."""
         ctx = classify_stokes(cmath.exp(1j * arg))
         field = RayField(1, ctx.kappa)
-        # one node inside the 0.35 loop radius, two beyond it
-        for rho in (0.2, 0.9, 2.0):
-            t = rho / abs(ctx.kappa)
+        # one node inside the 0.35 loop radius, two beyond it, and the far end
+        # of the Laplace range at eta 8
+        t_far = resummation._laplace_panels(8.0, VOROS_QUAD_TOL)[0][-1] ** 2
+        for t in [rho / abs(ctx.kappa) for rho in (0.2, 0.9, 2.0)] + [t_far]:
             triple = field.triple(t)
-            looped = monodromy_triple(ctx.ray_point("-", t), triple, 1.0)
+            s = ctx.ray_point("-", t)
+            assert numeric_loop_permutation(s, triple, 1.0) == loop_permutation(1)
+            looped = monodromy_triple(s, triple, 1.0)
             want = looped[2] - triple[2]
             assert abs((triple[0] - triple[2]) - want) <= 1e-12 * abs(want)
         minus = minus_sum(ctx, 8.0)
         assert gamma_term(ctx, minus).value == 1j * minus.value
-
-    def test_consistent_wrong_permutation_fails_verification(self, monkeypatch):
-        calls = []
-
-        def branch_3_to_2(*args, **kwargs):
-            calls.append(args)
-            return (0, 2, 1)
-
-        ctx = classify_stokes(cmath.exp(1j * math.pi / 6))
-        minus = minus_sum(ctx, 8.0)
-        monkeypatch.setattr(resummation, "monodromy_permutation", branch_3_to_2)
-        with pytest.raises(VerificationError, match=r"\(0, 2, 1\)"):
-            gamma_term(ctx, minus)
-        assert len(calls) == 2
-
-    def test_far_end_disagreement_raises(self, monkeypatch):
-        real = resummation.monodromy_permutation
-        calls = []
-
-        def reversed_after_first(*args, **kwargs):
-            perm = real(*args, **kwargs)
-            calls.append(perm)
-            return perm if len(calls) == 1 else perm[::-1]
-
-        ctx = classify_stokes(cmath.exp(1j * math.pi / 6))
-        minus = minus_sum(ctx, 8.0)
-        monkeypatch.setattr(resummation, "monodromy_permutation", reversed_after_first)
-        with pytest.raises(NumericError):
-            gamma_term(ctx, minus)
-        assert len(calls) == 2
 
     def test_only_a_minus_sum_of_the_same_region_is_taken(self):
         ctx = classify_stokes(cmath.exp(1j * math.pi / 6))
@@ -719,43 +704,58 @@ class TestRayMonodromy:
         for wrong in (laplace_sum("+", ctx, 8.0), other_region):
             with pytest.raises(PreconditionError):
                 gamma_term(ctx, wrong)
-        # ctx carries no eta; the far-end loop reads the Laplace range at the
-        # sum's own eta, which must be one a sum can be taken at
+        # ctx carries no eta; the cut term is a sum at the "-" sum's own eta,
+        # which must be one a sum can be taken at
         for eta in (0.0, -8.0, math.nan, math.inf):
             with pytest.raises(PreconditionError):
                 gamma_term(ctx, dataclasses.replace(minus, eta=eta))
 
-    def test_one_ray_per_sign_and_the_cut_reads_the_minus_ray(self, monkeypatch):
-        """verify_voros builds one RayField per sign, and the far-end loop of
-        the cut term starts from a triple cached in the "-" sum's own ray."""
+    def test_the_cut_takes_the_minus_sum_of_its_own_x(self):
+        ctx = classify_stokes(cmath.exp(1j * math.pi / 6))
+        minus = minus_sum(ctx, 8.0)
+        assert minus.x == ctx.x
+        other_x = minus_sum(classify_stokes(1.2 * cmath.exp(1j * math.pi / 6)), 8.0)
+        for wrong in (dataclasses.replace(minus, x=ctx.x * 1.0000001), other_x):
+            with pytest.raises(PreconditionError, match="x ="):
+                gamma_term(ctx, wrong)
+        assert gamma_term(ctx, minus).x == ctx.x
+
+    @pytest.mark.parametrize("point", BENCH_POINTS)
+    def test_the_voros_check_walks_no_loop(self, monkeypatch, point):
+        """verify_voros builds one RayField per sign and reads the cut term's
+        permutation from the exact series: no loop and no polyline walk."""
         built = []
-        loop_starts = []
 
         class RecordedRay(RayField):
             def __init__(self, anchor, kappa):
                 super().__init__(anchor, kappa)
                 built.append(self)
 
-        real = resummation.monodromy_permutation
-
-        def recording(s, triple, center, **kwargs):
-            loop_starts.append(triple)
-            return real(s, triple, center, **kwargs)
-
+        loops = count_calls(monkeypatch, "exactwkb.branches", "monodromy_triple")
+        walks = count_calls(monkeypatch, "exactwkb.branches", "continue_triple")
         monkeypatch.setattr(resummation, "RayField", RecordedRay)
-        monkeypatch.setattr(resummation, "monodromy_permutation", recording)
-        verify_voros(*BENCH_POINTS[0])
+        assert verify_voros(*point).passed
         assert [ray.anchor for ray in built] == [0, 1]
-        assert len(loop_starts) == 2
-        assert any(triple is loop_starts[1] for triple in built[1]._triples)
+        assert loops[0] == walks[0] == 0
 
-    def test_the_cut_reads_the_ray_of_its_own_minus_sum(self):
+    def test_a_wrong_anchor_series_fails_the_cut_term(self, monkeypatch):
+        """Shape 1 handed to the reader in place of shape 2: the series at s = 1
+        then give no permutation, and the cut term is refused."""
+        # the sum first, so that the branch values it evaluates are the true ones
         ctx = classify_stokes(cmath.exp(1j * math.pi / 6))
         minus = minus_sum(ctx, 8.0)
-        other_x = minus_sum(classify_stokes(1.2 * cmath.exp(1j * math.pi / 6)), 8.0)
-        for wrong in (dataclasses.replace(minus, ray=None), other_x):
-            with pytest.raises(PreconditionError):
-                gamma_term(ctx, wrong)
+        real = branches._g_series_shape
+        monkeypatch.setattr(branches, "_g_series_shape",
+                            lambda shape, n: real(1 if shape == 2 else shape, n))
+        with pytest.raises(VerificationError, match="s = 1"):
+            gamma_term(ctx, minus)
+        assert not branches.verify_branch_identities(6).passed
+
+    def test_a_permutation_that_keeps_branch_3_fails_the_cut_term(self, monkeypatch):
+        monkeypatch.setattr(resummation, "loop_permutation", lambda anchor: (1, 0, 2))
+        ctx = classify_stokes(cmath.exp(1j * math.pi / 6))
+        with pytest.raises(VerificationError, match=r"\(1, 0, 2\)"):
+            gamma_term(ctx, minus_sum(ctx, 8.0))
 
 
 def _recorded_point(record):
@@ -799,14 +799,13 @@ class TestRecordedVorosReports:
 
 # the tracker functions a boundary tracer hooks, as (module, attribute path),
 # with the calls one verify_voros makes at each benchmark point: the solves are
-# one per tracked ray node and one per kernel piece of the two loops'
-# chords, as TestRayCost derives them
+# one per tracked ray node, as TestRayCost derives them, and no loop is walked
 TRACKER_HOOKS = (("exactwkb.branches", "solve_cubic_g"),
                  ("exactwkb.branches", "continue_triple"),
                  ("exactwkb.branches", "anchored_g_triple"),
                  ("exactwkb.resummation", "RayField.triple"),
                  ("exactwkb.branches", "monodromy_triple"))
-TRACKER_CALLS = ((459, 2, 107, 514, 2), (409, 2, 149, 514, 2))
+TRACKER_CALLS = ((408, 0, 106, 512, 0), (366, 0, 148, 512, 0))
 
 
 def count_calls(monkeypatch, module_name, path):
@@ -898,41 +897,36 @@ def kernel_pieces(s0, s1):
 
 class TestRayCost:
     """Each tracked node of a summation ray costs one kernel call and one
-    cubic solve; the only other solves are the kernel pieces of the two
-    loops' chords."""
+    cubic solve, and the cut term costs none."""
 
     @pytest.mark.parametrize("point", BENCH_POINTS)
-    def test_one_solve_per_tracked_node_plus_the_loop_steps(self, monkeypatch, point):
+    def test_one_solve_per_tracked_node(self, monkeypatch, point):
         x, eta = point
         ctx = classify_stokes(x)
         solves = count_calls(monkeypatch, "exactwkb.branches", "solve_cubic_g")
         ray_calls = [0]
+        rays = []
 
         def counted(*args, kernel=branches.step_triple):
             ray_calls[0] += 1
             return kernel(*args)
 
+        class RecordedRay(RayField):
+            def __init__(self, anchor, kappa):
+                super().__init__(anchor, kappa)
+                rays.append(self)
+
         monkeypatch.setattr(resummation, "step_triple", counted)
-        plus = laplace_sum("+", ctx, eta, VOROS_QUAD_TOL)
+        monkeypatch.setattr(resummation, "RayField", RecordedRay)
+        laplace_sum("+", ctx, eta, VOROS_QUAD_TOL)
         minus = laplace_sum("-", ctx, eta, VOROS_QUAD_TOL)
-
-        def tracked():
-            # each ray's first cached sample comes from the series
-            return len(plus.ray._ts) - 1 + len(minus.ray._ts) - 1
-
-        assert tracked() > 300
-        assert ray_calls[0] == solves[0] == tracked()
-        # the loops start from two nodes of the "-" ray, the far one new
+        # each ray's first cached sample comes from the series
+        tracked = sum(len(ray._ts) - 1 for ray in rays)
+        assert [ray.anchor for ray in rays] == [0, 1]
+        assert tracked > 300
+        assert ray_calls[0] == solves[0] == tracked
         gamma_term(ctx, minus)
-        t_exit = _SERIES_HANDOFF / abs(ctx.kappa)
-        t_far = resummation._laplace_panels(eta, VOROS_QUAD_TOL)[0][-1] ** 2
-        loop_steps = 0
-        for t in (t_exit, t_far):
-            path = [ctx.ray_point("-", t), *_loop_path(ctx.ray_point("-", t), 1.0)]
-            # monodromy_triple makes one kernel call per chord of its loop
-            loop_steps += sum(map(kernel_pieces, path, path[1:]))
-        assert ray_calls[0] == tracked()
-        assert solves[0] == tracked() + loop_steps
+        assert ray_calls[0] == solves[0] == tracked
 
 
 class TestGrazingRays:

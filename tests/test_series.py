@@ -122,6 +122,11 @@ def small_scalars():
     return st.builds(ExactScalar, fractions, fractions)
 
 
+def same_terms(a, b):
+    """Coefficient-wise equality of two series, their truncations left aside."""
+    return a.variable == b.variable and a.terms == b.terms
+
+
 def small_series():
     exponents = st.integers(min_value=-4, max_value=8).map(lambda k: Fr(k, 2))
     term = st.tuples(exponents, small_scalars())
@@ -133,16 +138,16 @@ class TestRingAxioms:
     @settings(max_examples=60, deadline=None)
     @given(small_series(), small_series(), small_series())
     def test_associativity_and_distributivity(self, a, b, c):
-        assert ((a * b) * c).same_terms(a * (b * c))
-        assert (a * (b + c)).same_terms(a * b + a * c)
+        assert same_terms((a * b) * c, a * (b * c))
+        assert same_terms(a * (b + c), a * b + a * c)
 
     @settings(max_examples=40, deadline=None)
     @given(small_series())
     def test_mul_then_div_by_unit_is_identity(self, a):
         unit = P("s", {Fr(0): 1, Fr(1, 2): Fr(1, 3)}, Fr(5))
         round_trip = (a * unit) / unit
-        assert round_trip.same_terms(a.truncate(round_trip.truncation)
-                                     if round_trip.truncation is not None else a)
+        assert same_terms(round_trip, a.truncate(round_trip.truncation)
+                          if round_trip.truncation is not None else a)
 
     @settings(max_examples=60, deadline=None)
     @given(small_series(), small_series())
@@ -793,6 +798,25 @@ class TestSeriesApi:
         for other in routes:
             assert other == f and hash(other) == hash(f)
             assert other.terms == terms and other.truncation == f.truncation
+
+
+class TestNegateRoot:
+    """var^(1/2) -> -var^(1/2): the terms of half-integer exponent change sign."""
+
+    def test_the_half_integer_terms_change_sign(self):
+        f = P("t", {Fr(-1, 2): 3, Fr(0): 1, Fr(1, 2): ExactScalar(0, 2), Fr(3): Fr(5, 7)},
+              Fr(7, 2))
+        assert f.negate_root() == P("t", {Fr(-1, 2): -3, Fr(0): 1,
+                                          Fr(1, 2): ExactScalar(0, -2), Fr(3): Fr(5, 7)},
+                                    Fr(7, 2))
+        assert P("t", {Fr(2): 1}).negate_root() == P("t", {Fr(2): 1})
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_series(), small_series())
+    def test_it_is_a_ring_automorphism_of_order_two(self, a, b):
+        assert a.negate_root().negate_root() == a
+        assert (a * b).negate_root() == a.negate_root() * b.negate_root()
+        assert (a + b).negate_root() == a.negate_root() + b.negate_root()
 
 
 COPIES = [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))]
