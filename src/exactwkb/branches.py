@@ -16,16 +16,19 @@ Branch labels follow the local expansions at the two base points:
     index 3: bounded (-1/3) at s=0, -sqrt(3)/4 at s=1
 
 which is exactly the correspondence produced by continuation along the real
-interval (0,1); branches 2 and 3 cross at s = 1/2 where the tracker switches
-to the local crossing chart and disambiguates by the sign of the linear term.
+interval (0,1); branches 2 and 3 cross at s = 1/2.
 
-The tracker's kernel, ``step_triple``, sizes its own steps from the geometry of
-the cubic: a step longer than STEP_REACH times the distance to the nearest of
-s = 0, 1/2 and 1 is bisected, as is a step whose roots match ambiguously.  It
-is the one step rule of every continuation: a summation ray
-(``resummation.RayField``) calls it once per quadrature node, straight from
-the nearest cached node, and ``continue_triple``, which serves the monodromy
-loops and traces, calls it once per pair of waypoints.
+The curve is rational.  With y = 1/G and a = 16 s (1-s) the cubic reads
+y^3 + 3 y^2 = a, and z = y + 1 solves z^3 - 3 z = a - 2.  Viete's substitution
+z = 2 cos(theta) and s = sin(psi)^2 turn this into cos(3 theta) = -cos(4 psi),
+so G_k = 1/(2 cos(theta_k) - 1) with theta_k = (pi - 4 psi + 2 pi k)/3, and
+the labels 1, 2, 3 are k = 0, 2, 1 (``closed_form_g_triple``).  Every branch
+value is then one asin, one acos and two sines, and the crossing at s = 1/2
+is the regular point psi = pi/4.  A loop round s = 0 sends psi to -psi and a
+loop round s = 1 sends it to pi - psi: the transpositions (1 2) and (1 3)
+that ``loop_permutation`` reads from the exact series.  ``continue_triple``,
+which serves the monodromy loops and traces, continues psi along its path
+piece by piece, each piece kept short against its distance to s = 0 and 1.
 """
 
 from __future__ import annotations
@@ -48,23 +51,13 @@ _INF = float("inf")
 SERIES_ZONE = 0.10
 ANCHOR_SERIES_TERMS = 32
 
-# Crossing chart around s = 1/2.
-CHART_ZONE = 0.04
-CHART_TIGHT = 2e-3
-CHART_TERMS = 16
-
 LOOP_RADIUS_CAP = 0.35  # largest radius of a monodromy loop's polygon
 LOOP_VERTICES = 4       # corners of a monodromy loop's polygon
 POLISH_ITERATIONS = 8   # Newton steps of _polish_cubic at most
-MATCH_MARGIN = 3.0
 MAX_HALVINGS = 40
-# longest step of step_triple, as a fraction of the distance from its start to
-# the nearest special point of the cubic, s = 0, 1/2 or 1
+# longest piece of a continuation, as a fraction of the distance from its start
+# to the nearer branch point of the cubic, s = 0 or 1
 STEP_REACH = 0.5
-# distance from s = 1/2 below which a waypoint or a bisection midpoint is moved
-# on by twice this along the direction of travel: the tracker must not sample
-# the crossing itself, where the two crossing branches take one value
-COLLISION_NUDGE = 1e-4
 
 # root distance below which solve_cubic_x repairs a double root
 CLUSTER_TOL = 1e-6
@@ -109,7 +102,7 @@ def _newton_root_series(c_series: PuiseuxSeries, seed: PuiseuxSeries,
     While the residual vanishes at the working precision, the current iterate
     is already right there and the precision doubles without a step; so the
     first step runs at the precision the seed fixes, never where 48 X^2 - 3
-    is still zero, as it is at the double root of the crossing chart.  The
+    is still zero, as it is at a double root of the cubic.  The
     result keeps the truncation of a full-precision iteration: each step
     lowers it by what dividing by 48 X^2 - 3 costs.
     """
@@ -194,38 +187,6 @@ def branch_series(label: BranchLabel, order: int) -> PuiseuxSeries:
     if label.family == "X":
         return _x_series_shape(shape, order)
     return _g_series_shape(shape, order)
-
-
-@lru_cache(maxsize=None)
-def _crossing_charts(n_terms: int) -> tuple:
-    """Exact expansions at s = 1/2: (X for branch 2, X for branch 3, X simple,
-    and the same three in G form), all in the local variable d = s - 1/2."""
-    var = "d"
-    trunc = Fraction(n_terms)
-    c = PuiseuxSeries(var, {Fraction(0): Fraction(1, 4), Fraction(2): -1}, trunc).sqrt()
-    quarter = Fraction(-1, 4)
-    seed_plus = PuiseuxSeries(var, {Fraction(0): quarter,
-                                    Fraction(1): ExactScalar(0, Fraction(1, 6))}, trunc)
-    seed_minus = PuiseuxSeries(var, {Fraction(0): quarter,
-                                     Fraction(1): ExactScalar(0, Fraction(-1, 6))}, trunc)
-    seed_simple = PuiseuxSeries.monomial(var, 0, Fraction(1, 2), trunc)
-    x_plus = _newton_root_series(c, seed_plus, trunc)
-    x_minus = _newton_root_series(c, seed_minus, trunc)
-    x_simple = _newton_root_series(c, seed_simple, trunc)
-    return (x_plus, x_minus, x_simple,
-            x_plus / c, x_minus / c, x_simple / c)
-
-
-def crossing_chart_series(branch: str, family: str = "X",
-                          n_terms: int = CHART_TERMS) -> PuiseuxSeries:
-    """Local expansion at the branch crossing s = 1/2.
-
-    ``branch``: "plus" / "minus" for the two crossing branches (labels 2 and 3
-    from anchor 0, in that order), "simple" for the third root.
-    """
-    charts = _crossing_charts(n_terms)
-    idx = {"plus": 0, "minus": 1, "simple": 2}[branch]
-    return charts[idx + (0 if family == "X" else 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -355,174 +316,59 @@ def anchored_g_triple(anchor: int, local_root: complex) -> tuple[complex, comple
             reduce(add, map(mul, c3, pick3(values)), 0j))
 
 
-@lru_cache(maxsize=None)
-def _chart_terms(branch: str) -> tuple:
-    """The G form of ``crossing_chart_series(branch)`` as (power of d, complex
-    coefficient) pairs, converted from the exact coefficients once.  The chart
-    is a series in whole powers of d."""
-    terms = crossing_chart_series(branch, "g").terms
-    if any(e.denominator != 1 for e in terms):
-        raise NumericError("crossing chart left the whole powers of d")
-    return tuple((e.numerator, complex(coeff)) for e, coeff in terms.items())
+# the branch labels 1, 2, 3 are k = 0, 2, 1 in theta_k = (pi - 4 psi + 2 pi k)/3
+_LABEL_K = (0, 2, 1)
 
 
-def _chart_values(delta: complex) -> tuple[complex, complex, complex]:
-    """G of the chart branches plus, minus and simple at s = 1/2 + delta."""
-    out = []
-    for branch in ("plus", "minus", "simple"):
-        total = 0j
-        for power, coeff in _chart_terms(branch):
-            total += coeff * delta ** power
-        out.append(total)
-    return tuple(out)
+def _g_triple(psi: complex, chi: complex) -> tuple[complex, complex, complex]:
+    """(G_1, G_2, G_3) at s = sin(psi)^2, from Viete's closed form.
 
-
-def _match_indices(predicted: tuple, candidates, scale: float) -> tuple | None:
-    """Index of the nearest of the three candidates for each predicted value,
-    each candidate used once and the runner-up at least MATCH_MARGIN times
-    farther; None on ambiguity.
-
-    The nearest and the runner-up are found by comparisons, ties going to the
-    lower index: for distances that are not NaN, the choices of sorting the
-    (distance, index) pairs.  A NaN distance, from a NaN predicted value or
-    candidate, is ambiguous and gives None.
+    ``chi`` is pi/2 - psi, passed on its own so that neither angle needs to
+    be formed by cancellation.  2 cos(theta) - 1 is written as
+    -4 sin((theta + pi/3)/2) sin((theta - pi/3)/2), whose half angles are
+    (pi (k+1) - 2 psi)/3 and (pi k - 2 psi)/3; for k = 0, 1, 2 their sines are
+    (q, -p), (r, q) and (p, r), with p = sin(2 psi/3), q = sin(2 chi/3) and
+    r = sin((2 pi - 2 psi)/3) = p + q.  So a value that diverges at s = 0 or 1
+    does so through a small p or q computed at full relative accuracy.
     """
-    c0, c1, c2 = candidates
-    taken = [False, False, False]
-    result = []
-    for p in predicted:
-        d0 = abs(p - c0) / scale
-        d1 = abs(p - c1) / scale
-        d2 = abs(p - c2) / scale
-        if d0 <= d1:
-            if d2 < d0:
-                jbest, best, second = 2, d2, d0
-            else:
-                jbest, best, second = 0, d0, d2 if d2 < d1 else d1
-        elif d2 < d1:
-            jbest, best, second = 2, d2, d1
-        else:
-            jbest, best, second = 1, d1, d2 if d2 < d0 else d0
-        # negated so that a NaN nearest or runner-up fails it; a NaN candidate
-        # is never the nearest, so it is left unmatched and the match fails
-        if taken[jbest] or not (best == 0 or second >= MATCH_MARGIN * best):
-            return None
-        taken[jbest] = True
-        result.append(jbest)
-    return tuple(result)
+    p = cmath.sin(psi * (2 / 3))
+    q = cmath.sin(chi * (2 / 3))
+    r = p + q
+    half_sines = ((q, -p), (r, q), (p, r))
+    return tuple(-0.25 / (half_sines[k][0] * half_sines[k][1]) for k in _LABEL_K)
 
 
-def step_triple(s0: complex, triple: tuple, s1: complex, depth: int = 0) -> tuple:
-    """One continuation step for the ordered root triple of the scaled cubic.
+def closed_form_g_triple(anchor: int, local_root: complex) -> tuple[complex, complex, complex]:
+    """(G_1, G_2, G_3) from the closed form, labelled as ``anchored_g_triple``
+    labels them for the same ``local_root``.
 
-    The step chooses its own size.  Outside the crossing chart, a step longer
-    than STEP_REACH times the distance from s0 to the nearest special point of
-    the cubic is bisected: s = 0 and 1, where 16 s (1-s) vanishes and a root
-    runs off to infinity, and s = 1/2, where two roots meet (the discriminant
-    is 27 a (4 - a) with a = 16 s (1-s)).  So a step that passes a branch point
-    closely is taken in pieces that each keep their distance from it, however
-    long the caller's step is.
-
-    Each branch is predicted by an Euler step on dG/ds = -F_s / F_G, from
-    implicit differentiation of the scaled cubic, and matched to a root at s1;
-    an ambiguous match is bisected too.  A midpoint within COLLISION_NUDGE of
-    s = 1/2 is moved on along the step, since the crossing itself does not
-    tell its two branches apart.  Each bisection counts one level of depth,
-    and a step deeper than MAX_HALVINGS raises NumericError.  On a
-    root, F_G vanishes only at the double root G = -1/2 of s = 1/2, which the
-    tracker reaches through the crossing chart; a prediction that meets
-    F_G = 0 raises NumericError.
+    psi is asin of the local root at anchor 0, where the root is s^(1/2), and
+    acos of it at anchor 1, where it is (1-s)^(1/2); pi/2 - psi is the other of
+    the two.  Both are principal, and along a ray from its anchor the local
+    root keeps clear of their cuts on the real axis outside [-1, 1] wherever
+    the ray does not lie on the real axis of s.  A local root that is not
+    finite, or where a branch diverges (0, or +-1 at the other base point),
+    raises PreconditionError.
     """
-    if depth > MAX_HALVINGS:
-        raise NumericError(f"continuation step underflow near s = {s0}")
-
-    in_chart = abs(s1 - 0.5) < CHART_ZONE or abs(s0 - 0.5) < CHART_ZONE
-    if in_chart:
-        return _step_triple_chart(s0, triple, s1, depth)
-
-    ds = s1 - s0
-    if abs(ds) > STEP_REACH * min(abs(s0), abs(s0 - 0.5), abs(1 - s0)):
-        return _bisected_step(s0, triple, s1, depth)
-    # the factors of F_s = 16 (1 - 2s) G^3 and F_G = 48 s (1 - s) G^2 - 3 at s0
-    f_s0 = 16 * (1 - 2 * s0)
-    f_g0 = 48 * s0 * (1 - s0)
-    predicted = []
-    for g in triple:
-        f_s = f_s0 * g ** 3
-        f_g = f_g0 * g ** 2 - 3
-        if abs(f_g) < 1e-12:
-            raise NumericError(f"dG/ds is undefined at the double root G = {g} of s = {s0}")
-        predicted.append(g + -f_s / f_g * ds)
-    candidates = solve_cubic_g(s1)
-    # max(1.0, max(|g|)), written out
-    g0, g1, g2 = triple
-    scale = abs(g0)
-    size = abs(g1)
-    if size > scale:
-        scale = size
-    size = abs(g2)
-    if size > scale:
-        scale = size
-    matched = _match_indices(predicted, candidates, scale if scale > 1.0 else 1.0)
-    if matched is None:
-        return _bisected_step(s0, triple, s1, depth)
-    j0, j1, j2 = matched
-    return (candidates[j0], candidates[j1], candidates[j2])
+    if not cmath.isfinite(local_root):
+        raise PreconditionError(f"local root {local_root!r} is not finite")
+    if local_root == 0 or local_root * local_root == 1:
+        raise PreconditionError("branch values diverge at the base points s = 0 and 1")
+    arc_sin, arc_cos = cmath.asin(local_root), cmath.acos(local_root)
+    if anchor == 0:
+        return _g_triple(arc_sin, arc_cos)
+    return _g_triple(arc_cos, arc_sin)
 
 
-def _bisected_step(s0: complex, triple: tuple, s1: complex, depth: int) -> tuple:
-    """The step from s0 to s1 as two steps through its midpoint, one level
-    deeper; a midpoint on the crossing is nudged off it along the step."""
-    mid = (s0 + s1) / 2
-    if abs(mid - 0.5) < COLLISION_NUDGE:
-        mid = _nudged(mid, s1 - s0)
-    half = step_triple(s0, triple, mid, depth + 1)
-    return step_triple(mid, half, s1, depth + 1)
-
-
-def _step_triple_chart(s0: complex, triple: tuple, s1: complex, depth: int) -> tuple:
-    """Continuation step near the crossing, matched against the exact chart.
-
-    Each tracked branch is classified against chart values at the current
-    point; the classification (plus / minus / simple) is then re-evaluated at
-    the target point.  The two crossing branches pass each other analytically,
-    so the classification is stable through delta = 0.
-    """
-    d0, d1 = s0 - 0.5, s1 - 0.5
-    if max(abs(d0), abs(d1)) > 2.5 * CHART_ZONE:
-        # too far for the chart to be trusted; force smaller steps
-        return _bisected_step(s0, triple, s1, depth)
-
-    ref0 = _chart_values(d0)
-    ref1 = _chart_values(d1)
-    assignment = []
-    for g in triple:
-        dists = sorted((abs(g - r), k) for k, r in enumerate(ref0))
-        assignment.append(dists[0][1])
-    if sorted(assignment) != [0, 1, 2]:
-        if abs(d0) < 1e-12:
-            # started exactly at the collision: both crossing values coincide,
-            # order is conventional
-            seen = set()
-            for i, g in enumerate(triple):
-                dists = sorted((abs(g - r), k) for k, r in enumerate(ref0)
-                               if k not in seen)
-                assignment[i] = dists[0][1]
-                seen.add(assignment[i])
-        else:
-            raise NumericError(f"chart classification ambiguous at s = {s0}")
-
-    out = []
-    for i in range(3):
-        target = ref1[assignment[i]]
-        if abs(d1) > CHART_TIGHT:
-            target = _polish_cubic(16 * s1 * (1 - s1), -3, -1, target)
-        out.append(target)
-    return tuple(out)
+def _psi_triple(psi: complex) -> tuple[complex, complex, complex]:
+    """(G_1, G_2, G_3) at the angle psi of a continuation."""
+    return _g_triple(psi, cmath.pi / 2 - psi)
 
 
 # relative residual of the scaled cubic, or relative sum of the three values,
-# above which a failed continuation is put down to its start triple
+# above which a start triple is refused; also the relative distance from the
+# nearest closed-form triple below which a start triple is taken without
+# that diagnosis
 START_TRIPLE_TOL = 1e-8
 
 
@@ -545,9 +391,46 @@ def _start_triple_fault(s: complex, triple: tuple) -> str | None:
     return None
 
 
-def _nudged(s: complex, direction: complex) -> complex:
-    """s moved by 2 COLLISION_NUDGE along ``direction``, off the crossing."""
-    return s + 2 * COLLISION_NUDGE * direction / max(abs(direction), 1e-30)
+def _start_psi(s: complex, triple: tuple) -> complex:
+    """The angle psi at s whose closed-form triple is ``triple``, in order.
+
+    sin(psi)^2 = s has the determinations +-psi_0 + n pi, and the ordered triple
+    repeats when psi moves by 3 pi, so the six with n = 0, 1, 2 give the six
+    orders of the roots; the nearest to ``triple`` is taken.  Where it is
+    farther than START_TRIPLE_TOL relative, the triple is diagnosed, and one
+    that is not finite or is not the root triple of the cubic at s
+    (``_start_triple_fault``) raises PreconditionError.
+    """
+    psi0 = cmath.asin(cmath.sqrt(s))
+    candidates = [sign * psi0 + n * cmath.pi for sign in (1, -1) for n in range(3)]
+    distance, psi = min(
+        ((max(abs(a - b) for a, b in zip(_psi_triple(c), triple)), c) for c in candidates),
+        key=itemgetter(0))
+    if not distance <= START_TRIPLE_TOL * max(1.0, *map(abs, triple)):
+        fault = _start_triple_fault(s, triple)
+        if fault is not None:
+            raise PreconditionError(f"start triple {triple!r} at s = {s!r} {fault}")
+    return psi
+
+
+def _continued_psi(s0: complex, psi: complex, s1: complex) -> complex:
+    """psi at s0 continued along the segment to s1.
+
+    A segment longer than STEP_REACH times the distance from its start to the
+    nearer branch point, s = 0 or 1, is bisected; a piece that is short enough
+    ends on the determination +-psi_1 + n pi of psi at s1 nearest its start
+    value.  The wrong determinations lie at 2 |psi - n pi/2| from the right
+    one, which is small only near s = 0 and 1, and the piece length keeps its
+    change in psi a few times smaller than that.  ``continue_triple`` refuses
+    a segment before it would be bisected more than MAX_HALVINGS times.
+    """
+    if abs(s1 - s0) > STEP_REACH * min(abs(s0), abs(1 - s0)):
+        mid = (s0 + s1) / 2
+        return _continued_psi(mid, _continued_psi(s0, psi, mid), s1)
+    psi1 = cmath.asin(cmath.sqrt(s1))
+    near = psi1 + round((psi - psi1).real / cmath.pi) * cmath.pi
+    far = -psi1 + round((psi + psi1).real / cmath.pi) * cmath.pi
+    return near if abs(near - psi) <= abs(far - psi) else far
 
 
 def _closest_approach(s0: complex, s1: complex, point: int) -> float:
@@ -559,29 +442,14 @@ def _closest_approach(s0: complex, s1: complex, point: int) -> float:
     return abs(s0 + min(max(t, 0.0), 1.0) * ds - point)
 
 
-def continue_triple(path: list, triple: tuple) -> tuple:
-    """Continue an ordered root triple along a polyline of s-waypoints.
-
-    Each segment is one ``step_triple`` call, which cuts it into the pieces
-    the cubic asks for; the monodromy loops, ``trace_branch`` and the tests
-    walk this way, and a summation ray calls ``step_triple`` directly.
-    Interior waypoints within COLLISION_NUDGE of the crossing s = 1/2 are
-    nudged along the direction of travel, as the kernel's midpoints are.
-
-    A segment that is not finite, or that is longer than 2^MAX_HALVINGS *
-    STEP_REACH times its closest approach to the branch point s = 0 or s = 1,
-    raises PreconditionError before any step is taken: the kernel would halve
-    it more than MAX_HALVINGS times for its piece nearest that point, and a
-    segment through the point has no such piece.  A continuation
-    that fails with NumericError raises PreconditionError instead when the
-    start triple is at fault: it is not finite or is not the root triple of
-    the cubic at path[0] (``_start_triple_fault``, which only a failed call
-    runs).
-    """
+def _checked_path(path: list) -> list[complex]:
+    """The waypoints of a continuation as complex numbers, after refusing
+    every segment that is not finite or that is longer than
+    2^MAX_HALVINGS * STEP_REACH times its closest approach to the branch
+    point s = 0 or s = 1: ``_continued_psi`` would halve it more than
+    MAX_HALVINGS times for its piece nearest that point, and a segment
+    through the point has no such piece.  Refusals raise PreconditionError."""
     points = [complex(s) for s in path]
-    for i in range(1, len(points) - 1):
-        if abs(points[i] - 0.5) < COLLISION_NUDGE:
-            points[i] = _nudged(points[i], points[i + 1] - points[i - 1])
     reach = 2 ** MAX_HALVINGS * STEP_REACH
     for s0, s1 in pairwise(points):
         span = abs(s1 - s0)
@@ -592,17 +460,24 @@ def continue_triple(path: list, triple: tuple) -> tuple:
             raise PreconditionError(
                 f"path segment {s0!r} -> {s1!r} comes within {gap:.3g} of the branch point "
                 f"s = {point}, and is longer than 2^MAX_HALVINGS * STEP_REACH times that distance")
-    current = triple
-    try:
-        for s0, s1 in pairwise(points):
-            current = step_triple(s0, current, s1)
-    except NumericError as err:
-        fault = _start_triple_fault(points[0], triple)
-        if fault is None:
-            raise
-        raise PreconditionError(
-            f"start triple {triple!r} at s = {points[0]!r} {fault}") from err
-    return current
+    return points
+
+
+def continue_triple(path: list, triple: tuple) -> tuple:
+    """Continue an ordered root triple along a polyline of s-waypoints.
+
+    The triple fixes the angle psi at path[0] (``_start_psi``), psi is
+    continued segment by segment (``_continued_psi``), and the closed form
+    gives the triple at the end; the monodromy loops and the tests walk this
+    way.  Every segment is checked before any is walked (``_checked_path``),
+    and a start triple that is not the cubic's root triple at path[0] raises
+    PreconditionError.
+    """
+    points = _checked_path(path)
+    psi = _start_psi(points[0], triple)
+    for s0, s1 in pairwise(points):
+        psi = _continued_psi(s0, psi, s1)
+    return _psi_triple(psi)
 
 
 # largest |start| of trace_branch: its first value comes from the exact series
@@ -616,7 +491,8 @@ def trace_branch(family: str, index: int, start: float, stop: float,
     evenly spaced points from ``start`` to ``stop``.
 
     The branch is labelled at the base point 0: its value at ``start`` comes
-    from the exact series there and is continued sample by sample.
+    from the exact series there, and psi = asin(s^(1/2)), which the closed form
+    labels the same way, is continued from sample to sample.
     """
     BranchLabel(family, index, 0)  # rejects an unknown family or index
     if abs(start) > TRACE_START_MAX:
@@ -624,11 +500,14 @@ def trace_branch(family: str, index: int, start: float, stop: float,
     if samples < 2:
         raise PreconditionError(f"a trace needs at least 2 samples, got {samples}")
     path = [start + (stop - start) * k / (samples - 1) for k in range(samples)]
+    _checked_path(path)
     triple = anchored_g_triple(0, sqrt_s(start))
+    psi = cmath.asin(sqrt_s(start))
     out = []
     for k, s in enumerate(path):
         if k > 0:
-            triple = continue_triple(path[k - 1:k + 1], triple)
+            psi = _continued_psi(path[k - 1], psi, s)
+            triple = _psi_triple(psi)
         value = triple[index - 1]
         if family == "X":
             value *= default_sqrt_rule(s)
@@ -645,8 +524,8 @@ def _loop_path(s: complex, center: complex):
 
     Walks radially in to a capped radius, goes round a regular polygon of
     LOOP_VERTICES corners on that circle, and walks back out, so the loop
-    never strays near the other branch point or the crossing; the kernel
-    sizes the steps along each chord.
+    never strays near the other branch point; ``_continued_psi`` cuts each
+    chord into the pieces it needs.
     """
     rho = abs(s - center)
     if rho < 1e-9:
@@ -672,6 +551,7 @@ def monodromy_triple(s: complex, triple: tuple, center: complex) -> tuple:
     return continue_triple([s, *_loop_path(s, center)], triple)
 
 
+@lru_cache(maxsize=None)
 def loop_permutation(anchor: int, n_terms: int = ANCHOR_SERIES_TERMS) -> tuple[int, int, int]:
     """The permutation pi of the branch triple by one loop around the base
     point ``anchor``, read from its exact series: the looped value of entry i
@@ -687,7 +567,8 @@ def loop_permutation(anchor: int, n_terms: int = ANCHOR_SERIES_TERMS) -> tuple[i
     point of the ray (``monodromy_triple``).  The discontinuity of entry i is
     then ``triple[pi[i]] - triple[i]``: Delta at 0 of branch 2 is g_1 - g_2,
     and Delta at 1 of branch 3 is g_1 - g_3.  ``n_terms`` defaults to the
-    series ``anchored_g_triple`` evaluates.
+    series ``anchored_g_triple`` evaluates.  The series are fixed, so each
+    (anchor, n_terms) is read once and cached.
 
     Raises PreconditionError for an anchor other than 0 or 1, and
     VerificationError when a negated series equals none of the three, or

@@ -1,10 +1,9 @@
 """Numerical Borel summation and the connection-formula verifications.
 
 The Laplace integrals run along the rays y = -+(2/3) x^(3/2) + t, t >= 0; in
-the normalized variable the integrand comes from the tracked branch triple
-(series evaluation near the base point; beyond it, one predictor-corrector
-step per node from the nearest node already tracked, which the step kernel
-bisects where the cubic asks for it).
+the normalized variable the integrand comes from the branch triple at each
+node (the exact local series near the base point; beyond it, Viete's closed
+form of the cubic's roots), so no node is tracked from another.
 The endpoint square-root singularity is removed by t = u^2 and the quadrature
 is adaptive Gauss-Legendre on u-panels: each panel is the sum of the 16-point
 rule on its two halves, and its error estimate is read off the top Legendre
@@ -28,14 +27,14 @@ precision is raised automatically beyond that.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import functools
 import math
 import sys
 from dataclasses import dataclass
 
-from .branches import SERIES_ZONE, anchored_g_triple, loop_permutation, step_triple
+from .branches import (SERIES_ZONE, anchored_g_triple, closed_form_g_triple,
+                       loop_permutation)
 from .errors import NumericError, PreconditionError, VerificationError
 
 TWO_PI_THIRDS = 2 * math.pi / 3
@@ -115,22 +114,19 @@ def classify_stokes(x: complex) -> StokesContext:
 # ---------------------------------------------------------------------------
 
 class RayField:
-    """Cached values of the ordered branch triple along one summation ray.
+    """Values of the ordered branch triple along one summation ray.
 
-    Close to the base point the exact local series is evaluated directly (the
-    local root fixes the branch orientation); farther out each new node costs
-    one ``step_triple`` call, from the nearest cached sample straight to the
-    node, and the kernel bisects that step where the cubic asks for it.  The
-    cache holds each sample's t, its point s = anchor + kappa t and its triple.
+    Close to the base point the exact local series is evaluated
+    (``anchored_g_triple``); beyond _SERIES_HANDOFF the closed form is
+    (``closed_form_g_triple``).  Both take the local root, which fixes the
+    branch orientation, so each node costs one evaluation and no node depends
+    on another.
     """
 
     def __init__(self, anchor: int, kappa: complex):
         self.anchor = anchor
         self.kappa = kappa
         self._abs_kappa = abs(kappa)
-        self._ts: list[float] = []
-        self._ss: list[complex] = []
-        self._triples: list[tuple] = []
 
     def _local_root(self, t: float) -> complex:
         """s^(1/2) at anchor 0; at anchor 1, (1-s)^(1/2) by the i-orientation rule.
@@ -149,27 +145,7 @@ class RayField:
     def triple(self, t: float) -> tuple:
         if self._abs_kappa * t <= _SERIES_HANDOFF:
             return anchored_g_triple(self.anchor, self._local_root(t))
-        ts, ss, triples = self._ts, self._ss, self._triples
-        if not ts:
-            t0 = _SERIES_HANDOFF / self._abs_kappa
-            ts.append(t0)
-            ss.append(self.anchor + self.kappa * t0)
-            triples.append(anchored_g_triple(self.anchor, self._local_root(t0)))
-        idx = bisect.bisect_left(ts, t)
-        n = len(ts)
-        if idx < n and abs(ts[idx] - t) < 1e-15 * (t if t > 1.0 else 1.0):
-            return triples[idx]
-        # the nearer cached sample, the lower one on a tie
-        if idx == n or (idx > 0 and not abs(ts[idx] - t) < abs(ts[idx - 1] - t)):
-            nearest = idx - 1
-        else:
-            nearest = idx
-        s = self.anchor + self.kappa * t
-        triple = step_triple(ss[nearest], triples[nearest], s)
-        ts.insert(idx, t)
-        ss.insert(idx, s)
-        triples.insert(idx, triple)
-        return triple
+        return closed_form_g_triple(self.anchor, self._local_root(t))
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +318,10 @@ class BorelSum:
     """A Borel sum, taken at the point ``x``.
 
     ``quadrature_error_estimate`` covers the quadrature panels and the tail
-    only, not the rounding of the integrand values (tracked branch values and
-    their differences), so it is an estimate, not a bound: on the default
-    Voros grid the achieved error exceeds it in 11 of 60 sums, by up to 1.74
-    times against 40-digit values of Ai.
+    only, not the rounding of the integrand values (branch values and their
+    differences), so it is an estimate, not a bound: on the default Voros
+    grid the achieved error exceeds it in 11 of 60 sums, by up to 1.83 times
+    against 40-digit values of Ai.
     """
 
     sign: str

@@ -8,24 +8,27 @@ import re
 from fractions import Fraction as Fr
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exactwkb import branches
-from exactwkb.branches import (ANCHOR_SERIES_TERMS, CHART_TERMS, CHART_ZONE, COLLISION_NUDGE,
-                               MATCH_MARGIN, MAX_HALVINGS, POLISH_ITERATIONS, SQRT3, STEP_REACH,
+from exactwkb.airy_borel import hypergeometric_oracle
+from exactwkb.branches import (ANCHOR_SERIES_TERMS, MAX_HALVINGS, STEP_REACH,
                                TRACE_START_MAX, BranchLabel, _depressed_cubic_roots,
-                               _local_c_series, _match_indices, _polish_cubic,
-                               _step_triple_chart, _x_series_shape, step_triple,
-                               anchored_g_triple, branch_series, continue_triple,
-                               crossing_chart_series, default_sqrt_rule, g_pde_residuals,
+                               _local_c_series, _loop_path, _polish_cubic, _x_series_shape,
+                               anchored_g_triple, branch_series, closed_form_g_triple,
+                               continue_triple, default_sqrt_rule, g_pde_residuals,
                                loop_permutation, monodromy_triple, solve_cubic_g,
                                solve_cubic_g_xy,
                                solve_cubic_x, sqrt_one_minus_s, sqrt_s,
                                trace_branch, verify_branch_identities)
 from exactwkb.cli import main as cli_main
 from exactwkb.errors import NumericError, PreconditionError, VerificationError
+from exactwkb.resummation import _SERIES_HANDOFF, RayField, classify_stokes
 from exactwkb.series import ExactScalar, PuiseuxSeries as P
+from root_tracker import (CHART_TERMS, TrackedRay, cardano_roots, crossing_chart_series,
+                          newton_polish, relative_gap, solve_cubic as tracked_solve_cubic,
+                          tracked_continue_triple)
 
 SQRT3_4 = math.sqrt(3) / 4
 
@@ -269,12 +272,16 @@ class TestContinuation:
         with pytest.raises(PreconditionError, match="values sum to"):
             continue_triple([0.2, 0.21], (root, root, root))
 
-    def test_a_good_start_triple_keeps_the_tracker_error(self):
+    def test_a_walk_may_end_where_the_cubic_degenerates(self):
         # 0.02 long and ending 5e-14 from s = 0, within the halving reach of
-        # that distance (0.0275), where the cubic is too degenerate to solve
+        # that distance (0.0275), where 16 s (1-s) is too small for the cubic
+        # to be solved; psi is still asin(s^(1/2)) there, and the exact series
+        # is all but exact
         start = anchored_g_triple(0, sqrt_s(0.02))
         with pytest.raises(NumericError, match="cubic degenerates"):
-            continue_triple([0.02, 5e-14], start)
+            solve_cubic_g(5e-14)
+        walked = continue_triple([0.02, 5e-14], start)
+        assert relative_gap(anchored_g_triple(0, sqrt_s(5e-14)), walked) < 1e-14
 
     def test_a_successful_call_runs_no_diagnosis(self, monkeypatch):
         diagnosed = []
@@ -283,20 +290,13 @@ class TestContinuation:
         continue_triple([0.05, 0.3 + 0.2j], anchored_g_triple(0, sqrt_s(0.05)))
         assert diagnosed == []
 
-    def test_no_derivative_at_the_double_root(self):
-        # F_G = 48 s (1-s) G^2 - 3 vanishes on a root only at the double root
-        # of s = 1/2, which the crossing chart handles; a value placed where
-        # it vanishes (G = 5/8 at s = 1/5) raises instead of dividing by ~0
-        with pytest.raises(NumericError, match="dG/ds is undefined"):
-            step_triple(0.2, (0.625, 0.625, 0.625), 0.21)
-
     def test_a_segment_past_the_halving_reach_raises_before_any_step(self, monkeypatch):
         # 0.01 from s = 0 a first piece is 0.005 long at most, and 2^MAX_HALVINGS
         # of them reach 5.5e9, short of 1e10; the last path's third segment
         # starts on s = 1, where no piece is short enough
         steps = []
-        monkeypatch.setattr(branches, "step_triple",
-                            lambda s0, triple, s1: steps.append(s1) or triple)
+        monkeypatch.setattr(branches, "_continued_psi",
+                            lambda s0, psi, s1: steps.append(s1) or psi)
         start = anchored_g_triple(0, sqrt_s(0.01))
         reach = 2 ** MAX_HALVINGS * STEP_REACH * 0.01
         for path in ([0.01, 1e10], [0.01, 0.01 + 1.01 * reach * 1j],
@@ -322,8 +322,8 @@ class TestContinuation:
         # each path starts far from both branch points and runs through, or
         # within 1e-13 of, one of them; a step's start alone would allow it
         steps = []
-        monkeypatch.setattr(branches, "step_triple",
-                            lambda s0, triple, s1: steps.append(s1) or triple)
+        monkeypatch.setattr(branches, "_continued_psi",
+                            lambda s0, psi, s1: steps.append(s1) or psi)
         start = anchored_g_triple(0, sqrt_s(0.3))
         for path, point in (([0.3, 1.5], 1), ([0.3, -0.3], 0), ([0.3, 0.6j, -0.6j], 0),
                             ([0.3, -0.3 + 1e-13j], 0), ([0.3, 2 - 1e-13j], 1),
@@ -335,214 +335,70 @@ class TestContinuation:
     @pytest.mark.parametrize("stop", ["1.5", "1e3", "1e6"])
     def test_trace_through_a_branch_point_is_3(self, stop, capsys):
         # the segment from 0.01 runs through s = 1, where no piece of it is
-        # short enough for the kernel: refused, not walked into an underflow
+        # short enough: refused, not walked
         assert cli_main(["branches", "trace", "--to", stop, "--samples", "2"]) == 3
         assert "of the branch point s = 1, " in capsys.readouterr().err
 
 
-class TestStepRule:
-    """A step longer than STEP_REACH times the distance from its start to
-    s = 0, 1/2 or 1 is bisected before anything is solved."""
+class TestPsiContinuation:
+    """psi is continued in pieces no longer than STEP_REACH times their
+    distance to s = 0 or 1, each ending on the determination of psi nearest
+    its start value."""
 
-    def test_a_step_that_passes_a_branch_point_keeps_the_labels_of_a_fine_walk(
-            self, monkeypatch):
-        # 0.02 long, the old fixed step of the summation rays, and 1e-6 from
-        # s = 0 at its closest; bisected on ambiguous matches alone, it swapped
-        # branches 2 and 3
+    def test_a_segment_that_passes_a_branch_point_keeps_the_labels_of_the_tracker(self):
+        # 0.02 long and 1e-6 from s = 0 at its closest: the determinations
+        # psi and -psi are 2e-3 apart there
         s0, s1 = -0.007 + 1e-6j, 0.013 + 1e-6j
-        start = solve_cubic_g(s0)
-        solves = []
-        monkeypatch.setattr(branches, "solve_cubic_g",
-                            lambda s, solve=solve_cubic_g: solves.append(s) or solve(s))
-        stepped = step_triple(s0, start, s1)
-        assert len(solves) > 30
-        assert min(abs(s) for s in solves) < 1e-5
-        # the walk: pieces of at most a quarter of the distance to the nearest
-        # special point, so the rule bisects none of them
-        solves.clear()
-        s, walked, pieces = s0, start, 0
-        unit = (s1 - s0) / abs(s1 - s0)
-        while s != s1:
-            length = 0.25 * min(abs(s - point) for point in (0, 0.5, 1))
-            s_next = s1 if abs(s1 - s) <= length else s + length * unit
-            walked = step_triple(s, walked, s_next)
-            s, pieces = s_next, pieces + 1
-        assert len(solves) == pieces
-        assert stepped == walked
+        start = tracked_solve_cubic(s0)
+        fine = [s0 + (s1 - s0) * k / 2000 for k in range(2001)]
+        assert relative_gap(tracked_continue_triple(fine, start),
+                            continue_triple([s0, s1], start)) < 1e-12
 
+    def test_long_segments_end_where_the_tracker_ends_them(self):
+        # segments of up to 13 that pass between or near s = 0 and 1: taken
+        # in one piece, the nearest determination at the far end is the wrong
+        # one for about one in twenty of them
+        rng = random.Random(3)
+        for _ in range(200):
+            s0, s1 = (complex(rng.uniform(-6, 6), rng.uniform(-3, 3)) for _ in range(2))
+            start = tracked_solve_cubic(s0)
+            assert relative_gap(tracked_continue_triple([s0, s1], start),
+                                continue_triple([s0, s1], start)) < 1e-12, (s0, s1)
 
-def sorted_match_indices(predicted, candidates, scale):
-    """The matcher by sorting (distance, index) pairs: the test oracle."""
-    taken = [False] * 3
-    result = []
-    for p in predicted:
-        dists = sorted(((abs(p - c) / scale, j) for j, c in enumerate(candidates)))
-        best, jbest = dists[0]
-        second = dists[1][0]
-        if taken[jbest] or (best > 0 and second < MATCH_MARGIN * best):
-            return None
-        taken[jbest] = True
-        result.append(jbest)
-    return tuple(result)
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_the_start_triple_sets_the_order_it_returns(self, order):
+        # each of the six orders of the roots is one determination of psi
+        s0, s1 = 0.3 + 0.1j, 0.6 - 0.05j
+        roots = tracked_solve_cubic(s0)
+        start = tuple(roots[j] for j in order)
+        want = tracked_continue_triple([s0, s1], start)
+        assert relative_gap(want, continue_triple([s0, s1], start)) < 1e-13
 
+    def test_a_start_on_the_crossing_is_continued(self):
+        # the double root of s = 1/2: the two orders it allows give one triple
+        start = continue_triple([0.05, 0.5], anchored_g_triple(0, sqrt_s(0.05)))
+        assert abs(start[1] - start[2]) < 1e-7
+        for s1 in (0.7, 0.5 + 0.2j):
+            walked = continue_triple([0.5, s1], start)
+            for g in walked:
+                assert abs((16 * s1 * (1 - s1) * g * g - 3) * g - 1) < 1e-13
 
-def list_match_indices(predicted, candidates, scale):
-    """The matcher with a list of distances per predicted value and the
-    builtin min: the form the written-out matcher must agree with."""
-    taken = [False] * 3
-    result = []
-    for p in predicted:
-        d0, d1, d2 = [abs(p - c) / scale for c in candidates]
-        if d0 <= d1:
-            if d2 < d0:
-                jbest, best, second = 2, d2, d0
-            else:
-                jbest, best, second = 0, d0, min(d1, d2)
-        elif d2 < d1:
-            jbest, best, second = 2, d2, d1
-        else:
-            jbest, best, second = 1, d1, min(d0, d2)
-        if taken[jbest] or not (best == 0 or second >= MATCH_MARGIN * best):
-            return None
-        taken[jbest] = True
-        result.append(jbest)
-    return tuple(result)
+    def test_the_pieces_are_sized_by_the_branch_points_only(self, monkeypatch):
+        # from 0.3 to 0.7 across s = 1/2: 0.4 is longer than STEP_REACH * 0.3
+        # and halves at 0.5, 0.3 -> 0.5 halves again, and 0.5 -> 0.7, 0.5 from
+        # s = 1, is short enough; nothing halves for nearing s = 1/2
+        pieces = []
+        real = branches._continued_psi
 
+        def recorded(s0, psi, s1):
+            pieces.append((s0, s1))
+            return real(s0, psi, s1)
 
-# points of small lattices give exact ties, zero distances and runner-ups at
-# exactly MATCH_MARGIN times the nearest; finite floats give the rest
-_POINTS = st.one_of(st.builds(complex, st.integers(-6, 6)),
-                    st.builds(complex, st.integers(-4, 4), st.integers(-1, 1)),
-                    st.complex_numbers(max_magnitude=1e6, allow_nan=False,
-                                       allow_infinity=False))
-_TRIPLES = st.tuples(_POINTS, _POINTS, _POINTS)
-
-
-class TestMatchIndices:
-    @settings(max_examples=200, deadline=None)
-    @given(_TRIPLES, _TRIPLES, st.sampled_from([1.0, 0.5, 3.0, 1e-3]))
-    @example((0j, 0j, 0j), (1, -1, 3), 1.0)           # a tie at the nearest
-    @example((0j, 1 + 0j, 4 + 0j), (0, 1, 4), 1.0)     # zero distances
-    @example((0j, 5 + 0j, 5 + 0j), (0, 5, 5), 1.0)     # a tie at zero distance
-    @example((0j, -3 + 0j, 10 + 0j), (1, -3, 10), 1.0)  # runner-up at exactly MATCH_MARGIN
-    # a runner-up inside the margin in each position of nearest and runner-up
-    @example((0j, 5 + 0j, -2 + 0j), (1, 5, -2), 1.0)
-    @example((0j, -2 + 0j, 5 + 0j), (5, -2, 1), 1.0)
-    @example((0j, 5 + 0j, -2 + 0j), (5, 1, -2), 1.0)
-    @example((0j, -2 + 0j, 5 + 0j), (-2, 1, 5), 1.0)
-    def test_comparisons_choose_as_sorting_does(self, predicted, candidates, scale):
-        assert (_match_indices(predicted, candidates, scale)
-                == sorted_match_indices(predicted, candidates, scale))
-
-    def test_margin_boundary(self):
-        # a runner-up at exactly MATCH_MARGIN times the nearest is accepted, a
-        # hair nearer is ambiguous
-        assert _match_indices((0j, -3 + 0j, 10 + 0j), (1, -3, 10), 1.0) == (0, 1, 2)
-        assert _match_indices((0j, -3 + 0j, 10 + 0j), (1, -2.9999999, 10), 1.0) is None
-
-    @pytest.mark.parametrize("predicted, candidates", [
-        ((math.nan, 0, 5), (0, 1, 5)),     # a NaN prediction: every distance NaN
-        ((0, 1, 5), (math.nan, 1, 5)),     # a NaN candidate in each position
-        ((0, 1, 5), (0, math.nan, 5)),
-        ((0, 1, 5), (0, 1, math.nan)),
-        ((0, 1, complex(5, math.nan)), (0, 1, 5)),
-    ])
-    def test_nan_distance_is_ambiguous(self, predicted, candidates):
-        assert _match_indices(predicted, candidates, 1.0) is None
-
-    @settings(max_examples=200, deadline=None)
-    @given(_TRIPLES, _TRIPLES, st.sampled_from([1.0, 0.5, 3.0, 1e-3]))
-    @example((0j, 0j, 0j), (1, -1, 3), 1.0)
-    @example((0j, 1 + 0j, 4 + 0j), (0, 1, 4), 1.0)
-    @example((0j, 5 + 0j, -2 + 0j), (1, 5, -2), 1.0)
-    @example((0j, -2 + 0j, 5 + 0j), (-2, 1, 5), 1.0)
-    @example((math.nan, 0, 5), (0, 1, 5), 1.0)
-    @example((0, 1, 5), (0, 1, math.nan), 1.0)
-    def test_written_out_comparisons_choose_as_the_list_form_does(
-            self, predicted, candidates, scale):
-        assert (_match_indices(predicted, candidates, scale)
-                == list_match_indices(predicted, candidates, scale))
-
-
-# ---------------------------------------------------------------------------
-# the tracker kernel composed of its small steps, as it was before it was
-# written out: Cardano and three Newton polishes, dG/ds per branch and the
-# list-form matcher.  The written-out kernel must keep every bit of it.
-# ---------------------------------------------------------------------------
-
-def cardano_roots(p, q):
-    if p == 0 and q == 0:
-        return (0j, 0j, 0j)
-    disc = (q / 2) ** 2 + (p / 3) ** 3
-    u3 = -q / 2 + cmath.sqrt(disc)
-    if abs(u3) < 1e-30:
-        u3 = -q / 2 - cmath.sqrt(disc)
-    u = u3 ** (1.0 / 3.0)
-    omega = complex(-0.5, SQRT3 / 2)
-    roots = []
-    for k in range(3):
-        uk = u * omega ** k
-        roots.append(uk - p / (3 * uk))
-    return tuple(roots)
-
-
-def newton_polish(a3, a1, a0, root):
-    t = root
-    for _ in range(POLISH_ITERATIONS):
-        f = (a3 * t * t * t) + a1 * t + a0
-        fp = 3 * a3 * t * t + a1
-        if abs(fp) < 1e-13 * max(1.0, abs(a3 * t * t)):
-            break
-        step = f / fp
-        t -= step
-        if abs(step) <= 1e-16 * max(1.0, abs(t)):
-            break
-    return t
-
-
-def composed_solve_cubic_g(s):
-    a3 = 16 * s * (1 - s)
-    if abs(a3) < 1e-12:
-        raise NumericError(f"cubic degenerates at s = {s}")
-    if not cmath.isfinite(a3):
-        raise PreconditionError(f"16 s (1-s) is not finite at s = {s!r}")
-    p = -3 / a3
-    q = -1 / a3
-    return tuple(newton_polish(a3, -3, -1, r) for r in cardano_roots(p, q))
-
-
-def g_derivative(s, g):
-    f_s = 16 * (1 - 2 * s) * g ** 3
-    f_g = 48 * s * (1 - s) * g ** 2 - 3
-    if abs(f_g) < 1e-12:
-        raise NumericError(f"dG/ds is undefined at the double root G = {g} of s = {s}")
-    return -f_s / f_g
-
-
-def composed_step_triple(s0, triple, s1, depth=0):
-    if depth > MAX_HALVINGS:
-        raise NumericError(f"continuation step underflow near s = {s0}")
-    if abs(s1 - 0.5) < CHART_ZONE or abs(s0 - 0.5) < CHART_ZONE:
-        return _step_triple_chart(s0, triple, s1, depth)
-    ds = s1 - s0
-    special = [abs(s0 - point) for point in (0, 0.5, 1)]
-    if abs(ds) > STEP_REACH * min(special):
-        return composed_bisected_step(s0, triple, s1, depth)
-    predicted = tuple(g + g_derivative(s0, g) * ds for g in triple)
-    candidates = list(composed_solve_cubic_g(s1))
-    scale = max(1.0, max(abs(g) for g in triple))
-    matched = list_match_indices(predicted, candidates, scale)
-    if matched is None:
-        return composed_bisected_step(s0, triple, s1, depth)
-    return tuple(candidates[j] for j in matched)
-
-
-def composed_bisected_step(s0, triple, s1, depth):
-    mid = (s0 + s1) / 2
-    if abs(mid - 0.5) < COLLISION_NUDGE:
-        mid += 2 * COLLISION_NUDGE * (s1 - s0) / max(abs(s1 - s0), 1e-30)
-    half = composed_step_triple(s0, triple, mid, depth + 1)
-    return composed_step_triple(mid, half, s1, depth + 1)
+        monkeypatch.setattr(branches, "_continued_psi", recorded)
+        continue_triple([0.3, 0.7], anchored_g_triple(0, sqrt_s(0.3)))
+        short = [(s0, s1) for s0, s1 in pieces
+                 if abs(s1 - s0) <= STEP_REACH * min(abs(s0), abs(1 - s0))]
+        assert short == [(0.3, 0.4), (0.4, 0.5), (0.5, 0.7)]
 
 
 def termwise_anchored_g_triple(anchor, local_root):
@@ -584,6 +440,7 @@ _COEFFS = st.one_of(st.complex_numbers(max_magnitude=1e3, **_FINITE),
                     st.builds(complex, st.integers(-4, 4), st.integers(-4, 4)),
                     st.floats(-10, 10))
 NAN = float("nan")
+INF = float("inf")
 
 
 class TestKernelKeepsItsBits:
@@ -596,7 +453,7 @@ class TestKernelKeepsItsBits:
     @example(0.5)                   # the double root
     @example(complex(NAN, 0.2))
     def test_solve_cubic_g(self, s):
-        assert outcome(solve_cubic_g, s) == outcome(composed_solve_cubic_g, s)
+        assert outcome(solve_cubic_g, s) == outcome(tracked_solve_cubic, s)
 
     @settings(max_examples=300, deadline=None)
     @given(_COEFFS, _COEFFS)
@@ -617,56 +474,6 @@ class TestKernelKeepsItsBits:
             return (newton_polish(*args),)
 
         assert outcome(polish, a3, a1, a0, root) == outcome(oracle, a3, a1, a0, root)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.complex_numbers(max_magnitude=2, **_FINITE),
-           st.complex_numbers(max_magnitude=0.3, **_FINITE),
-           st.permutations([0, 1, 2]))
-    @example(0.1 + 0.05j, 0.2, [0, 1, 2])      # steps that halve, see below
-    @example(0.9 + 0.05j, -0.3, [2, 0, 1])
-    @example(0.3 + 0.2j, 0.01, [1, 2, 0])
-    def test_step_triple_off_the_chart(self, s0, ds, order):
-        s1 = s0 + ds
-        assume(abs(s0 - 0.5) >= CHART_ZONE and abs(s1 - 0.5) >= CHART_ZONE)
-        assume(abs(16 * s0 * (1 - s0)) >= 1e-12)
-        roots = solve_cubic_g(s0)
-        triple = tuple(roots[j] for j in order)
-        assert (outcome(step_triple, s0, triple, s1)
-                == outcome(composed_step_triple, s0, triple, s1))
-
-    @pytest.mark.parametrize("s0, triple, s1", [
-        (0.2, (NAN, 0j, 1 + 0j), 0.21),                  # matching fails at every depth
-        (0.2, (complex(0.3, NAN), 0j, 1 + 0j), 0.21),
-        (0.2, solve_cubic_g(0.2), complex(NAN, 0.0)),
-        (complex(NAN, NAN), solve_cubic_g(0.2), 0.21),
-        (0.2, (0.625, 0.625, 0.625), 0.21),              # F_G = 0: dG/ds undefined
-    ])
-    def test_step_triple_on_nan_and_undefined_inputs(self, s0, triple, s1):
-        assert (outcome(step_triple, s0, triple, s1)
-                == outcome(composed_step_triple, s0, triple, s1))
-
-    @pytest.mark.parametrize("s0, ds, pieces", [
-        # 0.112 from s = 0 a piece may be 0.056 long: 0.2 halves twice; 0.158
-        # from 0 it may be 0.079, 0.206 from 0 it may be 0.103
-        (0.1 + 0.05j, 0.2, (0.05, 0.05, 0.1)),
-        # 0.112 from s = 1: -0.3 halves three times; then 0.146, 0.182 from 1,
-        # 0.255 from 1 and 1/2, and 0.182 from 1/2
-        (0.9 + 0.05j, -0.3, (-0.0375, -0.0375, -0.075, -0.075, -0.075)),
-        # past s = 1/2 at 0.06, outside the crossing chart: 0.117, 0.078, 0.065,
-        # 0.06, 0.065, 0.078 and 0.096 from 1/2
-        (0.6 + 0.06j, -0.2, (-0.05, -0.025, -0.025, -0.025, -0.025, -0.025, -0.025)),
-    ])
-    def test_the_examples_halve(self, monkeypatch, s0, ds, pieces):
-        # the step rule bisects before it solves, so the only solves are at the
-        # ends of the pieces; matching alone halved the first two steps after a
-        # solve at each rejected end, 5 and 9 solves, and took the third in one
-        solves = []
-        monkeypatch.setattr(branches, "solve_cubic_g",
-                            lambda s, solve=solve_cubic_g: solves.append(s) or solve(s))
-        step_triple(s0, solve_cubic_g(s0), s0 + ds)
-        ends = list(itertools.accumulate(pieces, initial=s0))[1:]
-        assert len(solves) == len(pieces)
-        assert max(abs(s - end) for s, end in zip(solves, ends)) < 1e-15
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from([0, 1]), st.floats(1e-8, 0.6), st.floats(-math.pi, math.pi))
@@ -725,25 +532,102 @@ class TestMonodromy:
         assert abs(delta - (triple[0] - triple[2])) < 1e-8
 
     @pytest.mark.parametrize("center", [0.0, 1.0])
-    def test_a_step_bisected_onto_the_crossing_keeps_the_labels(self, center):
-        # 0.45 -> 0.55 bisects onto s = 1/2 exactly, where the crossing
-        # branches take one value; after the loop around s = 1 the chart's
-        # conventional order there swapped branches 1 and 2 of the triple
+    def test_a_segment_through_the_crossing_after_a_loop_keeps_the_labels(self, center):
+        # 0.45 -> 0.55 halves onto s = 1/2 exactly, where the crossing
+        # branches take one value; the tracker walks it in steps of 0.001
         moved = continue_triple([0.05, 0.45], anchored_g_triple(0, sqrt_s(0.05)))
         looped = monodromy_triple(0.45, moved, center)
-        walked = continue_triple([0.45 + 0.001 * k for k in range(101)], looped)
-        for stepped in (step_triple(0.45, looped, 0.55),
-                        continue_triple([0.45, 0.55], looped)):
-            assert max(abs(a - b) for a, b in zip(stepped, walked)) < 1e-12
+        walked = tracked_continue_triple([0.45 + 0.001 * k for k in range(101)], looped)
+        assert relative_gap(walked, continue_triple([0.45, 0.55], looped)) < 1e-12
+
+    @pytest.mark.parametrize("s, center", [(0.04, 0.0), (0.96, 1.0), (0.3 - 0.2j, 0.0),
+                                           (0.8 + 0.3j, 1.0), (2.5 + 1j, 1.0),
+                                           (-0.6 - 0.4j, 0.0)])
+    def test_a_loop_ends_where_the_tracker_ends_it(self, s, center):
+        start = tracked_solve_cubic(s)
+        loop = [s, *_loop_path(s, center)]
+        assert relative_gap(tracked_continue_triple(loop, start),
+                            monodromy_triple(s, start, center)) < 1e-12
 
     def test_regular_loop_has_zero_discontinuity(self):
-        from exactwkb.branches import _loop_path
         s0 = 0.04
         triple = anchored_g_triple(0, cmath.sqrt(s0))
         moved = continue_triple([s0, 0.5 + 0.3j], triple)
         loop = _loop_path(0.5 + 0.3j, 0.3 + 0.3j)
         returned = continue_triple([0.5 + 0.3j, *loop], moved)
         assert max(abs(a - b) for a, b in zip(returned, moved)) < 1e-10
+
+
+def tracked_ray(anchor, kappa):
+    """The tracker's summation ray from s = anchor along kappa: the exact
+    series up to _SERIES_HANDOFF, with the local root s^(1/2) at anchor 0 and
+    i (s - 1)^(1/2) at anchor 1 written out here, then tracked."""
+    def start(t):
+        root = cmath.sqrt(kappa * t)
+        return anchored_g_triple(anchor, 1j * root if anchor == 1 else root)
+
+    return TrackedRay(anchor, kappa, _SERIES_HANDOFF / abs(kappa), start)
+
+
+class TestClosedForm:
+    """Viete's closed form G_k = 1/(2 cos theta_k - 1), theta_k =
+    (pi - 4 psi + 2 pi k)/3 with s = sin(psi)^2, held against the tracker,
+    the exact series, the Gauss function and the loop permutations."""
+
+    @pytest.mark.parametrize("region, seed", [("I", 1), ("I", 2), ("II", 1), ("II", 2)])
+    def test_ray_nodes_agree_with_the_tracker(self, region, seed):
+        # 26 seeded points, both rays, 50 nodes each from where the series
+        # hands off to t = 20, log-uniform: 2,600 nodes per case
+        rng = random.Random(seed)
+        sign = -1 if region == "I" else 1
+        nodes = 0
+        for _ in range(26):
+            x = rng.uniform(0.2, 3) * cmath.exp(sign * 1j * rng.uniform(0.01, 2.08))
+            ctx = classify_stokes(x)
+            assert ctx.region == region
+            for anchor in (0, 1):
+                ray, tracked = RayField(anchor, ctx.kappa), tracked_ray(anchor, ctx.kappa)
+                t_min = _SERIES_HANDOFF / abs(ctx.kappa)
+                for _ in range(50):
+                    t = t_min * (20 / t_min) ** rng.random()
+                    assert relative_gap(tracked.triple(t), ray.triple(t)) < 1e-13, (x, anchor, t)
+                    nodes += 1
+        assert nodes == 2600
+
+    @pytest.mark.parametrize("anchor", [0, 1])
+    @pytest.mark.parametrize("phase", [0.0, 0.7, 2.0, -1.2, -2.9])
+    def test_near_each_anchor_the_labels_are_the_series_labels(self, anchor, phase):
+        for radius in (0.05, 0.2):
+            root = cmath.rect(radius, phase)
+            assert relative_gap(anchored_g_triple(anchor, root),
+                                closed_form_g_triple(anchor, root)) < 1e-13
+
+    @pytest.mark.parametrize("s", [0.3 + 0.2j, -0.4 + 0.1j, 0.1 - 0.45j, 0.55 + 0.3j])
+    def test_g1_minus_g2_is_the_gauss_function(self, s):
+        # DLMF 15.4.12 at a = 1/6: F(1/6, 5/6; 1/2; sin(psi)^2) =
+        # cos(2 psi/3)/cos(psi), and G_1 - G_2 = (sqrt(3)/2) s^(-1/2) times it
+        gauss = sum(float(c) * s ** n for n, c in enumerate(hypergeometric_oracle("+", 200)))
+        g1, g2, _ = closed_form_g_triple(0, sqrt_s(s))
+        want = math.sqrt(3) / 2 / sqrt_s(s) * gauss
+        assert abs((g1 - g2) - want) < 1e-14 * abs(want)
+
+    @pytest.mark.parametrize("anchor, image", [(0, lambda psi: -psi),
+                                               (1, lambda psi: math.pi - psi)])
+    def test_the_psi_maps_give_the_loop_permutations(self, anchor, image):
+        # once round s = 0 turns psi into -psi, once round s = 1 into pi - psi
+        perm = loop_permutation(anchor)
+        rng = random.Random(anchor)
+        for _ in range(20):
+            psi = complex(rng.uniform(-3, 3), rng.uniform(-1.5, 1.5))
+            triple, looped = branches._psi_triple(psi), branches._psi_triple(image(psi))
+            assert relative_gap(triple, tuple(looped[perm[i]] for i in range(3))) < 1e-12
+        assert perm == ((1, 0, 2) if anchor == 0 else (2, 1, 0))
+
+    @pytest.mark.parametrize("root", [0j, 1.0, -1 + 0j, complex(NAN, 0.1), complex(0.2, INF)])
+    def test_a_local_root_where_a_branch_diverges_or_is_not_finite_raises(self, root):
+        for anchor in (0, 1):
+            with pytest.raises(PreconditionError):
+                closed_form_g_triple(anchor, root)
 
 
 class TestIdentities:
@@ -761,7 +645,10 @@ class TestIdentities:
 
 def shape_1_for_shape_2(monkeypatch):
     """Hand every reader of the anchor series shape 1 where it asks for
-    shape 2: G_2 at s = 0 and G_3 at s = 1 become copies of G_1."""
+    shape 2: G_2 at s = 0 and G_3 at s = 1 become copies of G_1.  The cached
+    loop permutations are cleared, so that they are read again from these
+    series; a read that raises caches nothing."""
+    branches.loop_permutation.cache_clear()
     real = branches._g_series_shape
     monkeypatch.setattr(branches, "_g_series_shape",
                         lambda shape, n: real(1 if shape == 2 else shape, n))

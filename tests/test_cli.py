@@ -3,6 +3,9 @@
 import ast
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -202,6 +205,17 @@ class TestExitCodes:
     def test_empty_pearcey_sample_is_3(self, points):
         code, out = run_cli(["pearcey", "verify", "--order", "2", "--points", points])
         assert (code, out) == (3, "")
+
+
+class TestModuleEntryPoint:
+    def test_python_m_runs_the_cli(self):
+        # the package imported from the same source tree as these tests
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        args = ["verify", "all", "--fast"]
+        done = subprocess.run([sys.executable, "-m", "exactwkb", *args], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert (0, done.stdout) == run_cli(args)
 
 
 class TestDeterminism:

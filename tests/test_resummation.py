@@ -17,8 +17,8 @@ import mpmath
 import pytest
 
 from exactwkb import branches, resummation
-from exactwkb.branches import (STEP_REACH, _loop_path, _match_indices, anchored_g_triple,
-                               continue_triple, loop_permutation, monodromy_triple, sqrt_s)
+from exactwkb.branches import (_loop_path, anchored_g_triple, continue_triple,
+                               loop_permutation, monodromy_triple, sqrt_s)
 from exactwkb.errors import NumericError, PreconditionError, VerificationError
 from exactwkb.resummation import (_SERIES_HANDOFF, AIRY_ORACLE_TOL, VOROS_QUAD_TOL,
                                   BorelSum, RayField, _laplace_quadrature, _scaled_sum,
@@ -27,6 +27,7 @@ from exactwkb.resummation import (_SERIES_HANDOFF, AIRY_ORACLE_TOL, VOROS_QUAD_T
                                   laplace_sum, verify_airy_connection,
                                   verify_voros)
 from exactwkb.verify import _voros_grid_points, run_voros_grid
+from root_tracker import match_indices, tracked_continue_triple
 
 SQRT_PI = math.sqrt(math.pi)
 NAN = float("nan")
@@ -47,9 +48,9 @@ def minus_sum(ctx, eta, tol=VOROS_QUAD_TOL):
 def numeric_loop_permutation(s, triple, center):
     """The permutation of ``triple`` by one numeric loop from s around
     ``center``: the looped value of entry i is ``triple[pi[i]]``, matched
-    under the tracker's MATCH_MARGIN rule."""
+    under the test tracker's MATCH_MARGIN rule."""
     looped = monodromy_triple(s, triple, center)
-    perm = _match_indices(looped, triple, max(1.0, max(abs(g) for g in triple)))
+    perm = match_indices(looped, triple, max(1.0, max(abs(g) for g in triple)))
     assert perm is not None, f"looped triple at s = {s} matches no permutation"
     return perm
 
@@ -661,9 +662,9 @@ class TestRayMonodromy:
     @pytest.mark.parametrize("center", [0.0, 1.0])
     @pytest.mark.parametrize("point", BENCH_POINTS)
     def test_a_loop_keeps_the_bits_of_a_fine_walk(self, point, center):
-        # one kernel call per chord of the loop against waypoints every 0.01
-        # along the same chords: both end on the loop's last corner, whose
-        # polished roots they return in the same order
+        # one segment per chord of the loop against waypoints every 0.01
+        # along the same chords: both end on the same determination of psi
+        # at the loop's last corner
         ctx = classify_stokes(point[0])
         t = _SERIES_HANDOFF / abs(ctx.kappa)
         s, triple = ctx.ray_point("-", t), RayField(1, ctx.kappa).triple(t)
@@ -677,7 +678,7 @@ class TestRayMonodromy:
         # and the loop permutes the "-" ray triple as the exact series at its
         # center do
         scale = max(1.0, max(abs(g) for g in triple))
-        assert _match_indices(walked, triple, scale) == loop_permutation(int(center))
+        assert match_indices(walked, triple, scale) == loop_permutation(int(center))
 
     @pytest.mark.parametrize("arg", [0.3, math.pi / 6, 1.9])
     def test_permutation_matches_loop_at_each_node(self, arg):
@@ -747,6 +748,8 @@ class TestRayMonodromy:
         real = branches._g_series_shape
         monkeypatch.setattr(branches, "_g_series_shape",
                             lambda shape, n: real(1 if shape == 2 else shape, n))
+        # the cached permutation was read from the true series
+        branches.loop_permutation.cache_clear()
         with pytest.raises(VerificationError, match="s = 1"):
             gamma_term(ctx, minus)
         assert not branches.verify_branch_identities(6).passed
@@ -797,15 +800,17 @@ class TestRecordedVorosReports:
         _assert_report_keeps_its_bits(self.DEFAULT_GRID[index])
 
 
-# the tracker functions a boundary tracer hooks, as (module, attribute path),
-# with the calls one verify_voros makes at each benchmark point: the solves are
-# one per tracked ray node, as TestRayCost derives them, and no loop is walked
+# the branch functions a boundary tracer hooks, as (module, attribute path),
+# with the calls one verify_voros makes at each benchmark point: one series
+# evaluation per ray node inside _SERIES_HANDOFF, the closed form (not
+# hooked) at the 408 and 366 nodes beyond it, no cubic solve, and no loop or
+# polyline walked, as TestRayCost derives them
 TRACKER_HOOKS = (("exactwkb.branches", "solve_cubic_g"),
                  ("exactwkb.branches", "continue_triple"),
                  ("exactwkb.branches", "anchored_g_triple"),
                  ("exactwkb.resummation", "RayField.triple"),
                  ("exactwkb.branches", "monodromy_triple"))
-TRACKER_CALLS = ((408, 0, 106, 512, 0), (366, 0, 148, 512, 0))
+TRACKER_CALLS = ((0, 0, 104, 512, 0), (0, 0, 146, 512, 0))
 
 
 def count_calls(monkeypatch, module_name, path):
@@ -886,47 +891,26 @@ class TestTracerBoundaries:
         assert {name: c[0] for name, c in counters.items()} == SERIES_KERNEL_CALLS
 
 
-def kernel_pieces(s0, s1):
-    """The solves of one ``step_triple`` call off the crossing chart whose
-    roots all match clearly: the pieces its step rule cuts s0 -> s1 into."""
-    if abs(s1 - s0) <= STEP_REACH * min(abs(s0), abs(s0 - 0.5), abs(1 - s0)):
-        return 1
-    mid = (s0 + s1) / 2
-    return kernel_pieces(s0, mid) + kernel_pieces(mid, s1)
-
-
 class TestRayCost:
-    """Each tracked node of a summation ray costs one kernel call and one
-    cubic solve, and the cut term costs none."""
+    """Each node of a summation ray costs one evaluation: the exact series
+    inside _SERIES_HANDOFF, the closed form beyond it, and no cubic solve;
+    the cut term costs none."""
 
     @pytest.mark.parametrize("point", BENCH_POINTS)
-    def test_one_solve_per_tracked_node(self, monkeypatch, point):
+    def test_one_evaluation_per_node(self, monkeypatch, point):
         x, eta = point
         ctx = classify_stokes(x)
-        solves = count_calls(monkeypatch, "exactwkb.branches", "solve_cubic_g")
-        ray_calls = [0]
-        rays = []
-
-        def counted(*args, kernel=branches.step_triple):
-            ray_calls[0] += 1
-            return kernel(*args)
-
-        class RecordedRay(RayField):
-            def __init__(self, anchor, kappa):
-                super().__init__(anchor, kappa)
-                rays.append(self)
-
-        monkeypatch.setattr(resummation, "step_triple", counted)
-        monkeypatch.setattr(resummation, "RayField", RecordedRay)
+        counters = [count_calls(monkeypatch, "exactwkb.branches", name)
+                    for name in ("solve_cubic_g", "anchored_g_triple", "closed_form_g_triple")]
+        nodes = count_calls(monkeypatch, "exactwkb.resummation", "RayField.triple")
         laplace_sum("+", ctx, eta, VOROS_QUAD_TOL)
         minus = laplace_sum("-", ctx, eta, VOROS_QUAD_TOL)
-        # each ray's first cached sample comes from the series
-        tracked = sum(len(ray._ts) - 1 for ray in rays)
-        assert [ray.anchor for ray in rays] == [0, 1]
-        assert tracked > 300
-        assert ray_calls[0] == solves[0] == tracked
+        solves, series, closed = (c[0] for c in counters)
+        assert solves == 0
+        assert closed > 300
+        assert series + closed == nodes[0]
         gamma_term(ctx, minus)
-        assert ray_calls[0] == solves[0] == tracked
+        assert [c[0] for c in counters] == [0, series, closed]
 
 
 class TestGrazingRays:
@@ -977,7 +961,7 @@ class TestRayOrientation:
         # along the arc of radius _SERIES_HANDOFF around s = 1
         angles = [0.45 + (theta - 0.45) * k / 24 for k in range(25)]
         arc = [1 + _SERIES_HANDOFF * cmath.exp(1j * a) for a in angles]
-        carried = continue_triple(arc, anchored_g_triple(1, 1j * cmath.sqrt(arc[0] - 1)))
+        carried = tracked_continue_triple(arc, anchored_g_triple(1, 1j * cmath.sqrt(arc[0] - 1)))
         s = arc[-1]
         want = anchored_g_triple(1, 1j * cmath.sqrt(s - 1))
         flipped = anchored_g_triple(1, -1j * cmath.sqrt(s - 1))
