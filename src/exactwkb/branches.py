@@ -47,8 +47,8 @@ from .series import ExactScalar, PuiseuxSeries
 SQRT3 = 3.0 ** 0.5
 _INF = float("inf")
 
-# |s - base| below which branch values come from the exact local series.
-SERIES_ZONE = 0.10
+# terms of the exact anchor series, which start a trace, give the loop
+# permutations and fix the closed form's labels
 ANCHOR_SERIES_TERMS = 32
 
 LOOP_RADIUS_CAP = 0.35  # largest radius of a monodromy loop's polygon
@@ -234,7 +234,11 @@ def _polish_cubic(a3: complex, a1: complex, a0: complex, root: complex) -> compl
 def solve_cubic_g(s: complex) -> tuple[complex, complex, complex]:
     """All roots of 16 s (1-s) G^3 - 3 G - 1 = 0, unordered but polished.
 
-    A point s where 16 s (1-s) is NaN or infinite raises PreconditionError.
+    An oracle with no caller in the package: every branch value comes from
+    ``closed_form_g_triple``, and the tests hold those values against this
+    Cardano solve with Newton polishing, which shares no code with it; the
+    benchmark counts its calls.  A point s where 16 s (1-s) is NaN or
+    infinite raises PreconditionError.
     """
     a3 = 16 * s * (1 - s)
     size = abs(a3)
@@ -316,10 +320,6 @@ def anchored_g_triple(anchor: int, local_root: complex) -> tuple[complex, comple
             reduce(add, map(mul, c3, pick3(values)), 0j))
 
 
-# the branch labels 1, 2, 3 are k = 0, 2, 1 in theta_k = (pi - 4 psi + 2 pi k)/3
-_LABEL_K = (0, 2, 1)
-
-
 def _g_triple(psi: complex, chi: complex) -> tuple[complex, complex, complex]:
     """(G_1, G_2, G_3) at s = sin(psi)^2, from Viete's closed form.
 
@@ -329,13 +329,13 @@ def _g_triple(psi: complex, chi: complex) -> tuple[complex, complex, complex]:
     (pi (k+1) - 2 psi)/3 and (pi k - 2 psi)/3; for k = 0, 1, 2 their sines are
     (q, -p), (r, q) and (p, r), with p = sin(2 psi/3), q = sin(2 chi/3) and
     r = sin((2 pi - 2 psi)/3) = p + q.  So a value that diverges at s = 0 or 1
-    does so through a small p or q computed at full relative accuracy.
+    does so through a small p or q computed at full relative accuracy.  The
+    labels 1, 2, 3 are k = 0, 2, 1, so the triple is written out in that order.
     """
     p = cmath.sin(psi * (2 / 3))
     q = cmath.sin(chi * (2 / 3))
     r = p + q
-    half_sines = ((q, -p), (r, q), (p, r))
-    return tuple(-0.25 / (half_sines[k][0] * half_sines[k][1]) for k in _LABEL_K)
+    return (-0.25 / (q * -p), -0.25 / (p * r), -0.25 / (r * q))
 
 
 def closed_form_g_triple(anchor: int, local_root: complex) -> tuple[complex, complex, complex]:

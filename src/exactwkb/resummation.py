@@ -2,8 +2,8 @@
 
 The Laplace integrals run along the rays y = -+(2/3) x^(3/2) + t, t >= 0; in
 the normalized variable the integrand comes from the branch triple at each
-node (the exact local series near the base point; beyond it, Viete's closed
-form of the cubic's roots), so no node is tracked from another.
+node, one evaluation of Viete's closed form of the cubic's roots, so no node
+is tracked from another.
 The endpoint square-root singularity is removed by t = u^2 and the quadrature
 is adaptive Gauss-Legendre on u-panels: each panel is the sum of the 16-point
 rule on its two halves, and its error estimate is read off the top Legendre
@@ -33,8 +33,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .branches import (SERIES_ZONE, anchored_g_triple, closed_form_g_triple,
-                       loop_permutation)
+from .branches import closed_form_g_triple, loop_permutation
 from .errors import NumericError, PreconditionError, VerificationError
 
 TWO_PI_THIRDS = 2 * math.pi / 3
@@ -46,8 +45,6 @@ BOUNDARY = "boundary"
 OUTSIDE = "outside"
 # |arg x - ray| below which classify_stokes puts x on a Stokes ray
 STOKES_BOUNDARY_TOL = 1e-12
-
-_SERIES_HANDOFF = 0.8 * SERIES_ZONE
 
 # gates of VorosReport: the jump, and the "-" sum against the oracle; every
 # sum of verify_voros is integrated to VOROS_QUAD_TOL, and both sums of
@@ -116,17 +113,15 @@ def classify_stokes(x: complex) -> StokesContext:
 class RayField:
     """Values of the ordered branch triple along one summation ray.
 
-    Close to the base point the exact local series is evaluated
-    (``anchored_g_triple``); beyond _SERIES_HANDOFF the closed form is
-    (``closed_form_g_triple``).  Both take the local root, which fixes the
-    branch orientation, so each node costs one evaluation and no node depends
-    on another.
+    Every node is one evaluation of the closed form
+    (``closed_form_g_triple``) at the local root, which fixes the branch
+    orientation, so no node depends on another.  The exact anchor series
+    label the closed form's values and are its oracle in the tests.
     """
 
     def __init__(self, anchor: int, kappa: complex):
         self.anchor = anchor
         self.kappa = kappa
-        self._abs_kappa = abs(kappa)
 
     def _local_root(self, t: float) -> complex:
         """s^(1/2) at anchor 0; at anchor 1, (1-s)^(1/2) by the i-orientation rule.
@@ -143,8 +138,6 @@ class RayField:
         return 1j * root if self.anchor == 1 else root
 
     def triple(self, t: float) -> tuple:
-        if self._abs_kappa * t <= _SERIES_HANDOFF:
-            return anchored_g_triple(self.anchor, self._local_root(t))
         return closed_form_g_triple(self.anchor, self._local_root(t))
 
 
@@ -320,7 +313,7 @@ class BorelSum:
     ``quadrature_error_estimate`` covers the quadrature panels and the tail
     only, not the rounding of the integrand values (branch values and their
     differences), so it is an estimate, not a bound: on the default Voros
-    grid the achieved error exceeds it in 11 of 60 sums, by up to 1.83 times
+    grid the achieved error exceeds it in 10 of 60 sums, by up to 2.02 times
     against 40-digit values of Ai.
     """
 

@@ -37,6 +37,9 @@ CHART_TERMS = 16
 # distance from s = 1/2 below which a bisection midpoint or a waypoint is
 # moved on by twice this along the direction of travel
 COLLISION_NUDGE = 1e-4
+# |s - base| up to which the tests start a tracked ray, a loop or an arc from
+# the exact anchor series
+SERIES_HANDOFF = 0.08
 
 
 def cardano_roots(p, q):

@@ -24,11 +24,11 @@ from exactwkb.branches import (ANCHOR_SERIES_TERMS, MAX_HALVINGS, STEP_REACH,
                                trace_branch, verify_branch_identities)
 from exactwkb.cli import main as cli_main
 from exactwkb.errors import NumericError, PreconditionError, VerificationError
-from exactwkb.resummation import _SERIES_HANDOFF, RayField, classify_stokes
+from exactwkb.resummation import RayField, classify_stokes
 from exactwkb.series import ExactScalar, PuiseuxSeries as P
-from root_tracker import (CHART_TERMS, TrackedRay, cardano_roots, crossing_chart_series,
-                          newton_polish, relative_gap, solve_cubic as tracked_solve_cubic,
-                          tracked_continue_triple)
+from root_tracker import (CHART_TERMS, SERIES_HANDOFF, TrackedRay, cardano_roots,
+                          crossing_chart_series, newton_polish, relative_gap,
+                          solve_cubic as tracked_solve_cubic, tracked_continue_triple)
 
 SQRT3_4 = math.sqrt(3) / 4
 
@@ -560,13 +560,13 @@ class TestMonodromy:
 
 def tracked_ray(anchor, kappa):
     """The tracker's summation ray from s = anchor along kappa: the exact
-    series up to _SERIES_HANDOFF, with the local root s^(1/2) at anchor 0 and
+    series up to SERIES_HANDOFF, with the local root s^(1/2) at anchor 0 and
     i (s - 1)^(1/2) at anchor 1 written out here, then tracked."""
     def start(t):
         root = cmath.sqrt(kappa * t)
         return anchored_g_triple(anchor, 1j * root if anchor == 1 else root)
 
-    return TrackedRay(anchor, kappa, _SERIES_HANDOFF / abs(kappa), start)
+    return TrackedRay(anchor, kappa, SERIES_HANDOFF / abs(kappa), start)
 
 
 class TestClosedForm:
@@ -587,7 +587,7 @@ class TestClosedForm:
             assert ctx.region == region
             for anchor in (0, 1):
                 ray, tracked = RayField(anchor, ctx.kappa), tracked_ray(anchor, ctx.kappa)
-                t_min = _SERIES_HANDOFF / abs(ctx.kappa)
+                t_min = SERIES_HANDOFF / abs(ctx.kappa)
                 for _ in range(50):
                     t = t_min * (20 / t_min) ** rng.random()
                     assert relative_gap(tracked.triple(t), ray.triple(t)) < 1e-13, (x, anchor, t)
@@ -601,6 +601,53 @@ class TestClosedForm:
             root = cmath.rect(radius, phase)
             assert relative_gap(anchored_g_triple(anchor, root),
                                 closed_form_g_triple(anchor, root)) < 1e-13
+
+    @pytest.mark.parametrize("region", ["I", "II"])
+    def test_near_each_anchor_every_ray_node_is_the_series_value(self, region):
+        # 20 seeded points, both rays, 250 nodes each with |s - base|
+        # log-uniform from 1e-14 to SERIES_HANDOFF: 10,000 nodes per region,
+        # each entry to 1e-14 relative against the series at the local root
+        # written out as tracked_ray writes it.  A loop round the anchor turns
+        # that root w into -w, and the series there are the ray's entries
+        # permuted as loop_permutation reads the permutation
+        rng = random.Random(region)
+        sign = -1 if region == "I" else 1
+        nodes = 0
+        for _ in range(20):
+            x = rng.uniform(0.2, 3) * cmath.exp(sign * 1j * rng.uniform(0.01, 2.08))
+            ctx = classify_stokes(x)
+            assert ctx.region == region
+            for anchor in (0, 1):
+                ray, perm = RayField(anchor, ctx.kappa), loop_permutation(anchor)
+                for _ in range(250):
+                    t = 1e-14 * (SERIES_HANDOFF / 1e-14) ** rng.random() / abs(ctx.kappa)
+                    root = cmath.sqrt(ctx.kappa * t) * (1j if anchor == 1 else 1)
+                    triple = ray.triple(t)
+                    series, looped = anchored_g_triple(anchor, root), anchored_g_triple(anchor, -root)
+                    for i in range(3):
+                        assert abs(series[i] - triple[i]) <= 1e-14 * abs(triple[i]), (x, anchor, t)
+                        assert (abs(looped[i] - triple[perm[i]])
+                                <= 1e-14 * abs(triple[perm[i]])), (x, anchor, t)
+                    nodes += 1
+        assert nodes == 10_000
+
+    def test_the_values_are_the_roots_of_the_cubic(self):
+        # solve_cubic_g, Cardano with Newton polishing, as the oracle of the
+        # cubic: at 400 seeded s away from s = 0, 1/2 and 1 the three values
+        # are its three roots, each to 1e-13 of the largest
+        rng = random.Random(3)
+        checked = 0
+        while checked < 400:
+            s = complex(rng.uniform(-2, 3), rng.uniform(-2, 2))
+            if min(abs(s), abs(s - 0.5), abs(s - 1)) < 0.05:
+                continue
+            roots = solve_cubic_g(s)
+            scale = max(map(abs, roots))
+            values = closed_form_g_triple(0, sqrt_s(s))
+            nearest = [min(range(3), key=lambda j: abs(g - roots[j])) for g in values]
+            assert sorted(nearest) == [0, 1, 2], s
+            assert all(abs(g - roots[j]) < 1e-13 * scale for g, j in zip(values, nearest)), s
+            checked += 1
 
     @pytest.mark.parametrize("s", [0.3 + 0.2j, -0.4 + 0.1j, 0.1 - 0.45j, 0.55 + 0.3j])
     def test_g1_minus_g2_is_the_gauss_function(self, s):

@@ -20,14 +20,14 @@ from exactwkb import branches, resummation
 from exactwkb.branches import (_loop_path, anchored_g_triple, continue_triple,
                                loop_permutation, monodromy_triple, sqrt_s)
 from exactwkb.errors import NumericError, PreconditionError, VerificationError
-from exactwkb.resummation import (_SERIES_HANDOFF, AIRY_ORACLE_TOL, VOROS_QUAD_TOL,
+from exactwkb.resummation import (AIRY_ORACLE_TOL, VOROS_QUAD_TOL,
                                   BorelSum, RayField, _laplace_quadrature, _scaled_sum,
                                   airy_reference, classify_stokes,
                                   formal_solution_partial_sum, gamma_term,
                                   laplace_sum, verify_airy_connection,
                                   verify_voros)
 from exactwkb.verify import _voros_grid_points, run_voros_grid
-from root_tracker import match_indices, tracked_continue_triple
+from root_tracker import SERIES_HANDOFF, match_indices, tracked_continue_triple
 
 SQRT_PI = math.sqrt(math.pi)
 NAN = float("nan")
@@ -59,23 +59,21 @@ def delta_g3_cut(ctx, eta, tol):
     """The cut term as the Laplace integral of Delta g_3 along the "-" ray.
 
     -1/sqrt(pi) times the integral of Delta g_3 = triple[pi(3)] - triple[3],
-    on a ray of its own, with pi from one numeric loop where the ray leaves
-    the series zone; inside the zone the looped value is the exact local
-    element at -w (one turn flips the local root).
+    on a ray of its own, with pi from one numeric loop from the ray's node at
+    |s - 1| = SERIES_HANDOFF.  Near s = 1 the looped value is the exact local
+    element at -w (one turn flips the local root);
+    ``TestClosedForm::test_near_each_anchor_every_ray_node_is_the_series_value``
+    holds that against the permuted entry taken here.
     """
     ray = RayField(1, ctx.kappa)
-    t_exit = _SERIES_HANDOFF / abs(ctx.kappa)
+    t_exit = SERIES_HANDOFF / abs(ctx.kappa)
     image = numeric_loop_permutation(ctx.ray_point("-", t_exit), ray.triple(t_exit),
                                      1.0 + 0j)[2]
     inv_pref = 1.0 / (SQRT_PI * ctx.x)
 
     def integrand(t):
         triple = ray.triple(t)
-        if abs(ctx.kappa) * t <= _SERIES_HANDOFF:
-            looped = anchored_g_triple(1, -ray._local_root(t))[2]
-        else:
-            looped = triple[image]
-        return -(looped - triple[2]) * inv_pref
+        return -(triple[image] - triple[2]) * inv_pref
 
     raw, err = _laplace_quadrature(integrand, eta, tol)
     return _scaled_sum("+", ctx, eta, ctx.alpha_minus, raw, err)
@@ -105,7 +103,7 @@ def literal_loop_cut(ctx, eta, offset_angle=0.12, inner_radius=1e-4, arc_steps=9
         return (4.0 / 3.0) * ctx.x_three_halves * (s - 0.5)
 
     # branch field connected to the "+" ray: start near s = 0 on that ray
-    start_s = _SERIES_HANDOFF * kappa / abs(kappa)
+    start_s = SERIES_HANDOFF * kappa / abs(kappa)
     state = {"s": start_s, "triple": anchored_g_triple(0, sqrt_s(start_s))}
 
     def advance(s_to):
@@ -666,7 +664,7 @@ class TestRayMonodromy:
         # along the same chords: both end on the same determination of psi
         # at the loop's last corner
         ctx = classify_stokes(point[0])
-        t = _SERIES_HANDOFF / abs(ctx.kappa)
+        t = SERIES_HANDOFF / abs(ctx.kappa)
         s, triple = ctx.ray_point("-", t), RayField(1, ctx.kappa).triple(t)
         corners = [s, *_loop_path(s, center)]
         fine = [s]
@@ -801,16 +799,16 @@ class TestRecordedVorosReports:
 
 
 # the branch functions a boundary tracer hooks, as (module, attribute path),
-# with the calls one verify_voros makes at each benchmark point: one series
-# evaluation per ray node inside _SERIES_HANDOFF, the closed form (not
-# hooked) at the 408 and 366 nodes beyond it, no cubic solve, and no loop or
-# polyline walked, as TestRayCost derives them
+# with the calls one verify_voros makes at each benchmark point: the closed
+# form (not hooked) at every one of the 512 ray nodes, so no series
+# evaluation, no cubic solve, and no loop or polyline walked, as TestRayCost
+# derives them
 TRACKER_HOOKS = (("exactwkb.branches", "solve_cubic_g"),
                  ("exactwkb.branches", "continue_triple"),
                  ("exactwkb.branches", "anchored_g_triple"),
                  ("exactwkb.resummation", "RayField.triple"),
                  ("exactwkb.branches", "monodromy_triple"))
-TRACKER_CALLS = ((0, 0, 104, 512, 0), (0, 0, 146, 512, 0))
+TRACKER_CALLS = ((0, 0, 0, 512, 0), (0, 0, 0, 512, 0))
 
 
 def count_calls(monkeypatch, module_name, path):
@@ -892,9 +890,8 @@ class TestTracerBoundaries:
 
 
 class TestRayCost:
-    """Each node of a summation ray costs one evaluation: the exact series
-    inside _SERIES_HANDOFF, the closed form beyond it, and no cubic solve;
-    the cut term costs none."""
+    """Each node of a summation ray costs one evaluation of the closed form,
+    with no series evaluation and no cubic solve; the cut term costs none."""
 
     @pytest.mark.parametrize("point", BENCH_POINTS)
     def test_one_evaluation_per_node(self, monkeypatch, point):
@@ -906,11 +903,10 @@ class TestRayCost:
         laplace_sum("+", ctx, eta, VOROS_QUAD_TOL)
         minus = laplace_sum("-", ctx, eta, VOROS_QUAD_TOL)
         solves, series, closed = (c[0] for c in counters)
-        assert solves == 0
-        assert closed > 300
-        assert series + closed == nodes[0]
+        assert solves == series == 0
+        assert closed == nodes[0] > 300
         gamma_term(ctx, minus)
-        assert [c[0] for c in counters] == [0, series, closed]
+        assert [c[0] for c in counters] == [0, 0, closed]
 
 
 class TestGrazingRays:
@@ -958,17 +954,17 @@ class TestRayOrientation:
         ctx = classify_stokes(cmath.exp(1j * arg))
         theta = cmath.phase(ctx.kappa)
         # arg kappa = 0.45 is a region-I ray direction; rotate down to this ray
-        # along the arc of radius _SERIES_HANDOFF around s = 1
+        # along the arc of radius SERIES_HANDOFF around s = 1
         angles = [0.45 + (theta - 0.45) * k / 24 for k in range(25)]
-        arc = [1 + _SERIES_HANDOFF * cmath.exp(1j * a) for a in angles]
+        arc = [1 + SERIES_HANDOFF * cmath.exp(1j * a) for a in angles]
         carried = tracked_continue_triple(arc, anchored_g_triple(1, 1j * cmath.sqrt(arc[0] - 1)))
         s = arc[-1]
         want = anchored_g_triple(1, 1j * cmath.sqrt(s - 1))
         flipped = anchored_g_triple(1, -1j * cmath.sqrt(s - 1))
         assert max(abs(a - b) for a, b in zip(carried, want)) < 1e-12
         assert max(abs(a - b) for a, b in zip(carried, flipped)) > 1.0
-        # and the ray field evaluates that same sheet where it leaves the series
-        t = _SERIES_HANDOFF / abs(ctx.kappa)
+        # and the ray field evaluates that same sheet at the arc's end
+        t = SERIES_HANDOFF / abs(ctx.kappa)
         assert max(abs(a - b) for a, b in zip(RayField(1, ctx.kappa).triple(t), want)) < 1e-12
 
 
