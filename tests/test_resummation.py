@@ -798,6 +798,41 @@ class TestRecordedVorosReports:
         _assert_report_keeps_its_bits(self.DEFAULT_GRID[index])
 
 
+def mpmath_sums(x, eta, region, dps):
+    """The "+" and "-" Borel sums at x from mpmath's Ai at dps digits."""
+    turn = 1 if region == "I" else -1
+    with mpmath.workdps(dps):
+        z = mpmath.mpf(eta) ** (mpmath.mpf(2) / 3) * mpmath.mpc(x)
+        scale = 2 * mpmath.sqrt(mpmath.pi) / mpmath.cbrt(eta)
+        plus = scale * mpmath.exp(turn * 1j * mpmath.pi / 6) * mpmath.airyai(
+            z * mpmath.exp(turn * 2j * mpmath.pi / 3))
+        minus = scale * mpmath.airyai(z)
+        return complex(plus), complex(minus)
+
+
+# relative accuracy of every "+" and "-" sum of the Voros grids against Ai:
+# the worst error of these sums while each panel was summed as two 16-point
+# halves (2.03e-15), rounded up, so the quadrature may not lose accuracy
+VOROS_SUM_ACCURACY = 2.1e-15
+
+
+class TestVorosSumAccuracy:
+    """The "+" and "-" sums of verify_voros at the 30 default-grid points
+    and the 3 recorded points, each against mpmath's Ai at 40 digits."""
+
+    POINTS = _voros_grid_points("default") + [
+        _recorded_point(record) for record in TestRecordedVorosReports.RECORDED]
+
+    @pytest.mark.parametrize("x, eta", POINTS)
+    def test_the_sums_are_within_the_gate_of_ai(self, x, eta):
+        ctx = classify_stokes(x)
+        assert ctx.region == "II"
+        exact = dict(zip("+-", mpmath_sums(x, eta, "II", 40)))
+        for sign in "+-":
+            value = laplace_sum(sign, ctx, eta, VOROS_QUAD_TOL).value
+            assert abs(value - exact[sign]) <= VOROS_SUM_ACCURACY * abs(exact[sign]), sign
+
+
 # the branch functions a boundary tracer hooks, as (module, attribute path),
 # with the calls one verify_voros makes at each benchmark point: the closed
 # form (not hooked) at every one of the 512 ray nodes, so no series
@@ -914,17 +949,6 @@ class TestGrazingRays:
     steps of 0.02 the rays once took mis-tracked and the quadrature raised.
     Each Borel sum is held against mpmath's Ai at 30 digits."""
 
-    @staticmethod
-    def mpmath_sums(x, eta, region):
-        turn = 1 if region == "I" else -1
-        with mpmath.workdps(30):
-            z = mpmath.mpf(eta) ** (mpmath.mpf(2) / 3) * mpmath.mpc(x)
-            scale = 2 * mpmath.sqrt(mpmath.pi) / mpmath.cbrt(eta)
-            plus = scale * mpmath.exp(turn * 1j * mpmath.pi / 6) * mpmath.airyai(
-                z * mpmath.exp(turn * 2j * mpmath.pi / 3))
-            minus = scale * mpmath.airyai(z)
-            return complex(plus), complex(minus)
-
     @pytest.mark.parametrize("r, arg, region", [
         (0.5, 2 * math.pi / 3 - 1e-6, "II"),      # the "-" ray grazes s = 0
         (1.0, -1e-8, "I"),                        # the "+" ray grazes s = 1
@@ -936,7 +960,7 @@ class TestGrazingRays:
         report = verify_airy_connection(x, 10.0)
         assert report.region == region
         assert report.passed
-        plus, minus = self.mpmath_sums(x, 10.0, region)
+        plus, minus = mpmath_sums(x, 10.0, region, 30)
         assert abs(report.psi_plus - plus) < 1e-12 * abs(plus)
         assert abs(report.psi_minus - minus) < 1e-12 * abs(minus)
         if region == "II":
