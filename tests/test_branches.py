@@ -594,42 +594,38 @@ class TestClosedForm:
                     nodes += 1
         assert nodes == 2600
 
-    @pytest.mark.parametrize("anchor", [0, 1])
-    @pytest.mark.parametrize("phase", [0.0, 0.7, 2.0, -1.2, -2.9])
-    def test_near_each_anchor_the_labels_are_the_series_labels(self, anchor, phase):
-        for radius in (0.05, 0.2):
-            root = cmath.rect(radius, phase)
-            assert relative_gap(anchored_g_triple(anchor, root),
-                                closed_form_g_triple(anchor, root)) < 1e-13
-
     @pytest.mark.parametrize("region", ["I", "II"])
     def test_near_each_anchor_every_ray_node_is_the_series_value(self, region):
         # 20 seeded points, both rays, 250 nodes each with |s - base|
         # log-uniform from 1e-14 to SERIES_HANDOFF: 10,000 nodes per region,
-        # each entry to 1e-14 relative against the series at the local root
-        # written out as tracked_ray writes it.  A loop round the anchor turns
-        # that root w into -w, and the series there are the ray's entries
+        # and the local roots w at |w| 0.05 and 0.2 and five phases, off any
+        # ray; each entry to 1e-14 relative against the series at w, the root
+        # of a ray node written out as tracked_ray writes it.  A loop round
+        # the anchor turns w into -w, and the series there are the entries
         # permuted as loop_permutation reads the permutation
         rng = random.Random(region)
         sign = -1 if region == "I" else 1
-        nodes = 0
+        roots = [cmath.rect(radius, phase) for radius in (0.05, 0.2)
+                 for phase in (0.0, 0.7, 2.0, -1.2, -2.9)]
+        cases = [(anchor, w, closed_form_g_triple(anchor, w)) for anchor in (0, 1) for w in roots]
         for _ in range(20):
             x = rng.uniform(0.2, 3) * cmath.exp(sign * 1j * rng.uniform(0.01, 2.08))
             ctx = classify_stokes(x)
             assert ctx.region == region
             for anchor in (0, 1):
-                ray, perm = RayField(anchor, ctx.kappa), loop_permutation(anchor)
+                ray = RayField(anchor, ctx.kappa)
                 for _ in range(250):
                     t = 1e-14 * (SERIES_HANDOFF / 1e-14) ** rng.random() / abs(ctx.kappa)
                     root = cmath.sqrt(ctx.kappa * t) * (1j if anchor == 1 else 1)
-                    triple = ray.triple(t)
-                    series, looped = anchored_g_triple(anchor, root), anchored_g_triple(anchor, -root)
-                    for i in range(3):
-                        assert abs(series[i] - triple[i]) <= 1e-14 * abs(triple[i]), (x, anchor, t)
-                        assert (abs(looped[i] - triple[perm[i]])
-                                <= 1e-14 * abs(triple[perm[i]])), (x, anchor, t)
-                    nodes += 1
-        assert nodes == 10_000
+                    cases.append((anchor, root, ray.triple(t)))
+        assert len(cases) == 20 + 10_000
+        for anchor, root, triple in cases:
+            perm = loop_permutation(anchor)
+            series, looped = anchored_g_triple(anchor, root), anchored_g_triple(anchor, -root)
+            for i in range(3):
+                assert abs(series[i] - triple[i]) <= 1e-14 * abs(triple[i]), (anchor, root)
+                assert (abs(looped[i] - triple[perm[i]])
+                        <= 1e-14 * abs(triple[perm[i]])), (anchor, root)
 
     def test_the_values_are_the_roots_of_the_cubic(self):
         # solve_cubic_g, Cardano with Newton polishing, as the oracle of the

@@ -509,38 +509,80 @@ class TestLaplaceQuadrature:
             value, estimate = resummation._gauss_sum(f, 0.0, 1.0)
             assert estimate >= abs(value - exact)
 
+    @staticmethod
+    def record_sums(monkeypatch):
+        """Record the interval of every _gauss_sum and the interval and depth
+        of every _adaptive_panel call."""
+        sums, panels = [], []
+        real_sum, real_panel = resummation._gauss_sum, resummation._adaptive_panel
+
+        def recording_sum(f, a, b):
+            sums.append((a, b))
+            return real_sum(f, a, b)
+
+        def recording_panel(f, a, b, first, tol_abs, floor, depth=0):
+            panels.append((a, b, depth))
+            return real_panel(f, a, b, first, tol_abs, floor, depth)
+
+        monkeypatch.setattr(resummation, "_gauss_sum", recording_sum)
+        monkeypatch.setattr(resummation, "_adaptive_panel", recording_panel)
+        return sums, panels
+
     @pytest.mark.parametrize("integrand,exact,bisects,extends_tail", [
-        (lambda t: 1.0, 1 / 8, False, False),
+        (lambda t: 1.0, 1 / 8, True, False),
         (lambda t: math.cos(40 * t), 8 / (64 + 1600), True, False),
         (lambda t: math.exp(0.8 * 8 * t), 1 / (8 * 0.2), False, True),
     ], ids=["smooth", "oscillating", "slow tail"])
     def test_each_gauss_sum_is_formed_once(self, monkeypatch, integrand, exact,
                                            bisects, extends_tail):
         calls = []
-        depths = []
-        real_panel = resummation._adaptive_panel
 
         def counting_integrand(t):
             calls.append(t)
             return integrand(t)
 
-        def recording_panel(f, a, b, halves, tol_abs, floor, depth=0):
-            depths.append(depth)
-            return real_panel(f, a, b, halves, tol_abs, floor, depth)
-
-        monkeypatch.setattr(resummation, "_adaptive_panel", recording_panel)
+        sums, panels = self.record_sums(monkeypatch)
         value, estimate = _laplace_quadrature(counting_integrand, 8.0, 1e-10)
         assert abs(value - exact) <= 1e-12 * exact
         # the estimate, tail remainder included, is not below the achieved error
         assert estimate >= abs(value - exact)
-        # 2 x 16 nodes for the halves of every panel and no other Gauss sum: a
-        # bisected panel's children form the halves of their own
-        top = depths.count(0)
-        assert len(calls) == 32 * len(depths)
-        assert (len(depths) > top) == bisects
+        # 16 nodes per Gauss sum, and one Gauss sum per panel: the caller's
+        # first sum of the whole panel, each child of a bisection its own
+        assert len(calls) == 16 * len(sums)
+        assert sorted(sums) == sorted((a, b) for a, b, _ in panels)
+        assert len(set(sums)) == len(sums)
+        # the panels past the top are the two halves of each bisected panel
+        halves = [((a, 0.5 * (a + b), depth + 1), (0.5 * (a + b), b, depth + 1))
+                  for a, b, depth in panels]
+        assert sorted(p for p in panels if p[2]) == sorted(
+            child for pair in halves if pair[0] in panels for child in pair)
+        top = [depth for _, _, depth in panels].count(0)
+        assert (len(panels) > top) == bisects
         # the main panels plus one tail panel, unless the tail had to extend
         main_panels = len(resummation._laplace_panels(8.0, 1e-10)[0]) - 1
         assert (top > main_panels + 1) == extends_tail
+
+    @pytest.mark.parametrize("cap", [None, 10, 30], ids=["default", "10", "30"])
+    def test_a_panel_refines_to_the_bisection_cap_and_no_further(self, monkeypatch, cap):
+        # a step at an irrational point fails the test on every panel that
+        # holds it, however narrow; each constant child passes at once, so
+        # the one failing panel bisects until MAX_BISECTIONS stops it
+        if cap is not None:
+            monkeypatch.setattr(resummation, "MAX_BISECTIONS", cap)
+        depth_cap = resummation.MAX_BISECTIONS
+        assert cap is not None or depth_cap == 25
+        sums, panels = self.record_sums(monkeypatch)
+
+        def step(u):
+            return 1.0 if u > 1 / math.pi else 0.0
+
+        with pytest.raises(NumericError, match="refinement exhausted"):
+            resummation._adaptive_panel(step, 0.0, 1.0, resummation._gauss_sum(step, 0.0, 1.0),
+                                        0.0, 1e-14)
+        assert max(depth for _, _, depth in panels) == depth_cap
+        assert min(b - a for a, b in sums) == 2.0 ** -depth_cap
+        assert sorted(depth for a, b, depth in panels
+                      if a < 1 / math.pi < b) == list(range(depth_cap + 1))
 
 
 class TestConnectionFormulas:
@@ -835,7 +877,7 @@ class TestVorosSumAccuracy:
 
 # the branch functions a boundary tracer hooks, as (module, attribute path),
 # with the calls one verify_voros makes at each benchmark point: the closed
-# form (not hooked) at every one of the 512 ray nodes, so no series
+# form (not hooked) at every one of the 256 ray nodes, so no series
 # evaluation, no cubic solve, and no loop or polyline walked, as TestRayCost
 # derives them
 TRACKER_HOOKS = (("exactwkb.branches", "solve_cubic_g"),
@@ -843,7 +885,7 @@ TRACKER_HOOKS = (("exactwkb.branches", "solve_cubic_g"),
                  ("exactwkb.branches", "anchored_g_triple"),
                  ("exactwkb.resummation", "RayField.triple"),
                  ("exactwkb.branches", "monodromy_triple"))
-TRACKER_CALLS = ((0, 0, 0, 512, 0), (0, 0, 0, 512, 0))
+TRACKER_CALLS = ((0, 0, 0, 256, 0), (0, 0, 0, 256, 0))
 
 
 def count_calls(monkeypatch, module_name, path):
@@ -939,7 +981,10 @@ class TestRayCost:
         minus = laplace_sum("-", ctx, eta, VOROS_QUAD_TOL)
         solves, series, closed = (c[0] for c in counters)
         assert solves == series == 0
-        assert closed == nodes[0] > 300
+        # no panel bisects here: one 16-point Gauss sum on each main panel
+        # and on the one tail panel, for each of the two sums
+        panels = len(resummation._laplace_panels(eta, VOROS_QUAD_TOL)[0])
+        assert closed == nodes[0] == 2 * 16 * panels
         gamma_term(ctx, minus)
         assert [c[0] for c in counters] == [0, 0, closed]
 
