@@ -19,11 +19,12 @@ s = 1: that permutation is read exactly from the local series at s = 1
 permutation that does not send branch 3 to branch 1 raises.
 
 The independent reference for the Airy identities is a from-scratch Maclaurin
-evaluation of Ai and Bi in configurable precision: its own series loop runs on
-integers scaled by 2^prec, and mpmath floats form the four values once from
-the sums; mpmath is imported on the oracle's first call, not with the
-package.  In double precision it would be reliable to |z| <= 6; the working
-precision is raised automatically beyond that.
+evaluation of Ai and Bi in configurable precision: its series loop and the
+four values it forms run on integers scaled by 2^prec, and mpmath serves only
+the constants Ai(0), Ai'(0) and sqrt(3), once per precision; it is imported
+on the oracle's first call, not with the package.  In double precision it
+would be reliable to |z| <= 6; the working precision is raised automatically
+beyond that.
 """
 
 from __future__ import annotations
@@ -84,10 +85,6 @@ class StokesContext:
     def kappa(self) -> complex:
         """ds/dt along either ray: s = base + kappa t."""
         return 0.75 / self.x_three_halves
-
-    def ray_point(self, sign: str, t: float) -> complex:
-        base = 0.0 if sign == "+" else 1.0
-        return base + self.kappa * t
 
 
 def classify_stokes(x: complex) -> StokesContext:
@@ -180,6 +177,8 @@ def _top_legendre_rows() -> tuple:
 
 
 _LEGENDRE_14, _LEGENDRE_15 = _top_legendre_rows()
+# (node, weight, row-14 entry, row-15 entry) of each node, for one pass per panel
+_GL_RULE = tuple(zip(_GL_NODES, _GL_WEIGHTS, _LEGENDRE_14, _LEGENDRE_15))
 
 
 def _gauss_sum(f, a: float, b: float) -> tuple[complex, float]:
@@ -197,12 +196,13 @@ def _gauss_sum(f, a: float, b: float) -> tuple[complex, float]:
     """
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    values = [f(mid + half * xk) for xk in _GL_NODES]
     total = 0j
-    for wk, v in zip(_GL_WEIGHTS, values):
+    c14 = c15 = 0
+    for xk, wk, r14, r15 in _GL_RULE:
+        v = f(mid + half * xk)
         total += wk * v
-    c14 = sum(r * v for r, v in zip(_LEGENDRE_14, values))
-    c15 = sum(r * v for r, v in zip(_LEGENDRE_15, values))
+        c14 += r14 * v
+        c15 += r15 * v
     return total * half, (b - a) * (abs(c14) + abs(c15))
 
 
@@ -440,7 +440,8 @@ class AiryValues:
 
 AIRY_ORACLE_MAX_ABS = 40.0
 AIRY_ORACLE_TOL = 1e-12  # relative accuracy every airy_reference value reaches
-# bits the oracle's fixed-point series loop carries past 10^-dps
+# bits the oracle's fixed point carries past 10^-dps, and its constants'
+# mpmath working precision past 2^-prec
 AIRY_GUARD_BITS = 32
 _LOG2_10 = math.log2(10)
 
@@ -451,7 +452,7 @@ def airy_reference(z: complex) -> AiryValues:
 
     Independent of every WKB code path.  Each attempt sums the series on
     integers scaled by 2^prec (``_airy_series_attempt``) and forms the four
-    values in mpmath at dps digits.  Double-precision-reliable up to |z| ~ 6
+    values on the same integers.  Double-precision-reliable up to |z| ~ 6
     on its own; beyond that the working precision grows like |z|^(3/2), an
     attempt whose values fail the acceptance test is repeated at more digits,
     and the hard cap is |z| <= 40; a z that is not finite raises
@@ -475,15 +476,21 @@ def airy_reference(z: complex) -> AiryValues:
 
 
 @functools.lru_cache(maxsize=None)
-def _airy_constants(dps: int) -> tuple:
+def _airy_constants(prec: int) -> tuple:
     """c1 = Ai(0) = 3^(-2/3) / Gamma(2/3), c2 = -Ai'(0) = 3^(-1/3) / Gamma(1/3)
-    and sqrt(3) at dps digits; dps takes a few hundred values at most."""
+    and sqrt(3), each floored to 2^-prec and held as an int scaled by 2^prec.
+
+    mpmath works them out at AIRY_GUARD_BITS bits past 2^-prec, so each is
+    within 2^(1-prec) of its value; this is the oracle's only use of mpmath.
+    prec takes one value per (dps, e) pair of ``_airy_series_attempt``.
+    """
     import mpmath
 
-    with mpmath.workdps(dps):
-        return (mpmath.power(3, mpmath.mpf(-2) / 3) / mpmath.gamma(mpmath.mpf(2) / 3),
-                mpmath.power(3, mpmath.mpf(-1) / 3) / mpmath.gamma(mpmath.mpf(1) / 3),
-                mpmath.sqrt(3))
+    with mpmath.workprec(prec + AIRY_GUARD_BITS):
+        return tuple(int(mpmath.ldexp(c, prec)) for c in (
+            mpmath.power(3, mpmath.mpf(-2) / 3) / mpmath.gamma(mpmath.mpf(2) / 3),
+            mpmath.power(3, mpmath.mpf(-1) / 3) / mpmath.gamma(mpmath.mpf(1) / 3),
+            mpmath.sqrt(3)))
 
 
 def _fixed(x: float, prec: int) -> int:
@@ -492,22 +499,54 @@ def _fixed(x: float, prec: int) -> int:
     return (num << prec) // den
 
 
+def _ai_bi_pair(constants: tuple, f: tuple, g: tuple, prec: int) -> tuple:
+    """c1 f - c2 g and sqrt(3) (c1 f + c2 g) from (re, im) pairs of ints
+    scaled by 2^prec, as two such pairs; each product is floored once."""
+    c1, c2, sqrt3 = constants
+    a = tuple((c1 * x - c2 * y) >> prec for x, y in zip(f, g))
+    b = tuple((sqrt3 * ((c1 * x + c2 * y) >> prec)) >> prec for x, y in zip(f, g))
+    return a, b
+
+
+# (1 / AIRY_ORACLE_TOL)^2, for the acceptance test on squared magnitudes
+_INVERSE_TOL_SQUARED = round(1 / AIRY_ORACLE_TOL) ** 2
+
+
+def _accepted(ai: tuple, bi: tuple, max_mag2: int, dps: int) -> bool:
+    """The acceptance test of an attempt at dps digits: enough digits must
+    survive the cancellation for every output.
+
+    Ai and Bi are (re, im) pairs of ints scaled by 2^prec and max_mag2 is
+    max_mag^2 scaled by 2^(2 prec).  |Ai| and |Bi| must lie above
+    10^-(dps-8) max_mag, and that floor below AIRY_ORACLE_TOL times the larger
+    of them; both are compared exactly, squared and times 10^(2 dps).  A value
+    that cancels to exactly zero fails.
+    """
+    mag_ai, mag_bi = ai[0] ** 2 + ai[1] ** 2, bi[0] ** 2 + bi[1] ** 2
+    scale = 10 ** (2 * dps)
+    lost = max_mag2 * 10 ** 16   # (10^-(dps-8) max_mag)^2 10^(2 dps)
+    return (min(mag_ai, mag_bi) * scale > lost
+            and max(mag_ai, mag_bi) * scale > lost * _INVERSE_TOL_SQUARED)
+
+
 def _airy_series_attempt(z: complex, dps: int):
     """One summation of the Maclaurin series at dps digits: the values, and
     whether they pass the acceptance test.
 
     Ai = c1 f - c2 g and Bi = sqrt(3) (c1 f + c2 g) (DLMF 9.4.1-9.4.2), with
     f = sum t_k, t_0 = 1, t_k = t_(k-1) z^3 / (3k (3k-1)) and
-    g = sum t_k, t_0 = z, t_k = t_(k-1) z^3 / (3k (3k+1)).  The loop runs on
-    pairs of ints scaled by 2^prec, one unit u = 2^-prec, with
+    g = sum t_k, t_0 = z, t_k = t_(k-1) z^3 / (3k (3k+1)).  Everything runs
+    on pairs of ints scaled by 2^prec, one unit u = 2^-prec, with
     prec = ceil(dps log2 10) + AIRY_GUARD_BITS + 3 e, where 2^-e is the
     smallest nonzero part of z when that is below 1: each term is
-    ((t z^3) >> prec) // (3k (3k -+ 1)).  It adds up z f' = sum 3k t_k and
-    z (g' - 1) = sum (3k+1) t_k and divides by z once, after the loop.
-    Termination compares squared magnitudes, |t|^2 10^(2 (dps+3)) against
-    max_mag^2, max_mag being the largest |t| seen and at least 1.  The sums
-    go to mpmath once, for the combinations with c1 and c2 and for the
-    acceptance test.
+    ((t z^3) >> prec) // (3k (3k -+ 1)).  The loop adds up z f' = sum 3k t_k
+    and z (g' - 1) = sum (3k+1) t_k, and f' and g' come from one floored
+    division by z after it.  Termination compares squared magnitudes,
+    |t|^2 10^(2 (dps+3)) against max_mag^2, max_mag being the largest |t|
+    seen and at least 1.  Ai, Bi, Ai' and Bi' are formed with the constants
+    floored to u (``_airy_constants``), the acceptance test (``_accepted``)
+    compares squared magnitudes exactly, and each part becomes a float
+    through one correctly rounded division by 2^prec.
 
     Error bound.  z is exact on the grid, z^3 is within (1 + |z|) sqrt(2) u,
     and every floor loses less than one unit, so the k-th term is within
@@ -515,19 +554,22 @@ def _airy_series_attempt(z: complex, dps: int):
     steps, whose product of ratios is at most a term of f and so at most
     max_mag, and k times the rounding of z^3 relative to z^3.  Over the N
     terms, f and g are within 5 N^2 u max_mag and the two derivative sums
-    within 15 N^3 u max_mag.  Since |z| >= 2^-(e+1), the division by z
-    leaves z f' and z (g' - 1) within 30 N^3 2^e u max_mag, and the 3 e extra
-    bits of prec absorb the 2^e.  A first attempt at |z| <= 40 takes
-    N <= 335 terms, so 30 N^3 < 2^31 and every bound is below
+    within 15 N^3 u max_mag.  Since |z| >= 2^-(e+1), the division by z and
+    its floor leave f' and g' within 30 N^3 2^e u max_mag + u, while
+    |f|, |g| <= N max_mag and |f'|, |g'| <= 6 N^2 2^e max_mag + 1.  Each
+    constant is within 2 u, c1 + c2 < 1, sqrt(3) < 2 and each product is
+    floored once, so the constants and the floors add at most
+    60 N^2 2^e u max_mag + 8 u to a value; with N >= 2 terms (t_0 and t_1
+    at least) every value is within 64 N^3 2^e u max_mag, and the 3 e extra
+    bits of prec absorb the 2^e.  A first attempt at |z| <= 40
+    takes N <= 335 terms, so 64 N^3 < 2^32 and every bound is below
     10^-dps max_mag, eight digits under the acceptance floor
     10^-(dps-8) max_mag; the fourth escalated attempt at |z| = 40 takes 722
-    terms, 30 N^3 < 2^34, still seven digits under it.  The remaining 2 e
+    terms, 64 N^3 < 2^35, still seven digits under it.  The remaining 2 e
     extra bits serve a z near 0 or near an axis: there a value's smaller part
     can be as small as the product of z's parts, and they keep the error
     below that part's own last bit.
     """
-    import mpmath
-
     e = max([-math.frexp(part)[1] for part in (z.real, z.imag) if part] + [0])
     prec = math.ceil(dps * _LOG2_10) + AIRY_GUARD_BITS + 3 * e
     zr, zi = _fixed(z.real, prec), _fixed(z.imag, prec)
@@ -569,30 +611,19 @@ def _airy_series_attempt(z: complex, dps: int):
         k += 1
         if k > 100000:
             raise NumericError("Airy series did not terminate")
-    c1, c2, sqrt3 = _airy_constants(dps)
-    with mpmath.workdps(dps):
-        def to_mpc(re: int, im: int):
-            return mpmath.mpc(mpmath.mpf((re, -prec)), mpmath.mpf((im, -prec)))
-
-        f = to_mpc(fr, fi)
-        g = to_mpc(gr, gi)
-        if z != 0:
-            zm = mpmath.mpc(z)
-            fp = to_mpc(dfr, dfi) / zm
-            gp = 1 + to_mpc(dgr, dgi) / zm
-        else:
-            fp, gp = mpmath.mpc(0), mpmath.mpc(1)
-        max_mag = mpmath.sqrt(mpmath.mpf((max_mag2, -2 * prec)))
-        ai = c1 * f - c2 * g
-        bi = sqrt3 * (c1 * f + c2 * g)
-        aip = c1 * fp - c2 * gp
-        bip = sqrt3 * (c1 * fp + c2 * gp)
-        # enough digits must survive the cancellation for every output
-        floor = max_mag * mpmath.mpf(10) ** (-(dps - 8))
-        ok = all(abs(v) > floor or abs(v) == 0
-                 for v in (ai, bi)) and mpmath.mpf(10) ** (-dps + 8) * max_mag < AIRY_ORACLE_TOL * max(abs(ai), abs(bi))
-        values = AiryValues(complex(ai), complex(bi), complex(aip), complex(bip))
-    return values, ok
+    if z != 0:
+        # (z f') / z and (z (g' - 1)) / z, times conj(z) over |z|^2
+        norm = zr * zr + zi * zi
+        fp = (((dfr * zr + dfi * zi) << prec) // norm, ((dfi * zr - dfr * zi) << prec) // norm)
+        gp = (one + ((dgr * zr + dgi * zi) << prec) // norm,
+              ((dgi * zr - dgr * zi) << prec) // norm)
+    else:
+        fp, gp = (0, 0), (one, 0)
+    constants = _airy_constants(prec)
+    ai, bi = _ai_bi_pair(constants, (fr, fi), (gr, gi), prec)
+    aip, bip = _ai_bi_pair(constants, fp, gp, prec)
+    values = AiryValues(*(complex(re / one, im / one) for re, im in (ai, bi, aip, bip)))
+    return values, _accepted(ai, bi, max_mag2, dps)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,11 @@ def minus_sum(ctx, eta, tol=VOROS_QUAD_TOL):
     return laplace_sum("-", ctx, eta, tol)
 
 
+def minus_ray_point(ctx, t):
+    """The point s = 1 + kappa t of the "-" summation ray."""
+    return 1.0 + ctx.kappa * t
+
+
 def numeric_loop_permutation(s, triple, center):
     """The permutation of ``triple`` by one numeric loop from s around
     ``center``: the looped value of entry i is ``triple[pi[i]]``, matched
@@ -67,7 +72,7 @@ def delta_g3_cut(ctx, eta, tol):
     """
     ray = RayField(1, ctx.kappa)
     t_exit = SERIES_HANDOFF / abs(ctx.kappa)
-    image = numeric_loop_permutation(ctx.ray_point("-", t_exit), ray.triple(t_exit),
+    image = numeric_loop_permutation(minus_ray_point(ctx, t_exit), ray.triple(t_exit),
                                      1.0 + 0j)[2]
     inv_pref = 1.0 / (SQRT_PI * ctx.x)
 
@@ -312,22 +317,70 @@ class TestOracleKeepsItsBits:
             assert [value.real.hex(), value.imag.hex()] == record[name], name
 
 
-MPC_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
-                  "__truediv__", "__rtruediv__", "__pow__", "__rpow__", "__neg__",
-                  "__pos__", "__abs__")
+class TestOracleAcceptance:
+    """The accept/refuse decisions of ``_airy_series_attempt``."""
+
+    DECISIONS = _recorded("airy_attempt_decisions.json")
+
+    def test_an_ai_that_cancels_to_zero_fails_the_test(self):
+        one = 1 << 100
+        large, small = (one, 0), (one >> 40, 0)
+        assert resummation._accepted(small, large, one * one, 25)
+        assert not resummation._accepted((0, 0), large, one * one, 25)
+        assert not resummation._accepted(large, (0, 0), one * one, 25)
+
+    @pytest.mark.parametrize("r, cancelled_dps", [(15.0, 27), (40.0, 125)])
+    def test_a_cancelled_attempt_is_refused_and_the_first_one_accepted(
+            self, monkeypatch, r, cancelled_dps):
+        # at these digits mpmath's sum once cancelled Ai to exactly 0j and
+        # passed; the attempt at the digits airy_reference starts from passes
+        attempt = resummation._airy_series_attempt
+        assert not attempt(complex(r), cancelled_dps)[1]
+        decisions = []
+
+        def recording(z, dps):
+            values, ok = attempt(z, dps)
+            decisions.append(ok)
+            return values, ok
+
+        monkeypatch.setattr(resummation, "_airy_series_attempt", recording)
+        airy_reference(r)
+        assert decisions == [True]
+
+    def test_the_decisions_over_the_scan_grid_are_recorded(self):
+        """|z| in {1, 3, 6, 10, 15, 20, 30, 40}, arg z in {0, 0.7, 2.0, 3.1},
+        dps 6..195 in steps of 7: each attempt decides as recorded, except
+        the 15 that mpmath's sums accepted with Ai cancelled to 0j, which
+        are now refused."""
+        cancelled = 0
+        for record in self.DECISIONS["records"]:
+            z = complex(float.fromhex(record["z"][0]), float.fromhex(record["z"][1]))
+            accepted = [dps for dps in self.DECISIONS["dps"]
+                        if resummation._airy_series_attempt(z, dps)[1]]
+            want = [dps for dps in record["accepted_dps"] if dps not in record["zero_ai_dps"]]
+            assert accepted == want, (record["abs_z"], record["arg_z"])
+            cancelled += len(record["zero_ai_dps"])
+        assert cancelled == 15
 
 
-def count_mpc_arithmetic(monkeypatch) -> list:
-    """Count every arithmetic call on mpmath.mpc; the returned list holds it."""
-    calls = [0]
-    for name in MPC_ARITHMETIC:
-        method = getattr(mpmath.mpc, name)
+MPMATH_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                     "__truediv__", "__rtruediv__", "__pow__", "__rpow__", "__neg__",
+                     "__pos__", "__abs__")
 
-        def counted(*args, _method=method):
-            calls[0] += 1
-            return _method(*args)
 
-        monkeypatch.setattr(mpmath.mpc, name, counted)
+def count_mpmath_arithmetic(monkeypatch) -> dict:
+    """Count every arithmetic call on mpmath.mpc and mpmath.mpf; the returned
+    dict holds the counts by type."""
+    calls = {mpmath.mpc: 0, mpmath.mpf: 0}
+    for kind in calls:
+        for name in MPMATH_ARITHMETIC:
+            method = getattr(kind, name)
+
+            def counted(*args, _method=method, _kind=kind):
+                calls[_kind] += 1
+                return _method(*args)
+
+            monkeypatch.setattr(kind, name, counted)
     return calls
 
 
@@ -336,17 +389,17 @@ def _global_names(node) -> set:
 
 
 class TestOracleCostAndIndependence:
-    def test_mpc_arithmetic_does_not_grow_with_the_terms(self, monkeypatch):
+    def test_a_warm_call_does_no_mpmath_arithmetic(self, monkeypatch):
         # |z| = 1 sums about 10 terms, |z| = 40 about 330; both in one attempt
         counts = []
         for r in (1.0, 40.0):
             z = cmath.rect(r, 0.7)
-            airy_reference(z)   # fills the per-dps constants
-            calls = count_mpc_arithmetic(monkeypatch)
+            airy_reference(z)   # fills the per-prec constants
+            calls = count_mpmath_arithmetic(monkeypatch)
             airy_reference(z)
-            counts.append(calls[0])
+            counts.append(calls)
             monkeypatch.undo()
-        assert counts[0] == counts[1] < 40
+        assert counts == [{mpmath.mpc: 0, mpmath.mpf: 0}] * 2
 
     def test_the_series_loop_names_no_wkb_branch_or_borel_code(self):
         """_airy_series_attempt and the resummation helpers it calls refer to
@@ -707,7 +760,7 @@ class TestRayMonodromy:
         # at the loop's last corner
         ctx = classify_stokes(point[0])
         t = SERIES_HANDOFF / abs(ctx.kappa)
-        s, triple = ctx.ray_point("-", t), RayField(1, ctx.kappa).triple(t)
+        s, triple = minus_ray_point(ctx, t), RayField(1, ctx.kappa).triple(t)
         corners = [s, *_loop_path(s, center)]
         fine = [s]
         for a, b in zip(corners, corners[1:]):
@@ -730,7 +783,7 @@ class TestRayMonodromy:
         t_far = resummation._laplace_panels(8.0, VOROS_QUAD_TOL)[0][-1] ** 2
         for t in [rho / abs(ctx.kappa) for rho in (0.2, 0.9, 2.0)] + [t_far]:
             triple = field.triple(t)
-            s = ctx.ray_point("-", t)
+            s = minus_ray_point(ctx, t)
             assert numeric_loop_permutation(s, triple, 1.0) == loop_permutation(1)
             looped = monodromy_triple(s, triple, 1.0)
             want = looped[2] - triple[2]
