@@ -26,19 +26,22 @@ the labels 1, 2, 3 are k = 0, 2, 1 (``closed_form_g_triple``).  Every branch
 value is then one asin, one acos and two sines, and the crossing at s = 1/2
 is the regular point psi = pi/4.  A loop round s = 0 sends psi to -psi and a
 loop round s = 1 sends it to pi - psi: the transpositions (1 2) and (1 3)
-that ``loop_permutation`` reads from the exact series.  ``continue_triple``,
-which serves the monodromy loops and traces, continues psi along its path
-piece by piece, each piece kept short against its distance to s = 0 and 1.
+that ``loop_permutation`` reads from the exact series.  These are also the
+jumps of the principal asin(s^(1/2)) across its two cuts, s < 0 (the root's)
+and s > 1 (asin's).  So ``continue_triple``, which serves the monodromy loops
+and traces, writes psi = sign asin(s^(1/2)) + n pi and changes the pair
+(sign, n) only where its path crosses one of those cuts.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
-from itertools import pairwise, repeat
-from operator import add, itemgetter, mul
+from functools import lru_cache
+from itertools import pairwise
+from operator import itemgetter
 
 from .airy_borel import borel_series
 from .errors import NumericError, PreconditionError, VerificationError
@@ -47,17 +50,13 @@ from .series import ExactScalar, PuiseuxSeries
 SQRT3 = 3.0 ** 0.5
 _INF = float("inf")
 
-# terms of the exact anchor series, which start a trace, give the loop
-# permutations and fix the closed form's labels
+# terms of the exact anchor series, which give the loop permutations and
+# are the closed form's oracle
 ANCHOR_SERIES_TERMS = 32
 
 LOOP_RADIUS_CAP = 0.35  # largest radius of a monodromy loop's polygon
 LOOP_VERTICES = 4       # corners of a monodromy loop's polygon
 POLISH_ITERATIONS = 8   # Newton steps of _polish_cubic at most
-MAX_HALVINGS = 40
-# longest piece of a continuation, as a fraction of the distance from its start
-# to the nearer branch point of the cubic, s = 0 or 1
-STEP_REACH = 0.5
 
 # root distance below which solve_cubic_x repairs a double root
 CLUSTER_TOL = 1e-6
@@ -152,7 +151,10 @@ def _g_series_shape(shape: int, n_terms: int) -> PuiseuxSeries:
 
 def _anchor_series(anchor: int, n_terms: int) -> list[PuiseuxSeries]:
     """The series of G_1, G_2, G_3 at a base point, to ``n_terms``
-    half-integer steps in the local variable."""
+    half-integer steps in the local variable; an anchor other than 0 or 1
+    raises PreconditionError."""
+    if anchor not in (0, 1):
+        raise PreconditionError(f"anchor must be 0 or 1, got {anchor}")
     return [_g_series_shape(index if anchor == 0 else _LABEL_SWAP_AT_1[index], n_terms)
             for index in (1, 2, 3)]
 
@@ -290,34 +292,33 @@ def solve_cubic_x(s: complex) -> tuple[complex, complex, complex]:
 @lru_cache(maxsize=None)
 def _anchor_terms(anchor: int) -> tuple:
     """The series of ``anchored_g_triple`` at an anchor, converted from the
-    exact coefficients once: the powers of the local root they use, and per
-    branch its complex coefficients with a getter of their powers' values."""
-    series = [g.terms for g in _anchor_series(anchor, ANCHOR_SERIES_TERMS)]
-    powers = sorted({int(2 * e) for terms in series for e in terms})
-    where = {power: k for k, power in enumerate(powers)}
-    return tuple(powers), tuple(
-        (tuple(complex(coeff) for coeff in terms.values()),
-         itemgetter(*(where[int(2 * e)] for e in terms)))
-        for terms in series)
+    exact coefficients once: (branch, grid index, complex coefficient) for
+    each term, branch by branch and each in series order."""
+    return tuple((branch, int(2 * e), complex(coeff))
+                 for branch, g in enumerate(_anchor_series(anchor, ANCHOR_SERIES_TERMS))
+                 for e, coeff in g.terms.items())
 
 
 def anchored_g_triple(anchor: int, local_root: complex) -> tuple[complex, complex, complex]:
     """(G_1, G_2, G_3) near a base point, from the exact series.
 
-    ``local_root`` is the chosen determination of s^(1/2) (anchor 0) or
-    (1-s)^(1/2) (anchor 1); passing it explicitly is what selects the branch
-    orientation, see ``resummation.RayField._local_root``.
+    An oracle with no caller in the package: every branch value comes from
+    ``closed_form_g_triple``, and the tests hold those values, and the labels
+    the closed form gives them, against these sums of the exact series; the
+    benchmark counts its calls.  ``local_root`` is the chosen determination
+    of s^(1/2) (anchor 0) or (1-s)^(1/2) (anchor 1); passing it explicitly is
+    what selects the branch orientation, see
+    ``resummation.RayField._local_root``.  A local root that is 0 or not
+    finite, or an anchor other than 0 or 1, raises PreconditionError.
     """
     if local_root == 0:
         raise PreconditionError("branch values diverge at the base point itself")
     if not cmath.isfinite(local_root):
         raise PreconditionError(f"local root {local_root!r} is not finite")
-    powers, ((c1, pick1), (c2, pick2), (c3, pick3)) = _anchor_terms(anchor)
-    values = list(map(pow, repeat(local_root), powers))
-    # each sum runs from 0j through the terms in series order, as a loop of +=
-    return (reduce(add, map(mul, c1, pick1(values)), 0j),
-            reduce(add, map(mul, c2, pick2(values)), 0j),
-            reduce(add, map(mul, c3, pick3(values)), 0j))
+    triple = [0j, 0j, 0j]
+    for branch, power, coeff in _anchor_terms(anchor):
+        triple[branch] += coeff * local_root ** power
+    return tuple(triple)
 
 
 def _g_triple(psi: complex, chi: complex) -> tuple[complex, complex, complex]:
@@ -348,7 +349,7 @@ def closed_form_g_triple(anchor: int, local_root: complex) -> tuple[complex, com
     root keeps clear of their cuts on the real axis outside [-1, 1] wherever
     the ray does not lie on the real axis of s.  A local root that is not
     finite, or where a branch diverges (0, or +-1 at the other base point),
-    raises PreconditionError.
+    raises PreconditionError, as does an anchor other than 0 or 1.
     """
     if not cmath.isfinite(local_root):
         raise PreconditionError(f"local root {local_root!r} is not finite")
@@ -357,7 +358,9 @@ def closed_form_g_triple(anchor: int, local_root: complex) -> tuple[complex, com
     arc_sin, arc_cos = cmath.asin(local_root), cmath.acos(local_root)
     if anchor == 0:
         return _g_triple(arc_sin, arc_cos)
-    return _g_triple(arc_cos, arc_sin)
+    if anchor == 1:
+        return _g_triple(arc_cos, arc_sin)
+    raise PreconditionError(f"anchor must be 0 or 1, got {anchor}")
 
 
 def _psi_triple(psi: complex) -> tuple[complex, complex, complex]:
@@ -391,46 +394,60 @@ def _start_triple_fault(s: complex, triple: tuple) -> str | None:
     return None
 
 
-def _start_psi(s: complex, triple: tuple) -> complex:
-    """The angle psi at s whose closed-form triple is ``triple``, in order.
-
-    sin(psi)^2 = s has the determinations +-psi_0 + n pi, and the ordered triple
-    repeats when psi moves by 3 pi, so the six with n = 0, 1, 2 give the six
-    orders of the roots; the nearest to ``triple`` is taken.  Where it is
-    farther than START_TRIPLE_TOL relative, the triple is diagnosed, and one
-    that is not finite or is not the root triple of the cubic at s
-    (``_start_triple_fault``) raises PreconditionError.
-    """
+def _branch_triple(s: complex, sign: int, n: int) -> tuple[complex, complex, complex]:
+    """(G_1, G_2, G_3) at s for the determination sign asin(s^(1/2)) + n pi
+    of psi; sign is +1 or -1."""
     psi0 = cmath.asin(cmath.sqrt(s))
-    candidates = [sign * psi0 + n * cmath.pi for sign in (1, -1) for n in range(3)]
-    distance, psi = min(
-        ((max(abs(a - b) for a, b in zip(_psi_triple(c), triple)), c) for c in candidates),
+    return _psi_triple((psi0 if sign > 0 else -psi0) + n * cmath.pi)
+
+
+def _start_psi(s: complex, triple: tuple) -> tuple[int, int]:
+    """The determination (sign, n) of psi at s whose closed-form triple is
+    ``triple``, in order.
+
+    sin(psi)^2 = s has the determinations sign psi_0 + n pi, with psi_0 =
+    asin(s^(1/2)), and the ordered triple repeats when psi moves by 3 pi, so
+    the six with n = 0, 1, 2 give the six orders of the roots; the nearest to
+    ``triple`` is taken.  Where it is farther than START_TRIPLE_TOL relative,
+    the triple is diagnosed, and one that is not finite or is not the root
+    triple of the cubic at s (``_start_triple_fault``) raises
+    PreconditionError.
+    """
+    distance, start = min(
+        ((max(abs(a - b) for a, b in zip(_branch_triple(s, sign, n), triple)), (sign, n))
+         for sign in (1, -1) for n in range(3)),
         key=itemgetter(0))
     if not distance <= START_TRIPLE_TOL * max(1.0, *map(abs, triple)):
         fault = _start_triple_fault(s, triple)
         if fault is not None:
             raise PreconditionError(f"start triple {triple!r} at s = {s!r} {fault}")
-    return psi
+    return start
 
 
-def _continued_psi(s0: complex, psi: complex, s1: complex) -> complex:
-    """psi at s0 continued along the segment to s1.
+def _cut_crossing(s0: complex, s1: complex, sign: int, n: int) -> tuple[int, int]:
+    """The determination (sign, n) of psi at s1, continued from (sign, n) at
+    s0 along the segment between them.
 
-    A segment longer than STEP_REACH times the distance from its start to the
-    nearer branch point, s = 0 or 1, is bisected; a piece that is short enough
-    ends on the determination +-psi_1 + n pi of psi at s1 nearest its start
-    value.  The wrong determinations lie at 2 |psi - n pi/2| from the right
-    one, which is small only near s = 0 and 1, and the piece length keeps its
-    change in psi a few times smaller than that.  ``continue_triple`` refuses
-    a segment before it would be bisected more than MAX_HALVINGS times.
+    asin(s^(1/2)) is continuous off the real axis and along either edge of
+    it, and a waypoint on the axis lies on the edge that the sign bit of its
+    imaginary part names, as for cmath's cuts: 0.0 the upper, -0.0 the
+    lower.  So the pair changes only where the segment passes from one side
+    to the other, at the abscissa x.  There psi_0 jumps to -psi_0 for x < 0,
+    the cut of the root, and to pi - psi_0 for x > 1, the cut of asin (DLMF
+    4.23(ii)); so sign psi_0 + n pi is -sign psi_0 + n pi past the first and
+    -sign psi_0 + (n + sign) pi past the second.  Between 0 and 1 it does
+    not jump.
     """
-    if abs(s1 - s0) > STEP_REACH * min(abs(s0), abs(1 - s0)):
-        mid = (s0 + s1) / 2
-        return _continued_psi(mid, _continued_psi(s0, psi, mid), s1)
-    psi1 = cmath.asin(cmath.sqrt(s1))
-    near = psi1 + round((psi - psi1).real / cmath.pi) * cmath.pi
-    far = -psi1 + round((psi + psi1).real / cmath.pi) * cmath.pi
-    return near if abs(near - psi) <= abs(far - psi) else far
+    if math.copysign(1.0, s0.imag) == math.copysign(1.0, s1.imag):
+        return sign, n
+    drop = s0.imag - s1.imag
+    # both parts zero: the segment runs along the axis from edge to edge
+    x = s0.real + (s1.real - s0.real) * (s0.imag / drop if drop else 0.0)
+    if x < 0:
+        return -sign, n
+    if x > 1:
+        return -sign, n + sign
+    return sign, n
 
 
 def _closest_approach(s0: complex, s1: complex, point: int) -> float:
@@ -442,47 +459,62 @@ def _closest_approach(s0: complex, s1: complex, point: int) -> float:
     return abs(s0 + min(max(t, 0.0), 1.0) * ds - point)
 
 
+# five roundings of u = 2^-53, half the machine epsilon 2^-52: the bound of
+# the error of a crossing abscissa relative to |s0| + |s1| (``_checked_path``)
+CROSSING_ROUNDING = 5 * 2.0 ** -53
+
+
 def _checked_path(path: list) -> list[complex]:
-    """The waypoints of a continuation as complex numbers, after refusing
-    every segment that is not finite or that is longer than
-    2^MAX_HALVINGS * STEP_REACH times its closest approach to the branch
-    point s = 0 or s = 1: ``_continued_psi`` would halve it more than
-    MAX_HALVINGS times for its piece nearest that point, and a segment
-    through the point has no such piece.  Refusals raise PreconditionError."""
+    """The waypoints of a continuation as complex numbers, after refusing an
+    empty path, a waypoint that is not finite or is s = 0 or 1, and a
+    segment that is not finite or whose closest approach to s = 0 or 1 is
+    within the rounding of its crossing abscissa.
+
+    ``_cut_crossing`` forms that abscissa as x0 + (x1 - x0) (y0 / (y0 - y1))
+    from s0 = x0 + i y0 and s1 = x1 + i y1.  y0 and y1 lie on opposite sides,
+    so y0 - y1 does not cancel and y0 / (y0 - y1) lies in [0, 1]; each of the
+    five operations rounds by at most u = 2^-53 relative, of a term no larger
+    than |s0| + |s1|, so x is off by at most 5 u (|s0| + |s1|) =
+    CROSSING_ROUNDING (|s0| + |s1|), to first order in u.  A segment that
+    passes closer than that to s = 0 or 1 may cross on either side of it, or
+    runs through it: the side of the branch point is not determined.  Every
+    refusal raises PreconditionError.
+    """
     points = [complex(s) for s in path]
-    reach = 2 ** MAX_HALVINGS * STEP_REACH
+    if not points:
+        raise PreconditionError("a path needs at least one waypoint")
+    for s in points:
+        if not cmath.isfinite(s):
+            raise PreconditionError(f"waypoint {s!r} is not finite")
+        if s in (0, 1):
+            raise PreconditionError(f"waypoint {s!r} is the branch point s = {s.real:g}, "
+                                    "where G diverges")
     for s0, s1 in pairwise(points):
-        span = abs(s1 - s0)
-        if not cmath.isfinite(span):
+        if not cmath.isfinite(s1 - s0):
             raise PreconditionError(f"path segment {s0!r} -> {s1!r} is not finite")
         gap, point = min((_closest_approach(s0, s1, point), point) for point in (0, 1))
-        if span > reach * gap:
+        if gap <= CROSSING_ROUNDING * (abs(s0) + abs(s1)):
             raise PreconditionError(
                 f"path segment {s0!r} -> {s1!r} comes within {gap:.3g} of the branch point "
-                f"s = {point}, and is longer than 2^MAX_HALVINGS * STEP_REACH times that distance")
+                f"s = {point}, too close to tell on which side of it the segment passes")
     return points
 
 
 def continue_triple(path: list, triple: tuple) -> tuple:
     """Continue an ordered root triple along a polyline of s-waypoints.
 
-    The triple fixes the angle psi at path[0] (``_start_psi``), psi is
-    continued segment by segment (``_continued_psi``), and the closed form
-    gives the triple at the end; the monodromy loops and the tests walk this
-    way.  Every segment is checked before any is walked (``_checked_path``),
-    and a start triple that is not the cubic's root triple at path[0] raises
-    PreconditionError.
+    The triple fixes the determination of psi at path[0] (``_start_psi``),
+    which changes only where a segment crosses a cut (``_cut_crossing``), and
+    the closed form gives the triple at the end; the monodromy loops and the
+    tests walk this way.  Every waypoint and segment is checked before any is
+    walked (``_checked_path``), and a start triple that is not the cubic's
+    root triple at path[0] raises PreconditionError.
     """
     points = _checked_path(path)
-    psi = _start_psi(points[0], triple)
+    sign, n = _start_psi(points[0], triple)
     for s0, s1 in pairwise(points):
-        psi = _continued_psi(s0, psi, s1)
-    return _psi_triple(psi)
-
-
-# largest |start| of trace_branch: its first value comes from the exact series
-# at s = 0, which must still be accurate there
-TRACE_START_MAX = 0.35
+        sign, n = _cut_crossing(s0, s1, sign, n)
+    return _branch_triple(points[-1], sign, n)
 
 
 def trace_branch(family: str, index: int, start: float, stop: float,
@@ -490,28 +522,23 @@ def trace_branch(family: str, index: int, start: float, stop: float,
     """(s, value) of branch ``index`` of ``family`` ("X" or "g") at ``samples``
     evenly spaced points from ``start`` to ``stop``.
 
-    The branch is labelled at the base point 0: its value at ``start`` comes
-    from the exact series there, and psi = asin(s^(1/2)), which the closed form
-    labels the same way, is continued from sample to sample.
+    The branch is labelled at the base point 0: psi starts as asin(s^(1/2))
+    at ``start``, the determination (1, 0) that the closed form labels as the
+    series there, and is continued from sample to sample as in
+    ``continue_triple``.
     """
     BranchLabel(family, index, 0)  # rejects an unknown family or index
-    if abs(start) > TRACE_START_MAX:
-        raise PreconditionError("start point too far from the anchor for the series")
     if samples < 2:
         raise PreconditionError(f"a trace needs at least 2 samples, got {samples}")
     path = [start + (stop - start) * k / (samples - 1) for k in range(samples)]
     _checked_path(path)
-    triple = anchored_g_triple(0, sqrt_s(start))
-    psi = cmath.asin(sqrt_s(start))
+    sign, n = 1, 0
     out = []
-    for k, s in enumerate(path):
-        if k > 0:
-            psi = _continued_psi(path[k - 1], psi, s)
-            triple = _psi_triple(psi)
-        value = triple[index - 1]
-        if family == "X":
-            value *= default_sqrt_rule(s)
-        out.append((s, value))
+    # the first pair is the start twice, which crosses nothing
+    for s0, s in zip([path[0], *path], path):
+        sign, n = _cut_crossing(s0, s, sign, n)
+        value = _branch_triple(s, sign, n)[index - 1]
+        out.append((s, value * default_sqrt_rule(s) if family == "X" else value))
     return out
 
 
@@ -524,8 +551,10 @@ def _loop_path(s: complex, center: complex):
 
     Walks radially in to a capped radius, goes round a regular polygon of
     LOOP_VERTICES corners on that circle, and walks back out, so the loop
-    never strays near the other branch point; ``_continued_psi`` cuts each
-    chord into the pieces it needs.
+    never strays near the other branch point.  The radius is below 1/2, so
+    the polygon crosses the real axis once on the cut at ``center`` (s < 0
+    or s > 1), where the continuation turns psi (``_cut_crossing``), and
+    otherwise only between 0 and 1, where it does not.
     """
     rho = abs(s - center)
     if rho < 1e-9:
@@ -564,7 +593,9 @@ def loop_permutation(anchor: int, n_terms: int = ANCHOR_SERIES_TERMS) -> tuple[i
     gives pi.  A summation ray carries the labels of its base point's series
     outward, and G branches only at s = 0, 1 and infinity, so pi is also the
     permutation of the ray's triple by a loop round that base point from any
-    point of the ray (``monodromy_triple``).  The discontinuity of entry i is
+    point of the ray (``monodromy_triple``, whose loop crosses the cut at
+    that base point once and so turns psi to -psi or pi - psi,
+    ``_cut_crossing``).  The discontinuity of entry i is
     then ``triple[pi[i]] - triple[i]``: Delta at 0 of branch 2 is g_1 - g_2,
     and Delta at 1 of branch 3 is g_1 - g_3.  ``n_terms`` defaults to the
     series ``anchored_g_triple`` evaluates.  The series are fixed, so each
@@ -574,8 +605,6 @@ def loop_permutation(anchor: int, n_terms: int = ANCHOR_SERIES_TERMS) -> tuple[i
     VerificationError when a negated series equals none of the three, or
     more than one.
     """
-    if anchor not in (0, 1):
-        raise PreconditionError(f"anchor must be 0 or 1, got {anchor}")
     series = _anchor_series(anchor, n_terms)
     images = [[j for j, other in enumerate(series) if other == looped]
               for looped in (g.negate_root() for g in series)]

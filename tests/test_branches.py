@@ -7,14 +7,14 @@ import random
 import re
 from fractions import Fraction as Fr
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exactwkb import branches
 from exactwkb.airy_borel import hypergeometric_oracle
-from exactwkb.branches import (ANCHOR_SERIES_TERMS, MAX_HALVINGS, STEP_REACH,
-                               TRACE_START_MAX, BranchLabel, _depressed_cubic_roots,
+from exactwkb.branches import (ANCHOR_SERIES_TERMS, BranchLabel, _depressed_cubic_roots,
                                _local_c_series, _loop_path, _polish_cubic, _x_series_shape,
                                anchored_g_triple, branch_series, closed_form_g_triple,
                                continue_triple, default_sqrt_rule, g_pde_residuals,
@@ -228,15 +228,38 @@ class TestContinuation:
                                 0.8 + 0.1j, 0.85 + 0.05j, 0.9], start)
         assert abs(coarse[2] - fine[2]) < 1e-10
 
-    def test_far_start_point_rejected(self):
-        # the anchor series are trusted only within 0.35 of s = 0
-        assert cli_main(["branches", "trace", "--from", "0.7"]) == 3
+    def test_far_start_point_is_traced_in_closed_form(self, capsys):
+        # the first sample, too, is the closed form, not the series at s = 0
+        assert cli_main(["branches", "trace", "--from", "0.7", "--csv"]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert len(rows) == 50
+        for k, row in enumerate(rows):
+            s = 0.7 + (0.99 - 0.7) * k / 49
+            want = closed_form_g_triple(0, sqrt_s(s))[2] * default_sqrt_rule(s)
+            _, re_part, im_part = row.split(",")
+            assert abs(complex(float(re_part), float(im_part)) - want) <= 1e-14 * abs(want)
 
-    @pytest.mark.parametrize("start, samples", [(TRACE_START_MAX + 1e-9, 8),
-                                                (-0.36, 8), (0.05, 1), (0.05, -3)])
+    @pytest.mark.parametrize("start, samples", [(-0.36, 8), (0.05, 1), (0.05, -3)])
     def test_trace_rejects_a_far_start_or_too_few_samples(self, start, samples):
+        # a trace from -0.36 to 0.4 runs through s = 0
         with pytest.raises(PreconditionError):
             trace_branch("X", 3, start, 0.4, samples)
+
+    @pytest.mark.parametrize("start, stop", [(0.35, 0.9), (-0.35, -0.02), (0.7, 0.9)])
+    def test_every_trace_sample_is_a_root_of_the_cubic(self, start, stop):
+        # each to 1e-15 of a 40-digit root, the three labels on three roots;
+        # a first sample from the series at s = 0 was 1.1e-8 off at s = 0.35
+        traces = [trace_branch("g", index, start, stop, 8) for index in (1, 2, 3)]
+        with mpmath.workdps(40):
+            for samples in zip(*traces):
+                s = mpmath.mpf(samples[0][0])
+                roots = mpmath.polyroots([16 * s * (1 - s), 0, -3, -1], maxsteps=200,
+                                         extraprec=80)
+                values = [value for _, value in samples]
+                nearest = [min(range(3), key=lambda j: abs(g - roots[j])) for g in values]
+                assert sorted(nearest) == [0, 1, 2], s
+                for g, j in zip(values, nearest):
+                    assert abs(g - roots[j]) <= 1e-15 * max(1, abs(roots[j])), s
 
     def test_reverse_continuation_from_base_1(self):
         # tracking backwards must land on the base-0 expansions with labels
@@ -290,60 +313,59 @@ class TestContinuation:
         continue_triple([0.05, 0.3 + 0.2j], anchored_g_triple(0, sqrt_s(0.05)))
         assert diagnosed == []
 
-    def test_a_segment_past_the_halving_reach_raises_before_any_step(self, monkeypatch):
-        # 0.01 from s = 0 a first piece is 0.005 long at most, and 2^MAX_HALVINGS
-        # of them reach 5.5e9, short of 1e10; the last path's third segment
-        # starts on s = 1, where no piece is short enough
-        steps = []
-        monkeypatch.setattr(branches, "_continued_psi",
-                            lambda s0, psi, s1: steps.append(s1) or psi)
+    def test_long_segments_are_walked_and_paths_through_s_1_raise_before_any_step(
+            self, monkeypatch):
+        # the vertical segments keep 0.01 and 0.3 from s = 0 and 1 however
+        # long they are; the other paths run through s = 1, or stop on it
         start = anchored_g_triple(0, sqrt_s(0.01))
-        reach = 2 ** MAX_HALVINGS * STEP_REACH * 0.01
-        for path in ([0.01, 1e10], [0.01, 0.01 + 1.01 * reach * 1j],
-                     [0.01, 0.3, 0.3 + 1e12j], [0.01, 0.3, 1.0, 1.1]):
-            with pytest.raises(PreconditionError, match=re.escape("2^MAX_HALVINGS")):
+        for path in ([0.01, 0.01 + 5.6e9j], [0.01, 0.3, 0.3 + 1e12j]):
+            walked, s = continue_triple(path, start), path[-1]
+            for g in walked:
+                assert abs((16 * s * (1 - s) * g * g - 3) * g - 1) < 1e-14
+        steps = []
+        monkeypatch.setattr(branches, "_cut_crossing",
+                            lambda s0, s1, sign, n: steps.append(s1) or (sign, n))
+        for path in ([0.01, 1e10], [0.01, 0.3, 1.0, 1.1]):
+            with pytest.raises(PreconditionError, match="branch point s = 1"):
                 continue_triple(path, start)
-        with pytest.raises(PreconditionError, match=re.escape("2^MAX_HALVINGS")):
+        with pytest.raises(PreconditionError, match="branch point s = 1"):
             trace_branch("X", 3, 0.01, 1e10, 2)
         assert steps == []
 
-    def test_a_segment_just_within_the_halving_reach_is_walked(self):
-        # straight up from s = 0.01, the distance to s = 0 and 1 only grows
-        s = 0.01 + 0.99 * 2 ** MAX_HALVINGS * STEP_REACH * 0.01j
-        walked = continue_triple([0.01, s], anchored_g_triple(0, sqrt_s(0.01)))
-        for g in walked:
-            assert abs((16 * s * (1 - s) * g * g - 3) * g - 1) < 1e-14
-
-    @pytest.mark.parametrize("stop", ["1e10", "1e307"])
-    def test_trace_past_the_halving_reach_is_3(self, stop):
-        assert cli_main(["branches", "trace", "--to", stop, "--samples", "2"]) == 3
-
     def test_a_segment_is_measured_by_its_closest_approach(self, monkeypatch):
-        # each path starts far from both branch points and runs through, or
-        # within 1e-13 of, one of them; a step's start alone would allow it
-        steps = []
-        monkeypatch.setattr(branches, "_continued_psi",
-                            lambda s0, psi, s1: steps.append(s1) or psi)
+        # each refused path runs through one of the branch points, or stops on
+        # it; each walked one passes 1e-13 from one, on the side of its detour
         start = anchored_g_triple(0, sqrt_s(0.3))
+        for path, detour in (([0.3, -0.3 + 1e-13j], [0.3, 0.3j, -0.3 + 1e-13j]),
+                             ([0.3, 2 - 1e-13j], [0.3, 1 - 0.3j, 2 - 1e-13j])):
+            assert continue_triple(path, start) == continue_triple(detour, start)
+        steps = []
+        monkeypatch.setattr(branches, "_cut_crossing",
+                            lambda s0, s1, sign, n: steps.append(s1) or (sign, n))
         for path, point in (([0.3, 1.5], 1), ([0.3, -0.3], 0), ([0.3, 0.6j, -0.6j], 0),
-                            ([0.3, -0.3 + 1e-13j], 0), ([0.3, 2 - 1e-13j], 1),
                             ([0.3, 0.7, 1.0], 1)):
-            with pytest.raises(PreconditionError, match=f"of the branch point s = {point}, "):
+            with pytest.raises(PreconditionError, match=f"the branch point s = {point}, "):
                 continue_triple(path, start)
         assert steps == []
 
-    @pytest.mark.parametrize("stop", ["1.5", "1e3", "1e6"])
+    @pytest.mark.parametrize("path", [[], [0.0], [1.0], [complex(0.0, -0.0)],
+                                      [math.nan], [complex(0.3, math.inf)],
+                                      [0.3, math.nan, 0.4]])
+    def test_a_path_without_waypoints_or_with_a_bad_one_is_refused(self, path):
+        with pytest.raises(PreconditionError):
+            continue_triple(path, closed_form_g_triple(0, sqrt_s(0.3)))
+
+    @pytest.mark.parametrize("stop", ["1.5", "1e3", "1e6", "1e10", "1e307"])
     def test_trace_through_a_branch_point_is_3(self, stop, capsys):
-        # the segment from 0.01 runs through s = 1, where no piece of it is
-        # short enough: refused, not walked
+        # the segment from 0.01 runs through s = 1: refused, not walked
         assert cli_main(["branches", "trace", "--to", stop, "--samples", "2"]) == 3
         assert "of the branch point s = 1, " in capsys.readouterr().err
 
 
 class TestPsiContinuation:
-    """psi is continued in pieces no longer than STEP_REACH times their
-    distance to s = 0 or 1, each ending on the determination of psi nearest
-    its start value."""
+    """psi = sign asin(s^(1/2)) + n pi keeps (sign, n) except where a segment
+    crosses the cut s < 0, which gives (-sign, n), or s > 1, which gives
+    (-sign, n + sign)."""
 
     def test_a_segment_that_passes_a_branch_point_keeps_the_labels_of_the_tracker(self):
         # 0.02 long and 1e-6 from s = 0 at its closest: the determinations
@@ -355,15 +377,21 @@ class TestPsiContinuation:
                             continue_triple([s0, s1], start)) < 1e-12
 
     def test_long_segments_end_where_the_tracker_ends_them(self):
-        # segments of up to 13 that pass between or near s = 0 and 1: taken
-        # in one piece, the nearest determination at the far end is the wrong
-        # one for about one in twenty of them
+        # segments of up to 13 that pass between or near s = 0 and 1, and
+        # paths that stop on a cut or pass through a waypoint on it, reached
+        # from either side: a waypoint with the imaginary part +0.0 sits on
+        # the upper edge, one with -0.0 on the lower edge
         rng = random.Random(3)
-        for _ in range(200):
-            s0, s1 = (complex(rng.uniform(-6, 6), rng.uniform(-3, 3)) for _ in range(2))
-            start = tracked_solve_cubic(s0)
-            assert relative_gap(tracked_continue_triple([s0, s1], start),
-                                continue_triple([s0, s1], start)) < 1e-12, (s0, s1)
+        paths = [[complex(rng.uniform(-6, 6), rng.uniform(-3, 3)) for _ in range(2)]
+                 for _ in range(200)]
+        for cut in (-0.5, 1.5):
+            for edge in (complex(cut, 0.0), complex(cut, -0.0)):
+                for s0 in (0.3 + 0.4j, 0.3 - 0.4j):
+                    paths += [[s0, edge], [s0, edge, 0.6 + 0.5j], [s0, edge, 0.6 - 0.5j]]
+        for path in paths:
+            start = tracked_solve_cubic(path[0])
+            assert relative_gap(tracked_continue_triple(path, start),
+                                continue_triple(path, start)) < 1e-14, path
 
     @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
     def test_the_start_triple_sets_the_order_it_returns(self, order):
@@ -382,23 +410,6 @@ class TestPsiContinuation:
             walked = continue_triple([0.5, s1], start)
             for g in walked:
                 assert abs((16 * s1 * (1 - s1) * g * g - 3) * g - 1) < 1e-13
-
-    def test_the_pieces_are_sized_by_the_branch_points_only(self, monkeypatch):
-        # from 0.3 to 0.7 across s = 1/2: 0.4 is longer than STEP_REACH * 0.3
-        # and halves at 0.5, 0.3 -> 0.5 halves again, and 0.5 -> 0.7, 0.5 from
-        # s = 1, is short enough; nothing halves for nearing s = 1/2
-        pieces = []
-        real = branches._continued_psi
-
-        def recorded(s0, psi, s1):
-            pieces.append((s0, s1))
-            return real(s0, psi, s1)
-
-        monkeypatch.setattr(branches, "_continued_psi", recorded)
-        continue_triple([0.3, 0.7], anchored_g_triple(0, sqrt_s(0.3)))
-        short = [(s0, s1) for s0, s1 in pieces
-                 if abs(s1 - s0) <= STEP_REACH * min(abs(s0), abs(1 - s0))]
-        assert short == [(0.3, 0.4), (0.4, 0.5), (0.5, 0.7)]
 
 
 def termwise_anchored_g_triple(anchor, local_root):
@@ -665,6 +676,12 @@ class TestClosedForm:
             triple, looped = branches._psi_triple(psi), branches._psi_triple(image(psi))
             assert relative_gap(triple, tuple(looped[perm[i]] for i in range(3))) < 1e-12
         assert perm == ((1, 0, 2) if anchor == 0 else (2, 1, 0))
+
+    @pytest.mark.parametrize("anchor", [-1, 2, 0.5])
+    @pytest.mark.parametrize("evaluate", [closed_form_g_triple, anchored_g_triple])
+    def test_an_anchor_other_than_0_or_1_raises(self, evaluate, anchor):
+        with pytest.raises(PreconditionError, match="anchor must be 0 or 1"):
+            evaluate(anchor, 0.3)
 
     @pytest.mark.parametrize("root", [0j, 1.0, -1 + 0j, complex(NAN, 0.1), complex(0.2, INF)])
     def test_a_local_root_where_a_branch_diverges_or_is_not_finite_raises(self, root):
