@@ -11,11 +11,12 @@ eta^(-1/2) x^(-1/4) exp(+-(2/3) x^(3/2) eta) as metadata only, so every number
 stored here is an exact rational.
 
 The recurrence runs on the integers N_j = c_j 8^(j+1), and they are laid on
-the w grid in one place (``_w_series``): the solution's f, its odd and even
-parts, and the coefficient stream's inputs 1 + A = w f_odd and +-B, the
-primitive of f_odd past its w^-1 phase term, are all read from there.  The
-stream's coefficients are read off the kernel's product, so no Fraction
-arithmetic is done per term.
+the w grid in two places: the solution's f, its odd and even parts and the
+coefficient stream's input 1 + A = w f_odd are read from ``_w_series``, and
+the stream's +-B, the primitive of f_odd past its w^-1 phase term, from
+``_phase_series``, each coefficient reduced once.  The stream's
+coefficients are read off the kernel's product, so no Fraction arithmetic
+is done per term.
 
 Two independent derivations of the same coefficients are exposed: the
 recurrence-driven stream (via the odd-part primitive) and the closed product
@@ -67,6 +68,15 @@ def _w_series(n, js: range, s: int = 1) -> PuiseuxSeries:
     Riccati integers n[j + 1] = N_j."""
     return PuiseuxSeries.from_grid(W_VAR, [(2 * j, s * n[j + 1], 8 ** (j + 1)) for j in js],
                                    js.stop)
+
+
+def _phase_series(n, order: int, s: int) -> PuiseuxSeries:
+    """B = sum_(odd j <= order) -2 s N_j / (3 j 8^(j+1)) w^j, known below
+    w^(order+1): the primitive of the odd part of s f past its w^-1 term,
+    laid on the grid with one reduction per coefficient."""
+    return PuiseuxSeries.from_grid(
+        W_VAR, [(2 * j, -2 * s * n[j + 1], 3 * j * 8 ** (j + 1)) for j in range(1, order + 1, 2)],
+        order + 1)
 
 
 def _x2_d_dx(f: PuiseuxSeries) -> PuiseuxSeries:
@@ -167,10 +177,10 @@ class WkbCoefficientStream:
 def wkb_coefficient_stream(order: int = DEFAULT_ORDER, sign: str = "+") -> WkbCoefficientStream:
     """Expand (1 + A)^(-1/2) exp(sign * B) where A, B come from the recurrence.
 
-    Both are series in w = eta^-1 x^-3/2, read from the Riccati integers
-    through ``_w_series``: 1 + A = w f_odd, which is S_odd / (eta x^(1/2)),
-    and B is the primitive of f_odd past its w^-1 term, the phase
-    (2/3) eta x^(3/2) that the prefactor carries.  The kernel takes the
+    Both are series in w = eta^-1 x^-3/2, read from the Riccati integers:
+    1 + A = w f_odd (``_w_series``), which is S_odd / (eta x^(1/2)), and B
+    (``_phase_series``) is the primitive of f_odd past its w^-1 term, the
+    phase (2/3) eta x^(3/2) that the prefactor carries.  The kernel takes the
     inverse square root, the exponential and one product; the stream is read
     off the product's rational coefficients, so the result is exact.
     """
@@ -178,7 +188,7 @@ def wkb_coefficient_stream(order: int = DEFAULT_ORDER, sign: str = "+") -> WkbCo
     n = _riccati_integers(order, 1)
     # 1 + A = w f_odd below the stream's truncation w^(order + 1): j < order
     amplitude = _w_series(n, range(-1, order, 2)).shift(1).inv_sqrt()
-    phase = integrate_s_odd(_w_series(n, range(1, order + 1, 2), 1 if sign == "+" else -1))
+    phase = _phase_series(n, order, 1 if sign == "+" else -1)
     stream = amplitude * phase.exp()
     coeffs = [Fraction(0)] * (order + 1)
     # read off the kernel's grid: one Fraction per coefficient

@@ -466,19 +466,22 @@ CROSSING_ROUNDING = 5 * 2.0 ** -53
 
 def _checked_path(path: list) -> list[complex]:
     """The waypoints of a continuation as complex numbers, after refusing an
-    empty path, a waypoint that is not finite or is s = 0 or 1, and a
-    segment that is not finite or whose closest approach to s = 0 or 1 is
-    within the rounding of its crossing abscissa.
+    empty path, a waypoint that is not finite or is s = 0 or 1, a segment
+    that is not finite, and a segment that crosses the real axis, or runs
+    along it, and whose closest approach to s = 0 or 1 is within the
+    rounding of its crossing abscissa.
 
     ``_cut_crossing`` forms that abscissa as x0 + (x1 - x0) (y0 / (y0 - y1))
     from s0 = x0 + i y0 and s1 = x1 + i y1.  y0 and y1 lie on opposite sides,
     so y0 - y1 does not cancel and y0 / (y0 - y1) lies in [0, 1]; each of the
     five operations rounds by at most u = 2^-53 relative, of a term no larger
     than |s0| + |s1|, so x is off by at most 5 u (|s0| + |s1|) =
-    CROSSING_ROUNDING (|s0| + |s1|), to first order in u.  A segment that
-    passes closer than that to s = 0 or 1 may cross on either side of it, or
-    runs through it: the side of the branch point is not determined.  Every
-    refusal raises PreconditionError.
+    CROSSING_ROUNDING (|s0| + |s1|), to first order in u.  A crossing segment
+    that passes closer than that to s = 0 or 1 may cross on either side of
+    it, and a segment along the axis that comes that close runs through it:
+    the side of the branch point is not determined.  Any other segment keeps
+    to the side that the sign bits of its imaginary parts name, however close
+    it passes.  Every refusal raises PreconditionError.
     """
     points = [complex(s) for s in path]
     if not points:
@@ -492,6 +495,8 @@ def _checked_path(path: list) -> list[complex]:
     for s0, s1 in pairwise(points):
         if not cmath.isfinite(s1 - s0):
             raise PreconditionError(f"path segment {s0!r} -> {s1!r} is not finite")
+        if (s0.imag or s1.imag) and math.copysign(1.0, s0.imag) == math.copysign(1.0, s1.imag):
+            continue  # off the axis, on one side of it
         gap, point = min((_closest_approach(s0, s1, point), point) for point in (0, 1))
         if gap <= CROSSING_ROUNDING * (abs(s0) + abs(s1)):
             raise PreconditionError(

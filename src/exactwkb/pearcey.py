@@ -30,12 +30,15 @@ compare it directly and no polynomial gcd is ever taken.  Whether D divides N
 is read off the curve D = 0, which (8 v^3, -6 v^2) parametrises: D divides a
 polynomial p exactly when p(8 v^3, -6 v^2) = 0, one integer sum per power of
 S and weight 3 a + 2 b; only then is N divided.  A sum of products, as the
-recursion and its checks form them, is lifted to one common denominator and
-normalised once (``_ring_sum``), and so is each public sum and product.
-There is no second type for Q(x1, x2): a coefficient N_i / (q D^m) is an
-element free of S, normalised as any other (``CubicFieldElement.c``).  The
-numerator triple of tuple-keyed dicts (``CubicFieldElement.n``) and the three
-coefficients are built only where they are read.
+recursion forms them, is lifted to one common denominator and normalised once
+(``_ring_sum``), and so is each public sum and product.  The closedness and
+primitive checks only ask whether a sum is zero, and N / (q D^m) is zero
+exactly when N is: they lift raw numerators to one q D^m and test the sum's
+coefficients (``_raw_sum``), with no normalisation.  There is no second type
+for Q(x1, x2): a coefficient N_i / (q D^m) is an element free of S,
+normalised as any other (``CubicFieldElement.c``).  The numerator triple of
+tuple-keyed dicts (``CubicFieldElement.n``) and the three coefficients are
+built only where they are read.
 
 The Pearcey system is weighted homogeneous: x1, x2 and S have the weights 3,
 2 and 1, so x1^a x2^b S^i has the weight 3 a + 2 b + i, and the cubic and D
@@ -47,17 +50,19 @@ The numeric side solves the Borel-plane quartic A g^4 + C g^2 + D g + 1 by an
 Aberth iteration (``quartic_g_roots``), at points whose weighted scale
 max(|x1|^(1/3), |x2|^(1/2), |y|^(1/4)) is at most ``QUARTIC_SCALE_MAX``, and
 witnesses each branch with the four annihilators through exact implicit
-derivatives.  The weighted homogeneity g -> l^-3 g under (x1, x2, y) ->
-(l^3 x1, l^2 x2, l^4 y) is checked by one solve at the point scaled by the
-non-dyadic ``HOMOGENEITY_LAMBDA``, or by its inverse where that image would
-lie beyond the scale bound; the roots are mapped back and held against the
-unscaled quartic (``homogeneity_residual``).
+derivatives.  The four branches of one solve share a record of the point,
+and the partials of A and C that every branch's derivatives read are formed
+once in it, by the first branch measured.  The weighted homogeneity
+g -> l^-3 g under (x1, x2, y) -> (l^3 x1, l^2 x2, l^4 y) is checked by one
+solve at the point scaled by the non-dyadic ``HOMOGENEITY_LAMBDA``, or by its
+inverse where that image would lie beyond the scale bound; the roots are
+mapped back and held against the unscaled quartic (``homogeneity_residual``).
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, inf, lcm
@@ -216,7 +221,8 @@ def _normalise(n: dict, q: int, m: int) -> tuple:
     divide costs one pass over its terms.  A key whose b is 2^19 or more
     raises ``PreconditionError``, before a product of it could carry into a.
     A sum of products is normalised once, by ``_ring_sum``, not once per
-    term."""
+    term; a sum that is only tested for zero (``_raw_sum``) is not
+    normalised at all."""
     n = _nonzero(n)
     if not n:
         return n, 1, 0
@@ -461,17 +467,24 @@ class CubicFieldElement:
         return self._derivative(1)
 
     def _derivative(self, i: int) -> "CubicFieldElement":
-        """(N' D - m N D') / (q D^(m+1)) plus dN/dS dS/dx_i, with
-        dS/dx_i = _CHAIN[i] / D; all over 4 q D^(m+1)."""
-        n, m = self.num, self.m
-        out = _mul({}, _diff(n, i), _D)
-        if m:
-            _mul(out, n, _D_PARTIALS[i], -4 * m)
-        return CubicFieldElement._new(_mul(out, _diff(n, 2), _CHAIN[i]), 4 * self.q, m + 1)
+        return CubicFieldElement._new(_add_derivative({}, self.num, self.m, i),
+                                      4 * self.q, self.m + 1)
 
     def __repr__(self) -> str:
         c0, c1, c2 = map(_fraction_str, self.c)
         return f"({c0}) + ({c1})*S + ({c2})*S^2"
+
+
+def _add_derivative(out: dict, n: dict, m: int, i: int, c: int = 1) -> dict:
+    """out += c R in place, where d_i (N / (q D^m)) = R / (4 q D^(m+1)) for
+    the total derivative d_i in x1 (i = 0) or x2 (i = 1); zeros may remain.
+
+    R = 4 (N_i D - m N D_i + dN/dS _CHAIN[i]) is (N' D - m N D') plus
+    dN/dS dS/dx_i times D, with dS/dx_i = _CHAIN[i] / D."""
+    _mul(out, _diff(n, i), _D, 4 * c)
+    if m:
+        _mul(out, n, _D_PARTIALS[i], -4 * m * c)
+    return _mul(out, _diff(n, 2), _CHAIN[i], 4 * c)
 
 
 def _element(value) -> CubicFieldElement:
@@ -525,7 +538,9 @@ def _ring_sum(terms) -> CubicFieldElement:
     ``_RING_ONE`` takes 4 a.  Every term is lifted to the common q and m and
     added into one numerator, a term that needs no lift by D straight from
     ``_mul``, and only the sum is normalised, where chained ``+`` and ``*``
-    would normalise each product and each partial sum."""
+    would normalise each product and each partial sum.  The recursion's
+    sums, which it stores, are formed here; the checks' sums, which are only
+    tested for zero, by ``_raw_sum``."""
     raw = [(4 * w, a, None, a.q, a.m) if b is _RING_ONE else (w, a, b, a.q * b.q, a.m + b.m)
            for w, a, b in terms]
     q = lcm(*(qi for *_, qi, _ in raw))
@@ -621,12 +636,41 @@ class SymbolicCheckReport:
         return not self.failures
 
 
+def _raw_sum(terms) -> tuple:
+    """(N, q, m) with N / (q D^m) the sum of w d_i (n / (q_n D^m_n)) over the
+    (w, n, q_n, m_n, i) of ``terms``, d_i the total derivative in x1 (i = 0)
+    or x2 (i = 1), or of w n / (q_n D^m_n) itself where i is None.
+
+    Each term's raw numerator is lifted to the common q D^m and added into
+    one N, which is not reduced: no curve test, row division or gcd is made,
+    and zeros may remain.  N has degree at most 2 in S, so the sum is zero
+    exactly when no coefficient of N is nonzero."""
+    dens = [(qi, mi) if i is None else (4 * qi, mi + 1) for _, _, qi, mi, i in terms]
+    q = lcm(*(qi for qi, _ in dens))
+    m = max(mi for _, mi in dens)
+    out = {}
+    for (w, n, _, mi, i), (qi, mj) in zip(terms, dens):
+        c = w * (q // qi)
+        if i is None:
+            _mul(out, n, _d_power(m - mj), c)
+        elif mj == m:  # as for S_k and T_k, which share their power of D
+            _add_derivative(out, n, mi, i, c)
+        else:
+            _mul(out, _add_derivative({}, n, mi, i), _d_power(m - mj), c)
+    return out, q, m
+
+
+def _raw(x: CubicFieldElement) -> tuple:
+    return x.num, x.q, x.m
+
+
 def check_closedness(rec: PearceyRecursion) -> SymbolicCheckReport:
-    """d2 S_k - d1 T_k = 0 exactly in the quotient ring for every k."""
+    """d2 S_k - d1 T_k = 0 exactly in the quotient ring for every k: the raw
+    numerator of the difference (``_raw_sum``) has no nonzero coefficient."""
     failures = []
     for k in range(-1, rec.order + 1):
-        if not _ring_sum([(1, rec.s(k).d2(), _RING_ONE),
-                          (-1, rec.t(k).d1(), _RING_ONE)]).is_zero():
+        difference, _, _ = _raw_sum([(1, *_raw(rec.s(k)), 1), (-1, *_raw(rec.t(k)), 0)])
+        if any(difference.values()):
             failures.append(k)
     return SymbolicCheckReport("closedness", rec.order, tuple(failures))
 
@@ -639,21 +683,27 @@ def check_primitives(rec: PearceyRecursion) -> SymbolicCheckReport:
     d1 P + 4k S_k = 0 and d2 P + 4k T_k = 0, the identities times -4k, so no
     rational scalar enters.  For k = 0 the primitive is -(1/2) log(6 S^2 + x2)
     and the same identities are checked, times -2, through the logarithmic
-    derivative.
+    derivative.  P, the products and the sums are raw numerators
+    (``_raw_sum``), and a sum is zero when none of its coefficients is
+    nonzero.
     """
     failures = []
-    x1 = CubicFieldElement.x1()
-    x2 = CubicFieldElement.x2()
     for k in range(-1, rec.order + 1):
+        s, t = rec.s(k), rec.t(k)
         # d_x P times factor, plus w S_k (x = x1) or w T_k (x = x2), is 0; at
         # k = 0, P is log(6 S^2 + x2) and d_x P is d_x(6 S^2 + x2) (6 S^2 + x2)^-1
         if k == 0:
-            partials, factor, w = _UNIT_D, _UNIT_INV, 2
+            u = _UNIT_INV
+            partials = [(1, _mul({}, d.num, u.num), 4 * d.q * u.q, d.m + u.m, None)
+                        for d in _UNIT_D]
+            w = 2
         else:
-            prim = _ring_sum([(3, x1, rec.s(k)), (2, x2, rec.t(k))])
-            partials, factor, w = (prim.d1(), prim.d2()), _RING_ONE, 4 * k
-        if not all(_ring_sum([(1, d, factor), (w, stream, _RING_ONE)]).is_zero()
-                   for d, stream in zip(partials, (rec.s(k), rec.t(k)))):
+            prim = _raw_sum([(3, {e + _X1: c for e, c in s.num.items()}, s.q, s.m, None),
+                             (2, {e + _X2: c for e, c in t.num.items()}, t.q, t.m, None)])
+            partials = [(1, *prim, i) for i in (0, 1)]
+            w = 4 * k
+        if any(any(_raw_sum([d, (w, *_raw(stream), None)])[0].values())
+               for d, stream in zip(partials, (s, t))):
             failures.append(k)
     return SymbolicCheckReport("primitives", rec.order, tuple(failures))
 
@@ -692,13 +742,30 @@ _X1_MAX, _X2_MAX, _Y_MAX = (QUARTIC_SCALE_MAX ** w for w in (3, 2, 4))
 # solver with itself
 HOMOGENEITY_LAMBDA = 3.0
 
+class _QuarticPoint:
+    """What the four branches of one ``quartic_g_roots`` call share: the
+    point's A and C, and their partials in (x1, x2, y), formed by the first
+    branch that reads them (``_point_partials``)."""
+
+    __slots__ = ("a", "c", "partials")
+
+    def __init__(self, a: complex, c: complex):
+        self.a, self.c, self.partials = a, c, None
+
+
 @dataclass(frozen=True)
 class PearceyBranch:
+    """The root ``value``, labelled ``label``, of the quartic at (x1, x2, y).
+    A branch of ``quartic_g_roots`` carries its point's record, shared with
+    the other three; a branch built by hand, or by ``dataclasses.replace``,
+    has none and forms its own partials."""
+
     x1: complex
     x2: complex
     y: complex
     value: complex
     label: int
+    _point: _QuarticPoint | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def _is_finite(value) -> bool:
@@ -750,10 +817,12 @@ def quartic_g_roots(x1: complex, x2: complex, y: complex) -> list[PearceyBranch]
     the sum taken over the other three roots in index order; the four roots
     are held in locals, so a sweep builds no list.  The iteration ends after
     the first sweep in which every residual |F| lay within the rounding of its
-    evaluation, and keeps that sweep's steps.  A root whose scaled residual is
-    still above ``QUARTIC_TOL``, or is NaN, raises ``NumericError``; labels
-    order the roots by (real, imaginary) part, each part rounded to 12 digits
-    relative to the largest root's modulus.  A point that is not finite,
+    evaluation, and keeps that sweep's steps; a residual whose scale
+    max_k |a_k z^k| overflows has not settled.  A root whose scaled residual
+    is still above ``QUARTIC_TOL``, is NaN or has an overflowing scale raises
+    ``NumericError``; labels order the roots by (real, imaginary) part, each
+    part rounded to 12 digits relative to the largest root's modulus.  The
+    four branches share one record of the point (``_point_partials``).  A point that is not finite,
     or whose weighted scale is above ``QUARTIC_SCALE_MAX``, raises
     ``PreconditionError`` (``quartic_coefficients``), and so does a point near
     the singular locus: |A| at most 1e-10 times max(|x1|^4, |x2|^6, |y|^3),
@@ -766,7 +835,9 @@ def quartic_g_roots(x1: complex, x2: complex, y: complex) -> list[PearceyBranch]
             f"point lies near the singular locus (leading coefficient {a:.3e})")
 
     def scale(z):
-        return max(abs(a * z ** 4), abs(c * z ** 2), abs(d * z), 1.0)
+        # z ** 4 is (z z)(z z) in CPython, as z ** 2 is z z
+        z2 = z * z
+        return max(abs(a * (z2 * z2)), abs(c * z2), abs(d * z), 1.0)
 
     radius = 2 * max(abs(c / a) ** 0.5, abs(d / a) ** (1 / 3), abs(e / (2 * a)) ** 0.25)
     # turned by 0.4 rad, off the axes that real or even quartics are symmetric about
@@ -779,22 +850,22 @@ def quartic_g_roots(x1: complex, x2: complex, y: complex) -> list[PearceyBranch]
             f = (((a * z0 + b) * z0 + c) * z0 + d) * z0 + e
             fp = ((a4 * z0 + b3) * z0 + c2) * z0 + d
             step = f / (fp - f * (0 + 1 / (z0 - z1) + 1 / (z0 - z2) + 1 / (z0 - z3)))
-            settled = abs(f) <= QUARTIC_ROUNDING * scale(z0)
+            settled = abs(f) <= QUARTIC_ROUNDING * scale(z0) < inf
             z0 -= step
             f = (((a * z1 + b) * z1 + c) * z1 + d) * z1 + e
             fp = ((a4 * z1 + b3) * z1 + c2) * z1 + d
             step = f / (fp - f * (0 + 1 / (z1 - z0) + 1 / (z1 - z2) + 1 / (z1 - z3)))
-            settled = settled and abs(f) <= QUARTIC_ROUNDING * scale(z1)
+            settled = settled and abs(f) <= QUARTIC_ROUNDING * scale(z1) < inf
             z1 -= step
             f = (((a * z2 + b) * z2 + c) * z2 + d) * z2 + e
             fp = ((a4 * z2 + b3) * z2 + c2) * z2 + d
             step = f / (fp - f * (0 + 1 / (z2 - z0) + 1 / (z2 - z1) + 1 / (z2 - z3)))
-            settled = settled and abs(f) <= QUARTIC_ROUNDING * scale(z2)
+            settled = settled and abs(f) <= QUARTIC_ROUNDING * scale(z2) < inf
             z2 -= step
             f = (((a * z3 + b) * z3 + c) * z3 + d) * z3 + e
             fp = ((a4 * z3 + b3) * z3 + c2) * z3 + d
             step = f / (fp - f * (0 + 1 / (z3 - z0) + 1 / (z3 - z1) + 1 / (z3 - z2)))
-            settled = settled and abs(f) <= QUARTIC_ROUNDING * scale(z3)
+            settled = settled and abs(f) <= QUARTIC_ROUNDING * scale(z3) < inf
             z3 -= step
             if settled:
                 break
@@ -802,22 +873,24 @@ def quartic_g_roots(x1: complex, x2: complex, y: complex) -> list[PearceyBranch]
         raise NumericError("two quartic roots met in the Aberth iteration") from None
     roots = [z0, z1, z2, z3]
     for z in roots:
-        if not abs(((a * z + b) * z + c) * z ** 2 + d * z + e) <= QUARTIC_TOL * scale(z):
+        if not abs(((a * z + b) * z + c) * z ** 2 + d * z + e) <= QUARTIC_TOL * scale(z) < inf:
             raise NumericError(f"quartic root did not refine below {QUARTIC_TOL}")
     # parts rounded relative to the largest root, so that roots of any size
     # are ordered; rounded absolutely, roots below 5e-13 would all tie at 0
     big = max(abs(z0), abs(z1), abs(z2), abs(z3))
     roots.sort(key=lambda z: (round(z.real / big, 12), round(z.imag / big, 12)))
-    return [PearceyBranch(x1, x2, y, z, i + 1) for i, z in enumerate(roots)]
+    point = _QuarticPoint(a, c)
+    branches = [PearceyBranch(x1, x2, y, z, i + 1) for i, z in enumerate(roots)]
+    for branch in branches:
+        object.__setattr__(branch, "_point", point)
+    return branches
 
 
-def _quartic_partials(x1, x2, y, g):
-    """Value-level partial derivatives of F(g; x1, x2, y) for the implicit
-    differentiation of the branch.  A point or a value ``g`` that is not
-    finite raises ``PreconditionError``."""
-    a, _, c, _, _ = quartic_coefficients(x1, x2, y)
-    if not _is_finite(g):
-        raise PreconditionError(f"value = {g!r} is not finite")
+def _coefficient_partials(x1, x2, y, a, c) -> tuple:
+    """(A, C, A_x1, A_x2, A_y, C_x1, C_x2, C_y, A_x1x1, A_x1x2, A_x1y, A_x2x2,
+    A_x2y, A_yy, C_x2x2): A and C of the quartic at the point, and their
+    partials in (x1, x2, y) that are not constant (C_x1x1 = 36, C_x2y = -16,
+    and the rest are 0)."""
     # first partials of the coefficients
     a_x1 = 8 * x1 * x2 * (36 * y - x2 ** 2) - 108 * x1 ** 3
     a_x2 = 4 * x1 ** 2 * (36 * y - x2 ** 2) - 8 * x1 ** 2 * x2 ** 2 \
@@ -834,34 +907,67 @@ def _quartic_partials(x1, x2, y, g):
     a_x2x2 = -24 * x1 ** 2 * x2 + 64 * y * (3 * x2 ** 2 - 4 * y)
     a_x2y = 144 * x1 ** 2 + 64 * x2 * (x2 ** 2 - 4 * y) - 256 * y * x2
     a_yy = -256 * (x2 ** 2 - 4 * y) + 512 * y
-    c_x1x1 = 36
     c_x2x2 = 24 * x2
-    c_x2y = -16
+    return (a, c, a_x1, a_x2, a_y, c_x1, c_x2, c_y,
+            a_x1x1, a_x1x2, a_x1y, a_x2x2, a_x2y, a_yy, c_x2x2)
+
+
+def _point_partials(branch: PearceyBranch) -> tuple:
+    """``_coefficient_partials`` at the branch's point: from its point record,
+    filled on first read, or, for a branch built by hand, formed afresh after
+    ``quartic_coefficients`` has checked the point."""
+    x1, x2, y, point = branch.x1, branch.x2, branch.y, branch._point
+    if point is None:
+        a, _, c, _, _ = quartic_coefficients(x1, x2, y)
+        return _coefficient_partials(x1, x2, y, a, c)
+    if point.partials is None:
+        point.partials = _coefficient_partials(x1, x2, y, point.a, point.c)
+    return point.partials
+
+
+def _branch_derivatives(branch: PearceyBranch) -> tuple:
+    """(g_x1, g_x2, g_y, g_x1x1, g_x1x2, g_x1y, g_x2x2, g_x2y, g_yy) of the
+    branch value g, by implicit differentiation of F(g; x1, x2, y) = 0: only
+    the powers of g depend on the branch.  The errors are those of
+    ``branch_partials``."""
+    (a, c, a_x1, a_x2, a_y, c_x1, c_x2, c_y,
+     a_x1x1, a_x1x2, a_x1y, a_x2x2, a_x2y, a_yy, c_x2x2) = _point_partials(branch)
+    x1, g = branch.x1, branch.value
+    if not _is_finite(g):
+        raise PreconditionError(f"value = {g!r} is not finite")
     try:
         g2, g3, g4 = g * g, g ** 3, g ** 4
     except OverflowError:
         raise PreconditionError(f"value = {g!r} is too large: its powers overflow") from None
     f_g = 4 * a * g3 + 2 * c * g - 8 * x1
-    partials = {
-        "x1": a_x1 * g4 + c_x1 * g2 - 8 * g,
-        "x2": a_x2 * g4 + c_x2 * g2,
-        "y": a_y * g4 + c_y * g2,
-    }
-    second = {
-        ("x1", "x1"): a_x1x1 * g4 + c_x1x1 * g2,
-        ("x1", "x2"): a_x1x2 * g4,
-        ("x1", "y"): a_x1y * g4,
-        ("x2", "x2"): a_x2x2 * g4 + c_x2x2 * g2,
-        ("x2", "y"): a_x2y * g4 + c_x2y * g2,
-        ("y", "y"): a_yy * g4,
-    }
-    cross_g = {
-        "x1": 4 * a_x1 * g3 + 2 * c_x1 * g - 8,
-        "x2": 4 * a_x2 * g3 + 2 * c_x2 * g,
-        "y": 4 * a_y * g3 + 2 * c_y * g,
-    }
+    if abs(f_g) < 1e-10:
+        raise NumericError("branch derivative degenerates (double root nearby)")
+    # F_v, F_vw and F_vg for v, w in (x1, x2, y), and F_gg; C_x1x1 = 36, C_x2y = -16
+    f_x1 = a_x1 * g4 + c_x1 * g2 - 8 * g
+    f_x2 = a_x2 * g4 + c_x2 * g2
+    f_y = a_y * g4 + c_y * g2
+    f_x1x1 = a_x1x1 * g4 + 36 * g2
+    f_x1x2 = a_x1x2 * g4
+    f_x1y = a_x1y * g4
+    f_x2x2 = a_x2x2 * g4 + c_x2x2 * g2
+    f_x2y = a_x2y * g4 + -16 * g2
+    f_yy = a_yy * g4
+    f_x1g = 4 * a_x1 * g3 + 2 * c_x1 * g - 8
+    f_x2g = 4 * a_x2 * g3 + 2 * c_x2 * g
+    f_yg = 4 * a_y * g3 + 2 * c_y * g
     f_gg = 12 * a * g2 + 2 * c
-    return f_g, partials, second, cross_g, f_gg
+    # g_v = -F_v / F_g, and g_vw = -(F_vw + F_vg g_w + F_wg g_v + F_gg g_v g_w) / F_g
+    g_x1, g_x2, g_y = -f_x1 / f_g, -f_x2 / f_g, -f_y / f_g
+    out = (g_x1, g_x2, g_y,
+           -(f_x1x1 + f_x1g * g_x1 + f_x1g * g_x1 + f_gg * g_x1 * g_x1) / f_g,
+           -(f_x1x2 + f_x1g * g_x2 + f_x2g * g_x1 + f_gg * g_x1 * g_x2) / f_g,
+           -(f_x1y + f_x1g * g_y + f_yg * g_x1 + f_gg * g_x1 * g_y) / f_g,
+           -(f_x2x2 + f_x2g * g_x2 + f_x2g * g_x2 + f_gg * g_x2 * g_x2) / f_g,
+           -(f_x2y + f_x2g * g_y + f_yg * g_x2 + f_gg * g_x2 * g_y) / f_g,
+           -(f_yy + f_yg * g_y + f_yg * g_y + f_gg * g_y * g_y) / f_g)
+    if not all(map(_is_finite, out)):
+        raise PreconditionError(f"value = {g!r} is too large: the partials overflow")
+    return out
 
 
 def branch_partials(branch: PearceyBranch) -> dict:
@@ -871,19 +977,15 @@ def branch_partials(branch: PearceyBranch) -> dict:
     ``PreconditionError`` naming the field, as does a point beyond
     ``QUARTIC_SCALE_MAX`` and a ``value`` so large that its powers or the
     partials overflow."""
-    x1, x2, y, g = branch.x1, branch.x2, branch.y, branch.value
-    f_g, fv, fvw, fvg, f_gg = _quartic_partials(x1, x2, y, g)
-    if abs(f_g) < 1e-10:
-        raise NumericError("branch derivative degenerates (double root nearby)")
-    first = {v: -fv[v] / f_g for v in ("x1", "x2", "y")}
-    second = {}
-    for (v, w), fvw_val in fvw.items():
-        gv, gw = first[v], first[w]
-        second[(v, w)] = -(fvw_val + fvg[v] * gw + fvg[w] * gv
-                           + f_gg * gv * gw) / f_g
-    if not all(map(_is_finite, (*first.values(), *second.values()))):
-        raise PreconditionError(f"value = {g!r} is too large: the partials overflow")
-    return {"first": first, "second": second}
+    g_x1, g_x2, g_y, *second = _branch_derivatives(branch)
+    return {"first": {"x1": g_x1, "x2": g_x2, "y": g_y},
+            "second": dict(zip((("x1", "x1"), ("x1", "x2"), ("x1", "y"),
+                                ("x2", "x2"), ("x2", "y"), ("y", "y")), second))}
+
+
+def _scaled(terms: list) -> float:
+    """|sum of terms| over the sum of their magnitudes."""
+    return abs(sum(terms)) / (sum(map(abs, terms)) + 1e-300)
 
 
 def annihilation_residuals(branch: PearceyBranch) -> tuple[float, float, float, float]:
@@ -894,25 +996,11 @@ def annihilation_residuals(branch: PearceyBranch) -> tuple[float, float, float, 
     ``branch_partials`` refuses raises the same ``PreconditionError``.
     """
     x1, x2, y, g = branch.x1, branch.x2, branch.y, branch.value
-    d = branch_partials(branch)
-    g1, g2_, gy = d["first"]["x1"], d["first"]["x2"], d["first"]["y"]
-    g11 = d["second"][("x1", "x1")]
-    g12 = d["second"][("x1", "x2")]
-    g1y = d["second"][("x1", "y")]
-    g22 = d["second"][("x2", "x2")]
-    g2y = d["second"][("x2", "y")]
-    gyy = d["second"][("y", "y")]
-
-    def scaled(terms):
-        total = sum(terms)
-        scale = sum(abs(t) for t in terms) + 1e-300
-        return abs(total) / scale
-
-    r1 = scaled([4 * g12, 2 * x2 * g1y, x1 * gyy])
-    r2 = scaled([4 * g22, x1 * g1y, 2 * x2 * g2y, gy])
-    r3 = scaled([g2y, -g11])
-    r4 = scaled([3 * x1 * g1, 2 * x2 * g2_, 4 * y * gy, 3 * g])
-    return (r1, r2, r3, r4)
+    g1, g2, gy, g11, g12, g1y, g22, g2y, gyy = _branch_derivatives(branch)
+    return (_scaled([4 * g12, 2 * x2 * g1y, x1 * gyy]),
+            _scaled([4 * g22, x1 * g1y, 2 * x2 * g2y, gy]),
+            _scaled([g2y, -g11]),
+            _scaled([3 * x1 * g1, 2 * x2 * g2, 4 * y * gy, 3 * g]))
 
 
 def homogeneity_residual(x1: complex, x2: complex, y: complex) -> float:

@@ -5,6 +5,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from exactwkb import airy_wkb, series
 from exactwkb.airy_wkb import (W_VAR, check_even_is_log_derivative, closed_form_coefficients,
                                integrate_s_odd, riccati_recurrence, riccati_residual,
                                split_odd_even, wkb_coefficient_stream)
@@ -176,6 +177,22 @@ class TestSplitAndIntegrate:
 
 
 class TestCoefficientStream:
+    @pytest.mark.parametrize("s", [1, -1])
+    def test_the_phase_is_the_odd_primitive_reduced_once_per_term(self, monkeypatch, s):
+        # B, laid on the grid from the Riccati integers, is the termwise
+        # primitive of the odd part past its w^-1 term, and each of its
+        # coefficients at order 24 takes one reduction (two went through
+        # integrate_s_odd)
+        n = airy_wkb._riccati_integers(24, 1)
+        want = integrate_s_odd(airy_wkb._w_series(n, range(1, 25, 2), s))
+        reductions = []
+        real = series._reduce
+        monkeypatch.setattr(series, "_reduce",
+                            lambda *args: reductions.append(args) or real(*args))
+        phase = airy_wkb._phase_series(n, 24, s)
+        assert phase._grid == want._grid and phase.truncation == want.truncation
+        assert len(reductions) == len(phase._grid) == 12
+
     def test_normalization_and_first_values(self):
         stream = wkb_coefficient_stream(4, "+")
         assert stream.coeffs[0] == 1

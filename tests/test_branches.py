@@ -348,6 +348,35 @@ class TestContinuation:
                 continue_triple(path, start)
         assert steps == []
 
+    @pytest.mark.parametrize("path, detour", [
+        ([0.3, -0.3 + 1e-20j], [0.3, 0.3j, -0.3 + 1e-20j]),
+        ([-0.3 + 1e-300j, 0.7 + 1e-300j], [-0.3 + 1e-300j, 0.3j, 0.7 + 1e-300j]),
+        ([complex(0.3, -0.0), 2 - 1e-20j], [complex(0.3, -0.0), 1 - 0.3j, 2 - 1e-20j]),
+        ([complex(-0.5, -0.0), complex(1.5, -1e-30)],
+         [complex(-0.5, -0.0), 0.5 - 0.5j, complex(1.5, -1e-30)])])
+    def test_a_segment_on_one_side_of_the_axis_is_walked_however_close_it_passes(
+            self, path, detour):
+        # the sign bits of the imaginary parts put the whole segment on one
+        # side, so it crosses no cut and is walked as its detour is
+        start = closed_form_g_triple(0, sqrt_s(path[0]))
+        assert continue_triple(path, start) == continue_triple(detour, start)
+
+    @pytest.mark.parametrize("path, point", [
+        ([complex(-0.5, -0.0), complex(0.5, -0.0)], 0), ([-0.5, 0.5], 0),
+        ([0.5, 3.0], 1), ([complex(0.5, -0.0), complex(1.5, -0.0)], 1),
+        ([-0.5 + 1e-30j, 0.5 - 1e-30j], 0)])
+    def test_a_segment_along_or_across_the_axis_through_a_branch_point_is_refused(
+            self, monkeypatch, path, point):
+        # along the axis on one edge, or across it from edge to edge: the side
+        # of the branch point is not determined
+        start = closed_form_g_triple(0, sqrt_s(path[0]))
+        steps = []
+        monkeypatch.setattr(branches, "_cut_crossing",
+                            lambda s0, s1, sign, n: steps.append(s1) or (sign, n))
+        with pytest.raises(PreconditionError, match=f"the branch point s = {point}, "):
+            continue_triple(path, start)
+        assert steps == []
+
     @pytest.mark.parametrize("path", [[], [0.0], [1.0], [complex(0.0, -0.0)],
                                       [math.nan], [complex(0.3, math.inf)],
                                       [0.3, math.nan, 0.4]])

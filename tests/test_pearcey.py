@@ -1,6 +1,7 @@
 """Quotient-ring recursion, closedness, primitives, quartic branches."""
 
 import copy
+import dataclasses
 import importlib.util
 import json
 import math
@@ -25,7 +26,7 @@ from exactwkb import pearcey
 from exactwkb.errors import NumericError, PreconditionError, VerificationError
 from exactwkb.pearcey import (_D, _RING_ONE, _UNIT, _UNIT_INV, CubicFieldElement,
                               PearceyBranch, _divide_by_d, _mul, _nonzero,
-                              _ring_sum, _row_divide, _vanishes_on_curve,
+                              _raw_sum, _ring_sum, _row_divide, _vanishes_on_curve,
                               annihilation_residuals,
                               branch_partials, check_closedness, check_primitives,
                               denominator_is_unit_power, homogeneity_residual,
@@ -456,6 +457,25 @@ class TestRingSum:
     def test_no_terms_sum_to_zero(self):
         assert _ring_sum([]) == CubicFieldElement() and _ring_sum([]).is_zero()
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(weights(), field_triples(), st.sampled_from([None, 0, 1])),
+                    min_size=1, max_size=3))
+    def test_a_raw_sum_is_the_sum_of_its_terms_and_zero_where_it_is(self, terms):
+        # terms of any power of D, each itself or its d1 or d2: the raw
+        # numerator over the common q D^m is the sum's, and is zero exactly
+        # where the sum is
+        elements = [(w, ring_triple(a), i) for w, a, i in terms]
+        num, q, m = _raw_sum([(w, e.num, e.q, e.m, i) for w, e, i in elements])
+        chained = CubicFieldElement()
+        for w, e, i in elements:
+            chained = chained + CubicFieldElement.scalar(w) * (
+                e if i is None else e.d1() if i == 0 else e.d2())
+        assert CubicFieldElement._new(num, q, m) == chained
+        assert any(num.values()) == (not chained.is_zero())
+        w, e, i = elements[0]
+        cancelled = [(w, e.num, e.q, e.m, i), (-w, e.num, e.q, e.m, i)]
+        assert not any(_raw_sum(cancelled + [(0, e.num, e.q, e.m + 1, i)])[0].values())
+
     def test_terms_that_cancel_sum_to_the_normal_zero(self):
         a = UNIT.inverse()
         zero = _ring_sum([(2, a, S), (-1, a, S + S)])
@@ -475,10 +495,26 @@ class TestRingCost:
 
     def test_normalisations_per_order_4_recursion_and_checks(self, monkeypatch):
         normalised = _results(monkeypatch, "_normalise")
-        self._order_4_with_checks()
+        rec = pearcey_recursion(4)
+        in_recursion = len(normalised)
+        assert check_closedness(rec).passed and check_primitives(rec).passed
         # a normalisation per product and per partial sum took 270; 87 while
-        # S_0 and the unit's partials were formed per call, 76 now
-        assert len(normalised) <= 80
+        # S_0 and the unit's partials were formed per call, 76 while the
+        # checks normalised their sums, 29 now, all in the recursion
+        assert len(normalised) == in_recursion <= 29
+
+    def test_the_checks_reduce_nothing_and_build_no_element(self, monkeypatch):
+        rec = pearcey_recursion(4)
+        calls = []
+        for name in ("_normalise", "_vanishes_on_curve", "_row_divide", "gcd"):
+            real = getattr(pearcey, name)
+            monkeypatch.setattr(pearcey, name, lambda *args, _real=real, _name=name:
+                                calls.append(_name) or _real(*args))
+        new = CubicFieldElement._new
+        monkeypatch.setattr(CubicFieldElement, "_new", classmethod(
+            lambda cls, *args: calls.append("_new") or new(*args)))
+        assert check_closedness(rec).passed and check_primitives(rec).passed
+        assert calls == []
 
     def test_kernel_calls_per_order_4_recursion_and_checks(self, monkeypatch):
         products = _results(monkeypatch, "_mul")
@@ -500,6 +536,27 @@ class TestRingCost:
                             lambda a, b: calls.append(1) or mul(a, b))
         self._order_4_with_checks()
         assert len(calls) == 0
+
+
+class TestCheckWitnesses:
+    """A recursion with one numerator coefficient of one S_k or T_k moved by
+    1 fails both exact checks at that k, and only there: the zero tests see
+    a wrong sum."""
+
+    @pytest.fixture(scope="class")
+    def recursion_4(self):
+        return pearcey_recursion(4)
+
+    @pytest.mark.parametrize("stream, k", [("s", 0), ("s", 3), ("t", -1), ("t", 2)])
+    def test_a_moved_coefficient_fails_both_checks_at_its_k(self, recursion_4, stream, k):
+        terms = list(getattr(recursion_4, f"{stream}_terms"))
+        element = terms[k + 1]
+        num = dict(element.num)
+        num[min(num)] += 1
+        terms[k + 1] = CubicFieldElement._new(num, element.q, element.m)
+        moved = dataclasses.replace(recursion_4, **{f"{stream}_terms": tuple(terms)})
+        assert check_closedness(moved).failures == (k,)
+        assert check_primitives(moved).failures == (k,)
 
 
 class TestRecursion:
@@ -875,6 +932,25 @@ class TestQuartic:
             assert max(annihilation_residuals(branch)) < 1e-8
 
 
+@pytest.mark.parametrize("exponent, solves", [(-25.72, True), (-25.8, False)])
+def test_a_point_whose_iterates_overflow_solves_or_raises_a_numeric_error(exponent, solves):
+    # the point (0.7 + 0.1j, -1.2, 0.9 - 0.3j) scaled to the weighted scale
+    # 10^exponent: a fourth power of an iterate overflows, which z ** 4 raised
+    # as an untyped OverflowError; an overflowing residual scale does not
+    # settle, so the roots refine, or fail the final check where the roots'
+    # own fourth powers overflow
+    x1, x2, y = 0.7 + 0.1j, -1.2, 0.9 - 0.3j
+    s = 10 ** exponent
+    point = (s ** 3 * x1, s ** 2 * x2, s ** 4 * y)
+    if not solves:
+        with pytest.raises(NumericError, match="did not refine"):
+            quartic_g_roots(*point)
+        return
+    base = [b.value * s ** -3 for b in quartic_g_roots(x1, x2, y)]
+    for branch in quartic_g_roots(*point):
+        assert min(abs(branch.value / g - 1) for g in base) < 1e-14
+
+
 def _hexed_complex(pair):
     return complex(float.fromhex(pair[0]), float.fromhex(pair[1]))
 
@@ -892,6 +968,82 @@ class TestQuarticRootPins:
         point = [_hexed_complex(v) for v in record["point"]]
         roots = [[b.value.real.hex(), b.value.imag.hex()] for b in quartic_g_roots(*point)]
         assert roots == record["roots"]
+
+
+def _hexed(z):
+    return [complex(z).real.hex(), complex(z).imag.hex()]
+
+
+def _witness_bits(branch):
+    """The branch's annihilation residuals and partials as float.hex."""
+    d = branch_partials(branch)
+    return {"residuals": [r.hex() for r in annihilation_residuals(branch)],
+            "first": [_hexed(d["first"][v]) for v in ("x1", "x2", "y")],
+            "second": [_hexed(d["second"][vw]) for vw in (
+                ("x1", "x1"), ("x1", "x2"), ("x1", "y"), ("x2", "x2"), ("x2", "y"), ("y", "y"))]}
+
+
+class TestAnnihilationPins:
+    """``annihilation_residuals`` and ``branch_partials`` at every branch of
+    the quartic points of the pearcey benchmark's seeds 0-11, held bit for bit
+    (as float.hex) as recorded at d845b88, where each branch formed its own
+    partials: for the branches of ``quartic_g_roots``, which share their
+    point's record, and for the same branches built by hand."""
+
+    RECORDED = json.loads((ROOT / "tests" / "data" / "annihilation_pins.json").read_text())
+
+    @pytest.mark.parametrize("index", range(len(RECORDED)))
+    def test_witnesses_keep_their_bits(self, index):
+        record = self.RECORDED[index]
+        solved = quartic_g_roots(*(_hexed_complex(v) for v in record["point"]))
+        by_hand = [PearceyBranch(b.x1, b.x2, b.y, b.value, b.label) for b in solved]
+        assert [_witness_bits(b) for b in solved] == record["branches"]
+        assert [_witness_bits(b) for b in by_hand] == record["branches"]
+
+
+class TestPointRecord:
+    """The four branches of one solve form their point's coefficient
+    partials once; a branch without the record forms its own."""
+
+    def test_the_four_branches_form_the_partials_once(self, monkeypatch):
+        coefficients = _results(monkeypatch, "quartic_coefficients")
+        partials = _results(monkeypatch, "_coefficient_partials")
+        solved = quartic_g_roots(0.7 + 0.1j, -1.2, 0.9 - 0.3j)
+        for branch in solved:
+            annihilation_residuals(branch)
+            branch_partials(branch)
+        assert (len(coefficients), len(partials)) == (1, 1)
+        annihilation_residuals(dataclasses.replace(solved[0]))
+        assert (len(coefficients), len(partials)) == (2, 2)
+
+    def test_a_replaced_branch_does_not_read_the_record_of_its_old_point(self):
+        branch = quartic_g_roots(0.7 + 0.1j, -1.2, 0.9 - 0.3j)[0]
+        annihilation_residuals(branch)
+        other = quartic_g_roots(0.9 + 0.3j, -1.1 + 0.2j, 0.8 - 0.4j)[0]
+        moved = dataclasses.replace(branch, x1=other.x1, x2=other.x2, y=other.y,
+                                    value=other.value)
+        assert _witness_bits(moved) == _witness_bits(other)
+
+    @pytest.mark.parametrize("changes, error, match", [
+        ({"x1": float("nan")}, PreconditionError, "x1 = .* not finite"),
+        ({"x2": complex(float("inf"), 0)}, PreconditionError, "x2 = .* not finite"),
+        ({"y": float("-inf")}, PreconditionError, "y = .* not finite"),
+        ({"value": float("inf")}, PreconditionError, "value = .* not finite"),
+        ({"value": complex(0.5, float("nan"))}, PreconditionError, "value = .* not finite"),
+        ({"value": 1e200}, PreconditionError, "value = .* too large"),
+        ({"value": 1e200 + 0j}, PreconditionError, "value = .* too large"),
+        ({"value": 1e77}, PreconditionError, "value = .* too large"),
+        ({"x1": 1e61}, PreconditionError, "x1 = .* weighted scale"),
+        ({"x1": 0, "value": 0}, NumericError, "degenerates")])
+    def test_a_branch_without_the_record_raises_the_typed_errors(self, changes, error, match):
+        # built by hand, or replaced from a solved branch, which drops the record
+        fields = {"x1": 1, "x2": 1, "y": 1, "value": 0.5, "label": 1} | changes
+        solved = quartic_g_roots(1, 1, 1)[0]
+        for branch in (PearceyBranch(**fields), dataclasses.replace(solved, **changes)):
+            assert branch._point is None
+            for measure in (annihilation_residuals, branch_partials):
+                with pytest.raises(error, match=match):
+                    measure(branch)
 
 
 class TestAnnihilation:
