@@ -56,6 +56,9 @@ ANCHOR_SERIES_TERMS = 32
 
 LOOP_RADIUS_CAP = 0.35  # largest radius of a monodromy loop's polygon
 LOOP_VERTICES = 4       # corners of a monodromy loop's polygon
+# how near the other base point a monodromy loop's radial leg may pass before
+# the loop detours, and how far beside that point the detour's waypoint lies
+LOOP_DETOUR = 0.5
 POLISH_ITERATIONS = 8   # Newton steps of _polish_cubic at most
 
 # root distance below which solve_cubic_x repairs a double root
@@ -339,6 +342,19 @@ def _g_triple(psi: complex, chi: complex) -> tuple[complex, complex, complex]:
     return (-0.25 / (q * -p), -0.25 / (p * r), -0.25 / (r * q))
 
 
+def check_local_root(local_root: complex):
+    """Raise PreconditionError for a local root that is not finite, or at
+    which a branch of the closed form diverges: 0, or +-1 at the other base
+    point.  ``closed_form_g_triple`` and the Laplace panel kernel
+    (``resummation.RayField.laplace_panel``) refuse a root through it; the
+    kernel tests the same condition inline and calls this only at a root
+    that fails it, so it makes no call per node."""
+    if not cmath.isfinite(local_root):
+        raise PreconditionError(f"local root {local_root!r} is not finite")
+    if local_root == 0 or local_root * local_root == 1:
+        raise PreconditionError("branch values diverge at the base points s = 0 and 1")
+
+
 def closed_form_g_triple(anchor: int, local_root: complex) -> tuple[complex, complex, complex]:
     """(G_1, G_2, G_3) from the closed form, labelled as ``anchored_g_triple``
     labels them for the same ``local_root``.
@@ -349,12 +365,10 @@ def closed_form_g_triple(anchor: int, local_root: complex) -> tuple[complex, com
     root keeps clear of their cuts on the real axis outside [-1, 1] wherever
     the ray does not lie on the real axis of s.  A local root that is not
     finite, or where a branch diverges (0, or +-1 at the other base point),
-    raises PreconditionError, as does an anchor other than 0 or 1.
+    raises PreconditionError (``check_local_root``), as does an anchor other
+    than 0 or 1.
     """
-    if not cmath.isfinite(local_root):
-        raise PreconditionError(f"local root {local_root!r} is not finite")
-    if local_root == 0 or local_root * local_root == 1:
-        raise PreconditionError("branch values diverge at the base points s = 0 and 1")
+    check_local_root(local_root)
     arc_sin, arc_cos = cmath.asin(local_root), cmath.acos(local_root)
     if anchor == 0:
         return _g_triple(arc_sin, arc_cos)
@@ -555,27 +569,40 @@ def _loop_path(s: complex, center: complex):
     """A closed path from s once counterclockwise around ``center``.
 
     Walks radially in to a capped radius, goes round a regular polygon of
-    LOOP_VERTICES corners on that circle, and walks back out, so the loop
-    never strays near the other branch point.  The radius is below 1/2, so
-    the polygon crosses the real axis once on the cut at ``center`` (s < 0
-    or s > 1), where the continuation turns psi (``_cut_crossing``), and
-    otherwise only between 0 and 1, where it does not.
+    LOOP_VERTICES corners on that circle, and walks back out the way it came.
+    Around a base point 0 or 1, a radial leg that passes the other base
+    point (its foot on the leg lies strictly between s and the circle)
+    within LOOP_DETOUR goes in and out through one waypoint LOOP_DETOUR
+    beside it, on the side of the real axis that s lies on (for s on the
+    axis, the edge its sign bit names, as for ``_cut_crossing``), which is
+    the side the radial leg passes it on.  A leg that does not pass it keeps
+    the radial path.  So the loop never strays near the
+    other branch point, and where the radial leg would run along the axis
+    through it, the loop is the limit of the loops from just off the axis on
+    that edge.  The radius is below 1/2, so the polygon crosses the real
+    axis once on the cut at ``center`` (s < 0 or s > 1), where the
+    continuation turns psi (``_cut_crossing``), and otherwise only between
+    0 and 1, where it does not.
     """
     rho = abs(s - center)
     if rho < 1e-9:
         raise PreconditionError("cannot loop around the point itself")
     r0 = min(rho, LOOP_RADIUS_CAP)
     direction = (s - center) / rho
-    path = []
-    if rho > r0:
-        path.append(center + direction * r0)
     phase0 = cmath.phase(direction)
-    for k in range(1, LOOP_VERTICES + 1):
-        ang = phase0 + 2 * cmath.pi * k / LOOP_VERTICES
-        path.append(center + r0 * cmath.exp(1j * ang))
-    if rho > r0:
-        path.append(s)
-    return path
+    polygon = [center + r0 * cmath.exp(1j * (phase0 + 2 * cmath.pi * k / LOOP_VERTICES))
+               for k in range(1, LOOP_VERTICES + 1)]
+    if rho == r0:
+        return polygon
+    corner = center + direction * r0
+    detour = []
+    if center in (0, 1):
+        other = 1 - center
+        # the foot of the other base point on the leg, as a parameter along it
+        along = ((other - s) / (corner - s)).real
+        if 0 < along < 1 and _closest_approach(s, corner, other) < LOOP_DETOUR:
+            detour = [other + math.copysign(LOOP_DETOUR, s.imag) * 1j]
+    return [*detour, corner, *polygon, *detour, s]
 
 
 def monodromy_triple(s: complex, triple: tuple, center: complex) -> tuple:

@@ -820,7 +820,8 @@ def quartic_g_roots(x1: complex, x2: complex, y: complex) -> list[PearceyBranch]
     evaluation, and keeps that sweep's steps; a residual whose scale
     max_k |a_k z^k| overflows has not settled.  A root whose scaled residual
     is still above ``QUARTIC_TOL``, is NaN or has an overflowing scale raises
-    ``NumericError``; labels order the roots by (real, imaginary) part, each
+    ``NumericError``, as does a point whose Fujiwara radius overflows (a
+    subnormal A); labels order the roots by (real, imaginary) part, each
     part rounded to 12 digits relative to the largest root's modulus.  The
     four branches share one record of the point (``_point_partials``).  A point that is not finite,
     or whose weighted scale is above ``QUARTIC_SCALE_MAX``, raises
@@ -839,7 +840,12 @@ def quartic_g_roots(x1: complex, x2: complex, y: complex) -> list[PearceyBranch]
         z2 = z * z
         return max(abs(a * (z2 * z2)), abs(c * z2), abs(d * z), 1.0)
 
-    radius = 2 * max(abs(c / a) ** 0.5, abs(d / a) ** (1 / 3), abs(e / (2 * a)) ** 0.25)
+    try:
+        radius = 2 * max(abs(c / a) ** 0.5, abs(d / a) ** (1 / 3), abs(e / (2 * a)) ** 0.25)
+    except OverflowError:
+        # a subnormal A: a ratio's parts are finite and its modulus is not
+        raise NumericError(
+            f"the Fujiwara radius overflows at the leading coefficient {a:.3e}") from None
     # turned by 0.4 rad, off the axes that real or even quartics are symmetric about
     z0, z1, z2, z3 = (radius * cmath.exp(0.4j) * 1j ** k for k in range(4))
     a4, b3, c2 = 4 * a, 3 * b, 2 * c

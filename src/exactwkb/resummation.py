@@ -1,14 +1,17 @@
 """Numerical Borel summation and the connection-formula verifications.
 
 The Laplace integrals run along the rays y = -+(2/3) x^(3/2) + t, t >= 0; in
-the normalized variable the integrand comes from the branch triple at each
-node, one evaluation of Viete's closed form of the cubic's roots, so no node
-is tracked from another.
+the normalized variable the integrand at each node is the difference of two
+branch values that the sum reads, from Viete's closed form of the cubic's
+roots, so no node is tracked from another.
 The endpoint square-root singularity is removed by t = u^2 and the quadrature
 is adaptive Gauss-Legendre on u-panels: each panel is one 16-point rule over
-its whole width, and its error estimate is read off the top Legendre
-coefficients of the same node values, so no second node set is formed; a
-panel that fails its test bisects, and each child is one rule of its own.
+its whole width, whose nodes one loop evaluates in place
+(``RayField.laplace_panel``: local root, closed form, Laplace weight and the
+running sums, with no Python call per node), and its error estimate is read
+off the top Legendre coefficients of the same node values, so no second node
+set is formed; a panel that fails its test bisects, and each child is one
+rule of its own.
 The part of the integral past the last tail panel is bounded from the decay
 of the last two panels.
 
@@ -35,7 +38,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .branches import closed_form_g_triple, loop_permutation
+from .branches import check_local_root, closed_form_g_triple, loop_permutation
 from .errors import NumericError, PreconditionError, VerificationError
 
 TWO_PI_THIRDS = 2 * math.pi / 3
@@ -111,10 +114,12 @@ def classify_stokes(x: complex) -> StokesContext:
 class RayField:
     """Values of the ordered branch triple along one summation ray.
 
-    Every node is one evaluation of the closed form
-    (``closed_form_g_triple``) at the local root, which fixes the branch
-    orientation, so no node depends on another.  The exact anchor series
-    label the closed form's values and are its oracle in the tests.
+    Every node is one evaluation of the closed form at the local root, which
+    fixes the branch orientation, so no node depends on another.  A Borel
+    sum reads the ray a panel at a time (``laplace_panel``); ``triple`` is
+    the same closed form at one point (``closed_form_g_triple``), which the
+    trace and the tests read.  The exact anchor series label the closed
+    form's values and are its oracle in the tests.
     """
 
     def __init__(self, anchor: int, kappa: complex):
@@ -127,8 +132,8 @@ class RayField:
         Past s = 1 the root is fixed as (s-1)^(1/2) = e^(-i pi/2) (1-s)^(1/2),
         i.e. (1-s)^(1/2) = i * principal_sqrt(s-1).  This is the lateral
         determination that keeps the "-" Borel sum continuous across the Stokes
-        line and makes the +i prefactor of the "-" transform come out right; it
-        is the package's only point of truth for that orientation.
+        line and makes the +i prefactor of the "-" transform come out right;
+        ``laplace_panel`` forms the same root inline.
         """
         # formed from kappa*t directly: computing s = base + kappa*t and
         # subtracting the base back loses every digit for tiny t
@@ -137,6 +142,56 @@ class RayField:
 
     def triple(self, t: float) -> tuple:
         return closed_form_g_triple(self.anchor, self._local_root(t))
+
+    def laplace_panel(self, mid: float, half: float, eta: float,
+                      inv_pref: complex) -> tuple:
+        """The three sums of one Gauss panel of the ray's Laplace integral.
+
+        At the nodes u = mid + half x_k of ``_GL_RULE``, t = u^2, the node
+        value is v = D(t) inv_pref e^(-t eta) 2 u, with D = g_1 - g_2 at
+        anchor 0 (the "+" sum) and i (g_1 - g_3) at anchor 1 (the "-" sum);
+        the panel returns (sum w_k v, sum r14_k v, sum r15_k v) for
+        ``_gauss_sum``.  One loop forms each node's local root (as
+        ``_local_root``), refuses it as ``closed_form_g_triple`` does
+        (``check_local_root``), and forms the closed form's p, q and r
+        (``branches._g_triple``) and only the two entries that D reads.
+        Every operation keeps the order and operands of ``triple`` and of a
+        node-by-node sum, so each sum has the same bits; math.exp gives the
+        real part of cmath.exp at a real argument, and a float factor is
+        widened to (e, 0.0) before the complex product.
+        """
+        asin, acos, sin, sqrt, isfinite, exp = (cmath.asin, cmath.acos, cmath.sin,
+                                                cmath.sqrt, cmath.isfinite, math.exp)
+        kappa = self.kappa
+        minus = self.anchor == 1
+        total = 0j
+        c14 = c15 = 0
+        for xk, wk, r14, r15 in _GL_RULE:
+            u = mid + half * xk
+            t = u * u
+            root = sqrt(kappa * t)
+            if minus:
+                root = 1j * root
+            if not isfinite(root) or root == 0 or root * root == 1:
+                check_local_root(root)
+            # psi is asin of the root at anchor 0 and acos of it at anchor 1
+            if minus:
+                p = sin(acos(root) * (2 / 3))
+                q = sin(asin(root) * (2 / 3))
+            else:
+                p = sin(asin(root) * (2 / 3))
+                q = sin(acos(root) * (2 / 3))
+            r = p + q
+            g1 = -0.25 / (q * -p)
+            if minus:
+                v = 1j * (g1 - -0.25 / (r * q)) * inv_pref
+            else:
+                v = (g1 - -0.25 / (p * r)) * inv_pref
+            v = v * exp(-t * eta) * 2 * u
+            total += wk * v
+            c14 += r14 * v
+            c15 += r15 * v
+        return total, c14, c15
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +236,14 @@ _LEGENDRE_14, _LEGENDRE_15 = _top_legendre_rows()
 _GL_RULE = tuple(zip(_GL_NODES, _GL_WEIGHTS, _LEGENDRE_14, _LEGENDRE_15))
 
 
-def _gauss_sum(f, a: float, b: float) -> tuple[complex, float]:
+def _gauss_sum(panel, a: float, b: float) -> tuple[complex, float]:
     """The 16-point Gauss sum over [a, b] and its error estimate: all the
     work of one panel, whose acceptance test reads the estimate.
+
+    ``panel(mid, half)`` returns (sum w_k v_k, sum r14_k v_k, sum r15_k v_k)
+    over the node values v_k at mid + half x_k of ``_GL_RULE``, each sum
+    started from 0 and taken in node order (``RayField.laplace_panel``);
+    the scaling by the half width and the estimate are formed here alone.
 
     The estimate reads the top two Legendre coefficients c_14, c_15 of the
     interpolant through the same 16 values (one even and one odd degree, so a
@@ -196,17 +256,11 @@ def _gauss_sum(f, a: float, b: float) -> tuple[complex, float]:
     """
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    total = 0j
-    c14 = c15 = 0
-    for xk, wk, r14, r15 in _GL_RULE:
-        v = f(mid + half * xk)
-        total += wk * v
-        c14 += r14 * v
-        c15 += r15 * v
+    total, c14, c15 = panel(mid, half)
     return total * half, (b - a) * (abs(c14) + abs(c15))
 
 
-def _adaptive_panel(f, a: float, b: float, first: tuple, tol_abs: float,
+def _adaptive_panel(panel, a: float, b: float, first: tuple, tol_abs: float,
                     floor: float, depth: int = 0):
     """Bisecting Gauss panel with a rounding floor on the acceptance test.
 
@@ -223,8 +277,10 @@ def _adaptive_panel(f, a: float, b: float, first: tuple, tol_abs: float,
     if depth >= MAX_BISECTIONS:
         raise NumericError("quadrature panel refinement exhausted")
     mid = 0.5 * (a + b)
-    left, el = _adaptive_panel(f, a, mid, _gauss_sum(f, a, mid), tol_abs / 2, floor, depth + 1)
-    right, er = _adaptive_panel(f, mid, b, _gauss_sum(f, mid, b), tol_abs / 2, floor, depth + 1)
+    left, el = _adaptive_panel(panel, a, mid, _gauss_sum(panel, a, mid), tol_abs / 2,
+                               floor, depth + 1)
+    right, er = _adaptive_panel(panel, mid, b, _gauss_sum(panel, mid, b), tol_abs / 2,
+                                floor, depth + 1)
     return left + right, el + er
 
 
@@ -243,30 +299,27 @@ def _laplace_panels(eta: float, tol: float) -> tuple[list[float], float]:
     return edges, width
 
 
-def _laplace_quadrature(integrand_t, eta: float, tol: float):
-    """integral_0^inf integrand(t) e^(-t eta) dt with t = u^2 removing the
-    endpoint square-root singularity; returns (value, error_estimate).  The
-    estimate adds the panels' own to a bound on what lies past the last tail
-    panel.  It covers only the panels and the tail, not the rounding of the
+def _laplace_quadrature(panel, eta: float, tol: float):
+    """integral_0^inf f(t) e^(-t eta) dt with t = u^2 removing the endpoint
+    square-root singularity; returns (value, error_estimate).  ``panel`` is
+    the panel function of ``_gauss_sum`` for the node values
+    f(u^2) e^(-u^2 eta) 2 u in u (``RayField.laplace_panel``).  The estimate
+    adds the panels' own to a bound on what lies past the last tail panel.
+    It covers only the panels and the tail, not the rounding of the
     integrand values, so it is not a bound on the achieved error (see
     ``BorelSum``)."""
-
-    def h(u: float) -> complex:
-        t = u * u
-        return integrand_t(t) * cmath.exp(-t * eta) * 2 * u
-
     edges, width = _laplace_panels(eta, tol)
     panels = list(zip(edges, edges[1:]))
     # the Gauss sum of every main panel, formed once: their sum sets the
     # absolute tolerance scale, and each panel starts from its own
-    firsts = [_gauss_sum(h, a, b) for a, b in panels]
+    firsts = [_gauss_sum(panel, a, b) for a, b in panels]
     scale = max(abs(sum(value for value, _ in firsts)), 1e-280)
     tol_abs = scale * tol * 0.25
     floor = scale * 5e-16
     total = 0j
     err = 0.0
     for (a, b), first in zip(panels, firsts):
-        value, e = _adaptive_panel(h, a, b, first, tol_abs / len(panels), floor)
+        value, e = _adaptive_panel(panel, a, b, first, tol_abs / len(panels), floor)
         total += value
         err += e
     # tail extension, in case the integrand decays slower than assumed
@@ -274,7 +327,7 @@ def _laplace_quadrature(integrand_t, eta: float, tol: float):
     while True:
         b = a + width
         previous = value
-        value, e = _adaptive_panel(h, a, b, _gauss_sum(h, a, b), tol_abs, floor)
+        value, e = _adaptive_panel(panel, a, b, _gauss_sum(panel, a, b), tol_abs, floor)
         total += value
         err += e
         if abs(value) < tol_abs:
@@ -366,29 +419,20 @@ def laplace_sum(sign: str, ctx: StokesContext, eta: float,
     """Borel sum of the normalized WKB solution along its summation ray.
 
     The integrand is the branch combination for the requested sign:
-    (g_1 - g_2)/sqrt(pi) for "+", i (g_1 - g_3)/sqrt(pi) for "-".  The sum's
-    ``quadrature_error_estimate`` leaves out the rounding of the integrand
-    values, so it is not a bound on the achieved error (see ``BorelSum``).
+    (g_1 - g_2)/(sqrt(pi) x) for "+" on the ray from s = 0, i (g_1 - g_3)/
+    (sqrt(pi) x) for "-" on the ray from s = 1, evaluated a panel at a time
+    (``RayField.laplace_panel``).  The sum's ``quadrature_error_estimate``
+    leaves out the rounding of the integrand values, so it is not a bound on
+    the achieved error (see ``BorelSum``).
     """
     if sign not in ("+", "-"):
         raise PreconditionError(f"sign must be '+' or '-', got {sign!r}")
     _require_quadrature_inputs(eta, tol)
     _require_summable(ctx)
     ray = RayField(0 if sign == "+" else 1, ctx.kappa)
-    inv_pref = 1.0 / (SQRT_PI * ctx.x)
-
-    if sign == "+":
-        def integrand(t: float) -> complex:
-            g1, g2, _ = ray.triple(t)
-            return (g1 - g2) * inv_pref
-        alpha = ctx.alpha_plus
-    else:
-        def integrand(t: float) -> complex:
-            g1, _, g3 = ray.triple(t)
-            return 1j * (g1 - g3) * inv_pref
-        alpha = ctx.alpha_minus
-
-    raw, err = _laplace_quadrature(integrand, eta, tol)
+    panel = functools.partial(ray.laplace_panel, eta=eta, inv_pref=1.0 / (SQRT_PI * ctx.x))
+    raw, err = _laplace_quadrature(panel, eta, tol)
+    alpha = ctx.alpha_plus if sign == "+" else ctx.alpha_minus
     return _scaled_sum(sign, ctx, eta, alpha, raw, err)
 
 

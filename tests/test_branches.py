@@ -589,6 +589,51 @@ class TestMonodromy:
         assert relative_gap(tracked_continue_triple(loop, start),
                             monodromy_triple(s, start, center)) < 1e-12
 
+    @pytest.mark.parametrize("s, center", [(-2.0, 1.0), (complex(-2.0, -0.0), 1.0),
+                                           (3.0, 0.0), (complex(3.0, -0.0), 0.0)])
+    def test_a_loop_whose_radial_leg_runs_through_the_other_base_point_detours(self, s, center):
+        # the radial leg runs along the axis through the other base point;
+        # the loop passes beside it on the edge s lies on, as the loop from
+        # just off the axis on that edge does
+        side = math.copysign(1.0, s.imag)
+        anchor = int(center)
+        base = 0.04 if anchor == 0 else 0.96
+        start = anchored_g_triple(anchor, cmath.sqrt(base if anchor == 0 else 1 - base))
+        # the base point's labels, carried past the other base point on s's side
+        triple = continue_triple([base, 0.5 + 0.5j * side, s], start)
+        nudged = s + 1e-3j * side
+        near = continue_triple([s, nudged], triple)
+        perm = loop_permutation(anchor)
+        looped = monodromy_triple(s, triple, center)
+        looped_near = monodromy_triple(nudged, near, center)
+        for at, before, after in ((s, triple, looped), (nudged, near, looped_near)):
+            assert max(abs(after[i] - before[perm[i]]) for i in range(3)) <= 1e-12 * max(
+                map(abs, before)), at
+        assert relative_gap(continue_triple([nudged, s], looped_near), looped) <= 1e-14
+        path = [s, *_loop_path(s, center)]
+        assert min(branches._closest_approach(a, b, 1 - anchor)
+                   for a, b in zip(path, path[1:])) > branches.LOOP_RADIUS_CAP
+
+    @pytest.mark.parametrize("s, center", [(0.45, 1.0), (0.3 + 0.45j, 1.0), (0.55, 0.0),
+                                           (0.6 - 0.4j, 0.0), (2.0, 1.0), (-1.0, 0.0),
+                                           (-2 + 2j, 1.0), (2.5 - 1j, 1.0)])
+    def test_a_loop_whose_radial_leg_does_not_pass_the_other_base_point_stays_radial(
+            self, s, center):
+        # in to the circle, once round the square and back out, as before the
+        # detour, bit for bit; and clear of the other base point
+        r0 = min(abs(s - center), branches.LOOP_RADIUS_CAP)
+        direction = (s - center) / abs(s - center)
+        phase0 = cmath.phase(direction)
+        n = branches.LOOP_VERTICES
+        radial = [center + direction * r0,
+                  *(center + r0 * cmath.exp(1j * (phase0 + 2 * cmath.pi * k / n))
+                    for k in range(1, n + 1)),
+                  s]
+        assert _loop_path(s, center) == radial
+        path = [s, *radial]
+        assert min(branches._closest_approach(a, b, 1 - int(center))
+                   for a, b in zip(path, path[1:])) > branches.LOOP_RADIUS_CAP
+
     def test_regular_loop_has_zero_discontinuity(self):
         s0 = 0.04
         triple = anchored_g_triple(0, cmath.sqrt(s0))

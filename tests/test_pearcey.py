@@ -951,6 +951,19 @@ def test_a_point_whose_iterates_overflow_solves_or_raises_a_numeric_error(expone
         assert min(abs(branch.value / g - 1) for g in base) < 1e-14
 
 
+@pytest.mark.parametrize("exponent", [-25.89, -25.885])
+def test_a_point_whose_root_bound_overflows_raises_a_numeric_error(exponent):
+    # the same point scaled to where |A| is subnormal (2.3e-309 and 2.6e-309):
+    # the parts of E / (2A) are finite and its modulus is not, so abs() raised
+    # an untyped OverflowError
+    x1, x2, y = 0.7 + 0.1j, -1.2, 0.9 - 0.3j
+    s = 10 ** exponent
+    point = (s ** 3 * x1, s ** 2 * x2, s ** 4 * y)
+    assert abs(quartic_coefficients(*point)[0]) < 3e-309
+    with pytest.raises(NumericError, match="Fujiwara radius overflows"):
+        quartic_g_roots(*point)
+
+
 def _hexed_complex(pair):
     return complex(float.fromhex(pair[0]), float.fromhex(pair[1]))
 

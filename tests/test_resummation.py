@@ -60,6 +60,33 @@ def numeric_loop_permutation(s, triple, center):
     return perm
 
 
+def node_panel(f):
+    """The panel function of the node function f: the three sums
+    (sum w_k f(u_k), sum r14_k f(u_k), sum r15_k f(u_k)) over the nodes
+    u_k = mid + half x_k of ``_GL_RULE``, accumulated in the order the
+    Laplace panel kernel (``RayField.laplace_panel``) accumulates them."""
+    def panel(mid, half):
+        total = 0j
+        c14 = c15 = 0
+        for xk, wk, r14, r15 in resummation._GL_RULE:
+            v = f(mid + half * xk)
+            total += wk * v
+            c14 += r14 * v
+            c15 += r15 * v
+        return total, c14, c15
+    return panel
+
+
+def laplace_node_panel(integrand_t, eta):
+    """``node_panel`` of the Laplace node integrand_t(t) e^(-t eta) 2 u at
+    t = u^2, formed node by node as the quadrature formed it before it took
+    a panel function."""
+    def h(u):
+        t = u * u
+        return integrand_t(t) * cmath.exp(-t * eta) * 2 * u
+    return node_panel(h)
+
+
 def delta_g3_cut(ctx, eta, tol):
     """The cut term as the Laplace integral of Delta g_3 along the "-" ray.
 
@@ -80,7 +107,7 @@ def delta_g3_cut(ctx, eta, tol):
         triple = ray.triple(t)
         return -(triple[image] - triple[2]) * inv_pref
 
-    raw, err = _laplace_quadrature(integrand, eta, tol)
+    raw, err = _laplace_quadrature(laplace_node_panel(integrand, eta), eta, tol)
     return _scaled_sum("+", ctx, eta, ctx.alpha_minus, raw, err)
 
 
@@ -552,14 +579,14 @@ class TestLaplaceQuadrature:
                 coefficient = sum(r * v for r, v in zip(row, values))
                 assert abs(coefficient - (m == degree)) <= 1e-13
         # so a polynomial of degree 13 leaves only rounding in the estimate
-        _, estimate = resummation._gauss_sum(lambda u: u ** 13, 0.0, 1.0)
+        _, estimate = resummation._gauss_sum(node_panel(lambda u: u ** 13), 0.0, 1.0)
         assert estimate <= 1e-14
 
     @pytest.mark.parametrize("k", [1.0, 10.0, 30.0, 60.0])
     def test_gauss_sum_estimate_not_below_its_error(self, k):
         for f, exact in ((lambda u: cmath.exp(k * u), (cmath.exp(k) - 1) / k),
                          (lambda u: math.cos(k * u), math.sin(k) / k)):
-            value, estimate = resummation._gauss_sum(f, 0.0, 1.0)
+            value, estimate = resummation._gauss_sum(node_panel(f), 0.0, 1.0)
             assert estimate >= abs(value - exact)
 
     @staticmethod
@@ -569,13 +596,13 @@ class TestLaplaceQuadrature:
         sums, panels = [], []
         real_sum, real_panel = resummation._gauss_sum, resummation._adaptive_panel
 
-        def recording_sum(f, a, b):
+        def recording_sum(panel, a, b):
             sums.append((a, b))
-            return real_sum(f, a, b)
+            return real_sum(panel, a, b)
 
-        def recording_panel(f, a, b, first, tol_abs, floor, depth=0):
+        def recording_panel(panel, a, b, first, tol_abs, floor, depth=0):
             panels.append((a, b, depth))
-            return real_panel(f, a, b, first, tol_abs, floor, depth)
+            return real_panel(panel, a, b, first, tol_abs, floor, depth)
 
         monkeypatch.setattr(resummation, "_gauss_sum", recording_sum)
         monkeypatch.setattr(resummation, "_adaptive_panel", recording_panel)
@@ -595,7 +622,8 @@ class TestLaplaceQuadrature:
             return integrand(t)
 
         sums, panels = self.record_sums(monkeypatch)
-        value, estimate = _laplace_quadrature(counting_integrand, 8.0, 1e-10)
+        value, estimate = _laplace_quadrature(laplace_node_panel(counting_integrand, 8.0),
+                                              8.0, 1e-10)
         assert abs(value - exact) <= 1e-12 * exact
         # the estimate, tail remainder included, is not below the achieved error
         assert estimate >= abs(value - exact)
@@ -626,9 +654,7 @@ class TestLaplaceQuadrature:
         assert cap is not None or depth_cap == 25
         sums, panels = self.record_sums(monkeypatch)
 
-        def step(u):
-            return 1.0 if u > 1 / math.pi else 0.0
-
+        step = node_panel(lambda u: 1.0 if u > 1 / math.pi else 0.0)
         with pytest.raises(NumericError, match="refinement exhausted"):
             resummation._adaptive_panel(step, 0.0, 1.0, resummation._gauss_sum(step, 0.0, 1.0),
                                         0.0, 1e-14)
@@ -677,7 +703,8 @@ class TestConnectionFormulas:
                 _, g2, g3 = ray.triple(t)
                 return 1j * (g2 - g3) / (SQRT_PI * ctx.x)
 
-            raw, err = _laplace_quadrature(swapped, minus.eta, VOROS_QUAD_TOL)
+            raw, err = _laplace_quadrature(laplace_node_panel(swapped, minus.eta), minus.eta,
+                                           VOROS_QUAD_TOL)
             wrong = _scaled_sum("-", ctx, minus.eta, ctx.alpha_minus, raw, err)
             return BorelSum("+", ctx.region, minus.eta, 1j * wrong.value,
                             wrong.quadrature_error_estimate, ctx.x)
@@ -929,16 +956,18 @@ class TestVorosSumAccuracy:
 
 
 # the branch functions a boundary tracer hooks, as (module, attribute path),
-# with the calls one verify_voros makes at each benchmark point: the closed
-# form (not hooked) at every one of the 256 ray nodes, so no series
-# evaluation, no cubic solve, and no loop or polyline walked, as TestRayCost
-# derives them
+# with the calls one verify_voros makes at each benchmark point: the Laplace
+# panel kernel once per Gauss panel, 16 panels of 16 nodes, so no per-node
+# RayField.triple (the benchmark's resummation.ray_triple hook reads 0), no
+# series evaluation, no cubic solve, and no loop or polyline walked, as
+# TestRayCost derives them
 TRACKER_HOOKS = (("exactwkb.branches", "solve_cubic_g"),
                  ("exactwkb.branches", "continue_triple"),
                  ("exactwkb.branches", "anchored_g_triple"),
                  ("exactwkb.resummation", "RayField.triple"),
-                 ("exactwkb.branches", "monodromy_triple"))
-TRACKER_CALLS = ((0, 0, 0, 256, 0), (0, 0, 0, 256, 0))
+                 ("exactwkb.branches", "monodromy_triple"),
+                 ("exactwkb.resummation", "RayField.laplace_panel"))
+TRACKER_CALLS = ((0, 0, 0, 0, 0, 16), (0, 0, 0, 0, 0, 16))
 
 
 def count_calls(monkeypatch, module_name, path):
@@ -1019,27 +1048,148 @@ class TestTracerBoundaries:
         assert {name: c[0] for name, c in counters.items()} == SERIES_KERNEL_CALLS
 
 
+class KernelProfile:
+    """Through sys.setprofile: the calls of the Laplace panel kernel, the
+    nodes they evaluate (one cmath.sqrt each) and the Python calls made
+    while a kernel frame is live."""
+
+    KERNEL = RayField.laplace_panel.__code__
+
+    def __init__(self):
+        self.kernels = self.nodes = self.calls_inside = 0
+        self._live = 0
+
+    def __call__(self, frame, event, arg):
+        if event == "call":
+            self.calls_inside += self._live > 0
+            if frame.f_code is self.KERNEL:
+                self.kernels += 1
+                self._live += 1
+        elif event == "return" and frame.f_code is self.KERNEL:
+            self._live -= 1
+        elif event == "c_call" and self._live and arg is cmath.sqrt:
+            self.nodes += 1
+
+    def run(self, call, *args):
+        previous = sys.getprofile()
+        sys.setprofile(self)
+        try:
+            return call(*args)
+        finally:
+            sys.setprofile(previous)
+
+
 class TestRayCost:
-    """Each node of a summation ray costs one evaluation of the closed form,
-    with no series evaluation and no cubic solve; the cut term costs none."""
+    """A summation ray is read one Gauss panel per kernel call, with no
+    Python call per node: no closed-form triple, series evaluation or cubic
+    solve; the cut term costs none."""
 
     @pytest.mark.parametrize("point", BENCH_POINTS)
     def test_one_evaluation_per_node(self, monkeypatch, point):
+        # each node is evaluated once, inside the one kernel call of its panel
         x, eta = point
         ctx = classify_stokes(x)
         counters = [count_calls(monkeypatch, "exactwkb.branches", name)
                     for name in ("solve_cubic_g", "anchored_g_triple", "closed_form_g_triple")]
-        nodes = count_calls(monkeypatch, "exactwkb.resummation", "RayField.triple")
-        laplace_sum("+", ctx, eta, VOROS_QUAD_TOL)
-        minus = laplace_sum("-", ctx, eta, VOROS_QUAD_TOL)
-        solves, series, closed = (c[0] for c in counters)
-        assert solves == series == 0
-        # no panel bisects here: one 16-point Gauss sum on each main panel
-        # and on the one tail panel, for each of the two sums
+        counters.append(count_calls(monkeypatch, "exactwkb.resummation", "RayField.triple"))
+        profile = KernelProfile()
+        profile.run(laplace_sum, "+", ctx, eta, VOROS_QUAD_TOL)
+        minus = profile.run(laplace_sum, "-", ctx, eta, VOROS_QUAD_TOL)
+        assert [c[0] for c in counters] == [0, 0, 0, 0]
+        # no panel bisects here: one kernel call on each main panel and on
+        # the one tail panel, for each of the two sums
         panels = len(resummation._laplace_panels(eta, VOROS_QUAD_TOL)[0])
-        assert closed == nodes[0] == 2 * 16 * panels
-        gamma_term(ctx, minus)
-        assert [c[0] for c in counters] == [0, 0, closed]
+        assert profile.kernels == 2 * panels == 16
+        assert profile.nodes == 16 * profile.kernels == 256
+        assert profile.calls_inside == 0
+        profile.run(gamma_term, ctx, minus)
+        assert profile.kernels == 16
+        assert [c[0] for c in counters] == [0, 0, 0, 0]
+
+
+def node_integrand(ray, inv_pref):
+    """The node function of the Borel sum on ``ray`` as laplace_sum formed
+    it node by node, from the closed-form triple: (g_1 - g_2) inv_pref at
+    anchor 0, i (g_1 - g_3) inv_pref at anchor 1."""
+    if ray.anchor == 0:
+        def integrand(t):
+            g1, g2, _ = ray.triple(t)
+            return (g1 - g2) * inv_pref
+    else:
+        def integrand(t):
+            g1, _, g3 = ray.triple(t)
+            return 1j * (g1 - g3) * inv_pref
+    return integrand
+
+
+def _seeded_panels(count, seed=3803):
+    """(anchor, kappa, eta, inv_pref, mid, half, depth) of ``count`` seeded
+    Gauss panels: x in region I or II, a main or tail panel of its sum
+    bisected down a random path to a depth of 0 to MAX_BISECTIONS, with mid
+    and half formed from the panel's edges as ``_gauss_sum`` forms them."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        anchor = k % 2
+        side = 1 if (k // 2) % 2 else -1
+        x = cmath.rect(rng.uniform(0.2, 3.0), side * rng.uniform(0.01, resummation.TWO_PI_THIRDS - 0.01))
+        ctx = classify_stokes(x)
+        assert ctx.region == ("II" if side > 0 else "I")
+        eta = math.exp(rng.uniform(math.log(0.5), math.log(200.0)))
+        edges, width = resummation._laplace_panels(eta, VOROS_QUAD_TOL)
+        main = list(zip(edges, edges[1:]))
+        tail = edges[-1] + width * rng.randrange(3)
+        a, b = main[rng.randrange(len(main))] if rng.random() < 0.8 else (tail, tail + width)
+        depth = rng.randint(0, resummation.MAX_BISECTIONS)
+        for _ in range(depth):
+            mid = 0.5 * (a + b)
+            a, b = (a, mid) if rng.random() < 0.5 else (mid, b)
+        out.append((anchor, ctx.kappa, eta, 1.0 / (SQRT_PI * ctx.x), 0.5 * (a + b),
+                    0.5 * (b - a), depth))
+    return out
+
+
+def _hexed_sums(sums):
+    return [(v.real.hex(), v.imag.hex()) for v in sums]
+
+
+class TestPanelKernel:
+    """``RayField.laplace_panel`` against ``node_panel`` of the node-by-node
+    Laplace integrand it replaces, bit for bit."""
+
+    PANELS = _seeded_panels(1200)
+
+    def test_the_seeded_panels_cover_both_signs_regions_and_every_depth(self):
+        assert len(self.PANELS) >= 1000
+        assert {(anchor, kappa.imag > 0) for anchor, kappa, *_ in self.PANELS} == {
+            (0, True), (0, False), (1, True), (1, False)}
+        assert ({depth for *_, depth in self.PANELS}
+                == set(range(resummation.MAX_BISECTIONS + 1)))
+
+    def test_the_kernel_keeps_the_bits_of_the_node_by_node_sums(self):
+        for anchor, kappa, eta, inv_pref, mid, half, _ in self.PANELS:
+            ray = RayField(anchor, kappa)
+            want = laplace_node_panel(node_integrand(ray, inv_pref), eta)(mid, half)
+            got = ray.laplace_panel(mid, half, eta, inv_pref)
+            assert _hexed_sums(got) == _hexed_sums(want), (anchor, kappa, eta, mid, half)
+
+    @pytest.mark.parametrize("anchor, kappa, mid, half", [
+        (0, 1.0 + 0j, 1.0, 0.0),           # the root 1 at anchor 0
+        (1, -1.0 + 0j, 1.0, 0.0),          # i i = -1 at anchor 1
+        (0, 1.0 + 0j, 0.0, 0.0),           # the base point itself
+        (1, 1.0 + 0j, 0.0, 0.0),
+        (0, complex(INF, 0.0), 1.0, 0.0),
+        (1, complex(INF, 0.0), 1.0, 0.0),
+        (0, 1.0 + 0j, NAN, 0.5),
+        (1, 1.0 + 0j, NAN, 0.5),
+    ], ids=["one-0", "minus-one-1", "zero-0", "zero-1", "inf-0", "inf-1", "nan-0", "nan-1"])
+    def test_a_refused_root_raises_the_closed_form_message(self, anchor, kappa, mid, half):
+        ray = RayField(anchor, kappa)
+        with pytest.raises(PreconditionError) as want:
+            laplace_node_panel(node_integrand(ray, 1.0), 8.0)(mid, half)
+        with pytest.raises(PreconditionError) as got:
+            ray.laplace_panel(mid, half, 8.0, 1.0)
+        assert str(got.value) == str(want.value)
 
 
 class TestGrazingRays:
